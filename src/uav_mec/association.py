@@ -11,26 +11,17 @@ change.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cost import branch_price, floored_rate
 from .errors import InfeasibleSubproblem
-from .link import rate_at_dist_sq, snr_coeff
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, reposition)
 
 DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_TIME_BUDGET_S = 10.0
-
-
-@dataclass(frozen=True)
-class BnbNode:
-    """Search node: chosen S-UAV per target in branch order, -1 undecided."""
-
-    assigned_prefix: tuple[int, ...]
-    lower_bound_s: float
-    depth: int
 
 
 @dataclass
@@ -66,41 +57,31 @@ class _Context:
             return hit
         scenario = self.scenario
         suav = scenario.suavs[suav_index]
-        targets = [scenario.targets[i]
-                   for i in _bits_to_indices(target_bits)]
+        targets = [t for i, t in enumerate(scenario.targets)
+                   if target_bits >> i & 1]
         if not targets:
             result = (0.0, True)
             self._memo[key] = result
             return result
         pos = suav.initial_pos if self.static_positions else reposition(suav, targets)
-        c = scenario.constants
-        snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
-        d2 = max(float(((pos.array - self.q_m) ** 2).sum()), 1.0)
-        r = rate_at_dist_sq(d2, c.bandwidth_hz, snr.gamma1)
-        s = suav.chunk_bits
-        if self.beta[suav_index]:
-            total = s / r + s * c.f0_cycles_per_bit * self.n_off / scenario.ruav.cpu_hz
-            energy = suav.tx_power_w * s / r + suav.hover_energy_j
-        else:
-            total = (s * c.f0_cycles_per_bit / suav.cpu_hz
-                     + suav.compress_ratio * s / r)
-            energy = (suav.tx_power_w * suav.compress_ratio * s / r
-                      + suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit
-                      + suav.hover_energy_j)
-        result = (total, energy <= suav.energy_budget_j)
+        r = floored_rate(suav, pos.array, self.q_m, scenario.constants)
+        price = branch_price(scenario, suav_index, suav.chunk_bits,
+                             bool(self.beta[suav_index]), self.n_off)
+        energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
+        result = (price.latency(r), energy <= suav.energy_budget_j)
         self._memo[key] = result
         return result
 
-
-def _bits_to_indices(bits: int) -> list[int]:
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out
+    def by_growth(self, target_index: int,
+                  assigned_bits: list[int]) -> list[tuple[float, int]]:
+        """(latency growth, S-UAV) for every S-UAV covering the target if it
+        took the target on, smallest growth first (ties: lowest index)."""
+        out = []
+        for j in self.cover[target_index]:
+            before, _ = self.latency(j, assigned_bits[j])
+            after, _ = self.latency(j, assigned_bits[j] | (1 << target_index))
+            out.append((after - before, j))
+        return sorted(out)
 
 
 def _alpha_from_choice(ctx: _Context, choice: dict[int, int]) -> np.ndarray:
@@ -108,24 +89,6 @@ def _alpha_from_choice(ctx: _Context, choice: dict[int, int]) -> np.ndarray:
     for target_index, suav_index in choice.items():
         alpha[target_index, suav_index] = 1
     return alpha
-
-
-def node_lower_bound(node: BnbNode, ctx: _Context) -> float:
-    """Max exact latency over S-UAVs whose candidate pool is fully decided."""
-    decided_targets = set()
-    assigned_bits = [0] * ctx.scenario.n_suavs
-    for depth, suav_index in enumerate(node.assigned_prefix[:node.depth]):
-        target_index = ctx.order[depth]
-        decided_targets.add(target_index)
-        if suav_index >= 0:
-            assigned_bits[suav_index] |= 1 << target_index
-    bound = 0.0
-    for j in range(ctx.scenario.n_suavs):
-        pool = {i for i in range(ctx.scenario.n_targets) if ctx.mask[i, j]}
-        if pool <= decided_targets:
-            t, _ = ctx.latency(j, assigned_bits[j])
-            bound = max(bound, t)
-    return bound
 
 
 def greedy_incumbent(scenario: Scenario, beta: np.ndarray,
@@ -137,14 +100,7 @@ def greedy_incumbent(scenario: Scenario, beta: np.ndarray,
     assigned_bits = [0] * scenario.n_suavs
     choice = {}
     for target_index in ctx.order:
-        best = None
-        for j in ctx.cover[target_index]:
-            before, _ = ctx.latency(j, assigned_bits[j])
-            after, _ = ctx.latency(j, assigned_bits[j] | (1 << target_index))
-            key = (after - before, j)
-            if best is None or key < best[0]:
-                best = (key, j)
-        j = best[1]
+        j = ctx.by_growth(target_index, assigned_bits)[0][1]
         choice[target_index] = j
         assigned_bits[j] |= 1 << target_index
     alpha = _alpha_from_choice(ctx, choice)
@@ -189,14 +145,17 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
 
     assigned_bits = [0] * n_suavs
     choice: dict[int, int] = {}
-    state = {"nodes": 0, "aborted": [], "start": time.monotonic()}
+    state = {"nodes": 0, "aborted": [], "start": time.monotonic(),
+             "timed_out": False}
 
     def out_of_budget() -> bool:
-        if state["nodes"] >= node_budget:
+        # The clock is read every 1024 nodes; once it has run out the search
+        # stops for good, like it does at the node budget.
+        if state["timed_out"] or state["nodes"] >= node_budget:
             return True
         if state["nodes"] % 1024 == 0:
-            return time.monotonic() - state["start"] > time_budget_s
-        return False
+            state["timed_out"] = time.monotonic() - state["start"] > time_budget_s
+        return state["timed_out"]
 
     def dfs(depth: int, bound: float) -> None:
         nonlocal incumbent_alpha, incumbent_obj
@@ -211,13 +170,7 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
             state["aborted"].append(bound)
             return
         target_index = ctx.order[depth]
-        children = []
-        for j in ctx.cover[target_index]:
-            before, _ = ctx.latency(j, assigned_bits[j])
-            after, _ = ctx.latency(j, assigned_bits[j] | (1 << target_index))
-            children.append((after - before, j))
-        children.sort()
-        for _, j in children:
+        for _, j in ctx.by_growth(target_index, assigned_bits):
             new_bound = bound
             feasible = True
             for cand in ctx.cover[target_index]:

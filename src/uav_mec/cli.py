@@ -11,9 +11,9 @@ from . import placement
 from .config import ExperimentConfig, load_config
 from .errors import ParseError, UavMecError, ValidationError
 from .experiment import SWEEPABLE, format_rows, run_cell, sweep, write_results
-from .orchestrator import SCHEMES, run_scheme
+from .orchestrator import SCHEMES, placed_for, run_scheme
 from .oracles import joint_bruteforce
-from .scenario import generate_scenario, repositioned_scenario
+from .scenario import generate_scenario
 
 
 def _load(args) -> ExperimentConfig:
@@ -81,8 +81,7 @@ def cmd_trace(args) -> int:
     for i, value in enumerate(report.objective_trace):
         lines.append(f"{i},{value!r}")
     # Inner placement trace at the final decision, from the default start.
-    placed = (scenario if scheme == "static_suavs"
-              else repositioned_scenario(scenario, report.alpha))
+    placed = placed_for(scenario, report.alpha, scheme)
     from .scenario import Association, feasible_association_mask
     assoc = Association(alpha=report.alpha,
                         feasible_mask=feasible_association_mask(scenario))

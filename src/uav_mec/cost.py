@@ -10,11 +10,12 @@ objective and the delay-difference metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDecision
-from .link import PhysicsConstants, rate, snr_coeff
+from .link import PhysicsConstants, rate, rate_at_dist_sq, snr_coeff
 from .scenario import Association, Position3D, Scenario, SUav
 
 
@@ -49,115 +50,104 @@ def effective_chunk_bits(scenario: Scenario, alpha: np.ndarray) -> np.ndarray:
     return np.where(monitored, sizes, 0.0)
 
 
-def local_path_latency(suav: SUav, q_m: Position3D, constants: PhysicsConstants,
-                       s_bits: float | None = None) -> tuple[float, float]:
-    """(on-board compute time, compressed-transmit time)."""
-    s = suav.chunk_bits if s_bits is None else s_bits
-    if s == 0.0:
-        return 0.0, 0.0
-    t_loc = s * constants.f0_cycles_per_bit / suav.cpu_hz
-    snr = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
-    r = rate(suav.current_pos.array, q_m.array, constants, snr)
-    return t_loc, suav.compress_ratio * s / r
+class BranchPrice(NamedTuple):
+    """One S-UAV's price on one computing branch, short of the link rate.
+
+    With the S-UAV's rate r: latency = tx_bits / r + fixed_s, and execution
+    energy = tx_power_w * (tx_bits / r) + comp_j.
+    """
+
+    tx_bits: float   # bits sent to the relay: compressed result or raw chunk
+    fixed_s: float   # compute seconds, on board or fair-share on the relay
+    comp_j: float    # on-board compute energy
+    relay_j: float   # relay compute energy spent on this S-UAV's chunk
+
+    def latency(self, r: float) -> float:
+        return self.tx_bits / r + self.fixed_s
+
+    def energy(self, tx_power_w: float, r: float) -> float:
+        return tx_power_w * (self.tx_bits / r) + self.comp_j
 
 
-def offload_path_latency(suav: SUav, q_m: Position3D, constants: PhysicsConstants,
-                         ruav_cpu_hz: float, n_offloaders: int,
-                         s_bits: float | None = None) -> tuple[float, float]:
-    """(raw-transmit time, fair-share relay compute time)."""
-    s = suav.chunk_bits if s_bits is None else s_bits
-    if s == 0.0:
-        return 0.0, 0.0
-    if n_offloaders < 1:
-        raise InvalidDecision("offloading S-UAV needs n_offloaders >= 1")
+def branch_price(scenario: Scenario, j: int, s: float, offloaded: bool,
+                 n_offloaders: int) -> BranchPrice:
+    """Price of S-UAV j processing s bits on board, or on the relay whose CPU
+    is split evenly among n_offloaders. The one place the model lives."""
+    c = scenario.constants
+    if offloaded:
+        if n_offloaders < 1:
+            raise InvalidDecision("offloading S-UAV needs n_offloaders >= 1")
+        f_r = scenario.ruav.cpu_hz
+        return BranchPrice(
+            s, s * c.f0_cycles_per_bit * n_offloaders / f_r, 0.0,
+            n_offloaders * f_r**2 * c.zeta * c.f0_cycles_per_bit * s)
+    suav = scenario.suavs[j]
+    return BranchPrice(
+        suav.compress_ratio * s, s * c.f0_cycles_per_bit / suav.cpu_hz,
+        suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit, 0.0)
+
+
+def floored_rate(suav: SUav, pos: np.ndarray, q_m: np.ndarray,
+                 constants: PhysicsConstants) -> float:
+    """Rate from pos to the relay with the distance floored at the 1 m
+    reference: the solver blocks' convention, where the evaluator refuses."""
     snr = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
-    r = rate(suav.current_pos.array, q_m.array, constants, snr)
-    t_tx = s / r
-    t_comp = s * constants.f0_cycles_per_bit * n_offloaders / ruav_cpu_hz
-    return t_tx, t_comp
+    d2 = max(float(((pos - q_m) ** 2).sum()), 1.0)
+    return rate_at_dist_sq(d2, constants.bandwidth_hz, snr.gamma1)
+
+
+def _capped(scenario: Scenario, beta: np.ndarray) -> np.ndarray:
+    beta = np.asarray(beta, dtype=int)
+    if beta.sum() > scenario.n0_cap:
+        raise InvalidDecision("offloader count exceeds the relay cap")
+    return beta
+
+
+def _breakdowns(scenario: Scenario, association: Association,
+                beta: np.ndarray, q_m: Position3D):
+    """(latency breakdowns, energy breakdowns ending with the relay's). An
+    S-UAV that carries no video prices to zero, and its link is not rated."""
+    s_bits = effective_chunk_bits(scenario, association.alpha)
+    n_off = int(beta.sum())
+    c = scenario.constants
+    lats, energies, relay_j = [], [], []
+    for j, suav in enumerate(scenario.suavs):
+        s, off = float(s_bits[j]), bool(beta[j])
+        price = branch_price(scenario, j, s, off, n_off)
+        t_tx = 0.0
+        if s > 0.0:
+            snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
+            t_tx = price.tx_bits / rate(suav.current_pos.array, q_m.array, c, snr)
+        lats.append(LatencyBreakdown(
+            suav_id=suav.id,
+            local_compute_s=0.0 if off else price.fixed_s,
+            local_tx_s=0.0 if off else t_tx,
+            offload_tx_s=t_tx if off else 0.0,
+            ruav_compute_s=price.fixed_s if off else 0.0,
+            total_s=t_tx + price.fixed_s,
+            offloaded=off,
+            active=s > 0.0,
+        ))
+        energies.append(EnergyBreakdown(f"suav:{suav.id}", suav.tx_power_w * t_tx,
+                                        price.comp_j, suav.hover_energy_j))
+        relay_j.append(price.relay_j)
+    energies.append(EnergyBreakdown("ruav", 0.0, float(np.sum(relay_j)),
+                                    scenario.ruav.hover_energy_j))
+    return lats, energies
 
 
 def total_latency(scenario: Scenario, association: Association,
                   beta: np.ndarray, q_m: Position3D) -> list[LatencyBreakdown]:
     """Per-S-UAV latency breakdowns with the decision-selected totals."""
-    beta = np.asarray(beta, dtype=int)
-    if beta.sum() > scenario.n0_cap:
-        raise InvalidDecision("offloader count exceeds the relay cap")
-    s_bits = effective_chunk_bits(scenario, association.alpha)
-    n_off = int(beta.sum())
-    out = []
-    for j, suav in enumerate(scenario.suavs):
-        s = float(s_bits[j])
-        active = s > 0.0
-        t_loc, t_tx_loc = local_path_latency(suav, q_m, scenario.constants, s_bits=s)
-        if beta[j]:
-            t_tx_off, t_comp_ruav = offload_path_latency(
-                suav, q_m, scenario.constants, scenario.ruav.cpu_hz, n_off, s_bits=s)
-        else:
-            t_tx_off, t_comp_ruav = 0.0, 0.0
-        total = (t_tx_off + t_comp_ruav) if beta[j] else (t_loc + t_tx_loc)
-        out.append(LatencyBreakdown(
-            suav_id=suav.id,
-            local_compute_s=t_loc if not beta[j] else 0.0,
-            local_tx_s=t_tx_loc if not beta[j] else 0.0,
-            offload_tx_s=t_tx_off,
-            ruav_compute_s=t_comp_ruav,
-            total_s=total if active else 0.0,
-            offloaded=bool(beta[j]),
-            active=active,
-        ))
-    return out
-
-
-def suav_energy(suav: SUav, beta_n: int, q_m: Position3D,
-                constants: PhysicsConstants, ruav_cpu_hz: float,
-                n_offloaders: int = 1, s_bits: float | None = None) -> EnergyBreakdown:
-    s = suav.chunk_bits if s_bits is None else s_bits
-    if s == 0.0:
-        return EnergyBreakdown(f"suav:{suav.id}", 0.0, 0.0, suav.hover_energy_j)
-    if beta_n:
-        t_tx, _ = offload_path_latency(
-            suav, q_m, constants, ruav_cpu_hz, n_offloaders, s_bits=s)
-        comp = 0.0
-    else:
-        _, t_tx = local_path_latency(suav, q_m, constants, s_bits=s)
-        comp = suav.cpu_hz**2 * constants.zeta * s * constants.f0_cycles_per_bit
-    return EnergyBreakdown(
-        owner=f"suav:{suav.id}",
-        comm_j=suav.tx_power_w * t_tx,
-        comp_j=comp,
-        hover_j=suav.hover_energy_j,
-    )
-
-
-def ruav_energy(scenario: Scenario, beta: np.ndarray,
-                s_bits: np.ndarray | None = None) -> EnergyBreakdown:
-    """Relay compute energy via the fair-share auxiliary xi_n = beta_n * sum(beta)."""
-    beta = np.asarray(beta, dtype=float)
-    if s_bits is None:
-        s_bits = np.array([s.chunk_bits for s in scenario.suavs])
-    xi = beta * beta.sum()
-    c = scenario.constants
-    comp = float(np.sum(xi * scenario.ruav.cpu_hz**2 * c.zeta
-                        * c.f0_cycles_per_bit * s_bits))
-    return EnergyBreakdown(
-        owner="ruav", comm_j=0.0, comp_j=comp,
-        hover_j=scenario.ruav.hover_energy_j,
-    )
+    return _breakdowns(scenario, association, _capped(scenario, beta), q_m)[0]
 
 
 def all_energies(scenario: Scenario, association: Association,
                  beta: np.ndarray, q_m: Position3D) -> list[EnergyBreakdown]:
+    """Per-S-UAV energies, then the relay's: the sum of the offloaders'
+    fair-share compute terms."""
     beta = np.asarray(beta, dtype=int)
-    s_bits = effective_chunk_bits(scenario, association.alpha)
-    n_off = max(int(beta.sum()), 1)
-    out = [
-        suav_energy(suav, int(beta[j]), q_m, scenario.constants,
-                    scenario.ruav.cpu_hz, n_offloaders=n_off, s_bits=float(s_bits[j]))
-        for j, suav in enumerate(scenario.suavs)
-    ]
-    out.append(ruav_energy(scenario, beta, s_bits=s_bits))
-    return out
+    return _breakdowns(scenario, association, beta, q_m)[1]
 
 
 def objective_and_spread(latencies: list[LatencyBreakdown]) -> tuple[float, float]:
@@ -177,7 +167,7 @@ def evaluate_solution(scenario: Scenario, association: Association,
 
     The scenario must already be repositioned under the association.
     """
-    lats = total_latency(scenario, association, beta, q_m)
+    lats, energies = _breakdowns(scenario, association,
+                                 _capped(scenario, beta), q_m)
     objective, spread = objective_and_spread(lats)
-    energies = all_energies(scenario, association, beta, q_m)
     return objective, spread, lats, energies

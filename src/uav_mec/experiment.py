@@ -10,11 +10,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost import effective_chunk_bits
+from .cost import branch_price, floored_rate
 from .errors import UavMecError
-from .link import rate_at_dist_sq, snr_coeff
-from .orchestrator import SCHEMES, SolverReport, run_scheme
-from .scenario import Association, Position3D, Scenario, generate_scenario
+from .orchestrator import SCHEMES, placed_for, run_scheme
+from .scenario import (Association, Position3D, Scenario,
+                       feasible_association_mask, generate_scenario)
 
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
 WORKERS_ENV = "UAV_MEC_WORKERS"
@@ -42,36 +42,23 @@ def chunked_metrics(scenario: Scenario, association: Association,
     Positions and decisions come from the single solve at the mean chunk
     size; each chunk is then re-priced at its own size.
     """
-    c = scenario.constants
     beta = np.asarray(beta, dtype=int)
     monitored = association.alpha.sum(axis=0) > 0
+    if not monitored.any():
+        return 0.0, 0.0, 0.0, 0.0
     n_off = int(beta.sum())
     totals = np.zeros(scenario.n_suavs)
     exec_energy = 0.0
     ruav_energy = 0.0
-    any_active = False
-    for j, suav in enumerate(scenario.suavs):
-        if not monitored[j]:
-            continue
-        any_active = True
-        chunks = suav.chunk_bits_list or (suav.chunk_bits,)
-        snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
-        d2 = max(float(((suav.current_pos.array - q_m.array) ** 2).sum()), 1.0)
-        r = rate_at_dist_sq(d2, c.bandwidth_hz, snr.gamma1)
-        for s in chunks:
-            if beta[j]:
-                totals[j] += (s / r
-                              + s * c.f0_cycles_per_bit * n_off / scenario.ruav.cpu_hz)
-                exec_energy += suav.tx_power_w * s / r
-                ruav_energy += (n_off * scenario.ruav.cpu_hz**2 * c.zeta
-                                * c.f0_cycles_per_bit * s)
-            else:
-                totals[j] += (s * c.f0_cycles_per_bit / suav.cpu_hz
-                              + suav.compress_ratio * s / r)
-                exec_energy += (suav.tx_power_w * suav.compress_ratio * s / r
-                                + suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit)
-    if not any_active:
-        return 0.0, 0.0, 0.0, 0.0
+    for j in np.flatnonzero(monitored):
+        suav = scenario.suavs[j]
+        r = floored_rate(suav, suav.current_pos.array, q_m.array,
+                         scenario.constants)
+        for s in suav.chunk_bits_list or (suav.chunk_bits,):
+            price = branch_price(scenario, j, s, bool(beta[j]), n_off)
+            totals[j] += price.latency(r)
+            exec_energy += price.energy(suav.tx_power_w, r)
+            ruav_energy += price.relay_j
     active_totals = totals[monitored]
     return (float(active_totals.max()), float(active_totals.std()),
             float(exec_energy), float(ruav_energy))
@@ -85,10 +72,11 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
         scenario = generate_scenario(config, seed)
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
-        placed = _placed_for_report(scenario, report)
+        placed = placed_for(scenario, report.alpha, scheme)
         association = Association(
             alpha=report.alpha,
-            feasible_mask=np.maximum(report.alpha, _mask_for(scenario)))
+            feasible_mask=np.maximum(report.alpha,
+                                     feasible_association_mask(scenario)))
         objective, spread, exec_e, ruav_e = chunked_metrics(
             placed, association, report.beta, report.q_m)
         return ResultRow(
@@ -107,20 +95,9 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
             error=f"{type(exc).__name__}: {exc}")
 
 
-def _mask_for(scenario: Scenario) -> np.ndarray:
-    from .scenario import feasible_association_mask
-    return feasible_association_mask(scenario)
-
-
-def _placed_for_report(scenario: Scenario, report: SolverReport) -> Scenario:
-    from .scenario import repositioned_scenario
-    if report.scheme == "static_suavs":
-        return scenario
-    return repositioned_scenario(scenario, report.alpha)
-
-
 def _run_cell_args(args) -> ResultRow:
-    return run_cell(*args)
+    cell, solver_kwargs = args
+    return run_cell(*cell, **solver_kwargs)
 
 
 def sweep(config: ExperimentConfig, param: str, values,
@@ -135,10 +112,11 @@ def sweep(config: ExperimentConfig, param: str, values,
         }).validate()
         for seed in config.seeds:
             for scheme in schemes:
-                cells.append((cfg, seed, scheme, param, float(value)))
+                cells.append(((cfg, seed, scheme, param, float(value)),
+                              solver_kwargs))
     workers = int(os.environ.get(WORKERS_ENV, "0")) or None
     if workers == 1 or len(cells) == 1:
-        rows = [run_cell(*cell) for cell in cells]
+        rows = [_run_cell_args(cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell_args, cells, chunksize=1))

@@ -9,14 +9,13 @@ solved alongside and reported as a certified lower bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import simplex
-from .cost import effective_chunk_bits
+from .cost import branch_price, effective_chunk_bits, floored_rate
 from .errors import CapExceeded, InfeasibleSubproblem, NumericalFailure
-from .link import rate_at_dist_sq, snr_coeff
 from .scenario import Association, Position3D, Scenario
 
 ENUMERATION_CAP = 20
@@ -25,7 +24,6 @@ ENUMERATION_CAP = 20
 @dataclass(frozen=True)
 class OffloadDecision:
     beta: np.ndarray
-    xi: np.ndarray
     slack_s: float
     relaxed: bool
     lp_lower_bound: float
@@ -37,25 +35,6 @@ class LinearProgram:
     a: np.ndarray
     b: np.ndarray
     upper: list
-    row_labels: list = field(default_factory=list)
-    var_labels: list = field(default_factory=list)
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.b)
-
-    def dump(self) -> str:
-        """Fixed-format listing for cross-checks against external solvers."""
-        lines = ["min " + " + ".join(
-            f"{cj:.12g}*{v}" for cj, v in zip(self.c, self.var_labels) if cj)]
-        for label, row, rhs in zip(self.row_labels, self.a, self.b):
-            terms = " + ".join(f"{aj:.12g}*{v}"
-                               for aj, v in zip(row, self.var_labels) if aj)
-            lines.append(f"{label}: {terms} <= {rhs:.12g}")
-        for u, v in zip(self.upper, self.var_labels):
-            if u is not None:
-                lines.append(f"bound: {v} <= {u:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -66,50 +45,58 @@ class Sp1Terms:
     t_loc: np.ndarray
     t_tx_loc: np.ndarray
     t_tx_off: np.ndarray
-    k_ruav: np.ndarray       # relay compute seconds per unit of xi
+    t_ruav: np.ndarray       # (n0_cap, n): relay compute seconds, row m - 1
     e_local: np.ndarray      # execution energy of the local branch
     e_offload: np.ndarray    # execution energy of the offload branch
     suav_budget: np.ndarray  # residual energy minus hover
     ruav_budget: float
-    w_ruav: np.ndarray       # relay compute energy per unit of xi
+    e_ruav: np.ndarray       # (n0_cap, n): relay compute energy, row m - 1
     active: np.ndarray
 
     @property
     def n(self) -> int:
         return self.s_bits.size
 
+    @property
+    def k_ruav(self) -> np.ndarray:
+        """Relay compute seconds per unit of xi."""
+        return self.t_ruav[0]
+
+    @property
+    def w_ruav(self) -> np.ndarray:
+        """Relay compute energy per unit of xi."""
+        return self.e_ruav[0]
+
 
 def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D) -> Sp1Terms:
-    c = scenario.constants
     s_bits = effective_chunk_bits(scenario, association.alpha)
     n = scenario.n_suavs
-    t_loc = np.zeros(n)
-    t_tx_loc = np.zeros(n)
-    t_tx_off = np.zeros(n)
-    e_local = np.zeros(n)
-    e_off = np.zeros(n)
+    t_loc, t_tx_loc, t_tx_off, e_local, e_off = np.zeros((5, n))
+    t_ruav, e_ruav = np.zeros((2, scenario.n0_cap, n))
     for j, suav in enumerate(scenario.suavs):
         s = float(s_bits[j])
         if s == 0.0:
             continue
-        snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
-        d2 = float(np.sum((suav.current_pos.array - q_m.array) ** 2))
-        r = rate_at_dist_sq(max(d2, 1.0), c.bandwidth_hz, snr.gamma1)
-        t_loc[j] = s * c.f0_cycles_per_bit / suav.cpu_hz
-        t_tx_loc[j] = suav.compress_ratio * s / r
-        t_tx_off[j] = s / r
-        e_local[j] = (suav.tx_power_w * t_tx_loc[j]
-                      + suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit)
-        e_off[j] = suav.tx_power_w * t_tx_off[j]
-    k_ruav = s_bits * c.f0_cycles_per_bit / scenario.ruav.cpu_hz
-    w_ruav = scenario.ruav.cpu_hz**2 * c.zeta * c.f0_cycles_per_bit * s_bits
+        r = floored_rate(suav, suav.current_pos.array, q_m.array,
+                         scenario.constants)
+        local = branch_price(scenario, j, s, False, 0)
+        t_loc[j], t_tx_loc[j] = local.fixed_s, local.tx_bits / r
+        e_local[j] = local.energy(suav.tx_power_w, r)
+        # One price per offloader count m, so that a subset is priced with
+        # the same arithmetic as the evaluator uses.
+        offs = [branch_price(scenario, j, s, True, m)
+                for m in range(1, scenario.n0_cap + 1)]
+        t_ruav[:, j] = [p.fixed_s for p in offs]
+        e_ruav[:, j] = [p.relay_j for p in offs]
+        t_tx_off[j] = offs[0].tx_bits / r
+        e_off[j] = offs[0].energy(suav.tx_power_w, r)
     budgets = np.array([s.energy_budget_j - s.hover_energy_j for s in scenario.suavs])
     return Sp1Terms(
         s_bits=s_bits, t_loc=t_loc, t_tx_loc=t_tx_loc, t_tx_off=t_tx_off,
-        k_ruav=k_ruav, e_local=e_local, e_offload=e_off, suav_budget=budgets,
+        t_ruav=t_ruav, e_local=e_local, e_offload=e_off, suav_budget=budgets,
         ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        w_ruav=w_ruav, active=s_bits > 0.0,
+        e_ruav=e_ruav, active=s_bits > 0.0,
     )
 
 
@@ -126,53 +113,45 @@ def build_sp1_lp(scenario: Scenario, association: Association,
 
     nvar = 2 * n + 1  # beta, xi, s
     s_col = 2 * n
-    rows, rhs, labels = [], [], []
-
-    def add(row, b, label):
-        rows.append(row)
-        rhs.append(b)
-        labels.append(label)
-
+    rows = []  # (coefficients, right-hand side)
     for j in range(n):  # xi upper envelope vs beta_j
         row = np.zeros(nvar)
         row[n + j] = 1.0
         row[j] = -n0
-        add(row, 0.0, f"xi_cap_beta[{j}]")
+        rows.append((row, 0.0))
     for j in range(n):  # xi upper envelope vs sum(beta)
         row = np.zeros(nvar)
         row[n + j] = 1.0
         row[:n] -= 1.0
-        add(row, 0.0, f"xi_cap_sum[{j}]")
+        rows.append((row, 0.0))
     for j in range(n):  # xi lower envelope
         row = np.zeros(nvar)
         row[n + j] = -1.0
         row[:n] += 1.0
         row[j] += n0
-        add(row, float(n0), f"xi_floor[{j}]")
+        rows.append((row, float(n0)))
     for j in range(n):  # linearized latency under the slack
         row = np.zeros(nvar)
         row[j] = t.t_tx_off[j] - t.t_loc[j] - t.t_tx_loc[j]
         row[n + j] = t.k_ruav[j]
         row[s_col] = -1.0
-        add(row, -(t.t_loc[j] + t.t_tx_loc[j]), f"latency[{j}]")
+        rows.append((row, -(t.t_loc[j] + t.t_tx_loc[j])))
     row = np.zeros(nvar)  # relay energy
     row[n:2 * n] = t.w_ruav
-    add(row, t.ruav_budget, "ruav_energy")
+    rows.append((row, t.ruav_budget))
     row = np.zeros(nvar)  # relay service cap
     row[:n] = 1.0
-    add(row, float(n0), "offloader_cap")
+    rows.append((row, float(n0)))
     for j in range(n):  # per-S-UAV energy, linear in beta_j
         row = np.zeros(nvar)
         row[j] = t.e_offload[j] - t.e_local[j]
-        add(row, t.suav_budget[j] - t.e_local[j], f"suav_energy[{j}]")
+        rows.append((row, t.suav_budget[j] - t.e_local[j]))
 
     c = np.zeros(nvar)
     c[s_col] = 1.0
     upper = [1.0] * n + [None] * n + [None]
-    var_labels = ([f"beta[{j}]" for j in range(n)]
-                  + [f"xi[{j}]" for j in range(n)] + ["s"])
-    return LinearProgram(c=c, a=np.array(rows), b=np.array(rhs), upper=upper,
-                         row_labels=labels, var_labels=var_labels)
+    return LinearProgram(c=c, a=np.array([a for a, _ in rows]),
+                         b=np.array([b for _, b in rows]), upper=upper)
 
 
 def solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
@@ -194,8 +173,8 @@ def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
         if j in member_set:
             if t.e_offload[j] > t.suav_budget[j]:
                 return None
-            lat = t.t_tx_off[j] + t.k_ruav[j] * m
-            ruav_e += t.w_ruav[j] * m
+            lat = t.t_tx_off[j] + t.t_ruav[m - 1, j]
+            ruav_e += t.e_ruav[m - 1, j]
         else:
             if t.e_local[j] > t.suav_budget[j]:
                 return None
@@ -204,6 +183,14 @@ def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
     if ruav_e > t.ruav_budget:
         return None
     return worst
+
+
+def _decision(n: int, members, slack_s: float,
+              lp_lower_bound: float) -> OffloadDecision:
+    beta = np.zeros(n, dtype=int)
+    beta[list(members)] = 1
+    return OffloadDecision(beta=beta, slack_s=slack_s, relaxed=False,
+                           lp_lower_bound=lp_lower_bound)
 
 
 def enumerate_offload(scenario: Scenario, association: Association,
@@ -226,13 +213,11 @@ def enumerate_offload(scenario: Scenario, association: Association,
             beta[list(members)] = 1
             key = (obj, tuple(beta))
             if best is None or key < best[0]:
-                best = (key, beta)
+                best = (key, members)
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
-    (obj, _), beta = best
-    xi = beta.astype(float) * beta.sum()
-    return OffloadDecision(beta=beta, xi=xi, slack_s=obj, relaxed=False,
-                           lp_lower_bound=lp_lower_bound)
+    (obj, _), members = best
+    return _decision(t.n, members, obj, lp_lower_bound)
 
 
 def round_offload(fractional: np.ndarray, scenario: Scenario,
@@ -262,11 +247,7 @@ def round_offload(fractional: np.ndarray, scenario: Scenario,
         if obj is not None and obj < current:
             members.append(j)
             current = obj
-    beta = np.zeros(t.n, dtype=int)
-    beta[members] = 1
-    xi = beta.astype(float) * beta.sum()
-    return OffloadDecision(beta=beta, xi=xi, slack_s=current, relaxed=False,
-                           lp_lower_bound=lp_lower_bound)
+    return _decision(t.n, members, current, lp_lower_bound)
 
 
 def solve_sp1(scenario: Scenario, association: Association,
@@ -275,3 +256,18 @@ def solve_sp1(scenario: Scenario, association: Association,
     lp = build_sp1_lp(scenario, association, q_m)
     x, lower = solve_lp(lp)
     return round_offload(x, scenario, association, q_m, lp_lower_bound=lower)
+
+
+def forced_offload(scenario: Scenario, association: Association,
+                   q_m: Position3D) -> OffloadDecision:
+    """The relay-only rule: offload the video-carrying S-UAVs in descending
+    order of local latency (ties by id), as many as the relay cap and every
+    energy budget admit -- the longest such prefix of that order."""
+    t = sp1_terms(scenario, association, q_m)
+    local = t.t_loc + t.t_tx_loc
+    order = sorted(np.flatnonzero(t.active).tolist(), key=lambda j: (-local[j], j))
+    for k in range(min(scenario.n0_cap, len(order)), -1, -1):
+        obj = _subset_objective(t, tuple(order[:k]))
+        if obj is not None:
+            return _decision(t.n, order[:k], obj, float("nan"))
+    raise InfeasibleSubproblem("no energy-feasible prefix of the offload order")

@@ -10,19 +10,39 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import association as assoc_mod
 from . import placement as place_mod
 from .cost import (EnergyBreakdown, LatencyBreakdown, all_energies,
-                   effective_chunk_bits, evaluate_solution)
-from .errors import InfeasibleSubproblem, UavMecError
-from .offload import solve_sp1
+                   evaluate_solution)
+from .errors import UavMecError
+from .offload import forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
                        feasible_association_mask, repositioned_scenario)
 
-SCHEMES = ("proposed", "suav_only", "ruav_only", "static_suavs")
+
+class SchemePolicy(NamedTuple):
+    """What sets a scheme apart: its offload rule and whether S-UAVs move.
+
+    offload_rule names an offload function of this module, or is None to
+    keep every S-UAV local. It is looked up by name when the scheme runs, so
+    that a wrapper installed on the module attribute sees every call.
+    """
+
+    offload_rule: str | None
+    reposition: bool  # S-UAVs move over their assigned targets
+
+
+SCHEME_POLICIES = {
+    "proposed": SchemePolicy("solve_sp1", True),
+    "suav_only": SchemePolicy(None, True),
+    "ruav_only": SchemePolicy("forced_offload", True),
+    "static_suavs": SchemePolicy("solve_sp1", False),
+}
+SCHEMES = tuple(SCHEME_POLICIES)
 DEFAULT_TOL_S = 1e-3
 DEFAULT_R_MAX = 20
 _GUARD_SLACK = 1e-12
@@ -69,6 +89,13 @@ def nearest_covering_association(scenario: Scenario) -> Association:
     return Association(alpha=alpha, feasible_mask=mask)
 
 
+def placed_for(scenario: Scenario, alpha: np.ndarray, scheme: str) -> Scenario:
+    """The S-UAV geometry a scheme prices under alpha."""
+    if SCHEME_POLICIES[scheme].reposition:
+        return repositioned_scenario(scenario, alpha)
+    return scenario
+
+
 def check_constraints(scenario: Scenario, association: Association,
                       beta: np.ndarray, q_m: Position3D,
                       static_positions: bool = False) -> list[str]:
@@ -112,22 +139,6 @@ def check_constraints(scenario: Scenario, association: Association,
     return violations
 
 
-def _forced_ruav_only_beta(placed: Scenario, association: Association,
-                           q_m: Position3D) -> np.ndarray:
-    """Offload every video-carrying S-UAV, largest local latency first,
-    until the relay cap binds."""
-    from .offload import sp1_terms
-
-    t = sp1_terms(placed, association, q_m)
-    active = np.flatnonzero(t.active)
-    local = t.t_loc + t.t_tx_loc
-    order = sorted(active.tolist(), key=lambda j: (-local[j], j))
-    beta = np.zeros(t.n, dtype=int)
-    for j in order[:placed.n0_cap]:
-        beta[j] = 1
-    return beta
-
-
 def run_scheme(scenario: Scenario, scheme: str,
                tol: float = DEFAULT_TOL_S, r_max: int = DEFAULT_R_MAX,
                node_budget: int = assoc_mod.DEFAULT_NODE_BUDGET,
@@ -136,14 +147,16 @@ def run_scheme(scenario: Scenario, scheme: str,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     start = time.monotonic()
-    static = scheme == "static_suavs"
+    policy = SCHEME_POLICIES[scheme]
 
     association = nearest_covering_association(scenario)
-    placed = scenario if static else repositioned_scenario(scenario, association.alpha)
+    placed = placed_for(scenario, association.alpha, scheme)
     q_m = place_mod.default_initial_position(placed)
     beta = np.zeros(scenario.n_suavs, dtype=int)
-    if scheme == "ruav_only":
-        beta = _forced_ruav_only_beta(placed, association, q_m)
+    if policy.offload_rule == "forced_offload":
+        # A forced rule also sets the start; the first offload step below
+        # re-derives the same decision from the same inputs.
+        beta = forced_offload(placed, association, q_m).beta
 
     objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
     trace = [objective]
@@ -154,20 +167,8 @@ def run_scheme(scenario: Scenario, scheme: str,
     for _ in range(r_max):
         iterations += 1
         # Offload block.
-        if scheme == "proposed":
-            decision = solve_sp1(placed, association, q_m)
-            cand, _, _, _ = evaluate_solution(placed, association, decision.beta, q_m)
-            if cand <= objective + _GUARD_SLACK:
-                beta, objective = decision.beta, cand
-                lp_bound = decision.lp_lower_bound
-        elif scheme == "ruav_only":
-            forced = _forced_ruav_only_beta(placed, association, q_m)
-            cand, _, _, _ = evaluate_solution(placed, association, forced, q_m)
-            if cand <= objective + _GUARD_SLACK or iterations == 1:
-                beta, objective = forced, min(cand, objective) if iterations > 1 else cand
-        # suav_only and static_suavs keep their beta rule (zeros / proposed).
-        if scheme == "static_suavs":
-            decision = solve_sp1(placed, association, q_m)
+        if policy.offload_rule is not None:
+            decision = globals()[policy.offload_rule](placed, association, q_m)
             cand, _, _, _ = evaluate_solution(placed, association, decision.beta, q_m)
             if cand <= objective + _GUARD_SLACK:
                 beta, objective = decision.beta, cand
@@ -183,17 +184,15 @@ def run_scheme(scenario: Scenario, scheme: str,
         new_assoc, _ = assoc_mod.solve_association(
             scenario, beta, q_m, node_budget=node_budget,
             time_budget_s=time_budget_s, warm_alpha=association.alpha,
-            static_positions=static)
-        new_placed = (scenario if static
-                      else repositioned_scenario(scenario, new_assoc.alpha))
+            static_positions=not policy.reposition)
+        new_placed = placed_for(scenario, new_assoc.alpha, scheme)
         try:
-            cand, _, _, _ = evaluate_solution(new_placed, new_assoc, beta, q_m)
+            cand, _, _, energies = evaluate_solution(new_placed, new_assoc, beta, q_m)
         except UavMecError:
             cand = float("inf")
-        if cand <= objective + _GUARD_SLACK:
-            ruav_e = all_energies(new_placed, new_assoc, beta, q_m)[-1]
-            if ruav_e.total_j <= scenario.ruav.energy_budget_j:
-                association, placed, objective = new_assoc, new_placed, cand
+        if (cand <= objective + _GUARD_SLACK
+                and energies[-1].total_j <= scenario.ruav.energy_budget_j):
+            association, placed, objective = new_assoc, new_placed, cand
 
         trace.append(objective)
         if convergence_check(trace, tol):

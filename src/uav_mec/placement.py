@@ -19,13 +19,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InfeasibleSubproblem, NumericalFailure
-from .cost import effective_chunk_bits
-from .link import rate_at_dist_sq, snr_coeff
+from .cost import branch_price, effective_chunk_bits
+from .link import snr_coeff
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
 SCA_MAX_ITER = 50
-FEAS_TOL_M2 = 1e-6
 SUBGRADIENT_ITERS = 500
 
 
@@ -64,21 +63,16 @@ def placement_terms(scenario: Scenario, association: Association,
         s = float(s_bits[j])
         if s == 0.0:
             continue
+        price = branch_price(scenario, j, s, bool(beta[j]), m)
         rows_q.append(suav.current_pos.array)
         g1.append(snr_coeff(suav.tx_power_w, c.rho0, c.noise_w).gamma1)
-        if beta[j]:
-            tx.append(s)
-            fixed.append(s * c.f0_cycles_per_bit * m / scenario.ruav.cpu_hz)
-            e_comp = 0.0
-        else:
-            tx.append(suav.compress_ratio * s)
-            fixed.append(s * c.f0_cycles_per_bit / suav.cpu_hz)
-            e_comp = suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit
-        denom = suav.energy_budget_j - suav.hover_energy_j - e_comp
+        tx.append(price.tx_bits)
+        fixed.append(price.fixed_s)
+        denom = suav.energy_budget_j - suav.hover_energy_j - price.comp_j
         if denom <= 0.0:
             raise InfeasibleSubproblem(
                 f"S-UAV {j} has no energy headroom for any transmission")
-        floors.append(suav.tx_power_w * tx[-1] / denom)
+        floors.append(suav.tx_power_w * price.tx_bits / denom)
     return PlacementTerms(
         q=np.array(rows_q).reshape(-1, 3),
         gamma1=np.array(g1), tx_bits=np.array(tx), fixed_s=np.array(fixed),
@@ -206,62 +200,6 @@ def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
                             slack_s=slack, iteration=iteration)
 
 
-def feasibility_check(lam: float, scenario: Scenario, association: Association,
-                      beta: np.ndarray, q_m_ref: Position3D):
-    """Is there a box position whose surrogate rate meets lam for every S-UAV?
-
-    Returns (feasible, witness). Each rate row translates to a ball around its
-    S-UAV; feasibility is emptiness of max_n (||q - q_n||^2 - radius_n^2) <= 0
-    over the box, a min-max of convex quadratics.
-    """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    terms = placement_terms(scenario, association, beta)
-    if terms.q.shape[0] == 0:
-        return True, q_m_ref
-    a, slope, d2r = _surrogate_coeffs(terms, q_m_ref.array)
-    rho = d2r + (a - lam) / slope  # allowed squared distance per S-UAV
-    if np.any(rho < 0.0):
-        return False, None
-    lo, hi = _box(scenario)
-
-    def cons_f(z):
-        return z[3] - (((z[None, :3] - terms.q) ** 2).sum(axis=1) - rho)
-
-    def cons_jac(z):
-        jac = np.empty((terms.q.shape[0], 4))
-        jac[:, :3] = -2.0 * (z[None, :3] - terms.q)
-        jac[:, 3] = 1.0
-        return jac
-
-    z0 = np.empty(4)
-    z0[:3] = np.clip(q_m_ref.array, lo, hi)
-    z0[3] = (((z0[None, :3] - terms.q) ** 2).sum(axis=1) - rho).max()
-    span2 = float(((hi - lo) ** 2).sum())
-    bounds = [(lo[i], hi[i]) for i in range(3)] + [(None, None)]
-    res = minimize(
-        lambda z: z[3], z0, jac=lambda z: np.array([0.0, 0.0, 0.0, 1.0]),
-        bounds=bounds,
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
-    )
-    candidates = [np.clip(res.x[:3], lo, hi)] if res.success else []
-    q_sub = _maximin_subgradient(
-        PlacementTerms(q=terms.q, gamma1=terms.gamma1, tx_bits=terms.tx_bits,
-                       fixed_s=terms.fixed_s, lam_floor=0.0,
-                       bandwidth_hz=terms.bandwidth_hz),
-        q_m_ref.array, lo, hi)
-    candidates.append(q_sub)
-    best_q, best_g = None, np.inf
-    for q in candidates:
-        g = float((((q[None, :] - terms.q) ** 2).sum(axis=1) - rho).max())
-        if g < best_g:
-            best_q, best_g = q, g
-    if best_g <= FEAS_TOL_M2:
-        return True, Position3D(*best_q)
-    return False, None
-
-
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
              q_m_init: Position3D | None = None,
              tol: float = SCA_TOL_S, max_iter: int = SCA_MAX_ITER):
@@ -281,10 +219,7 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
 
     current = PlacementIterate(
         q_m=q_m_init,
-        lambda_m=float(np.min(
-            [rate_at_dist_sq(max(float(((q_m_init.array - terms.q[i]) ** 2).sum()), 1.0),
-                             terms.bandwidth_hz, terms.gamma1[i])
-             for i in range(terms.q.shape[0])])),
+        lambda_m=float(_surrogate_coeffs(terms, q_m_init.array)[0].min()),
         slack_s=float(exact_objective(terms, q_m_init.array)[0]),
         iteration=0,
     )

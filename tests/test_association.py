@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from uav_mec.association import (greedy_incumbent, node_lower_bound,
-                                 solve_association, BnbNode, _Context)
+from uav_mec.association import greedy_incumbent, solve_association, _Context
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
 from uav_mec.scenario import Position3D
@@ -57,25 +56,6 @@ class TestForcedCases:
         assoc, info = solve_association(sc, np.zeros(2, dtype=int), Q_M)
         assert assoc.alpha.tolist() == [[1, 0], [0, 1]]
         assert info.exact
-
-
-class TestNodeBound:
-    def test_root_is_zero(self, scenario0):
-        ctx = _Context(scenario0, np.zeros(scenario0.n_suavs, dtype=int), Q_M)
-        root = BnbNode(assigned_prefix=(), lower_bound_s=0.0, depth=0)
-        assert node_lower_bound(root, ctx) == 0.0
-
-    def test_full_assignment_is_exact(self):
-        sc = random_instance(3)
-        assert sc is not None
-        beta = np.zeros(sc.n_suavs, dtype=int)
-        ctx = _Context(sc, beta, Q_M)
-        assoc, info = solve_association(sc, beta, Q_M)
-        prefix = tuple(int(np.flatnonzero(assoc.alpha[ctx.order[d]])[0])
-                       for d in range(sc.n_targets))
-        node = BnbNode(assigned_prefix=prefix, lower_bound_s=0.0,
-                       depth=sc.n_targets)
-        assert node_lower_bound(node, ctx) == pytest.approx(info.objective)
 
 
 class TestGreedyIncumbent:
@@ -143,3 +123,30 @@ class TestBnbExactness:
                            energy_budget_j=1e-4)
         with pytest.raises(InfeasibleSubproblem):
             solve_association(sc, np.array([0]), Q_M)
+
+
+class TestTimeBudget:
+    def test_search_stops_once_the_clock_runs_out(self, monkeypatch):
+        import types
+        from dataclasses import replace
+
+        from uav_mec import association
+        from uav_mec.config import ExperimentConfig
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(
+            replace(ExperimentConfig(), n_suavs=16, n_targets=40), 0)
+        reads = []
+
+        def clock():  # the start, then far past any budget
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else 100.0
+
+        monkeypatch.setattr(association, "time",
+                            types.SimpleNamespace(monotonic=clock))
+        _, info = solve_association(sc, np.zeros(sc.n_suavs, dtype=int), Q_M,
+                                    node_budget=50_000, time_budget_s=1.0)
+        assert not info.exact
+        # One clock read finds the budget spent; after it, each open level
+        # of the search calls its remaining children once and stops.
+        assert len(reads) == 2
+        assert info.nodes <= 2048 + sc.n_targets * sc.n_suavs

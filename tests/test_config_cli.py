@@ -106,6 +106,18 @@ class TestSweep:
         strip = lambda r: replace(r, wall_ms=0.0)
         assert [strip(r) for r in small_sweep] == [strip(r) for r in again]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_solver_kwargs_reach_every_cell(self, monkeypatch, workers):
+        # Seed 1 is one where a one-node association search changes the row.
+        monkeypatch.setenv("UAV_MEC_WORKERS", workers)
+        cfg = replace(ExperimentConfig(), seeds=(1,))
+        rows = sweep(cfg, "n0_cap", [2, 4], schemes=("proposed",),
+                     node_budget=1)
+        direct = [run_cell(replace(cfg, n0_cap=v), 1, "proposed", "n0_cap",
+                           float(v), node_budget=1) for v in (2, 4)]
+        strip = lambda r: replace(r, wall_ms=0.0)
+        assert [strip(r) for r in rows] == [strip(r) for r in direct]
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             sweep(ExperimentConfig(), "area_m", [1000.0])
@@ -184,15 +196,15 @@ class TestCli:
 class TestChunkedMetrics:
     def test_sums_over_chunks(self):
         cfg = replace(ExperimentConfig(), n_chunks=2)
-        from uav_mec.experiment import _mask_for, _placed_for_report
-        from uav_mec.orchestrator import run_proposed
-        from uav_mec.scenario import Association, generate_scenario
+        from uav_mec.orchestrator import placed_for, run_proposed
+        from uav_mec.scenario import (Association, feasible_association_mask,
+                                      generate_scenario)
         sc = generate_scenario(cfg, 0)
         report = run_proposed(sc)
-        placed = _placed_for_report(sc, report)
+        placed = placed_for(sc, report.alpha, report.scheme)
         assoc = Association(alpha=report.alpha,
-                            feasible_mask=np.maximum(report.alpha,
-                                                     _mask_for(sc)))
+                            feasible_mask=np.maximum(
+                                report.alpha, feasible_association_mask(sc)))
         objective, spread, exec_e, ruav_e = chunked_metrics(
             placed, assoc, report.beta, report.q_m)
         # Two chunks at the same decision cost at least the single mean-size

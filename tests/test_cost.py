@@ -1,19 +1,28 @@
-"""Latency and energy bookkeeping against hand-evaluated references."""
+"""Latency and energy bookkeeping against hand-evaluated references, and
+the blocks' pricing against the evaluator."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uav_mec.cost import (LatencyBreakdown, all_energies, effective_chunk_bits,
-                          evaluate_solution, local_path_latency,
-                          objective_and_spread, offload_path_latency,
-                          ruav_energy, suav_energy, total_latency)
+from uav_mec.association import _Context
+from uav_mec.config import ExperimentConfig
+from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
+                          effective_chunk_bits, evaluate_solution,
+                          objective_and_spread, total_latency)
 from uav_mec.errors import InvalidDecision
+from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate, snr_coeff
-from uav_mec.scenario import Association, Position3D
+from uav_mec.offload import _subset_objective, sp1_terms
+from uav_mec.placement import exact_objective, placement_terms
+from uav_mec.scenario import (Association, Position3D,
+                              feasible_association_mask, generate_scenario,
+                              repositioned_scenario)
 
-from .conftest import DEFAULT_CONSTANTS, full_association, make_scenario
+from .conftest import full_association, make_scenario
 
 S_250KB = 2_048_000.0  # 250 KB in bits
 Q_M = Position3D(500.0, 500.0, 500.0)
@@ -25,53 +34,58 @@ def two_suav_scenario(**kwargs):
                          chunk_bits=[S_250KB, S_250KB], n0_cap=2, **kwargs)
 
 
+def link_rate(sc, j=0):
+    suav = sc.suavs[j]
+    snr = snr_coeff(suav.tx_power_w, sc.constants.rho0, sc.constants.noise_w)
+    return rate(suav.current_pos.array, Q_M.array, sc.constants, snr)
+
+
 class TestLocalPath:
     def test_zero_chunk(self):
         sc = two_suav_scenario()
-        assert local_path_latency(sc.suavs[0], Q_M, sc.constants, s_bits=0.0) \
-            == (0.0, 0.0)
+        price = branch_price(sc, 0, 0.0, False, 0)
+        assert price == (0.0, 0.0, 0.0, 0.0)
+        assert price.latency(link_rate(sc)) == 0.0
 
     def test_compute_time_250kb(self):
         sc = two_suav_scenario()
-        t_loc, _ = local_path_latency(sc.suavs[0], Q_M, sc.constants)
-        assert t_loc == pytest.approx(10.24)
+        assert branch_price(sc, 0, S_250KB, False, 0).fixed_s == \
+            pytest.approx(10.24)
 
     def test_tx_linear_in_mu(self):
         full = two_suav_scenario(mu=0.2)
         half = two_suav_scenario(mu=0.1)
-        _, tx_full = local_path_latency(full.suavs[0], Q_M, full.constants)
-        _, tx_half = local_path_latency(half.suavs[0], Q_M, half.constants)
-        assert tx_full == pytest.approx(2.0 * tx_half)
+        beta = np.zeros(2, dtype=int)
+        tx_full = total_latency(full, full_association(full), beta, Q_M)[0]
+        tx_half = total_latency(half, full_association(half), beta, Q_M)[0]
+        assert tx_full.local_tx_s == pytest.approx(2.0 * tx_half.local_tx_s)
 
     def test_tx_matches_rate(self):
         sc = two_suav_scenario()
-        suav = sc.suavs[0]
-        snr = snr_coeff(suav.tx_power_w, sc.constants.rho0, sc.constants.noise_w)
-        r = rate(suav.current_pos.array, Q_M.array, sc.constants, snr)
-        _, t_tx = local_path_latency(suav, Q_M, sc.constants)
-        assert t_tx == pytest.approx(suav.compress_ratio * S_250KB / r)
+        lats = total_latency(sc, full_association(sc), np.zeros(2, dtype=int),
+                             Q_M)
+        assert lats[0].local_tx_s == pytest.approx(
+            sc.suavs[0].compress_ratio * S_250KB / link_rate(sc))
 
 
 class TestOffloadPath:
     def test_single_offloader_compute(self):
         sc = two_suav_scenario()
-        _, t_comp = offload_path_latency(
-            sc.suavs[0], Q_M, sc.constants, sc.ruav.cpu_hz, 1)
-        assert t_comp == pytest.approx(1.024)
+        price = branch_price(sc, 0, S_250KB, True, 1)
+        assert price.fixed_s == pytest.approx(1.024)
+        assert price.tx_bits == S_250KB  # raw chunk
 
     def test_fair_share_doubles(self):
         sc = two_suav_scenario()
-        _, one = offload_path_latency(sc.suavs[0], Q_M, sc.constants,
-                                      sc.ruav.cpu_hz, 1)
-        _, two = offload_path_latency(sc.suavs[0], Q_M, sc.constants,
-                                      sc.ruav.cpu_hz, 2)
-        assert two == pytest.approx(2.0 * one)
+        one = branch_price(sc, 0, S_250KB, True, 1)
+        two = branch_price(sc, 0, S_250KB, True, 2)
+        assert two.fixed_s == pytest.approx(2.0 * one.fixed_s)
+        assert two.relay_j == pytest.approx(2.0 * one.relay_j)
 
     def test_needs_offloaders(self):
         sc = two_suav_scenario()
         with pytest.raises(InvalidDecision):
-            offload_path_latency(sc.suavs[0], Q_M, sc.constants,
-                                 sc.ruav.cpu_hz, 0)
+            branch_price(sc, 0, S_250KB, True, 0)
 
 
 class TestTotalLatency:
@@ -80,17 +94,18 @@ class TestTotalLatency:
         assoc = full_association(sc)
         lats = total_latency(sc, assoc, np.zeros(2, dtype=int), Q_M)
         for j, lb in enumerate(lats):
-            t_loc, t_tx = local_path_latency(sc.suavs[j], Q_M, sc.constants)
-            assert lb.total_s == pytest.approx(t_loc + t_tx)
+            price = branch_price(sc, j, S_250KB, False, 0)
+            assert lb.total_s == pytest.approx(price.latency(link_rate(sc, j)))
+            assert lb.local_compute_s == price.fixed_s
             assert not lb.offloaded and lb.active
 
     def test_offloaded_total(self):
         sc = two_suav_scenario()
         assoc = full_association(sc)
         lats = total_latency(sc, assoc, np.array([1, 0]), Q_M)
-        t_tx, t_comp = offload_path_latency(
-            sc.suavs[0], Q_M, sc.constants, sc.ruav.cpu_hz, 1)
-        assert lats[0].total_s == pytest.approx(t_tx + t_comp)
+        price = branch_price(sc, 0, S_250KB, True, 1)
+        assert lats[0].total_s == pytest.approx(price.latency(link_rate(sc)))
+        assert lats[0].ruav_compute_s == price.fixed_s
         assert lats[0].offloaded
 
     def test_cap_enforced(self):
@@ -111,48 +126,47 @@ class TestTotalLatency:
 
 
 class TestEnergy:
+    def energies(self, beta):
+        sc = two_suav_scenario()
+        return sc, all_energies(sc, full_association(sc), np.array(beta), Q_M)
+
     def test_local_compute_energy(self):
         # zeta * f_n^2 * S * f_0 = 1e-28 * (2e8)^2 * 2.048e6 * 1000
-        sc = two_suav_scenario()
-        e = suav_energy(sc.suavs[0], 0, Q_M, sc.constants, sc.ruav.cpu_hz)
-        assert e.comp_j == pytest.approx(8.192e-3, rel=1e-9)
+        sc, energies = self.energies([0, 0])
+        assert energies[0].comp_j == pytest.approx(8.192e-3, rel=1e-9)
+        assert branch_price(sc, 0, S_250KB, False, 0).comp_j == \
+            energies[0].comp_j
 
     def test_offloader_has_no_compute_energy(self):
-        sc = two_suav_scenario()
-        e = suav_energy(sc.suavs[0], 1, Q_M, sc.constants, sc.ruav.cpu_hz,
-                        n_offloaders=1)
-        assert e.comp_j == 0.0
-        assert e.comm_j > 0.0
+        _, energies = self.energies([1, 0])
+        assert energies[0].comp_j == 0.0
+        assert energies[0].comm_j > 0.0
 
     def test_comm_energy_is_power_times_time(self):
-        sc = two_suav_scenario()
-        suav = sc.suavs[0]
-        _, t_tx = local_path_latency(suav, Q_M, sc.constants)
-        e = suav_energy(suav, 0, Q_M, sc.constants, sc.ruav.cpu_hz)
-        assert e.comm_j == pytest.approx(suav.tx_power_w * t_tx)
+        sc, energies = self.energies([0, 0])
+        lats = total_latency(sc, full_association(sc), np.zeros(2, dtype=int),
+                             Q_M)
+        assert energies[0].comm_j == pytest.approx(
+            sc.suavs[0].tx_power_w * lats[0].local_tx_s)
 
     def test_ruav_energy_all_local_zero(self):
-        sc = two_suav_scenario()
-        assert ruav_energy(sc, np.zeros(2)).comp_j == 0.0
+        _, energies = self.energies([0, 0])
+        assert energies[-1].comp_j == 0.0
 
     def test_ruav_energy_single_offloader(self):
-        sc = two_suav_scenario()
-        e = ruav_energy(sc, np.array([1, 0]))
+        sc, energies = self.energies([1, 0])
         c = sc.constants
-        assert e.comp_j == pytest.approx(
+        assert energies[-1].comp_j == pytest.approx(
             sc.ruav.cpu_hz**2 * c.zeta * c.f0_cycles_per_bit * S_250KB)
 
     def test_ruav_energy_two_offloaders_fair_share(self):
-        sc = two_suav_scenario()
-        e = ruav_energy(sc, np.array([1, 1]))
+        sc, energies = self.energies([1, 1])
         c = sc.constants
         per = 2.0 * sc.ruav.cpu_hz**2 * c.zeta * c.f0_cycles_per_bit * S_250KB
-        assert e.comp_j == pytest.approx(2.0 * per)
+        assert energies[-1].comp_j == pytest.approx(2.0 * per)
 
     def test_all_energies_layout(self):
-        sc = two_suav_scenario()
-        assoc = full_association(sc)
-        energies = all_energies(sc, assoc, np.zeros(2, dtype=int), Q_M)
+        _, energies = self.energies([0, 0])
         assert len(energies) == 3
         assert energies[-1].owner == "ruav"
 
@@ -216,3 +230,65 @@ class TestEvaluateSolution:
                               + suav.compress_ratio * s / r)
         assert objective == pytest.approx(max(totals), rel=1e-12)
         assert spread == pytest.approx(float(np.array(totals).std()), rel=1e-9)
+
+
+@st.composite
+def priced_points(draw):
+    """A small scenario with a random association, capped offload subset and
+    relay position at least 1 m from every S-UAV; the relay budget is drawn
+    tight enough to rule out some subsets."""
+    n = draw(st.integers(1, 4))
+    cfg = replace(ExperimentConfig(), n_suavs=n,
+                  n_targets=draw(st.integers(n, 6)), n_chunks=1,
+                  n0_cap=draw(st.integers(1, n)),
+                  energy_budget_ruav_j=draw(st.sampled_from([2.0, 1e3])))
+    sc = generate_scenario(cfg, draw(st.integers(0, 10_000)))
+    mask = feasible_association_mask(sc)
+    alpha = np.zeros_like(mask)
+    for i in range(sc.n_targets):
+        alpha[i, draw(st.sampled_from(np.flatnonzero(mask[i]).tolist()))] = 1
+    members = tuple(sorted(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                         max_size=sc.n0_cap))))
+    lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
+    q = Position3D(*(draw(st.floats(lo[k], hi[k])) for k in range(3)))
+    placed = repositioned_scenario(sc, alpha)
+    assume(all(((s.current_pos.array - q.array) ** 2).sum() >= 1.0
+               for s in placed.suavs))
+    return sc, placed, Association(alpha=alpha, feasible_mask=mask), members, q
+
+
+class TestCrossBlockPricing:
+    """Every block prices a point exactly like the evaluator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(priced_points())
+    def test_blocks_agree_with_evaluate_solution(self, point):
+        sc, placed, assoc, members, q = point
+        beta = np.zeros(sc.n_suavs, dtype=int)
+        beta[list(members)] = 1
+        objective, spread, lats, energies = evaluate_solution(
+            placed, assoc, beta, q)
+        suav_ok = [e.total_j <= s.energy_budget_j
+                   for e, s in zip(energies, sc.suavs)]
+        feasible = all(suav_ok) and \
+            energies[-1].total_j <= sc.ruav.energy_budget_j
+        close = lambda value: value == pytest.approx(objective, rel=1e-12)
+
+        subset = _subset_objective(sp1_terms(placed, assoc, q), members)
+        assert (subset is not None) == feasible
+        assert subset is None or close(subset)
+
+        terms = placement_terms(placed, assoc, beta)
+        assert close(float(exact_objective(terms, q.array)[0]))
+
+        ctx = _Context(sc, beta, q)
+        for j, lb in enumerate(lats):
+            bits = sum(1 << int(i) for i in assoc.assigned_targets(j))
+            latency, ok = ctx.latency(j, bits)
+            assert latency == pytest.approx(lb.total_s, rel=1e-12)
+            assert ok == suav_ok[j]
+
+        chunked = chunked_metrics(placed, assoc, beta, q)
+        exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
+        assert chunked == pytest.approx(
+            (objective, spread, exec_j, energies[-1].comp_j), rel=1e-12)

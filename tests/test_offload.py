@@ -27,15 +27,7 @@ class TestLpConstruction:
         sc = scenario_n(2, n0_cap=2)
         lp = build_sp1_lp(sc, identity_association(sc), Q_M)
         assert len(lp.c) == 5  # beta x2, xi x2, slack
-        assert lp.n_constraints == 12  # 2+2+2+2+1+1+2
-
-    def test_dump_lists_every_row(self):
-        sc = scenario_n(2, n0_cap=2)
-        lp = build_sp1_lp(sc, identity_association(sc), Q_M)
-        dump = lp.dump()
-        for label in ("xi_cap_beta[0]", "latency[1]", "ruav_energy",
-                      "offloader_cap", "suav_energy[0]"):
-            assert label in dump
+        assert len(lp.b) == 12  # 2+2+2+2+1+1+2
 
     def test_xi_constraints_admit_exactly_product(self):
         """Constraints (25)-(27) pin xi_n to beta_n * sum(beta) at binary beta."""

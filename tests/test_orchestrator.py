@@ -97,6 +97,28 @@ class TestRunScheme:
             run_baseline(scenario0, "proposed")
 
 
+class TestRuavOnlyRelayBudget:
+    def test_offloads_the_slowest_prefix_the_budget_admits(self):
+        from dataclasses import replace
+
+        from uav_mec.scenario import feasible_association_mask
+
+        from .conftest import make_scenario
+        corners = [(250.0, 250.0), (750.0, 250.0), (250.0, 750.0),
+                   (750.0, 750.0)]
+        sc = make_scenario(corners, corners, n0_cap=4,
+                           chunk_bits=[1e6, 2e6, 3e6, 4e6])
+        # Relay compute energy is m * sum(f_R^2 zeta f0 s) over the m
+        # offloaders: 1.6 J for the slowest S-UAV alone, 5.6 J for the
+        # slowest two, 10.8 J for three. A 6 J budget admits two.
+        sc = replace(sc, ruav=replace(sc.ruav, energy_budget_j=6.0))
+        report = run_scheme(sc, "ruav_only")
+        assert report.beta.tolist() == [0, 0, 1, 1]
+        assoc = Association(alpha=report.alpha,
+                            feasible_mask=feasible_association_mask(sc))
+        assert check_constraints(sc, assoc, report.beta, report.q_m) == []
+
+
 class TestTinyInstance:
     def test_single_pair_converges_fast(self):
         from dataclasses import replace

@@ -6,8 +6,8 @@ import pytest
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import grid_search_placement
 from uav_mec.placement import (default_initial_position, exact_objective,
-                               feasibility_check, placement_terms, sca_loop,
-                               solve_sp2_2, surrogate_rates)
+                               placement_terms, sca_loop, solve_sp2_2,
+                               surrogate_rates)
 from uav_mec.scenario import Position3D
 
 from .conftest import full_association, identity_association, make_scenario
@@ -97,37 +97,6 @@ class TestSolveSp22:
         terms = placement_terms(sc, assoc, beta)
         obj2 = float(exact_objective(terms, it2.q_m.array)[0])
         assert obj2 <= obj1 + 1e-6
-
-
-class TestFeasibilityCheck:
-    def test_tiny_lambda_always_feasible(self):
-        sc = pair_scenario()
-        assoc = identity_association(sc)
-        ref = Position3D(500.0, 500.0, 300.0)
-        ok, witness = feasibility_check(1.0, sc, assoc, np.zeros(2, dtype=int), ref)
-        assert ok and witness is not None
-
-    def test_impossible_lambda_infeasible(self):
-        sc = pair_scenario()
-        assoc = identity_association(sc)
-        ref = Position3D(500.0, 500.0, 300.0)
-        terms = placement_terms(sc, assoc, np.zeros(2, dtype=int))
-        too_fast = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1.max()) * 2.0
-        ok, witness = feasibility_check(too_fast, sc, assoc,
-                                        np.zeros(2, dtype=int), ref)
-        assert not ok and witness is None
-
-    def test_witness_satisfies_surrogate_rates(self):
-        sc = pair_scenario()
-        assoc = identity_association(sc)
-        ref = Position3D(500.0, 500.0, 300.0)
-        terms = placement_terms(sc, assoc, np.zeros(2, dtype=int))
-        lam = 0.8 * float(
-            surrogate_rates(terms, ref.array, ref.array[None, :]).min())
-        ok, witness = feasibility_check(lam, sc, assoc, np.zeros(2, dtype=int), ref)
-        assert ok
-        rates = surrogate_rates(terms, ref.array, witness.array[None, :])[0]
-        assert np.all(rates >= lam - 1e-3 * lam)
 
 
 class TestScaLoop:
