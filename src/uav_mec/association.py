@@ -92,11 +92,12 @@ def _alpha_from_choice(ctx: _Context, choice: dict[int, int]) -> np.ndarray:
 
 
 def greedy_incumbent(scenario: Scenario, beta: np.ndarray,
-                     q_m: Position3D,
-                     static_positions: bool = False) -> Association:
+                     q_m: Position3D, static_positions: bool = False,
+                     ctx: _Context | None = None) -> Association:
     """Feasible warm start: most-constrained targets first, each to the
-    covering S-UAV whose latency grows the least."""
-    ctx = _Context(scenario, beta, q_m, static_positions=static_positions)
+    covering S-UAV whose latency grows the least. A caller that holds the
+    _Context of the same inputs passes it, and shares its latency memo."""
+    ctx = ctx or _Context(scenario, beta, q_m, static_positions=static_positions)
     assigned_bits = [0] * scenario.n_suavs
     choice = {}
     for target_index in ctx.order:
@@ -137,7 +138,7 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
     incumbent_alpha = None
     incumbent_obj = float("inf")
     greedy = greedy_incumbent(scenario, beta, q_m,
-                              static_positions=static_positions)
+                              static_positions=static_positions, ctx=ctx)
     for alpha in filter(lambda a: a is not None, [warm_alpha, greedy.alpha]):
         obj, ok = _evaluate_full(ctx, alpha)
         if ok and obj < incumbent_obj:

@@ -17,9 +17,14 @@ from .scenario import generate_scenario
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+    if not args.config:
+        return ExperimentConfig()
+    try:
         return load_config(args.config)
-    return ExperimentConfig()
+    except OSError as exc:
+        raise ParseError(f"cannot read {args.config}: {exc.strerror}") from exc
 
 
 def _add_common(parser):
@@ -47,7 +52,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--values: {exc}") from exc
     schemes = [args.scheme] if args.scheme else SCHEMES
     rows = sweep(config, args.param, values, schemes=schemes)
     if args.out:

@@ -101,9 +101,10 @@ def sp1_terms(scenario: Scenario, association: Association,
 
 
 def build_sp1_lp(scenario: Scenario, association: Association,
-                 q_m: Position3D) -> LinearProgram:
-    """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0)."""
-    t = sp1_terms(scenario, association, q_m)
+                 q_m: Position3D, terms: Sp1Terms | None = None) -> LinearProgram:
+    """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0). Here and
+    below, `terms`, if given, are sp1_terms(scenario, association, q_m)."""
+    t = terms or sp1_terms(scenario, association, q_m)
     n = t.n
     n0 = scenario.n0_cap
     for j in np.flatnonzero(t.active):
@@ -111,47 +112,31 @@ def build_sp1_lp(scenario: Scenario, association: Association,
             raise InfeasibleSubproblem(
                 f"energy budget of S-UAV {j} excludes both computing branches")
 
-    nvar = 2 * n + 1  # beta, xi, s
-    s_col = 2 * n
-    rows = []  # (coefficients, right-hand side)
-    for j in range(n):  # xi upper envelope vs beta_j
-        row = np.zeros(nvar)
-        row[n + j] = 1.0
-        row[j] = -n0
-        rows.append((row, 0.0))
-    for j in range(n):  # xi upper envelope vs sum(beta)
-        row = np.zeros(nvar)
-        row[n + j] = 1.0
-        row[:n] -= 1.0
-        rows.append((row, 0.0))
-    for j in range(n):  # xi lower envelope
-        row = np.zeros(nvar)
-        row[n + j] = -1.0
-        row[:n] += 1.0
-        row[j] += n0
-        rows.append((row, float(n0)))
-    for j in range(n):  # linearized latency under the slack
-        row = np.zeros(nvar)
-        row[j] = t.t_tx_off[j] - t.t_loc[j] - t.t_tx_loc[j]
-        row[n + j] = t.k_ruav[j]
-        row[s_col] = -1.0
-        rows.append((row, -(t.t_loc[j] + t.t_tx_loc[j])))
-    row = np.zeros(nvar)  # relay energy
-    row[n:2 * n] = t.w_ruav
-    rows.append((row, t.ruav_budget))
-    row = np.zeros(nvar)  # relay service cap
-    row[:n] = 1.0
-    rows.append((row, float(n0)))
-    for j in range(n):  # per-S-UAV energy, linear in beta_j
-        row = np.zeros(nvar)
-        row[j] = t.e_offload[j] - t.e_local[j]
-        rows.append((row, t.suav_budget[j] - t.e_local[j]))
+    def diag(value):  # +0.0 off the diagonal, as in the rows' zero fill
+        return np.diag(np.broadcast_to(value, n))
 
-    c = np.zeros(nvar)
-    c[s_col] = 1.0
+    ones, col = np.ones((n, n)), np.zeros((n, 1))
+    blocks = [  # (rows over columns beta, xi, s; right-hand sides)
+        (np.hstack([diag(-float(n0)), diag(1.0), col]),
+         np.zeros(n)),  # xi upper envelope vs beta_j
+        (np.hstack([-ones, diag(1.0), col]), np.zeros(n)),  # ... vs sum(beta)
+        (np.hstack([ones + diag(float(n0)), diag(-1.0), col]),
+         np.full(n, float(n0))),  # xi lower envelope
+        (np.hstack([diag(t.t_tx_off - t.t_loc - t.t_tx_loc),
+                    diag(t.k_ruav), np.full((n, 1), -1.0)]),
+         -(t.t_loc + t.t_tx_loc)),  # linearized latency under the slack
+        (np.concatenate([np.zeros(n), t.w_ruav, [0.0]])[None],
+         [t.ruav_budget]),  # relay energy
+        (np.concatenate([np.ones(n), np.zeros(n + 1)])[None],
+         [float(n0)]),  # relay service cap
+        (np.hstack([diag(t.e_offload - t.e_local), np.zeros((n, n + 1))]),
+         t.suav_budget - t.e_local),  # per-S-UAV energy, linear in beta_j
+    ]
+    c = np.zeros(2 * n + 1)
+    c[-1] = 1.0
     upper = [1.0] * n + [None] * n + [None]
-    return LinearProgram(c=c, a=np.array([a for a, _ in rows]),
-                         b=np.array([b for _, b in rows]), upper=upper)
+    return LinearProgram(c=c, a=np.vstack([a for a, _ in blocks]),
+                         b=np.concatenate([b for _, b in blocks]), upper=upper)
 
 
 def solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
@@ -194,10 +179,10 @@ def _decision(n: int, members, slack_s: float,
 
 
 def enumerate_offload(scenario: Scenario, association: Association,
-                      q_m: Position3D,
-                      lp_lower_bound: float = float("nan")) -> OffloadDecision:
+                      q_m: Position3D, lp_lower_bound: float = float("nan"),
+                      terms: Sp1Terms | None = None) -> OffloadDecision:
     """Exact search over all offload subsets within the relay cap."""
-    t = sp1_terms(scenario, association, q_m)
+    t = terms or sp1_terms(scenario, association, q_m)
     active = np.flatnonzero(t.active)
     if active.size > ENUMERATION_CAP:
         raise CapExceeded(
@@ -222,17 +207,18 @@ def enumerate_offload(scenario: Scenario, association: Association,
 
 def round_offload(fractional: np.ndarray, scenario: Scenario,
                   association: Association, q_m: Position3D,
-                  lp_lower_bound: float = float("nan")) -> OffloadDecision:
+                  lp_lower_bound: float = float("nan"),
+                  terms: Sp1Terms | None = None) -> OffloadDecision:
     """Recover a feasible binary decision from the relaxed solution.
 
     Small instances fall through to exact enumeration; larger ones greedily
     offload in descending fractional order while the objective improves.
     """
-    t = sp1_terms(scenario, association, q_m)
+    t = terms or sp1_terms(scenario, association, q_m)
     active = np.flatnonzero(t.active)
     if active.size <= ENUMERATION_CAP:
         return enumerate_offload(scenario, association, q_m,
-                                 lp_lower_bound=lp_lower_bound)
+                                 lp_lower_bound=lp_lower_bound, terms=t)
     frac_beta = np.asarray(fractional[:t.n], dtype=float)
     members: list[int] = []
     current = _subset_objective(t, ())
@@ -253,9 +239,10 @@ def round_offload(fractional: np.ndarray, scenario: Scenario,
 def solve_sp1(scenario: Scenario, association: Association,
               q_m: Position3D) -> OffloadDecision:
     """Default SP1 path: LP relaxation for the bound, enumeration for the point."""
-    lp = build_sp1_lp(scenario, association, q_m)
-    x, lower = solve_lp(lp)
-    return round_offload(x, scenario, association, q_m, lp_lower_bound=lower)
+    t = sp1_terms(scenario, association, q_m)
+    x, lower = solve_lp(build_sp1_lp(scenario, association, q_m, terms=t))
+    return round_offload(x, scenario, association, q_m, lp_lower_bound=lower,
+                         terms=t)
 
 
 def forced_offload(scenario: Scenario, association: Association,

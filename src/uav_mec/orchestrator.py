@@ -62,6 +62,8 @@ class SolverReport:
     converged: bool
     wall_time: float
     lp_lower_bound: float = float("nan")
+    placement_fallbacks: int = 0  # inner solves where SLSQP failed
+    association_exact: bool = True  # no association search hit its budget
 
     @property
     def objective_s(self) -> float:
@@ -162,7 +164,8 @@ def run_scheme(scenario: Scenario, scheme: str,
     trace = [objective]
     lp_bound = float("nan")
     converged = False
-    iterations = 0
+    iterations = fallbacks = 0
+    exact = True
 
     for _ in range(r_max):
         iterations += 1
@@ -176,15 +179,17 @@ def run_scheme(scenario: Scenario, scheme: str,
 
         # Placement block.
         iterate, _, _ = place_mod.sca_loop(placed, association, beta, q_m_init=q_m)
+        fallbacks += iterate.fallbacks
         cand, _, _, _ = evaluate_solution(placed, association, beta, iterate.q_m)
         if cand <= objective + _GUARD_SLACK:
             q_m, objective = iterate.q_m, cand
 
         # Association block.
-        new_assoc, _ = assoc_mod.solve_association(
+        new_assoc, info = assoc_mod.solve_association(
             scenario, beta, q_m, node_budget=node_budget,
             time_budget_s=time_budget_s, warm_alpha=association.alpha,
             static_positions=not policy.reposition)
+        exact = exact and info.exact
         new_placed = placed_for(scenario, new_assoc.alpha, scheme)
         try:
             cand, _, _, energies = evaluate_solution(new_placed, new_assoc, beta, q_m)
@@ -214,6 +219,8 @@ def run_scheme(scenario: Scenario, scheme: str,
         converged=converged,
         wall_time=time.monotonic() - start,
         lp_lower_bound=lp_bound,
+        placement_fallbacks=fallbacks,
+        association_exact=exact,
     )
 
 

@@ -7,13 +7,15 @@ maximized over the flight box, and the expansion point moves to the new
 optimum until the surrogate objective stalls.
 
 The inner concave max-min is a 3-D smooth program solved by SLSQP (with an
-analytic Jacobian); a projected-subgradient fallback covers solver failures.
+analytic Jacobian). SLSQP's point is taken as it is when SLSQP reports
+success; only when it fails does a projected-subgradient ascent run instead,
+and the iterate counts that as a fallback.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,6 +36,7 @@ class PlacementIterate:
     lambda_m: float
     slack_s: float
     iteration: int
+    fallbacks: int = 0  # inner solves where SLSQP failed (summed by sca_loop)
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,9 @@ def _maximin_subgradient(terms: PlacementTerms, q_ref: np.ndarray,
 
 
 def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
-                       scenario: Scenario) -> tuple[np.ndarray, float]:
-    """argmax over the box of min_n surrogate rate, and the attained value."""
+                       scenario: Scenario) -> tuple[np.ndarray, float, bool]:
+    """argmax over the box of min_n surrogate rate, the attained value, and
+    whether SLSQP failed so that the subgradient point was taken."""
     lo, hi = _box(scenario)
     a, slope, d2r = _surrogate_coeffs(terms, q_ref)
     b = terms.bandwidth_hz
@@ -163,16 +167,12 @@ def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
         method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
     )
-    q = np.clip(res.x[:3], lo, hi) if res.success else None
-    if q is None:
+    if res.success:
+        q = np.clip(res.x[:3], lo, hi)
+    else:
         q = _maximin_subgradient(terms, q_ref, lo, hi)
-    # Polish from the subgradient point too if SLSQP made no progress.
     lam = float(surrogate_rates(terms, q_ref, q).min(axis=1)[0])
-    q_alt = _maximin_subgradient(terms, q_ref, lo, hi)
-    lam_alt = float(surrogate_rates(terms, q_ref, q_alt).min(axis=1)[0])
-    if lam_alt > lam:
-        q, lam = q_alt, lam_alt
-    return q, lam
+    return q, lam, not res.success
 
 
 def default_initial_position(scenario: Scenario) -> Position3D:
@@ -183,13 +183,15 @@ def default_initial_position(scenario: Scenario) -> Position3D:
 
 
 def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
-                q_m_ref: Position3D, iteration: int = 0) -> PlacementIterate:
-    """One convexified placement solve around the expansion point q_m_ref."""
-    terms = placement_terms(scenario, association, beta)
+                q_m_ref: Position3D, iteration: int = 0,
+                terms: PlacementTerms | None = None) -> PlacementIterate:
+    """One convexified placement solve around the expansion point q_m_ref;
+    `terms`, if given, are placement_terms(scenario, association, beta)."""
+    terms = terms or placement_terms(scenario, association, beta)
     if terms.q.shape[0] == 0:
         return PlacementIterate(q_m=q_m_ref, lambda_m=float("inf"),
                                 slack_s=0.0, iteration=iteration)
-    q, lam = _maximin_surrogate(terms, q_m_ref.array, scenario)
+    q, lam, fell_back = _maximin_surrogate(terms, q_m_ref.array, scenario)
     if lam < terms.lam_floor:
         raise InfeasibleSubproblem(
             "energy budgets demand a common rate the geometry cannot deliver")
@@ -197,7 +199,8 @@ def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
         raise NumericalFailure("surrogate rate collapsed to zero")
     slack = float(np.max(terms.tx_bits / lam + terms.fixed_s))
     return PlacementIterate(q_m=Position3D(*q), lambda_m=lam,
-                            slack_s=slack, iteration=iteration)
+                            slack_s=slack, iteration=iteration,
+                            fallbacks=int(fell_back))
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
@@ -206,7 +209,8 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     """Successive convexification until the surrogate objective stalls.
 
     Returns (best iterate, surrogate trace, exact objective at the final
-    point). A solve that worsens the exact objective is discarded, making the
+    point); the iterate's `fallbacks` counts the rounds in which SLSQP failed.
+    A solve that worsens the exact objective is discarded, making the
     descent property hold even under inner-solver noise.
     """
     terms = placement_terms(scenario, association, beta)
@@ -224,11 +228,14 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
         iteration=0,
     )
     trace = [current.slack_s]
+    fallbacks = 0
     for r in range(1, max_iter + 1):
         try:
-            nxt = solve_sp2_2(scenario, association, beta, current.q_m, iteration=r)
+            nxt = solve_sp2_2(scenario, association, beta, current.q_m,
+                              iteration=r, terms=terms)
         except NumericalFailure:
             break
+        fallbacks += nxt.fallbacks
         exact = float(exact_objective(terms, nxt.q_m.array)[0])
         if exact <= trace[-1] + 1e-12:
             current = PlacementIterate(q_m=nxt.q_m, lambda_m=nxt.lambda_m,
@@ -238,4 +245,4 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
             trace.append(trace[-1])  # reject the move, keep the point
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < tol:
             break
-    return current, trace, trace[-1]
+    return replace(current, fallbacks=fallbacks), trace, trace[-1]

@@ -3,7 +3,10 @@
 Solves min c'x subject to A x <= b and 0 <= x <= ub. Problem sizes here are
 tiny (tens of variables), so the implementation favors robustness: Bland's
 anti-cycling pivot rule throughout, explicit artificial variables, and a hard
-iteration cap.
+iteration cap. Each pivot is one NumPy update of every row with a nonzero
+entry in the pivot column, and the entering column is picked with one array
+scan; both follow Bland's rule, so the pivot sequence is that of a plain
+row-by-row loop.
 """
 
 from __future__ import annotations
@@ -31,37 +34,33 @@ class LpResult:
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    rows = tab[:, col] != 0.0
+    rows[row] = False
+    tab[rows] -= tab[rows, col][:, None] * tab[row]
     basis[row] = col
 
 
 def _run_phase(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                allowed: np.ndarray, tol: float, max_iter: int) -> str:
     """Bland-rule pivoting to optimality for one phase. Mutates tab/basis."""
-    m = tab.shape[0]
     for _ in range(max_iter):
         reduced = cost - cost[basis] @ tab[:, :-1]
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if j not in basis and reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        candidates = allowed & (reduced < -tol)
+        candidates[basis] = False
+        if not candidates.any():
             return OPTIMAL
+        entering = int(np.argmax(candidates))  # lowest index (Bland)
         # Ratio test; ties broken by smallest basis index (Bland).
-        best_ratio, leave = None, -1
-        for i in range(m):
-            a = tab[i, entering]
-            if a > tol:
-                ratio = tab[i, -1] / a
-                if (best_ratio is None or ratio < best_ratio - tol
-                        or (abs(ratio - best_ratio) <= tol
-                            and basis[i] < basis[leave])):
-                    best_ratio, leave = ratio, i
-        if leave < 0:
+        rows = np.flatnonzero(tab[:, entering] > tol)
+        if rows.size == 0:
             return UNBOUNDED
+        ratios = tab[rows, -1] / tab[rows, entering]
+        leave, best_ratio = rows[0], ratios[0]
+        for i, ratio in zip(rows[1:], ratios[1:]):
+            if (ratio < best_ratio - tol
+                    or (abs(ratio - best_ratio) <= tol
+                        and basis[i] < basis[leave])):
+                best_ratio, leave = ratio, i
         _pivot(tab, basis, leave, entering)
     raise NumericalFailure(f"simplex did not converge in {max_iter} iterations")
 
@@ -73,18 +72,11 @@ def solve_lp_arrays(c, a_ub, b_ub, upper=None,
     a = np.atleast_2d(np.asarray(a_ub, dtype=float)).copy()
     b = np.asarray(b_ub, dtype=float).copy()
     n = c.size
-    if upper is not None:
-        rows = []
-        rhs = []
-        for j, u in enumerate(upper):
-            if u is not None and np.isfinite(u):
-                e = np.zeros(n)
-                e[j] = 1.0
-                rows.append(e)
-                rhs.append(float(u))
-        if rows:
-            a = np.vstack([a, np.array(rows)])
-            b = np.concatenate([b, np.array(rhs)])
+    bounded = [j for j, u in enumerate(() if upper is None else upper)
+               if u is not None and np.isfinite(u)]
+    if bounded:
+        a = np.vstack([a, np.eye(n)[bounded]])
+        b = np.concatenate([b, [float(upper[j]) for j in bounded]])
     m = a.shape[0]
 
     # Rows with negative rhs become >= rows: surplus minus, artificial plus.
@@ -97,20 +89,12 @@ def solve_lp_arrays(c, a_ub, b_ub, upper=None,
     tab = np.zeros((m, ncols + 1))
     tab[:, :n] = a
     tab[:, -1] = b
-    basis = np.zeros(m, dtype=int)
-    art_cols = []
-    k_art = 0
-    for i in range(m):
-        if neg[i]:
-            tab[i, n + i] = -1.0  # surplus
-            col = n + m + k_art
-            tab[i, col] = 1.0
-            basis[i] = col
-            art_cols.append(col)
-            k_art += 1
-        else:
-            tab[i, n + i] = 1.0  # slack
-            basis[i] = n + i
+    rows = np.arange(m)
+    tab[rows, n + rows] = np.where(neg, -1.0, 1.0)  # surplus or slack
+    basis = n + rows
+    art_cols = list(range(n + m, ncols))
+    basis[neg] = art_cols
+    tab[neg, art_cols] = 1.0
 
     allowed = np.ones(ncols, dtype=bool)
     if n_art:
@@ -125,13 +109,9 @@ def solve_lp_arrays(c, a_ub, b_ub, upper=None,
         # Drive any artificial still basic out of the basis.
         for i in range(m):
             if basis[i] in art_cols:
-                pivot_col = -1
-                for j in range(n + m):
-                    if abs(tab[i, j]) > tol:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tab, basis, i, pivot_col)
+                nonzero = np.flatnonzero(np.abs(tab[i, :n + m]) > tol)
+                if nonzero.size:
+                    _pivot(tab, basis, i, int(nonzero[0]))
                 else:
                     tab[i, :] = 0.0  # redundant row
         allowed[art_cols] = False

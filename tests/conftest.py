@@ -66,6 +66,21 @@ def identity_association(scenario: Scenario) -> Association:
     return Association(alpha=alpha, feasible_mask=mask)
 
 
+def counting(monkeypatch, module, name, override=None):
+    """Wrap module.name so that every call is counted; `override` may
+    rewrite the wrapped function's return value."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return override(out) if override else out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()

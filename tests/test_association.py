@@ -8,7 +8,7 @@ from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
 from uav_mec.scenario import Position3D
 
-from .conftest import full_association, make_scenario
+from .conftest import counting, full_association, make_scenario
 
 Q_M = Position3D(500.0, 500.0, 400.0)
 
@@ -150,3 +150,14 @@ class TestTimeBudget:
         # of the search calls its remaining children once and stops.
         assert len(reads) == 2
         assert info.nodes <= 2048 + sc.n_targets * sc.n_suavs
+
+
+class TestSharedContext:
+    def test_one_context_per_solve(self, monkeypatch, scenario0):
+        from uav_mec import association
+        contexts = counting(monkeypatch, association, "_Context")
+        greedy = counting(monkeypatch, association, "greedy_incumbent")
+        solve_association(scenario0, np.zeros(scenario0.n_suavs, dtype=int),
+                          Q_M, node_budget=10_000)
+        assert len(contexts) == 1
+        assert len(greedy) == 1  # reached through the module attribute

@@ -163,6 +163,23 @@ class TestCli:
         cfg_path.write_text("bandwidth_hz = -5\n")
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    def test_non_numeric_sweep_values_exit_2(self, capsys):
+        assert main(["sweep", "--param", "n0_cap", "--values", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.cfg"
+        assert main(["run", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["trace", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_sweep_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("seeds = 0\n")

@@ -11,7 +11,7 @@ from uav_mec.offload import (build_sp1_lp, enumerate_offload, round_offload,
                              solve_lp, solve_sp1, sp1_terms, _subset_objective)
 from uav_mec.scenario import Position3D
 
-from .conftest import identity_association, make_scenario
+from .conftest import counting, identity_association, make_scenario
 
 Q_M = Position3D(500.0, 500.0, 500.0)
 
@@ -151,3 +151,15 @@ class TestRounding:
         sc = scenario_n(8, n0_cap=2)
         decision = solve_sp1(sc, identity_association(sc), Q_M)
         assert decision.beta.sum() <= 2
+
+
+class TestBuildOnce:
+    def test_sp1_terms_once_per_solve_sp1(self, monkeypatch):
+        from uav_mec import offload
+        sc = scenario_n(4)
+        builds = counting(monkeypatch, offload, "sp1_terms")
+        lp_builds = counting(monkeypatch, offload, "build_sp1_lp")
+        searches = counting(monkeypatch, offload, "enumerate_offload")
+        solve_sp1(sc, identity_association(sc), Q_M)
+        assert len(builds) == 1
+        assert len(lp_builds) == len(searches) == 1  # still module lookups

@@ -142,3 +142,80 @@ class TestMonotonicityAcrossSeeds:
         t = report.objective_trace
         assert all(b <= a + 1e-6 for a, b in zip(t, t[1:]))
         assert report.converged
+
+
+# run_scheme objectives at the reference config, node_budget=10_000, pinned
+# to the values of the solver before the placement, simplex and pricing-table
+# speed-ups. Those changes must leave every result bit-for-bit the same.
+PINNED_OBJECTIVES = {
+    (0, 'proposed'): 9.991029515096416,
+    (0, 'suav_only'): 11.34302539362671,
+    (0, 'ruav_only'): 9.991048618147287,
+    (0, 'static_suavs'): 9.99102130099366,
+    (1, 'proposed'): 10.112142884334895,
+    (1, 'suav_only'): 11.172374170578891,
+    (1, 'ruav_only'): 10.58822279309309,
+    (1, 'static_suavs'): 10.588187513451274,
+    (2, 'proposed'): 9.792559743633714,
+    (2, 'suav_only'): 10.87271181672884,
+    (2, 'ruav_only'): 9.792596724036306,
+    (2, 'static_suavs'): 9.792509246150262,
+    (3, 'proposed'): 9.666280485593916,
+    (3, 'suav_only'): 11.368788696434411,
+    (3, 'ruav_only'): 9.666280485593916,
+    (3, 'static_suavs'): 9.666445837052686,
+    (4, 'proposed'): 9.442200305696518,
+    (4, 'suav_only'): 10.353892383954102,
+    (4, 'ruav_only'): 9.442206517672416,
+    (4, 'static_suavs'): 9.44218369984621,
+}
+
+
+class TestPinnedObjectives:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reference_objectives_unchanged(self, default_config, seed):
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(default_config, seed)
+        for scheme in SCHEMES:
+            report = run_scheme(sc, scheme, node_budget=10_000)
+            assert report.objective_s == pytest.approx(
+                PINNED_OBJECTIVES[seed, scheme], rel=1e-12), scheme
+
+
+class TestReportCounters:
+    def test_placement_fallbacks_count_failed_slsqp_solves(self, monkeypatch,
+                                                           scenario0):
+        from uav_mec import placement
+
+        from .conftest import counting
+
+        def failed(res):
+            res.success = False
+            return res
+
+        solves = counting(monkeypatch, placement, "minimize", failed)
+        report = run_scheme(scenario0, "suav_only")
+        assert report.placement_fallbacks == len(solves) > 0
+
+    def test_placement_fallbacks_match_slsqp_failures(self, monkeypatch,
+                                                      scenario0):
+        from uav_mec import placement
+
+        from .conftest import counting
+        outcomes = []
+
+        def record(res):
+            outcomes.append(bool(res.success))
+            return res
+
+        counting(monkeypatch, placement, "minimize", record)
+        report = run_scheme(scenario0, "proposed")
+        # Seed 0 has one inner solve where SLSQP fails.
+        assert report.placement_fallbacks == outcomes.count(False) == 1
+
+    def test_association_exact_within_budget(self, reports):
+        assert all(r.association_exact for r in reports.values())
+
+    def test_association_budget_hit_is_reported(self, scenario0):
+        report = run_scheme(scenario0, "suav_only", node_budget=5)
+        assert not report.association_exact

@@ -10,7 +10,8 @@ from uav_mec.placement import (default_initial_position, exact_objective,
                                surrogate_rates)
 from uav_mec.scenario import Position3D
 
-from .conftest import full_association, identity_association, make_scenario
+from .conftest import (counting, full_association, identity_association,
+                       make_scenario)
 
 
 def pair_scenario(**kwargs):
@@ -123,3 +124,56 @@ class TestScaLoop:
         q = default_initial_position(scenario0)
         lo, hi = scenario0.ruav.box_lo.array, scenario0.ruav.box_hi.array
         assert np.all(q.array >= lo) and np.all(q.array <= hi)
+
+
+def reported_success(success):
+    def override(res):
+        res.success = success
+        return res
+    return override
+
+
+class TestSubgradientFallback:
+    def test_slsqp_success_skips_the_subgradient(self, monkeypatch):
+        from uav_mec import placement
+        sc = pair_scenario()
+        counting(monkeypatch, placement, "minimize", reported_success(True))
+        sub = counting(monkeypatch, placement, "_maximin_subgradient")
+        it = solve_sp2_2(sc, identity_association(sc), np.zeros(2, dtype=int),
+                         Position3D(480.0, 520.0, 400.0))
+        assert len(sub) == 0
+        assert it.fallbacks == 0
+
+    def test_slsqp_failure_runs_the_subgradient_once(self, monkeypatch):
+        from uav_mec import placement
+        sc = pair_scenario()
+        counting(monkeypatch, placement, "minimize", reported_success(False))
+        sub = counting(monkeypatch, placement, "_maximin_subgradient")
+        it = solve_sp2_2(sc, identity_association(sc), np.zeros(2, dtype=int),
+                         Position3D(480.0, 520.0, 400.0))
+        assert len(sub) == 1
+        assert it.fallbacks == 1
+
+    def test_sca_loop_counts_every_fallback(self, monkeypatch):
+        from uav_mec import placement
+        sc = pair_scenario()
+        solves = counting(monkeypatch, placement, "minimize",
+                          reported_success(False))
+        it, trace, _ = sca_loop(sc, identity_association(sc),
+                                np.zeros(2, dtype=int),
+                                q_m_init=Position3D(480.0, 520.0, 400.0))
+        assert it.fallbacks == len(solves) == len(trace) - 1
+
+
+class TestBuildOnce:
+    def test_placement_terms_once_per_sca_loop(self, monkeypatch, scenario0):
+        from uav_mec import placement
+        from uav_mec.scenario import repositioned_scenario
+        assoc = full_association(scenario0)
+        placed = repositioned_scenario(scenario0, assoc.alpha)
+        builds = counting(monkeypatch, placement, "placement_terms")
+        _, trace, _ = sca_loop(placed, assoc,
+                               np.zeros(scenario0.n_suavs, dtype=int),
+                               q_m_init=Position3D(1000.0, 1000.0, 100.0))
+        assert len(trace) > 2  # more than one SCA round
+        assert len(builds) == 1

@@ -76,3 +76,41 @@ class TestAgainstScipy:
             assert np.all(x <= np.array(upper) + 1e-9)
             assert np.all(a @ x <= b + 1e-7)
             assert float(c @ x) == pytest.approx(ours.objective)
+
+
+class TestBlandRule:
+    def test_beale_cycling_example_terminates_at_optimum(self):
+        # Beale (1955): the largest-coefficient rule cycles on this
+        # degenerate LP; Bland's rule must not. Optimum -5/4 at (1, 0, 1, 0).
+        res = simplex.solve_lp_arrays(
+            np.array([-0.75, 20.0, -0.5, 6.0]),
+            np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0]]),
+            np.array([0.0, 0.0]), upper=[None, None, 1.0, None], max_iter=20)
+        assert res.status == simplex.OPTIMAL
+        assert res.objective == pytest.approx(-1.25)
+        np.testing.assert_allclose(res.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_pivot_column_with_zero_rows(self):
+        # Each x_k enters through a column that is zero in every bound row
+        # but its own, so the pivots leave those rows untouched.
+        c = [-1.0, -2.0, -3.0]
+        a = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+             [1.0, 1.0, 1.0]]
+        res = solve(c, a, [1.0, 2.0, 3.0, 5.0])
+        assert res.status == simplex.OPTIMAL
+        assert res.objective == pytest.approx(-13.0)  # x = (0, 2, 3)
+        np.testing.assert_allclose(res.x, [0.0, 2.0, 3.0], atol=1e-12)
+
+    def test_pivot_matches_row_by_row_update(self):
+        rng = np.random.default_rng(7)
+        tab = rng.normal(size=(6, 9))
+        tab[[1, 3, 4], 2] = 0.0  # zero pivot-column entries in three rows
+        basis = np.arange(6)
+        expected = tab.copy()
+        expected[0] /= expected[0, 2]
+        for i in range(1, 6):
+            if expected[i, 2] != 0.0:
+                expected[i] -= expected[i, 2] * expected[0]
+        simplex._pivot(tab, basis, 0, 2)
+        assert tab.tobytes() == expected.tobytes()
+        assert basis[0] == 2
