@@ -7,11 +7,10 @@ import sys
 
 import numpy as np
 
-from . import placement
 from .config import ExperimentConfig, load_config
 from .errors import ParseError, UavMecError, ValidationError
 from .experiment import SWEEPABLE, format_rows, run_cell, sweep, write_results
-from .orchestrator import SCHEMES, placed_for, run_scheme
+from .orchestrator import SCHEMES, run_scheme
 from .oracles import joint_bruteforce
 from .scenario import generate_scenario
 
@@ -88,15 +87,11 @@ def cmd_trace(args) -> int:
     lines = ["iteration,objective_s"]
     for i, value in enumerate(report.objective_trace):
         lines.append(f"{i},{value!r}")
-    # Inner placement trace at the final decision, from the default start.
-    placed = placed_for(scenario, report.alpha, scheme)
-    from .scenario import Association, feasible_association_mask
-    assoc = Association(alpha=report.alpha,
-                        feasible_mask=feasible_association_mask(scenario))
-    _, sca_trace, _ = placement.sca_loop(placed, assoc, report.beta)
-    lines.append("sca_iteration,surrogate_objective_s")
-    for i, value in enumerate(sca_trace):
-        lines.append(f"{i},{value!r}")
+    # The placement block's SCA trace in each outer iteration of the solve.
+    lines.append("outer_iteration,sca_iteration,objective_s")
+    for k, sca_trace in enumerate(report.sca_traces, start=1):
+        for i, value in enumerate(sca_trace):
+            lines.append(f"{k},{i},{value!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -25,10 +25,6 @@ class NumericalFailure(UavMecError):
     """An iterative numerical routine failed to converge."""
 
 
-class CapExceeded(UavMecError):
-    """A combinatorial routine was invoked beyond its size cap."""
-
-
 class ParseError(UavMecError):
     """A config or scenario document could not be parsed."""
 

@@ -11,12 +11,13 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cost import branch_price, floored_rate
-from .errors import UavMecError
+from .errors import UavMecError, ValidationError
 from .orchestrator import SCHEMES, placed_for, run_scheme
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, generate_scenario)
 
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
+INTEGER_PARAMS = ("n_chunks", "n0_cap")
 WORKERS_ENV = "UAV_MEC_WORKERS"
 
 
@@ -107,8 +108,10 @@ def sweep(config: ExperimentConfig, param: str, values,
         raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
     cells = []
     for value in values:
+        if param in INTEGER_PARAMS and not float(value).is_integer():
+            raise ValidationError(f"{param} takes integer values, got {value!r}")
         cfg = replace(config, **{
-            param: int(value) if param in ("n_chunks", "n0_cap") else float(value)
+            param: int(value) if param in INTEGER_PARAMS else float(value)
         }).validate()
         for seed in config.seeds:
             for scheme in schemes:

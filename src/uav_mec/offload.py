@@ -1,31 +1,41 @@
 """Offloading decisions with fixed relay position and association.
 
-The binary min-max problem is solved exactly by subset enumeration (the
-instance sizes here make that cheap), while its LP relaxation -- with the
-fair-share relay time linearized through xi_n = beta_n * sum(beta) -- is
-solved alongside and reported as a certified lower bound.
+The binary min-max problem is solved exactly by a threshold search. Every
+offloader's relay time s*f0*m/f_R and relay energy m*f_R^2*zeta*f0*s grow
+with the offloader count m, and its own transmit energy does not depend on
+m. So for a target makespan T, any subset that meets T and the budgets
+contains the forced set F(T): the S-UAVs whose local branch breaks their
+energy budget (E), plus every other one whose local latency exceeds T. F(T)
+itself meets T and the budgets, because shrinking the subset only lowers the
+other offloaders' times and the relay energy; this holds in floating point
+too, since rounded products and sums are monotone in their operands. The
+optimum T* is therefore attained by F(T*), which is E plus a prefix of the
+other S-UAVs in descending order of local latency. Pricing the at most
+n0_cap + 1 such candidates in O(N) each finds T*. F(T*) is a subset of every
+optimal subset, so it is also the lexicographically smallest optimal beta,
+and it is the first candidate in that order to reach T*.
+
+The LP relaxation -- with the fair-share relay time linearized through
+xi_n = beta_n * sum(beta) -- is solved alongside and reported as a certified
+lower bound.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simplex
 from .cost import branch_price, effective_chunk_bits, floored_rate
-from .errors import CapExceeded, InfeasibleSubproblem, NumericalFailure
+from .errors import InfeasibleSubproblem, NumericalFailure
 from .scenario import Association, Position3D, Scenario
-
-ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
 class OffloadDecision:
     beta: np.ndarray
     slack_s: float
-    relaxed: bool
     lp_lower_bound: float
 
 
@@ -174,75 +184,49 @@ def _decision(n: int, members, slack_s: float,
               lp_lower_bound: float) -> OffloadDecision:
     beta = np.zeros(n, dtype=int)
     beta[list(members)] = 1
-    return OffloadDecision(beta=beta, slack_s=slack_s, relaxed=False,
+    return OffloadDecision(beta=beta, slack_s=slack_s,
                            lp_lower_bound=lp_lower_bound)
+
+
+def _local_order(t: Sp1Terms, among) -> list[int]:
+    """S-UAVs of `among` in descending order of local latency, ties by id."""
+    local = t.t_loc + t.t_tx_loc
+    return sorted(among, key=lambda j: (-local[j], j))
 
 
 def enumerate_offload(scenario: Scenario, association: Association,
                       q_m: Position3D, lp_lower_bound: float = float("nan"),
                       terms: Sp1Terms | None = None) -> OffloadDecision:
-    """Exact search over all offload subsets within the relay cap."""
-    t = terms or sp1_terms(scenario, association, q_m)
-    active = np.flatnonzero(t.active)
-    if active.size > ENUMERATION_CAP:
-        raise CapExceeded(
-            f"{active.size} active S-UAVs exceed the enumeration cap "
-            f"of {ENUMERATION_CAP}")
-    best = None
-    for m in range(min(scenario.n0_cap, active.size) + 1):
-        for members in itertools.combinations(active.tolist(), m):
-            obj = _subset_objective(t, members)
-            if obj is None:
-                continue
-            beta = np.zeros(t.n, dtype=int)
-            beta[list(members)] = 1
-            key = (obj, tuple(beta))
-            if best is None or key < best[0]:
-                best = (key, members)
-    if best is None:
-        raise InfeasibleSubproblem("no energy-feasible binary offload decision")
-    (obj, _), members = best
-    return _decision(t.n, members, obj, lp_lower_bound)
+    """Exact threshold search: the best of the forced sets E + prefix.
 
-
-def round_offload(fractional: np.ndarray, scenario: Scenario,
-                  association: Association, q_m: Position3D,
-                  lp_lower_bound: float = float("nan"),
-                  terms: Sp1Terms | None = None) -> OffloadDecision:
-    """Recover a feasible binary decision from the relaxed solution.
-
-    Small instances fall through to exact enumeration; larger ones greedily
-    offload in descending fractional order while the objective improves.
+    Returns the lexicographically smallest optimal beta, as enumerating
+    every subset within the relay cap would (see the module docstring).
     """
     t = terms or sp1_terms(scenario, association, q_m)
-    active = np.flatnonzero(t.active)
-    if active.size <= ENUMERATION_CAP:
-        return enumerate_offload(scenario, association, q_m,
-                                 lp_lower_bound=lp_lower_bound, terms=t)
-    frac_beta = np.asarray(fractional[:t.n], dtype=float)
-    members: list[int] = []
-    current = _subset_objective(t, ())
-    if current is None:
-        raise InfeasibleSubproblem("all-local decision violates energy budgets")
-    order = sorted(active.tolist(), key=lambda j: (-frac_beta[j], j))
-    for j in order:
-        if len(members) >= scenario.n0_cap:
-            break
-        trial = tuple(sorted(members + [j]))
-        obj = _subset_objective(t, trial)
-        if obj is not None and obj < current:
-            members.append(j)
-            current = obj
-    return _decision(t.n, members, current, lp_lower_bound)
+    active = np.flatnonzero(t.active).tolist()
+    over = t.e_local > t.suav_budget  # the local branch breaks the budget
+    forced = [j for j in active if over[j]]
+    rest = _local_order(t, [j for j in active if not over[j]])
+    best = None
+    for k in range(min(scenario.n0_cap - len(forced), len(rest)) + 1):
+        members = forced + rest[:k]
+        obj = _subset_objective(t, tuple(members))
+        if obj is not None and (best is None or obj < best[0]):
+            best = (obj, members)
+    if best is None:
+        raise InfeasibleSubproblem("no energy-feasible binary offload decision")
+    obj, members = best
+    return _decision(t.n, members, obj, lp_lower_bound)
 
 
 def solve_sp1(scenario: Scenario, association: Association,
               q_m: Position3D) -> OffloadDecision:
-    """Default SP1 path: LP relaxation for the bound, enumeration for the point."""
+    """Default SP1 path: LP relaxation for the bound, threshold search for
+    the point."""
     t = sp1_terms(scenario, association, q_m)
-    x, lower = solve_lp(build_sp1_lp(scenario, association, q_m, terms=t))
-    return round_offload(x, scenario, association, q_m, lp_lower_bound=lower,
-                         terms=t)
+    _, lower = solve_lp(build_sp1_lp(scenario, association, q_m, terms=t))
+    return enumerate_offload(scenario, association, q_m, lp_lower_bound=lower,
+                             terms=t)
 
 
 def forced_offload(scenario: Scenario, association: Association,
@@ -251,8 +235,7 @@ def forced_offload(scenario: Scenario, association: Association,
     order of local latency (ties by id), as many as the relay cap and every
     energy budget admit -- the longest such prefix of that order."""
     t = sp1_terms(scenario, association, q_m)
-    local = t.t_loc + t.t_tx_loc
-    order = sorted(np.flatnonzero(t.active).tolist(), key=lambda j: (-local[j], j))
+    order = _local_order(t, np.flatnonzero(t.active).tolist())
     for k in range(min(scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))
         if obj is not None:

@@ -1,9 +1,9 @@
 """Independent brute-force references used by tests and the oracle CLI.
 
 These deliberately avoid the solver code paths: placement is checked by
-coarse-to-fine grid scans of the exact latency, offloading by subset
-enumeration, and association by exhaustive enumeration over all masked
-assignments.
+coarse-to-fine grid scans of the exact latency, offloading by pricing every
+subset within the relay cap, and association by exhaustive enumeration over
+all masked assignments.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .association import _Context
 from .cost import effective_chunk_bits
 from .errors import InfeasibleSubproblem
 from .link import rate_at_dist_sq, snr_coeff
+from .offload import OffloadDecision, _decision, _subset_objective, sp1_terms
 from .placement import exact_objective, placement_terms
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, repositioned_scenario)
@@ -73,6 +74,29 @@ def grid_search_placement(scenario: Scenario, association: Association,
         if objs[k] < best_obj:
             best_obj, best_q = float(objs[k]), pts[k]
     return Position3D(*best_q), best_obj
+
+
+def bruteforce_offload(scenario: Scenario, association: Association,
+                       q_m: Position3D) -> OffloadDecision:
+    """Every offload subset within the relay cap, priced exactly; the best
+    objective wins, ties going to the lexicographically smallest beta."""
+    t = sp1_terms(scenario, association, q_m)
+    active = np.flatnonzero(t.active)
+    best = None
+    for m in range(min(scenario.n0_cap, active.size) + 1):
+        for members in itertools.combinations(active.tolist(), m):
+            obj = _subset_objective(t, members)
+            if obj is None:
+                continue
+            beta = np.zeros(t.n, dtype=int)
+            beta[list(members)] = 1
+            key = (obj, tuple(beta))
+            if best is None or key < best[0]:
+                best = (key, members)
+    if best is None:
+        raise InfeasibleSubproblem("no energy-feasible binary offload decision")
+    (obj, _), members = best
+    return _decision(t.n, members, obj, float("nan"))
 
 
 def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,

@@ -3,13 +3,13 @@ three baseline schemes.
 
 Every block update is wrapped in an accept-only-if-not-worse guard, so the
 reported objective trace is non-increasing by construction even when a block
-solver is heuristic (budgeted tree search, rounded relaxation).
+solver is heuristic (budgeted tree search, SCA placement).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +64,8 @@ class SolverReport:
     lp_lower_bound: float = float("nan")
     placement_fallbacks: int = 0  # inner solves where SLSQP failed
     association_exact: bool = True  # no association search hit its budget
+    # sca_loop's objective trace in each outer iteration, in order
+    sca_traces: list = field(default_factory=list)
 
     @property
     def objective_s(self) -> float:
@@ -166,6 +168,7 @@ def run_scheme(scenario: Scenario, scheme: str,
     converged = False
     iterations = fallbacks = 0
     exact = True
+    sca_traces = []
 
     for _ in range(r_max):
         iterations += 1
@@ -178,7 +181,9 @@ def run_scheme(scenario: Scenario, scheme: str,
                 lp_bound = decision.lp_lower_bound
 
         # Placement block.
-        iterate, _, _ = place_mod.sca_loop(placed, association, beta, q_m_init=q_m)
+        iterate, sca_trace, _ = place_mod.sca_loop(placed, association, beta,
+                                                   q_m_init=q_m)
+        sca_traces.append(sca_trace)
         fallbacks += iterate.fallbacks
         cand, _, _, _ = evaluate_solution(placed, association, beta, iterate.q_m)
         if cand <= objective + _GUARD_SLACK:
@@ -221,6 +226,7 @@ def run_scheme(scenario: Scenario, scheme: str,
         lp_lower_bound=lp_bound,
         placement_fallbacks=fallbacks,
         association_exact=exact,
+        sca_traces=sca_traces,
     )
 
 

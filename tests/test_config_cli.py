@@ -13,6 +13,8 @@ from uav_mec.errors import ParseError, ValidationError
 from uav_mec.experiment import (ResultRow, chunked_metrics, format_rows,
                                 run_cell, sweep, write_results)
 
+from .conftest import counting
+
 
 class TestConfigParsing:
     def test_defaults_match_reference_parameters(self):
@@ -122,6 +124,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(ExperimentConfig(), "area_m", [1000.0])
 
+    @pytest.mark.parametrize("param", ["n0_cap", "n_chunks"])
+    def test_fractional_integer_values_rejected(self, param):
+        cfg = replace(ExperimentConfig(), n_suavs=4, n_targets=5, seeds=(0,))
+        with pytest.raises(ValidationError):
+            sweep(cfg, param, [2.0, 1.5], schemes=("suav_only",))
+
 
 class TestOutput:
     def test_single_row_two_lines(self, tmp_path):
@@ -168,6 +176,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_fractional_cap_sweep_values_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("n_suavs = 4\nn_targets = 5\nseeds = 0\n")
+        args = ["sweep", "--config", str(cfg_path), "--param", "n0_cap",
+                "--scheme", "suav_only", "--values"]
+        assert main(args + ["1.5,2.9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "n0_cap" in err
+        assert main(args + ["2,2.0"]) == 0  # integral floats stay valid
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nonexistent.cfg"
         assert main(["run", "--config", str(missing)]) == 2
@@ -200,6 +218,29 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("iteration,objective_s")
         assert "sca_iteration" in text
+
+    def test_trace_prints_the_solves_sca_traces(self, tmp_path, monkeypatch):
+        from uav_mec import placement
+        from uav_mec.orchestrator import run_scheme
+        from uav_mec.scenario import generate_scenario
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("n_targets = 10\n")
+        out = tmp_path / "trace.txt"
+        calls = counting(monkeypatch, placement, "sca_loop")
+        assert main(["trace", "--config", str(cfg_path), "--seed", "1",
+                     "--out", str(out)]) == 0
+        trace_calls = len(calls)
+        cfg = load_config(cfg_path)
+        report = run_scheme(generate_scenario(cfg, 1), "proposed",
+                            tol=cfg.tol, r_max=cfg.r_max)
+        assert trace_calls == len(calls) - trace_calls == report.iterations
+        lines = out.read_text().splitlines()
+        header = lines.index("outer_iteration,sca_iteration,objective_s")
+        rows = [line.split(",") for line in lines[header + 1:]]
+        expected = [(k, i, value)
+                    for k, sca in enumerate(report.sca_traces, start=1)
+                    for i, value in enumerate(sca)]
+        assert [(int(k), int(i), float(v)) for k, i, v in rows] == expected
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"

@@ -1,15 +1,20 @@
-"""Offload decisions: LP construction, relaxation bound, enumeration, rounding."""
+"""Offload decisions: LP construction, relaxation bound, threshold search."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uav_mec.cost import total_latency
 from uav_mec.errors import InfeasibleSubproblem
-from uav_mec.offload import (build_sp1_lp, enumerate_offload, round_offload,
-                             solve_lp, solve_sp1, sp1_terms, _subset_objective)
-from uav_mec.scenario import Position3D
+from uav_mec.offload import (build_sp1_lp, enumerate_offload, solve_lp,
+                             solve_sp1, sp1_terms, _subset_objective)
+from uav_mec.oracles import bruteforce_offload
+from uav_mec.scenario import (Association, Position3D,
+                              feasible_association_mask)
 
 from .conftest import counting, identity_association, make_scenario
 
@@ -132,20 +137,88 @@ class TestRelaxationBound:
         decision = solve_sp1(sc, identity_association(sc), Q_M)
         assert np.isfinite(decision.lp_lower_bound)
         assert decision.lp_lower_bound <= decision.slack_s + 1e-6
-        assert not decision.relaxed
 
 
-class TestRounding:
-    def test_greedy_never_beats_enumeration(self):
-        rng = np.random.default_rng(5)
-        chunks = rng.uniform(1.6e6, 2.5e6, size=8)
-        sc = scenario_n(8, n0_cap=4, chunk_bits=chunks)
+@st.composite
+def offload_instances(draw):
+    """S-UAVs on a line through the relay's nadir (mirror pairs tie on rate)
+    with chunk sizes from a short list (more ties); some carry no video. Each
+    budget is loose, forces offloading, sits exactly at the local energy, or
+    rules out both branches; the relay CPU and budget vary."""
+    n = draw(st.integers(1, 7))
+    chunks = draw(st.lists(st.sampled_from([1e6, 2e6, 3e6]),
+                           min_size=n, max_size=n))
+    carries = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    carriers = np.flatnonzero(carries)
+    # Target i sits at its monitor's nadir: S-UAV i if it carries video,
+    # else one that does.
+    owner = [j if carries[j] else carriers[j % carriers.size] for j in range(n)]
+    xs = np.linspace(100.0, 900.0, n)
+    sc = make_scenario([(x, 500.0) for x in xs],
+                       [(xs[j], 500.0) for j in owner],
+                       n0_cap=draw(st.integers(1, n)), chunk_bits=chunks,
+                       cpu_ruav_hz=draw(st.sampled_from([2e9, 1e10])))
+    mask = feasible_association_mask(sc)
+    alpha = np.zeros_like(mask)
+    alpha[np.arange(n), owner] = 1
+    assoc = Association(alpha=alpha, feasible_mask=mask)
+    t = sp1_terms(sc, assoc, Q_M)
+    budgets = []
+    for j in range(n):
+        e_loc, e_off = t.e_local[j], t.e_offload[j]
+        budgets.append(draw(st.sampled_from([
+            1e3, 1e3, e_loc, 0.5 * (e_loc + e_off), 0.5 * min(e_loc, e_off)])))
+    relay_full = t.e_ruav[sc.n0_cap - 1].sum()
+    relay_budget = draw(st.sampled_from([1e3, 0.1 * relay_full,
+                                         0.4 * relay_full, relay_full]))
+    sc = replace(sc, suavs=tuple(replace(s, energy_budget_j=float(b))
+                                 for s, b in zip(sc.suavs, budgets)),
+                 ruav=replace(sc.ruav, energy_budget_j=float(relay_budget)))
+    return sc, assoc
+
+
+class TestThresholdSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(offload_instances())
+    def test_matches_bruteforce_bit_for_bit(self, instance):
+        sc, assoc = instance
+        try:
+            ref = bruteforce_offload(sc, assoc, Q_M)
+        except InfeasibleSubproblem:
+            with pytest.raises(InfeasibleSubproblem):
+                enumerate_offload(sc, assoc, Q_M)
+            return
+        got = enumerate_offload(sc, assoc, Q_M)
+        assert got.slack_s == ref.slack_s
+        assert got.beta.tolist() == ref.beta.tolist()
+
+    def test_solve_sp1_exact_above_old_enumeration_cap(self):
+        # 24 active S-UAVs, more than the 20 that subset enumeration took;
+        # the budgets of S-UAVs 3 and 17 admit only the offload branch.
+        rng = np.random.default_rng(0)
+        sc = scenario_n(24, n0_cap=3, cpu_suav_hz=0.6e9,
+                        chunk_bits=rng.uniform(1.6e6, 2.5e6, size=24))
         assoc = identity_association(sc)
-        exact = enumerate_offload(sc, assoc, Q_M)
-        # Feed the rounding path a fractional vector directly.
-        frac = rng.uniform(0.0, 1.0, size=17)
-        rounded = round_offload(frac, sc, assoc, Q_M)
-        assert rounded.slack_s >= exact.slack_s - 1e-12
+        t = sp1_terms(sc, assoc, Q_M)
+        mid = 0.5 * (t.e_local + t.e_offload)
+        sc = replace(sc, suavs=tuple(
+            replace(s, energy_budget_j=float(mid[s.id])) if s.id in (3, 17)
+            else s for s in sc.suavs))
+        got = solve_sp1(sc, assoc, Q_M)
+        ref = bruteforce_offload(sc, assoc, Q_M)
+        assert got.beta[[3, 17]].tolist() == [1, 1]
+        assert got.slack_s == ref.slack_s
+        assert got.beta.tolist() == ref.beta.tolist()
+
+    def test_prices_at_most_cap_plus_one_subsets(self, monkeypatch):
+        from uav_mec import offload
+        rng = np.random.default_rng(5)
+        sc = scenario_n(8, n0_cap=4,
+                        chunk_bits=rng.uniform(1.6e6, 2.5e6, size=8))
+        priced = counting(monkeypatch, offload, "_subset_objective")
+        enumerate_offload(sc, identity_association(sc), Q_M)
+        # 163 subsets within the cap; the search prices one per prefix.
+        assert len(priced) <= sc.n0_cap + 1
 
     def test_cap_respected(self):
         sc = scenario_n(8, n0_cap=2)
