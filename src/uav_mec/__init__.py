@@ -7,7 +7,7 @@ processing latency.
 """
 
 from .config import ExperimentConfig, load_config, parse_config, save_config
-from .orchestrator import SCHEMES, SolverReport, run_baseline, run_proposed
+from .orchestrator import SCHEMES, SolverReport, run_proposed
 from .scenario import Scenario, generate_scenario
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "generate_scenario",
     "load_config",
     "parse_config",
-    "run_baseline",
     "run_proposed",
     "save_config",
 ]

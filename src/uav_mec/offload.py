@@ -16,13 +16,15 @@ optimal subset, so it is also the lexicographically smallest optimal beta,
 and it is the first candidate in that order to reach T*.
 
 The LP relaxation -- with the fair-share relay time linearized through
-xi_n = beta_n * sum(beta) -- is solved alongside and reported as a certified
-lower bound.
+xi_n = beta_n * sum(beta) -- gives a certified lower bound. No decision reads
+it: solve_sp1 keeps the instance on the decision, and the LP is built and
+solved with HiGHS on the first read of lp_lower_bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +38,17 @@ from .scenario import Association, Position3D, Scenario
 class OffloadDecision:
     beta: np.ndarray
     slack_s: float
-    lp_lower_bound: float
+    # (scenario, association, q_m, Sp1Terms) for the LP bound, or None
+    relaxation: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def lp_lower_bound(self) -> float:
+        """The LP relaxation's optimum, solved on first read; nan when the
+        decision keeps no relaxation."""
+        if self.relaxation is None:
+            return float("nan")
+        scenario, association, q_m, terms = self.relaxation
+        return solve_lp(build_sp1_lp(scenario, association, q_m, terms=terms))[1]
 
 
 @dataclass
@@ -180,12 +192,10 @@ def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
     return worst
 
 
-def _decision(n: int, members, slack_s: float,
-              lp_lower_bound: float) -> OffloadDecision:
+def _decision(n: int, members, slack_s: float) -> OffloadDecision:
     beta = np.zeros(n, dtype=int)
     beta[list(members)] = 1
-    return OffloadDecision(beta=beta, slack_s=slack_s,
-                           lp_lower_bound=lp_lower_bound)
+    return OffloadDecision(beta=beta, slack_s=slack_s)
 
 
 def _local_order(t: Sp1Terms, among) -> list[int]:
@@ -195,7 +205,7 @@ def _local_order(t: Sp1Terms, among) -> list[int]:
 
 
 def enumerate_offload(scenario: Scenario, association: Association,
-                      q_m: Position3D, lp_lower_bound: float = float("nan"),
+                      q_m: Position3D,
                       terms: Sp1Terms | None = None) -> OffloadDecision:
     """Exact threshold search: the best of the forced sets E + prefix.
 
@@ -206,6 +216,10 @@ def enumerate_offload(scenario: Scenario, association: Association,
     active = np.flatnonzero(t.active).tolist()
     over = t.e_local > t.suav_budget  # the local branch breaks the budget
     forced = [j for j in active if over[j]]
+    for j in forced:  # the first S-UAV that build_sp1_lp would reject
+        if t.e_offload[j] > t.suav_budget[j]:
+            raise InfeasibleSubproblem(
+                f"energy budget of S-UAV {j} excludes both computing branches")
     rest = _local_order(t, [j for j in active if not over[j]])
     best = None
     for k in range(min(scenario.n0_cap - len(forced), len(rest)) + 1):
@@ -216,17 +230,16 @@ def enumerate_offload(scenario: Scenario, association: Association,
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
     obj, members = best
-    return _decision(t.n, members, obj, lp_lower_bound)
+    return _decision(t.n, members, obj)
 
 
 def solve_sp1(scenario: Scenario, association: Association,
               q_m: Position3D) -> OffloadDecision:
-    """Default SP1 path: LP relaxation for the bound, threshold search for
-    the point."""
+    """Default SP1 path: the threshold search for the point, with the
+    instance kept for a later read of the LP bound."""
     t = sp1_terms(scenario, association, q_m)
-    _, lower = solve_lp(build_sp1_lp(scenario, association, q_m, terms=t))
-    return enumerate_offload(scenario, association, q_m, lp_lower_bound=lower,
-                             terms=t)
+    decision = enumerate_offload(scenario, association, q_m, terms=t)
+    return replace(decision, relaxation=(scenario, association, q_m, t))
 
 
 def forced_offload(scenario: Scenario, association: Association,
@@ -239,5 +252,5 @@ def forced_offload(scenario: Scenario, association: Association,
     for k in range(min(scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))
         if obj is not None:
-            return _decision(t.n, order[:k], obj, float("nan"))
+            return _decision(t.n, order[:k], obj)
     raise InfeasibleSubproblem("no energy-feasible prefix of the offload order")

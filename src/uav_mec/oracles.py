@@ -96,7 +96,7 @@ def bruteforce_offload(scenario: Scenario, association: Association,
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
     (obj, _), members = best
-    return _decision(t.n, members, obj, float("nan"))
+    return _decision(t.n, members, obj)
 
 
 def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,

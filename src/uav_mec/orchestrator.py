@@ -19,7 +19,7 @@ from . import placement as place_mod
 from .cost import (EnergyBreakdown, LatencyBreakdown, all_energies,
                    evaluate_solution)
 from .errors import UavMecError
-from .offload import forced_offload, solve_sp1
+from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
                        feasible_association_mask, repositioned_scenario)
 
@@ -61,7 +61,7 @@ class SolverReport:
     iterations: int
     converged: bool
     wall_time: float
-    lp_lower_bound: float = float("nan")
+    offload: OffloadDecision | None = None  # the last accepted offload step
     placement_fallbacks: int = 0  # inner solves where SLSQP failed
     association_exact: bool = True  # no association search hit its budget
     # sca_loop's objective trace in each outer iteration, in order
@@ -70,6 +70,12 @@ class SolverReport:
     @property
     def objective_s(self) -> float:
         return self.objective_trace[-1]
+
+    @property
+    def lp_lower_bound(self) -> float:
+        """SP1's LP relaxation bound at the last accepted offload step, solved
+        on first read; nan if no step kept one."""
+        return self.offload.lp_lower_bound if self.offload else float("nan")
 
 
 def convergence_check(trace, tol: float) -> bool:
@@ -164,7 +170,7 @@ def run_scheme(scenario: Scenario, scheme: str,
 
     objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
     trace = [objective]
-    lp_bound = float("nan")
+    offload = None
     converged = False
     iterations = fallbacks = 0
     exact = True
@@ -177,8 +183,7 @@ def run_scheme(scenario: Scenario, scheme: str,
             decision = globals()[policy.offload_rule](placed, association, q_m)
             cand, _, _, _ = evaluate_solution(placed, association, decision.beta, q_m)
             if cand <= objective + _GUARD_SLACK:
-                beta, objective = decision.beta, cand
-                lp_bound = decision.lp_lower_bound
+                beta, objective, offload = decision.beta, cand, decision
 
         # Placement block.
         iterate, sca_trace, _ = place_mod.sca_loop(placed, association, beta,
@@ -223,7 +228,7 @@ def run_scheme(scenario: Scenario, scheme: str,
         iterations=iterations,
         converged=converged,
         wall_time=time.monotonic() - start,
-        lp_lower_bound=lp_bound,
+        offload=offload,
         placement_fallbacks=fallbacks,
         association_exact=exact,
         sca_traces=sca_traces,
@@ -233,9 +238,3 @@ def run_scheme(scenario: Scenario, scheme: str,
 def run_proposed(scenario: Scenario, tol: float = DEFAULT_TOL_S,
                  r_max: int = DEFAULT_R_MAX, **kwargs) -> SolverReport:
     return run_scheme(scenario, "proposed", tol=tol, r_max=r_max, **kwargs)
-
-
-def run_baseline(scenario: Scenario, scheme: str, **kwargs) -> SolverReport:
-    if scheme == "proposed":
-        raise ValueError("use run_proposed for the proposed scheme")
-    return run_scheme(scenario, scheme, **kwargs)

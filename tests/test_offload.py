@@ -65,6 +65,10 @@ class TestLpConstruction:
         sc = scenario_n(2, n0_cap=2, energy_budget_j=1e-3)
         with pytest.raises(InfeasibleSubproblem):
             build_sp1_lp(sc, identity_association(sc), Q_M)
+        # solve_sp1 builds no LP, so the threshold search must raise too,
+        # naming the same S-UAV.
+        with pytest.raises(InfeasibleSubproblem, match="S-UAV 0 excludes"):
+            solve_sp1(sc, identity_association(sc), Q_M)
 
 
 class TestLinearizedLatency:
@@ -228,11 +232,19 @@ class TestThresholdSearch:
 
 class TestBuildOnce:
     def test_sp1_terms_once_per_solve_sp1(self, monkeypatch):
-        from uav_mec import offload
+        from uav_mec import offload, simplex
         sc = scenario_n(4)
         builds = counting(monkeypatch, offload, "sp1_terms")
         lp_builds = counting(monkeypatch, offload, "build_sp1_lp")
+        lp_solves = counting(monkeypatch, simplex, "solve_lp_arrays")
         searches = counting(monkeypatch, offload, "enumerate_offload")
-        solve_sp1(sc, identity_association(sc), Q_M)
+        decision = solve_sp1(sc, identity_association(sc), Q_M)
+        assert len(builds) == len(searches) == 1  # still module lookups
+        assert len(lp_builds) == len(lp_solves) == 0
+        # The first read builds and solves the LP on the kept terms; later
+        # reads are cached.
+        assert np.isfinite(decision.lp_lower_bound)
+        assert len(lp_builds) == len(lp_solves) == 1
+        decision.lp_lower_bound
         assert len(builds) == 1
-        assert len(lp_builds) == len(searches) == 1  # still module lookups
+        assert len(lp_builds) == len(lp_solves) == 1

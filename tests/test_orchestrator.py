@@ -5,8 +5,8 @@ import pytest
 
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   convergence_check,
-                                  nearest_covering_association, run_baseline,
-                                  run_proposed, run_scheme)
+                                  nearest_covering_association, run_proposed,
+                                  run_scheme)
 from uav_mec.scenario import Association, repositioned_scenario
 
 
@@ -92,10 +92,6 @@ class TestRunScheme:
         with pytest.raises(ValueError):
             run_scheme(scenario0, "nonsense")
 
-    def test_run_baseline_rejects_proposed(self, scenario0):
-        with pytest.raises(ValueError):
-            run_baseline(scenario0, "proposed")
-
 
 class TestRuavOnlyRelayBudget:
     def test_offloads_the_slowest_prefix_the_budget_admits(self):
@@ -180,6 +176,53 @@ class TestPinnedObjectives:
             report = run_scheme(sc, scheme, node_budget=10_000)
             assert report.objective_s == pytest.approx(
                 PINNED_OBJECTIVES[seed, scheme], rel=1e-12), scheme
+
+
+# report.lp_lower_bound at the same runs, pinned to the values of the
+# hand-written Bland-rule simplex that solved the LP relaxation before HiGHS.
+# The schemes without an LP-backed offload rule report nan.
+PINNED_LP_BOUNDS = {
+    (0, 'proposed'): 6.755890845748072,
+    (0, 'static_suavs'): 6.755923066938035,
+    (1, 'proposed'): 6.669881635926717,
+    (1, 'static_suavs'): 7.024352675045007,
+    (2, 'proposed'): 6.493440989752495,
+    (2, 'static_suavs'): 6.493024925325662,
+    (3, 'proposed'): 6.056580216828489,
+    (3, 'static_suavs'): 6.056332535899714,
+    (4, 'proposed'): 6.135794035963987,
+    (4, 'static_suavs'): 6.1355747641590215,
+}
+
+
+class TestPinnedLpBounds:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reference_lp_bounds_unchanged(self, default_config, seed):
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(default_config, seed)
+        for scheme in SCHEMES:
+            report = run_scheme(sc, scheme, node_budget=10_000)
+            if (seed, scheme) in PINNED_LP_BOUNDS:
+                assert report.lp_lower_bound == pytest.approx(
+                    PINNED_LP_BOUNDS[seed, scheme], rel=1e-12), scheme
+            else:
+                assert np.isnan(report.lp_lower_bound), scheme
+
+
+class TestLazyLpBound:
+    def test_run_scheme_solves_no_lp_until_the_bound_is_read(self, monkeypatch,
+                                                             scenario0):
+        from uav_mec import offload, simplex
+
+        from .conftest import counting
+        lp_builds = counting(monkeypatch, offload, "build_sp1_lp")
+        lp_solves = counting(monkeypatch, simplex, "solve_lp_arrays")
+        report = run_scheme(scenario0, "proposed")
+        assert len(lp_builds) == len(lp_solves) == 0
+        assert np.isfinite(report.lp_lower_bound)
+        assert len(lp_builds) == len(lp_solves) == 1
+        report.lp_lower_bound
+        assert len(lp_builds) == len(lp_solves) == 1
 
 
 class TestReportCounters:
