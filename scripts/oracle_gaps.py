@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from uav_mec.config import ExperimentConfig
 from uav_mec.oracles import joint_bruteforce
-from uav_mec.orchestrator import run_proposed
+from uav_mec.orchestrator import run_scheme
 from uav_mec.scenario import generate_scenario
 
 
@@ -44,7 +44,7 @@ def main(argv=None):
     for seed in seeds:
         scenario = generate_scenario(cfg, seed)
         start = time.monotonic()
-        report = run_proposed(scenario)
+        report = run_scheme(scenario, "proposed")
         oracle = joint_bruteforce(
             scenario, extra_points=report.q_m.array[None, :])
         gap = (report.objective_s - oracle) / oracle

@@ -6,6 +6,7 @@ SI units exactly once, via the derived properties used by the solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
@@ -65,6 +66,11 @@ class ExperimentConfig:
         )
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{f.name} must be finite, got {v!r}")
         positive = [
             "area_m", "n_suavs", "n_targets", "bandwidth_hz", "tx_power_w",
             "cpu_suav_hz", "cpu_ruav_hz", "n_chunks", "phi_h_deg", "phi_v_deg",
@@ -95,6 +101,8 @@ class ExperimentConfig:
             raise ValidationError("ruav_box altitude must be nonnegative")
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ValidationError("seeds must be non-negative")
         return self
 
 

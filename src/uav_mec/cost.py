@@ -136,12 +136,6 @@ def _breakdowns(scenario: Scenario, association: Association,
     return lats, energies
 
 
-def total_latency(scenario: Scenario, association: Association,
-                  beta: np.ndarray, q_m: Position3D) -> list[LatencyBreakdown]:
-    """Per-S-UAV latency breakdowns with the decision-selected totals."""
-    return _breakdowns(scenario, association, _capped(scenario, beta), q_m)[0]
-
-
 def all_energies(scenario: Scenario, association: Association,
                  beta: np.ndarray, q_m: Position3D) -> list[EnergyBreakdown]:
     """Per-S-UAV energies, then the relay's: the sum of the offloaders'

@@ -55,7 +55,7 @@ def chunked_metrics(scenario: Scenario, association: Association,
         suav = scenario.suavs[j]
         r = floored_rate(suav, suav.current_pos.array, q_m.array,
                          scenario.constants)
-        for s in suav.chunk_bits_list or (suav.chunk_bits,):
+        for s in suav.chunk_bits_list:
             price = branch_price(scenario, j, s, bool(beta[j]), n_off)
             totals[j] += price.latency(r)
             exec_energy += price.energy(suav.tx_power_w, r)
@@ -76,8 +76,7 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
         placed = placed_for(scenario, report.alpha, scheme)
         association = Association(
             alpha=report.alpha,
-            feasible_mask=np.maximum(report.alpha,
-                                     feasible_association_mask(scenario)))
+            feasible_mask=feasible_association_mask(scenario))
         objective, spread, exec_e, ruav_e = chunked_metrics(
             placed, association, report.beta, report.q_m)
         return ResultRow(

@@ -1,9 +1,6 @@
-"""Free-space channel gain, Shannon rate, and the first-order rate lower bound.
+"""Free-space Shannon rate between an S-UAV and the relay.
 
 All quantities are linear SI units; dB/dBm conversion happens at config load.
-The surrogate used by the placement SCA loop replaces the rate with a concave
-quadratic in the R-UAV position that touches the true rate at the expansion
-point and never exceeds it.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ from .errors import DegenerateGeometry
 # The free-space model is calibrated at a 1 m reference distance; below it we
 # refuse to extrapolate.
 MIN_LINK_DISTANCE_M = 1.0
-
-LOG2E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -73,11 +68,6 @@ def _dist_sq(q_a, q_b) -> float:
     return d2
 
 
-def channel_gain(q_n, q_m, rho0: float) -> float:
-    """Free-space gain rho0 / d^2 between two positions."""
-    return rho0 / _dist_sq(q_n, q_m)
-
-
 def rate(q_n, q_m, constants: PhysicsConstants, snr: SnrCoeff) -> float:
     """Shannon rate B * log2(1 + gamma1 / d^2) in bits/s."""
     d2 = _dist_sq(q_n, q_m)
@@ -87,26 +77,3 @@ def rate(q_n, q_m, constants: PhysicsConstants, snr: SnrCoeff) -> float:
 def rate_at_dist_sq(d2: float, bandwidth_hz: float, gamma1: float) -> float:
     """Rate as a function of squared distance; no geometry guard (d2 > 0)."""
     return bandwidth_hz * math.log2(1.0 + gamma1 / d2)
-
-
-def taylor_coeffs(q_n, q_m_ref, constants: PhysicsConstants, snr: SnrCoeff):
-    """Coefficients (a_ref, slope) of the rate surrogate expanded at q_m_ref.
-
-    a_ref is the exact rate at the expansion point; slope is the (positive)
-    derivative magnitude of the rate with respect to squared distance there.
-    """
-    d2r = _dist_sq(q_n, q_m_ref)
-    g1 = snr.gamma1
-    a_ref = rate_at_dist_sq(d2r, constants.bandwidth_hz, g1)
-    slope = constants.bandwidth_hz * g1 * LOG2E / (d2r * (d2r + g1))
-    return a_ref, slope, d2r
-
-
-def rate_lower_bound(q_n, q_m, q_m_ref, constants: PhysicsConstants, snr: SnrCoeff) -> float:
-    """Concave surrogate of the rate, tangent at q_m_ref and a global lower bound.
-
-    rhat = a_ref - slope * (||q_n - q_m||^2 - ||q_n - q_m_ref||^2)
-    """
-    a_ref, slope, d2r = taylor_coeffs(q_n, q_m_ref, constants, snr)
-    d2 = _dist_sq(q_n, q_m)
-    return a_ref - slope * (d2 - d2r)

@@ -186,8 +186,8 @@ def run_scheme(scenario: Scenario, scheme: str,
                 beta, objective, offload = decision.beta, cand, decision
 
         # Placement block.
-        iterate, sca_trace, _ = place_mod.sca_loop(placed, association, beta,
-                                                   q_m_init=q_m)
+        iterate, sca_trace = place_mod.sca_loop(placed, association, beta,
+                                                q_m_init=q_m)
         sca_traces.append(sca_trace)
         fallbacks += iterate.fallbacks
         cand, _, _, _ = evaluate_solution(placed, association, beta, iterate.q_m)
@@ -233,8 +233,3 @@ def run_scheme(scenario: Scenario, scheme: str,
         association_exact=exact,
         sca_traces=sca_traces,
     )
-
-
-def run_proposed(scenario: Scenario, tol: float = DEFAULT_TOL_S,
-                 r_max: int = DEFAULT_R_MAX, **kwargs) -> SolverReport:
-    return run_scheme(scenario, "proposed", tol=tol, r_max=r_max, **kwargs)

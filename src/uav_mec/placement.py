@@ -4,7 +4,7 @@ The non-convex min-max placement is handled by successive convexification:
 around the current point the rate of every transmitting S-UAV is replaced by
 its concave quadratic lower bound, the worst-case common rate lambda is
 maximized over the flight box, and the expansion point moves to the new
-optimum until the surrogate objective stalls.
+optimum until the exact objective stalls.
 
 The inner concave max-min is a 3-D smooth program solved by SLSQP (with an
 analytic Jacobian). SLSQP's point is taken as it is when SLSQP reports
@@ -15,7 +15,7 @@ and the iterate counts that as a fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,9 +33,6 @@ SUBGRADIENT_ITERS = 500
 @dataclass(frozen=True)
 class PlacementIterate:
     q_m: Position3D
-    lambda_m: float
-    slack_s: float
-    iteration: int
     fallbacks: int = 0  # inner solves where SLSQP failed (summed by sca_loop)
 
 
@@ -183,66 +180,53 @@ def default_initial_position(scenario: Scenario) -> Position3D:
 
 
 def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
-                q_m_ref: Position3D, iteration: int = 0,
+                q_m_ref: Position3D,
                 terms: PlacementTerms | None = None) -> PlacementIterate:
     """One convexified placement solve around the expansion point q_m_ref;
     `terms`, if given, are placement_terms(scenario, association, beta)."""
     terms = terms or placement_terms(scenario, association, beta)
     if terms.q.shape[0] == 0:
-        return PlacementIterate(q_m=q_m_ref, lambda_m=float("inf"),
-                                slack_s=0.0, iteration=iteration)
+        return PlacementIterate(q_m=q_m_ref)
     q, lam, fell_back = _maximin_surrogate(terms, q_m_ref.array, scenario)
     if lam < terms.lam_floor:
         raise InfeasibleSubproblem(
             "energy budgets demand a common rate the geometry cannot deliver")
     if lam <= 0.0:
         raise NumericalFailure("surrogate rate collapsed to zero")
-    slack = float(np.max(terms.tx_bits / lam + terms.fixed_s))
-    return PlacementIterate(q_m=Position3D(*q), lambda_m=lam,
-                            slack_s=slack, iteration=iteration,
-                            fallbacks=int(fell_back))
+    return PlacementIterate(q_m=Position3D(*q), fallbacks=int(fell_back))
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
-             q_m_init: Position3D | None = None,
-             tol: float = SCA_TOL_S, max_iter: int = SCA_MAX_ITER):
-    """Successive convexification until the surrogate objective stalls.
+             q_m_init: Position3D | None = None):
+    """Successive convexification until the exact objective stalls.
 
-    Returns (best iterate, surrogate trace, exact objective at the final
-    point); the iterate's `fallbacks` counts the rounds in which SLSQP failed.
-    A solve that worsens the exact objective is discarded, making the
-    descent property hold even under inner-solver noise.
+    Returns (best iterate, trace): the trace holds the exact objective at
+    the start and after each round, and the iterate's `fallbacks` counts
+    the rounds in which SLSQP failed. A solve that worsens the exact
+    objective is discarded, making the descent property hold even under
+    inner-solver noise.
     """
     terms = placement_terms(scenario, association, beta)
     if q_m_init is None:
         q_m_init = default_initial_position(scenario)
     if terms.q.shape[0] == 0:
-        it = PlacementIterate(q_m=q_m_init, lambda_m=float("inf"),
-                              slack_s=0.0, iteration=0)
-        return it, [0.0], 0.0
+        return PlacementIterate(q_m=q_m_init), [0.0]
 
-    current = PlacementIterate(
-        q_m=q_m_init,
-        lambda_m=float(_surrogate_coeffs(terms, q_m_init.array)[0].min()),
-        slack_s=float(exact_objective(terms, q_m_init.array)[0]),
-        iteration=0,
-    )
-    trace = [current.slack_s]
+    q_m = q_m_init
+    trace = [float(exact_objective(terms, q_m.array)[0])]
     fallbacks = 0
-    for r in range(1, max_iter + 1):
+    for _ in range(SCA_MAX_ITER):
         try:
-            nxt = solve_sp2_2(scenario, association, beta, current.q_m,
-                              iteration=r, terms=terms)
+            nxt = solve_sp2_2(scenario, association, beta, q_m, terms=terms)
         except NumericalFailure:
             break
         fallbacks += nxt.fallbacks
         exact = float(exact_objective(terms, nxt.q_m.array)[0])
         if exact <= trace[-1] + 1e-12:
-            current = PlacementIterate(q_m=nxt.q_m, lambda_m=nxt.lambda_m,
-                                       slack_s=exact, iteration=r)
+            q_m = nxt.q_m
             trace.append(exact)
         else:
             trace.append(trace[-1])  # reject the move, keep the point
-        if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < tol:
+        if abs(trace[-2] - trace[-1]) < SCA_TOL_S:
             break
-    return replace(current, fallbacks=fallbacks), trace, trace[-1]
+    return PlacementIterate(q_m=q_m, fallbacks=fallbacks), trace

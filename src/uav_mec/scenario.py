@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .config import KB_BITS, ExperimentConfig
-from .errors import InfeasibleScenario, ParseError
+from .errors import InfeasibleScenario
 from .link import PhysicsConstants
 
 _GENERATOR_RETRY_CAP = 100
@@ -68,19 +69,23 @@ class SUav:
     camera: CameraSpec
     cpu_hz: float
     tx_power_w: float
-    chunk_bits: float
     compress_ratio: float
     energy_budget_j: float
     hover_energy_j: float
-    chunk_bits_list: tuple[float, ...] = ()
+    chunk_bits_list: tuple[float, ...]  # sizes of the sequential chunks
 
     def __post_init__(self):
         if not (0.0 < self.compress_ratio < 1.0):
             raise ValueError("compress_ratio must lie in (0, 1)")
         if self.cpu_hz <= 0 or self.tx_power_w <= 0:
             raise ValueError("cpu_hz and tx_power_w must be positive")
-        if self.chunk_bits < 0:
-            raise ValueError("chunk_bits must be nonnegative")
+        if not self.chunk_bits_list or min(self.chunk_bits_list) < 0:
+            raise ValueError("chunk_bits_list must hold nonnegative sizes")
+
+    @cached_property
+    def chunk_bits(self) -> float:
+        """Mean chunk size, the task size a solve prices."""
+        return sum(self.chunk_bits_list) / len(self.chunk_bits_list)
 
 
 @dataclass(frozen=True)
@@ -145,9 +150,6 @@ class Association:
         if np.any(self.alpha.sum(axis=1) < 1):
             raise ValueError("every target needs at least one monitor")
 
-    def assigned_targets(self, suav_index: int) -> np.ndarray:
-        return np.flatnonzero(self.alpha[:, suav_index])
-
 
 def fov_extents(altitude: float, camera: CameraSpec) -> tuple[float, float]:
     """Ground footprint side lengths (along x, along y) at a given altitude."""
@@ -178,10 +180,6 @@ def fov_rect(suav: SUav, at_initial: bool = False) -> AxisRect:
         x_lo=pos.x - hfov / 2.0, x_hi=pos.x + hfov / 2.0,
         y_lo=pos.y - vfov / 2.0, y_hi=pos.y + vfov / 2.0,
     )
-
-
-def covers(suav: SUav, target: Target, at_initial: bool = False) -> bool:
-    return fov_rect(suav, at_initial=at_initial).contains(target.pos.x, target.pos.y)
 
 
 def reposition(suav: SUav, assigned: list[Target] | tuple[Target, ...]) -> Position3D:
@@ -274,24 +272,9 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
     )
     grid = suav_grid_positions(
         config.n_suavs, config.area_m, config.initial_altitude_m, camera)
-    rects = []
-    for pos in grid:
-        hfov, vfov = fov_extents(pos.h, camera)
-        rects.append(AxisRect(pos.x - hfov / 2, pos.x + hfov / 2,
-                              pos.y - vfov / 2, pos.y + vfov / 2))
 
-    def draw_target(tid: int) -> Target:
-        for _ in range(_GENERATOR_RETRY_CAP):
-            x, y = rng.uniform(0.0, config.area_m, size=2)
-            if any(r.contains(x, y) for r in rects):
-                return Target(id=tid, pos=Position3D(x, y, 0.0))
-        raise InfeasibleScenario(
-            f"could not place target {tid} inside any initial footprint "
-            f"after {_GENERATOR_RETRY_CAP} draws"
-        )
-
-    targets = tuple(draw_target(i) for i in range(config.n_targets))
-
+    # The chunk sizes come from their own generator, so drawing them before
+    # the targets moves no draw of either.
     chunk_rng = np.random.default_rng([seed, 0xC4])
     lo_kb, hi_kb = config.chunk_kb_range
     suavs = []
@@ -305,12 +288,24 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
             camera=camera,
             cpu_hz=config.cpu_suav_hz,
             tx_power_w=config.tx_power_w,
-            chunk_bits=sum(sizes) / len(sizes),
             compress_ratio=config.mu,
             energy_budget_j=config.energy_budget_suav_j,
             hover_energy_j=config.hover_energy_suav_j,
             chunk_bits_list=sizes,
         ))
+    rects = [fov_rect(s, at_initial=True) for s in suavs]
+
+    def draw_target(tid: int) -> Target:
+        for _ in range(_GENERATOR_RETRY_CAP):
+            x, y = rng.uniform(0.0, config.area_m, size=2)
+            if any(r.contains(x, y) for r in rects):
+                return Target(id=tid, pos=Position3D(x, y, 0.0))
+        raise InfeasibleScenario(
+            f"could not place target {tid} inside any initial footprint "
+            f"after {_GENERATOR_RETRY_CAP} draws"
+        )
+
+    targets = tuple(draw_target(i) for i in range(config.n_targets))
 
     bx = config.ruav_box
     box_lo = Position3D(bx[0], bx[1], bx[2])
@@ -334,101 +329,3 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
     )
     feasible_association_mask(scenario)  # generator guarantee
     return scenario
-
-
-# Line-oriented serialization for replay and golden tests.
-
-def _repr_f(value) -> str:
-    return repr(float(value))
-
-
-def scenario_to_text(scenario: Scenario) -> str:
-    c = scenario.constants
-    cam = scenario.suavs[0].camera if scenario.suavs else None
-    lines = [
-        f"seed = {scenario.seed}",
-        f"n0_cap = {scenario.n0_cap}",
-        f"bandwidth_hz = {_repr_f(c.bandwidth_hz)}",
-        f"rho0 = {_repr_f(c.rho0)}",
-        f"noise_w = {_repr_f(c.noise_w)}",
-        f"f0_cycles_per_bit = {_repr_f(c.f0_cycles_per_bit)}",
-        f"zeta = {_repr_f(c.zeta)}",
-    ]
-    r = scenario.ruav
-    lines.append(
-        "ruav = " + ",".join(_repr_f(v) for v in (
-            r.pos.x, r.pos.y, r.pos.h, r.cpu_hz,
-            r.box_lo.x, r.box_lo.y, r.box_lo.h,
-            r.box_hi.x, r.box_hi.y, r.box_hi.h,
-            r.energy_budget_j, r.hover_energy_j))
-    )
-    for s in scenario.suavs:
-        fields = (
-            s.initial_pos.x, s.initial_pos.y, s.initial_pos.h,
-            s.camera.phi_h, s.camera.phi_v, s.camera.gamma,
-            s.cpu_hz, s.tx_power_w, s.chunk_bits, s.compress_ratio,
-            s.energy_budget_j, s.hover_energy_j, *s.chunk_bits_list,
-        )
-        lines.append("suav = " + ",".join(_repr_f(v) for v in fields))
-    for t in scenario.targets:
-        lines.append(f"target = {_repr_f(t.pos.x)},{_repr_f(t.pos.y)}")
-    return "\n".join(lines) + "\n"
-
-
-def scenario_from_text(text: str) -> Scenario:
-    scalars = {}
-    suav_rows = []
-    target_rows = []
-    ruav_row = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ParseError("expected 'key = value'", line=lineno)
-        key, raw = (p.strip() for p in stripped.split("=", 1))
-        try:
-            if key == "suav":
-                suav_rows.append([float(v) for v in raw.split(",")])
-            elif key == "target":
-                target_rows.append([float(v) for v in raw.split(",")])
-            elif key == "ruav":
-                ruav_row = [float(v) for v in raw.split(",")]
-            elif key in ("seed", "n0_cap"):
-                scalars[key] = int(raw)
-            else:
-                scalars[key] = float(raw)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    if ruav_row is None:
-        raise ParseError("missing ruav line")
-    constants = PhysicsConstants(
-        bandwidth_hz=scalars["bandwidth_hz"],
-        rho0=scalars["rho0"],
-        noise_w=scalars["noise_w"],
-        f0_cycles_per_bit=scalars["f0_cycles_per_bit"],
-        zeta=scalars["zeta"],
-    )
-    suavs = []
-    for j, row in enumerate(suav_rows):
-        (ix, iy, ih, ph, pv, gm, cpu, pw, chunk, mu, eb, hov), extra = row[:12], row[12:]
-        pos = Position3D(ix, iy, ih)
-        suavs.append(SUav(
-            id=j, initial_pos=pos, current_pos=pos,
-            camera=CameraSpec(ph, pv, gm),
-            cpu_hz=cpu, tx_power_w=pw, chunk_bits=chunk, compress_ratio=mu,
-            energy_budget_j=eb, hover_energy_j=hov,
-            chunk_bits_list=tuple(extra),
-        ))
-    targets = tuple(Target(id=i, pos=Position3D(x, y, 0.0))
-                    for i, (x, y) in enumerate(target_rows))
-    rr = ruav_row
-    ruav = RUav(
-        pos=Position3D(rr[0], rr[1], rr[2]), cpu_hz=rr[3],
-        box_lo=Position3D(rr[4], rr[5], rr[6]), box_hi=Position3D(rr[7], rr[8], rr[9]),
-        energy_budget_j=rr[10], hover_energy_j=rr[11],
-    )
-    return Scenario(
-        suavs=tuple(suavs), targets=targets, ruav=ruav, constants=constants,
-        n0_cap=scalars["n0_cap"], seed=scalars["seed"],
-    )

@@ -9,6 +9,7 @@ import pytest
 
 from uav_mec.config import KB_BITS, ExperimentConfig
 from uav_mec.link import PhysicsConstants
+from uav_mec.placement import PlacementTerms
 from uav_mec.scenario import (Association, CameraSpec, Position3D, RUav,
                               Scenario, SUav, Target,
                               feasible_association_mask, generate_scenario)
@@ -32,9 +33,8 @@ def make_scenario(suav_xy, target_xy, *, altitude=500.0, chunk_bits=None,
              initial_pos=Position3D(x, y, altitude),
              current_pos=Position3D(x, y, altitude),
              camera=camera, cpu_hz=cpu_suav_hz, tx_power_w=tx_power_w,
-             chunk_bits=float(chunk_bits[j]), compress_ratio=mu,
-             energy_budget_j=energy_budget_j, hover_energy_j=0.0,
-             chunk_bits_list=(float(chunk_bits[j]),))
+             compress_ratio=mu, energy_budget_j=energy_budget_j,
+             hover_energy_j=0.0, chunk_bits_list=(float(chunk_bits[j]),))
         for j, (x, y) in enumerate(suav_xy))
     targets = tuple(Target(id=i, pos=Position3D(x, y, 0.0))
                     for i, (x, y) in enumerate(target_xy))
@@ -46,6 +46,18 @@ def make_scenario(suav_xy, target_xy, *, altitude=500.0, chunk_bits=None,
                     constants=constants,
                     n0_cap=n0_cap if n0_cap is not None else max(1, n // 2),
                     seed=0)
+
+
+def link_terms(q_n, gamma1: float,
+               bandwidth_hz: float = DEFAULT_CONSTANTS.bandwidth_hz
+               ) -> PlacementTerms:
+    """Placement terms for transmitters at the rows of q_n, holding only what
+    the rate surrogate reads: positions, SNR coefficient and bandwidth."""
+    q = np.atleast_2d(np.asarray(q_n, dtype=float))
+    n = q.shape[0]
+    return PlacementTerms(q=q, gamma1=np.full(n, gamma1),
+                          tx_bits=np.zeros(n), fixed_s=np.zeros(n),
+                          lam_floor=0.0, bandwidth_hz=bandwidth_hz)
 
 
 def full_association(scenario: Scenario) -> Association:

@@ -16,21 +16,20 @@ import numpy as np
 import pytest
 
 from uav_mec.config import ExperimentConfig
-from uav_mec.cost import total_latency
+from uav_mec.cost import evaluate_solution
 from uav_mec.link import rate_at_dist_sq, snr_coeff
 from uav_mec.offload import build_sp1_lp, enumerate_offload, solve_lp, sp1_terms
 from uav_mec.oracles import (enumerate_associations_at_least_one,
                              grid_search_placement, joint_bruteforce)
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
-                                  nearest_covering_association, run_proposed,
-                                  run_scheme)
+                                  nearest_covering_association, run_scheme)
 from uav_mec.association import solve_association
-from uav_mec.placement import sca_loop
+from uav_mec.placement import sca_loop, surrogate_rates
 from uav_mec.scenario import (Association, Position3D, generate_scenario,
                               repositioned_scenario)
 
 from .conftest import (DEFAULT_CONSTANTS, full_association,
-                       identity_association, make_scenario)
+                       identity_association, link_terms, make_scenario)
 from .test_association import random_instance
 
 CONFIG = ExperimentConfig()
@@ -110,12 +109,12 @@ def test_criterion_01_taylor_dominance():
     rel_slack = (exact - bound) / np.maximum(exact, 1e-12)
     dominated = bool(np.all(rel_slack >= -1e-9))
     # Equality at the expansion point, through the library functions.
-    from uav_mec.link import rate, rate_lower_bound
+    from uav_mec.link import rate
     equality = True
     for i in range(0, n, 100):
         exact_ref = rate(q_n[i], q_ref[i], CONFIG.constants, snr)
-        bound_ref = rate_lower_bound(q_n[i], q_ref[i], q_ref[i],
-                                     CONFIG.constants, snr)
+        bound_ref = surrogate_rates(link_terms(q_n[i], snr.gamma1, b),
+                                    q_ref[i], q_ref[i])[0, 0]
         if abs(bound_ref - exact_ref) > 1e-9 * exact_ref:
             equality = False
     elapsed = time.monotonic() - start
@@ -166,8 +165,8 @@ def test_criterion_02_linearization_exactness():
             linear = (t.t_loc + t.t_tx_loc
                       + beta * (t.t_tx_off - t.t_loc - t.t_tx_loc)
                       + xi_true * t.k_ruav)
-            exact = np.array([lb.total_s for lb in total_latency(
-                sc, assoc, beta.astype(int), q_m)])
+            exact = np.array([lb.total_s for lb in evaluate_solution(
+                sc, assoc, beta.astype(int), q_m)[2]])
             denom = np.maximum(np.abs(exact), 1e-30)
             if np.any(np.abs(linear - exact) / denom > 1e-12):
                 equivalent = False
@@ -222,7 +221,8 @@ def test_criterion_04_sca_descent():
         assoc = nearest_covering_association(scenario)
         placed = repositioned_scenario(scenario, assoc.alpha)
         beta = np.zeros(scenario.n_suavs, dtype=int)
-        it, trace, final = sca_loop(placed, assoc, beta)
+        it, trace = sca_loop(placed, assoc, beta)
+        final = trace[-1]
         if any(b > a + 1e-9 for a, b in zip(trace, trace[1:])):
             monotone = False
         _, oracle = grid_search_placement(placed, assoc, beta,
@@ -269,7 +269,7 @@ def test_criterion_06_joint_gap():
     worst_below = 0.0
     for seed in range(10):
         scenario = generate_scenario(cfg, seed)
-        report = run_proposed(scenario)
+        report = run_scheme(scenario, "proposed")
         oracle = joint_bruteforce(scenario,
                                   extra_points=report.q_m.array[None, :])
         gap = (report.objective_s - oracle) / oracle

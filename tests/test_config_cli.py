@@ -53,6 +53,18 @@ class TestConfigParsing:
         with pytest.raises(ValidationError):
             parse_config("bandwidth_hz = -1\n")
 
+    @pytest.mark.parametrize("text", [
+        "bandwidth_hz = inf\n",
+        "tx_power_w = nan\n",
+        "chunk_kb_range = 100, inf\n",
+        "ruav_box = -inf, 0, 100, 1000, 1000, 1000\n",
+        "seeds = 0, -1\n",
+    ], ids=["inf_bandwidth", "nan_power", "inf_chunk_range", "inf_ruav_box",
+            "negative_seed"])
+    def test_non_finite_values_and_negative_seeds_rejected(self, text):
+        with pytest.raises(ValidationError):
+            parse_config(text)
+
     def test_tuple_keys(self):
         cfg = parse_config("chunk_kb_range = 100, 150\nseeds = 0,1,2\n")
         assert cfg.chunk_kb_range == (100.0, 150.0)
@@ -63,9 +75,9 @@ class TestRunCell:
     def test_metrics_match_report_for_single_chunk(self):
         cfg = replace(ExperimentConfig(), n_chunks=1, seeds=(0,))
         row = run_cell(cfg, 0, "proposed")
-        from uav_mec.orchestrator import run_proposed
+        from uav_mec.orchestrator import run_scheme
         from uav_mec.scenario import generate_scenario
-        report = run_proposed(generate_scenario(cfg, 0))
+        report = run_scheme(generate_scenario(cfg, 0), "proposed")
         assert row.error == ""
         assert row.objective_s == pytest.approx(report.objective_s, rel=1e-9)
         assert row.delay_stddev_s == pytest.approx(report.delay_stddev_s,
@@ -198,6 +210,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_negative_config_seed_sweep_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("seeds = -1\n")
+        assert main(["sweep", "--config", str(cfg_path), "--param", "n0_cap",
+                     "--values", "2", "--scheme", "suav_only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seeds" in err
+
     def test_sweep_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("seeds = 0\n")
@@ -254,11 +274,11 @@ class TestCli:
 class TestChunkedMetrics:
     def test_sums_over_chunks(self):
         cfg = replace(ExperimentConfig(), n_chunks=2)
-        from uav_mec.orchestrator import placed_for, run_proposed
+        from uav_mec.orchestrator import placed_for, run_scheme
         from uav_mec.scenario import (Association, feasible_association_mask,
                                       generate_scenario)
         sc = generate_scenario(cfg, 0)
-        report = run_proposed(sc)
+        report = run_scheme(sc, "proposed")
         placed = placed_for(sc, report.alpha, report.scheme)
         assoc = Association(alpha=report.alpha,
                             feasible_mask=np.maximum(

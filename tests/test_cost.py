@@ -12,7 +12,7 @@ from uav_mec.association import _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
                           effective_chunk_bits, evaluate_solution,
-                          objective_and_spread, total_latency)
+                          objective_and_spread)
 from uav_mec.errors import InvalidDecision
 from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate, snr_coeff
@@ -56,14 +56,16 @@ class TestLocalPath:
         full = two_suav_scenario(mu=0.2)
         half = two_suav_scenario(mu=0.1)
         beta = np.zeros(2, dtype=int)
-        tx_full = total_latency(full, full_association(full), beta, Q_M)[0]
-        tx_half = total_latency(half, full_association(half), beta, Q_M)[0]
+        tx_full = evaluate_solution(full, full_association(full), beta,
+                                    Q_M)[2][0]
+        tx_half = evaluate_solution(half, full_association(half), beta,
+                                    Q_M)[2][0]
         assert tx_full.local_tx_s == pytest.approx(2.0 * tx_half.local_tx_s)
 
     def test_tx_matches_rate(self):
         sc = two_suav_scenario()
-        lats = total_latency(sc, full_association(sc), np.zeros(2, dtype=int),
-                             Q_M)
+        lats = evaluate_solution(sc, full_association(sc),
+                                 np.zeros(2, dtype=int), Q_M)[2]
         assert lats[0].local_tx_s == pytest.approx(
             sc.suavs[0].compress_ratio * S_250KB / link_rate(sc))
 
@@ -92,7 +94,7 @@ class TestTotalLatency:
     def test_all_local_totals(self):
         sc = two_suav_scenario()
         assoc = full_association(sc)
-        lats = total_latency(sc, assoc, np.zeros(2, dtype=int), Q_M)
+        lats = evaluate_solution(sc, assoc, np.zeros(2, dtype=int), Q_M)[2]
         for j, lb in enumerate(lats):
             price = branch_price(sc, j, S_250KB, False, 0)
             assert lb.total_s == pytest.approx(price.latency(link_rate(sc, j)))
@@ -102,7 +104,7 @@ class TestTotalLatency:
     def test_offloaded_total(self):
         sc = two_suav_scenario()
         assoc = full_association(sc)
-        lats = total_latency(sc, assoc, np.array([1, 0]), Q_M)
+        lats = evaluate_solution(sc, assoc, np.array([1, 0]), Q_M)[2]
         price = branch_price(sc, 0, S_250KB, True, 1)
         assert lats[0].total_s == pytest.approx(price.latency(link_rate(sc)))
         assert lats[0].ruav_compute_s == price.fixed_s
@@ -113,14 +115,14 @@ class TestTotalLatency:
                            [(250.0, 500.0), (750.0, 500.0)], n0_cap=1)
         assoc = full_association(sc)
         with pytest.raises(InvalidDecision):
-            total_latency(sc, assoc, np.array([1, 1]), Q_M)
+            evaluate_solution(sc, assoc, np.array([1, 1]), Q_M)
 
     def test_inactive_suav_zero(self):
         sc = two_suav_scenario()
         mask = np.ones((2, 2), dtype=np.int8)
         alpha = np.array([[1, 0], [1, 0]], dtype=np.int8)  # S-UAV 1 idle
         assoc = Association(alpha=alpha, feasible_mask=mask)
-        lats = total_latency(sc, assoc, np.zeros(2, dtype=int), Q_M)
+        lats = evaluate_solution(sc, assoc, np.zeros(2, dtype=int), Q_M)[2]
         assert not lats[1].active
         assert lats[1].total_s == 0.0
 
@@ -144,8 +146,8 @@ class TestEnergy:
 
     def test_comm_energy_is_power_times_time(self):
         sc, energies = self.energies([0, 0])
-        lats = total_latency(sc, full_association(sc), np.zeros(2, dtype=int),
-                             Q_M)
+        lats = evaluate_solution(sc, full_association(sc),
+                                 np.zeros(2, dtype=int), Q_M)[2]
         assert energies[0].comm_j == pytest.approx(
             sc.suavs[0].tx_power_w * lats[0].local_tx_s)
 
@@ -283,7 +285,7 @@ class TestCrossBlockPricing:
 
         ctx = _Context(sc, beta, q)
         for j, lb in enumerate(lats):
-            bits = sum(1 << int(i) for i in assoc.assigned_targets(j))
+            bits = sum(1 << int(i) for i in np.flatnonzero(assoc.alpha[:, j]))
             latency, ok = ctx.latency(j, bits)
             assert latency == pytest.approx(lb.total_s, rel=1e-12)
             assert ok == suav_ok[j]

@@ -1,6 +1,4 @@
-"""Channel gain, Shannon rate, and the first-order rate lower bound."""
-
-import math
+"""Shannon rate, and the rate lower bound the placement SCA maximises."""
 
 import numpy as np
 import pytest
@@ -8,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uav_mec.errors import DegenerateGeometry
-from uav_mec.link import (channel_gain, rate, rate_at_dist_sq,
-                          rate_lower_bound, snr_coeff, taylor_coeffs)
+from uav_mec.link import rate, rate_at_dist_sq, snr_coeff
+from uav_mec.placement import _surrogate_coeffs, surrogate_rates
 
-from .conftest import DEFAULT_CONSTANTS
+from .conftest import DEFAULT_CONSTANTS, link_terms
 
 SNR = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
 ORIGIN = (0.0, 0.0, 0.0)
@@ -19,23 +17,6 @@ ORIGIN = (0.0, 0.0, 0.0)
 
 def at(x, y=0.0, h=0.0):
     return (x, y, h)
-
-
-class TestChannelGain:
-    def test_reference_distance_gives_rho0(self):
-        assert channel_gain(ORIGIN, at(1.0), 1e-6) == pytest.approx(1e-6)
-
-    def test_one_kilometer(self):
-        assert channel_gain(ORIGIN, at(1000.0), 1e-6) == pytest.approx(1e-12)
-
-    def test_inverse_square(self):
-        g1 = channel_gain(ORIGIN, at(200.0), 1e-6)
-        g2 = channel_gain(ORIGIN, at(400.0), 1e-6)
-        assert g1 == pytest.approx(4.0 * g2)
-
-    def test_below_reference_distance_raises(self):
-        with pytest.raises(DegenerateGeometry):
-            channel_gain(ORIGIN, at(0.5), 1e-6)
 
 
 class TestSnrCoeff:
@@ -72,31 +53,40 @@ class TestRate:
                  for d in (10.0, 100.0, 500.0, 1400.0)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
+    def test_below_reference_distance_raises(self):
+        with pytest.raises(DegenerateGeometry):
+            rate(ORIGIN, at(0.5), DEFAULT_CONSTANTS, SNR)
+
 
 class TestTaylorBound:
+    """`placement.surrogate_rates`, the surrogate SCA maximises, against the
+    exact rate of an S-UAV at the origin."""
+
+    terms = link_terms(ORIGIN, SNR.gamma1)
+
     def test_tight_at_expansion_point(self):
-        q_ref = at(250.0, 100.0, 400.0)
+        q_ref = np.array(at(250.0, 100.0, 400.0))
         exact = rate(ORIGIN, q_ref, DEFAULT_CONSTANTS, SNR)
-        bound = rate_lower_bound(ORIGIN, q_ref, q_ref, DEFAULT_CONSTANTS, SNR)
+        bound = surrogate_rates(self.terms, q_ref, q_ref)[0, 0]
         assert bound == pytest.approx(exact, rel=1e-12)
 
     def test_farther_point_strictly_below_expansion_rate(self):
-        q_ref = at(300.0)
-        a_ref, _, _ = taylor_coeffs(ORIGIN, q_ref, DEFAULT_CONSTANTS, SNR)
-        assert rate_lower_bound(ORIGIN, at(400.0), q_ref,
-                                DEFAULT_CONSTANTS, SNR) < a_ref
+        q_ref = np.array(at(300.0))
+        a_ref, _, _ = _surrogate_coeffs(self.terms, q_ref)
+        assert surrogate_rates(self.terms, q_ref, at(400.0))[0, 0] < a_ref[0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.floats(0.0, 1000.0) for _ in range(6)]),
            st.floats(100.0, 1000.0), st.floats(100.0, 1000.0))
     def test_global_lower_bound(self, xy, h_m, h_ref):
+        # Random S-UAV, query point and expansion point.
         q_n = (xy[0], xy[1], 0.0)
         q_m = (xy[2], xy[3], h_m)
-        q_ref = (xy[4], xy[5], h_ref)
+        q_ref = np.array([xy[4], xy[5], h_ref])
         exact = rate(q_n, q_m, DEFAULT_CONSTANTS, SNR)
-        bound = rate_lower_bound(q_n, q_m, q_ref, DEFAULT_CONSTANTS, SNR)
+        bound = surrogate_rates(link_terms(q_n, SNR.gamma1), q_ref, q_m)[0, 0]
         assert bound <= exact * (1.0 + 1e-9) + 1e-9
 
     def test_slope_positive(self):
-        _, slope, _ = taylor_coeffs(ORIGIN, at(300.0), DEFAULT_CONSTANTS, SNR)
-        assert slope > 0.0
+        _, slope, _ = _surrogate_coeffs(self.terms, np.array(at(300.0)))
+        assert slope[0] > 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uav_mec.cost import total_latency
+from uav_mec.cost import evaluate_solution
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.offload import (build_sp1_lp, enumerate_offload, solve_lp,
                              solve_sp1, sp1_terms, _subset_objective)
@@ -85,8 +85,8 @@ class TestLinearizedLatency:
                 linear = (t.t_loc + t.t_tx_loc
                           + beta * (t.t_tx_off - t.t_loc - t.t_tx_loc)
                           + xi * t.k_ruav)
-                exact = [lb.total_s
-                         for lb in total_latency(sc, assoc, beta, Q_M)]
+                exact = [lb.total_s for lb
+                         in evaluate_solution(sc, assoc, beta, Q_M)[2]]
                 np.testing.assert_allclose(linear, exact, rtol=1e-12)
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   convergence_check,
-                                  nearest_covering_association, run_proposed,
-                                  run_scheme)
-from uav_mec.scenario import Association, repositioned_scenario
+                                  nearest_covering_association, run_scheme)
+from uav_mec.scenario import Association, fov_rect, repositioned_scenario
 
 
 class TestConvergenceCheck:
@@ -64,10 +63,10 @@ class TestRunScheme:
         # feasible without any movement.
         report = reports["static_suavs"]
         placed = scenario0  # unchanged
-        from uav_mec.scenario import covers
         for i in range(scenario0.n_targets):
-            assert any(covers(placed.suavs[j], scenario0.targets[i],
-                              at_initial=True)
+            t = scenario0.targets[i]
+            assert any(fov_rect(placed.suavs[j], at_initial=True)
+                       .contains(t.pos.x, t.pos.y)
                        for j in np.flatnonzero(report.alpha[i]))
 
     def test_proposed_not_worse_than_baselines(self, reports):
@@ -123,7 +122,7 @@ class TestTinyInstance:
         from uav_mec.scenario import generate_scenario
         cfg = replace(ExperimentConfig(), n_suavs=1, n_targets=1, n0_cap=1)
         sc = generate_scenario(cfg, 0)
-        report = run_proposed(sc)
+        report = run_scheme(sc, "proposed")
         assert report.converged
         assert report.iterations <= 2
         assert report.alpha.tolist() == [[1]]
@@ -134,7 +133,7 @@ class TestMonotonicityAcrossSeeds:
     def test_trace_monotone(self, default_config, seed):
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(default_config, seed)
-        report = run_proposed(sc)
+        report = run_scheme(sc, "proposed")
         t = report.objective_trace
         assert all(b <= a + 1e-6 for a, b in zip(t, t[1:]))
         assert report.converged
@@ -262,3 +261,32 @@ class TestReportCounters:
     def test_association_budget_hit_is_reported(self, scenario0):
         report = run_scheme(scenario0, "suav_only", node_budget=5)
         assert not report.association_exact
+
+
+class TestBenchmarkTracerContract:
+    """Every name the benchmark's tracer (`perfbench/tracer.py`) wraps or
+    reads must keep working, or `perfbench/run.py --trace 1` breaks."""
+
+    def test_targets_resolve_and_extracts_read_a_traced_solve(
+            self, monkeypatch, scenario0):
+        from pathlib import Path
+
+        from uav_mec import orchestrator
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracer
+        for module, attr, _ in tracer.TARGETS:
+            assert callable(getattr(module, attr, None)), \
+                f"{module.__name__}.{attr}"
+        t = tracer.Tracer()
+        t.install()
+        try:
+            report = orchestrator.run_scheme(scenario0, "proposed")
+        finally:
+            t.uninstall()
+        assert report.iterations >= 1
+        reached = {span[0] for span in t.spans}
+        assert set(tracer.EXTRACT) <= reached
+        for name in tracer.EXTRACT:
+            assert t.values[name], name
+            assert all(v is not None for v in t.values[name]), name

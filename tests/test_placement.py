@@ -76,8 +76,8 @@ class TestSolveSp22:
         sc = pair_scenario()
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
-        it, _, final = sca_loop(sc, assoc, beta,
-                                q_m_init=Position3D(480.0, 520.0, 400.0))
+        _, trace = sca_loop(sc, assoc, beta,
+                            q_m_init=Position3D(480.0, 520.0, 400.0))
         terms = placement_terms(sc, assoc, beta)
         # The exact objective is symmetric in x about 500; scan the bisector.
         hs = np.arange(100.0, 1000.0, 1.0)
@@ -87,17 +87,17 @@ class TestSolveSp22:
         # Off-bisector points are never better than the mirror-symmetric pair.
         off = exact_objective(terms, np.array([[560.0, 500.0, 300.0]]))[0]
         assert off >= best_on_bisector
-        assert final <= best_on_bisector + 1e-4 * best_on_bisector
+        assert trace[-1] <= best_on_bisector + 1e-4 * best_on_bisector
 
     def test_fixed_point_preserves_objective(self):
         sc = pair_scenario()
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
-        it1, _, obj1 = sca_loop(sc, assoc, beta)
+        it1, trace1 = sca_loop(sc, assoc, beta)
         it2 = solve_sp2_2(sc, assoc, beta, it1.q_m)
         terms = placement_terms(sc, assoc, beta)
         obj2 = float(exact_objective(terms, it2.q_m.array)[0])
-        assert obj2 <= obj1 + 1e-6
+        assert obj2 <= trace1[-1] + 1e-6
 
 
 class TestScaLoop:
@@ -106,7 +106,7 @@ class TestScaLoop:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        _, trace, _ = sca_loop(placed, assoc, beta)
+        _, trace = sca_loop(placed, assoc, beta)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_final_point_near_grid_oracle(self, scenario0):
@@ -114,7 +114,8 @@ class TestScaLoop:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        it, _, final = sca_loop(placed, assoc, beta)
+        it, trace = sca_loop(placed, assoc, beta)
+        final = trace[-1]
         _, oracle = grid_search_placement(placed, assoc, beta,
                                           extra_points=it.q_m.array[None, :])
         assert final <= oracle * 1.01 + 1e-9
@@ -159,7 +160,7 @@ class TestSubgradientFallback:
         sc = pair_scenario()
         solves = counting(monkeypatch, placement, "minimize",
                           reported_success(False))
-        it, trace, _ = sca_loop(sc, identity_association(sc),
+        it, trace = sca_loop(sc, identity_association(sc),
                                 np.zeros(2, dtype=int),
                                 q_m_init=Position3D(480.0, 520.0, 400.0))
         assert it.fallbacks == len(solves) == len(trace) - 1
@@ -172,7 +173,7 @@ class TestBuildOnce:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         builds = counting(monkeypatch, placement, "placement_terms")
-        _, trace, _ = sca_loop(placed, assoc,
+        _, trace = sca_loop(placed, assoc,
                                np.zeros(scenario0.n_suavs, dtype=int),
                                q_m_init=Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2  # more than one SCA round

@@ -1,4 +1,4 @@
-"""Geometry, repositioning, coverage, generation and serialization."""
+"""Geometry, repositioning, coverage and generation."""
 
 import math
 from dataclasses import replace
@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from uav_mec.config import ExperimentConfig
 from uav_mec.errors import InfeasibleScenario
-from uav_mec.scenario import (CameraSpec, Position3D, Target, covers,
+from uav_mec.scenario import (CameraSpec, Position3D, Target,
                               feasible_association_mask, fov_extents, fov_rect,
                               generate_scenario, reposition,
-                              repositioned_scenario, scenario_from_text,
-                              scenario_to_text, suav_grid_positions)
+                              repositioned_scenario, suav_grid_positions)
 
 from .conftest import DEFAULT_CAMERA, full_association, make_scenario
 
@@ -52,12 +51,11 @@ class TestFovRect:
     def test_cover_boundary(self):
         sc = make_scenario([(500.0, 500.0)],
                            [(500.0, 500.0), (500.0 + 279.4 / 2, 500.0)])
-        suav = sc.suavs[0]
-        assert covers(suav, sc.targets[0])
-        assert covers(suav, sc.targets[1])
+        rect = fov_rect(sc.suavs[0])
+        assert rect.contains(sc.targets[0].pos.x, sc.targets[0].pos.y)
+        assert rect.contains(sc.targets[1].pos.x, sc.targets[1].pos.y)
         hfov, _ = fov_extents(500.0, DEFAULT_CAMERA)
-        outside = Target(id=9, pos=Position3D(500.0 + hfov / 2 + 1.0, 500.0, 0.0))
-        assert not covers(suav, outside)
+        assert not rect.contains(500.0 + hfov / 2 + 1.0, 500.0)
 
 
 class TestReposition:
@@ -113,7 +111,7 @@ class TestGenerator:
     def test_deterministic(self, default_config):
         a = generate_scenario(default_config, 7)
         b = generate_scenario(default_config, 7)
-        assert scenario_to_text(a) == scenario_to_text(b)
+        assert a == b
 
     def test_seed_changes_targets(self, default_config):
         a = generate_scenario(default_config, 1)
@@ -124,7 +122,8 @@ class TestGenerator:
         for seed in range(10):
             sc = generate_scenario(default_config, seed)
             for t in sc.targets:
-                assert any(covers(s, t, at_initial=True) for s in sc.suavs)
+                assert any(fov_rect(s, at_initial=True).contains(t.pos.x, t.pos.y)
+                           for s in sc.suavs)
 
     def test_single_suav_centered(self):
         cfg = replace(ExperimentConfig(), n_suavs=1, n_targets=1, n0_cap=1)
@@ -158,7 +157,8 @@ class TestRepositionedScenario:
         placed = repositioned_scenario(scenario0, assoc.alpha)
         for i in range(scenario0.n_targets):
             j = int(np.flatnonzero(assoc.alpha[i])[0])
-            assert covers(placed.suavs[j], scenario0.targets[i])
+            t = scenario0.targets[i]
+            assert fov_rect(placed.suavs[j]).contains(t.pos.x, t.pos.y)
 
     def test_unassigned_suav_stays_put(self, scenario0):
         assoc = full_association(scenario0)
@@ -169,15 +169,3 @@ class TestRepositionedScenario:
                 assert placed.suavs[j].current_pos == \
                     scenario0.suavs[j].initial_pos
 
-
-class TestSerialization:
-    def test_round_trip(self, scenario0):
-        text = scenario_to_text(scenario0)
-        back = scenario_from_text(text)
-        assert scenario_to_text(back) == text
-
-    def test_bad_line_reports_number(self):
-        from uav_mec.errors import ParseError
-        with pytest.raises(ParseError) as err:
-            scenario_from_text("seed = 1\nnot a line\n")
-        assert err.value.line == 2
