@@ -100,6 +100,16 @@ def _run_cell_args(args) -> ResultRow:
     return run_cell(*cell, **solver_kwargs)
 
 
+def sweep_workers() -> int | None:
+    """Worker processes for a sweep from UAV_MEC_WORKERS; unset or 0 gives
+    None, one per core."""
+    raw = os.environ.get(WORKERS_ENV, "0")
+    if not raw.isdecimal():
+        raise ValidationError(
+            f"{WORKERS_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw) or None
+
+
 def sweep(config: ExperimentConfig, param: str, values,
           schemes=SCHEMES, **solver_kwargs) -> list[ResultRow]:
     """Every value x seed x scheme, with the same scenario draw per seed."""
@@ -116,7 +126,7 @@ def sweep(config: ExperimentConfig, param: str, values,
             for scheme in schemes:
                 cells.append(((cfg, seed, scheme, param, float(value)),
                               solver_kwargs))
-    workers = int(os.environ.get(WORKERS_ENV, "0")) or None
+    workers = sweep_workers()
     if workers == 1 or len(cells) == 1:
         rows = [_run_cell_args(cell) for cell in cells]
     else:

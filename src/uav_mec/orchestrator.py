@@ -63,7 +63,7 @@ class SolverReport:
     wall_time: float
     offload: OffloadDecision | None = None  # the last accepted offload step
     placement_fallbacks: int = 0  # inner solves where SLSQP failed
-    association_exact: bool = True  # no association search hit its budget
+    association_exact: bool = True  # every association search was certified
     # sca_loop's objective trace in each outer iteration, in order
     sca_traces: list = field(default_factory=list)
 
@@ -152,7 +152,7 @@ def check_constraints(scenario: Scenario, association: Association,
 def run_scheme(scenario: Scenario, scheme: str,
                tol: float = DEFAULT_TOL_S, r_max: int = DEFAULT_R_MAX,
                node_budget: int = assoc_mod.DEFAULT_NODE_BUDGET,
-               time_budget_s: float = assoc_mod.DEFAULT_TIME_BUDGET_S
+               time_budget_s: float | None = None
                ) -> SolverReport:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -218,6 +218,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "seeds" in err
 
+    @pytest.mark.parametrize("workers", ["abc", "-1", "1.5"])
+    def test_bad_workers_env_sweep_exit_2(self, tmp_path, capsys,
+                                          monkeypatch, workers):
+        monkeypatch.setenv("UAV_MEC_WORKERS", workers)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(
+            "n_suavs = 2\nn_targets = 3\nn0_cap = 1\nseeds = 0\n")
+        assert main(["sweep", "--config", str(cfg_path), "--param",
+                     "n_chunks", "--values", "1,2",
+                     "--scheme", "suav_only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "UAV_MEC_WORKERS" in err
+
+    @pytest.mark.parametrize("workers,expected",
+                             [(None, None), ("0", None), ("3", 3)])
+    def test_workers_env_values(self, monkeypatch, workers, expected):
+        from uav_mec.experiment import sweep_workers
+        if workers is None:
+            monkeypatch.delenv("UAV_MEC_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("UAV_MEC_WORKERS", workers)
+        assert sweep_workers() == expected
+
     def test_sweep_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("seeds = 0\n")

@@ -258,9 +258,21 @@ class TestReportCounters:
     def test_association_exact_within_budget(self, reports):
         assert all(r.association_exact for r in reports.values())
 
-    def test_association_budget_hit_is_reported(self, scenario0):
+    def test_association_exact_under_a_tiny_budget(self, scenario0):
+        # The node budget caps only the DFS; the column cover certifies the
+        # rest, so no budget makes an association inexact.
         report = run_scheme(scenario0, "suav_only", node_budget=5)
-        assert not report.association_exact
+        assert report.association_exact
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_association_exact_at_16x40(self, seed):
+        from dataclasses import replace
+
+        from uav_mec.config import ExperimentConfig
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(
+            replace(ExperimentConfig(), n_suavs=16, n_targets=40), seed)
+        assert run_scheme(sc, "proposed", node_budget=8_000).association_exact
 
 
 class TestBenchmarkTracerContract:
