@@ -14,26 +14,22 @@ import statistics
 import sys
 from dataclasses import replace
 
-from uav_mec.config import ExperimentConfig, load_config
+from uav_mec.cli import exit_code
+from uav_mec.config import ExperimentConfig, load_config, parse_seeds
 from uav_mec.orchestrator import SCHEMES, run_scheme
 from uav_mec.scenario import generate_scenario
-
-
-def parse_seeds(text):
-    if "-" in text:
-        lo, hi = text.split("-")
-        return range(int(lo), int(hi) + 1)
-    return [int(s) for s in text.split(",")]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0-19")
     parser.add_argument("--config", default=None)
-    args = parser.parse_args(argv)
+    return exit_code(compare, parser.parse_args(argv))
 
+
+def compare(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    seeds = list(parse_seeds(args.seeds))
+    seeds = replace(cfg, seeds=parse_seeds(args.seeds)).validate().seeds
 
     objectives = {scheme: [] for scheme in SCHEMES}
     print(f"{'seed':>4}  " + "  ".join(f"{s:>14}" for s in SCHEMES))

@@ -15,7 +15,8 @@ import sys
 import time
 from dataclasses import replace
 
-from uav_mec.config import ExperimentConfig
+from uav_mec.cli import exit_code
+from uav_mec.config import ExperimentConfig, parse_seeds
 from uav_mec.oracles import joint_bruteforce
 from uav_mec.orchestrator import run_scheme
 from uav_mec.scenario import generate_scenario
@@ -26,22 +27,19 @@ def main(argv=None):
     parser.add_argument("--seeds", default="0-9")
     parser.add_argument("--n-suavs", type=int, default=4)
     parser.add_argument("--n-targets", type=int, default=5)
-    args = parser.parse_args(argv)
+    return exit_code(measure, parser.parse_args(argv))
 
-    if "-" in args.seeds:
-        lo, hi = args.seeds.split("-")
-        seeds = range(int(lo), int(hi) + 1)
-    else:
-        seeds = [int(s) for s in args.seeds.split(",")]
 
+def measure(args):
     cfg = replace(ExperimentConfig(), n_suavs=args.n_suavs,
                   n_targets=args.n_targets,
-                  n0_cap=max(1, args.n_suavs // 2))
+                  n0_cap=max(1, args.n_suavs // 2),
+                  seeds=parse_seeds(args.seeds)).validate()
 
     print(f"{'seed':>4} {'solver_s':>10} {'oracle_s':>10} {'rel_gap':>9} "
           f"{'wall_s':>7}")
     worst = 0.0
-    for seed in seeds:
+    for seed in cfg.seeds:
         scenario = generate_scenario(cfg, seed)
         start = time.monotonic()
         report = run_scheme(scenario, "proposed")

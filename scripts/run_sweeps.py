@@ -17,7 +17,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from uav_mec.config import ExperimentConfig
+from uav_mec.cli import exit_code
+from uav_mec.config import ExperimentConfig, parse_seeds
 from uav_mec.experiment import sweep, write_results
 from uav_mec.orchestrator import SCHEMES
 
@@ -29,13 +30,6 @@ SWEEPS = {
 }
 
 
-def parse_seeds(text):
-    if "-" in text:
-        lo, hi = text.split("-")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
@@ -43,12 +37,15 @@ def main(argv=None):
                         help="seed range 'a-b' or comma list")
     parser.add_argument("--schemes", default=",".join(SCHEMES),
                         help="comma-separated scheme names")
-    args = parser.parse_args(argv)
+    return exit_code(run_all, parser.parse_args(argv))
 
+
+def run_all(args):
+    schemes = tuple(args.schemes.split(","))
+    cfg = replace(ExperimentConfig(),
+                  seeds=parse_seeds(args.seeds)).validate()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schemes = tuple(args.schemes.split(","))
-    cfg = replace(ExperimentConfig(), seeds=parse_seeds(args.seeds))
 
     for param, values in SWEEPS.items():
         start = time.monotonic()

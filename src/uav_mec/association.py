@@ -1,25 +1,31 @@
 """Target-to-S-UAV association with fixed offload decision and relay position.
 
-Exact on every call, in two stages.
+Exact on every call whose pools hold at most _MAX_POOL targets, by one of two
+paths, chosen by whether a depth-first search finishes within its allowance.
 
 1. A depth-first branch and bound over one monitoring S-UAV per target, given
    DFS_ALLOWANCE nodes (or the caller's node budget, if smaller). The bound at
    a node is the exact latency of every S-UAV whose candidate pool is fully
    decided, which no completion can change. Most calls finish here, and a
-   finished search returns the best one-monitor association.
-2. Otherwise a column cover finds the optimum T*. An S-UAV's hover point
-   depends only on the bounding box of its targets, and its task size is
-   fixed once it monitors anything, so its latency and energy depend only on
-   that box. Giving each S-UAV every pool target inside its box keeps the box,
-   hence its latency, and still covers every target. So some optimum picks at
-   most one *box-closed* subset (column) of each S-UAV's pool: the pool
-   targets inside that subset's own box. T* is the least t at which columns
-   of latency <= t, at most one per S-UAV, cover every target; a search over
-   target bitmasks decides that on integer data, so no tolerance enters.
-   The DFS is then replayed in its own order, cutting every bound above T*,
-   and its first leaf is the association the finished B&B would return. If
-   the replay finds none within the allowance, the cover's association is
-   returned; it may give a target two monitors, which the problem allows.
+   finished search returns the best one-monitor association. That is exact
+   over one-monitor associations only: a second monitor can be strictly
+   better (CHANGES.md, reference seed 18 with n0_cap = 5: the finished search
+   gives 10.07263920969067 s, the column cover 10.072591165515615 s).
+2. Otherwise a column cover finds the optimum T* over all associations. An
+   S-UAV's hover point depends only on the bounding box of its targets, and
+   its task size is fixed once it monitors anything, so its latency and
+   energy depend only on that box. Giving each S-UAV every pool target inside
+   its box keeps the box, hence its latency, and still covers every target.
+   So some optimum picks at most one *box-closed* subset (column) of each
+   S-UAV's pool: the pool targets inside that subset's own box. T* is the
+   least t at which columns of latency <= t, at most one per S-UAV, cover
+   every target; a search over target bitmasks decides that on integer data,
+   so no tolerance enters. The search's incumbent is returned if it attains
+   T*, and the cover's association otherwise; the latter may give a target
+   two monitors, which the problem allows.
+
+A larger pool is left to the search under the caller's node budget, and is
+reported inexact if that runs out.
 """
 
 from __future__ import annotations
@@ -37,10 +43,9 @@ from .scenario import (Association, Position3D, Scenario,
 
 DEFAULT_NODE_BUDGET = 1_000_000
 # DFS nodes before the column cover takes over (or the caller's node budget,
-# if smaller); the replay gets as many.
+# if smaller).
 DFS_ALLOWANCE = 1_000
-# Columns are int64 bitmasks over a pool; a larger pool is left to the DFS
-# under the caller's node budget, and reported inexact if that runs out.
+# Columns are int64 bitmasks over a pool.
 _MAX_POOL = 62
 # Rows per block of the column dominance check, which bounds its memory.
 _DOMINANCE_ROWS = 64
@@ -48,6 +53,10 @@ _DOMINANCE_ROWS = 64
 
 @dataclass
 class SearchInfo:
+    """objective: the returned association's. exact: the objective is the
+    least over every association (a finished search: over one-monitor
+    associations only, see the module docstring)."""
+
     objective: float
     exact: bool
     nodes: int
@@ -145,10 +154,10 @@ def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
 
 
 def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
-         incumbent_obj: float, node_budget: int, first_leaf: bool = False
+         incumbent_obj: float, node_budget: int
          ) -> tuple[np.ndarray | None, float, int, bool]:
     """Branch and bound below an incumbent: every bound at or above it is
-    cut. With first_leaf, the search stops at its first leaf.
+    cut. It visits at most node_budget nodes (one, if that is 0).
 
     Returns (best alpha, its objective, nodes, finished within the budget).
     """
@@ -160,22 +169,22 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     nodes = 0
     aborted = False
 
-    def dfs(depth: int, bound: float) -> bool:  # True: stop the search
+    def dfs(depth: int, bound: float) -> None:
         nonlocal incumbent_alpha, incumbent_obj, nodes, aborted
         nodes += 1
         if bound >= incumbent_obj:
-            return False
+            return
         if depth == n_targets:
             incumbent_alpha = _alpha_from_choice(ctx, choice)
             incumbent_obj = bound
-            return first_leaf
+            return
         if nodes >= node_budget:
             aborted = True
-            return False
+            return
         target_index = ctx.order[depth]
         for _, j in ctx.by_growth(target_index, assigned_bits):
             new_bound = bound
-            feasible, stop = True, False
+            feasible = True
             for cand in ctx.cover[target_index]:
                 remaining[cand] -= 1
             assigned_bits[j] |= 1 << target_index
@@ -188,14 +197,13 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
                     new_bound = max(new_bound, t)
             if feasible:
                 choice[target_index] = j
-                stop = dfs(depth + 1, new_bound)
+                dfs(depth + 1, new_bound)
                 del choice[target_index]
             assigned_bits[j] &= ~(1 << target_index)
             for cand in ctx.cover[target_index]:
                 remaining[cand] += 1
-            if stop:
-                return True
-        return False
+            if aborted:  # no sibling is priced or visited past the budget
+                return
 
     dfs(0, 0.0)
     return incumbent_alpha, incumbent_obj, nodes, not aborted
@@ -357,14 +365,12 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
 
 def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
                       node_budget: int = DEFAULT_NODE_BUDGET,
-                      time_budget_s: float | None = None,
                       warm_alpha: np.ndarray | None = None,
                       static_positions: bool = False
                       ) -> tuple[Association, SearchInfo]:
     """Best association at the given offload decision and relay position.
 
-    node_budget caps the DFS allowance. time_budget_s is accepted for older
-    callers and unused: no result depends on the clock.
+    node_budget caps the DFS allowance.
     """
     ctx = _Context(scenario, beta, q_m, static_positions=static_positions)
     incumbent_alpha = None
@@ -383,12 +389,7 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
     if not exact and coverable:
         t_star, cover_alpha = _cover(ctx, obj)
         if obj != t_star:
-            alpha, obj, replayed, _ = _dfs(
-                ctx, None, math.nextafter(t_star, math.inf), allowance,
-                first_leaf=True)
-            nodes += replayed
-            if alpha is None:
-                alpha, obj = cover_alpha, t_star
+            alpha, obj = cover_alpha, t_star
         exact = True
 
     if alpha is None:

@@ -18,12 +18,7 @@ from .scenario import generate_scenario
 def _load(args) -> ExperimentConfig:
     if args.seed < 0:
         raise ValidationError(f"--seed must be non-negative, got {args.seed}")
-    if not args.config:
-        return ExperimentConfig()
-    try:
-        return load_config(args.config)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.config}: {exc.strerror}") from exc
+    return load_config(args.config) if args.config else ExperimentConfig()
 
 
 def _add_common(parser):
@@ -128,16 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_code(run, *args) -> int:
+    """run(*args)'s exit code; a bad input prints one config error line and
+    gives 2, a solver failure one error line and 1."""
     try:
-        return args.func(args)
+        return run(*args)
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except UavMecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -146,8 +146,26 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    return parse_config(text)
+
+
+def parse_seeds(text: str) -> tuple[int, ...]:
+    """Seeds from an inclusive range 'a-b' or a comma list; the caller's
+    ExperimentConfig.validate checks that they are non-negative."""
+    try:
+        if "-" in text:
+            lo, hi = text.split("-")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"seeds must be a range 'a-b' or a comma list of non-negative "
+            f"integers, got {text!r}") from None
 
 
 def format_config(config: ExperimentConfig) -> str:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDecision
-from .link import PhysicsConstants, rate, rate_at_dist_sq, snr_coeff
+from .link import PhysicsConstants, rate_at_dist_sq, snr_coeff
 from .scenario import Association, Position3D, Scenario, SUav
 
 
@@ -90,7 +90,7 @@ def branch_price(scenario: Scenario, j: int, s: float, offloaded: bool,
 def floored_rate(suav: SUav, pos: np.ndarray, q_m: np.ndarray,
                  constants: PhysicsConstants) -> float:
     """Rate from pos to the relay with the distance floored at the 1 m
-    reference: the solver blocks' convention, where the evaluator refuses."""
+    reference: the one convention every block and the evaluator price by."""
     snr = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
     d2 = max(float(((pos - q_m) ** 2).sum()), 1.0)
     return rate_at_dist_sq(d2, constants.bandwidth_hz, snr.gamma1)
@@ -109,15 +109,14 @@ def _breakdowns(scenario: Scenario, association: Association,
     S-UAV that carries no video prices to zero, and its link is not rated."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     n_off = int(beta.sum())
-    c = scenario.constants
     lats, energies, relay_j = [], [], []
     for j, suav in enumerate(scenario.suavs):
         s, off = float(s_bits[j]), bool(beta[j])
         price = branch_price(scenario, j, s, off, n_off)
         t_tx = 0.0
         if s > 0.0:
-            snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
-            t_tx = price.tx_bits / rate(suav.current_pos.array, q_m.array, c, snr)
+            t_tx = price.tx_bits / floored_rate(
+                suav, suav.current_pos.array, q_m.array, scenario.constants)
         lats.append(LatencyBreakdown(
             suav_id=suav.id,
             local_compute_s=0.0 if off else price.fixed_s,

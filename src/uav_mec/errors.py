@@ -9,10 +9,6 @@ class InfeasibleScenario(UavMecError):
     """A target cannot be monitored by any S-UAV at its initial position."""
 
 
-class DegenerateGeometry(UavMecError):
-    """Link endpoints closer than the reference distance of the channel model."""
-
-
 class InvalidDecision(UavMecError):
     """An offloading decision is internally inconsistent."""
 

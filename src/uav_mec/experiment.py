@@ -115,6 +115,10 @@ def sweep(config: ExperimentConfig, param: str, values,
     """Every value x seed x scheme, with the same scenario draw per seed."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
+    unknown = sorted(set(schemes) - set(SCHEMES))
+    if unknown:
+        raise ValidationError(
+            f"unknown schemes {unknown}; choose from {list(SCHEMES)}")
     cells = []
     for value in values:
         if param in INTEGER_PARAMS and not float(value).is_integer():

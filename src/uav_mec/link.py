@@ -1,20 +1,14 @@
 """Free-space Shannon rate between an S-UAV and the relay.
 
 All quantities are linear SI units; dB/dBm conversion happens at config load.
+The model is calibrated at a 1 m reference distance, and every caller floors
+the distance there (cost.floored_rate) rather than extrapolate below it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import DegenerateGeometry
-
-# The free-space model is calibrated at a 1 m reference distance; below it we
-# refuse to extrapolate.
-MIN_LINK_DISTANCE_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,23 +49,6 @@ def snr_coeff(p_w: float, rho0: float, noise_w: float) -> SnrCoeff:
     if p_w <= 0 or rho0 <= 0 or noise_w <= 0:
         raise ValueError("power, gain and noise must be positive")
     return SnrCoeff(gamma1=rho0 * p_w / noise_w)
-
-
-def _dist_sq(q_a, q_b) -> float:
-    a = np.asarray(q_a, dtype=float)
-    b = np.asarray(q_b, dtype=float)
-    d2 = float(np.sum((a - b) ** 2))
-    if d2 < MIN_LINK_DISTANCE_M**2:
-        raise DegenerateGeometry(
-            f"link distance {math.sqrt(d2):.3g} m below {MIN_LINK_DISTANCE_M} m reference"
-        )
-    return d2
-
-
-def rate(q_n, q_m, constants: PhysicsConstants, snr: SnrCoeff) -> float:
-    """Shannon rate B * log2(1 + gamma1 / d^2) in bits/s."""
-    d2 = _dist_sq(q_n, q_m)
-    return constants.bandwidth_hz * math.log2(1.0 + snr.gamma1 / d2)
 
 
 def rate_at_dist_sq(d2: float, bandwidth_hz: float, gamma1: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from .association import _Context
 from .cost import effective_chunk_bits
 from .errors import InfeasibleSubproblem
-from .link import rate_at_dist_sq, snr_coeff
+from .link import snr_coeff
 from .offload import OffloadDecision, _decision, _subset_objective, sp1_terms
 from .placement import exact_objective, placement_terms
 from .scenario import (Association, Position3D, Scenario,

@@ -18,7 +18,6 @@ from . import association as assoc_mod
 from . import placement as place_mod
 from .cost import (EnergyBreakdown, LatencyBreakdown, all_energies,
                    evaluate_solution)
-from .errors import UavMecError
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
                        feasible_association_mask, repositioned_scenario)
@@ -154,6 +153,9 @@ def run_scheme(scenario: Scenario, scheme: str,
                node_budget: int = assoc_mod.DEFAULT_NODE_BUDGET,
                time_budget_s: float | None = None
                ) -> SolverReport:
+    """Solve one scenario under one scheme. node_budget caps the association
+    search's node allowance; time_budget_s is accepted and ignored, since no
+    block reads the clock."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     start = time.monotonic()
@@ -197,14 +199,11 @@ def run_scheme(scenario: Scenario, scheme: str,
         # Association block.
         new_assoc, info = assoc_mod.solve_association(
             scenario, beta, q_m, node_budget=node_budget,
-            time_budget_s=time_budget_s, warm_alpha=association.alpha,
+            warm_alpha=association.alpha,
             static_positions=not policy.reposition)
         exact = exact and info.exact
         new_placed = placed_for(scenario, new_assoc.alpha, scheme)
-        try:
-            cand, _, _, energies = evaluate_solution(new_placed, new_assoc, beta, q_m)
-        except UavMecError:
-            cand = float("inf")
+        cand, _, _, energies = evaluate_solution(new_placed, new_assoc, beta, q_m)
         if (cand <= objective + _GUARD_SLACK
                 and energies[-1].total_j <= scenario.ruav.energy_budget_j):
             association, placed, objective = new_assoc, new_placed, cand

@@ -109,10 +109,10 @@ def test_criterion_01_taylor_dominance():
     rel_slack = (exact - bound) / np.maximum(exact, 1e-12)
     dominated = bool(np.all(rel_slack >= -1e-9))
     # Equality at the expansion point, through the library functions.
-    from uav_mec.link import rate
     equality = True
     for i in range(0, n, 100):
-        exact_ref = rate(q_n[i], q_ref[i], CONFIG.constants, snr)
+        exact_ref = rate_at_dist_sq(float(((q_n[i] - q_ref[i]) ** 2).sum()),
+                                    b, snr.gamma1)
         bound_ref = surrogate_rates(link_terms(q_n[i], snr.gamma1, b),
                                     q_ref[i], q_ref[i])[0, 0]
         if abs(bound_ref - exact_ref) > 1e-9 * exact_ref:

@@ -187,7 +187,8 @@ class TestCoverPath:
             solve_association(sc, np.array([0]), Q_M, node_budget=0)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_replay_returns_the_finished_dfs_alpha(self, monkeypatch, seed):
+    def test_starved_dfs_returns_the_finished_objective(self, monkeypatch,
+                                                        seed):
         # The association inputs of one reference solve.
         sc = generate_scenario(ExperimentConfig(), seed)
         inputs = []
@@ -201,22 +202,44 @@ class TestCoverPath:
         run_scheme(sc, "proposed", node_budget=10_000)
         monkeypatch.setattr(association, "solve_association", solve)
 
-        # With room to finish, the DFS alone decides; starving its first
-        # pass then leaves the cover and the replay to find the same alpha.
-        monkeypatch.setattr(association, "DFS_ALLOWANCE", 10**6)
-        dfs = association._dfs
-
-        def starved(ctx, alpha, obj, budget, first_leaf=False):
-            return dfs(ctx, alpha, obj, budget if first_leaf else 0,
-                       first_leaf)
-
+        # With room to finish, the DFS alone decides; with no nodes, the
+        # cover must reach the same objective.
         for beta, q_m, warm in inputs:
-            finished, info = solve(sc, beta, q_m, warm_alpha=warm)
-            assert info.nodes < 10**6
-            monkeypatch.setattr(association, "_dfs", starved)
-            covered, _ = solve(sc, beta, q_m, warm_alpha=warm)
-            monkeypatch.setattr(association, "_dfs", dfs)
-            assert covered.alpha.tolist() == finished.alpha.tolist()
+            with monkeypatch.context() as m:
+                m.setattr(association, "DFS_ALLOWANCE", 10**6)
+                _, finished = solve(sc, beta, q_m, warm_alpha=warm)
+            assert finished.nodes < 10**6
+            covered, info = solve(sc, beta, q_m, node_budget=0,
+                                  warm_alpha=warm)
+            assert info.objective == finished.objective
+            assert _evaluate_full(_Context(sc, beta, q_m), covered.alpha) == (
+                info.objective, True)
+
+
+class TestLargePool:
+    """A pool beyond _MAX_POOL targets skips the cover: the DFS alone decides
+    under the caller's node budget, and may report an inexact answer."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        grid = [(460.0 + 10.0 * a, 464.0 + 12.0 * b)
+                for a in range(9) for b in range(7)]
+        return make_scenario([(500.0, 500.0), (510.0, 500.0)], grid)
+
+    def test_budget_is_honoured_without_the_cover(self, monkeypatch, scenario):
+        columns = counting(monkeypatch, association, "_columns")
+        assoc, info = solve_association(
+            scenario, np.zeros(2, dtype=int), Q_M, node_budget=50)
+        assert scenario.n_targets == 63 > association._MAX_POOL
+        assert info.nodes <= 50
+        assert not info.exact
+        assert np.all((assoc.alpha * assoc.feasible_mask).sum(axis=1) >= 1)
+        assert np.all(assoc.alpha <= assoc.feasible_mask)
+        assert columns == []
+
+    def test_run_scheme_reports_the_inexact_association(self, scenario):
+        report = run_scheme(scenario, "proposed", node_budget=50)
+        assert not report.association_exact
 
 
 # A pool of drawn targets, duplicates included, under the S-UAV at

@@ -15,7 +15,7 @@ from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
                           objective_and_spread)
 from uav_mec.errors import InvalidDecision
 from uav_mec.experiment import chunked_metrics
-from uav_mec.link import rate, snr_coeff
+from uav_mec.link import rate_at_dist_sq, snr_coeff
 from uav_mec.offload import _subset_objective, sp1_terms
 from uav_mec.placement import exact_objective, placement_terms
 from uav_mec.scenario import (Association, Position3D,
@@ -37,7 +37,8 @@ def two_suav_scenario(**kwargs):
 def link_rate(sc, j=0):
     suav = sc.suavs[j]
     snr = snr_coeff(suav.tx_power_w, sc.constants.rho0, sc.constants.noise_w)
-    return rate(suav.current_pos.array, Q_M.array, sc.constants, snr)
+    d2 = float(((suav.current_pos.array - Q_M.array) ** 2).sum())
+    return rate_at_dist_sq(d2, sc.constants.bandwidth_hz, snr.gamma1)
 
 
 class TestLocalPath:
@@ -224,7 +225,8 @@ class TestEvaluateSolution:
             if s == 0.0:
                 continue
             snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
-            r = rate(suav.current_pos.array, q.array, c, snr)
+            d2 = float(((suav.current_pos.array - q.array) ** 2).sum())
+            r = rate_at_dist_sq(d2, c.bandwidth_hz, snr.gamma1)
             if beta[j]:
                 totals.append(s / r + s * c.f0_cycles_per_bit * 2 / placed.ruav.cpu_hz)
             else:

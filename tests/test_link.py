@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uav_mec.errors import DegenerateGeometry
-from uav_mec.link import rate, rate_at_dist_sq, snr_coeff
+from uav_mec.cost import evaluate_solution
+from uav_mec.link import rate_at_dist_sq, snr_coeff
 from uav_mec.placement import _surrogate_coeffs, surrogate_rates
 
-from .conftest import DEFAULT_CONSTANTS, link_terms
+from .conftest import (DEFAULT_CONSTANTS, full_association, link_terms,
+                       make_scenario)
 
 SNR = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
 ORIGIN = (0.0, 0.0, 0.0)
@@ -17,6 +18,12 @@ ORIGIN = (0.0, 0.0, 0.0)
 
 def at(x, y=0.0, h=0.0):
     return (x, y, h)
+
+
+def rate(q_n, q_m):
+    """Exact rate between two points at least 1 m apart."""
+    d2 = float(np.sum((np.asarray(q_n) - np.asarray(q_m)) ** 2))
+    return rate_at_dist_sq(d2, DEFAULT_CONSTANTS.bandwidth_hz, SNR.gamma1)
 
 
 class TestSnrCoeff:
@@ -45,17 +52,25 @@ class TestRate:
             == pytest.approx(DEFAULT_CONSTANTS.bandwidth_hz)
 
     def test_300_meters(self):
-        r = rate(ORIGIN, at(300.0), DEFAULT_CONSTANTS, SNR)
+        r = rate(ORIGIN, at(300.0))
         assert r == pytest.approx(1.11e8, rel=5e-3)
 
     def test_monotone_in_distance(self):
-        rates = [rate(ORIGIN, at(d), DEFAULT_CONSTANTS, SNR)
-                 for d in (10.0, 100.0, 500.0, 1400.0)]
+        rates = [rate(ORIGIN, at(d)) for d in (10.0, 100.0, 500.0, 1400.0)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
-    def test_below_reference_distance_raises(self):
-        with pytest.raises(DegenerateGeometry):
-            rate(ORIGIN, at(0.5), DEFAULT_CONSTANTS, SNR)
+    def test_relay_on_an_suav_prices_the_1m_rate(self):
+        # The evaluator floors the distance at the 1 m reference, as every
+        # block does, so a relay on top of an S-UAV still prices.
+        sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
+        suav = sc.suavs[0]
+        _, _, lats, _ = evaluate_solution(
+            sc, full_association(sc), np.zeros(1, dtype=int),
+            suav.current_pos)
+        r_1m = rate_at_dist_sq(1.0, DEFAULT_CONSTANTS.bandwidth_hz,
+                               SNR.gamma1)
+        assert lats[0].local_tx_s == pytest.approx(
+            suav.compress_ratio * suav.chunk_bits / r_1m, rel=1e-12)
 
 
 class TestTaylorBound:
@@ -66,7 +81,7 @@ class TestTaylorBound:
 
     def test_tight_at_expansion_point(self):
         q_ref = np.array(at(250.0, 100.0, 400.0))
-        exact = rate(ORIGIN, q_ref, DEFAULT_CONSTANTS, SNR)
+        exact = rate(ORIGIN, q_ref)
         bound = surrogate_rates(self.terms, q_ref, q_ref)[0, 0]
         assert bound == pytest.approx(exact, rel=1e-12)
 
@@ -83,7 +98,7 @@ class TestTaylorBound:
         q_n = (xy[0], xy[1], 0.0)
         q_m = (xy[2], xy[3], h_m)
         q_ref = np.array([xy[4], xy[5], h_ref])
-        exact = rate(q_n, q_m, DEFAULT_CONSTANTS, SNR)
+        exact = rate(q_n, q_m)
         bound = surrogate_rates(link_terms(q_n, SNR.gamma1), q_ref, q_m)[0, 0]
         assert bound <= exact * (1.0 + 1e-9) + 1e-9
 

@@ -127,6 +127,25 @@ class TestTinyInstance:
         assert report.iterations <= 2
         assert report.alpha.tolist() == [[1]]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_suav_solves_under_every_scheme(self, seed):
+        # The relay's max-min puts it right on top of a lone S-UAV, which
+        # the evaluator must price at the 1 m floor as the blocks do.
+        from dataclasses import replace
+
+        from uav_mec.config import ExperimentConfig
+        from uav_mec.scenario import (feasible_association_mask,
+                                      generate_scenario)
+        cfg = replace(ExperimentConfig(), n_suavs=1, n_targets=10, n0_cap=1)
+        sc = generate_scenario(cfg, seed)
+        for scheme in SCHEMES:
+            report = run_scheme(sc, scheme)
+            assoc = Association(alpha=report.alpha,
+                                feasible_mask=feasible_association_mask(sc))
+            assert check_constraints(
+                sc, assoc, report.beta, report.q_m,
+                static_positions=(scheme == "static_suavs")) == [], scheme
+
 
 class TestMonotonicityAcrossSeeds:
     @pytest.mark.parametrize("seed", range(5))

@@ -1,0 +1,71 @@
+"""Smoke tests of the experiment scripts, each run as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from uav_mec.config import parse_seeds
+from uav_mec.errors import ValidationError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd=None):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, UAV_MEC_WORKERS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+        cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
+class TestParseSeeds:
+    @pytest.mark.parametrize("text,seeds", [("0-3", (0, 1, 2, 3)),
+                                            ("4", (4,)), ("2,0,7", (2, 0, 7)),
+                                            ("5-2", ())])
+    def test_ranges_and_lists(self, text, seeds):
+        assert parse_seeds(text) == seeds
+
+    @pytest.mark.parametrize("text", ["abc", "-1", "1-2-3", "", "1,,2"])
+    def test_non_integers_rejected(self, text):
+        with pytest.raises(ValidationError):
+            parse_seeds(text)
+
+
+class TestScripts:
+    def test_compare_schemes(self):
+        done = run_script("compare_schemes.py", "--seeds", "0")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].startswith("mean")
+
+    def test_oracle_gaps(self):
+        done = run_script("oracle_gaps.py", "--seeds", "0",
+                          "--n-suavs", "2", "--n-targets", "3")
+        assert done.returncode == 0, done.stderr
+        assert "worst relative gap" in done.stdout
+
+    def test_run_sweeps(self, tmp_path):
+        done = run_script("run_sweeps.py", "--seeds", "0",
+                          "--schemes", "proposed", "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "sweep_cpu_suav_hz.txt", "sweep_n0_cap.txt", "sweep_n_chunks.txt",
+            "sweep_tx_power_w.txt"]
+
+    @pytest.mark.parametrize("args", [
+        ("compare_schemes.py", "--seeds", "abc"),
+        ("compare_schemes.py", "--seeds", "-1"),
+        ("oracle_gaps.py", "--seeds", "abc"),
+        ("oracle_gaps.py", "--n-suavs", "0"),
+        ("run_sweeps.py", "--seeds", "5-2"),
+        ("run_sweeps.py", "--schemes", "nonsense"),
+    ])
+    def test_bad_input_exit_2(self, tmp_path, args):
+        done = run_script(*args, cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: ")
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == ""
