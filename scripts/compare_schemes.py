@@ -37,7 +37,8 @@ def compare(args):
         scenario = generate_scenario(cfg, seed)
         row = []
         for scheme in SCHEMES:
-            report = run_scheme(scenario, scheme)
+            report = run_scheme(scenario, scheme, tol=cfg.tol,
+                                r_max=cfg.r_max)
             objectives[scheme].append(report.objective_s)
             row.append(f"{report.objective_s:14.4f}")
         print(f"{seed:>4}  " + "  ".join(row))

@@ -24,8 +24,9 @@ paths, chosen by whether a depth-first search finishes within its allowance.
    T*, and the cover's association otherwise; the latter may give a target
    two monitors, which the problem allows.
 
-A larger pool is left to the search under the caller's node budget, and is
-reported inexact if that runs out.
+A larger pool skips the cover: the search alone decides, under the same
+allowance as every other call, and the answer is reported inexact if the
+allowance runs out.
 """
 
 from __future__ import annotations
@@ -382,11 +383,9 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
         if ok and obj < incumbent_obj:
             incumbent_alpha, incumbent_obj = alpha, obj
 
-    coverable = ctx.mask.sum(axis=0).max() <= _MAX_POOL
-    allowance = min(DFS_ALLOWANCE, node_budget) if coverable else node_budget
     alpha, obj, nodes, exact = _dfs(ctx, incumbent_alpha, incumbent_obj,
-                                    allowance)
-    if not exact and coverable:
+                                    min(DFS_ALLOWANCE, node_budget))
+    if not exact and ctx.mask.sum(axis=0).max() <= _MAX_POOL:
         t_star, cover_alpha = _cover(ctx, obj)
         if obj != t_star:
             alpha, obj = cover_alpha, t_star

@@ -61,7 +61,9 @@ class SolverReport:
     converged: bool
     wall_time: float
     offload: OffloadDecision | None = None  # the last accepted offload step
-    placement_fallbacks: int = 0  # inner solves where SLSQP failed
+    # inner solves where SLSQP failed; each still kept the better of SLSQP's
+    # point and the expansion point
+    placement_fallbacks: int = 0
     association_exact: bool = True  # every association search was certified
     # sca_loop's objective trace in each outer iteration, in order
     sca_traces: list = field(default_factory=list)

@@ -7,9 +7,11 @@ maximized over the flight box, and the expansion point moves to the new
 optimum until the exact objective stalls.
 
 The inner concave max-min is a 3-D smooth program solved by SLSQP (with an
-analytic Jacobian). SLSQP's point is taken as it is when SLSQP reports
-success; only when it fails does a projected-subgradient ascent run instead,
-and the iterate counts that as a fallback.
+analytic Jacobian). Each inner solve returns whichever of two box points has
+the higher minimum surrogate rate: SLSQP's point or the expansion point.
+The expansion point always lies in the box, and there the surrogate equals
+the exact rate, so the common rate never falls below the current one and
+stays positive. An SLSQP failure is counted as a fallback on the iterate.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InfeasibleSubproblem, NumericalFailure
+from .errors import InfeasibleSubproblem
 from .cost import branch_price, effective_chunk_bits
 from .link import snr_coeff
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
 SCA_MAX_ITER = 50
-SUBGRADIENT_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -113,32 +114,10 @@ def surrogate_rates(terms: PlacementTerms, q_ref: np.ndarray,
     return a[None, :] - slope[None, :] * (d2 - d2r[None, :])
 
 
-def _maximin_subgradient(terms: PlacementTerms, q_ref: np.ndarray,
-                         lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Projected supergradient ascent on min_n of the surrogate rates."""
-    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
-    span = float(np.linalg.norm(hi - lo))
-    step0 = max(span / 4.0, 1.0)
-    q = np.clip(q_ref.copy(), lo, hi)
-    best_q, best_val = q.copy(), -np.inf
-    for t in range(1, SUBGRADIENT_ITERS + 1):
-        d2 = ((q[None, :] - terms.q) ** 2).sum(axis=1)
-        vals = a - slope * (d2 - d2r)
-        k = int(np.argmin(vals))
-        if vals[k] > best_val:
-            best_val, best_q = vals[k], q.copy()
-        g = -2.0 * slope[k] * (q - terms.q[k])
-        norm = np.linalg.norm(g)
-        if norm < 1e-15:
-            break
-        q = np.clip(q + (step0 / math.sqrt(t)) * g / norm, lo, hi)
-    return best_q
-
-
 def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
                        scenario: Scenario) -> tuple[np.ndarray, float, bool]:
-    """argmax over the box of min_n surrogate rate, the attained value, and
-    whether SLSQP failed so that the subgradient point was taken."""
+    """The better of SLSQP's point and q_ref, both clipped to the box, by
+    min_n surrogate rate; the attained value; and whether SLSQP failed."""
     lo, hi = _box(scenario)
     a, slope, d2r = _surrogate_coeffs(terms, q_ref)
     b = terms.bandwidth_hz
@@ -164,12 +143,10 @@ def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
         method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
     )
-    if res.success:
-        q = np.clip(res.x[:3], lo, hi)
-    else:
-        q = _maximin_subgradient(terms, q_ref, lo, hi)
-    lam = float(surrogate_rates(terms, q_ref, q).min(axis=1)[0])
-    return q, lam, not res.success
+    cands = np.clip(np.stack([res.x[:3], q_ref]), lo, hi)
+    mins = surrogate_rates(terms, q_ref, cands).min(axis=1)
+    k = int(np.argmax(mins))
+    return cands[k], float(mins[k]), not res.success
 
 
 def default_initial_position(scenario: Scenario) -> Position3D:
@@ -191,8 +168,6 @@ def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
     if lam < terms.lam_floor:
         raise InfeasibleSubproblem(
             "energy budgets demand a common rate the geometry cannot deliver")
-    if lam <= 0.0:
-        raise NumericalFailure("surrogate rate collapsed to zero")
     return PlacementIterate(q_m=Position3D(*q), fallbacks=int(fell_back))
 
 
@@ -202,9 +177,9 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
 
     Returns (best iterate, trace): the trace holds the exact objective at
     the start and after each round, and the iterate's `fallbacks` counts
-    the rounds in which SLSQP failed. A solve that worsens the exact
-    objective is discarded, making the descent property hold even under
-    inner-solver noise.
+    the rounds in which SLSQP failed. A round never lowers the surrogate's
+    common rate below its value at the expansion point; a point that still
+    worsens the exact objective is discarded, so the trace never rises.
     """
     terms = placement_terms(scenario, association, beta)
     if q_m_init is None:
@@ -216,10 +191,7 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     trace = [float(exact_objective(terms, q_m.array)[0])]
     fallbacks = 0
     for _ in range(SCA_MAX_ITER):
-        try:
-            nxt = solve_sp2_2(scenario, association, beta, q_m, terms=terms)
-        except NumericalFailure:
-            break
+        nxt = solve_sp2_2(scenario, association, beta, q_m, terms=terms)
         fallbacks += nxt.fallbacks
         exact = float(exact_objective(terms, nxt.q_m.array)[0])
         if exact <= trace[-1] + 1e-12:

@@ -218,7 +218,8 @@ class TestCoverPath:
 
 class TestLargePool:
     """A pool beyond _MAX_POOL targets skips the cover: the DFS alone decides
-    under the caller's node budget, and may report an inexact answer."""
+    under the same allowance as every call, and may report an inexact
+    answer."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -236,6 +237,12 @@ class TestLargePool:
         assert np.all((assoc.alpha * assoc.feasible_mask).sum(axis=1) >= 1)
         assert np.all(assoc.alpha <= assoc.feasible_mask)
         assert columns == []
+
+    def test_a_larger_budget_still_stops_at_the_allowance(self, scenario):
+        _, info = solve_association(
+            scenario, np.zeros(2, dtype=int), Q_M, node_budget=10_000)
+        assert info.nodes <= association.DFS_ALLOWANCE
+        assert not info.exact
 
     def test_run_scheme_reports_the_inexact_association(self, scenario):
         report = run_scheme(scenario, "proposed", node_budget=50)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import grid_search_placement
@@ -127,33 +128,78 @@ class TestScaLoop:
         assert np.all(q.array >= lo) and np.all(q.array <= hi)
 
 
-def reported_success(success):
+def reported_success(success, x=None):
+    """Override SLSQP's reported status and, if `x` is given, its point."""
     def override(res):
         res.success = success
+        if x is not None:
+            res.x[:3] = x
         return res
     return override
 
 
-class TestSubgradientFallback:
-    def test_slsqp_success_skips_the_subgradient(self, monkeypatch):
+Q_REF = Position3D(480.0, 520.0, 400.0)
+
+
+def surrogate_min(terms, q_ref, q):
+    return float(surrogate_rates(terms, q_ref, q).min())
+
+
+class TestInnerSolveRule:
+    """Each inner solve keeps the better of SLSQP's point and the expansion
+    point, both clipped to the box, by minimum surrogate rate."""
+
+    @pytest.mark.parametrize("x", [None, (-50.0, 500.0, 400.0),
+                                   (480.0, 520.0, 1e4)])
+    def test_slsqp_failure_keeps_the_better_point(self, monkeypatch, x):
         from uav_mec import placement
         sc = pair_scenario()
-        counting(monkeypatch, placement, "minimize", reported_success(True))
-        sub = counting(monkeypatch, placement, "_maximin_subgradient")
-        it = solve_sp2_2(sc, identity_association(sc), np.zeros(2, dtype=int),
-                         Position3D(480.0, 520.0, 400.0))
-        assert len(sub) == 0
+        assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
+        points = []
+
+        def failed(res):
+            res = reported_success(False, x)(res)
+            points.append(res.x[:3].copy())
+            return res
+
+        counting(monkeypatch, placement, "minimize", failed)
+        it = solve_sp2_2(sc, assoc, beta, Q_REF)
+        terms = placement_terms(sc, assoc, beta)
+        lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
+        cands = [np.clip(points[0], lo, hi), Q_REF.array]
+        best = max(cands, key=lambda q: surrogate_min(terms, Q_REF.array, q))
+        np.testing.assert_array_equal(it.q_m.array, best)
+        assert it.fallbacks == 1
+
+    def test_success_below_the_expansion_point_keeps_it(self, monkeypatch):
+        from uav_mec import placement
+        sc = pair_scenario()
+        assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
+        corner = np.array([0.0, 0.0, 1000.0])
+        terms = placement_terms(sc, assoc, beta)
+        assert (surrogate_min(terms, Q_REF.array, corner)
+                < surrogate_min(terms, Q_REF.array, Q_REF.array))
+        counting(monkeypatch, placement, "minimize",
+                 reported_success(True, corner))
+        it = solve_sp2_2(sc, assoc, beta, Q_REF)
+        assert it.q_m == Q_REF
         assert it.fallbacks == 0
 
-    def test_slsqp_failure_runs_the_subgradient_once(self, monkeypatch):
-        from uav_mec import placement
-        sc = pair_scenario()
-        counting(monkeypatch, placement, "minimize", reported_success(False))
-        sub = counting(monkeypatch, placement, "_maximin_subgradient")
-        it = solve_sp2_2(sc, identity_association(sc), np.zeros(2, dtype=int),
-                         Position3D(480.0, 520.0, 400.0))
-        assert len(sub) == 1
-        assert it.fallbacks == 1
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
+                    min_size=2, max_size=2),
+           st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0),
+                     st.floats(100.0, 1000.0)),
+           st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    def test_common_rate_never_below_the_expansion_point(self, xy, q, beta):
+        sc = make_scenario(xy, xy, n0_cap=2)
+        assoc, beta = identity_association(sc), np.array(beta)
+        q_ref = Position3D(*q)
+        it = solve_sp2_2(sc, assoc, beta, q_ref)
+        terms = placement_terms(sc, assoc, beta)
+        at_ref = surrogate_min(terms, q_ref.array, q_ref.array)
+        assert at_ref > 0.0
+        assert surrogate_min(terms, q_ref.array, it.q_m.array) >= at_ref
 
     def test_sca_loop_counts_every_fallback(self, monkeypatch):
         from uav_mec import placement

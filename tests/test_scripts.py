@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts, each run as its own process."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from uav_mec import orchestrator
 from uav_mec.config import parse_seeds
 from uav_mec.errors import ValidationError
 
@@ -40,6 +42,28 @@ class TestScripts:
         done = run_script("compare_schemes.py", "--seeds", "0")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1].startswith("mean")
+
+    # Either key alone stops proposed at seed 0 after one outer iteration;
+    # at the defaults it takes two.
+    @pytest.mark.parametrize("line", ["r_max = 1", "tol = 10"])
+    def test_compare_schemes_solves_with_the_config_stopping_rule(
+            self, monkeypatch, tmp_path, line):
+        spec = importlib.util.spec_from_file_location(
+            "compare_schemes", ROOT / "scripts" / "compare_schemes.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        iterations = []
+
+        def run_scheme(*args, **kwargs):
+            report = orchestrator.run_scheme(*args, **kwargs)
+            iterations.append(report.iterations)
+            return report
+
+        monkeypatch.setattr(module, "run_scheme", run_scheme)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        assert module.main(["--seeds", "0", "--config", str(cfg)]) == 0
+        assert iterations == [1] * len(orchestrator.SCHEMES)
 
     def test_oracle_gaps(self):
         done = run_script("oracle_gaps.py", "--seeds", "0",
