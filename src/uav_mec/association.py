@@ -65,43 +65,50 @@ class SearchInfo:
 
 
 class _Context:
-    """Fixed data plus a latency memo for one association solve."""
+    """Fixed data plus a latency memo for one association solve.
+
+    Each S-UAV's branch price (cost.branch_price) depends only on its offload
+    bit and the offloader count, so it is priced once per solve; a memo miss
+    then costs one reposition and one link rate. Nothing outlives the solve.
+    """
 
     def __init__(self, scenario: Scenario, beta: np.ndarray, q_m: Position3D,
                  static_positions: bool = False):
         self.scenario = scenario
-        self.beta = np.asarray(beta, dtype=int)
-        self.n_off = int(self.beta.sum())
-        self.q_m = q_m.array
+        beta = np.asarray(beta, dtype=int)
+        n_off = int(beta.sum())
+        self.q_m = q_m
         self.static_positions = static_positions
         self.mask = feasible_association_mask(scenario)
-        self.cover = [np.flatnonzero(self.mask[i]).tolist()
-                      for i in range(scenario.n_targets)]
+        self.cover = [[j for j, v in enumerate(row) if v]
+                      for row in self.mask.tolist()]
         self.order = sorted(range(scenario.n_targets),
                             key=lambda i: (len(self.cover[i]), i))
-        self._memo: dict[tuple[int, int], tuple[float, bool]] = {}
+        self._prices = [branch_price(scenario, j, suav.chunk_bits,
+                                     bool(beta[j]), n_off)
+                        for j, suav in enumerate(scenario.suavs)]
+        # Per S-UAV: target bitmask -> (latency, energy-feasible).
+        self._memo: list[dict[int, tuple[float, bool]]] = [
+            {0: (0.0, True)} for _ in scenario.suavs]
 
     def latency(self, suav_index: int, target_bits: int) -> tuple[float, bool]:
         """(exact latency, energy-feasible) for one S-UAV and target bitmask."""
-        key = (suav_index, target_bits)
-        hit = self._memo.get(key)
+        memo = self._memo[suav_index]
+        hit = memo.get(target_bits)
         if hit is not None:
             return hit
         scenario = self.scenario
         suav = scenario.suavs[suav_index]
-        targets = [t for i, t in enumerate(scenario.targets)
-                   if target_bits >> i & 1]
-        if not targets:
-            result = (0.0, True)
-            self._memo[key] = result
-            return result
-        pos = suav.initial_pos if self.static_positions else reposition(suav, targets)
-        r = floored_rate(suav, pos.array, self.q_m, scenario.constants)
-        price = branch_price(scenario, suav_index, suav.chunk_bits,
-                             bool(self.beta[suav_index]), self.n_off)
+        if self.static_positions:
+            pos = suav.initial_pos
+        else:
+            pos = reposition(suav, [scenario.targets[i]
+                                    for i in _bits(target_bits)])
+        r = floored_rate(suav, pos, self.q_m, scenario.constants)
+        price = self._prices[suav_index]
         energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
         result = (price.latency(r), energy <= suav.energy_budget_j)
-        self._memo[key] = result
+        memo[target_bits] = result
         return result
 
     def by_growth(self, target_index: int,
@@ -142,12 +149,14 @@ def greedy_incumbent(scenario: Scenario, beta: np.ndarray,
 
 def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
     """Exact objective of a complete association, and its energy feasibility."""
+    bits = [0] * ctx.scenario.n_suavs
+    for i, row in enumerate(alpha.tolist()):
+        for j, v in enumerate(row):
+            if v:
+                bits[j] |= 1 << i
     worst = 0.0
-    for j in range(ctx.scenario.n_suavs):
-        bits = 0
-        for i in np.flatnonzero(alpha[:, j]):
-            bits |= 1 << int(i)
-        t, ok = ctx.latency(j, bits)
+    for j, b in enumerate(bits):
+        t, ok = ctx.latency(j, b)
         if not ok:
             return worst, False
         worst = max(worst, t)
@@ -164,7 +173,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     """
     n_targets = ctx.scenario.n_targets
     # Pool sizes per S-UAV: how many still-undecided targets it could monitor.
-    remaining = ctx.mask.sum(axis=0).astype(int)
+    remaining = ctx.mask.sum(axis=0).tolist()
     assigned_bits = [0] * ctx.scenario.n_suavs
     choice: dict[int, int] = {}
     nodes = 0
@@ -183,28 +192,33 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
             aborted = True
             return
         target_index = ctx.order[depth]
+        bit = 1 << target_index
+        cover = ctx.cover[target_index]
+        # Deciding the target shrinks every covering pool whichever S-UAV
+        # takes it, and fully decides the pools that reach zero: their
+        # latency, and so the bound, is exact.
+        for cand in cover:
+            remaining[cand] -= 1
+        closed = [cand for cand in cover if remaining[cand] == 0]
         for _, j in ctx.by_growth(target_index, assigned_bits):
             new_bound = bound
             feasible = True
-            for cand in ctx.cover[target_index]:
-                remaining[cand] -= 1
-            assigned_bits[j] |= 1 << target_index
-            for cand in ctx.cover[target_index]:
-                if remaining[cand] == 0:  # pool fully decided: bound is exact
-                    t, ok = ctx.latency(cand, assigned_bits[cand])
-                    if not ok:
-                        feasible = False
-                        break
-                    new_bound = max(new_bound, t)
+            assigned_bits[j] |= bit
+            for cand in closed:
+                t, ok = ctx.latency(cand, assigned_bits[cand])
+                if not ok:
+                    feasible = False
+                    break
+                new_bound = max(new_bound, t)
             if feasible:
                 choice[target_index] = j
                 dfs(depth + 1, new_bound)
                 del choice[target_index]
-            assigned_bits[j] &= ~(1 << target_index)
-            for cand in ctx.cover[target_index]:
-                remaining[cand] += 1
+            assigned_bits[j] &= ~bit
             if aborted:  # no sibling is priced or visited past the budget
-                return
+                break
+        for cand in cover:
+            remaining[cand] += 1
 
     dfs(0, 0.0)
     return incumbent_alpha, incumbent_obj, nodes, not aborted
@@ -239,7 +253,9 @@ def _columns(ctx: _Context, j: int):
     y_lo = np.where(members, y, np.inf).min(axis=1, initial=np.inf)
     y_hi = np.where(members, y, -np.inf).max(axis=1, initial=-np.inf)
 
-    # scenario.reposition and cost.floored_rate, in their order of operations.
+    # scenario.reposition and cost.floored_rate, in their order of operations:
+    # each row of the squared distance adds its x, y and h terms left to
+    # right, as floored_rate adds its floats.
     if ctx.static_positions:
         pos = np.broadcast_to(suav.initial_pos.array, (len(masks), 3))
     else:
@@ -250,12 +266,11 @@ def _columns(ctx: _Context, j: int):
                        (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
             + cam.gamma])
     c = scenario.constants
-    d2 = np.maximum(((pos - ctx.q_m) ** 2).sum(axis=1), 1.0)
+    d2 = np.maximum(((pos - ctx.q_m.array) ** 2).sum(axis=1), 1.0)
     gamma1 = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w).gamma1
     r = c.bandwidth_hz * np.array(
         [math.log2(v) for v in (1.0 + gamma1 / d2).tolist()])
-    price = branch_price(scenario, j, suav.chunk_bits, bool(ctx.beta[j]),
-                         ctx.n_off)
+    price = ctx._prices[j]
     latency = price.tx_bits / r + price.fixed_s
     energy = suav.tx_power_w * (price.tx_bits / r) + price.comp_j
     return (pool, masks, latency,

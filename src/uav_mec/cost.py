@@ -87,12 +87,20 @@ def branch_price(scenario: Scenario, j: int, s: float, offloaded: bool,
         suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit, 0.0)
 
 
-def floored_rate(suav: SUav, pos: np.ndarray, q_m: np.ndarray,
+def floored_rate(suav: SUav, pos: Position3D, q_m: Position3D,
                  constants: PhysicsConstants) -> float:
     """Rate from pos to the relay with the distance floored at the 1 m
-    reference: the one convention every block and the evaluator price by."""
+    reference: the one convention every block and the evaluator price by.
+
+    The squared distance is summed on floats as (dx*dx + dy*dy) + dz*dz,
+    which is bit for bit what NumPy gives for ((p - q) ** 2).sum() over a
+    3-vector: NumPy squares by multiplying and adds so short a row left to
+    right. association._columns prices its columns with that expression,
+    row-wise, so the two agree to the last bit.
+    """
     snr = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
-    d2 = max(float(((pos - q_m) ** 2).sum()), 1.0)
+    dx, dy, dz = pos.x - q_m.x, pos.y - q_m.y, pos.h - q_m.h
+    d2 = max((dx * dx + dy * dy) + dz * dz, 1.0)
     return rate_at_dist_sq(d2, constants.bandwidth_hz, snr.gamma1)
 
 
@@ -116,7 +124,7 @@ def _breakdowns(scenario: Scenario, association: Association,
         t_tx = 0.0
         if s > 0.0:
             t_tx = price.tx_bits / floored_rate(
-                suav, suav.current_pos.array, q_m.array, scenario.constants)
+                suav, suav.current_pos, q_m, scenario.constants)
         lats.append(LatencyBreakdown(
             suav_id=suav.id,
             local_compute_s=0.0 if off else price.fixed_s,

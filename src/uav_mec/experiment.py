@@ -53,8 +53,7 @@ def chunked_metrics(scenario: Scenario, association: Association,
     ruav_energy = 0.0
     for j in np.flatnonzero(monitored):
         suav = scenario.suavs[j]
-        r = floored_rate(suav, suav.current_pos.array, q_m.array,
-                         scenario.constants)
+        r = floored_rate(suav, suav.current_pos, q_m, scenario.constants)
         for s in suav.chunk_bits_list:
             price = branch_price(scenario, j, s, bool(beta[j]), n_off)
             totals[j] += price.latency(r)

@@ -100,8 +100,7 @@ def sp1_terms(scenario: Scenario, association: Association,
         s = float(s_bits[j])
         if s == 0.0:
             continue
-        r = floored_rate(suav, suav.current_pos.array, q_m.array,
-                         scenario.constants)
+        r = floored_rate(suav, suav.current_pos, q_m, scenario.constants)
         local = branch_price(scenario, j, s, False, 0)
         t_loc[j], t_tx_loc[j] = local.fixed_s, local.tx_bits / r
         e_local[j] = local.energy(suav.tx_power_w, r)

@@ -2,6 +2,7 @@
 enumeration."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from uav_mec.association import (greedy_incumbent, solve_association,
 from uav_mec.config import ExperimentConfig
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
-from uav_mec.orchestrator import run_scheme
+from uav_mec.orchestrator import (nearest_covering_association, placed_for,
+                                  run_scheme)
+from uav_mec.placement import default_initial_position
 from uav_mec.scenario import Position3D, generate_scenario
 
 from .conftest import counting, full_association, make_scenario
@@ -305,3 +308,63 @@ class TestColumnPrices:
                 bits = sum(1 << int(pool[p]) for p in range(len(pool))
                            if mask >> p & 1)
                 assert ctx.latency(j, bits) == (t, ok)
+
+
+# (config, seed, scheme) -> (nodes, exact, objective, monitors per target).
+# The inputs are fixed, so none of this depends on the placement block: the
+# warm start is the nearest covering association, the relay sits at the
+# default initial position, and `proposed` offloads every other S-UAV up to
+# the cap while `static_suavs` keeps all local. The 16 x 40 call runs out of
+# the DFS allowance, and the column cover returns an association in which
+# some targets have two or three monitors.
+_FLEET = replace(ExperimentConfig(), n_suavs=16, n_targets=40)
+_TRAJECTORIES = {
+    ("reference", 0, "proposed"): (
+        13, True, 10.19677022745071,
+        "1 4 5 6 0 3 4 2 4 7 3 5 4 0 0 1 3 7 2 3"),
+    ("reference", 0, "static_suavs"): (
+        47, True, 11.343380875730558,
+        "1 4 5 6 0 3 4 2 4 7 3 5 4 0 0 1 3 7 2 3"),
+    ("reference", 1, "proposed"): (
+        43, True, 10.794507098720107,
+        "4 2 3 2 7 1 3 6 0 2 0 5 4 2 4 4 2 3 7 6"),
+    ("reference", 1, "static_suavs"): (
+        75, True, 11.172401490059794,
+        "4 2 3 2 7 1 3 6 0 2 0 5 4 2 4 4 2 3 7 6"),
+    ("reference", 2, "proposed"): (
+        141, True, 10.872729222152156,
+        "1 2 6 5 2 6 2 0 0 4 5 6 7 7 4 2 5 6 0 4"),
+    ("reference", 2, "static_suavs"): (
+        141, True, 10.87266224264724,
+        "1 2 6 5 2 6 0 0 0 4 5 4 7 5 4 2 5 6 0 4"),
+    ("fleet", 0, "proposed"): (
+        1003, True, 10.534758345604798,
+        "2 9 15 12 0 7 8+9 5 5+8+9 15 7 9 8 0 0+2 2 7 15 5 7 5 7 5 0 8+9 12 "
+        "0 7 2+7 8 12 5 15 15 0 8 12 15 2+7 9"),
+}
+
+
+class TestSearchTrajectory:
+    """Replays fixed calls: any change to which nodes the search visits, or
+    to what it returns, fails here."""
+
+    @pytest.mark.parametrize("key", list(_TRAJECTORIES),
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_pinned_call(self, key):
+        name, seed, scheme = key
+        config = _FLEET if name == "fleet" else ExperimentConfig()
+        sc = generate_scenario(config, seed)
+        warm = nearest_covering_association(sc)
+        q_m = default_initial_position(placed_for(sc, warm.alpha, scheme))
+        beta = np.zeros(sc.n_suavs, dtype=int)
+        if scheme == "proposed":
+            beta[:2 * sc.n0_cap:2] = 1
+        assoc, info = solve_association(
+            sc, beta, q_m, warm_alpha=warm.alpha,
+            static_positions=scheme == "static_suavs")
+        monitors = " ".join("+".join(map(str, np.flatnonzero(row)))
+                            for row in assoc.alpha)
+        assert (info.nodes, info.exact, info.objective, monitors) == \
+            _TRAJECTORIES[key]
+        if name == "fleet":
+            assert info.nodes >= association.DFS_ALLOWANCE

@@ -12,7 +12,7 @@ from uav_mec.association import _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
                           effective_chunk_bits, evaluate_solution,
-                          objective_and_spread)
+                          floored_rate, objective_and_spread)
 from uav_mec.errors import InvalidDecision
 from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate_at_dist_sq, snr_coeff
@@ -39,6 +39,25 @@ def link_rate(sc, j=0):
     snr = snr_coeff(suav.tx_power_w, sc.constants.rho0, sc.constants.noise_w)
     d2 = float(((suav.current_pos.array - Q_M.array) ** 2).sum())
     return rate_at_dist_sq(d2, sc.constants.bandwidth_hz, snr.gamma1)
+
+
+_COORD = st.floats(0.0, 1000.0)
+# Offsets under 1 m put the two points inside the distance floor.
+_OFFSET = st.one_of(st.floats(-0.57, 0.57), st.floats(-1000.0, 1000.0))
+
+
+class TestFlooredRate:
+    @settings(max_examples=500, deadline=None)
+    @given(_COORD, _COORD, _COORD, _OFFSET, _OFFSET, _OFFSET)
+    def test_float_sum_matches_numpy_bit_for_bit(self, x, y, h, dx, dy, dz):
+        sc = two_suav_scenario()
+        p = Position3D(x, y, h)
+        q = Position3D(x + dx, y + dy, abs(h + dz))
+        snr = snr_coeff(sc.suavs[0].tx_power_w, sc.constants.rho0,
+                        sc.constants.noise_w)
+        d2 = max(float(((p.array - q.array) ** 2).sum()), 1.0)
+        assert floored_rate(sc.suavs[0], p, q, sc.constants) == \
+            rate_at_dist_sq(d2, sc.constants.bandwidth_hz, snr.gamma1)
 
 
 class TestLocalPath:
