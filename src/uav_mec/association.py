@@ -1,16 +1,17 @@
 """Target-to-S-UAV association with fixed offload decision and relay position.
 
 Exact on every call whose pools hold at most _MAX_POOL targets, by one of two
-paths, chosen by whether a depth-first search finishes within its allowance.
+paths, chosen by whether a depth-first search finishes within DFS_ALLOWANCE
+nodes. The allowance is fixed: no caller sets it.
 
-1. A depth-first branch and bound over one monitoring S-UAV per target, given
-   DFS_ALLOWANCE nodes (or the caller's node budget, if smaller). The bound at
-   a node is the exact latency of every S-UAV whose candidate pool is fully
-   decided, which no completion can change. Most calls finish here, and a
-   finished search returns the best one-monitor association. That is exact
-   over one-monitor associations only: a second monitor can be strictly
-   better (CHANGES.md, reference seed 18 with n0_cap = 5: the finished search
-   gives 10.07263920969067 s, the column cover 10.072591165515615 s).
+1. A depth-first branch and bound over one monitoring S-UAV per target. The
+   bound at a node is the exact latency of every S-UAV whose candidate pool
+   is fully decided, which no completion can change. Most calls finish here,
+   and a finished search returns the best one-monitor association. That is
+   exact over one-monitor associations only: a second monitor can be
+   strictly better (CHANGES.md, reference seed 18 with n0_cap = 5: the
+   finished search gives 10.07263920969067 s, the column cover
+   10.072591165515615 s).
 2. Otherwise a column cover finds the optimum T* over all associations. An
    S-UAV's hover point depends only on the bounding box of its targets, and
    its task size is fixed once it monitors anything, so its latency and
@@ -25,8 +26,7 @@ paths, chosen by whether a depth-first search finishes within its allowance.
    two monitors, which the problem allows.
 
 A larger pool skips the cover: the search alone decides, under the same
-allowance as every other call, and the answer is reported inexact if the
-allowance runs out.
+allowance, and the answer is reported inexact if the allowance runs out.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from .link import snr_coeff
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, reposition)
 
-DEFAULT_NODE_BUDGET = 1_000_000
-# DFS nodes before the column cover takes over (or the caller's node budget,
-# if smaller).
+# DFS nodes before the column cover takes over.
 DFS_ALLOWANCE = 1_000
 # Columns are int64 bitmasks over a pool.
 _MAX_POOL = 62
@@ -60,6 +58,7 @@ class SearchInfo:
 
     objective: float
     exact: bool
+    # DFS nodes entered; can pass DFS_ALLOWANCE (see _dfs)
     nodes: int
     gap: float = 0.0  # kept for callers that read it; always 0
 
@@ -164,12 +163,14 @@ def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
 
 
 def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
-         incumbent_obj: float, node_budget: int
-         ) -> tuple[np.ndarray | None, float, int, bool]:
+         incumbent_obj: float) -> tuple[np.ndarray | None, float, int, bool]:
     """Branch and bound below an incumbent: every bound at or above it is
-    cut. It visits at most node_budget nodes (one, if that is 0).
+    cut. It tests DFS_ALLOWANCE only at nodes the bound keeps, so nodes the
+    bound cuts are still entered and counted past it (1,003 nodes on the
+    seed-0 16 x 40 call pinned in the tests). An allowance of 0 enters one
+    node.
 
-    Returns (best alpha, its objective, nodes, finished within the budget).
+    Returns (best alpha, its objective, nodes, finished within the allowance).
     """
     n_targets = ctx.scenario.n_targets
     # Pool sizes per S-UAV: how many still-undecided targets it could monitor.
@@ -188,7 +189,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
             incumbent_alpha = _alpha_from_choice(ctx, choice)
             incumbent_obj = bound
             return
-        if nodes >= node_budget:
+        if nodes >= DFS_ALLOWANCE:
             aborted = True
             return
         target_index = ctx.order[depth]
@@ -215,7 +216,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
                 dfs(depth + 1, new_bound)
                 del choice[target_index]
             assigned_bits[j] &= ~bit
-            if aborted:  # no sibling is priced or visited past the budget
+            if aborted:  # no sibling is priced or visited past the allowance
                 break
         for cand in cover:
             remaining[cand] += 1
@@ -380,14 +381,13 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
 
 
 def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
-                      node_budget: int = DEFAULT_NODE_BUDGET,
                       warm_alpha: np.ndarray | None = None,
                       static_positions: bool = False
                       ) -> tuple[Association, SearchInfo]:
-    """Best association at the given offload decision and relay position.
-
-    node_budget caps the DFS allowance.
-    """
+    """Best association at the given offload decision and relay position:
+    the search under DFS_ALLOWANCE nodes, then the column cover if the search
+    does not finish (see the module docstring). warm_alpha, if given, joins
+    the greedy start as an incumbent."""
     ctx = _Context(scenario, beta, q_m, static_positions=static_positions)
     incumbent_alpha = None
     incumbent_obj = float("inf")
@@ -398,8 +398,7 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
         if ok and obj < incumbent_obj:
             incumbent_alpha, incumbent_obj = alpha, obj
 
-    alpha, obj, nodes, exact = _dfs(ctx, incumbent_alpha, incumbent_obj,
-                                    min(DFS_ALLOWANCE, node_budget))
+    alpha, obj, nodes, exact = _dfs(ctx, incumbent_alpha, incumbent_obj)
     if not exact and ctx.mask.sum(axis=0).max() <= _MAX_POOL:
         t_star, cover_alpha = _cover(ctx, obj)
         if obj != t_star:

@@ -67,6 +67,7 @@ def chunked_metrics(scenario: Scenario, association: Association,
 def run_cell(config: ExperimentConfig, seed: int, scheme: str,
              param_name: str = "", param_value: float = float("nan"),
              **solver_kwargs) -> ResultRow:
+    """One sweep row. solver_kwargs go to run_scheme, which ignores them."""
     start = time.monotonic()
     try:
         scenario = generate_scenario(config, seed)
@@ -94,11 +95,6 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
             error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_cell_args(args) -> ResultRow:
-    cell, solver_kwargs = args
-    return run_cell(*cell, **solver_kwargs)
-
-
 def sweep_workers() -> int | None:
     """Worker processes for a sweep from UAV_MEC_WORKERS; unset or 0 gives
     None, one per core."""
@@ -110,7 +106,7 @@ def sweep_workers() -> int | None:
 
 
 def sweep(config: ExperimentConfig, param: str, values,
-          schemes=SCHEMES, **solver_kwargs) -> list[ResultRow]:
+          schemes=SCHEMES) -> list[ResultRow]:
     """Every value x seed x scheme, with the same scenario draw per seed."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
@@ -127,14 +123,13 @@ def sweep(config: ExperimentConfig, param: str, values,
         }).validate()
         for seed in config.seeds:
             for scheme in schemes:
-                cells.append(((cfg, seed, scheme, param, float(value)),
-                              solver_kwargs))
+                cells.append((cfg, seed, scheme, param, float(value)))
     workers = sweep_workers()
     if workers == 1 or len(cells) == 1:
-        rows = [_run_cell_args(cell) for cell in cells]
+        rows = [run_cell(*cell) for cell in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell_args, cells, chunksize=1))
+            rows = list(pool.map(run_cell, *zip(*cells), chunksize=1))
     rows.sort(key=lambda r: (r.seed, r.scheme, r.swept_value))
     return rows
 

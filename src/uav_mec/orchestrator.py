@@ -64,7 +64,8 @@ class SolverReport:
     # inner solves where SLSQP failed; each still kept the better of SLSQP's
     # point and the expansion point
     placement_fallbacks: int = 0
-    association_exact: bool = True  # every association search was certified
+    # every association call was certified (a finished DFS: one-monitor only)
+    association_exact: bool = True
     # sca_loop's objective trace in each outer iteration, in order
     sca_traces: list = field(default_factory=list)
 
@@ -88,15 +89,14 @@ def convergence_check(trace, tol: float) -> bool:
 def nearest_covering_association(scenario: Scenario) -> Association:
     """Each target to its horizontally nearest covering S-UAV (ties: lowest id)."""
     mask = feasible_association_mask(scenario)
+    suav_xy = np.array([(s.initial_pos.x, s.initial_pos.y)
+                        for s in scenario.suavs])
+    target_xy = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])
+    dx = suav_xy[None, :, 0] - target_xy[:, None, 0]
+    dy = suav_xy[None, :, 1] - target_xy[:, None, 1]
+    d2 = np.where(mask == 1, dx ** 2 + dy ** 2, np.inf)
     alpha = np.zeros_like(mask)
-    for i, target in enumerate(scenario.targets):
-        best = None
-        for j in np.flatnonzero(mask[i]):
-            pos = scenario.suavs[j].initial_pos
-            d2 = (pos.x - target.pos.x) ** 2 + (pos.y - target.pos.y) ** 2
-            if best is None or (d2, j) < best:
-                best = (d2, int(j))
-        alpha[i, best[1]] = 1
+    alpha[np.arange(scenario.n_targets), d2.argmin(axis=1)] = 1
     return Association(alpha=alpha, feasible_mask=mask)
 
 
@@ -152,12 +152,12 @@ def check_constraints(scenario: Scenario, association: Association,
 
 def run_scheme(scenario: Scenario, scheme: str,
                tol: float = DEFAULT_TOL_S, r_max: int = DEFAULT_R_MAX,
-               node_budget: int = assoc_mod.DEFAULT_NODE_BUDGET,
+               node_budget: int | None = None,
                time_budget_s: float | None = None
                ) -> SolverReport:
-    """Solve one scenario under one scheme. node_budget caps the association
-    search's node allowance; time_budget_s is accepted and ignored, since no
-    block reads the clock."""
+    """Solve one scenario under one scheme. node_budget and time_budget_s are
+    accepted and ignored, for callers that still pass them: the association
+    search has a fixed node allowance and no block reads the clock."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     start = time.monotonic()
@@ -185,7 +185,9 @@ def run_scheme(scenario: Scenario, scheme: str,
         # Offload block.
         if policy.offload_rule is not None:
             decision = globals()[policy.offload_rule](placed, association, q_m)
-            cand, _, _, _ = evaluate_solution(placed, association, decision.beta, q_m)
+            # The rule prices its decision as evaluate_solution would, to the
+            # bit; float() keeps the trace in Python floats.
+            cand = float(decision.slack_s)
             if cand <= objective + _GUARD_SLACK:
                 beta, objective, offload = decision.beta, cand, decision
 
@@ -200,8 +202,7 @@ def run_scheme(scenario: Scenario, scheme: str,
 
         # Association block.
         new_assoc, info = assoc_mod.solve_association(
-            scenario, beta, q_m, node_budget=node_budget,
-            warm_alpha=association.alpha,
+            scenario, beta, q_m, warm_alpha=association.alpha,
             static_positions=not policy.reposition)
         exact = exact and info.exact
         new_placed = placed_for(scenario, new_assoc.alpha, scheme)

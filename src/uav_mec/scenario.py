@@ -217,12 +217,15 @@ def repositioned_scenario(scenario: Scenario, alpha: np.ndarray) -> Scenario:
 
 def feasible_association_mask(scenario: Scenario) -> np.ndarray:
     """mask[i, n] = 1 iff target i sits inside S-UAV n's initial footprint."""
-    mask = np.zeros((scenario.n_targets, scenario.n_suavs), dtype=np.int8)
-    for j, suav in enumerate(scenario.suavs):
-        rect = fov_rect(suav, at_initial=True)
-        for i, target in enumerate(scenario.targets):
-            if rect.contains(target.pos.x, target.pos.y):
-                mask[i, j] = 1
+    rects = [fov_rect(suav, at_initial=True) for suav in scenario.suavs]
+    x_lo, x_hi, y_lo, y_hi = np.array(
+        [(r.x_lo, r.x_hi, r.y_lo, r.y_hi) for r in rects]).reshape(-1, 4).T
+    xy = np.array([(t.pos.x, t.pos.y)
+                   for t in scenario.targets]).reshape(-1, 2)
+    x, y = xy[:, :1], xy[:, 1:]
+    # AxisRect.contains on every (target, S-UAV) pair: closed bounds.
+    mask = ((x_lo <= x) & (x <= x_hi) & (y_lo <= y)
+            & (y <= y_hi)).astype(np.int8)
     if np.any(mask.sum(axis=1) == 0):
         bad = np.flatnonzero(mask.sum(axis=1) == 0)
         raise InfeasibleScenario(

@@ -93,6 +93,18 @@ def counting(monkeypatch, module, name, override=None):
     return calls
 
 
+@pytest.fixture
+def dfs_allowance(monkeypatch):
+    """Sets association.DFS_ALLOWANCE for the rest of one test. A search that
+    runs out of it hands the call to the column cover; 0 enters one node."""
+    from uav_mec import association
+
+    def set_allowance(nodes: int) -> None:
+        monkeypatch.setattr(association, "DFS_ALLOWANCE", nodes)
+
+    return set_allowance
+
+
 @pytest.fixture(scope="session")
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()

@@ -141,8 +141,8 @@ class TestSharedContext:
         from uav_mec import association
         contexts = counting(monkeypatch, association, "_Context")
         greedy = counting(monkeypatch, association, "greedy_incumbent")
-        solve_association(scenario0, np.zeros(scenario0.n_suavs, dtype=int),
-                          Q_M, node_budget=10_000)
+        beta = np.zeros(scenario0.n_suavs, dtype=int)
+        solve_association(scenario0, beta, Q_M)
         assert len(contexts) == 1
         assert len(greedy) == 1  # reached through the module attribute
 
@@ -157,15 +157,18 @@ def random_offload(sc, seed):
 
 
 class TestCoverPath:
-    """node_budget=0 gives the DFS no nodes, so the column cover decides."""
+    """An allowance of 0 gives the DFS one node, so the column cover
+    decides."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_matches_exhaustive_at_least_one_enumeration(self, seed):
+    def test_matches_exhaustive_at_least_one_enumeration(self, seed,
+                                                         dfs_allowance):
         sc = random_instance(seed)
         if sc is None:
             return
         beta = random_offload(sc, seed)
-        assoc, info = solve_association(sc, beta, Q_M, node_budget=0)
+        dfs_allowance(0)
+        assoc, info = solve_association(sc, beta, Q_M)
         _, oracle_obj = enumerate_associations_at_least_one(sc, beta, Q_M)
         assert info.exact
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
@@ -173,25 +176,26 @@ class TestCoverPath:
         assert _evaluate_full(_Context(sc, beta, Q_M), assoc.alpha) == (
             info.objective, True)
 
-    def test_static_positions_use_initial_geometry(self):
+    def test_static_positions_use_initial_geometry(self, dfs_allowance):
         sc = random_instance(11)
         assert sc is not None
         beta = np.zeros(sc.n_suavs, dtype=int)
-        _, info = solve_association(sc, beta, Q_M, node_budget=0,
-                                    static_positions=True)
+        dfs_allowance(0)
+        _, info = solve_association(sc, beta, Q_M, static_positions=True)
         _, oracle_obj = enumerate_associations_at_least_one(
             sc, beta, Q_M, static_positions=True)
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
 
-    def test_energy_infeasible_instance_raises(self):
+    def test_energy_infeasible_instance_raises(self, dfs_allowance):
         sc = make_scenario([(500.0, 500.0)], [(480.0, 510.0)], n0_cap=1,
                            energy_budget_j=1e-4)
+        dfs_allowance(0)
         with pytest.raises(InfeasibleSubproblem):
-            solve_association(sc, np.array([0]), Q_M, node_budget=0)
+            solve_association(sc, np.array([0]), Q_M)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_starved_dfs_returns_the_finished_objective(self, monkeypatch,
-                                                        seed):
+                                                        dfs_allowance, seed):
         # The association inputs of one reference solve.
         sc = generate_scenario(ExperimentConfig(), seed)
         inputs = []
@@ -202,18 +206,17 @@ class TestCoverPath:
 
         solve = association.solve_association
         monkeypatch.setattr(association, "solve_association", record)
-        run_scheme(sc, "proposed", node_budget=10_000)
+        run_scheme(sc, "proposed")
         monkeypatch.setattr(association, "solve_association", solve)
 
         # With room to finish, the DFS alone decides; with no nodes, the
         # cover must reach the same objective.
         for beta, q_m, warm in inputs:
-            with monkeypatch.context() as m:
-                m.setattr(association, "DFS_ALLOWANCE", 10**6)
-                _, finished = solve(sc, beta, q_m, warm_alpha=warm)
+            dfs_allowance(10**6)
+            _, finished = solve(sc, beta, q_m, warm_alpha=warm)
             assert finished.nodes < 10**6
-            covered, info = solve(sc, beta, q_m, node_budget=0,
-                                  warm_alpha=warm)
+            dfs_allowance(0)
+            covered, info = solve(sc, beta, q_m, warm_alpha=warm)
             assert info.objective == finished.objective
             assert _evaluate_full(_Context(sc, beta, q_m), covered.alpha) == (
                 info.objective, True)
@@ -230,10 +233,11 @@ class TestLargePool:
                 for a in range(9) for b in range(7)]
         return make_scenario([(500.0, 500.0), (510.0, 500.0)], grid)
 
-    def test_budget_is_honoured_without_the_cover(self, monkeypatch, scenario):
+    def test_budget_is_honoured_without_the_cover(self, monkeypatch,
+                                                  dfs_allowance, scenario):
         columns = counting(monkeypatch, association, "_columns")
-        assoc, info = solve_association(
-            scenario, np.zeros(2, dtype=int), Q_M, node_budget=50)
+        dfs_allowance(50)
+        assoc, info = solve_association(scenario, np.zeros(2, dtype=int), Q_M)
         assert scenario.n_targets == 63 > association._MAX_POOL
         assert info.nodes <= 50
         assert not info.exact
@@ -242,13 +246,15 @@ class TestLargePool:
         assert columns == []
 
     def test_a_larger_budget_still_stops_at_the_allowance(self, scenario):
-        _, info = solve_association(
-            scenario, np.zeros(2, dtype=int), Q_M, node_budget=10_000)
+        # No caller sets a budget: the search stops at the module allowance.
+        _, info = solve_association(scenario, np.zeros(2, dtype=int), Q_M)
         assert info.nodes <= association.DFS_ALLOWANCE
         assert not info.exact
 
-    def test_run_scheme_reports_the_inexact_association(self, scenario):
-        report = run_scheme(scenario, "proposed", node_budget=50)
+    def test_run_scheme_reports_the_inexact_association(self, dfs_allowance,
+                                                        scenario):
+        dfs_allowance(50)
+        report = run_scheme(scenario, "proposed")
         assert not report.association_exact
 
 

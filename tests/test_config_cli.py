@@ -120,18 +120,6 @@ class TestSweep:
         strip = lambda r: replace(r, wall_ms=0.0)
         assert [strip(r) for r in small_sweep] == [strip(r) for r in again]
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_solver_kwargs_reach_every_cell(self, monkeypatch, workers):
-        # Seed 1 is one where a one-node association search changes the row.
-        monkeypatch.setenv("UAV_MEC_WORKERS", workers)
-        cfg = replace(ExperimentConfig(), seeds=(1,))
-        rows = sweep(cfg, "n0_cap", [2, 4], schemes=("proposed",),
-                     node_budget=1)
-        direct = [run_cell(replace(cfg, n0_cap=v), 1, "proposed", "n0_cap",
-                           float(v), node_budget=1) for v in (2, 4)]
-        strip = lambda r: replace(r, wall_ms=0.0)
-        assert [strip(r) for r in rows] == [strip(r) for r in direct]
-
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             sweep(ExperimentConfig(), "area_m", [1000.0])

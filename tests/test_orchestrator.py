@@ -26,6 +26,32 @@ class TestNearestCoveringAssociation:
         assert np.all(assoc.alpha.sum(axis=1) == 1)
         assert np.all(assoc.alpha <= assoc.feasible_mask)
 
+    def test_ties_go_to_the_lowest_id(self):
+        from .conftest import make_scenario
+        sc = make_scenario([(400.0, 500.0), (600.0, 500.0)],
+                           [(500.0, 500.0), (500.0, 520.0)])
+        assert nearest_covering_association(sc).alpha.tolist() == \
+            [[1, 0], [1, 0]]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_target_by_target_loop(self, seed):
+        # The argmin over masked distances replaced this loop, the reference.
+        from dataclasses import replace
+
+        from uav_mec.config import ExperimentConfig
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(
+            replace(ExperimentConfig(), n_suavs=16, n_targets=40), seed)
+        assoc = nearest_covering_association(sc)
+        for i, target in enumerate(sc.targets):
+            best = None
+            for j in np.flatnonzero(assoc.feasible_mask[i]):
+                pos = sc.suavs[j].initial_pos
+                d2 = (pos.x - target.pos.x) ** 2 + (pos.y - target.pos.y) ** 2
+                if best is None or (d2, j) < best:
+                    best = (d2, int(j))
+            assert np.flatnonzero(assoc.alpha[i]).tolist() == [best[1]]
+
 
 @pytest.fixture(scope="module")
 def reports(scenario0):
@@ -158,9 +184,9 @@ class TestMonotonicityAcrossSeeds:
         assert report.converged
 
 
-# run_scheme objectives at the reference config, node_budget=10_000, pinned
-# to the values of the solver before the placement, simplex and pricing-table
-# speed-ups. Those changes must leave every result bit-for-bit the same.
+# run_scheme objectives at the reference config, pinned to the values of the
+# solver before the placement, simplex and pricing-table speed-ups. Those
+# changes must leave every result bit-for-bit the same.
 # One entry was re-pinned when the placement inner solve began to keep the
 # better of SLSQP's point and the expansion point: (0, 'proposed') fell from
 # 9.991029515096416 to 9.991028738165555.
@@ -194,7 +220,7 @@ class TestPinnedObjectives:
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(default_config, seed)
         for scheme in SCHEMES:
-            report = run_scheme(sc, scheme, node_budget=10_000)
+            report = run_scheme(sc, scheme)
             assert report.objective_s == pytest.approx(
                 PINNED_OBJECTIVES[seed, scheme], rel=1e-12), scheme
 
@@ -222,7 +248,7 @@ class TestPinnedLpBounds:
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(default_config, seed)
         for scheme in SCHEMES:
-            report = run_scheme(sc, scheme, node_budget=10_000)
+            report = run_scheme(sc, scheme)
             if (seed, scheme) in PINNED_LP_BOUNDS:
                 assert report.lp_lower_bound == pytest.approx(
                     PINNED_LP_BOUNDS[seed, scheme], rel=1e-12), scheme
@@ -280,10 +306,12 @@ class TestReportCounters:
     def test_association_exact_within_budget(self, reports):
         assert all(r.association_exact for r in reports.values())
 
-    def test_association_exact_under_a_tiny_budget(self, scenario0):
-        # The node budget caps only the DFS; the column cover certifies the
-        # rest, so no budget makes an association inexact.
-        report = run_scheme(scenario0, "suav_only", node_budget=5)
+    def test_association_exact_under_a_tiny_budget(self, dfs_allowance,
+                                                   scenario0):
+        # The allowance caps only the DFS; the column cover certifies the
+        # rest, so no allowance makes an association inexact.
+        dfs_allowance(5)
+        report = run_scheme(scenario0, "suav_only")
         assert report.association_exact
 
     @pytest.mark.parametrize("seed", range(5))
@@ -294,7 +322,34 @@ class TestReportCounters:
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(
             replace(ExperimentConfig(), n_suavs=16, n_targets=40), seed)
-        assert run_scheme(sc, "proposed", node_budget=8_000).association_exact
+        assert run_scheme(sc, "proposed").association_exact
+
+
+class TestOffloadGuardPrice:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_offload_rules_price_as_the_evaluator(self, monkeypatch,
+                                                  default_config, seed):
+        # The offload guard takes the rule's slack_s as the candidate's
+        # objective, so it must be evaluate_solution's to the bit.
+        from uav_mec import orchestrator
+        from uav_mec.cost import evaluate_solution
+        from uav_mec.scenario import generate_scenario
+        calls = []
+        for rule in ("solve_sp1", "forced_offload"):
+            def record(placed, association, q_m, real=getattr(orchestrator,
+                                                             rule)):
+                decision = real(placed, association, q_m)
+                calls.append((placed, association, q_m, decision))
+                return decision
+            monkeypatch.setattr(orchestrator, rule, record)
+        sc = generate_scenario(default_config, seed)
+        for scheme in ("proposed", "ruav_only", "static_suavs"):
+            run_scheme(sc, scheme)
+        assert len(calls) >= 3
+        for placed, association, q_m, decision in calls:
+            objective = evaluate_solution(placed, association, decision.beta,
+                                          q_m)[0]
+            assert decision.slack_s == objective
 
 
 class TestBenchmarkTracerContract:
@@ -324,3 +379,40 @@ class TestBenchmarkTracerContract:
         for name in tracer.EXTRACT:
             assert t.values[name], name
             assert all(v is not None for v in t.values[name]), name
+
+
+class TestBenchmarkWorkloadContract:
+    """`perfbench/run.py` drives the planner through `perfbench/workloads.py`,
+    whose workloads still pass solver keyword arguments that the planner
+    ignores. A signature change that breaks that path must fail here."""
+
+    def test_one_unit_per_workload_checks_and_matches_a_direct_call(
+            self, monkeypatch):
+        from dataclasses import replace
+        from pathlib import Path
+
+        from uav_mec.experiment import run_cell
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.setenv("UAV_MEC_WORKERS", "1")
+        import workloads
+        for name, workload in workloads.WORKLOADS.items():
+            cfg = workload.config
+            seeds = workloads.scenario_seeds(0, 1, held_out=False)
+            pool, warm_up = workloads.set_up(workload, seeds)
+            assert warm_up.error == "", name
+            solves = workloads.run_unit(workload, pool, pool.units[0])
+            assert solves, name
+            for solve in solves:
+                assert workloads.check(workload, solve) == [], solve.key
+                if workload.kind == "sweep":
+                    seed, scheme, value = solve.key
+                    direct = run_cell(
+                        replace(cfg, **{workloads.SWEEP_PARAM: int(value)}),
+                        seed, scheme, workloads.SWEEP_PARAM, value).objective_s
+                else:
+                    seed, scheme = solve.key
+                    direct = run_scheme(pool.scenarios[seed], scheme,
+                                        tol=cfg.tol,
+                                        r_max=cfg.r_max).objective_s
+                assert solve.objective == direct, (name, solve.key)

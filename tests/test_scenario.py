@@ -106,6 +106,31 @@ class TestFeasibleMask:
         with pytest.raises(InfeasibleScenario):
             feasible_association_mask(sc)
 
+    def test_footprint_bounds_are_closed(self):
+        probe = make_scenario([(500.0, 500.0)], [(500.0, 500.0)])
+        rect = fov_rect(probe.suavs[0], at_initial=True)
+        corners = [(rect.x_lo, rect.y_lo), (rect.x_hi, rect.y_hi),
+                   (rect.x_lo, rect.y_hi), (rect.x_hi, rect.y_lo)]
+        sc = make_scenario([(500.0, 500.0), (900.0, 900.0)],
+                           corners + [(900.0, 900.0)])
+        assert feasible_association_mask(sc)[:, 0].tolist() == [1] * 4 + [0]
+
+    @pytest.mark.parametrize("shape", [(8, 20), (16, 40), (32, 80)])
+    def test_matches_the_rect_by_rect_loop(self, shape):
+        # The mask compares arrays; the loop it replaced is the reference.
+        config = replace(ExperimentConfig(), n_suavs=shape[0],
+                         n_targets=shape[1])
+        for seed in range(10):
+            sc = generate_scenario(config, seed)
+            loop = np.zeros((sc.n_targets, sc.n_suavs), dtype=np.int8)
+            for j, suav in enumerate(sc.suavs):
+                rect = fov_rect(suav, at_initial=True)
+                for i, target in enumerate(sc.targets):
+                    loop[i, j] = rect.contains(target.pos.x, target.pos.y)
+            mask = feasible_association_mask(sc)
+            assert mask.dtype == loop.dtype
+            assert np.array_equal(mask, loop)
+
 
 class TestGenerator:
     def test_deterministic(self, default_config):
