@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import branch_price, floored_rate
+from .cost import branch_price, floored_rate, floored_rates
 from .errors import InfeasibleSubproblem
 from .link import snr_coeff
 from .scenario import (Association, Position3D, Scenario,
@@ -254,9 +254,7 @@ def _columns(ctx: _Context, j: int):
     y_lo = np.where(members, y, np.inf).min(axis=1, initial=np.inf)
     y_hi = np.where(members, y, -np.inf).max(axis=1, initial=-np.inf)
 
-    # scenario.reposition and cost.floored_rate, in their order of operations:
-    # each row of the squared distance adds its x, y and h terms left to
-    # right, as floored_rate adds its floats.
+    # scenario.reposition, in its order of operations.
     if ctx.static_positions:
         pos = np.broadcast_to(suav.initial_pos.array, (len(masks), 3))
     else:
@@ -267,15 +265,11 @@ def _columns(ctx: _Context, j: int):
                        (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
             + cam.gamma])
     c = scenario.constants
-    d2 = np.maximum(((pos - ctx.q_m.array) ** 2).sum(axis=1), 1.0)
     gamma1 = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w).gamma1
-    r = c.bandwidth_hz * np.array(
-        [math.log2(v) for v in (1.0 + gamma1 / d2).tolist()])
+    r = floored_rates(pos, ctx.q_m.array, gamma1, c.bandwidth_hz)
     price = ctx._prices[j]
-    latency = price.tx_bits / r + price.fixed_s
-    energy = suav.tx_power_w * (price.tx_bits / r) + price.comp_j
-    return (pool, masks, latency,
-            energy + suav.hover_energy_j <= suav.energy_budget_j)
+    energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
+    return pool, masks, price.latency(r), energy <= suav.energy_budget_j
 
 
 def _undominated(masks: np.ndarray, latency: np.ndarray) -> np.ndarray:

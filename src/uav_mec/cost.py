@@ -9,6 +9,7 @@ objective and the delay-difference metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +55,7 @@ class BranchPrice(NamedTuple):
     """One S-UAV's price on one computing branch, short of the link rate.
 
     With the S-UAV's rate r: latency = tx_bits / r + fixed_s, and execution
-    energy = tx_power_w * (tx_bits / r) + comp_j.
+    energy = tx_power_w * (tx_bits / r) + comp_j; r may be an array.
     """
 
     tx_bits: float   # bits sent to the relay: compressed result or raw chunk
@@ -62,10 +63,10 @@ class BranchPrice(NamedTuple):
     comp_j: float    # on-board compute energy
     relay_j: float   # relay compute energy spent on this S-UAV's chunk
 
-    def latency(self, r: float) -> float:
+    def latency(self, r):
         return self.tx_bits / r + self.fixed_s
 
-    def energy(self, tx_power_w: float, r: float) -> float:
+    def energy(self, tx_power_w: float, r):
         return tx_power_w * (self.tx_bits / r) + self.comp_j
 
 
@@ -95,13 +96,24 @@ def floored_rate(suav: SUav, pos: Position3D, q_m: Position3D,
     The squared distance is summed on floats as (dx*dx + dy*dy) + dz*dz,
     which is bit for bit what NumPy gives for ((p - q) ** 2).sum() over a
     3-vector: NumPy squares by multiplying and adds so short a row left to
-    right. association._columns prices its columns with that expression,
-    row-wise, so the two agree to the last bit.
+    right. floored_rates prices arrays with that expression, so the two
+    agree to the last bit.
     """
     snr = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
     dx, dy, dz = pos.x - q_m.x, pos.y - q_m.y, pos.h - q_m.h
     d2 = max((dx * dx + dy * dy) + dz * dz, 1.0)
     return rate_at_dist_sq(d2, constants.bandwidth_hz, snr.gamma1)
+
+
+def floored_rates(pos: np.ndarray, q_m: np.ndarray, gamma1,
+                  bandwidth_hz: float) -> np.ndarray:
+    """floored_rate over broadcast rows (..., 3) of pos and q_m, to the
+    bit: math.log2 per element, as NumPy's log2 differs in the last bit on
+    some inputs."""
+    d2 = np.maximum(((pos - q_m) ** 2).sum(axis=-1), 1.0)
+    snr = 1.0 + gamma1 / d2
+    log2 = [math.log2(v) for v in snr.ravel().tolist()]
+    return bandwidth_hz * np.array(log2).reshape(snr.shape)
 
 
 def _capped(scenario: Scenario, beta: np.ndarray) -> np.ndarray:
@@ -117,7 +129,7 @@ def _breakdowns(scenario: Scenario, association: Association,
     S-UAV that carries no video prices to zero, and its link is not rated."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     n_off = int(beta.sum())
-    lats, energies, relay_j = [], [], []
+    lats, energies = [], []
     for j, suav in enumerate(scenario.suavs):
         s, off = float(s_bits[j]), bool(beta[j])
         price = branch_price(scenario, j, s, off, n_off)
@@ -137,10 +149,21 @@ def _breakdowns(scenario: Scenario, association: Association,
         ))
         energies.append(EnergyBreakdown(f"suav:{suav.id}", suav.tx_power_w * t_tx,
                                         price.comp_j, suav.hover_energy_j))
-        relay_j.append(price.relay_j)
-    energies.append(EnergyBreakdown("ruav", 0.0, float(np.sum(relay_j)),
-                                    scenario.ruav.hover_energy_j))
+    energies.append(relay_energy(scenario, association.alpha, beta))
     return lats, energies
+
+
+def relay_energy(scenario: Scenario, alpha: np.ndarray,
+                 beta: np.ndarray) -> EnergyBreakdown:
+    """The relay's energy: its hover, plus the fair-share compute term of
+    every offloaded chunk. No position enters it."""
+    s_bits = effective_chunk_bits(scenario, alpha)
+    n_off = int(beta.sum())
+    relay_j = [branch_price(scenario, j, float(s_bits[j]), bool(beta[j]),
+                            n_off).relay_j
+               for j in range(scenario.n_suavs)]
+    return EnergyBreakdown("ruav", 0.0, float(np.sum(relay_j)),
+                           scenario.ruav.hover_energy_j)
 
 
 def all_energies(scenario: Scenario, association: Association,

@@ -3,7 +3,8 @@ three baseline schemes.
 
 Every block update is wrapped in an accept-only-if-not-worse guard, so the
 reported objective trace is non-increasing by construction even when a block
-solver is heuristic (budgeted tree search, SCA placement).
+solver is heuristic (budgeted tree search, SCA placement). Each block prices
+its candidate in the evaluator's arithmetic, and its guard reads that price.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from . import association as assoc_mod
 from . import placement as place_mod
+from .config import ExperimentConfig
 from .cost import (EnergyBreakdown, LatencyBreakdown, all_energies,
-                   evaluate_solution)
+                   evaluate_solution, relay_energy)
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
                        feasible_association_mask, repositioned_scenario)
@@ -42,8 +44,6 @@ SCHEME_POLICIES = {
     "static_suavs": SchemePolicy("solve_sp1", False),
 }
 SCHEMES = tuple(SCHEME_POLICIES)
-DEFAULT_TOL_S = 1e-3
-DEFAULT_R_MAX = 20
 _GUARD_SLACK = 1e-12
 
 
@@ -151,13 +151,17 @@ def check_constraints(scenario: Scenario, association: Association,
 
 
 def run_scheme(scenario: Scenario, scheme: str,
-               tol: float = DEFAULT_TOL_S, r_max: int = DEFAULT_R_MAX,
+               tol: float = ExperimentConfig.tol,
+               r_max: int = ExperimentConfig.r_max,
                node_budget: int | None = None,
                time_budget_s: float | None = None
                ) -> SolverReport:
     """Solve one scenario under one scheme. node_budget and time_budget_s are
     accepted and ignored, for callers that still pass them: the association
-    search has a fixed node allowance and no block reads the clock."""
+    search has a fixed node allowance and no block reads the clock.
+
+    evaluate_solution runs only for objective_trace[0] and the report: each
+    guard reads its block's price, which is the evaluator's to the bit."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     start = time.monotonic()
@@ -196,20 +200,19 @@ def run_scheme(scenario: Scenario, scheme: str,
                                                 q_m_init=q_m)
         sca_traces.append(sca_trace)
         fallbacks += iterate.fallbacks
-        cand, _, _, _ = evaluate_solution(placed, association, beta, iterate.q_m)
-        if cand <= objective + _GUARD_SLACK:
-            q_m, objective = iterate.q_m, cand
+        if sca_trace[-1] <= objective + _GUARD_SLACK:
+            q_m, objective = iterate.q_m, sca_trace[-1]
 
         # Association block.
         new_assoc, info = assoc_mod.solve_association(
             scenario, beta, q_m, warm_alpha=association.alpha,
             static_positions=not policy.reposition)
         exact = exact and info.exact
-        new_placed = placed_for(scenario, new_assoc.alpha, scheme)
-        cand, _, _, energies = evaluate_solution(new_placed, new_assoc, beta, q_m)
-        if (cand <= objective + _GUARD_SLACK
-                and energies[-1].total_j <= scenario.ruav.energy_budget_j):
-            association, placed, objective = new_assoc, new_placed, cand
+        if (info.objective <= objective + _GUARD_SLACK
+                and relay_energy(scenario, new_assoc.alpha, beta).total_j
+                <= scenario.ruav.energy_budget_j):
+            association, objective = new_assoc, info.objective
+            placed = placed_for(scenario, association.alpha, scheme)
 
         trace.append(objective)
         if convergence_check(trace, tol):

@@ -12,6 +12,12 @@ the higher minimum surrogate rate: SLSQP's point or the expansion point.
 The expansion point always lies in the box, and there the surrogate equals
 the exact rate, so the common rate never falls below the current one and
 stays positive. An SLSQP failure is counted as a fallback on the iterate.
+Each S-UAV's energy budget floors its own rate, and the surrogate bounds
+the rate from below, so a point whose surrogate rates meet every floor
+keeps every budget.
+
+The exact objective prices links as the evaluator does (cost.floored_rates),
+so sca_loop's trace ends at evaluate_solution's objective, to the bit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InfeasibleSubproblem
-from .cost import branch_price, effective_chunk_bits
+from .cost import branch_price, effective_chunk_bits, floored_rates
 from .link import snr_coeff
 from .scenario import Association, Position3D, Scenario
 
@@ -49,7 +55,7 @@ class PlacementTerms:
     gamma1: np.ndarray    # (n,) SNR coefficients
     tx_bits: np.ndarray   # (n,) bits actually transmitted (compressed or raw)
     fixed_s: np.ndarray   # (n,) compute time independent of the link
-    lam_floor: float      # smallest common rate the energy budgets allow
+    floors: np.ndarray    # (n,) least rate each S-UAV's energy budget allows
     bandwidth_hz: float
 
 
@@ -59,7 +65,7 @@ def placement_terms(scenario: Scenario, association: Association,
     beta = np.asarray(beta, dtype=int)
     s_bits = effective_chunk_bits(scenario, association.alpha)
     m = int(beta.sum())
-    rows_q, g1, tx, fixed, floors = [], [], [], [], [0.0]
+    rows_q, g1, tx, fixed, floors = [], [], [], [], []
     for j, suav in enumerate(scenario.suavs):
         s = float(s_bits[j])
         if s == 0.0:
@@ -77,17 +83,18 @@ def placement_terms(scenario: Scenario, association: Association,
     return PlacementTerms(
         q=np.array(rows_q).reshape(-1, 3),
         gamma1=np.array(g1), tx_bits=np.array(tx), fixed_s=np.array(fixed),
-        lam_floor=max(floors), bandwidth_hz=c.bandwidth_hz,
+        floors=np.array(floors), bandwidth_hz=c.bandwidth_hz,
     )
 
 
 def exact_objective(terms: PlacementTerms, points: np.ndarray) -> np.ndarray:
-    """Exact min-max latency at one or many candidate relay positions."""
+    """Exact min-max latency at one or many candidate relay positions, each
+    evaluate_solution's objective there to the bit."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if terms.q.shape[0] == 0:
         return np.zeros(pts.shape[0])
-    d2 = np.maximum(((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2), 1.0)
-    rates = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1[None, :] / d2)
+    rates = floored_rates(terms.q, pts[:, None, :], terms.gamma1,
+                          terms.bandwidth_hz)
     lat = terms.tx_bits[None, :] / rates + terms.fixed_s[None, :]
     return lat.max(axis=1)
 
@@ -115,9 +122,10 @@ def surrogate_rates(terms: PlacementTerms, q_ref: np.ndarray,
 
 
 def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
-                       scenario: Scenario) -> tuple[np.ndarray, float, bool]:
-    """The better of SLSQP's point and q_ref, both clipped to the box, by
-    min_n surrogate rate; the attained value; and whether SLSQP failed."""
+                       scenario: Scenario
+                       ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """SLSQP's point and q_ref, both clipped to the box, as rows; every
+    S-UAV's surrogate rate at each; and whether SLSQP failed."""
     lo, hi = _box(scenario)
     a, slope, d2r = _surrogate_coeffs(terms, q_ref)
     b = terms.bandwidth_hz
@@ -144,9 +152,7 @@ def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
         method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
     )
     cands = np.clip(np.stack([res.x[:3], q_ref]), lo, hi)
-    mins = surrogate_rates(terms, q_ref, cands).min(axis=1)
-    k = int(np.argmax(mins))
-    return cands[k], float(mins[k]), not res.success
+    return cands, surrogate_rates(terms, q_ref, cands), not res.success
 
 
 def default_initial_position(scenario: Scenario) -> Position3D:
@@ -160,15 +166,20 @@ def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
                 q_m_ref: Position3D,
                 terms: PlacementTerms | None = None) -> PlacementIterate:
     """One convexified placement solve around the expansion point q_m_ref;
-    `terms`, if given, are placement_terms(scenario, association, beta)."""
+    `terms`, if given, are placement_terms(scenario, association, beta).
+    Returns the inner point if its surrogate rates meet every S-UAV's
+    floor, else the expansion point if its rates do."""
     terms = terms or placement_terms(scenario, association, beta)
     if terms.q.shape[0] == 0:
         return PlacementIterate(q_m=q_m_ref)
-    q, lam, fell_back = _maximin_surrogate(terms, q_m_ref.array, scenario)
-    if lam < terms.lam_floor:
-        raise InfeasibleSubproblem(
-            "energy budgets demand a common rate the geometry cannot deliver")
-    return PlacementIterate(q_m=Position3D(*q), fallbacks=int(fell_back))
+    cands, rates, fell_back = _maximin_surrogate(terms, q_m_ref.array,
+                                                 scenario)
+    for k in (int(np.argmax(rates.min(axis=1))), 1):
+        if (rates[k] >= terms.floors).all():
+            return PlacementIterate(q_m=Position3D(*cands[k]),
+                                    fallbacks=int(fell_back))
+    raise InfeasibleSubproblem(
+        "energy budgets demand rates the geometry cannot deliver")
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
@@ -176,10 +187,11 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     """Successive convexification until the exact objective stalls.
 
     Returns (best iterate, trace): the trace holds the exact objective at
-    the start and after each round, and the iterate's `fallbacks` counts
-    the rounds in which SLSQP failed. A round never lowers the surrogate's
-    common rate below its value at the expansion point; a point that still
-    worsens the exact objective is discarded, so the trace never rises.
+    the start and after each round, ending at the iterate's, and the
+    iterate's `fallbacks` counts the rounds in which SLSQP failed. A round
+    never lowers the surrogate's common rate below its value at the
+    expansion point; a point that still worsens the exact objective is
+    discarded, so the trace never rises.
     """
     terms = placement_terms(scenario, association, beta)
     if q_m_init is None:

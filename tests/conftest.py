@@ -57,7 +57,7 @@ def link_terms(q_n, gamma1: float,
     n = q.shape[0]
     return PlacementTerms(q=q, gamma1=np.full(n, gamma1),
                           tx_bits=np.zeros(n), fixed_s=np.zeros(n),
-                          lam_floor=0.0, bandwidth_hz=bandwidth_hz)
+                          floors=np.zeros(n), bandwidth_hz=bandwidth_hz)
 
 
 def full_association(scenario: Scenario) -> Association:

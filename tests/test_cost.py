@@ -12,7 +12,7 @@ from uav_mec.association import _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
                           effective_chunk_bits, evaluate_solution,
-                          floored_rate, objective_and_spread)
+                          floored_rate, objective_and_spread, relay_energy)
 from uav_mec.errors import InvalidDecision
 from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate_at_dist_sq, snr_coeff
@@ -302,14 +302,17 @@ class TestCrossBlockPricing:
         assert subset is None or close(subset)
 
         terms = placement_terms(placed, assoc, beta)
-        assert close(float(exact_objective(terms, q.array)[0]))
+        assert float(exact_objective(terms, q.array)[0]) == objective
 
         ctx = _Context(sc, beta, q)
         for j, lb in enumerate(lats):
             bits = sum(1 << int(i) for i in np.flatnonzero(assoc.alpha[:, j]))
             latency, ok = ctx.latency(j, bits)
-            assert latency == pytest.approx(lb.total_s, rel=1e-12)
+            assert latency == lb.total_s
             assert ok == suav_ok[j]
+
+        # The association guard prices the relay on the unplaced scenario.
+        assert relay_energy(sc, assoc.alpha, beta) == energies[-1]
 
         chunked = chunked_metrics(placed, assoc, beta, q)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])

@@ -140,6 +140,26 @@ class TestRuavOnlyRelayBudget:
         assert check_constraints(sc, assoc, report.beta, report.q_m) == []
 
 
+class TestSuavEnergyFloors:
+    def test_tight_budgets_solve_within_every_budget(self, default_config):
+        # Each S-UAV's budget sets a floor on its own rate. At 0.01075 J the
+        # start plan of seed 2 uses 0.83-0.995 of every S-UAV's budget, and
+        # the smallest rate sits below the largest floor.
+        from dataclasses import replace
+
+        from uav_mec.scenario import (feasible_association_mask,
+                                      generate_scenario)
+        sc = generate_scenario(
+            replace(default_config, energy_budget_suav_j=0.01075), 2)
+        for scheme in SCHEMES:
+            report = run_scheme(sc, scheme)
+            assoc = Association(alpha=report.alpha,
+                                feasible_mask=feasible_association_mask(sc))
+            assert check_constraints(
+                sc, assoc, report.beta, report.q_m,
+                static_positions=(scheme == "static_suavs")) == [], scheme
+
+
 class TestTinyInstance:
     def test_single_pair_converges_fast(self):
         from dataclasses import replace
@@ -326,30 +346,94 @@ class TestReportCounters:
 
 
 class TestOffloadGuardPrice:
+    """Each guard of run_scheme takes its block's own price of a candidate
+    in place of evaluate_solution's: the offload rule's slack_s, the last
+    value of sca_loop's trace, solve_association's objective, and
+    relay_energy for the relay budget. Each must be the evaluator's to the
+    bit."""
+
+    @staticmethod
+    def assert_guards_price_as_the_evaluator(monkeypatch, sc, schemes):
+        from uav_mec import association, orchestrator, placement
+        from uav_mec.cost import evaluate_solution
+        from uav_mec.scenario import feasible_association_mask
+        calls = {"offload": [], "placement": [], "association": [],
+                 "relay": []}
+
+        def record(module, name, kind):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls[kind].append((scheme, args, kwargs, out))
+                return out
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(orchestrator, "solve_sp1", "offload")
+        record(orchestrator, "forced_offload", "offload")
+        record(placement, "sca_loop", "placement")
+        record(association, "solve_association", "association")
+        record(orchestrator, "relay_energy", "relay")
+        for scheme in schemes:
+            report = run_scheme(sc, scheme)
+            assert all(type(v) is float for v in report.objective_trace)
+        if set(schemes) - {"suav_only"}:
+            assert calls["offload"]
+        assert calls["placement"] and calls["association"] and calls["relay"]
+
+        for _, (placed, assoc, q_m), _, decision in calls["offload"]:
+            assert decision.slack_s == evaluate_solution(
+                placed, assoc, decision.beta, q_m)[0]
+        for _, (placed, assoc, beta), _, (iterate, trace) in \
+                calls["placement"]:
+            assert trace[-1] == evaluate_solution(
+                placed, assoc, beta, iterate.q_m)[0]
+        for scheme, (scenario, beta, q_m), _, (new_assoc, info) in \
+                calls["association"]:
+            placed = orchestrator.placed_for(scenario, new_assoc.alpha,
+                                             scheme)
+            assert info.objective == evaluate_solution(
+                placed, new_assoc, beta, q_m)[0]
+        for scheme, (scenario, alpha, beta), _, energy in calls["relay"]:
+            # No position enters the relay's energy; any relay point will do.
+            assoc = Association(alpha=alpha,
+                                feasible_mask=feasible_association_mask(
+                                    scenario))
+            energies = evaluate_solution(
+                orchestrator.placed_for(scenario, alpha, scheme), assoc,
+                beta, scenario.ruav.pos)[3]
+            assert energy == energies[-1]
+        return calls
+
     @pytest.mark.parametrize("seed", range(5))
     def test_offload_rules_price_as_the_evaluator(self, monkeypatch,
                                                   default_config, seed):
-        # The offload guard takes the rule's slack_s as the candidate's
-        # objective, so it must be evaluate_solution's to the bit.
-        from uav_mec import orchestrator
-        from uav_mec.cost import evaluate_solution
+        # Reference config, every scheme, every block.
         from uav_mec.scenario import generate_scenario
-        calls = []
-        for rule in ("solve_sp1", "forced_offload"):
-            def record(placed, association, q_m, real=getattr(orchestrator,
-                                                             rule)):
-                decision = real(placed, association, q_m)
-                calls.append((placed, association, q_m, decision))
-                return decision
-            monkeypatch.setattr(orchestrator, rule, record)
-        sc = generate_scenario(default_config, seed)
-        for scheme in ("proposed", "ruav_only", "static_suavs"):
-            run_scheme(sc, scheme)
-        assert len(calls) >= 3
-        for placed, association, q_m, decision in calls:
-            objective = evaluate_solution(placed, association, decision.beta,
-                                          q_m)[0]
-            assert decision.slack_s == objective
+        self.assert_guards_price_as_the_evaluator(
+            monkeypatch, generate_scenario(default_config, seed), SCHEMES)
+
+    @pytest.mark.parametrize("case", ["fleet", "relay_sweep"])
+    def test_cover_path_and_relay_budget_price_as_the_evaluator(
+            self, monkeypatch, default_config, case):
+        # fleet: 16 x 40, where the association search hands the call to
+        # the column cover. relay_sweep: a 5 J relay budget that binds.
+        from dataclasses import replace
+
+        from uav_mec.scenario import generate_scenario
+        if case == "fleet":
+            cfg = replace(default_config, n_suavs=16, n_targets=40)
+            schemes = ("proposed",)
+        else:
+            cfg = replace(default_config, n_targets=16, n0_cap=8,
+                          energy_budget_ruav_j=5.0)
+            schemes = SCHEMES
+        calls = self.assert_guards_price_as_the_evaluator(
+            monkeypatch, generate_scenario(cfg, 0), schemes)
+        if case == "fleet":
+            from uav_mec.association import DFS_ALLOWANCE
+            assert any(out[1].nodes > DFS_ALLOWANCE
+                       for _, _, _, out in calls["association"])
 
 
 class TestBenchmarkTracerContract:
