@@ -129,21 +129,17 @@ def _alpha_from_choice(ctx: _Context, choice: dict[int, int]) -> np.ndarray:
     return alpha
 
 
-def greedy_incumbent(scenario: Scenario, beta: np.ndarray,
-                     q_m: Position3D, static_positions: bool = False,
-                     ctx: _Context | None = None) -> Association:
-    """Feasible warm start: most-constrained targets first, each to the
-    covering S-UAV whose latency grows the least. A caller that holds the
-    _Context of the same inputs passes it, and shares its latency memo."""
-    ctx = ctx or _Context(scenario, beta, q_m, static_positions=static_positions)
-    assigned_bits = [0] * scenario.n_suavs
+def greedy_incumbent(ctx: _Context) -> np.ndarray:
+    """Feasible warm start alpha: most-constrained targets first, each to
+    the covering S-UAV whose latency grows the least. It prices through the
+    solve's latency memo."""
+    assigned_bits = [0] * ctx.scenario.n_suavs
     choice = {}
     for target_index in ctx.order:
         j = ctx.by_growth(target_index, assigned_bits)[0][1]
         choice[target_index] = j
         assigned_bits[j] |= 1 << target_index
-    alpha = _alpha_from_choice(ctx, choice)
-    return Association(alpha=alpha, feasible_mask=ctx.mask)
+    return _alpha_from_choice(ctx, choice)
 
 
 def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
@@ -265,7 +261,7 @@ def _columns(ctx: _Context, j: int):
                        (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
             + cam.gamma])
     c = scenario.constants
-    gamma1 = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w).gamma1
+    gamma1 = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
     r = floored_rates(pos, ctx.q_m.array, gamma1, c.bandwidth_hz)
     price = ctx._prices[j]
     energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
@@ -385,9 +381,8 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
     ctx = _Context(scenario, beta, q_m, static_positions=static_positions)
     incumbent_alpha = None
     incumbent_obj = float("inf")
-    greedy = greedy_incumbent(scenario, beta, q_m,
-                              static_positions=static_positions, ctx=ctx)
-    for alpha in filter(lambda a: a is not None, [warm_alpha, greedy.alpha]):
+    for alpha in filter(lambda a: a is not None,
+                        [warm_alpha, greedy_incumbent(ctx)]):
         obj, ok = _evaluate_full(ctx, alpha)
         if ok and obj < incumbent_obj:
             incumbent_alpha, incumbent_obj = alpha, obj

@@ -99,10 +99,10 @@ def floored_rate(suav: SUav, pos: Position3D, q_m: Position3D,
     right. floored_rates prices arrays with that expression, so the two
     agree to the last bit.
     """
-    snr = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
+    gamma1 = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
     dx, dy, dz = pos.x - q_m.x, pos.y - q_m.y, pos.h - q_m.h
     d2 = max((dx * dx + dy * dy) + dz * dz, 1.0)
-    return rate_at_dist_sq(d2, constants.bandwidth_hz, snr.gamma1)
+    return rate_at_dist_sq(d2, constants.bandwidth_hz, gamma1)
 
 
 def floored_rates(pos: np.ndarray, q_m: np.ndarray, gamma1,
@@ -129,10 +129,11 @@ def _breakdowns(scenario: Scenario, association: Association,
     S-UAV that carries no video prices to zero, and its link is not rated."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     n_off = int(beta.sum())
-    lats, energies = [], []
+    lats, energies, relay_j = [], [], []
     for j, suav in enumerate(scenario.suavs):
         s, off = float(s_bits[j]), bool(beta[j])
         price = branch_price(scenario, j, s, off, n_off)
+        relay_j.append(price.relay_j)
         t_tx = 0.0
         if s > 0.0:
             t_tx = price.tx_bits / floored_rate(
@@ -149,8 +150,13 @@ def _breakdowns(scenario: Scenario, association: Association,
         ))
         energies.append(EnergyBreakdown(f"suav:{suav.id}", suav.tx_power_w * t_tx,
                                         price.comp_j, suav.hover_energy_j))
-    energies.append(relay_energy(scenario, association.alpha, beta))
+    energies.append(_relay_breakdown(scenario, relay_j))
     return lats, energies
+
+
+def _relay_breakdown(scenario: Scenario, relay_j: list) -> EnergyBreakdown:
+    return EnergyBreakdown("ruav", 0.0, float(np.sum(relay_j)),
+                           scenario.ruav.hover_energy_j)
 
 
 def relay_energy(scenario: Scenario, alpha: np.ndarray,
@@ -159,11 +165,10 @@ def relay_energy(scenario: Scenario, alpha: np.ndarray,
     every offloaded chunk. No position enters it."""
     s_bits = effective_chunk_bits(scenario, alpha)
     n_off = int(beta.sum())
-    relay_j = [branch_price(scenario, j, float(s_bits[j]), bool(beta[j]),
-                            n_off).relay_j
-               for j in range(scenario.n_suavs)]
-    return EnergyBreakdown("ruav", 0.0, float(np.sum(relay_j)),
-                           scenario.ruav.hover_energy_j)
+    return _relay_breakdown(scenario, [
+        branch_price(scenario, j, float(s_bits[j]), bool(beta[j]),
+                     n_off).relay_j
+        for j in range(scenario.n_suavs)])
 
 
 def all_energies(scenario: Scenario, association: Association,

@@ -34,21 +34,14 @@ class PhysicsConstants:
                 raise ValueError(f"{name} must be strictly positive")
 
 
-@dataclass(frozen=True)
-class SnrCoeff:
+def snr_coeff(p_w: float, rho0: float, noise_w: float) -> float:
     """Combined SNR coefficient: gamma1 = rho0 * tx_power / noise (m^2)."""
-
-    gamma1: float
-
-    def __post_init__(self):
-        if self.gamma1 <= 0:
-            raise ValueError("gamma1 must be strictly positive")
-
-
-def snr_coeff(p_w: float, rho0: float, noise_w: float) -> SnrCoeff:
     if p_w <= 0 or rho0 <= 0 or noise_w <= 0:
         raise ValueError("power, gain and noise must be positive")
-    return SnrCoeff(gamma1=rho0 * p_w / noise_w)
+    gamma1 = rho0 * p_w / noise_w
+    if gamma1 <= 0:  # the product underflowed
+        raise ValueError("gamma1 must be strictly positive")
+    return gamma1
 
 
 def rate_at_dist_sq(d2: float, bandwidth_hz: float, gamma1: float) -> float:

@@ -17,8 +17,8 @@ and it is the first candidate in that order to reach T*.
 
 The LP relaxation -- with the fair-share relay time linearized through
 xi_n = beta_n * sum(beta) -- gives a certified lower bound. No decision reads
-it: solve_sp1 keeps the instance on the decision, and the LP is built and
-solved with HiGHS on the first read of lp_lower_bound.
+it: solve_sp1 keeps its Sp1Terms on the decision, and the LP is built from
+them and solved with HiGHS on the first read of lp_lower_bound.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import simplex
 from .cost import branch_price, effective_chunk_bits, floored_rate
-from .errors import InfeasibleSubproblem, NumericalFailure
+from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
 
@@ -38,8 +38,9 @@ from .scenario import Association, Position3D, Scenario
 class OffloadDecision:
     beta: np.ndarray
     slack_s: float
-    # (scenario, association, q_m, Sp1Terms) for the LP bound, or None
-    relaxation: tuple | None = field(default=None, compare=False, repr=False)
+    # the terms the decision was priced on, for the LP bound, or None
+    relaxation: Sp1Terms | None = field(default=None, compare=False,
+                                        repr=False)
 
     @cached_property
     def lp_lower_bound(self) -> float:
@@ -47,8 +48,8 @@ class OffloadDecision:
         decision keeps no relaxation."""
         if self.relaxation is None:
             return float("nan")
-        scenario, association, q_m, terms = self.relaxation
-        return solve_lp(build_sp1_lp(scenario, association, q_m, terms=terms))[1]
+        lp = build_sp1_lp(self.relaxation)
+        return simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)[1]
 
 
 @dataclass
@@ -78,6 +79,10 @@ class Sp1Terms:
     @property
     def n(self) -> int:
         return self.s_bits.size
+
+    @property
+    def n0_cap(self) -> int:
+        return self.t_ruav.shape[0]
 
     @property
     def k_ruav(self) -> np.ndarray:
@@ -121,13 +126,10 @@ def sp1_terms(scenario: Scenario, association: Association,
     )
 
 
-def build_sp1_lp(scenario: Scenario, association: Association,
-                 q_m: Position3D, terms: Sp1Terms | None = None) -> LinearProgram:
-    """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0). Here and
-    below, `terms`, if given, are sp1_terms(scenario, association, q_m)."""
-    t = terms or sp1_terms(scenario, association, q_m)
+def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
+    """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0)."""
     n = t.n
-    n0 = scenario.n0_cap
+    n0 = t.n0_cap
     for j in np.flatnonzero(t.active):
         if t.e_local[j] > t.suav_budget[j] and t.e_offload[j] > t.suav_budget[j]:
             raise InfeasibleSubproblem(
@@ -158,15 +160,6 @@ def build_sp1_lp(scenario: Scenario, association: Association,
     upper = [1.0] * n + [None] * n + [None]
     return LinearProgram(c=c, a=np.vstack([a for a, _ in blocks]),
                          b=np.concatenate([b for _, b in blocks]), upper=upper)
-
-
-def solve_lp(lp: LinearProgram) -> tuple[np.ndarray, float]:
-    result = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
-    if result.status == simplex.INFEASIBLE:
-        raise InfeasibleSubproblem("LP relaxation is infeasible")
-    if result.status != simplex.OPTIMAL:
-        raise NumericalFailure(f"LP solve ended with status {result.status}")
-    return result.x, result.objective
 
 
 def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
@@ -203,15 +196,12 @@ def _local_order(t: Sp1Terms, among) -> list[int]:
     return sorted(among, key=lambda j: (-local[j], j))
 
 
-def enumerate_offload(scenario: Scenario, association: Association,
-                      q_m: Position3D,
-                      terms: Sp1Terms | None = None) -> OffloadDecision:
+def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     """Exact threshold search: the best of the forced sets E + prefix.
 
     Returns the lexicographically smallest optimal beta, as enumerating
     every subset within the relay cap would (see the module docstring).
     """
-    t = terms or sp1_terms(scenario, association, q_m)
     active = np.flatnonzero(t.active).tolist()
     over = t.e_local > t.suav_budget  # the local branch breaks the budget
     forced = [j for j in active if over[j]]
@@ -221,7 +211,7 @@ def enumerate_offload(scenario: Scenario, association: Association,
                 f"energy budget of S-UAV {j} excludes both computing branches")
     rest = _local_order(t, [j for j in active if not over[j]])
     best = None
-    for k in range(min(scenario.n0_cap - len(forced), len(rest)) + 1):
+    for k in range(min(t.n0_cap - len(forced), len(rest)) + 1):
         members = forced + rest[:k]
         obj = _subset_objective(t, tuple(members))
         if obj is not None and (best is None or obj < best[0]):
@@ -234,11 +224,10 @@ def enumerate_offload(scenario: Scenario, association: Association,
 
 def solve_sp1(scenario: Scenario, association: Association,
               q_m: Position3D) -> OffloadDecision:
-    """Default SP1 path: the threshold search for the point, with the
-    instance kept for a later read of the LP bound."""
+    """Default SP1 path: the threshold search for the point, with its terms
+    kept for a later read of the LP bound."""
     t = sp1_terms(scenario, association, q_m)
-    decision = enumerate_offload(scenario, association, q_m, terms=t)
-    return replace(decision, relaxation=(scenario, association, q_m, t))
+    return replace(enumerate_offload(t), relaxation=t)
 
 
 def forced_offload(scenario: Scenario, association: Association,

@@ -163,7 +163,7 @@ def joint_bruteforce(scenario: Scenario,
         active = np.flatnonzero(s_bits > 0)
         q_suav = np.array([placed.suavs[j].current_pos.array for j in active])
         gamma1 = np.array([
-            snr_coeff(placed.suavs[j].tx_power_w, c.rho0, c.noise_w).gamma1
+            snr_coeff(placed.suavs[j].tx_power_w, c.rho0, c.noise_w)
             for j in active])
         budgets = np.array([placed.suavs[j].energy_budget_j
                             - placed.suavs[j].hover_energy_j for j in active])

@@ -196,12 +196,12 @@ def run_scheme(scenario: Scenario, scheme: str,
                 beta, objective, offload = decision.beta, cand, decision
 
         # Placement block.
-        iterate, sca_trace = place_mod.sca_loop(placed, association, beta,
-                                                q_m_init=q_m)
+        q_sca, sca_trace, failed = place_mod.sca_loop(placed, association,
+                                                      beta, q_m)
         sca_traces.append(sca_trace)
-        fallbacks += iterate.fallbacks
+        fallbacks += failed
         if sca_trace[-1] <= objective + _GUARD_SLACK:
-            q_m, objective = iterate.q_m, sca_trace[-1]
+            q_m, objective = q_sca, sca_trace[-1]
 
         # Association block.
         new_assoc, info = assoc_mod.solve_association(

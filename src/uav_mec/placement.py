@@ -11,7 +11,7 @@ analytic Jacobian). Each inner solve returns whichever of two box points has
 the higher minimum surrogate rate: SLSQP's point or the expansion point.
 The expansion point always lies in the box, and there the surrogate equals
 the exact rate, so the common rate never falls below the current one and
-stays positive. An SLSQP failure is counted as a fallback on the iterate.
+stays positive. sca_loop counts the inner solves in which SLSQP failed.
 Each S-UAV's energy budget floors its own rate, and the surrogate bounds
 the rate from below, so a point whose surrogate rates meet every floor
 keeps every budget.
@@ -35,12 +35,6 @@ from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
 SCA_MAX_ITER = 50
-
-
-@dataclass(frozen=True)
-class PlacementIterate:
-    q_m: Position3D
-    fallbacks: int = 0  # inner solves where SLSQP failed (summed by sca_loop)
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ def placement_terms(scenario: Scenario, association: Association,
             continue
         price = branch_price(scenario, j, s, bool(beta[j]), m)
         rows_q.append(suav.current_pos.array)
-        g1.append(snr_coeff(suav.tx_power_w, c.rho0, c.noise_w).gamma1)
+        g1.append(snr_coeff(suav.tx_power_w, c.rho0, c.noise_w))
         tx.append(price.tx_bits)
         fixed.append(price.fixed_s)
         denom = suav.energy_budget_j - suav.hover_energy_j - price.comp_j
@@ -162,55 +156,47 @@ def default_initial_position(scenario: Scenario) -> Position3D:
     return Position3D(*q)
 
 
-def solve_sp2_2(scenario: Scenario, association: Association, beta: np.ndarray,
-                q_m_ref: Position3D,
-                terms: PlacementTerms | None = None) -> PlacementIterate:
-    """One convexified placement solve around the expansion point q_m_ref;
-    `terms`, if given, are placement_terms(scenario, association, beta).
-    Returns the inner point if its surrogate rates meet every S-UAV's
-    floor, else the expansion point if its rates do."""
-    terms = terms or placement_terms(scenario, association, beta)
-    if terms.q.shape[0] == 0:
-        return PlacementIterate(q_m=q_m_ref)
-    cands, rates, fell_back = _maximin_surrogate(terms, q_m_ref.array,
-                                                 scenario)
+def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
+                q_m_ref: Position3D) -> tuple[Position3D, bool]:
+    """One convexified placement solve around the expansion point q_m_ref,
+    for terms with at least one transmitting S-UAV.
+
+    Returns (point, SLSQP failed): the inner point if its surrogate rates
+    meet every S-UAV's floor, else the expansion point if its rates do."""
+    cands, rates, failed = _maximin_surrogate(terms, q_m_ref.array, scenario)
     for k in (int(np.argmax(rates.min(axis=1))), 1):
         if (rates[k] >= terms.floors).all():
-            return PlacementIterate(q_m=Position3D(*cands[k]),
-                                    fallbacks=int(fell_back))
+            return Position3D(*cands[k]), failed
     raise InfeasibleSubproblem(
         "energy budgets demand rates the geometry cannot deliver")
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
-             q_m_init: Position3D | None = None):
-    """Successive convexification until the exact objective stalls.
+             q_m: Position3D) -> tuple[Position3D, list, int]:
+    """Successive convexification from q_m until the exact objective stalls.
 
-    Returns (best iterate, trace): the trace holds the exact objective at
-    the start and after each round, ending at the iterate's, and the
-    iterate's `fallbacks` counts the rounds in which SLSQP failed. A round
-    never lowers the surrogate's common rate below its value at the
-    expansion point; a point that still worsens the exact objective is
-    discarded, so the trace never rises.
+    Returns (best point, trace, fallbacks): the trace holds the exact
+    objective at the start and after each round, ending at the point's, and
+    fallbacks counts the rounds in which SLSQP failed. A round never lowers
+    the surrogate's common rate below its value at the expansion point; a
+    point that still worsens the exact objective is discarded, so the trace
+    never rises.
     """
     terms = placement_terms(scenario, association, beta)
-    if q_m_init is None:
-        q_m_init = default_initial_position(scenario)
     if terms.q.shape[0] == 0:
-        return PlacementIterate(q_m=q_m_init), [0.0]
+        return q_m, [0.0], 0
 
-    q_m = q_m_init
     trace = [float(exact_objective(terms, q_m.array)[0])]
     fallbacks = 0
     for _ in range(SCA_MAX_ITER):
-        nxt = solve_sp2_2(scenario, association, beta, q_m, terms=terms)
-        fallbacks += nxt.fallbacks
-        exact = float(exact_objective(terms, nxt.q_m.array)[0])
+        nxt, failed = solve_sp2_2(scenario, terms, q_m)
+        fallbacks += failed
+        exact = float(exact_objective(terms, nxt.array)[0])
         if exact <= trace[-1] + 1e-12:
-            q_m = nxt.q_m
+            q_m = nxt
             trace.append(exact)
         else:
             trace.append(trace[-1])  # reject the move, keep the point
         if abs(trace[-2] - trace[-1]) < SCA_TOL_S:
             break
-    return PlacementIterate(q_m=q_m, fallbacks=fallbacks), trace
+    return q_m, trace, fallbacks

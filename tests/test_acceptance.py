@@ -18,13 +18,15 @@ import pytest
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import evaluate_solution
 from uav_mec.link import rate_at_dist_sq, snr_coeff
-from uav_mec.offload import build_sp1_lp, enumerate_offload, solve_lp, sp1_terms
+from uav_mec import simplex
+from uav_mec.offload import build_sp1_lp, enumerate_offload, sp1_terms
 from uav_mec.oracles import (enumerate_associations_at_least_one,
                              grid_search_placement, joint_bruteforce)
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   nearest_covering_association, run_scheme)
 from uav_mec.association import solve_association
-from uav_mec.placement import sca_loop, surrogate_rates
+from uav_mec.placement import (default_initial_position, sca_loop,
+                               surrogate_rates)
 from uav_mec.scenario import (Association, Position3D, generate_scenario,
                               repositioned_scenario)
 
@@ -98,13 +100,13 @@ def test_criterion_01_taylor_dominance():
     q_n = rng.uniform([0, 0, 0], [1000, 1000, 500], size=(n, 3))
     q_m = rng.uniform(lo, hi, size=(n, 3))
     q_ref = rng.uniform(lo, hi, size=(n, 3))
-    snr = snr_coeff(CONFIG.tx_power_w, CONFIG.rho0, CONFIG.noise_w)
+    gamma1 = snr_coeff(CONFIG.tx_power_w, CONFIG.rho0, CONFIG.noise_w)
     b = CONFIG.bandwidth_hz
     d2 = np.maximum(((q_n - q_m) ** 2).sum(axis=1), 1.0)
     d2r = np.maximum(((q_n - q_ref) ** 2).sum(axis=1), 1.0)
-    exact = b * np.log2(1.0 + snr.gamma1 / d2)
-    a_ref = b * np.log2(1.0 + snr.gamma1 / d2r)
-    slope = b * snr.gamma1 * math.log2(math.e) / (d2r * (d2r + snr.gamma1))
+    exact = b * np.log2(1.0 + gamma1 / d2)
+    a_ref = b * np.log2(1.0 + gamma1 / d2r)
+    slope = b * gamma1 * math.log2(math.e) / (d2r * (d2r + gamma1))
     bound = a_ref - slope * (d2 - d2r)
     rel_slack = (exact - bound) / np.maximum(exact, 1e-12)
     dominated = bool(np.all(rel_slack >= -1e-9))
@@ -112,8 +114,8 @@ def test_criterion_01_taylor_dominance():
     equality = True
     for i in range(0, n, 100):
         exact_ref = rate_at_dist_sq(float(((q_n[i] - q_ref[i]) ** 2).sum()),
-                                    b, snr.gamma1)
-        bound_ref = surrogate_rates(link_terms(q_n[i], snr.gamma1, b),
+                                    b, gamma1)
+        bound_ref = surrogate_rates(link_terms(q_n[i], gamma1, b),
                                     q_ref[i], q_ref[i])[0, 0]
         if abs(bound_ref - exact_ref) > 1e-9 * exact_ref:
             equality = False
@@ -137,8 +139,8 @@ def test_criterion_02_linearization_exactness():
                        chunk_bits=chunks, n0_cap=4)
     assoc = identity_association(sc)
     q_m = Position3D(500.0, 500.0, 400.0)
-    lp = build_sp1_lp(sc, assoc, q_m)
     t = sp1_terms(sc, assoc, q_m)
+    lp = build_sp1_lp(t)
     xi_rows, xi_rhs = lp.a[:24, :], lp.b[:24]
     count = 0
     pinned = True
@@ -197,8 +199,10 @@ def test_criterion_03_relaxation_bound():
         q_m = Position3D(float(rng.uniform(0, 1000)),
                          float(rng.uniform(0, 1000)),
                          float(rng.uniform(100, 1000)))
-        _, lower = solve_lp(build_sp1_lp(sc, assoc, q_m))
-        best = enumerate_offload(sc, assoc, q_m).slack_s
+        t = sp1_terms(sc, assoc, q_m)
+        lp = build_sp1_lp(t)
+        _, lower = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
+        best = enumerate_offload(t).slack_s
         worst_excess = max(worst_excess, lower - best)
         checked += 1
     elapsed = time.monotonic() - start
@@ -221,12 +225,13 @@ def test_criterion_04_sca_descent():
         assoc = nearest_covering_association(scenario)
         placed = repositioned_scenario(scenario, assoc.alpha)
         beta = np.zeros(scenario.n_suavs, dtype=int)
-        it, trace = sca_loop(placed, assoc, beta)
+        q_m, trace, _ = sca_loop(placed, assoc, beta,
+                                 default_initial_position(placed))
         final = trace[-1]
         if any(b > a + 1e-9 for a, b in zip(trace, trace[1:])):
             monotone = False
         _, oracle = grid_search_placement(placed, assoc, beta,
-                                          extra_points=it.q_m.array[None, :])
+                                          extra_points=q_m.array[None, :])
         worst_rel = max(worst_rel, (final - oracle) / oracle)
     elapsed = time.monotonic() - start
     ok = monotone and worst_rel <= 0.01 and elapsed < 60.0

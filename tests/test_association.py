@@ -77,9 +77,9 @@ class TestGreedyIncumbent:
             return
         beta = np.zeros(sc.n_suavs, dtype=int)
         ctx = _Context(sc, beta, Q_M)
-        greedy = greedy_incumbent(sc, beta, Q_M)
+        greedy = greedy_incumbent(ctx)
         from uav_mec.association import _evaluate_full
-        greedy_obj, ok = _evaluate_full(ctx, greedy.alpha)
+        greedy_obj, ok = _evaluate_full(ctx, greedy)
         _, info = solve_association(sc, beta, Q_M)
         assert ok
         assert greedy_obj >= info.objective - 1e-12
@@ -88,7 +88,7 @@ class TestGreedyIncumbent:
         import time
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         start = time.monotonic()
-        greedy_incumbent(scenario0, beta, Q_M)
+        greedy_incumbent(_Context(scenario0, beta, Q_M))
         assert time.monotonic() - start < 0.05
 
 

@@ -36,9 +36,9 @@ def two_suav_scenario(**kwargs):
 
 def link_rate(sc, j=0):
     suav = sc.suavs[j]
-    snr = snr_coeff(suav.tx_power_w, sc.constants.rho0, sc.constants.noise_w)
+    gamma1 = snr_coeff(suav.tx_power_w, sc.constants.rho0, sc.constants.noise_w)
     d2 = float(((suav.current_pos.array - Q_M.array) ** 2).sum())
-    return rate_at_dist_sq(d2, sc.constants.bandwidth_hz, snr.gamma1)
+    return rate_at_dist_sq(d2, sc.constants.bandwidth_hz, gamma1)
 
 
 _COORD = st.floats(0.0, 1000.0)
@@ -53,11 +53,11 @@ class TestFlooredRate:
         sc = two_suav_scenario()
         p = Position3D(x, y, h)
         q = Position3D(x + dx, y + dy, abs(h + dz))
-        snr = snr_coeff(sc.suavs[0].tx_power_w, sc.constants.rho0,
+        gamma1 = snr_coeff(sc.suavs[0].tx_power_w, sc.constants.rho0,
                         sc.constants.noise_w)
         d2 = max(float(((p.array - q.array) ** 2).sum()), 1.0)
         assert floored_rate(sc.suavs[0], p, q, sc.constants) == \
-            rate_at_dist_sq(d2, sc.constants.bandwidth_hz, snr.gamma1)
+            rate_at_dist_sq(d2, sc.constants.bandwidth_hz, gamma1)
 
 
 class TestLocalPath:
@@ -243,9 +243,9 @@ class TestEvaluateSolution:
             s = float(effective_chunk_bits(placed, assoc.alpha)[j])
             if s == 0.0:
                 continue
-            snr = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
+            gamma1 = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
             d2 = float(((suav.current_pos.array - q.array) ** 2).sum())
-            r = rate_at_dist_sq(d2, c.bandwidth_hz, snr.gamma1)
+            r = rate_at_dist_sq(d2, c.bandwidth_hz, gamma1)
             if beta[j]:
                 totals.append(s / r + s * c.f0_cycles_per_bit * 2 / placed.ruav.cpu_hz)
             else:
@@ -278,6 +278,42 @@ def priced_points(draw):
     assume(all(((s.current_pos.array - q.array) ** 2).sum() >= 1.0
                for s in placed.suavs))
     return sc, placed, Association(alpha=alpha, feasible_mask=mask), members, q
+
+
+class TestRelayEntry:
+    """The evaluator prices each S-UAV's branch once, and its relay entry is
+    the association guard's relay_energy, to the bit."""
+
+    def test_one_branch_price_per_suav(self, monkeypatch, scenario0):
+        from uav_mec import cost
+
+        from .conftest import counting
+        assoc = full_association(scenario0)
+        placed = repositioned_scenario(scenario0, assoc.alpha)
+        beta = np.zeros(scenario0.n_suavs, dtype=int)
+        beta[:scenario0.n0_cap] = 1
+        prices = counting(monkeypatch, cost, "branch_price")
+        evaluate_solution(placed, assoc, beta, Q_M)
+        assert len(prices) == scenario0.n_suavs
+
+    @pytest.mark.parametrize("case", ["reference", "relay_sweep"])
+    def test_relay_entry_is_relay_energy_on_solved_plans(self, default_config,
+                                                         case):
+        # relay_sweep: 8 x 16 at cap 8 with a 5 J relay budget that binds.
+        from uav_mec.orchestrator import SCHEMES, run_scheme
+        cfg = default_config
+        if case == "relay_sweep":
+            cfg = replace(cfg, n_targets=16, n0_cap=8,
+                          energy_budget_ruav_j=5.0)
+        offloaded = False
+        for seed in range(3):
+            sc = generate_scenario(cfg, seed)
+            for scheme in SCHEMES:
+                report = run_scheme(sc, scheme)
+                offloaded = offloaded or bool(report.beta.any())
+                assert report.energies[-1] == relay_energy(
+                    sc, report.alpha, report.beta), (seed, scheme)
+        assert offloaded
 
 
 class TestCrossBlockPricing:

@@ -12,7 +12,7 @@ from uav_mec.placement import _surrogate_coeffs, surrogate_rates
 from .conftest import (DEFAULT_CONSTANTS, full_association, link_terms,
                        make_scenario)
 
-SNR = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
+GAMMA1 = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
 ORIGIN = (0.0, 0.0, 0.0)
 
 
@@ -23,32 +23,37 @@ def at(x, y=0.0, h=0.0):
 def rate(q_n, q_m):
     """Exact rate between two points at least 1 m apart."""
     d2 = float(np.sum((np.asarray(q_n) - np.asarray(q_m)) ** 2))
-    return rate_at_dist_sq(d2, DEFAULT_CONSTANTS.bandwidth_hz, SNR.gamma1)
+    return rate_at_dist_sq(d2, DEFAULT_CONSTANTS.bandwidth_hz, GAMMA1)
 
 
 class TestSnrCoeff:
     def test_default_parameters(self):
         # p = 0.8 W, rho0 = -60 dB, sigma^2 = -114 dBm.
-        assert SNR.gamma1 == pytest.approx(2.010e8, rel=5e-4)
+        assert GAMMA1 == pytest.approx(2.010e8, rel=5e-4)
 
     def test_linear_in_power(self):
         double = snr_coeff(1.6, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
-        assert double.gamma1 == pytest.approx(2.0 * SNR.gamma1)
+        assert double == pytest.approx(2.0 * GAMMA1)
 
     def test_inverse_in_noise(self):
         half = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0,
                          2.0 * DEFAULT_CONSTANTS.noise_w)
-        assert half.gamma1 == pytest.approx(0.5 * SNR.gamma1)
+        assert half == pytest.approx(0.5 * GAMMA1)
 
     def test_nonpositive_inputs_raise(self):
         with pytest.raises(ValueError):
             snr_coeff(0.0, 1e-6, 1e-14)
 
+    def test_underflow_to_zero_raises(self):
+        # Every input is positive, but rho0 * p / noise underflows to 0.
+        with pytest.raises(ValueError, match="gamma1"):
+            snr_coeff(1e-200, 1e-200, 1.0)
+
 
 class TestRate:
     def test_unit_snr_gives_bandwidth(self):
-        d2 = SNR.gamma1  # Gamma1 / d^2 = 1
-        assert rate_at_dist_sq(d2, DEFAULT_CONSTANTS.bandwidth_hz, SNR.gamma1) \
+        d2 = GAMMA1  # Gamma1 / d^2 = 1
+        assert rate_at_dist_sq(d2, DEFAULT_CONSTANTS.bandwidth_hz, GAMMA1) \
             == pytest.approx(DEFAULT_CONSTANTS.bandwidth_hz)
 
     def test_300_meters(self):
@@ -68,7 +73,7 @@ class TestRate:
             sc, full_association(sc), np.zeros(1, dtype=int),
             suav.current_pos)
         r_1m = rate_at_dist_sq(1.0, DEFAULT_CONSTANTS.bandwidth_hz,
-                               SNR.gamma1)
+                               GAMMA1)
         assert lats[0].local_tx_s == pytest.approx(
             suav.compress_ratio * suav.chunk_bits / r_1m, rel=1e-12)
 
@@ -77,7 +82,7 @@ class TestTaylorBound:
     """`placement.surrogate_rates`, the surrogate SCA maximises, against the
     exact rate of an S-UAV at the origin."""
 
-    terms = link_terms(ORIGIN, SNR.gamma1)
+    terms = link_terms(ORIGIN, GAMMA1)
 
     def test_tight_at_expansion_point(self):
         q_ref = np.array(at(250.0, 100.0, 400.0))
@@ -99,7 +104,7 @@ class TestTaylorBound:
         q_m = (xy[2], xy[3], h_m)
         q_ref = np.array([xy[4], xy[5], h_ref])
         exact = rate(q_n, q_m)
-        bound = surrogate_rates(link_terms(q_n, SNR.gamma1), q_ref, q_m)[0, 0]
+        bound = surrogate_rates(link_terms(q_n, GAMMA1), q_ref, q_m)[0, 0]
         assert bound <= exact * (1.0 + 1e-9) + 1e-9
 
     def test_slope_positive(self):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from uav_mec.cost import evaluate_solution
 from uav_mec.errors import InfeasibleSubproblem
-from uav_mec.offload import (build_sp1_lp, enumerate_offload, solve_lp,
-                             solve_sp1, sp1_terms, _subset_objective)
+from uav_mec import simplex
+from uav_mec.offload import (build_sp1_lp, enumerate_offload, solve_sp1,
+                             sp1_terms, _subset_objective)
 from uav_mec.oracles import bruteforce_offload
 from uav_mec.scenario import (Association, Position3D,
                               feasible_association_mask)
@@ -30,14 +31,14 @@ def scenario_n(n, n0_cap=None, **kwargs):
 class TestLpConstruction:
     def test_n2_shape(self):
         sc = scenario_n(2, n0_cap=2)
-        lp = build_sp1_lp(sc, identity_association(sc), Q_M)
+        lp = build_sp1_lp(sp1_terms(sc, identity_association(sc), Q_M))
         assert len(lp.c) == 5  # beta x2, xi x2, slack
         assert len(lp.b) == 12  # 2+2+2+2+1+1+2
 
     def test_xi_constraints_admit_exactly_product(self):
         """Constraints (25)-(27) pin xi_n to beta_n * sum(beta) at binary beta."""
         sc = scenario_n(8, n0_cap=4)
-        lp = build_sp1_lp(sc, identity_association(sc), Q_M)
+        lp = build_sp1_lp(sp1_terms(sc, identity_association(sc), Q_M))
         n = 8
         xi_rows = lp.a[:3 * n, :]
         xi_rhs = lp.b[:3 * n]
@@ -64,7 +65,7 @@ class TestLpConstruction:
     def test_both_branches_over_budget_raises(self):
         sc = scenario_n(2, n0_cap=2, energy_budget_j=1e-3)
         with pytest.raises(InfeasibleSubproblem):
-            build_sp1_lp(sc, identity_association(sc), Q_M)
+            build_sp1_lp(sp1_terms(sc, identity_association(sc), Q_M))
         # solve_sp1 builds no LP, so the threshold search must raise too,
         # naming the same S-UAV.
         with pytest.raises(InfeasibleSubproblem, match="S-UAV 0 excludes"):
@@ -98,8 +99,8 @@ class TestEnumeration:
     def test_single_suav_prefers_faster_branch(self):
         sc = scenario_n(1, n0_cap=1)
         assoc = identity_association(sc)
-        decision = enumerate_offload(sc, assoc, Q_M)
         t = sp1_terms(sc, assoc, Q_M)
+        decision = enumerate_offload(t)
         local = t.t_loc[0] + t.t_tx_loc[0]
         off = t.t_tx_off[0] + t.k_ruav[0]
         assert decision.beta[0] == (1 if off < local else 0)
@@ -109,15 +110,15 @@ class TestEnumeration:
         # Relay CPU is 10x faster: with distinct chunk sizes the min-max
         # optimum offloads the two largest local workloads.
         sc2 = scenario_n(4, n0_cap=2, chunk_bits=[1e6, 2e6, 3e6, 4e6])
-        d2 = enumerate_offload(sc2, identity_association(sc2), Q_M)
+        d2 = enumerate_offload(sp1_terms(sc2, identity_association(sc2), Q_M))
         assert list(d2.beta) == [0, 0, 1, 1]
 
     def test_matches_brute_force_objective(self):
         sc = scenario_n(6, n0_cap=3, chunk_bits=[1e6, 2.5e6, 1.7e6,
                                                  3.1e6, 2.2e6, 1.2e6])
         assoc = identity_association(sc)
-        decision = enumerate_offload(sc, assoc, Q_M)
         t = sp1_terms(sc, assoc, Q_M)
+        decision = enumerate_offload(t)
         best = min(obj for m in range(4)
                    for members in itertools.combinations(range(6), m)
                    if (obj := _subset_objective(t, members)) is not None)
@@ -131,9 +132,10 @@ class TestRelaxationBound:
         chunks = rng.uniform(1.6e6, 2.5e6, size=6)
         sc = scenario_n(6, n0_cap=3, chunk_bits=chunks)
         assoc = identity_association(sc)
-        lp = build_sp1_lp(sc, assoc, Q_M)
-        _, lower = solve_lp(lp)
-        decision = enumerate_offload(sc, assoc, Q_M)
+        t = sp1_terms(sc, assoc, Q_M)
+        lp = build_sp1_lp(t)
+        _, lower = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
+        decision = enumerate_offload(t)
         assert lower <= decision.slack_s + 1e-6
 
     def test_solve_sp1_reports_bound(self):
@@ -190,9 +192,9 @@ class TestThresholdSearch:
             ref = bruteforce_offload(sc, assoc, Q_M)
         except InfeasibleSubproblem:
             with pytest.raises(InfeasibleSubproblem):
-                enumerate_offload(sc, assoc, Q_M)
+                enumerate_offload(sp1_terms(sc, assoc, Q_M))
             return
-        got = enumerate_offload(sc, assoc, Q_M)
+        got = enumerate_offload(sp1_terms(sc, assoc, Q_M))
         assert got.slack_s == ref.slack_s
         assert got.beta.tolist() == ref.beta.tolist()
 
@@ -220,7 +222,7 @@ class TestThresholdSearch:
         sc = scenario_n(8, n0_cap=4,
                         chunk_bits=rng.uniform(1.6e6, 2.5e6, size=8))
         priced = counting(monkeypatch, offload, "_subset_objective")
-        enumerate_offload(sc, identity_association(sc), Q_M)
+        enumerate_offload(sp1_terms(sc, identity_association(sc), Q_M))
         # 163 subsets within the cap; the search prices one per prefix.
         assert len(priced) <= sc.n0_cap + 1
 
@@ -232,7 +234,7 @@ class TestThresholdSearch:
 
 class TestBuildOnce:
     def test_sp1_terms_once_per_solve_sp1(self, monkeypatch):
-        from uav_mec import offload, simplex
+        from uav_mec import offload
         sc = scenario_n(4)
         builds = counting(monkeypatch, offload, "sp1_terms")
         lp_builds = counting(monkeypatch, offload, "build_sp1_lp")

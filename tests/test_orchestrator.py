@@ -384,10 +384,10 @@ class TestOffloadGuardPrice:
         for _, (placed, assoc, q_m), _, decision in calls["offload"]:
             assert decision.slack_s == evaluate_solution(
                 placed, assoc, decision.beta, q_m)[0]
-        for _, (placed, assoc, beta), _, (iterate, trace) in \
+        for _, (placed, assoc, beta, _), _, (q_m, trace, _) in \
                 calls["placement"]:
             assert trace[-1] == evaluate_solution(
-                placed, assoc, beta, iterate.q_m)[0]
+                placed, assoc, beta, q_m)[0]
         for scheme, (scenario, beta, q_m), _, (new_assoc, info) in \
                 calls["association"]:
             placed = orchestrator.placed_for(scenario, new_assoc.alpha,
@@ -454,10 +454,12 @@ class TestBenchmarkTracerContract:
         t = tracer.Tracer()
         t.install()
         try:
-            report = orchestrator.run_scheme(scenario0, "proposed")
+            # Every scheme, as `--trace 1` traces them all.
+            reports = [orchestrator.run_scheme(scenario0, scheme)
+                       for scheme in SCHEMES]
         finally:
             t.uninstall()
-        assert report.iterations >= 1
+        assert all(report.iterations >= 1 for report in reports)
         reached = {span[0] for span in t.spans}
         assert set(tracer.EXTRACT) <= reached
         for name in tracer.EXTRACT:

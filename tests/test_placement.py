@@ -64,21 +64,21 @@ class TestSolveSp22:
     def test_single_suav_projects_onto_box(self):
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
         assoc = identity_association(sc)
-        it = solve_sp2_2(sc, assoc, np.array([0]),
-                         Position3D(500.0, 500.0, 300.0))
+        q_m, _ = solve_sp2_2(sc, placement_terms(sc, assoc, np.array([0])),
+                             Position3D(500.0, 500.0, 300.0))
         # Best point sits at the minimum feasible distance from the S-UAV:
         # directly underneath is blocked by the 100 m altitude floor vs 500 m
         # hover, so the optimum is the projection (500, 500, 100..1000) at
         # whichever altitude minimizes |h - 500|, i.e. h = 500.
-        assert it.q_m.x == pytest.approx(500.0, abs=2.0)
-        assert it.q_m.y == pytest.approx(500.0, abs=2.0)
+        assert q_m.x == pytest.approx(500.0, abs=2.0)
+        assert q_m.y == pytest.approx(500.0, abs=2.0)
 
     def test_symmetric_pair_matches_bisector_optimum(self):
         sc = pair_scenario()
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
-        _, trace = sca_loop(sc, assoc, beta,
-                            q_m_init=Position3D(480.0, 520.0, 400.0))
+        _, trace, _ = sca_loop(sc, assoc, beta,
+                               Position3D(480.0, 520.0, 400.0))
         terms = placement_terms(sc, assoc, beta)
         # The exact objective is symmetric in x about 500; scan the bisector.
         hs = np.arange(100.0, 1000.0, 1.0)
@@ -94,10 +94,11 @@ class TestSolveSp22:
         sc = pair_scenario()
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
-        it1, trace1 = sca_loop(sc, assoc, beta)
-        it2 = solve_sp2_2(sc, assoc, beta, it1.q_m)
+        q1, trace1, _ = sca_loop(sc, assoc, beta,
+                                 default_initial_position(sc))
         terms = placement_terms(sc, assoc, beta)
-        obj2 = float(exact_objective(terms, it2.q_m.array)[0])
+        q2, _ = solve_sp2_2(sc, terms, q1)
+        obj2 = float(exact_objective(terms, q2.array)[0])
         assert obj2 <= trace1[-1] + 1e-6
 
 
@@ -107,7 +108,8 @@ class TestScaLoop:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        _, trace = sca_loop(placed, assoc, beta)
+        _, trace, _ = sca_loop(placed, assoc, beta,
+                               default_initial_position(placed))
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_final_point_near_grid_oracle(self, scenario0):
@@ -115,10 +117,11 @@ class TestScaLoop:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        it, trace = sca_loop(placed, assoc, beta)
+        q_m, trace, _ = sca_loop(placed, assoc, beta,
+                                 default_initial_position(placed))
         final = trace[-1]
         _, oracle = grid_search_placement(placed, assoc, beta,
-                                          extra_points=it.q_m.array[None, :])
+                                          extra_points=q_m.array[None, :])
         assert final <= oracle * 1.01 + 1e-9
         assert final >= oracle - 1e-6
 
@@ -163,13 +166,13 @@ class TestInnerSolveRule:
             return res
 
         counting(monkeypatch, placement, "minimize", failed)
-        it = solve_sp2_2(sc, assoc, beta, Q_REF)
         terms = placement_terms(sc, assoc, beta)
+        q_m, slsqp_failed = solve_sp2_2(sc, terms, Q_REF)
         lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
         cands = [np.clip(points[0], lo, hi), Q_REF.array]
         best = max(cands, key=lambda q: surrogate_min(terms, Q_REF.array, q))
-        np.testing.assert_array_equal(it.q_m.array, best)
-        assert it.fallbacks == 1
+        np.testing.assert_array_equal(q_m.array, best)
+        assert slsqp_failed
 
     def test_success_below_the_expansion_point_keeps_it(self, monkeypatch):
         from uav_mec import placement
@@ -181,9 +184,9 @@ class TestInnerSolveRule:
                 < surrogate_min(terms, Q_REF.array, Q_REF.array))
         counting(monkeypatch, placement, "minimize",
                  reported_success(True, corner))
-        it = solve_sp2_2(sc, assoc, beta, Q_REF)
-        assert it.q_m == Q_REF
-        assert it.fallbacks == 0
+        q_m, slsqp_failed = solve_sp2_2(sc, terms, Q_REF)
+        assert q_m == Q_REF
+        assert not slsqp_failed
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
@@ -195,21 +198,21 @@ class TestInnerSolveRule:
         sc = make_scenario(xy, xy, n0_cap=2)
         assoc, beta = identity_association(sc), np.array(beta)
         q_ref = Position3D(*q)
-        it = solve_sp2_2(sc, assoc, beta, q_ref)
         terms = placement_terms(sc, assoc, beta)
+        q_m, _ = solve_sp2_2(sc, terms, q_ref)
         at_ref = surrogate_min(terms, q_ref.array, q_ref.array)
         assert at_ref > 0.0
-        assert surrogate_min(terms, q_ref.array, it.q_m.array) >= at_ref
+        assert surrogate_min(terms, q_ref.array, q_m.array) >= at_ref
 
     def test_sca_loop_counts_every_fallback(self, monkeypatch):
         from uav_mec import placement
         sc = pair_scenario()
         solves = counting(monkeypatch, placement, "minimize",
                           reported_success(False))
-        it, trace = sca_loop(sc, identity_association(sc),
-                                np.zeros(2, dtype=int),
-                                q_m_init=Position3D(480.0, 520.0, 400.0))
-        assert it.fallbacks == len(solves) == len(trace) - 1
+        _, trace, fallbacks = sca_loop(sc, identity_association(sc),
+                                       np.zeros(2, dtype=int),
+                                       Position3D(480.0, 520.0, 400.0))
+        assert fallbacks == len(solves) == len(trace) - 1
 
 
 class TestBuildOnce:
@@ -219,8 +222,8 @@ class TestBuildOnce:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         builds = counting(monkeypatch, placement, "placement_terms")
-        _, trace = sca_loop(placed, assoc,
+        _, trace, _ = sca_loop(placed, assoc,
                                np.zeros(scenario0.n_suavs, dtype=int),
-                               q_m_init=Position3D(1000.0, 1000.0, 100.0))
+                               Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2  # more than one SCA round
         assert len(builds) == 1
