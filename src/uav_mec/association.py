@@ -27,16 +27,24 @@ nodes. The allowance is fixed: no caller sets it.
 
 A larger pool skips the cover: the search alone decides, under the same
 allowance, and the answer is reported inexact if the allowance runs out.
+
+What no call changes is built once per solve, in a Pools that the caller
+passes to every call: the coverage mask, each target's covering S-UAVs, the
+search order, every S-UAV's hover point per target set, and, on the first
+cover call, every S-UAV's columns with their hover points. A call prices
+its branches once, then all columns in one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cost import branch_price, floored_rate, floored_rates
+from .cost import BranchPrice, branch_price, floored_rate, floored_rates
 from .errors import InfeasibleSubproblem
 from .link import snr_coeff
 from .scenario import (Association, Position3D, Scenario,
@@ -63,26 +71,78 @@ class SearchInfo:
     gap: float = 0.0  # kept for callers that read it; always 0
 
 
-class _Context:
-    """Fixed data plus a latency memo for one association solve.
+class Pools:
+    """What no block changes during one solve of a scenario.
 
-    Each S-UAV's branch price (cost.branch_price) depends only on its offload
-    bit and the offloader count, so it is priced once per solve; a memo miss
-    then costs one reposition and one link rate. Nothing outlives the solve.
+    It holds the coverage mask, each target's covering S-UAVs, the search
+    order, a per-S-UAV memo from target bitmask to hover point, and every
+    S-UAV's box-closed column geometry, built on the first cover call (most
+    solves never reach the cover). run_scheme builds one per solve and
+    passes it to every association call; nothing of it is kept on the
+    scenario or in this module, so no solve reads another's data.
     """
 
-    def __init__(self, scenario: Scenario, beta: np.ndarray, q_m: Position3D,
-                 static_positions: bool = False):
+    def __init__(self, scenario: Scenario, static_positions: bool = False):
         self.scenario = scenario
-        beta = np.asarray(beta, dtype=int)
-        n_off = int(beta.sum())
-        self.q_m = q_m
         self.static_positions = static_positions
         self.mask = feasible_association_mask(scenario)
         self.cover = [[j for j, v in enumerate(row) if v]
                       for row in self.mask.tolist()]
         self.order = sorted(range(scenario.n_targets),
                             key=lambda i: (len(self.cover[i]), i))
+        # Per S-UAV: how many targets it can monitor.
+        self.pool_sizes = self.mask.sum(axis=0).tolist()
+        self._points: list[dict[int, Position3D]] = [
+            {} for _ in scenario.suavs]
+        self._cols: _Columns | None = None
+
+    def hover_point(self, suav_index: int, target_bits: int) -> Position3D:
+        """Where the S-UAV hovers over a nonempty target bitmask."""
+        suav = self.scenario.suavs[suav_index]
+        if self.static_positions:
+            return suav.initial_pos
+        points = self._points[suav_index]
+        pos = points.get(target_bits)
+        if pos is None:
+            pos = reposition(suav, [self.scenario.targets[i]
+                                    for i in _bits(target_bits)])
+            points[target_bits] = pos
+        return pos
+
+    def columns(self) -> _Columns:
+        """Every S-UAV's box-closed columns, built on the first call."""
+        if self._cols is None:
+            masks, held, bits, pos = zip(*(_columns(self, j) for j in
+                                           range(self.scenario.n_suavs)))
+            counts = [len(m) for m in masks]
+            self._cols = _Columns(
+                starts=[0, *itertools.accumulate(counts)],
+                suav=np.repeat(np.arange(len(counts)), counts),
+                masks=np.concatenate(masks),
+                held=[h for part in held for h in part],
+                bits=[b for part in bits for b in part],
+                pos=np.concatenate(pos))
+        return self._cols
+
+
+class _Context:
+    """One association call's prices over a solve's Pools, plus a latency
+    memo.
+
+    Each S-UAV's branch price (cost.branch_price) depends only on its offload
+    bit and the offloader count, so it is priced once per call; a memo miss
+    then costs one hover point (memoised per solve) and one link rate.
+    """
+
+    def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
+        self.pools = pools
+        # The search reads these at every node.
+        self.scenario, self.mask, self.cover, self.order = (
+            pools.scenario, pools.mask, pools.cover, pools.order)
+        scenario = pools.scenario
+        beta = np.asarray(beta, dtype=int)
+        n_off = int(beta.sum())
+        self.q_m = q_m
         self._prices = [branch_price(scenario, j, suav.chunk_bits,
                                      bool(beta[j]), n_off)
                         for j, suav in enumerate(scenario.suavs)]
@@ -96,14 +156,9 @@ class _Context:
         hit = memo.get(target_bits)
         if hit is not None:
             return hit
-        scenario = self.scenario
-        suav = scenario.suavs[suav_index]
-        if self.static_positions:
-            pos = suav.initial_pos
-        else:
-            pos = reposition(suav, [scenario.targets[i]
-                                    for i in _bits(target_bits)])
-        r = floored_rate(suav, pos, self.q_m, scenario.constants)
+        suav = self.scenario.suavs[suav_index]
+        pos = self.pools.hover_point(suav_index, target_bits)
+        r = floored_rate(suav, pos, self.q_m, self.scenario.constants)
         price = self._prices[suav_index]
         energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
         result = (price.latency(r), energy <= suav.energy_budget_j)
@@ -170,7 +225,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     """
     n_targets = ctx.scenario.n_targets
     # Pool sizes per S-UAV: how many still-undecided targets it could monitor.
-    remaining = ctx.mask.sum(axis=0).tolist()
+    remaining = list(ctx.pools.pool_sizes)
     assigned_bits = [0] * ctx.scenario.n_suavs
     choice: dict[int, int] = {}
     nodes = 0
@@ -221,17 +276,18 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     return incumbent_alpha, incumbent_obj, nodes, not aborted
 
 
-def _columns(ctx: _Context, j: int):
-    """Every distinct box-closed subset of S-UAV j's pool, priced exactly as
-    _Context.latency prices it.
+def _columns(pools: Pools, j: int):
+    """Every distinct box-closed subset of S-UAV j's pool, and where the
+    S-UAV hovers over each.
 
-    Returns (pool, masks, latency, feasible): pool holds the target indices,
-    bit p of masks[c] is set when column c holds target pool[p], and
-    feasible[c] says whether the column keeps within the energy budget.
+    Returns (masks, held, bits, pos), one entry per column: its int64
+    bitmask over the pool (bit p: the pool's p-th target by index), its
+    target indices, ascending, its bitmask over all targets, and its hover
+    point.
     """
-    scenario = ctx.scenario
+    scenario = pools.scenario
     suav = scenario.suavs[j]
-    pool = np.flatnonzero(ctx.mask[:, j])
+    pool = np.flatnonzero(pools.mask[:, j])
     x = np.array([scenario.targets[i].pos.x for i in pool])
     y = np.array([scenario.targets[i].pos.y for i in pool])
     bit = np.left_shift(np.int64(1), np.arange(len(pool), dtype=np.int64))
@@ -244,28 +300,58 @@ def _columns(ctx: _Context, j: int):
     masks = np.unique(spans(x)[:, None] & spans(y)[None, :])
     masks = masks[masks != 0]
     members = (masks[:, None] & bit) != 0
+    # Row-major, so each column's targets come out in ascending order.
+    flat = pool[np.nonzero(members)[1]].tolist()
+    ends = np.cumsum(members.sum(axis=1)).tolist()
+    held = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    # Python ints: a bitmask over all targets may pass 64 bits.
+    powers = np.array([1 << i for i in pool.tolist()], dtype=object)
+    bits = np.where(members, powers, 0).sum(axis=1).tolist()
+    if pools.static_positions:
+        return masks, held, bits, np.tile(suav.initial_pos.array,
+                                          (len(masks), 1))
     # initial= lets an S-UAV with an empty pool yield no column.
     x_lo = np.where(members, x, np.inf).min(axis=1, initial=np.inf)
     x_hi = np.where(members, x, -np.inf).max(axis=1, initial=-np.inf)
     y_lo = np.where(members, y, np.inf).min(axis=1, initial=np.inf)
     y_hi = np.where(members, y, -np.inf).max(axis=1, initial=-np.inf)
-
     # scenario.reposition, in its order of operations.
-    if ctx.static_positions:
-        pos = np.broadcast_to(suav.initial_pos.array, (len(masks), 3))
-    else:
-        cam = suav.camera
-        pos = np.column_stack([
-            (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
-            np.maximum((x_hi - x_lo) / (2.0 * math.tan(cam.phi_h / 2.0)),
-                       (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
-            + cam.gamma])
-    c = scenario.constants
-    gamma1 = snr_coeff(suav.tx_power_w, c.rho0, c.noise_w)
-    r = floored_rates(pos, ctx.q_m.array, gamma1, c.bandwidth_hz)
-    price = ctx._prices[j]
-    energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
-    return pool, masks, price.latency(r), energy <= suav.energy_budget_j
+    cam = suav.camera
+    return masks, held, bits, np.column_stack([
+        (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
+        np.maximum((x_hi - x_lo) / (2.0 * math.tan(cam.phi_h / 2.0)),
+                   (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
+        + cam.gamma])
+
+
+class _Columns(NamedTuple):
+    """Every S-UAV's box-closed columns (_columns), concatenated S-UAV by
+    S-UAV: rows starts[j]:starts[j + 1] are S-UAV j's."""
+
+    starts: list[int]
+    suav: np.ndarray             # the column's S-UAV
+    masks: np.ndarray            # int64 bitmask over the S-UAV's pool
+    held: list[list[int]]        # target indices, ascending
+    bits: list[int]              # bitmask over all targets
+    pos: np.ndarray              # (columns, 3) hover points
+
+
+def _column_prices(ctx: _Context,
+                   cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """(latency, energy-feasible) of every column, in one pass, each priced
+    exactly as _Context.latency prices the column's S-UAV and targets."""
+    c = ctx.scenario.constants
+    per_suav = np.array([
+        (price.tx_bits, price.fixed_s, price.comp_j,
+         snr_coeff(suav.tx_power_w, c.rho0, c.noise_w), suav.tx_power_w,
+         suav.hover_energy_j, suav.energy_budget_j)
+        for suav, price in zip(ctx.scenario.suavs, ctx._prices)])
+    tx_bits, fixed_s, comp_j, gamma1, tx_power_w, hover_j, budget_j = (
+        per_suav[cols.suav].T)
+    r = floored_rates(cols.pos, ctx.q_m.array, gamma1, c.bandwidth_hz)
+    price = BranchPrice(tx_bits, fixed_s, comp_j, 0.0)
+    energy = price.energy(tx_power_w, r) + hover_j
+    return price.latency(r), energy <= budget_j
 
 
 def _undominated(masks: np.ndarray, latency: np.ndarray) -> np.ndarray:
@@ -332,16 +418,16 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
     one per S-UAV, that cover every target, and an association attaining it.
     Columns slower than the incumbent cannot be in it, and are dropped."""
     scenario = ctx.scenario
+    cols = ctx.pools.columns()
+    latency, feasible = _column_prices(ctx, cols)
+    keep = feasible & (latency <= incumbent_obj)
     columns = []  # (latency, S-UAV, target bitmask, target indices)
     for j in range(scenario.n_suavs):
-        pool, masks, latency, feasible = _columns(ctx, j)
-        keep = feasible & (latency <= incumbent_obj)
-        masks, latency = masks[keep], latency[keep]
-        keep = _undominated(masks, latency)
-        pool = pool.tolist()
-        for mask, t in zip(masks[keep].tolist(), latency[keep].tolist()):
-            held = [pool[p] for p in _bits(mask)]
-            columns.append((t, j, sum(1 << i for i in held), held))
+        lo, hi = cols.starts[j], cols.starts[j + 1]
+        rows = lo + np.flatnonzero(keep[lo:hi])
+        rows = rows[_undominated(cols.masks[rows], latency[rows])]
+        for k, t in zip(rows.tolist(), latency[rows].tolist()):
+            columns.append((t, j, cols.bits[k], cols.held[k]))
     columns.sort()
 
     cheapest = [math.inf] * scenario.n_targets
@@ -370,15 +456,14 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
         "no energy-feasible association covers every target")
 
 
-def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
-                      warm_alpha: np.ndarray | None = None,
-                      static_positions: bool = False
+def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
+                      warm_alpha: np.ndarray | None = None
                       ) -> tuple[Association, SearchInfo]:
     """Best association at the given offload decision and relay position:
     the search under DFS_ALLOWANCE nodes, then the column cover if the search
     does not finish (see the module docstring). warm_alpha, if given, joins
     the greedy start as an incumbent."""
-    ctx = _Context(scenario, beta, q_m, static_positions=static_positions)
+    ctx = _Context(pools, beta, q_m)
     incumbent_alpha = None
     incumbent_obj = float("inf")
     for alpha in filter(lambda a: a is not None,
@@ -388,7 +473,7 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
             incumbent_alpha, incumbent_obj = alpha, obj
 
     alpha, obj, nodes, exact = _dfs(ctx, incumbent_alpha, incumbent_obj)
-    if not exact and ctx.mask.sum(axis=0).max() <= _MAX_POOL:
+    if not exact and max(pools.pool_sizes) <= _MAX_POOL:
         t_star, cover_alpha = _cover(ctx, obj)
         if obj != t_star:
             alpha, obj = cover_alpha, t_star
@@ -398,4 +483,4 @@ def solve_association(scenario: Scenario, beta: np.ndarray, q_m: Position3D,
         raise InfeasibleSubproblem(
             "no energy-feasible association covers every target")
     info = SearchInfo(objective=obj, exact=exact, nodes=nodes)
-    return Association(alpha=alpha, feasible_mask=ctx.mask), info
+    return Association(alpha=alpha, feasible_mask=pools.mask), info

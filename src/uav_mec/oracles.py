@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .association import _Context
+from .association import Pools, _Context
 from .cost import effective_chunk_bits
 from .errors import InfeasibleSubproblem
 from .link import snr_coeff
@@ -104,7 +104,7 @@ def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,
                                         static_positions: bool = False
                                         ) -> tuple[np.ndarray, float]:
     """Exhaustive search over all masked associations with row sums >= 1."""
-    ctx = _Context(scenario, beta, q_m, static_positions=static_positions)
+    ctx = _Context(Pools(scenario, static_positions), beta, q_m)
     per_target = []
     for i in range(scenario.n_targets):
         cover = ctx.cover[i]

@@ -24,7 +24,7 @@ from uav_mec.oracles import (enumerate_associations_at_least_one,
                              grid_search_placement, joint_bruteforce)
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   nearest_covering_association, run_scheme)
-from uav_mec.association import solve_association
+from uav_mec.association import Pools, solve_association
 from uav_mec.placement import (default_initial_position, sca_loop,
                                surrogate_rates)
 from uav_mec.scenario import (Association, Position3D, generate_scenario,
@@ -222,7 +222,7 @@ def test_criterion_04_sca_descent():
     monotone = True
     for seed in SEEDS_20:
         scenario = generate_scenario(CONFIG, seed)
-        assoc = nearest_covering_association(scenario)
+        assoc = nearest_covering_association(Pools(scenario))
         placed = repositioned_scenario(scenario, assoc.alpha)
         beta = np.zeros(scenario.n_suavs, dtype=int)
         q_m, trace, _ = sca_loop(placed, assoc, beta,
@@ -312,7 +312,7 @@ def test_criterion_07_bnb_exactness():
         q_m = Position3D(float(rng.uniform(0, 1000)),
                          float(rng.uniform(0, 1000)),
                          float(rng.uniform(100, 1000)))
-        _, info = solve_association(sc, beta, q_m)
+        _, info = solve_association(Pools(sc), beta, q_m)
         _, oracle_obj = enumerate_associations_at_least_one(sc, beta, q_m)
         if not info.exact or abs(info.objective - oracle_obj) > 1e-9 * max(
                 1.0, oracle_obj):
@@ -431,7 +431,7 @@ def test_criterion_10_coverage_invariant(outer_reports):
     reports, _ = outer_reports
     violations_found = []
     for seed, (scenario, by_scheme) in reports.items():
-        mask = nearest_covering_association(scenario).feasible_mask
+        mask = nearest_covering_association(Pools(scenario)).feasible_mask
         for scheme, report in by_scheme.items():
             assoc = Association(alpha=report.alpha,
                                 feasible_mask=np.maximum(report.alpha, mask))

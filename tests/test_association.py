@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uav_mec import association
-from uav_mec.association import (greedy_incumbent, solve_association,
+from uav_mec.association import (Pools, greedy_incumbent, solve_association,
                                   _Context, _evaluate_full)
 from uav_mec.config import ExperimentConfig
 from uav_mec.errors import InfeasibleSubproblem
@@ -57,14 +57,14 @@ def random_instance(seed, n_max=3, i_max=5):
 class TestForcedCases:
     def test_single_target_single_cover(self):
         sc = make_scenario([(500.0, 500.0)], [(480.0, 510.0)], n0_cap=1)
-        assoc, info = solve_association(sc, np.array([0]), Q_M)
+        assoc, info = solve_association(Pools(sc), np.array([0]), Q_M)
         assert assoc.alpha.tolist() == [[1]]
         assert info.exact
 
     def test_unique_cover_forced(self):
         sc = make_scenario([(200.0, 200.0), (800.0, 800.0)],
                            [(200.0, 220.0), (810.0, 790.0)], n0_cap=1)
-        assoc, info = solve_association(sc, np.zeros(2, dtype=int), Q_M)
+        assoc, info = solve_association(Pools(sc), np.zeros(2, dtype=int), Q_M)
         assert assoc.alpha.tolist() == [[1, 0], [0, 1]]
         assert info.exact
 
@@ -76,11 +76,11 @@ class TestGreedyIncumbent:
         if sc is None:
             return
         beta = np.zeros(sc.n_suavs, dtype=int)
-        ctx = _Context(sc, beta, Q_M)
+        ctx = _Context(Pools(sc), beta, Q_M)
         greedy = greedy_incumbent(ctx)
         from uav_mec.association import _evaluate_full
         greedy_obj, ok = _evaluate_full(ctx, greedy)
-        _, info = solve_association(sc, beta, Q_M)
+        _, info = solve_association(Pools(sc), beta, Q_M)
         assert ok
         assert greedy_obj >= info.objective - 1e-12
 
@@ -88,7 +88,7 @@ class TestGreedyIncumbent:
         import time
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         start = time.monotonic()
-        greedy_incumbent(_Context(scenario0, beta, Q_M))
+        greedy_incumbent(_Context(Pools(scenario0), beta, Q_M))
         assert time.monotonic() - start < 0.05
 
 
@@ -102,7 +102,7 @@ class TestBnbExactness:
         beta = np.zeros(sc.n_suavs, dtype=int)
         n_off = int(rng.integers(0, sc.n0_cap + 1))
         beta[rng.choice(sc.n_suavs, size=n_off, replace=False)] = 1
-        assoc, info = solve_association(sc, beta, Q_M)
+        assoc, info = solve_association(Pools(sc), beta, Q_M)
         _, oracle_obj = enumerate_associations_at_least_one(sc, beta, Q_M)
         assert info.exact
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
@@ -111,11 +111,11 @@ class TestBnbExactness:
         sc = random_instance(7)
         assert sc is not None
         beta = np.zeros(sc.n_suavs, dtype=int)
-        cold, _ = solve_association(sc, beta, Q_M)
-        warm, _ = solve_association(sc, beta, Q_M,
+        cold, _ = solve_association(Pools(sc), beta, Q_M)
+        warm, _ = solve_association(Pools(sc), beta, Q_M,
                                     warm_alpha=full_association(sc).alpha)
         from uav_mec.association import _Context, _evaluate_full
-        ctx = _Context(sc, beta, Q_M)
+        ctx = _Context(Pools(sc), beta, Q_M)
         assert _evaluate_full(ctx, cold.alpha)[0] == pytest.approx(
             _evaluate_full(ctx, warm.alpha)[0])
 
@@ -123,8 +123,9 @@ class TestBnbExactness:
         sc = random_instance(11)
         assert sc is not None
         beta = np.zeros(sc.n_suavs, dtype=int)
-        _, info_static = solve_association(sc, beta, Q_M, static_positions=True)
-        ctx = _Context(sc, beta, Q_M, static_positions=True)
+        _, info_static = solve_association(
+            Pools(sc, static_positions=True), beta, Q_M)
+        ctx = _Context(Pools(sc, static_positions=True), beta, Q_M)
         _, oracle_obj = enumerate_associations_at_least_one(
             sc, beta, Q_M, static_positions=True)
         assert info_static.objective == pytest.approx(oracle_obj, rel=1e-12)
@@ -133,7 +134,7 @@ class TestBnbExactness:
         sc = make_scenario([(500.0, 500.0)], [(480.0, 510.0)], n0_cap=1,
                            energy_budget_j=1e-4)
         with pytest.raises(InfeasibleSubproblem):
-            solve_association(sc, np.array([0]), Q_M)
+            solve_association(Pools(sc), np.array([0]), Q_M)
 
 
 class TestSharedContext:
@@ -142,9 +143,54 @@ class TestSharedContext:
         contexts = counting(monkeypatch, association, "_Context")
         greedy = counting(monkeypatch, association, "greedy_incumbent")
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        solve_association(scenario0, beta, Q_M)
+        solve_association(Pools(scenario0), beta, Q_M)
         assert len(contexts) == 1
         assert len(greedy) == 1  # reached through the module attribute
+
+
+class TestPools:
+    """run_scheme builds the association block's fixed data once per call
+    and keeps none of it after the call: the benchmark solves the same
+    Scenario objects again and again, and must time cold solves."""
+
+    def test_fleet_geometry_is_built_once_per_suav(self, monkeypatch):
+        # Seed 1: two association calls reach the cover (on seed 0 the
+        # second is a repeat of the first, and is not made).
+        sc = generate_scenario(_FLEET, 1)
+        columns = counting(monkeypatch, association, "_columns")
+        covers = counting(monkeypatch, association, "_cover")
+        run_scheme(sc, "proposed")
+        assert len(covers) > 1
+        assert len(columns) == sc.n_suavs
+
+    def test_each_run_scheme_builds_its_own(self, monkeypatch):
+        sc = generate_scenario(_FLEET, 0)
+        before = dict(vars(sc))
+        columns = counting(monkeypatch, association, "_columns")
+        first = run_scheme(sc, "proposed")
+        second = run_scheme(sc, "proposed")
+        assert len(columns) == 2 * sc.n_suavs
+        assert second.objective_trace == first.objective_trace
+        assert vars(sc) == before
+        assert not [v for v in vars(association).values()
+                    if isinstance(v, (Pools, association._Columns))]
+
+    def test_an_identical_call_is_not_repeated(self, monkeypatch):
+        # Reference seed 0, static_suavs: the last iteration's association
+        # call has the inputs of the one before it, so its result is reused
+        # (two calls without the reuse), and the report is unchanged.
+        sc = generate_scenario(ExperimentConfig(), 0)
+        calls = counting(monkeypatch, association, "solve_association")
+        report = run_scheme(sc, "static_suavs")
+        assert len(calls) == 1
+        assert report.iterations == 2
+        assert report.objective_trace == pytest.approx(
+            [11.343380875730558, 9.99102130099366, 9.99102130099366],
+            rel=1e-12)
+        assert report.beta.tolist() == [0, 1, 1, 0, 1, 0, 1, 0]
+        assert report.alpha.argmax(axis=1).tolist() == [
+            1, 4, 5, 6, 0, 3, 4, 2, 4, 7, 3, 5, 4, 0, 0, 1, 3, 7, 2, 3]
+        assert report.alpha.sum() == sc.n_targets
 
 
 def random_offload(sc, seed):
@@ -168,12 +214,12 @@ class TestCoverPath:
             return
         beta = random_offload(sc, seed)
         dfs_allowance(0)
-        assoc, info = solve_association(sc, beta, Q_M)
+        assoc, info = solve_association(Pools(sc), beta, Q_M)
         _, oracle_obj = enumerate_associations_at_least_one(sc, beta, Q_M)
         assert info.exact
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
         # The returned association attains the reported objective.
-        assert _evaluate_full(_Context(sc, beta, Q_M), assoc.alpha) == (
+        assert _evaluate_full(_Context(Pools(sc), beta, Q_M), assoc.alpha) == (
             info.objective, True)
 
     def test_static_positions_use_initial_geometry(self, dfs_allowance):
@@ -181,7 +227,8 @@ class TestCoverPath:
         assert sc is not None
         beta = np.zeros(sc.n_suavs, dtype=int)
         dfs_allowance(0)
-        _, info = solve_association(sc, beta, Q_M, static_positions=True)
+        _, info = solve_association(
+            Pools(sc, static_positions=True), beta, Q_M)
         _, oracle_obj = enumerate_associations_at_least_one(
             sc, beta, Q_M, static_positions=True)
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
@@ -191,7 +238,7 @@ class TestCoverPath:
                            energy_budget_j=1e-4)
         dfs_allowance(0)
         with pytest.raises(InfeasibleSubproblem):
-            solve_association(sc, np.array([0]), Q_M)
+            solve_association(Pools(sc), np.array([0]), Q_M)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_starved_dfs_returns_the_finished_objective(self, monkeypatch,
@@ -200,9 +247,9 @@ class TestCoverPath:
         sc = generate_scenario(ExperimentConfig(), seed)
         inputs = []
 
-        def record(scenario, beta, q_m, **kwargs):
+        def record(pools, beta, q_m, **kwargs):
             inputs.append((beta.copy(), q_m, kwargs["warm_alpha"]))
-            return solve(scenario, beta, q_m, **kwargs)
+            return solve(pools, beta, q_m, **kwargs)
 
         solve = association.solve_association
         monkeypatch.setattr(association, "solve_association", record)
@@ -213,13 +260,13 @@ class TestCoverPath:
         # cover must reach the same objective.
         for beta, q_m, warm in inputs:
             dfs_allowance(10**6)
-            _, finished = solve(sc, beta, q_m, warm_alpha=warm)
+            _, finished = solve(Pools(sc), beta, q_m, warm_alpha=warm)
             assert finished.nodes < 10**6
             dfs_allowance(0)
-            covered, info = solve(sc, beta, q_m, warm_alpha=warm)
+            covered, info = solve(Pools(sc), beta, q_m, warm_alpha=warm)
             assert info.objective == finished.objective
-            assert _evaluate_full(_Context(sc, beta, q_m), covered.alpha) == (
-                info.objective, True)
+            ctx = _Context(Pools(sc), beta, q_m)
+            assert _evaluate_full(ctx, covered.alpha) == (info.objective, True)
 
 
 class TestLargePool:
@@ -236,18 +283,21 @@ class TestLargePool:
     def test_budget_is_honoured_without_the_cover(self, monkeypatch,
                                                   dfs_allowance, scenario):
         columns = counting(monkeypatch, association, "_columns")
+        prices = counting(monkeypatch, association, "_column_prices")
         dfs_allowance(50)
-        assoc, info = solve_association(scenario, np.zeros(2, dtype=int), Q_M)
+        assoc, info = solve_association(Pools(scenario),
+                                        np.zeros(2, dtype=int), Q_M)
         assert scenario.n_targets == 63 > association._MAX_POOL
         assert info.nodes <= 50
         assert not info.exact
         assert np.all((assoc.alpha * assoc.feasible_mask).sum(axis=1) >= 1)
         assert np.all(assoc.alpha <= assoc.feasible_mask)
-        assert columns == []
+        assert columns == [] and prices == []
 
     def test_a_larger_budget_still_stops_at_the_allowance(self, scenario):
         # No caller sets a budget: the search stops at the module allowance.
-        _, info = solve_association(scenario, np.zeros(2, dtype=int), Q_M)
+        _, info = solve_association(Pools(scenario), np.zeros(2, dtype=int),
+                                    Q_M)
         assert info.nodes <= association.DFS_ALLOWANCE
         assert not info.exact
 
@@ -260,6 +310,9 @@ class TestLargePool:
 
 # A pool of drawn targets, duplicates included, under the S-UAV at
 # (500, 500), and optionally one target only the S-UAV at (850, 850) sees.
+# Each S-UAV draws its own chunk size, offload bit and transmit power, so a
+# column priced with the other S-UAV's branch price or SNR coefficient is
+# priced wrong.
 _SPOTS = st.tuples(st.floats(300.0, 700.0), st.floats(340.0, 660.0))
 
 
@@ -273,22 +326,27 @@ def _pricing_instance(draw):
         target_xy.append((draw(st.floats(800.0, 900.0)),
                           draw(st.floats(800.0, 900.0))))
     n = len(suav_xy)
+
+    def per_suav(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
     sc = make_scenario(
-        suav_xy, target_xy, n0_cap=1,
-        chunk_bits=draw(st.lists(st.floats(1e6, 3e6), min_size=n,
-                                 max_size=n)),
+        suav_xy, target_xy, n0_cap=n,
+        chunk_bits=per_suav(st.floats(1e6, 3e6)),
         energy_budget_j=draw(st.floats(0.009, 0.016)))
-    beta = np.zeros(n, dtype=int)
-    beta[draw(st.integers(0, n - 1))] = draw(st.integers(0, 1))
+    sc = replace(sc, suavs=tuple(
+        replace(suav, tx_power_w=p)
+        for suav, p in zip(sc.suavs, per_suav(st.floats(0.4, 1.2)))))
+    beta = np.array(per_suav(st.integers(0, 1)))
     q_m = Position3D(draw(st.floats(0.0, 1000.0)),
                      draw(st.floats(0.0, 1000.0)),
                      draw(st.floats(100.0, 1000.0)))
-    return _Context(sc, beta, q_m, static_positions=draw(st.booleans()))
+    return _Context(Pools(sc, draw(st.booleans())), beta, q_m)
 
 
 def _box_closed_subsets(ctx, j):
-    """Brute force: nonempty pool subsets equal to the pool targets inside
-    their own bounding box, as bitmasks over the pool."""
+    """Brute force: nonempty subsets of S-UAV j's pool equal to the pool
+    targets inside their own bounding box, as sets of target indices."""
     pool = np.flatnonzero(ctx.mask[:, j])
     xy = np.array([(ctx.scenario.targets[i].pos.x,
                     ctx.scenario.targets[i].pos.y) for i in pool])
@@ -298,7 +356,7 @@ def _box_closed_subsets(ctx, j):
             lo, hi = xy[list(subset)].min(axis=0), xy[list(subset)].max(axis=0)
             inside = np.all((lo <= xy) & (xy <= hi), axis=1)
             if set(np.flatnonzero(inside)) == set(subset):
-                out.add(sum(1 << p for p in subset))
+                out.add(frozenset(pool[list(subset)].tolist()))
     return out
 
 
@@ -306,14 +364,22 @@ class TestColumnPrices:
     @settings(max_examples=150, deadline=None)
     @given(_pricing_instance())
     def test_columns_are_the_box_closed_subsets_priced_exactly(self, ctx):
+        cols = ctx.pools.columns()
+        latency, feasible = association._column_prices(ctx, cols)
         for j in range(ctx.scenario.n_suavs):
-            pool, masks, latency, feasible = association._columns(ctx, j)
-            assert set(masks.tolist()) == _box_closed_subsets(ctx, j)
-            for mask, t, ok in zip(masks.tolist(), latency.tolist(),
-                                   feasible.tolist()):
-                bits = sum(1 << int(pool[p]) for p in range(len(pool))
-                           if mask >> p & 1)
-                assert ctx.latency(j, bits) == (t, ok)
+            rows = range(cols.starts[j], cols.starts[j + 1])
+            assert {frozenset(cols.held[k]) for k in rows} == \
+                _box_closed_subsets(ctx, j)
+            pool = np.flatnonzero(ctx.mask[:, j]).tolist()
+            for k in rows:
+                held = cols.held[k]
+                assert cols.suav[k] == j
+                assert held == sorted(held)
+                assert held == [pool[p] for p in range(len(pool))
+                                if int(cols.masks[k]) >> p & 1]
+                assert cols.bits[k] == sum(1 << i for i in held)
+                assert ctx.latency(j, cols.bits[k]) == (
+                    latency.tolist()[k], feasible.tolist()[k])
 
 
 # (config, seed, scheme) -> (nodes, exact, objective, monitors per target).
@@ -360,14 +426,14 @@ class TestSearchTrajectory:
         name, seed, scheme = key
         config = _FLEET if name == "fleet" else ExperimentConfig()
         sc = generate_scenario(config, seed)
-        warm = nearest_covering_association(sc)
+        pools = Pools(sc, static_positions=scheme == "static_suavs")
+        warm = nearest_covering_association(pools)
         q_m = default_initial_position(placed_for(sc, warm.alpha, scheme))
         beta = np.zeros(sc.n_suavs, dtype=int)
         if scheme == "proposed":
             beta[:2 * sc.n0_cap:2] = 1
-        assoc, info = solve_association(
-            sc, beta, q_m, warm_alpha=warm.alpha,
-            static_positions=scheme == "static_suavs")
+        assoc, info = solve_association(pools, beta, q_m,
+                                        warm_alpha=warm.alpha)
         monitors = " ".join("+".join(map(str, np.flatnonzero(row)))
                             for row in assoc.alpha)
         assert (info.nodes, info.exact, info.objective, monitors) == \

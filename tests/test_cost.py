@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uav_mec.association import _Context
+from uav_mec.association import Pools, _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
                           effective_chunk_bits, evaluate_solution,
@@ -340,7 +340,7 @@ class TestCrossBlockPricing:
         terms = placement_terms(placed, assoc, beta)
         assert float(exact_objective(terms, q.array)[0]) == objective
 
-        ctx = _Context(sc, beta, q)
+        ctx = _Context(Pools(sc), beta, q)
         for j, lb in enumerate(lats):
             bits = sum(1 << int(i) for i in np.flatnonzero(assoc.alpha[:, j]))
             latency, ok = ctx.latency(j, bits)

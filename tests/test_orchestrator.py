@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uav_mec.association import Pools
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   convergence_check,
                                   nearest_covering_association, run_scheme)
@@ -22,7 +23,7 @@ class TestConvergenceCheck:
 
 class TestNearestCoveringAssociation:
     def test_rows_sum_to_one_and_respect_mask(self, scenario0):
-        assoc = nearest_covering_association(scenario0)
+        assoc = nearest_covering_association(Pools(scenario0))
         assert np.all(assoc.alpha.sum(axis=1) == 1)
         assert np.all(assoc.alpha <= assoc.feasible_mask)
 
@@ -30,7 +31,7 @@ class TestNearestCoveringAssociation:
         from .conftest import make_scenario
         sc = make_scenario([(400.0, 500.0), (600.0, 500.0)],
                            [(500.0, 500.0), (500.0, 520.0)])
-        assert nearest_covering_association(sc).alpha.tolist() == \
+        assert nearest_covering_association(Pools(sc)).alpha.tolist() == \
             [[1, 0], [1, 0]]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -42,7 +43,7 @@ class TestNearestCoveringAssociation:
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(
             replace(ExperimentConfig(), n_suavs=16, n_targets=40), seed)
-        assoc = nearest_covering_association(sc)
+        assoc = nearest_covering_association(Pools(sc))
         for i, target in enumerate(sc.targets):
             best = None
             for j in np.flatnonzero(assoc.feasible_mask[i]):
@@ -68,9 +69,8 @@ class TestRunScheme:
         for scheme, report in reports.items():
             assoc = Association(
                 alpha=report.alpha,
-                feasible_mask=np.maximum(
-                    report.alpha,
-                    nearest_covering_association(scenario0).feasible_mask))
+                feasible_mask=np.maximum(report.alpha,
+                                         Pools(scenario0).mask))
             violations = check_constraints(
                 scenario0, assoc, report.beta, report.q_m,
                 static_positions=(scheme == "static_suavs"))
@@ -388,9 +388,9 @@ class TestOffloadGuardPrice:
                 calls["placement"]:
             assert trace[-1] == evaluate_solution(
                 placed, assoc, beta, q_m)[0]
-        for scheme, (scenario, beta, q_m), _, (new_assoc, info) in \
+        for scheme, (pools, beta, q_m), _, (new_assoc, info) in \
                 calls["association"]:
-            placed = orchestrator.placed_for(scenario, new_assoc.alpha,
+            placed = orchestrator.placed_for(pools.scenario, new_assoc.alpha,
                                              scheme)
             assert info.objective == evaluate_solution(
                 placed, new_assoc, beta, q_m)[0]
