@@ -13,8 +13,7 @@ from .config import ExperimentConfig
 from .cost import branch_price, floored_rate
 from .errors import UavMecError, ValidationError
 from .orchestrator import SCHEMES, placed_for, run_scheme
-from .scenario import (Association, Position3D, Scenario,
-                       feasible_association_mask, generate_scenario)
+from .scenario import Position3D, Scenario, generate_scenario
 
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
 INTEGER_PARAMS = ("n_chunks", "n0_cap")
@@ -36,7 +35,7 @@ class ResultRow:
     error: str = ""
 
 
-def chunked_metrics(scenario: Scenario, association: Association,
+def chunked_metrics(scenario: Scenario, alpha: np.ndarray,
                     beta: np.ndarray, q_m: Position3D):
     """Latency and execution-energy totals summed over sequential chunks.
 
@@ -44,7 +43,7 @@ def chunked_metrics(scenario: Scenario, association: Association,
     size; each chunk is then re-priced at its own size.
     """
     beta = np.asarray(beta, dtype=int)
-    monitored = association.alpha.sum(axis=0) > 0
+    monitored = alpha.sum(axis=0) > 0
     if not monitored.any():
         return 0.0, 0.0, 0.0, 0.0
     n_off = int(beta.sum())
@@ -74,11 +73,8 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
         placed = placed_for(scenario, report.alpha, scheme)
-        association = Association(
-            alpha=report.alpha,
-            feasible_mask=feasible_association_mask(scenario))
         objective, spread, exec_e, ruav_e = chunked_metrics(
-            placed, association, report.beta, report.q_m)
+            placed, report.alpha, report.beta, report.q_m)
         return ResultRow(
             seed=seed, scheme=scheme, swept_param_name=param_name,
             swept_value=param_value, objective_s=objective,

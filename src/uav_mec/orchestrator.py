@@ -151,102 +151,114 @@ def check_constraints(scenario: Scenario, association: Association,
     return violations
 
 
+class Plan(NamedTuple):
+    """One point of the outer loop. A block that is accepted replaces the
+    plan whole, so objective is always the price of the other four fields."""
+
+    placed: Scenario  # the S-UAV geometry the scheme prices under alpha
+    association: Association
+    beta: np.ndarray
+    q_m: Position3D
+    objective: float
+
+
+def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
+    """Each target to its nearest covering S-UAV, the relay at its default
+    point, and no offloader unless the scheme's rule is forced."""
+    scenario = pools.scenario
+    association = nearest_covering_association(pools)
+    placed = placed_for(scenario, association.alpha, scheme)
+    q_m = place_mod.default_initial_position(placed)
+    beta = np.zeros(scenario.n_suavs, dtype=int)
+    if SCHEME_POLICIES[scheme].offload_rule == "forced_offload":
+        # A forced rule also sets the start; the first offload step of
+        # improve re-derives the same decision from the same inputs.
+        beta = forced_offload(placed, association, q_m).beta
+    objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
+    return Plan(placed, association, beta, q_m, objective)
+
+
+def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
+            r_max: int) -> tuple[Plan, dict]:
+    """The outer loop from plan until the objective settles or r_max
+    iterations pass; returns the last plan and the loop's SolverReport
+    fields."""
+    policy = SCHEME_POLICIES[scheme]
+    scenario = pools.scenario
+    trace = [plan.objective]
+    offload, fallbacks, exact, sca_traces = None, 0, True, []
+    last_key = None  # (beta, q_m, alpha) of the last association call
+
+    for _ in range(r_max):
+        # Offload block.
+        if policy.offload_rule is not None:
+            decision = globals()[policy.offload_rule](
+                plan.placed, plan.association, plan.q_m)
+            # The rule prices its decision as evaluate_solution would, to the
+            # bit; float() keeps the trace in Python floats.
+            cand = float(decision.slack_s)
+            if cand <= plan.objective + _GUARD_SLACK:
+                plan = plan._replace(beta=decision.beta, objective=cand)
+                offload = decision
+
+        # Placement block.
+        q_sca, sca_trace, failed = place_mod.sca_loop(
+            plan.placed, plan.association, plan.beta, plan.q_m)
+        sca_traces.append(sca_trace)
+        fallbacks += failed
+        if sca_trace[-1] <= plan.objective + _GUARD_SLACK:
+            plan = plan._replace(q_m=q_sca, objective=sca_trace[-1])
+
+        # Association block. A call with the last call's inputs would return
+        # the same result, so the last (new_assoc, info) stands.
+        key = (plan.beta.tolist(), plan.q_m, plan.association.alpha.tolist())
+        if key != last_key:
+            last_key = key
+            new_assoc, info = assoc_mod.solve_association(
+                pools, plan.beta, plan.q_m, warm_alpha=plan.association.alpha)
+        exact = exact and info.exact
+        if (info.objective <= plan.objective + _GUARD_SLACK
+                and relay_energy(scenario, new_assoc.alpha, plan.beta).total_j
+                <= scenario.ruav.energy_budget_j):
+            plan = Plan(placed_for(scenario, new_assoc.alpha, scheme),
+                        new_assoc, plan.beta, plan.q_m, info.objective)
+
+        trace.append(plan.objective)
+        if convergence_check(trace, tol):
+            break
+
+    # The loop stops early exactly when the check holds on the last trace.
+    return plan, dict(
+        objective_trace=trace, iterations=len(sca_traces),
+        converged=convergence_check(trace, tol), offload=offload,
+        placement_fallbacks=fallbacks, association_exact=exact,
+        sca_traces=sca_traces)
+
+
 def run_scheme(scenario: Scenario, scheme: str,
                tol: float = ExperimentConfig.tol,
                r_max: int = ExperimentConfig.r_max,
                node_budget: int | None = None,
                time_budget_s: float | None = None
                ) -> SolverReport:
-    """Solve one scenario under one scheme. node_budget and time_budget_s are
-    accepted and ignored, for callers that still pass them: the association
-    search has a fixed node allowance and no block reads the clock.
+    """Solve one scenario under one scheme: improve(start_plan(...)).
+    node_budget and time_budget_s are accepted and ignored, for callers that
+    still pass them: the association search has a fixed node allowance and
+    no block reads the clock.
 
-    evaluate_solution runs only for objective_trace[0] and the report: each
-    guard reads its block's price, which is the evaluator's to the bit.
-    The association block's fixed data (association.Pools) is built once
-    here and lives as long as this call. An association call whose inputs
-    (beta, q_m, the current alpha) equal the previous call's would return
-    the same result, so the previous result is reused."""
+    evaluate_solution runs only for the start plan and the report. The
+    association block's fixed data (association.Pools) is built once here
+    and lives as long as this call."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     start = time.monotonic()
-    policy = SCHEME_POLICIES[scheme]
-
-    pools = assoc_mod.Pools(scenario, static_positions=not policy.reposition)
-    association = nearest_covering_association(pools)
-    placed = placed_for(scenario, association.alpha, scheme)
-    q_m = place_mod.default_initial_position(placed)
-    beta = np.zeros(scenario.n_suavs, dtype=int)
-    if policy.offload_rule == "forced_offload":
-        # A forced rule also sets the start; the first offload step below
-        # re-derives the same decision from the same inputs.
-        beta = forced_offload(placed, association, q_m).beta
-
-    objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
-    trace = [objective]
-    offload = None
-    converged = False
-    iterations = fallbacks = 0
-    exact = True
-    sca_traces = []
-    last_call = None  # (beta, q_m, alpha, result) of the last association call
-
-    for _ in range(r_max):
-        iterations += 1
-        # Offload block.
-        if policy.offload_rule is not None:
-            decision = globals()[policy.offload_rule](placed, association, q_m)
-            # The rule prices its decision as evaluate_solution would, to the
-            # bit; float() keeps the trace in Python floats.
-            cand = float(decision.slack_s)
-            if cand <= objective + _GUARD_SLACK:
-                beta, objective, offload = decision.beta, cand, decision
-
-        # Placement block.
-        q_sca, sca_trace, failed = place_mod.sca_loop(placed, association,
-                                                      beta, q_m)
-        sca_traces.append(sca_trace)
-        fallbacks += failed
-        if sca_trace[-1] <= objective + _GUARD_SLACK:
-            q_m, objective = q_sca, sca_trace[-1]
-
-        # Association block.
-        if (last_call is not None and np.array_equal(last_call[0], beta)
-                and last_call[1] == q_m
-                and np.array_equal(last_call[2], association.alpha)):
-            new_assoc, info = last_call[3]
-        else:
-            new_assoc, info = assoc_mod.solve_association(
-                pools, beta, q_m, warm_alpha=association.alpha)
-            last_call = (beta, q_m, association.alpha, (new_assoc, info))
-        exact = exact and info.exact
-        if (info.objective <= objective + _GUARD_SLACK
-                and relay_energy(scenario, new_assoc.alpha, beta).total_j
-                <= scenario.ruav.energy_budget_j):
-            association, objective = new_assoc, info.objective
-            placed = placed_for(scenario, association.alpha, scheme)
-
-        trace.append(objective)
-        if convergence_check(trace, tol):
-            converged = True
-            break
-
-    objective, spread, lats, energies = evaluate_solution(
-        placed, association, beta, q_m)
+    pools = assoc_mod.Pools(
+        scenario, static_positions=not SCHEME_POLICIES[scheme].reposition)
+    plan, record = improve(start_plan(pools, scheme), pools, scheme, tol,
+                           r_max)
+    _, spread, lats, energies = evaluate_solution(
+        plan.placed, plan.association, plan.beta, plan.q_m)
     return SolverReport(
-        scheme=scheme,
-        objective_trace=trace,
-        alpha=association.alpha,
-        beta=beta,
-        q_m=q_m,
-        latencies=lats,
-        energies=energies,
-        delay_stddev_s=spread,
-        iterations=iterations,
-        converged=converged,
-        wall_time=time.monotonic() - start,
-        offload=offload,
-        placement_fallbacks=fallbacks,
-        association_exact=exact,
-        sca_traces=sca_traces,
-    )
+        scheme=scheme, alpha=plan.association.alpha, beta=plan.beta,
+        q_m=plan.q_m, latencies=lats, energies=energies,
+        delay_stddev_s=spread, wall_time=time.monotonic() - start, **record)

@@ -14,9 +14,7 @@ from uav_mec.association import (Pools, greedy_incumbent, solve_association,
 from uav_mec.config import ExperimentConfig
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
-from uav_mec.orchestrator import (nearest_covering_association, placed_for,
-                                  run_scheme)
-from uav_mec.placement import default_initial_position
+from uav_mec.orchestrator import run_scheme, start_plan
 from uav_mec.scenario import Position3D, generate_scenario
 
 from .conftest import counting, full_association, make_scenario
@@ -384,11 +382,11 @@ class TestColumnPrices:
 
 # (config, seed, scheme) -> (nodes, exact, objective, monitors per target).
 # The inputs are fixed, so none of this depends on the placement block: the
-# warm start is the nearest covering association, the relay sits at the
-# default initial position, and `proposed` offloads every other S-UAV up to
-# the cap while `static_suavs` keeps all local. The 16 x 40 call runs out of
-# the DFS allowance, and the column cover returns an association in which
-# some targets have two or three monitors.
+# warm start and the relay position are the solver's start plan (the nearest
+# covering association, the default initial position), and `proposed`
+# offloads every other S-UAV up to the cap while `static_suavs` keeps all
+# local. The 16 x 40 call runs out of the DFS allowance, and the column cover
+# returns an association in which some targets have two or three monitors.
 _FLEET = replace(ExperimentConfig(), n_suavs=16, n_targets=40)
 _TRAJECTORIES = {
     ("reference", 0, "proposed"): (
@@ -427,13 +425,12 @@ class TestSearchTrajectory:
         config = _FLEET if name == "fleet" else ExperimentConfig()
         sc = generate_scenario(config, seed)
         pools = Pools(sc, static_positions=scheme == "static_suavs")
-        warm = nearest_covering_association(pools)
-        q_m = default_initial_position(placed_for(sc, warm.alpha, scheme))
+        start = start_plan(pools, scheme)
         beta = np.zeros(sc.n_suavs, dtype=int)
         if scheme == "proposed":
             beta[:2 * sc.n0_cap:2] = 1
-        assoc, info = solve_association(pools, beta, q_m,
-                                        warm_alpha=warm.alpha)
+        assoc, info = solve_association(pools, beta, start.q_m,
+                                        warm_alpha=start.association.alpha)
         monitors = " ".join("+".join(map(str, np.flatnonzero(row)))
                             for row in assoc.alpha)
         assert (info.nodes, info.exact, info.objective, monitors) == \

@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from uav_mec.cli import main
@@ -286,16 +285,12 @@ class TestChunkedMetrics:
     def test_sums_over_chunks(self):
         cfg = replace(ExperimentConfig(), n_chunks=2)
         from uav_mec.orchestrator import placed_for, run_scheme
-        from uav_mec.scenario import (Association, feasible_association_mask,
-                                      generate_scenario)
+        from uav_mec.scenario import generate_scenario
         sc = generate_scenario(cfg, 0)
         report = run_scheme(sc, "proposed")
         placed = placed_for(sc, report.alpha, report.scheme)
-        assoc = Association(alpha=report.alpha,
-                            feasible_mask=np.maximum(
-                                report.alpha, feasible_association_mask(sc)))
         objective, spread, exec_e, ruav_e = chunked_metrics(
-            placed, assoc, report.beta, report.q_m)
+            placed, report.alpha, report.beta, report.q_m)
         # Two chunks at the same decision cost at least the single mean-size
         # solve and scale roughly linearly.
         assert objective > report.objective_s

@@ -350,7 +350,7 @@ class TestCrossBlockPricing:
         # The association guard prices the relay on the unplaced scenario.
         assert relay_energy(sc, assoc.alpha, beta) == energies[-1]
 
-        chunked = chunked_metrics(placed, assoc, beta, q)
+        chunked = chunked_metrics(placed, assoc.alpha, beta, q)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
         assert chunked == pytest.approx(
             (objective, spread, exec_j, energies[-1].comp_j), rel=1e-12)

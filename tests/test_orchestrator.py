@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from uav_mec.association import Pools
+from uav_mec.config import ExperimentConfig
+from uav_mec.offload import forced_offload
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
-                                  convergence_check,
-                                  nearest_covering_association, run_scheme)
+                                  convergence_check, improve,
+                                  nearest_covering_association, run_scheme,
+                                  start_plan)
 from uav_mec.scenario import Association, fov_rect, repositioned_scenario
 
 
@@ -116,6 +119,75 @@ class TestRunScheme:
     def test_unknown_scheme_rejected(self, scenario0):
         with pytest.raises(ValueError):
             run_scheme(scenario0, "nonsense")
+
+
+def scheme_pools(scenario, scheme):
+    return Pools(scenario, static_positions=scheme == "static_suavs")
+
+
+class TestStartPlanAndImprove:
+    """run_scheme is improve(start_plan(...)) plus the report."""
+
+    TOL, R_MAX = ExperimentConfig.tol, ExperimentConfig.r_max
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_the_trace_opens_at_the_start_plan(self, scenario0, reports,
+                                               scheme):
+        plan = start_plan(scheme_pools(scenario0, scheme), scheme)
+        assert reports[scheme].objective_trace[0] == plan.objective
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_improve_from_the_start_plan_is_run_scheme(self, scenario0,
+                                                       reports, scheme):
+        pools = scheme_pools(scenario0, scheme)
+        plan, record = improve(start_plan(pools, scheme), pools, scheme,
+                               self.TOL, self.R_MAX)
+        report = reports[scheme]
+        assert record["objective_trace"] == report.objective_trace
+        assert record["sca_traces"] == report.sca_traces
+        assert record["iterations"] == report.iterations
+        assert record["converged"] == report.converged
+        assert plan.association.alpha.tolist() == report.alpha.tolist()
+        assert plan.beta.tolist() == report.beta.tolist()
+        assert plan.q_m == report.q_m
+        assert plan.objective == report.objective_s
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_only_the_forced_rule_starts_with_offloaders(self, scenario0,
+                                                         scheme):
+        plan = start_plan(scheme_pools(scenario0, scheme), scheme)
+        if scheme == "ruav_only":
+            expected = forced_offload(plan.placed, plan.association,
+                                      plan.q_m).beta.tolist()
+            assert sum(expected) > 0
+        else:
+            expected = [0] * scenario0.n_suavs
+        assert plan.beta.tolist() == expected
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_the_plan_given_to_improve_is_left_unchanged(self, scenario0,
+                                                         scheme):
+        pools = scheme_pools(scenario0, scheme)
+        plan = start_plan(pools, scheme)
+        fresh = start_plan(pools, scheme)
+        last, _ = improve(plan, pools, scheme, self.TOL, self.R_MAX)
+        assert last.objective < plan.objective
+        assert plan.placed == fresh.placed
+        assert plan.association.alpha.tolist() == \
+            fresh.association.alpha.tolist()
+        assert plan.beta.tolist() == fresh.beta.tolist()
+        assert plan.q_m == fresh.q_m
+        assert plan.objective == fresh.objective
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_no_iteration_returns_the_plan_it_was_given(self, scenario0,
+                                                        scheme):
+        pools = scheme_pools(scenario0, scheme)
+        plan = start_plan(pools, scheme)
+        last, record = improve(plan, pools, scheme, self.TOL, 0)
+        assert last is plan
+        assert record["objective_trace"] == [plan.objective]
+        assert record["iterations"] == 0 and not record["converged"]
 
 
 class TestRuavOnlyRelayBudget:

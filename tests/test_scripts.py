@@ -79,9 +79,21 @@ class TestScripts:
             "sweep_cpu_suav_hz.txt", "sweep_n0_cap.txt", "sweep_n_chunks.txt",
             "sweep_tx_power_w.txt"]
 
+    def test_digest(self):
+        # One line per scheme at seed 0, then one for the n0_cap sweep, each
+        # ending in a sha256.
+        done = run_script("digest.py", "--seeds", "0")
+        assert done.returncode == 0, done.stderr
+        lines = [line.split() for line in done.stdout.splitlines()]
+        assert [line[:2] for line in lines[:-1]] == [
+            ["0", scheme] for scheme in orchestrator.SCHEMES]
+        assert lines[-1][0] == "sweep"
+        assert all(len(line[-1]) == 64 for line in lines)
+
     @pytest.mark.parametrize("args", [
         ("compare_schemes.py", "--seeds", "abc"),
         ("compare_schemes.py", "--seeds", "-1"),
+        ("digest.py", "--seeds", "abc"),
         ("oracle_gaps.py", "--seeds", "abc"),
         ("oracle_gaps.py", "--n-suavs", "0"),
         ("run_sweeps.py", "--seeds", "5-2"),
