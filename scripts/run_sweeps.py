@@ -19,6 +19,7 @@ from pathlib import Path
 
 from uav_mec.cli import exit_code
 from uav_mec.config import ExperimentConfig, parse_seeds
+from uav_mec.errors import ValidationError
 from uav_mec.experiment import sweep, write_results
 from uav_mec.orchestrator import SCHEMES
 
@@ -45,7 +46,10 @@ def run_all(args):
     cfg = replace(ExperimentConfig(),
                   seeds=parse_seeds(args.seeds)).validate()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot make {out_dir}: {exc.strerror}") from exc
 
     for param, values in SWEEPS.items():
         start = time.monotonic()

@@ -44,9 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import BranchPrice, branch_price, floored_rate, floored_rates
+from .cost import BranchPrice, floored_rate, floored_rates, suav_prices
 from .errors import InfeasibleSubproblem
-from .link import snr_coeff
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, reposition)
 
@@ -126,12 +125,14 @@ class Pools:
 
 
 class _Context:
-    """One association call's prices over a solve's Pools, plus a latency
-    memo.
+    """One association call's S-UAV price records over a solve's Pools, plus
+    a latency memo.
 
-    Each S-UAV's branch price (cost.branch_price) depends only on its offload
-    bit and the offloader count, so it is priced once per call; a memo miss
-    then costs one hover point (memoised per solve) and one link rate.
+    Each S-UAV's price record (cost.suav_prices) depends only on its offload
+    bit and the offloader count, so it is built once per call; a memo miss
+    then costs one hover point (memoised per solve) and one link rate. The
+    empty target set prices the S-UAV idle: zero latency, and its hover
+    alone against its budget.
     """
 
     def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
@@ -139,16 +140,12 @@ class _Context:
         # The search reads these at every node.
         self.scenario, self.mask, self.cover, self.order = (
             pools.scenario, pools.mask, pools.cover, pools.order)
-        scenario = pools.scenario
-        beta = np.asarray(beta, dtype=int)
-        n_off = int(beta.sum())
         self.q_m = q_m
-        self._prices = [branch_price(scenario, j, suav.chunk_bits,
-                                     bool(beta[j]), n_off)
-                        for j, suav in enumerate(scenario.suavs)]
+        self.prices = suav_prices(
+            pools.scenario, [s.chunk_bits for s in pools.scenario.suavs], beta)
         # Per S-UAV: target bitmask -> (latency, energy-feasible).
         self._memo: list[dict[int, tuple[float, bool]]] = [
-            {0: (0.0, True)} for _ in scenario.suavs]
+            {0: (0.0, price.fits())} for price in self.prices]
 
     def latency(self, suav_index: int, target_bits: int) -> tuple[float, bool]:
         """(exact latency, energy-feasible) for one S-UAV and target bitmask."""
@@ -156,12 +153,11 @@ class _Context:
         hit = memo.get(target_bits)
         if hit is not None:
             return hit
-        suav = self.scenario.suavs[suav_index]
-        pos = self.pools.hover_point(suav_index, target_bits)
-        r = floored_rate(suav, pos, self.q_m, self.scenario.constants)
-        price = self._prices[suav_index]
-        energy = price.energy(suav.tx_power_w, r) + suav.hover_energy_j
-        result = (price.latency(r), energy <= suav.energy_budget_j)
+        price = self.prices[suav_index]
+        r = floored_rate(self.pools.hover_point(suav_index, target_bits),
+                         self.q_m, price.gamma1,
+                         self.scenario.constants.bandwidth_hz)
+        result = (price.latency(r), price.fits(r))
         memo[target_bits] = result
         return result
 
@@ -338,20 +334,13 @@ class _Columns(NamedTuple):
 
 def _column_prices(ctx: _Context,
                    cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
-    """(latency, energy-feasible) of every column, in one pass, each priced
-    exactly as _Context.latency prices the column's S-UAV and targets."""
-    c = ctx.scenario.constants
-    per_suav = np.array([
-        (price.tx_bits, price.fixed_s, price.comp_j,
-         snr_coeff(suav.tx_power_w, c.rho0, c.noise_w), suav.tx_power_w,
-         suav.hover_energy_j, suav.energy_budget_j)
-        for suav, price in zip(ctx.scenario.suavs, ctx._prices)])
-    tx_bits, fixed_s, comp_j, gamma1, tx_power_w, hover_j, budget_j = (
-        per_suav[cols.suav].T)
-    r = floored_rates(cols.pos, ctx.q_m.array, gamma1, c.bandwidth_hz)
-    price = BranchPrice(tx_bits, fixed_s, comp_j, 0.0)
-    energy = price.energy(tx_power_w, r) + hover_j
-    return price.latency(r), energy <= budget_j
+    """(latency, energy-feasible) of every column, in one pass: the price
+    records stacked into arrays, one row per column's S-UAV, so each column
+    is priced exactly as _Context.latency prices its S-UAV and targets."""
+    price = BranchPrice(*np.array(ctx.prices)[cols.suav].T)
+    r = floored_rates(cols.pos, ctx.q_m.array, price.gamma1,
+                      ctx.scenario.constants.bandwidth_hz)
+    return price.latency(r), price.fits(r)
 
 
 def _undominated(masks: np.ndarray, latency: np.ndarray) -> np.ndarray:
@@ -464,6 +453,13 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
     does not finish (see the module docstring). warm_alpha, if given, joins
     the greedy start as an incumbent."""
     ctx = _Context(pools, beta, q_m)
+    # An S-UAV whose hover alone breaks its budget breaks it in every
+    # association. The search prices an idle S-UAV only once its pool is
+    # decided, and the cover never does, so the idle case is tested here.
+    for j in range(pools.scenario.n_suavs):
+        if not ctx.latency(j, 0)[1]:
+            raise InfeasibleSubproblem(
+                f"S-UAV {j}'s hover alone breaks its energy budget")
     incumbent_alpha = None
     incumbent_obj = float("inf")
     for alpha in filter(lambda a: a is not None,

@@ -9,7 +9,8 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import ParseError, UavMecError, ValidationError
-from .experiment import SWEEPABLE, format_rows, run_cell, sweep, write_results
+from .experiment import (SWEEPABLE, format_rows, run_cell, sweep,
+                         write_results, write_text)
 from .orchestrator import SCHEMES, run_scheme
 from .oracles import joint_bruteforce
 from .scenario import generate_scenario
@@ -29,8 +30,7 @@ def _add_common(parser):
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDecision
-from .link import PhysicsConstants, rate_at_dist_sq, snr_coeff
-from .scenario import Association, Position3D, Scenario, SUav
+from .link import rate_at_dist_sq, snr_coeff
+from .scenario import Association, Position3D, Scenario
 
 
 @dataclass(frozen=True)
@@ -52,44 +52,73 @@ def effective_chunk_bits(scenario: Scenario, alpha: np.ndarray) -> np.ndarray:
 
 
 class BranchPrice(NamedTuple):
-    """One S-UAV's price on one computing branch, short of the link rate.
-
-    With the S-UAV's rate r: latency = tx_bits / r + fixed_s, and execution
-    energy = tx_power_w * (tx_bits / r) + comp_j; r may be an array.
-    """
+    """One S-UAV's price record on one computing branch: all that its
+    latency, execution energy and budget test need but the link rate r,
+    which may be an array, as may every field of a stacked record."""
 
     tx_bits: float   # bits sent to the relay: compressed result or raw chunk
     fixed_s: float   # compute seconds, on board or fair-share on the relay
     comp_j: float    # on-board compute energy
     relay_j: float   # relay compute energy spent on this S-UAV's chunk
+    gamma1: float    # SNR coefficient of the S-UAV's link (link.snr_coeff)
+    tx_power_w: float
+    hover_j: float
+    budget_j: float
 
     def latency(self, r):
         return self.tx_bits / r + self.fixed_s
 
-    def energy(self, tx_power_w: float, r):
-        return tx_power_w * (self.tx_bits / r) + self.comp_j
+    def energy(self, r):
+        return self.tx_power_w * (self.tx_bits / r) + self.comp_j
+
+    def fits(self, r=None):
+        """The budget test, hover included, in the evaluator's arithmetic;
+        r=None tests the S-UAV idle, on its hover alone."""
+        spent = self.hover_j if r is None else self.energy(r) + self.hover_j
+        return spent <= self.budget_j
+
+    @property
+    def rate_floor(self) -> float:
+        """The least rate at which the S-UAV keeps its budget, or inf if
+        none does; 0.0 for an idle S-UAV whose hover fits."""
+        if not self.tx_bits:
+            return 0.0 if self.fits() else math.inf
+        headroom = self.budget_j - self.hover_j - self.comp_j
+        if headroom <= 0.0:
+            return math.inf
+        return self.tx_power_w * self.tx_bits / headroom
 
 
 def branch_price(scenario: Scenario, j: int, s: float, offloaded: bool,
                  n_offloaders: int) -> BranchPrice:
-    """Price of S-UAV j processing s bits on board, or on the relay whose CPU
-    is split evenly among n_offloaders. The one place the model lives."""
+    """Price record of S-UAV j processing s bits on board, or on the relay
+    whose CPU is split evenly among n_offloaders. The one place the model
+    lives."""
     c = scenario.constants
+    suav = scenario.suavs[j]
     if offloaded:
         if n_offloaders < 1:
             raise InvalidDecision("offloading S-UAV needs n_offloaders >= 1")
         f_r = scenario.ruav.cpu_hz
-        return BranchPrice(
-            s, s * c.f0_cycles_per_bit * n_offloaders / f_r, 0.0,
-            n_offloaders * f_r**2 * c.zeta * c.f0_cycles_per_bit * s)
-    suav = scenario.suavs[j]
-    return BranchPrice(
-        suav.compress_ratio * s, s * c.f0_cycles_per_bit / suav.cpu_hz,
-        suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit, 0.0)
+        branch = (s, s * c.f0_cycles_per_bit * n_offloaders / f_r, 0.0,
+                  n_offloaders * f_r**2 * c.zeta * c.f0_cycles_per_bit * s)
+    else:
+        branch = (suav.compress_ratio * s, s * c.f0_cycles_per_bit / suav.cpu_hz,
+                  suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit, 0.0)
+    return BranchPrice(*branch, snr_coeff(suav.tx_power_w, c.rho0, c.noise_w),
+                       suav.tx_power_w, suav.hover_energy_j, suav.energy_budget_j)
 
 
-def floored_rate(suav: SUav, pos: Position3D, q_m: Position3D,
-                 constants: PhysicsConstants) -> float:
+def suav_prices(scenario: Scenario, s_bits, beta) -> list[BranchPrice]:
+    """Every S-UAV's price record at task sizes s_bits under offload
+    decision beta: the one place the fair share's offloader count is taken."""
+    n_off = int(sum(beta))
+    return [branch_price(scenario, j, float(s), bool(b), n_off)
+            for j, (s, b) in enumerate(zip(s_bits, beta))]
+
+
+def floored_rate(pos: Position3D, q_m: Position3D, gamma1: float,
+                 bandwidth_hz: float) -> float:
     """Rate from pos to the relay with the distance floored at the 1 m
     reference: the one convention every block and the evaluator price by.
 
@@ -99,10 +128,9 @@ def floored_rate(suav: SUav, pos: Position3D, q_m: Position3D,
     right. floored_rates prices arrays with that expression, so the two
     agree to the last bit.
     """
-    gamma1 = snr_coeff(suav.tx_power_w, constants.rho0, constants.noise_w)
     dx, dy, dz = pos.x - q_m.x, pos.y - q_m.y, pos.h - q_m.h
     d2 = max((dx * dx + dy * dy) + dz * dz, 1.0)
-    return rate_at_dist_sq(d2, constants.bandwidth_hz, gamma1)
+    return rate_at_dist_sq(d2, bandwidth_hz, gamma1)
 
 
 def floored_rates(pos: np.ndarray, q_m: np.ndarray, gamma1,
@@ -123,21 +151,19 @@ def _capped(scenario: Scenario, beta: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _breakdowns(scenario: Scenario, association: Association,
-                beta: np.ndarray, q_m: Position3D):
+def breakdowns(scenario: Scenario, association: Association,
+               beta: np.ndarray, q_m: Position3D):
     """(latency breakdowns, energy breakdowns ending with the relay's). An
-    S-UAV that carries no video prices to zero, and its link is not rated."""
+    S-UAV that carries no video is rated at r = inf, which prices it to zero
+    but its hover."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
-    n_off = int(beta.sum())
-    lats, energies, relay_j = [], [], []
-    for j, suav in enumerate(scenario.suavs):
-        s, off = float(s_bits[j]), bool(beta[j])
-        price = branch_price(scenario, j, s, off, n_off)
-        relay_j.append(price.relay_j)
-        t_tx = 0.0
-        if s > 0.0:
-            t_tx = price.tx_bits / floored_rate(
-                suav, suav.current_pos, q_m, scenario.constants)
+    prices = suav_prices(scenario, s_bits, beta)
+    lats, energies = [], []
+    for suav, s, off, price in zip(scenario.suavs, s_bits.tolist(),
+                                   beta.tolist(), prices):
+        t_tx = price.tx_bits / (math.inf if s == 0.0 else floored_rate(
+            suav.current_pos, q_m, price.gamma1,
+            scenario.constants.bandwidth_hz))
         lats.append(LatencyBreakdown(
             suav_id=suav.id,
             local_compute_s=0.0 if off else price.fixed_s,
@@ -145,17 +171,19 @@ def _breakdowns(scenario: Scenario, association: Association,
             offload_tx_s=t_tx if off else 0.0,
             ruav_compute_s=price.fixed_s if off else 0.0,
             total_s=t_tx + price.fixed_s,
-            offloaded=off,
+            offloaded=bool(off),
             active=s > 0.0,
         ))
-        energies.append(EnergyBreakdown(f"suav:{suav.id}", suav.tx_power_w * t_tx,
-                                        price.comp_j, suav.hover_energy_j))
-    energies.append(_relay_breakdown(scenario, relay_j))
+        energies.append(EnergyBreakdown(f"suav:{suav.id}",
+                                        price.tx_power_w * t_tx,
+                                        price.comp_j, price.hover_j))
+    energies.append(_relay_breakdown(scenario, prices))
     return lats, energies
 
 
-def _relay_breakdown(scenario: Scenario, relay_j: list) -> EnergyBreakdown:
-    return EnergyBreakdown("ruav", 0.0, float(np.sum(relay_j)),
+def _relay_breakdown(scenario: Scenario, prices: list) -> EnergyBreakdown:
+    return EnergyBreakdown("ruav", 0.0,
+                           float(np.sum([p.relay_j for p in prices])),
                            scenario.ruav.hover_energy_j)
 
 
@@ -163,20 +191,8 @@ def relay_energy(scenario: Scenario, alpha: np.ndarray,
                  beta: np.ndarray) -> EnergyBreakdown:
     """The relay's energy: its hover, plus the fair-share compute term of
     every offloaded chunk. No position enters it."""
-    s_bits = effective_chunk_bits(scenario, alpha)
-    n_off = int(beta.sum())
-    return _relay_breakdown(scenario, [
-        branch_price(scenario, j, float(s_bits[j]), bool(beta[j]),
-                     n_off).relay_j
-        for j in range(scenario.n_suavs)])
-
-
-def all_energies(scenario: Scenario, association: Association,
-                 beta: np.ndarray, q_m: Position3D) -> list[EnergyBreakdown]:
-    """Per-S-UAV energies, then the relay's: the sum of the offloaders'
-    fair-share compute terms."""
-    beta = np.asarray(beta, dtype=int)
-    return _breakdowns(scenario, association, beta, q_m)[1]
+    return _relay_breakdown(scenario, suav_prices(
+        scenario, effective_chunk_bits(scenario, alpha), beta))
 
 
 def objective_and_spread(latencies: list[LatencyBreakdown]) -> tuple[float, float]:
@@ -196,7 +212,7 @@ def evaluate_solution(scenario: Scenario, association: Association,
 
     The scenario must already be repositioned under the association.
     """
-    lats, energies = _breakdowns(scenario, association,
-                                 _capped(scenario, beta), q_m)
+    lats, energies = breakdowns(scenario, association,
+                                _capped(scenario, beta), q_m)
     objective, spread = objective_and_spread(lats)
     return objective, spread, lats, energies

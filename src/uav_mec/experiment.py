@@ -6,11 +6,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost import branch_price, floored_rate
+from .cost import floored_rate, suav_prices
 from .errors import UavMecError, ValidationError
 from .orchestrator import SCHEMES, placed_for, run_scheme
 from .scenario import Position3D, Scenario, generate_scenario
@@ -42,21 +43,23 @@ def chunked_metrics(scenario: Scenario, alpha: np.ndarray,
     Positions and decisions come from the single solve at the mean chunk
     size; each chunk is then re-priced at its own size.
     """
-    beta = np.asarray(beta, dtype=int)
     monitored = alpha.sum(axis=0) > 0
     if not monitored.any():
         return 0.0, 0.0, 0.0, 0.0
-    n_off = int(beta.sum())
+    # Chunk k's price records: every S-UAV at the size of its chunk k, or
+    # 0 bits past its last chunk, which adds nothing.
+    chunks = [suav_prices(scenario, sizes, beta) for sizes in zip_longest(
+        *(s.chunk_bits_list for s in scenario.suavs), fillvalue=0.0)]
     totals = np.zeros(scenario.n_suavs)
     exec_energy = 0.0
     ruav_energy = 0.0
     for j in np.flatnonzero(monitored):
-        suav = scenario.suavs[j]
-        r = floored_rate(suav, suav.current_pos, q_m, scenario.constants)
-        for s in suav.chunk_bits_list:
-            price = branch_price(scenario, j, s, bool(beta[j]), n_off)
+        r = floored_rate(scenario.suavs[j].current_pos, q_m,
+                         chunks[0][j].gamma1, scenario.constants.bandwidth_hz)
+        for prices in chunks:
+            price = prices[j]
             totals[j] += price.latency(r)
-            exec_energy += price.energy(suav.tx_power_w, r)
+            exec_energy += price.energy(r)
             ruav_energy += price.relay_j
     active_totals = totals[monitored]
     return (float(active_totals.max()), float(active_totals.std()),
@@ -142,8 +145,16 @@ def format_rows(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_results(rows: list[ResultRow], path) -> None:
     if not rows:
         raise ValueError("refusing to write an empty result table")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_rows(rows))
+    write_text(path, format_rows(rows))

@@ -23,13 +23,15 @@ them and solved with HiGHS on the first read of lp_lower_bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import simplex
-from .cost import branch_price, effective_chunk_bits, floored_rate
+from .cost import (BranchPrice, branch_price, effective_chunk_bits,
+                   floored_rate, suav_prices)
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
@@ -75,6 +77,8 @@ class Sp1Terms:
     ruav_budget: float
     e_ruav: np.ndarray       # (n0_cap, n): relay compute energy, row m - 1
     active: np.ndarray
+    fits_local: np.ndarray    # BranchPrice.fits on the local branch
+    fits_offload: np.ndarray  # ... and on the offload branch
 
     @property
     def n(self) -> int:
@@ -97,32 +101,30 @@ class Sp1Terms:
 
 def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D) -> Sp1Terms:
+    """SP1's terms, read off stacked price records of the local branch and
+    of the offload branch at every offloader count within the cap. An idle
+    S-UAV is rated at r = inf, which prices it to zero but its hover."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
-    n = scenario.n_suavs
-    t_loc, t_tx_loc, t_tx_off, e_local, e_off = np.zeros((5, n))
-    t_ruav, e_ruav = np.zeros((2, scenario.n0_cap, n))
-    for j, suav in enumerate(scenario.suavs):
-        s = float(s_bits[j])
-        if s == 0.0:
-            continue
-        r = floored_rate(suav, suav.current_pos, q_m, scenario.constants)
-        local = branch_price(scenario, j, s, False, 0)
-        t_loc[j], t_tx_loc[j] = local.fixed_s, local.tx_bits / r
-        e_local[j] = local.energy(suav.tx_power_w, r)
-        # One price per offloader count m, so that a subset is priced with
-        # the same arithmetic as the evaluator uses.
-        offs = [branch_price(scenario, j, s, True, m)
-                for m in range(1, scenario.n0_cap + 1)]
-        t_ruav[:, j] = [p.fixed_s for p in offs]
-        e_ruav[:, j] = [p.relay_j for p in offs]
-        t_tx_off[j] = offs[0].tx_bits / r
-        e_off[j] = offs[0].energy(suav.tx_power_w, r)
-    budgets = np.array([s.energy_budget_j - s.hover_energy_j for s in scenario.suavs])
+    sizes = s_bits.tolist()
+    local_prices = suav_prices(scenario, sizes, [0] * len(sizes))
+    r = np.array([
+        floored_rate(suav.current_pos, q_m, p.gamma1,
+                     scenario.constants.bandwidth_hz) if s > 0.0 else math.inf
+        for suav, s, p in zip(scenario.suavs, sizes, local_prices)])
+    local = BranchPrice(*np.array(local_prices).T)
+    offs = [[branch_price(scenario, j, s, True, m) for j, s in enumerate(sizes)]
+            for m in range(1, scenario.n0_cap + 1)]
+    off = BranchPrice(*np.array(offs[0]).T)
     return Sp1Terms(
-        s_bits=s_bits, t_loc=t_loc, t_tx_loc=t_tx_loc, t_tx_off=t_tx_off,
-        t_ruav=t_ruav, e_local=e_local, e_offload=e_off, suav_budget=budgets,
+        s_bits=s_bits, t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
+        t_tx_off=off.tx_bits / r,
+        t_ruav=np.array([[p.fixed_s for p in row] for row in offs]),
+        e_local=local.energy(r), e_offload=off.energy(r),
+        suav_budget=local.budget_j - local.hover_j,
         ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        e_ruav=e_ruav, active=s_bits > 0.0,
+        e_ruav=np.array([[p.relay_j for p in row] for row in offs]),
+        active=s_bits > 0.0, fits_local=local.fits(r),
+        fits_offload=off.fits(r),
     )
 
 
@@ -130,10 +132,10 @@ def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
     """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0)."""
     n = t.n
     n0 = t.n0_cap
-    for j in np.flatnonzero(t.active):
-        if t.e_local[j] > t.suav_budget[j] and t.e_offload[j] > t.suav_budget[j]:
-            raise InfeasibleSubproblem(
-                f"energy budget of S-UAV {j} excludes both computing branches")
+    excluded = np.flatnonzero(~(t.fits_local | t.fits_offload))
+    if excluded.size:
+        raise InfeasibleSubproblem(f"energy budget of S-UAV {excluded[0]} "
+                                   "excludes both computing branches")
 
     def diag(value):  # +0.0 off the diagonal, as in the rows' zero fill
         return np.diag(np.broadcast_to(value, n))
@@ -168,14 +170,14 @@ def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
     member_set = set(members)
     worst = 0.0
     ruav_e = 0.0
-    for j in np.flatnonzero(t.active):
+    for j in range(t.n):  # an idle S-UAV prices to zero but its hover
         if j in member_set:
-            if t.e_offload[j] > t.suav_budget[j]:
+            if not t.fits_offload[j]:
                 return None
             lat = t.t_tx_off[j] + t.t_ruav[m - 1, j]
             ruav_e += t.e_ruav[m - 1, j]
         else:
-            if t.e_local[j] > t.suav_budget[j]:
+            if not t.fits_local[j]:
                 return None
             lat = t.t_loc[j] + t.t_tx_loc[j]
         worst = max(worst, lat)
@@ -202,14 +204,13 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     Returns the lexicographically smallest optimal beta, as enumerating
     every subset within the relay cap would (see the module docstring).
     """
-    active = np.flatnonzero(t.active).tolist()
-    over = t.e_local > t.suav_budget  # the local branch breaks the budget
-    forced = [j for j in active if over[j]]
+    # Those whose local branch breaks the budget; an idle one breaks both.
+    forced = np.flatnonzero(~t.fits_local).tolist()
     for j in forced:  # the first S-UAV that build_sp1_lp would reject
-        if t.e_offload[j] > t.suav_budget[j]:
+        if not t.fits_offload[j]:
             raise InfeasibleSubproblem(
                 f"energy budget of S-UAV {j} excludes both computing branches")
-    rest = _local_order(t, [j for j in active if not over[j]])
+    rest = _local_order(t, np.flatnonzero(t.active & t.fits_local).tolist())
     best = None
     for k in range(min(t.n0_cap - len(forced), len(rest)) + 1):
         members = forced + rest[:k]

@@ -12,8 +12,7 @@ import itertools
 
 import numpy as np
 
-from .association import Pools, _Context
-from .cost import effective_chunk_bits
+from .cost import effective_chunk_bits, evaluate_solution
 from .errors import InfeasibleSubproblem
 from .link import snr_coeff
 from .offload import OffloadDecision, _decision, _subset_objective, sp1_terms
@@ -103,36 +102,30 @@ def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,
                                         q_m: Position3D,
                                         static_positions: bool = False
                                         ) -> tuple[np.ndarray, float]:
-    """Exhaustive search over all masked associations with row sums >= 1."""
-    ctx = _Context(Pools(scenario, static_positions), beta, q_m)
+    """Exhaustive search over all masked associations with row sums >= 1,
+    each priced by evaluate_solution on the S-UAVs placed over it (or left
+    where they are), and kept only if every S-UAV keeps its budget."""
+    mask = feasible_association_mask(scenario)
+    beta = np.asarray(beta, dtype=int)
     per_target = []
     for i in range(scenario.n_targets):
-        cover = ctx.cover[i]
-        subsets = [combo
-                   for r in range(1, len(cover) + 1)
-                   for combo in itertools.combinations(cover, r)]
-        per_target.append(subsets)
+        cover = np.flatnonzero(mask[i]).tolist()
+        per_target.append([combo
+                           for r in range(1, len(cover) + 1)
+                           for combo in itertools.combinations(cover, r)])
     best_alpha, best_obj = None, np.inf
     for combo in itertools.product(*per_target):
-        bits = [0] * scenario.n_suavs
+        alpha = np.zeros_like(mask)
         for i, monitors in enumerate(combo):
-            for j in monitors:
-                bits[j] |= 1 << i
-        worst = 0.0
-        feasible = True
-        for j in range(scenario.n_suavs):
-            t, ok = ctx.latency(j, bits[j])
-            if not ok:
-                feasible = False
-                break
-            worst = max(worst, t)
-        if feasible and worst < best_obj:
-            best_obj = worst
-            alpha = np.zeros_like(ctx.mask)
-            for i, monitors in enumerate(combo):
-                for j in monitors:
-                    alpha[i, j] = 1
-            best_alpha = alpha
+            alpha[i, list(monitors)] = 1
+        placed = (scenario if static_positions
+                  else repositioned_scenario(scenario, alpha))
+        obj, _, _, energies = evaluate_solution(
+            placed, Association(alpha=alpha, feasible_mask=mask), beta, q_m)
+        if obj < best_obj and all(
+                e.total_j <= s.energy_budget_j
+                for e, s in zip(energies, scenario.suavs)):
+            best_alpha, best_obj = alpha, obj
     if best_alpha is None:
         raise InfeasibleSubproblem("no energy-feasible association exists")
     return best_alpha, best_obj

@@ -18,7 +18,7 @@ import numpy as np
 from . import association as assoc_mod
 from . import placement as place_mod
 from .config import ExperimentConfig
-from .cost import (EnergyBreakdown, LatencyBreakdown, all_energies,
+from .cost import (EnergyBreakdown, LatencyBreakdown, breakdowns,
                    evaluate_solution, relay_energy)
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
@@ -142,7 +142,7 @@ def check_constraints(scenario: Scenario, association: Association,
         if not strictly_inside:
             violations.append(
                 f"target {i} not strictly inside any assigned footprint")
-    energies = all_energies(placed, association, beta.astype(int), q_m)
+    energies = breakdowns(placed, association, beta.astype(int), q_m)[1]
     for e, suav in zip(energies[:-1], scenario.suavs):
         if e.total_j > suav.energy_budget_j + 1e-9:
             violations.append(f"S-UAV {suav.id} energy budget exceeded")

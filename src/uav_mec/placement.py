@@ -29,8 +29,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InfeasibleSubproblem
-from .cost import branch_price, effective_chunk_bits, floored_rates
-from .link import snr_coeff
+from .cost import (BranchPrice, effective_chunk_bits, floored_rates,
+                   suav_prices)
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
@@ -55,29 +55,23 @@ class PlacementTerms:
 
 def placement_terms(scenario: Scenario, association: Association,
                     beta: np.ndarray) -> PlacementTerms:
-    c = scenario.constants
-    beta = np.asarray(beta, dtype=int)
+    """The transmitting S-UAVs' rows, read off their price records; raises
+    if some S-UAV, idle or not, keeps its budget at no rate."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
-    m = int(beta.sum())
-    rows_q, g1, tx, fixed, floors = [], [], [], [], []
-    for j, suav in enumerate(scenario.suavs):
-        s = float(s_bits[j])
-        if s == 0.0:
-            continue
-        price = branch_price(scenario, j, s, bool(beta[j]), m)
-        rows_q.append(suav.current_pos.array)
-        g1.append(snr_coeff(suav.tx_power_w, c.rho0, c.noise_w))
-        tx.append(price.tx_bits)
-        fixed.append(price.fixed_s)
-        denom = suav.energy_budget_j - suav.hover_energy_j - price.comp_j
-        if denom <= 0.0:
-            raise InfeasibleSubproblem(
-                f"S-UAV {j} has no energy headroom for any transmission")
-        floors.append(suav.tx_power_w * price.tx_bits / denom)
+    prices = suav_prices(scenario, s_bits, beta)
+    floors = [p.rate_floor for p in prices]
+    if math.inf in floors:
+        raise InfeasibleSubproblem(
+            f"S-UAV {floors.index(math.inf)} has no energy headroom for any "
+            "transmission")
+    rows = s_bits > 0.0
+    sent = BranchPrice(*np.array(prices)[rows].T)
     return PlacementTerms(
-        q=np.array(rows_q).reshape(-1, 3),
-        gamma1=np.array(g1), tx_bits=np.array(tx), fixed_s=np.array(fixed),
-        floors=np.array(floors), bandwidth_hz=c.bandwidth_hz,
+        q=np.array([s.current_pos.array for s, row in zip(scenario.suavs, rows)
+                    if row]).reshape(-1, 3),
+        gamma1=sent.gamma1, tx_bits=sent.tx_bits, fixed_s=sent.fixed_s,
+        floors=np.array(floors)[rows],
+        bandwidth_hz=scenario.constants.bandwidth_hz,
     )
 
 

@@ -119,6 +119,19 @@ class TestSweep:
         strip = lambda r: replace(r, wall_ms=0.0)
         assert [strip(r) for r in small_sweep] == [strip(r) for r in again]
 
+    def test_sequential_and_pooled_sweeps_agree(self, monkeypatch):
+        # The CLI sweeps in a process pool by default; the reference files
+        # are written with one worker. Rows are compared as written.
+        cfg = replace(ExperimentConfig(), seeds=(0, 1, 2))
+        tables = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("UAV_MEC_WORKERS", workers)
+            rows = sweep(cfg, "n0_cap", [2, 6])
+            tables.append(format_rows([replace(r, wall_ms=0.0)
+                                       for r in rows]))
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 1 + 3 * 2 * 4
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             sweep(ExperimentConfig(), "area_m", [1000.0])
@@ -217,6 +230,25 @@ class TestCli:
                      "--scheme", "suav_only"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "UAV_MEC_WORKERS" in err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--scheme", "suav_only"],
+        ["sweep", "--param", "n0_cap", "--values", "1", "--scheme",
+         "suav_only"],
+        ["trace"],
+    ])
+    @pytest.mark.parametrize("missing_parent", [False, True])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command,
+                                   missing_parent):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("n_suavs = 2\nn_targets = 3\nn0_cap = 1\n"
+                            "seeds = 0\n")
+        out = tmp_path / "missing" / "rows.txt" if missing_parent else tmp_path
+        assert main(command + ["--config", str(cfg_path),
+                               "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     @pytest.mark.parametrize("workers,expected",
                              [(None, None), ("0", None), ("3", 3)])

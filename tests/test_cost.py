@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from uav_mec.association import Pools, _Context
 from uav_mec.config import ExperimentConfig
-from uav_mec.cost import (LatencyBreakdown, all_energies, branch_price,
+from uav_mec.cost import (LatencyBreakdown, branch_price,
                           effective_chunk_bits, evaluate_solution,
                           floored_rate, objective_and_spread, relay_energy)
-from uav_mec.errors import InvalidDecision
+from uav_mec.errors import InfeasibleSubproblem, InvalidDecision
 from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate_at_dist_sq, snr_coeff
 from uav_mec.offload import _subset_objective, sp1_terms
@@ -56,7 +56,7 @@ class TestFlooredRate:
         gamma1 = snr_coeff(sc.suavs[0].tx_power_w, sc.constants.rho0,
                         sc.constants.noise_w)
         d2 = max(float(((p.array - q.array) ** 2).sum()), 1.0)
-        assert floored_rate(sc.suavs[0], p, q, sc.constants) == \
+        assert floored_rate(p, q, gamma1, sc.constants.bandwidth_hz) == \
             rate_at_dist_sq(d2, sc.constants.bandwidth_hz, gamma1)
 
 
@@ -64,7 +64,7 @@ class TestLocalPath:
     def test_zero_chunk(self):
         sc = two_suav_scenario()
         price = branch_price(sc, 0, 0.0, False, 0)
-        assert price == (0.0, 0.0, 0.0, 0.0)
+        assert price[:4] == (0.0, 0.0, 0.0, 0.0)
         assert price.latency(link_rate(sc)) == 0.0
 
     def test_compute_time_250kb(self):
@@ -150,7 +150,8 @@ class TestTotalLatency:
 class TestEnergy:
     def energies(self, beta):
         sc = two_suav_scenario()
-        return sc, all_energies(sc, full_association(sc), np.array(beta), Q_M)
+        return sc, evaluate_solution(sc, full_association(sc), np.array(beta),
+                                     Q_M)[3]
 
     def test_local_compute_energy(self):
         # zeta * f_n^2 * S * f_0 = 1e-28 * (2e8)^2 * 2.048e6 * 1000
@@ -258,13 +259,16 @@ class TestEvaluateSolution:
 @st.composite
 def priced_points(draw):
     """A small scenario with a random association, capped offload subset and
-    relay position at least 1 m from every S-UAV; the relay budget is drawn
-    tight enough to rule out some subsets."""
+    relay position at least 1 m from every S-UAV. The relay budget is drawn
+    tight enough to rule out some subsets. Each S-UAV hovers at a nonzero
+    cost, and its budget is 0.5, 1 or 2 times its energy at the point, so
+    that budgets bind, exactly at 1, on active and idle S-UAVs alike."""
     n = draw(st.integers(1, 4))
     cfg = replace(ExperimentConfig(), n_suavs=n,
                   n_targets=draw(st.integers(n, 6)), n_chunks=1,
                   n0_cap=draw(st.integers(1, n)),
-                  energy_budget_ruav_j=draw(st.sampled_from([2.0, 1e3])))
+                  energy_budget_ruav_j=draw(st.sampled_from([2.0, 1e3])),
+                  hover_energy_suav_j=draw(st.floats(1e-3, 0.1)))
     sc = generate_scenario(cfg, draw(st.integers(0, 10_000)))
     mask = feasible_association_mask(sc)
     alpha = np.zeros_like(mask)
@@ -277,7 +281,16 @@ def priced_points(draw):
     placed = repositioned_scenario(sc, alpha)
     assume(all(((s.current_pos.array - q.array) ** 2).sum() >= 1.0
                for s in placed.suavs))
-    return sc, placed, Association(alpha=alpha, feasible_mask=mask), members, q
+    assoc = Association(alpha=alpha, feasible_mask=mask)
+    beta = np.zeros(n, dtype=int)
+    beta[list(members)] = 1
+    energies = evaluate_solution(placed, assoc, beta, q)[3]
+    scales = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n,
+                           max_size=n))
+    sc = replace(sc, suavs=tuple(
+        replace(s, energy_budget_j=scale * e.total_j)
+        for s, e, scale in zip(sc.suavs, energies, scales)))
+    return sc, repositioned_scenario(sc, alpha), assoc, members, q
 
 
 class TestRelayEntry:
@@ -337,8 +350,19 @@ class TestCrossBlockPricing:
         assert (subset is not None) == feasible
         assert subset is None or close(subset)
 
-        terms = placement_terms(placed, assoc, beta)
-        assert float(exact_objective(terms, q.array)[0]) == objective
+        # No rate keeps the budget of an active S-UAV whose compute and
+        # hover spend it, or of an idle one whose hover breaks it.
+        no_headroom = any(
+            e.comp_j + e.hover_j >= s.energy_budget_j if lb.active
+            else e.hover_j > s.energy_budget_j
+            for lb, e, s in zip(lats, energies, sc.suavs))
+        if no_headroom:
+            with pytest.raises(InfeasibleSubproblem,
+                               match="no energy headroom"):
+                placement_terms(placed, assoc, beta)
+        else:
+            terms = placement_terms(placed, assoc, beta)
+            assert float(exact_objective(terms, q.array)[0]) == objective
 
         ctx = _Context(Pools(sc), beta, q)
         for j, lb in enumerate(lats):

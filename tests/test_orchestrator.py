@@ -231,6 +231,30 @@ class TestSuavEnergyFloors:
                 sc, assoc, report.beta, report.q_m,
                 static_positions=(scheme == "static_suavs")) == [], scheme
 
+    @pytest.mark.parametrize("seed,suav", [(2, 1), (3, 4)])
+    def test_hover_alone_breaking_a_budget_raises(self, default_config, seed,
+                                                  suav):
+        # A 0.05 J hover over a 0.01 J budget: the S-UAV breaks its budget
+        # in every plan, idle or not, so no scheme may return one. A plan
+        # that leaves it idle prices it by its hover alone, so every block
+        # must test idle S-UAVs too.
+        from dataclasses import replace
+
+        from uav_mec.association import solve_association
+        from uav_mec.errors import InfeasibleSubproblem
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(
+            replace(default_config, hover_energy_suav_j=0.05), seed)
+        sc = replace(sc, suavs=tuple(
+            replace(s, energy_budget_j=0.01) if s.id == suav else s
+            for s in sc.suavs))
+        for scheme in SCHEMES:
+            with pytest.raises(InfeasibleSubproblem):
+                run_scheme(sc, scheme)
+        with pytest.raises(InfeasibleSubproblem, match="hover alone"):
+            solve_association(Pools(sc), np.zeros(sc.n_suavs, dtype=int),
+                              sc.ruav.pos)
+
 
 class TestTinyInstance:
     def test_single_pair_converges_fast(self):

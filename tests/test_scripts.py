@@ -98,8 +98,15 @@ class TestScripts:
         ("oracle_gaps.py", "--n-suavs", "0"),
         ("run_sweeps.py", "--seeds", "5-2"),
         ("run_sweeps.py", "--schemes", "nonsense"),
+        # An output directory that cannot be made: a file holds its name,
+        # or one of its parents.
+        ("run_sweeps.py", "--seeds", "0", "--schemes", "suav_only",
+         "--out", "taken"),
+        ("run_sweeps.py", "--seeds", "0", "--schemes", "suav_only",
+         "--out", "taken/results"),
     ])
     def test_bad_input_exit_2(self, tmp_path, args):
+        (tmp_path / "taken").write_text("")
         done = run_script(*args, cwd=tmp_path)
         assert done.returncode == 2
         assert done.stderr.startswith("config error: ")
