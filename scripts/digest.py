@@ -11,6 +11,13 @@ results on these inputs exactly when they print the same output:
     ... change the code ...
     python3 scripts/digest.py --seeds 0-4 | diff before.txt -
 
+A change that must keep every result checks these three runs, before and
+after, the second and third with the configs committed beside this script:
+
+    python3 scripts/digest.py --seeds 0-19
+    python3 scripts/digest.py --seeds 0-9 --config scripts/relay_sweep.cfg
+    python3 scripts/digest.py --seeds 0-9 --config scripts/fleet.cfg
+
 Usage:
     python3 scripts/digest.py [--seeds 0-4] [--config cfg.txt]
 """

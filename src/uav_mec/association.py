@@ -78,10 +78,17 @@ class Pools:
     S-UAV's box-closed column geometry, built on the first cover call (most
     solves never reach the cover). run_scheme builds one per solve and
     passes it to every association call; nothing of it is kept on the
-    scenario or in this module, so no solve reads another's data.
+    scenario or in this module, so no solve reads another's data. It raises
+    InfeasibleSubproblem if an S-UAV's or the relay's hover alone breaks its
+    budget, as it then does in every plan.
     """
 
     def __init__(self, scenario: Scenario, static_positions: bool = False):
+        owners = [(f"S-UAV {j}", s) for j, s in enumerate(scenario.suavs)]
+        for owner, uav in owners + [("the relay", scenario.ruav)]:
+            if uav.hover_energy_j > uav.energy_budget_j:
+                raise InfeasibleSubproblem(
+                    f"{owner}'s hover alone breaks its energy budget")
         self.scenario = scenario
         self.static_positions = static_positions
         self.mask = feasible_association_mask(scenario)
@@ -111,14 +118,13 @@ class Pools:
     def columns(self) -> _Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
         if self._cols is None:
-            masks, held, bits, pos = zip(*(_columns(self, j) for j in
-                                           range(self.scenario.n_suavs)))
+            masks, bits, pos = zip(*(_columns(self, j) for j in
+                                     range(self.scenario.n_suavs)))
             counts = [len(m) for m in masks]
             self._cols = _Columns(
                 starts=[0, *itertools.accumulate(counts)],
                 suav=np.repeat(np.arange(len(counts)), counts),
                 masks=np.concatenate(masks),
-                held=[h for part in held for h in part],
                 bits=[b for part in bits for b in part],
                 pos=np.concatenate(pos))
         return self._cols
@@ -276,10 +282,9 @@ def _columns(pools: Pools, j: int):
     """Every distinct box-closed subset of S-UAV j's pool, and where the
     S-UAV hovers over each.
 
-    Returns (masks, held, bits, pos), one entry per column: its int64
-    bitmask over the pool (bit p: the pool's p-th target by index), its
-    target indices, ascending, its bitmask over all targets, and its hover
-    point.
+    Returns (masks, bits, pos), one entry per column: its int64 bitmask
+    over the pool (bit p: the pool's p-th target by index), its bitmask over
+    all targets, and its hover point.
     """
     scenario = pools.scenario
     suav = scenario.suavs[j]
@@ -296,16 +301,11 @@ def _columns(pools: Pools, j: int):
     masks = np.unique(spans(x)[:, None] & spans(y)[None, :])
     masks = masks[masks != 0]
     members = (masks[:, None] & bit) != 0
-    # Row-major, so each column's targets come out in ascending order.
-    flat = pool[np.nonzero(members)[1]].tolist()
-    ends = np.cumsum(members.sum(axis=1)).tolist()
-    held = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
     # Python ints: a bitmask over all targets may pass 64 bits.
     powers = np.array([1 << i for i in pool.tolist()], dtype=object)
     bits = np.where(members, powers, 0).sum(axis=1).tolist()
     if pools.static_positions:
-        return masks, held, bits, np.tile(suav.initial_pos.array,
-                                          (len(masks), 1))
+        return masks, bits, np.tile(suav.initial_pos.array, (len(masks), 1))
     # initial= lets an S-UAV with an empty pool yield no column.
     x_lo = np.where(members, x, np.inf).min(axis=1, initial=np.inf)
     x_hi = np.where(members, x, -np.inf).max(axis=1, initial=-np.inf)
@@ -313,7 +313,7 @@ def _columns(pools: Pools, j: int):
     y_hi = np.where(members, y, -np.inf).max(axis=1, initial=-np.inf)
     # scenario.reposition, in its order of operations.
     cam = suav.camera
-    return masks, held, bits, np.column_stack([
+    return masks, bits, np.column_stack([
         (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
         np.maximum((x_hi - x_lo) / (2.0 * math.tan(cam.phi_h / 2.0)),
                    (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
@@ -327,7 +327,6 @@ class _Columns(NamedTuple):
     starts: list[int]
     suav: np.ndarray             # the column's S-UAV
     masks: np.ndarray            # int64 bitmask over the S-UAV's pool
-    held: list[list[int]]        # target indices, ascending
     bits: list[int]              # bitmask over all targets
     pos: np.ndarray              # (columns, 3) hover points
 
@@ -410,18 +409,18 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
     cols = ctx.pools.columns()
     latency, feasible = _column_prices(ctx, cols)
     keep = feasible & (latency <= incumbent_obj)
-    columns = []  # (latency, S-UAV, target bitmask, target indices)
+    columns = []  # (latency, S-UAV, target bitmask)
     for j in range(scenario.n_suavs):
         lo, hi = cols.starts[j], cols.starts[j + 1]
         rows = lo + np.flatnonzero(keep[lo:hi])
         rows = rows[_undominated(cols.masks[rows], latency[rows])]
         for k, t in zip(rows.tolist(), latency[rows].tolist()):
-            columns.append((t, j, cols.bits[k], cols.held[k]))
+            columns.append((t, j, cols.bits[k]))
     columns.sort()
 
     cheapest = [math.inf] * scenario.n_targets
-    for t, _, _, held in columns:
-        for i in held:
+    for t, _, column in columns:
+        for i in _bits(column):
             cheapest[i] = min(cheapest[i], t)
     lower = max(cheapest)
     if lower == math.inf:
@@ -430,9 +429,9 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
 
     by_suav: list[list[int]] = [[] for _ in range(scenario.n_suavs)]
     reach = [0] * scenario.n_targets
-    for k, (t, j, column, held) in enumerate(columns):
+    for k, (t, j, column) in enumerate(columns):
         by_suav[j].append(column)
-        for i in held:
+        for i in _bits(column):
             reach[i] |= 1 << j
         if t >= lower and (k + 1 == len(columns) or columns[k + 1][0] > t):
             chosen = _cover_at(by_suav, reach, scenario.n_targets)
@@ -453,13 +452,6 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
     does not finish (see the module docstring). warm_alpha, if given, joins
     the greedy start as an incumbent."""
     ctx = _Context(pools, beta, q_m)
-    # An S-UAV whose hover alone breaks its budget breaks it in every
-    # association. The search prices an idle S-UAV only once its pool is
-    # decided, and the cover never does, so the idle case is tested here.
-    for j in range(pools.scenario.n_suavs):
-        if not ctx.latency(j, 0)[1]:
-            raise InfeasibleSubproblem(
-                f"S-UAV {j}'s hover alone breaks its energy budget")
     incumbent_alpha = None
     incumbent_obj = float("inf")
     for alpha in filter(lambda a: a is not None,

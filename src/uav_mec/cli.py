@@ -17,9 +17,14 @@ from .scenario import generate_scenario
 
 
 def _load(args) -> ExperimentConfig:
+    """The command's config. --out, if given, is written empty here, so a
+    path that cannot be written fails before any solve."""
     if args.seed < 0:
         raise ValidationError(f"--seed must be non-negative, got {args.seed}")
-    return load_config(args.config) if args.config else ExperimentConfig()
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    if args.out:
+        write_text(args.out, "")
+    return config
 
 
 def _add_common(parser):
@@ -67,10 +72,9 @@ def cmd_oracle(args) -> int:
         scenario, extra_points=report.q_m.array[None, :])
     gap = report.objective_s - reference
     rel = gap / reference if reference > 0 else 0.0
-    sys.stdout.write(
-        f"solver_objective_s = {report.objective_s!r}\n"
-        f"oracle_objective_s = {reference!r}\n"
-        f"relative_gap = {rel!r}\n")
+    _emit(f"solver_objective_s = {report.objective_s!r}\n"
+          f"oracle_objective_s = {reference!r}\n"
+          f"relative_gap = {rel!r}\n", args.out)
     return 0
 
 

@@ -153,7 +153,8 @@ def _capped(scenario: Scenario, beta: np.ndarray) -> np.ndarray:
 
 def breakdowns(scenario: Scenario, association: Association,
                beta: np.ndarray, q_m: Position3D):
-    """(latency breakdowns, energy breakdowns ending with the relay's). An
+    """(latency breakdowns, energy breakdowns ending with the relay's: its
+    hover plus the fair-share compute term of every offloaded chunk). An
     S-UAV that carries no video is rated at r = inf, which prices it to zero
     but its hover."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
@@ -177,22 +178,10 @@ def breakdowns(scenario: Scenario, association: Association,
         energies.append(EnergyBreakdown(f"suav:{suav.id}",
                                         price.tx_power_w * t_tx,
                                         price.comp_j, price.hover_j))
-    energies.append(_relay_breakdown(scenario, prices))
+    energies.append(EnergyBreakdown("ruav", 0.0,
+                                    float(np.sum([p.relay_j for p in prices])),
+                                    scenario.ruav.hover_energy_j))
     return lats, energies
-
-
-def _relay_breakdown(scenario: Scenario, prices: list) -> EnergyBreakdown:
-    return EnergyBreakdown("ruav", 0.0,
-                           float(np.sum([p.relay_j for p in prices])),
-                           scenario.ruav.hover_energy_j)
-
-
-def relay_energy(scenario: Scenario, alpha: np.ndarray,
-                 beta: np.ndarray) -> EnergyBreakdown:
-    """The relay's energy: its hover, plus the fair-share compute term of
-    every offloaded chunk. No position enters it."""
-    return _relay_breakdown(scenario, suav_prices(
-        scenario, effective_chunk_bits(scenario, alpha), beta))
 
 
 def objective_and_spread(latencies: list[LatencyBreakdown]) -> tuple[float, float]:

@@ -66,7 +66,6 @@ class LinearProgram:
 class Sp1Terms:
     """Per-S-UAV scalar coefficients of SP1 at fixed positions."""
 
-    s_bits: np.ndarray
     t_loc: np.ndarray
     t_tx_loc: np.ndarray
     t_tx_off: np.ndarray
@@ -82,7 +81,7 @@ class Sp1Terms:
 
     @property
     def n(self) -> int:
-        return self.s_bits.size
+        return self.t_loc.size
 
     @property
     def n0_cap(self) -> int:
@@ -116,7 +115,7 @@ def sp1_terms(scenario: Scenario, association: Association,
             for m in range(1, scenario.n0_cap + 1)]
     off = BranchPrice(*np.array(offs[0]).T)
     return Sp1Terms(
-        s_bits=s_bits, t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
+        t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
         t_tx_off=off.tx_bits / r,
         t_ruav=np.array([[p.fixed_s for p in row] for row in offs]),
         e_local=local.energy(r), e_offload=off.energy(r),

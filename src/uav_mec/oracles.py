@@ -2,8 +2,8 @@
 
 These deliberately avoid the solver code paths: placement is checked by
 coarse-to-fine grid scans of the exact latency, offloading by pricing every
-subset within the relay cap, and association by exhaustive enumeration over
-all masked assignments.
+subset within the relay cap with the evaluator, and association by exhaustive
+enumeration over all masked assignments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .cost import effective_chunk_bits, evaluate_solution
 from .errors import InfeasibleSubproblem
 from .link import snr_coeff
-from .offload import OffloadDecision, _decision, _subset_objective, sp1_terms
+from .offload import OffloadDecision
 from .placement import exact_objective, placement_terms
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, repositioned_scenario)
@@ -77,25 +77,29 @@ def grid_search_placement(scenario: Scenario, association: Association,
 
 def bruteforce_offload(scenario: Scenario, association: Association,
                        q_m: Position3D) -> OffloadDecision:
-    """Every offload subset within the relay cap, priced exactly; the best
-    objective wins, ties going to the lexicographically smallest beta."""
-    t = sp1_terms(scenario, association, q_m)
-    active = np.flatnonzero(t.active)
+    """Every subset of the video-carrying S-UAVs within the relay cap,
+    priced by evaluate_solution and kept only if every S-UAV and the relay
+    keep their budgets; the best objective wins, ties going to the
+    lexicographically smallest beta."""
+    budgets = ([s.energy_budget_j for s in scenario.suavs]
+               + [scenario.ruav.energy_budget_j])
+    active = np.flatnonzero(association.alpha.sum(axis=0) > 0).tolist()
     best = None
-    for m in range(min(scenario.n0_cap, active.size) + 1):
-        for members in itertools.combinations(active.tolist(), m):
-            obj = _subset_objective(t, members)
-            if obj is None:
-                continue
-            beta = np.zeros(t.n, dtype=int)
+    for m in range(min(scenario.n0_cap, len(active)) + 1):
+        for members in itertools.combinations(active, m):
+            beta = np.zeros(scenario.n_suavs, dtype=int)
             beta[list(members)] = 1
-            key = (obj, tuple(beta))
+            obj, _, _, energies = evaluate_solution(scenario, association,
+                                                    beta, q_m)
+            if any(e.total_j > b for e, b in zip(energies, budgets)):
+                continue
+            key = (obj, tuple(beta.tolist()))
             if best is None or key < best[0]:
-                best = (key, members)
+                best = (key, beta)
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
-    (obj, _), members = best
-    return _decision(t.n, members, obj)
+    (obj, _), beta = best
+    return OffloadDecision(beta=beta, slack_s=obj)
 
 
 def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,

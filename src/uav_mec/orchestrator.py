@@ -4,7 +4,12 @@ three baseline schemes.
 Every block update is wrapped in an accept-only-if-not-worse guard, so the
 reported objective trace is non-increasing by construction even when a block
 solver is heuristic (budgeted tree search, SCA placement). Each block prices
-its candidate in the evaluator's arithmetic, and its guard reads that price.
+its candidate in the evaluator's arithmetic, and its guard compares that one
+price with the plan's objective. Every hover is checked against its budget
+once per solve, when association.Pools is built. The association guard needs
+no relay budget test: alpha moves the relay's energy only by which members of
+beta carry video, and every beta the loop holds is zeros or was priced by its
+offload rule with all its members carrying video.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import association as assoc_mod
 from . import placement as place_mod
 from .config import ExperimentConfig
 from .cost import (EnergyBreakdown, LatencyBreakdown, breakdowns,
-                   evaluate_solution, relay_energy)
+                   evaluate_solution)
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
                        repositioned_scenario)
@@ -184,7 +189,6 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
     iterations pass; returns the last plan and the loop's SolverReport
     fields."""
     policy = SCHEME_POLICIES[scheme]
-    scenario = pools.scenario
     trace = [plan.objective]
     offload, fallbacks, exact, sca_traces = None, 0, True, []
     last_key = None  # (beta, q_m, alpha) of the last association call
@@ -217,10 +221,8 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
             new_assoc, info = assoc_mod.solve_association(
                 pools, plan.beta, plan.q_m, warm_alpha=plan.association.alpha)
         exact = exact and info.exact
-        if (info.objective <= plan.objective + _GUARD_SLACK
-                and relay_energy(scenario, new_assoc.alpha, plan.beta).total_j
-                <= scenario.ruav.energy_budget_j):
-            plan = Plan(placed_for(scenario, new_assoc.alpha, scheme),
+        if info.objective <= plan.objective + _GUARD_SLACK:
+            plan = Plan(placed_for(pools.scenario, new_assoc.alpha, scheme),
                         new_assoc, plan.beta, plan.q_m, info.objective)
 
         trace.append(plan.objective)
@@ -247,8 +249,9 @@ def run_scheme(scenario: Scenario, scheme: str,
     no block reads the clock.
 
     evaluate_solution runs only for the start plan and the report. The
-    association block's fixed data (association.Pools) is built once here
-    and lives as long as this call."""
+    association block's fixed data (association.Pools) is built once here,
+    before anything else, and lives as long as this call; building it checks
+    every hover against its budget."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     start = time.monotonic()

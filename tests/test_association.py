@@ -366,16 +366,15 @@ class TestColumnPrices:
         latency, feasible = association._column_prices(ctx, cols)
         for j in range(ctx.scenario.n_suavs):
             rows = range(cols.starts[j], cols.starts[j + 1])
-            assert {frozenset(cols.held[k]) for k in rows} == \
+            held = {k: [i for i in range(ctx.scenario.n_targets)
+                        if cols.bits[k] >> i & 1] for k in rows}
+            assert {frozenset(held[k]) for k in rows} == \
                 _box_closed_subsets(ctx, j)
             pool = np.flatnonzero(ctx.mask[:, j]).tolist()
             for k in rows:
-                held = cols.held[k]
                 assert cols.suav[k] == j
-                assert held == sorted(held)
-                assert held == [pool[p] for p in range(len(pool))
-                                if int(cols.masks[k]) >> p & 1]
-                assert cols.bits[k] == sum(1 << i for i in held)
+                assert held[k] == [pool[p] for p in range(len(pool))
+                                   if int(cols.masks[k]) >> p & 1]
                 assert ctx.latency(j, cols.bits[k]) == (
                     latency.tolist()[k], feasible.tolist()[k])
 

@@ -236,10 +236,19 @@ class TestCli:
         ["sweep", "--param", "n0_cap", "--values", "1", "--scheme",
          "suav_only"],
         ["trace"],
+        ["oracle"],
     ])
     @pytest.mark.parametrize("missing_parent", [False, True])
-    def test_unwritable_out_exit_2(self, tmp_path, capsys, command,
-                                   missing_parent):
+    def test_unwritable_out_exit_2(self, monkeypatch, tmp_path, capsys,
+                                   command, missing_parent):
+        # The path is checked before any solve: no cell or scheme runs.
+        from uav_mec import cli, experiment
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved before checking --out")
+        for module, name in [(experiment, "run_cell"), (cli, "run_cell"),
+                             (cli, "run_scheme")]:
+            monkeypatch.setattr(module, name, unreachable)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("n_suavs = 2\nn_targets = 3\nn0_cap = 1\n"
                             "seeds = 0\n")
@@ -311,6 +320,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "relative_gap" in captured.out
+        out = tmp_path / "gap.txt"
+        assert main(["oracle", "--config", str(cfg_path), "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == captured.out
 
 
 class TestChunkedMetrics:

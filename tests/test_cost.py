@@ -12,7 +12,7 @@ from uav_mec.association import Pools, _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, branch_price,
                           effective_chunk_bits, evaluate_solution,
-                          floored_rate, objective_and_spread, relay_energy)
+                          floored_rate, objective_and_spread)
 from uav_mec.errors import InfeasibleSubproblem, InvalidDecision
 from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate_at_dist_sq, snr_coeff
@@ -294,8 +294,9 @@ def priced_points(draw):
 
 
 class TestRelayEntry:
-    """The evaluator prices each S-UAV's branch once, and its relay entry is
-    the association guard's relay_energy, to the bit."""
+    """The evaluator prices each S-UAV's branch once, and no association
+    result breaks the relay budget, although the association guard does not
+    price the relay."""
 
     def test_one_branch_price_per_suav(self, monkeypatch, scenario0):
         from uav_mec import cost
@@ -309,24 +310,46 @@ class TestRelayEntry:
         evaluate_solution(placed, assoc, beta, Q_M)
         assert len(prices) == scenario0.n_suavs
 
-    @pytest.mark.parametrize("case", ["reference", "relay_sweep"])
-    def test_relay_entry_is_relay_energy_on_solved_plans(self, default_config,
-                                                         case):
-        # relay_sweep: 8 x 16 at cap 8 with a 5 J relay budget that binds.
-        from uav_mec.orchestrator import SCHEMES, run_scheme
-        cfg = default_config
-        if case == "relay_sweep":
-            cfg = replace(cfg, n_targets=16, n0_cap=8,
-                          energy_budget_ruav_j=5.0)
-        offloaded = False
-        for seed in range(3):
-            sc = generate_scenario(cfg, seed)
-            for scheme in SCHEMES:
-                report = run_scheme(sc, scheme)
-                offloaded = offloaded or bool(report.beta.any())
-                assert report.energies[-1] == relay_energy(
-                    sc, report.alpha, report.beta), (seed, scheme)
-        assert offloaded
+    @pytest.mark.parametrize("budget_j", [5.0, 2.0])
+    def test_association_results_keep_the_relay_budget(
+            self, monkeypatch, default_config, budget_j):
+        # 8 x 16 at caps 2-8 with a relay budget that binds (5 J is
+        # relay_sweep's). Alpha moves the relay's energy only by which
+        # offloaders carry video, and every beta was priced with all of its
+        # members carrying video, so no association result can break it.
+        from uav_mec import association
+        from uav_mec.orchestrator import (SCHEMES, check_constraints,
+                                          placed_for, run_scheme)
+        results = []
+        real = association.solve_association
+
+        def wrapper(pools, beta, q_m, **kwargs):
+            out = real(pools, beta, q_m, **kwargs)
+            results.append((scheme, pools.scenario, beta, q_m, out[0]))
+            return out
+        monkeypatch.setattr(association, "solve_association", wrapper)
+        cut = 0  # ruav_only solves the relay budget kept under the cap
+        for cap in range(2, 9):
+            cfg = replace(default_config, n_targets=16, n0_cap=cap,
+                          energy_budget_ruav_j=budget_j)
+            for seed in range(2):
+                sc = generate_scenario(cfg, seed)
+                mask = feasible_association_mask(sc)
+                for scheme in SCHEMES:
+                    report = run_scheme(sc, scheme)
+                    assert check_constraints(
+                        sc, Association(alpha=report.alpha, feasible_mask=mask),
+                        report.beta, report.q_m,
+                        static_positions=(scheme == "static_suavs")) == [], \
+                        (cap, seed, scheme)
+                    active = int((report.alpha.sum(axis=0) > 0).sum())
+                    cut += (scheme == "ruav_only"
+                            and report.beta.sum() < min(cap, active))
+        for scheme, sc, beta, q_m, assoc in results:
+            relay = evaluate_solution(placed_for(sc, assoc.alpha, scheme),
+                                      assoc, beta, q_m)[3][-1]
+            assert relay.total_j <= sc.ruav.energy_budget_j
+        assert results and cut
 
 
 class TestCrossBlockPricing:
@@ -364,15 +387,20 @@ class TestCrossBlockPricing:
             terms = placement_terms(placed, assoc, beta)
             assert float(exact_objective(terms, q.array)[0]) == objective
 
-        ctx = _Context(Pools(sc), beta, q)
-        for j, lb in enumerate(lats):
-            bits = sum(1 << int(i) for i in np.flatnonzero(assoc.alpha[:, j]))
-            latency, ok = ctx.latency(j, bits)
-            assert latency == lb.total_s
-            assert ok == suav_ok[j]
-
-        # The association guard prices the relay on the unplaced scenario.
-        assert relay_energy(sc, assoc.alpha, beta) == energies[-1]
+        # A hover that alone breaks its budget breaks it in every plan, and
+        # Pools, built first in every solve, raises on it.
+        if any(e.hover_j > s.energy_budget_j
+               for e, s in zip(energies, sc.suavs)):
+            with pytest.raises(InfeasibleSubproblem, match="hover alone"):
+                Pools(sc)
+        else:
+            ctx = _Context(Pools(sc), beta, q)
+            for j, lb in enumerate(lats):
+                bits = sum(1 << int(i)
+                           for i in np.flatnonzero(assoc.alpha[:, j]))
+                latency, ok = ctx.latency(j, bits)
+                assert latency == lb.total_s
+                assert ok == suav_ok[j]
 
         chunked = chunked_metrics(placed, assoc.alpha, beta, q)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])

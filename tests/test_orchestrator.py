@@ -235,12 +235,11 @@ class TestSuavEnergyFloors:
     def test_hover_alone_breaking_a_budget_raises(self, default_config, seed,
                                                   suav):
         # A 0.05 J hover over a 0.01 J budget: the S-UAV breaks its budget
-        # in every plan, idle or not, so no scheme may return one. A plan
-        # that leaves it idle prices it by its hover alone, so every block
-        # must test idle S-UAVs too.
+        # in every plan, idle or not, so no scheme may return one. Pools
+        # checks the hover once per solve, so every scheme names the cause
+        # the same way.
         from dataclasses import replace
 
-        from uav_mec.association import solve_association
         from uav_mec.errors import InfeasibleSubproblem
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(
@@ -248,12 +247,28 @@ class TestSuavEnergyFloors:
         sc = replace(sc, suavs=tuple(
             replace(s, energy_budget_j=0.01) if s.id == suav else s
             for s in sc.suavs))
+        message = f"S-UAV {suav}'s hover alone breaks its energy budget"
         for scheme in SCHEMES:
-            with pytest.raises(InfeasibleSubproblem):
+            with pytest.raises(InfeasibleSubproblem, match=message):
                 run_scheme(sc, scheme)
-        with pytest.raises(InfeasibleSubproblem, match="hover alone"):
-            solve_association(Pools(sc), np.zeros(sc.n_suavs, dtype=int),
-                              sc.ruav.pos)
+        with pytest.raises(InfeasibleSubproblem, match=message):
+            Pools(sc)
+
+    def test_relay_hover_alone_breaking_its_budget_raises(self,
+                                                          default_config):
+        # A 2,000 J relay hover over the 1,000 J relay budget: the relay
+        # breaks its budget in every plan, with or without an offloader.
+        # suav_only never offloads, so only the hover check catches it.
+        from dataclasses import replace
+
+        from uav_mec.errors import InfeasibleSubproblem
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(
+            replace(default_config, hover_energy_ruav_j=2000.0), 0)
+        for scheme in SCHEMES:
+            with pytest.raises(InfeasibleSubproblem,
+                               match="the relay's hover alone breaks"):
+                run_scheme(sc, scheme)
 
 
 class TestTinyInstance:
@@ -444,17 +459,14 @@ class TestReportCounters:
 class TestOffloadGuardPrice:
     """Each guard of run_scheme takes its block's own price of a candidate
     in place of evaluate_solution's: the offload rule's slack_s, the last
-    value of sca_loop's trace, solve_association's objective, and
-    relay_energy for the relay budget. Each must be the evaluator's to the
-    bit."""
+    value of sca_loop's trace, and solve_association's objective. Each must
+    be the evaluator's to the bit."""
 
     @staticmethod
     def assert_guards_price_as_the_evaluator(monkeypatch, sc, schemes):
         from uav_mec import association, orchestrator, placement
         from uav_mec.cost import evaluate_solution
-        from uav_mec.scenario import feasible_association_mask
-        calls = {"offload": [], "placement": [], "association": [],
-                 "relay": []}
+        calls = {"offload": [], "placement": [], "association": []}
 
         def record(module, name, kind):
             real = getattr(module, name)
@@ -469,13 +481,12 @@ class TestOffloadGuardPrice:
         record(orchestrator, "forced_offload", "offload")
         record(placement, "sca_loop", "placement")
         record(association, "solve_association", "association")
-        record(orchestrator, "relay_energy", "relay")
         for scheme in schemes:
             report = run_scheme(sc, scheme)
             assert all(type(v) is float for v in report.objective_trace)
         if set(schemes) - {"suav_only"}:
             assert calls["offload"]
-        assert calls["placement"] and calls["association"] and calls["relay"]
+        assert calls["placement"] and calls["association"]
 
         for _, (placed, assoc, q_m), _, decision in calls["offload"]:
             assert decision.slack_s == evaluate_solution(
@@ -490,15 +501,6 @@ class TestOffloadGuardPrice:
                                              scheme)
             assert info.objective == evaluate_solution(
                 placed, new_assoc, beta, q_m)[0]
-        for scheme, (scenario, alpha, beta), _, energy in calls["relay"]:
-            # No position enters the relay's energy; any relay point will do.
-            assoc = Association(alpha=alpha,
-                                feasible_mask=feasible_association_mask(
-                                    scenario))
-            energies = evaluate_solution(
-                orchestrator.placed_for(scenario, alpha, scheme), assoc,
-                beta, scenario.ruav.pos)[3]
-            assert energy == energies[-1]
         return calls
 
     @pytest.mark.parametrize("seed", range(5))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from uav_mec import orchestrator
-from uav_mec.config import parse_seeds
+from uav_mec.config import load_config, parse_seeds
 from uav_mec.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +89,15 @@ class TestScripts:
             ["0", scheme] for scheme in orchestrator.SCHEMES]
         assert lines[-1][0] == "sweep"
         assert all(len(line[-1]) == 64 for line in lines)
+
+    @pytest.mark.parametrize("name", ["relay_sweep", "fleet"])
+    def test_gate_configs_are_the_benchmark_workloads(self, monkeypatch,
+                                                      name):
+        # The bit-identity gate digests the benchmark's configs.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        assert load_config(ROOT / "scripts" / f"{name}.cfg") == \
+            workloads.WORKLOADS[name].config
 
     @pytest.mark.parametrize("args", [
         ("compare_schemes.py", "--seeds", "abc"),
