@@ -212,6 +212,30 @@ class TestRuavOnlyRelayBudget:
         assert check_constraints(sc, assoc, report.beta, report.q_m) == []
 
 
+class TestFixedRelayAltitude:
+    def test_a_box_that_pins_the_altitude_solves_cleanly(self,
+                                                         default_config):
+        # lo == hi on an axis is a valid box. Placement maps the box to
+        # [-1, 1] per axis, and must not divide by the pinned axis's width.
+        import warnings
+        from dataclasses import replace
+
+        from uav_mec.scenario import generate_scenario
+        cfg = replace(default_config,
+                      ruav_box=(0.0, 0.0, 300.0, 1000.0, 1000.0, 300.0))
+        sc = generate_scenario(cfg.validate(), 0)
+        for scheme in SCHEMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = run_scheme(sc, scheme)
+            assert report.q_m.h == 300.0, scheme
+            assoc = Association(alpha=report.alpha,
+                                feasible_mask=Pools(sc).mask)
+            assert check_constraints(
+                sc, assoc, report.beta, report.q_m,
+                static_positions=(scheme == "static_suavs")) == [], scheme
+
+
 class TestSuavEnergyFloors:
     def test_tight_budgets_solve_within_every_budget(self, default_config):
         # Each S-UAV's budget sets a floor on its own rate. At 0.01075 J the
@@ -321,6 +345,11 @@ class TestMonotonicityAcrossSeeds:
 # One entry was re-pinned when the placement inner solve began to keep the
 # better of SLSQP's point and the expansion point: (0, 'proposed') fell from
 # 9.991029515096416 to 9.991028738165555.
+# Three seed-3 entries were re-pinned when SLSQP began to work in box units
+# and so stops at a slightly different inner point: proposed and ruav_only
+# 9.666280485593916 -> 9.666280485609043, suav_only 11.368788696434411 ->
+# 11.36878869645119 (each about +1.5e-12 relative). These values hold at one
+# and at two OpenBLAS threads.
 PINNED_OBJECTIVES = {
     (0, 'proposed'): 9.991028738165555,
     (0, 'suav_only'): 11.34302539362671,
@@ -334,9 +363,9 @@ PINNED_OBJECTIVES = {
     (2, 'suav_only'): 10.87271181672884,
     (2, 'ruav_only'): 9.792596724036306,
     (2, 'static_suavs'): 9.792509246150262,
-    (3, 'proposed'): 9.666280485593916,
-    (3, 'suav_only'): 11.368788696434411,
-    (3, 'ruav_only'): 9.666280485593916,
+    (3, 'proposed'): 9.666280485609043,
+    (3, 'suav_only'): 11.36878869645119,
+    (3, 'ruav_only'): 9.666280485609043,
     (3, 'static_suavs'): 9.666445837052686,
     (4, 'proposed'): 9.442200305696518,
     (4, 'suav_only'): 10.353892383954102,
@@ -359,14 +388,17 @@ class TestPinnedObjectives:
 # report.lp_lower_bound at the same runs, pinned to the values of the
 # hand-written Bland-rule simplex that solved the LP relaxation before HiGHS.
 # The schemes without an LP-backed offload rule report nan.
+# Two entries were re-pinned with the box-unit SLSQP (see PINNED_OBJECTIVES):
+# (2, 'proposed') 6.493440989752495 -> 6.493440989740702 and
+# (3, 'proposed') 6.056580216828489 -> 6.056580216847939.
 PINNED_LP_BOUNDS = {
     (0, 'proposed'): 6.755890845748072,
     (0, 'static_suavs'): 6.755923066938035,
     (1, 'proposed'): 6.669881635926717,
     (1, 'static_suavs'): 7.024352675045007,
-    (2, 'proposed'): 6.493440989752495,
+    (2, 'proposed'): 6.493440989740702,
     (2, 'static_suavs'): 6.493024925325662,
-    (3, 'proposed'): 6.056580216828489,
+    (3, 'proposed'): 6.056580216847939,
     (3, 'static_suavs'): 6.056332535899714,
     (4, 'proposed'): 6.135794035963987,
     (4, 'static_suavs'): 6.1355747641590215,
@@ -419,8 +451,9 @@ class TestReportCounters:
         assert report.placement_fallbacks == len(solves) > 0
 
     def test_placement_fallbacks_match_slsqp_failures(self, monkeypatch,
-                                                      scenario0):
+                                                      default_config):
         from uav_mec import placement
+        from uav_mec.scenario import generate_scenario
 
         from .conftest import counting
         outcomes = []
@@ -430,9 +463,10 @@ class TestReportCounters:
             return res
 
         counting(monkeypatch, placement, "minimize", record)
-        report = run_scheme(scenario0, "proposed")
-        # Seed 0 has one inner solve where SLSQP fails.
-        assert report.placement_fallbacks == outcomes.count(False) == 1
+        report = run_scheme(generate_scenario(default_config, 2), "proposed")
+        # Seed 2 has an inner solve where SLSQP fails (status 8, at one and
+        # at two OpenBLAS threads).
+        assert report.placement_fallbacks == outcomes.count(False) >= 1
 
     def test_association_exact_within_budget(self, reports):
         assert all(r.association_exact for r in reports.values())

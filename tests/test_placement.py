@@ -1,8 +1,11 @@
 """Relay placement: surrogate bounds, SCA descent, and the grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import grid_search_placement
@@ -144,6 +147,13 @@ def reported_success(success, x=None):
 Q_REF = Position3D(480.0, 520.0, 400.0)
 
 
+def from_box_units(scenario, u):
+    """SLSQP's box-unit point u in metres, clipped to the box (which here
+    pins no axis)."""
+    lo, hi = scenario.ruav.box_lo.array, scenario.ruav.box_hi.array
+    return np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.asarray(u), lo, hi)
+
+
 def surrogate_min(terms, q_ref, q):
     return float(surrogate_rates(terms, q_ref, q).min())
 
@@ -152,9 +162,13 @@ class TestInnerSolveRule:
     """Each inner solve keeps the better of SLSQP's point and the expansion
     point, both clipped to the box, by minimum surrogate rate."""
 
-    @pytest.mark.parametrize("x", [None, (-50.0, 500.0, 400.0),
-                                   (480.0, 520.0, 1e4)])
-    def test_slsqp_failure_keeps_the_better_point(self, monkeypatch, x):
+    # Fake points x are in SLSQP's box units; x3 maps to (500, 500, 505),
+    # which beats the expansion point.
+    @pytest.mark.parametrize("x,slsqp_wins", [
+        (None, True), ((-1.1, 0.0, 0.0), False), ((-0.04, 0.04, 20.0), False),
+        ((0.0, 0.0, -0.1), True)], ids=["None", "x1", "x2", "x3"])
+    def test_slsqp_failure_keeps_the_better_point(self, monkeypatch, x,
+                                                  slsqp_wins):
         from uav_mec import placement
         sc = pair_scenario()
         assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
@@ -168,10 +182,10 @@ class TestInnerSolveRule:
         counting(monkeypatch, placement, "minimize", failed)
         terms = placement_terms(sc, assoc, beta)
         q_m, slsqp_failed = solve_sp2_2(sc, terms, Q_REF)
-        lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
-        cands = [np.clip(points[0], lo, hi), Q_REF.array]
+        cands = [from_box_units(sc, points[0]), Q_REF.array]
         best = max(cands, key=lambda q: surrogate_min(terms, Q_REF.array, q))
         np.testing.assert_array_equal(q_m.array, best)
+        assert (best is cands[0]) == slsqp_wins
         assert slsqp_failed
 
     def test_success_below_the_expansion_point_keeps_it(self, monkeypatch):
@@ -182,8 +196,10 @@ class TestInnerSolveRule:
         terms = placement_terms(sc, assoc, beta)
         assert (surrogate_min(terms, Q_REF.array, corner)
                 < surrogate_min(terms, Q_REF.array, Q_REF.array))
+        np.testing.assert_array_equal(from_box_units(sc, (-1.0, -1.0, 1.0)),
+                                      corner)
         counting(monkeypatch, placement, "minimize",
-                 reported_success(True, corner))
+                 reported_success(True, (-1.0, -1.0, 1.0)))
         q_m, slsqp_failed = solve_sp2_2(sc, terms, Q_REF)
         assert q_m == Q_REF
         assert not slsqp_failed
@@ -213,6 +229,90 @@ class TestInnerSolveRule:
                                        np.zeros(2, dtype=int),
                                        Position3D(480.0, 520.0, 400.0))
         assert fallbacks == len(solves) == len(trace) - 1
+
+
+def metre_unit_maximin(terms, q_ref, lo, hi):
+    """The surrogate max-min solved by SLSQP with the position in metres,
+    the reference for the planner's box-unit solve; the point, clipped."""
+    from uav_mec.placement import _surrogate_coeffs
+    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
+    b = terms.bandwidth_hz
+
+    def cons_f(z):
+        d2 = ((z[None, :3] - terms.q) ** 2).sum(axis=1)
+        return (a - slope * (d2 - d2r)) / b - z[3]
+
+    def cons_jac(z):
+        jac = np.empty((terms.q.shape[0], 4))
+        jac[:, :3] = -2.0 * (slope / b)[:, None] * (z[None, :3] - terms.q)
+        jac[:, 3] = -1.0
+        return jac
+
+    z0 = np.append(np.clip(q_ref, lo, hi), 0.0)
+    z0[3] = cons_f(z0).min()
+    lam_hi = math.log2(1.0 + terms.gamma1.max())
+    res = minimize(
+        lambda z: -z[3], z0, jac=lambda z: np.array([0.0, 0.0, 0.0, -1.0]),
+        bounds=[(lo[i], hi[i]) for i in range(3)] + [(0.0, lam_hi)],
+        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
+        method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
+    )
+    return np.clip(res.x[:3], lo, hi)
+
+
+@pytest.fixture(scope="module")
+def reference_inner_solves(default_config):
+    """Every inner solve of the four schemes at reference seeds 0-4, as
+    (scenario, terms, expansion point, kept point), and SLSQP's iteration
+    count in each."""
+    from uav_mec import placement
+    from uav_mec.orchestrator import SCHEMES, run_scheme
+    from uav_mec.scenario import generate_scenario
+    solves, nits = [], []
+    real_solve, real_minimize = placement.solve_sp2_2, placement.minimize
+
+    def solve(scenario, terms, q_ref):
+        q_m, failed = real_solve(scenario, terms, q_ref)
+        solves.append((scenario, terms, q_ref.array, q_m.array))
+        return q_m, failed
+
+    def slsqp(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(placement, "solve_sp2_2", solve)
+        mp.setattr(placement, "minimize", slsqp)
+        for seed in range(5):
+            sc = generate_scenario(default_config, seed)
+            for scheme in SCHEMES:
+                run_scheme(sc, scheme)
+    assert len(solves) == len(nits) > 0
+    return solves, nits
+
+
+class TestBoxUnits:
+    """SLSQP solves the inner max-min in box units, u = (q - mid) / half."""
+
+    def test_kept_point_matches_a_metre_unit_solve(self,
+                                                   reference_inner_solves):
+        solves, _ = reference_inner_solves
+        for scenario, terms, q_ref, q_m in solves:
+            lo, hi = scenario.ruav.box_lo.array, scenario.ruav.box_hi.array
+            at_ref = surrogate_min(terms, q_ref, q_ref)
+            metre = max(surrogate_min(
+                terms, q_ref, metre_unit_maximin(terms, q_ref, lo, hi)),
+                at_ref)
+            kept = surrogate_min(terms, q_ref, q_m)
+            assert kept == pytest.approx(metre, rel=1e-11)
+            assert kept >= at_ref
+
+    def test_median_slsqp_iterations(self, reference_inner_solves):
+        # In metres the median is 23: the position (hundreds of metres) and
+        # the rate ratio lambda (about 10) are scaled far apart.
+        _, nits = reference_inner_solves
+        assert np.median(nits) <= 12
 
 
 class TestBuildOnce:
