@@ -3,6 +3,7 @@ enumeration."""
 
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from uav_mec import association
 from uav_mec.association import (Pools, greedy_incumbent, solve_association,
                                   _Context, _evaluate_full)
-from uav_mec.config import ExperimentConfig
+from uav_mec.config import ExperimentConfig, load_config
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
 from uav_mec.orchestrator import run_scheme, start_plan
@@ -379,60 +380,143 @@ class TestColumnPrices:
                     latency.tolist()[k], feasible.tolist()[k])
 
 
-# (config, seed, scheme) -> (nodes, exact, objective, monitors per target).
-# The inputs are fixed, so none of this depends on the placement block: the
-# warm start and the relay position are the solver's start plan (the nearest
-# covering association, the default initial position), and `proposed`
-# offloads every other S-UAV up to the cap while `static_suavs` keeps all
-# local. The 16 x 40 call runs out of the DFS allowance, and the column cover
-# returns an association in which some targets have two or three monitors.
+# (config, seed, scheme) -> (nodes, exact, objective, monitors per target,
+# monitors per target of the greedy start). The inputs are fixed, so none of
+# this depends on the placement block: the warm start and the relay position
+# are the solver's start plan (the nearest covering association, the default
+# initial position), and `proposed` offloads every other S-UAV up to the cap
+# while `static_suavs` keeps all local. The 16 x 40 calls run out of the DFS
+# allowance, so the column cover decides them: on seeds 1 and 2 it certifies
+# the search's incumbent, and on seeds 0 and 3 it returns an association in
+# which some targets have two to four monitors. The relay_sweep call runs at
+# the highest cap of that sweep. The tight-budget call's search cuts children
+# whose closed pools break an S-UAV's energy budget (test_tight_budget_...).
 _FLEET = replace(ExperimentConfig(), n_suavs=16, n_targets=40)
+_CONFIGS = {
+    "reference": ExperimentConfig(),
+    "fleet": _FLEET,
+    "relay_sweep": replace(
+        load_config(Path(__file__).resolve().parents[1] / "scripts"
+                    / "relay_sweep.cfg"), n0_cap=8),
+    # A point of the budget grid in ROADMAP item 7.
+    "tight_budget": replace(ExperimentConfig(), energy_budget_suav_j=0.0095,
+                            tx_power_w=0.2),
+}
 _TRAJECTORIES = {
     ("reference", 0, "proposed"): (
         13, True, 10.19677022745071,
-        "1 4 5 6 0 3 4 2 4 7 3 5 4 0 0 1 3 7 2 3"),
+        "1 4 5 6 0 3 4 2 4 7 3 5 4 0 0 1 3 7 2 3",
+        "1 4 7 6 0 3 4 2 2 7 3 4 2 0 0 1 3 7 2 3"),
     ("reference", 0, "static_suavs"): (
         47, True, 11.343380875730558,
-        "1 4 5 6 0 3 4 2 4 7 3 5 4 0 0 1 3 7 2 3"),
+        "1 4 5 6 0 3 4 2 4 7 3 5 4 0 0 1 3 7 2 3",
+        "1 4 7 6 0 3 4 2 2 7 3 4 2 0 0 1 3 7 2 3"),
     ("reference", 1, "proposed"): (
         43, True, 10.794507098720107,
-        "4 2 3 2 7 1 3 6 0 2 0 5 4 2 4 4 2 3 7 6"),
+        "4 2 3 2 7 1 3 6 0 2 0 5 4 2 4 4 2 3 7 6",
+        "6 2 3 2 5 1 1 6 0 2 0 5 4 0 4 4 4 3 5 4"),
     ("reference", 1, "static_suavs"): (
         75, True, 11.172401490059794,
-        "4 2 3 2 7 1 3 6 0 2 0 5 4 2 4 4 2 3 7 6"),
+        "4 2 3 2 7 1 3 6 0 2 0 5 4 2 4 4 2 3 7 6",
+        "4 2 3 2 5 1 1 6 0 2 0 5 4 0 4 4 2 3 5 4"),
     ("reference", 2, "proposed"): (
         141, True, 10.872729222152156,
+        "1 2 6 5 2 6 2 0 0 4 5 6 7 7 4 2 5 6 0 4",
         "1 2 6 5 2 6 2 0 0 4 5 6 7 7 4 2 5 6 0 4"),
     ("reference", 2, "static_suavs"): (
         141, True, 10.87266224264724,
+        "1 2 6 5 2 6 0 0 0 4 5 4 7 5 4 2 5 6 0 4",
         "1 2 6 5 2 6 0 0 0 4 5 4 7 5 4 2 5 6 0 4"),
     ("fleet", 0, "proposed"): (
         1003, True, 10.534758345604798,
         "2 9 15 12 0 7 8+9 5 5+8+9 15 7 9 8 0 0+2 2 7 15 5 7 5 7 5 0 8+9 12 "
-        "0 7 2+7 8 12 5 15 15 0 8 12 15 2+7 9"),
+        "0 7 2+7 8 12 5 15 15 0 8 12 15 2+7 9",
+        "2 8 15 12 0 7 8 6 4 15 7 9 8 0 2 2 7 15 6 7 4 6 6 0 9 12 0 6 2 4 12 "
+        "4 15 15 0 8 12 15 2 9"),
+    ("fleet", 1, "proposed"): (
+        1001, True, 11.120394164084322,
+        "12 4 11 6 11 2 2 12 2 6 0 11 8 0 8 10 8 6 14 8 4 8 14 2 6 2 0 4 4 "
+        "10 4 3 3 4 6 12 10 14 4 14",
+        "12 4 11 6 11 2 2 12 2 6 0 11 8 0 8 10 4 6 14 8 4 8 14 2 6 2 0 4 4 "
+        "10 4 3 3 4 6 12 10 14 4 14"),
+    ("fleet", 2, "proposed"): (
+        1001, True, 11.104870657493429,
+        "3 4 12 9 4 12 0 0 0 9 10 10 15 15 10 6 7 12 0 9 10 6 6 4 6 0 12 3 "
+        "12 4 12 7 15 3 3 0 3 10 15 12",
+        "6 4 12 9 4 12 0 0 0 9 10 10 15 15 10 6 7 12 0 9 10 3 6 4 6 0 12 3 "
+        "12 4 12 7 15 3 3 0 3 10 15 12"),
+    ("fleet", 3, "proposed"): (
+        1003, True, 10.420527377608055,
+        "6 2+3 3 0 2+3 2 14 2 14+15 0 3 15 4 15 14+15 3 11 2+3+6 4 3 9 6+9 "
+        "4 4 14 9 0 0 4+6+9 0 3 14 11+14+15 14 9 15 11 11 14 0+4",
+        "6 3 3 0 2 2 13 2 13 0 6 15 4 15 15 3 11 6 4 3 9 6 4 4 13 9 0 0 6 0 "
+        "3 15 11 15 9 15 11 11 15 0"),
+    ("relay_sweep", 1, "proposed"): (
+        26, True, 10.112159855980401,
+        "6 2 5 2 5 1 1 6 0 2 0 5 4 0 4 4",
+        "6 2 5 2 5 1 1 6 0 2 0 5 4 0 4 4"),
+    ("tight_budget", 2, "proposed"): (
+        109, True, 10.873176394148192,
+        "1 2 6 5 2 6 2 0 0 4 5 6 7 7 4 2 5 6 0 4",
+        "1 2 6 5 2 6 2 0 0 4 5 6 7 7 4 2 5 6 0 4"),
 }
 
 
+def _monitors(alpha):
+    return " ".join("+".join(map(str, np.flatnonzero(row))) for row in alpha)
+
+
 class TestSearchTrajectory:
-    """Replays fixed calls: any change to which nodes the search visits, or
-    to what it returns, fails here."""
+    """Replays fixed calls: any change to which nodes the search visits, to
+    the greedy start, or to what the call returns, fails here."""
+
+    @staticmethod
+    def pinned_inputs(key):
+        """(pools, beta, start plan) of a pinned call."""
+        name, seed, scheme = key
+        sc = generate_scenario(_CONFIGS[name], seed)
+        pools = Pools(sc, static_positions=scheme == "static_suavs")
+        beta = np.zeros(sc.n_suavs, dtype=int)
+        if scheme == "proposed":
+            beta[:2 * sc.n0_cap:2] = 1
+        return pools, beta, start_plan(pools, scheme)
 
     @pytest.mark.parametrize("key", list(_TRAJECTORIES),
                              ids=lambda key: "-".join(map(str, key)))
     def test_pinned_call(self, key):
-        name, seed, scheme = key
-        config = _FLEET if name == "fleet" else ExperimentConfig()
-        sc = generate_scenario(config, seed)
-        pools = Pools(sc, static_positions=scheme == "static_suavs")
-        start = start_plan(pools, scheme)
-        beta = np.zeros(sc.n_suavs, dtype=int)
-        if scheme == "proposed":
-            beta[:2 * sc.n0_cap:2] = 1
+        pools, beta, start = self.pinned_inputs(key)
+        greedy = greedy_incumbent(_Context(pools, beta, start.q_m))
         assoc, info = solve_association(pools, beta, start.q_m,
                                         warm_alpha=start.association.alpha)
-        monitors = " ".join("+".join(map(str, np.flatnonzero(row)))
-                            for row in assoc.alpha)
-        assert (info.nodes, info.exact, info.objective, monitors) == \
-            _TRAJECTORIES[key]
-        if name == "fleet":
+        assert (info.nodes, info.exact, info.objective, _monitors(assoc.alpha),
+                _monitors(greedy)) == _TRAJECTORIES[key]
+        if key[0] == "fleet":
             assert info.nodes >= association.DFS_ALLOWANCE
+
+    def test_tight_budget_cuts_closed_pools(self, monkeypatch):
+        # The search reads energy feasibility only where a decided target
+        # closes S-UAV pools. The same call with budgets no plan can break
+        # starts from the same incumbents (both fit the tight budgets, and
+        # the greedy pass reads no budget) and prices the same latencies, so
+        # a different node count means the budget cut children in the DFS.
+        key = ("tight_budget", 2, "proposed")
+        pools, beta, start = self.pinned_inputs(key)
+        ctx = _Context(pools, beta, start.q_m)
+        for alpha in (start.association.alpha, greedy_incumbent(ctx)):
+            assert _evaluate_full(ctx, alpha)[1]
+        priced = []
+
+        def record(out):
+            priced.append(out)
+            return out
+
+        counting(monkeypatch, _Context, "latency", override=record)
+        _, tight = solve_association(pools, beta, start.q_m,
+                                     warm_alpha=start.association.alpha)
+        assert not all(ok for _, ok in priced)
+        sc = pools.scenario
+        roomy = replace(sc, suavs=tuple(replace(s, energy_budget_j=1e3)
+                                        for s in sc.suavs))
+        _, free = solve_association(Pools(roomy), beta, start.q_m,
+                                    warm_alpha=start.association.alpha)
+        assert tight.nodes == _TRAJECTORIES[key][0] < free.nodes
