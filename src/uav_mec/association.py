@@ -97,7 +97,16 @@ class Pools:
         self.order = sorted(range(scenario.n_targets),
                             key=lambda i: (len(self.cover[i]), i))
         # Per S-UAV: how many targets it can monitor.
-        self.pool_sizes = self.mask.sum(axis=0).tolist()
+        remaining = self.mask.sum(axis=0).tolist()
+        self.largest_pool = max(remaining)
+        # Per search depth: the S-UAVs whose pools deciding that depth's
+        # target completes, in index order. Which ones depends on the depth
+        # alone, not on the branch.
+        self.closing: list[list[int]] = []
+        for i in self.order:
+            for j in self.cover[i]:
+                remaining[j] -= 1
+            self.closing.append([j for j in self.cover[i] if not remaining[j]])
         self._points: list[dict[int, Position3D]] = [
             {} for _ in scenario.suavs]
         self._cols: _Columns | None = None
@@ -118,14 +127,15 @@ class Pools:
     def columns(self) -> _Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
         if self._cols is None:
-            masks, bits, pos = zip(*(_columns(self, j) for j in
-                                     range(self.scenario.n_suavs)))
+            masks, bits, targets, pos = zip(*(_columns(self, j) for j in
+                                              range(self.scenario.n_suavs)))
             counts = [len(m) for m in masks]
             self._cols = _Columns(
                 starts=[0, *itertools.accumulate(counts)],
                 suav=np.repeat(np.arange(len(counts)), counts),
                 masks=np.concatenate(masks),
                 bits=[b for part in bits for b in part],
+                targets=[t for part in targets for t in part],
                 pos=np.concatenate(pos))
         return self._cols
 
@@ -144,18 +154,21 @@ class _Context:
     def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
         self.pools = pools
         # The search reads these at every node.
-        self.scenario, self.mask, self.cover, self.order = (
-            pools.scenario, pools.mask, pools.cover, pools.order)
+        self.scenario, self.mask, self.cover, self.order, self.closing = (
+            pools.scenario, pools.mask, pools.cover, pools.order,
+            pools.closing)
         self.q_m = q_m
         self.prices = suav_prices(
             pools.scenario, [s.chunk_bits for s in pools.scenario.suavs], beta)
-        # Per S-UAV: target bitmask -> (latency, energy-feasible).
-        self._memo: list[dict[int, tuple[float, bool]]] = [
+        # Per S-UAV: target bitmask -> (latency, energy-feasible). An entry
+        # is a non-empty tuple, so `memo[j].get(bits) or latency(j, bits)`
+        # reads it and prices only a miss.
+        self.memo: list[dict[int, tuple[float, bool]]] = [
             {0: (0.0, price.fits())} for price in self.prices]
 
     def latency(self, suav_index: int, target_bits: int) -> tuple[float, bool]:
         """(exact latency, energy-feasible) for one S-UAV and target bitmask."""
-        memo = self._memo[suav_index]
+        memo = self.memo[suav_index]
         hit = memo.get(target_bits)
         if hit is not None:
             return hit
@@ -172,11 +185,14 @@ class _Context:
         """(latency growth, S-UAV) for every S-UAV covering the target if it
         took the target on, smallest growth first (ties: lowest index)."""
         out = []
+        bit = 1 << target_index
         for j in self.cover[target_index]:
-            before, _ = self.latency(j, assigned_bits[j])
-            after, _ = self.latency(j, assigned_bits[j] | (1 << target_index))
+            memo, bits = self.memo[j], assigned_bits[j]
+            before = (memo.get(bits) or self.latency(j, bits))[0]
+            after = (memo.get(bits | bit) or self.latency(j, bits | bit))[0]
             out.append((after - before, j))
-        return sorted(out)
+        out.sort()
+        return out
 
 
 def _alpha_from_choice(ctx: _Context, choice: dict[int, int]) -> np.ndarray:
@@ -218,63 +234,57 @@ def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
 def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
          incumbent_obj: float) -> tuple[np.ndarray | None, float, int, bool]:
     """Branch and bound below an incumbent: every bound at or above it is
-    cut. It tests DFS_ALLOWANCE only at nodes the bound keeps, so nodes the
-    bound cuts are still entered and counted past it (1,003 nodes on the
-    seed-0 16 x 40 call pinned in the tests). An allowance of 0 enters one
-    node.
+    cut. A child the bound cuts counts as one node, as if entered. It tests
+    DFS_ALLOWANCE only at nodes the bound keeps, so cut children still count
+    past it (1,003 nodes on the seed-0 16 x 40 call pinned in the tests). An
+    allowance of 0 enters one node.
 
     Returns (best alpha, its objective, nodes, finished within the allowance).
     """
     n_targets = ctx.scenario.n_targets
-    # Pool sizes per S-UAV: how many still-undecided targets it could monitor.
-    remaining = list(ctx.pools.pool_sizes)
+    order, closing, memo = ctx.order, ctx.closing, ctx.memo
+    allowance = DFS_ALLOWANCE
     assigned_bits = [0] * ctx.scenario.n_suavs
     choice: dict[int, int] = {}
-    nodes = 0
+    nodes = 1  # the root
     aborted = False
 
     def dfs(depth: int, bound: float) -> None:
         nonlocal incumbent_alpha, incumbent_obj, nodes, aborted
-        nodes += 1
-        if bound >= incumbent_obj:
-            return
         if depth == n_targets:
             incumbent_alpha = _alpha_from_choice(ctx, choice)
             incumbent_obj = bound
             return
-        if nodes >= DFS_ALLOWANCE:
+        if nodes >= allowance:
             aborted = True
             return
-        target_index = ctx.order[depth]
+        target_index = order[depth]
         bit = 1 << target_index
-        cover = ctx.cover[target_index]
-        # Deciding the target shrinks every covering pool whichever S-UAV
-        # takes it, and fully decides the pools that reach zero: their
-        # latency, and so the bound, is exact.
-        for cand in cover:
-            remaining[cand] -= 1
-        closed = [cand for cand in cover if remaining[cand] == 0]
+        # Deciding the target fully decides these pools, whichever S-UAV
+        # takes it: their latency, and so the bound, is exact.
+        closed = closing[depth]
         for _, j in ctx.by_growth(target_index, assigned_bits):
-            new_bound = bound
-            feasible = True
             assigned_bits[j] |= bit
+            new_bound = bound
             for cand in closed:
-                t, ok = ctx.latency(cand, assigned_bits[cand])
+                bits = assigned_bits[cand]
+                t, ok = memo[cand].get(bits) or ctx.latency(cand, bits)
                 if not ok:
-                    feasible = False
                     break
-                new_bound = max(new_bound, t)
-            if feasible:
-                choice[target_index] = j
-                dfs(depth + 1, new_bound)
-                del choice[target_index]
+                if t > new_bound:
+                    new_bound = t
+            else:
+                nodes += 1
+                if new_bound < incumbent_obj:
+                    choice[target_index] = j
+                    dfs(depth + 1, new_bound)
+                    del choice[target_index]
             assigned_bits[j] &= ~bit
             if aborted:  # no sibling is priced or visited past the allowance
                 break
-        for cand in cover:
-            remaining[cand] += 1
 
-    dfs(0, 0.0)
+    if 0.0 < incumbent_obj:
+        dfs(0, 0.0)
     return incumbent_alpha, incumbent_obj, nodes, not aborted
 
 
@@ -282,9 +292,9 @@ def _columns(pools: Pools, j: int):
     """Every distinct box-closed subset of S-UAV j's pool, and where the
     S-UAV hovers over each.
 
-    Returns (masks, bits, pos), one entry per column: its int64 bitmask
-    over the pool (bit p: the pool's p-th target by index), its bitmask over
-    all targets, and its hover point.
+    Returns (masks, bits, targets, pos), one entry per column: its int64
+    bitmask over the pool (bit p: the pool's p-th target by index), its
+    bitmask over all targets, its targets' indices, and its hover point.
     """
     scenario = pools.scenario
     suav = scenario.suavs[j]
@@ -304,8 +314,12 @@ def _columns(pools: Pools, j: int):
     # Python ints: a bitmask over all targets may pass 64 bits.
     powers = np.array([1 << i for i in pool.tolist()], dtype=object)
     bits = np.where(members, powers, 0).sum(axis=1).tolist()
+    held = pool[np.nonzero(members)[1]].tolist()
+    ends = np.cumsum(members.sum(axis=1)).tolist()
+    targets = [held[a:b] for a, b in zip([0, *ends], ends)]
     if pools.static_positions:
-        return masks, bits, np.tile(suav.initial_pos.array, (len(masks), 1))
+        return (masks, bits, targets,
+                np.tile(suav.initial_pos.array, (len(masks), 1)))
     # initial= lets an S-UAV with an empty pool yield no column.
     x_lo = np.where(members, x, np.inf).min(axis=1, initial=np.inf)
     x_hi = np.where(members, x, -np.inf).max(axis=1, initial=-np.inf)
@@ -313,7 +327,7 @@ def _columns(pools: Pools, j: int):
     y_hi = np.where(members, y, -np.inf).max(axis=1, initial=-np.inf)
     # scenario.reposition, in its order of operations.
     cam = suav.camera
-    return masks, bits, np.column_stack([
+    return masks, bits, targets, np.column_stack([
         (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
         np.maximum((x_hi - x_lo) / (2.0 * math.tan(cam.phi_h / 2.0)),
                    (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
@@ -328,6 +342,7 @@ class _Columns(NamedTuple):
     suav: np.ndarray             # the column's S-UAV
     masks: np.ndarray            # int64 bitmask over the S-UAV's pool
     bits: list[int]              # bitmask over all targets
+    targets: list[list[int]]     # the targets' indices, ascending
     pos: np.ndarray              # (columns, 3) hover points
 
 
@@ -409,19 +424,19 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
     cols = ctx.pools.columns()
     latency, feasible = _column_prices(ctx, cols)
     keep = feasible & (latency <= incumbent_obj)
-    columns = []  # (latency, S-UAV, target bitmask)
+    columns = []  # (latency, S-UAV, target bitmask, column row)
+    cheapest = [math.inf] * scenario.n_targets
     for j in range(scenario.n_suavs):
         lo, hi = cols.starts[j], cols.starts[j + 1]
         rows = lo + np.flatnonzero(keep[lo:hi])
         rows = rows[_undominated(cols.masks[rows], latency[rows])]
         for k, t in zip(rows.tolist(), latency[rows].tolist()):
-            columns.append((t, j, cols.bits[k]))
+            columns.append((t, j, cols.bits[k], k))
+            for i in cols.targets[k]:
+                if t < cheapest[i]:
+                    cheapest[i] = t
+    # (S-UAV, bitmask) is unique, so the row never decides the order.
     columns.sort()
-
-    cheapest = [math.inf] * scenario.n_targets
-    for t, _, column in columns:
-        for i in _bits(column):
-            cheapest[i] = min(cheapest[i], t)
     lower = max(cheapest)
     if lower == math.inf:
         raise InfeasibleSubproblem(
@@ -429,9 +444,9 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
 
     by_suav: list[list[int]] = [[] for _ in range(scenario.n_suavs)]
     reach = [0] * scenario.n_targets
-    for k, (t, j, column) in enumerate(columns):
+    for k, (t, j, column, row) in enumerate(columns):
         by_suav[j].append(column)
-        for i in _bits(column):
+        for i in cols.targets[row]:
             reach[i] |= 1 << j
         if t >= lower and (k + 1 == len(columns) or columns[k + 1][0] > t):
             chosen = _cover_at(by_suav, reach, scenario.n_targets)
@@ -461,7 +476,7 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
             incumbent_alpha, incumbent_obj = alpha, obj
 
     alpha, obj, nodes, exact = _dfs(ctx, incumbent_alpha, incumbent_obj)
-    if not exact and max(pools.pool_sizes) <= _MAX_POOL:
+    if not exact and pools.largest_pool <= _MAX_POOL:
         t_star, cover_alpha = _cover(ctx, obj)
         if obj != t_star:
             alpha, obj = cover_alpha, t_star
