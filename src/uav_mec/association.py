@@ -29,10 +29,12 @@ A larger pool skips the cover: the search alone decides, under the same
 allowance, and the answer is reported inexact if the allowance runs out.
 
 What no call changes is built once per solve, in a Pools that the caller
-passes to every call: the coverage mask, each target's covering S-UAVs, the
-search order, every S-UAV's hover point per target set, and, on the first
-cover call, every S-UAV's columns with their hover points. A call prices
-its branches once, then all columns in one pass.
+passes to every call (see Pools for the list). The search and the cover run
+Python code per node and per column, and a fleet call visits about a
+thousand nodes and a thousand columns, so every fact that depends only on
+the solve is read from those tables rather than worked out again at each
+node or column. A call prices its branches once, then all columns in one
+pass.
 """
 
 from __future__ import annotations
@@ -73,14 +75,20 @@ class SearchInfo:
 class Pools:
     """What no block changes during one solve of a scenario.
 
-    It holds the coverage mask, each target's covering S-UAVs, the search
-    order, a per-S-UAV memo from target bitmask to hover point, and every
-    S-UAV's box-closed column geometry, built on the first cover call (most
-    solves never reach the cover). run_scheme builds one per solve and
-    passes it to every association call; nothing of it is kept on the
-    scenario or in this module, so no solve reads another's data. It raises
-    InfeasibleSubproblem if an S-UAV's or the relay's hover alone breaks its
-    budget, as it then does in every plan.
+    Built at once, for the search: the coverage mask, each target's covering
+    S-UAVs (cover), the search order (order), the largest pool, and per
+    search depth the S-UAVs whose pools that depth's target completes
+    (closing), whose latency the bound at that depth reads. Filled in as
+    calls need them: a per-S-UAV memo from target bitmask to hover point,
+    and, on the first cover call (most solves never reach the cover), every
+    S-UAV's box-closed columns (_Columns) with each column's target bitmask,
+    target indices and hover point.
+
+    run_scheme builds one per solve and passes it to every association
+    call; nothing of it is kept on the scenario or in this module, so no
+    solve reads another's data. It raises InfeasibleSubproblem if an
+    S-UAV's or the relay's hover alone breaks its budget, as it then does in
+    every plan.
     """
 
     def __init__(self, scenario: Scenario, static_positions: bool = False):
@@ -127,16 +135,7 @@ class Pools:
     def columns(self) -> _Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
         if self._cols is None:
-            masks, bits, targets, pos = zip(*(_columns(self, j) for j in
-                                              range(self.scenario.n_suavs)))
-            counts = [len(m) for m in masks]
-            self._cols = _Columns(
-                starts=[0, *itertools.accumulate(counts)],
-                suav=np.repeat(np.arange(len(counts)), counts),
-                masks=np.concatenate(masks),
-                bits=[b for part in bits for b in part],
-                targets=[t for part in targets for t in part],
-                pos=np.concatenate(pos))
+            self._cols = _build_columns(self)
         return self._cols
 
 
@@ -288,19 +287,13 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     return incumbent_alpha, incumbent_obj, nodes, not aborted
 
 
-def _columns(pools: Pools, j: int):
-    """Every distinct box-closed subset of S-UAV j's pool, and where the
-    S-UAV hovers over each.
-
-    Returns (masks, bits, targets, pos), one entry per column: its int64
-    bitmask over the pool (bit p: the pool's p-th target by index), its
-    bitmask over all targets, its targets' indices, and its hover point.
-    """
-    scenario = pools.scenario
-    suav = scenario.suavs[j]
+def _columns(pools: Pools, j: int) -> np.ndarray:
+    """Every distinct box-closed subset of S-UAV j's pool, ascending, as an
+    int64 bitmask over the pool (bit p: the pool's p-th target by index)."""
+    targets = pools.scenario.targets
     pool = np.flatnonzero(pools.mask[:, j])
-    x = np.array([scenario.targets[i].pos.x for i in pool])
-    y = np.array([scenario.targets[i].pos.y for i in pool])
+    x = np.array([targets[i].pos.x for i in pool])
+    y = np.array([targets[i].pos.y for i in pool])
     bit = np.left_shift(np.int64(1), np.arange(len(pool), dtype=np.int64))
 
     def spans(v: np.ndarray) -> np.ndarray:
@@ -309,29 +302,7 @@ def _columns(pools: Pools, j: int):
         return np.unique(np.where(inside, bit, 0).sum(axis=2))
 
     masks = np.unique(spans(x)[:, None] & spans(y)[None, :])
-    masks = masks[masks != 0]
-    members = (masks[:, None] & bit) != 0
-    # Python ints: a bitmask over all targets may pass 64 bits.
-    powers = np.array([1 << i for i in pool.tolist()], dtype=object)
-    bits = np.where(members, powers, 0).sum(axis=1).tolist()
-    held = pool[np.nonzero(members)[1]].tolist()
-    ends = np.cumsum(members.sum(axis=1)).tolist()
-    targets = [held[a:b] for a, b in zip([0, *ends], ends)]
-    if pools.static_positions:
-        return (masks, bits, targets,
-                np.tile(suav.initial_pos.array, (len(masks), 1)))
-    # initial= lets an S-UAV with an empty pool yield no column.
-    x_lo = np.where(members, x, np.inf).min(axis=1, initial=np.inf)
-    x_hi = np.where(members, x, -np.inf).max(axis=1, initial=-np.inf)
-    y_lo = np.where(members, y, np.inf).min(axis=1, initial=np.inf)
-    y_hi = np.where(members, y, -np.inf).max(axis=1, initial=-np.inf)
-    # scenario.reposition, in its order of operations.
-    cam = suav.camera
-    return masks, bits, targets, np.column_stack([
-        (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
-        np.maximum((x_hi - x_lo) / (2.0 * math.tan(cam.phi_h / 2.0)),
-                   (y_hi - y_lo) / (2.0 * math.tan(cam.phi_v / 2.0)))
-        + cam.gamma])
+    return masks[masks != 0]
 
 
 class _Columns(NamedTuple):
@@ -344,6 +315,51 @@ class _Columns(NamedTuple):
     bits: list[int]              # bitmask over all targets
     targets: list[list[int]]     # the targets' indices, ascending
     pos: np.ndarray              # (columns, 3) hover points
+
+
+def _build_columns(pools: Pools) -> _Columns:
+    """Every S-UAV's columns, with their targets and hover points in one pass
+    over all of them."""
+    scenario = pools.scenario
+    masks = [_columns(pools, j) for j in range(scenario.n_suavs)]
+    counts = [len(m) for m in masks]
+    starts = [0, *itertools.accumulate(counts)]
+    suav = np.repeat(np.arange(len(counts)), counts)
+    masks = np.concatenate(masks)
+    # pool[j, p]: S-UAV j's p-th pool target by index; 0 past its pool, where
+    # no column has a member.
+    in_pool = pools.mask.T.astype(bool)
+    sizes = in_pool.sum(axis=1)
+    pool = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
+    pool[np.arange(pool.shape[1]) < sizes[:, None]] = np.nonzero(in_pool)[1]
+    pool = pool[suav]
+    members = (masks[:, None] >> np.arange(pool.shape[1]) & 1) != 0
+    held = pool[members].tolist()
+    ends = np.cumsum(members.sum(axis=1)).tolist()
+    if pools.static_positions:
+        pos = np.array([s.initial_pos.array for s in scenario.suavs])[suav]
+    else:
+        xy = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])
+        x, y = xy[pool, 0], xy[pool, 1]
+        x_lo = np.where(members, x, np.inf).min(axis=1)
+        x_hi = np.where(members, x, -np.inf).max(axis=1)
+        y_lo = np.where(members, y, np.inf).min(axis=1)
+        y_hi = np.where(members, y, -np.inf).max(axis=1)
+        # scenario.reposition, in its order of operations, with each
+        # column's own camera.
+        wide, tall, gamma = np.array([
+            (2.0 * math.tan(c.phi_h / 2.0), 2.0 * math.tan(c.phi_v / 2.0),
+             c.gamma) for c in (s.camera for s in scenario.suavs)])[suav].T
+        pos = np.column_stack([
+            (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
+            np.maximum((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma])
+    # Python ints: a bitmask over all targets may pass 64 bits.
+    powers = np.array([1 << i for i in range(scenario.n_targets)],
+                      dtype=object)
+    return _Columns(
+        starts=starts, suav=suav, masks=masks,
+        bits=np.where(members, powers[pool], 0).sum(axis=1).tolist(),
+        targets=[held[a:b] for a, b in zip([0, *ends], ends)], pos=pos)
 
 
 def _column_prices(ctx: _Context,

@@ -111,17 +111,19 @@ def sp1_terms(scenario: Scenario, association: Association,
                      scenario.constants.bandwidth_hz) if s > 0.0 else math.inf
         for suav, s, p in zip(scenario.suavs, sizes, local_prices)])
     local = BranchPrice(*np.array(local_prices).T)
-    offs = [[branch_price(scenario, j, s, True, m) for j, s in enumerate(sizes)]
-            for m in range(1, scenario.n0_cap + 1)]
-    off = BranchPrice(*np.array(offs[0]).T)
+    # One record per S-UAV over every offloader count: fixed_s and relay_j
+    # are (n, n0_cap), the other fields (n,).
+    counts = np.arange(1, scenario.n0_cap + 1)
+    off = BranchPrice(*map(np.array, zip(*(
+        branch_price(scenario, j, s, True, counts)
+        for j, s in enumerate(sizes)))))
     return Sp1Terms(
         t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
-        t_tx_off=off.tx_bits / r,
-        t_ruav=np.array([[p.fixed_s for p in row] for row in offs]),
+        t_tx_off=off.tx_bits / r, t_ruav=off.fixed_s.T,
         e_local=local.energy(r), e_offload=off.energy(r),
         suav_budget=local.budget_j - local.hover_j,
         ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        e_ruav=np.array([[p.relay_j for p in row] for row in offs]),
+        e_ruav=off.relay_j.T,
         active=s_bits > 0.0, fits_local=local.fits(r),
         fits_offload=off.fits(r),
     )

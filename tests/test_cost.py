@@ -104,10 +104,21 @@ class TestOffloadPath:
         assert two.fixed_s == pytest.approx(2.0 * one.fixed_s)
         assert two.relay_j == pytest.approx(2.0 * one.relay_j)
 
-    def test_needs_offloaders(self):
+    @pytest.mark.parametrize("counts", [0, np.arange(0, 3)])
+    def test_needs_offloaders(self, counts):
         sc = two_suav_scenario()
         with pytest.raises(InvalidDecision):
-            branch_price(sc, 0, S_250KB, True, 0)
+            branch_price(sc, 0, S_250KB, True, counts)
+
+    def test_count_array_prices_each_count_alone(self):
+        sc = two_suav_scenario()
+        price = branch_price(sc, 0, S_250KB, True, np.arange(1, 9))
+        for m in range(1, 9):
+            alone = branch_price(sc, 0, S_250KB, True, m)
+            assert price.fixed_s[m - 1] == alone.fixed_s
+            assert price.relay_j[m - 1] == alone.relay_j
+            assert price._replace(fixed_s=0.0, relay_j=0.0) == \
+                alone._replace(fixed_s=0.0, relay_j=0.0)
 
 
 class TestTotalLatency:
