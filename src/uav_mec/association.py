@@ -323,28 +323,27 @@ def _build_columns(pools: Pools) -> _Columns:
     scenario = pools.scenario
     masks = [_columns(pools, j) for j in range(scenario.n_suavs)]
     counts = [len(m) for m in masks]
-    starts = [0, *itertools.accumulate(counts)]
     suav = np.repeat(np.arange(len(counts)), counts)
     masks = np.concatenate(masks)
     # pool[j, p]: S-UAV j's p-th pool target by index; 0 past its pool, where
     # no column has a member.
     in_pool = pools.mask.T.astype(bool)
-    sizes = in_pool.sum(axis=1)
-    pool = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
-    pool[np.arange(pool.shape[1]) < sizes[:, None]] = np.nonzero(in_pool)[1]
-    pool = pool[suav]
-    members = (masks[:, None] >> np.arange(pool.shape[1]) & 1) != 0
-    held = pool[members].tolist()
-    ends = np.cumsum(members.sum(axis=1)).tolist()
+    width = np.arange(pools.largest_pool)
+    pool = np.zeros((len(counts), len(width)), dtype=np.int64)
+    pool[width < in_pool.sum(axis=1)[:, None]] = np.nonzero(in_pool)[1]
+    members = (masks[:, None] >> width & 1) != 0
+    # Every column's targets, column after column: column k's are
+    # held[first[k]:ends[k]]. No column is empty.
+    held = pool[suav][members]
+    sizes = members.sum(axis=1)
+    ends = np.cumsum(sizes)
+    first = ends - sizes
     if pools.static_positions:
         pos = np.array([s.initial_pos.array for s in scenario.suavs])[suav]
     else:
-        xy = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])
-        x, y = xy[pool, 0], xy[pool, 1]
-        x_lo = np.where(members, x, np.inf).min(axis=1)
-        x_hi = np.where(members, x, -np.inf).max(axis=1)
-        y_lo = np.where(members, y, np.inf).min(axis=1)
-        y_hi = np.where(members, y, -np.inf).max(axis=1)
+        x, y = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])[held].T
+        x_lo, y_lo = (np.minimum.reduceat(v, first) for v in (x, y))
+        x_hi, y_hi = (np.maximum.reduceat(v, first) for v in (x, y))
         # scenario.reposition, in its order of operations, with each
         # column's own camera.
         wide, tall, gamma = np.array([
@@ -353,13 +352,14 @@ def _build_columns(pools: Pools) -> _Columns:
         pos = np.column_stack([
             (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
             np.maximum((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma])
+    held, spans = held.tolist(), list(zip(first.tolist(), ends.tolist()))
     # Python ints: a bitmask over all targets may pass 64 bits.
-    powers = np.array([1 << i for i in range(scenario.n_targets)],
-                      dtype=object)
+    powers = [1 << i for i in range(scenario.n_targets)]
+    held_bits = [powers[i] for i in held]
     return _Columns(
-        starts=starts, suav=suav, masks=masks,
-        bits=np.where(members, powers[pool], 0).sum(axis=1).tolist(),
-        targets=[held[a:b] for a, b in zip([0, *ends], ends)], pos=pos)
+        starts=[0, *itertools.accumulate(counts)], suav=suav, masks=masks,
+        bits=[sum(held_bits[a:b]) for a, b in spans],
+        targets=[held[a:b] for a, b in spans], pos=pos)
 
 
 def _column_prices(ctx: _Context,
