@@ -272,8 +272,8 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
                     break
                 if t > new_bound:
                     new_bound = t
-            else:
-                nodes += 1
+            else:  # every closed pool keeps its budget
+                nodes += 1  # entered or cut by the bound, the child counts
                 if new_bound < incumbent_obj:
                     choice[target_index] = j
                     dfs(depth + 1, new_bound)
@@ -282,7 +282,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
             if aborted:  # no sibling is priced or visited past the allowance
                 break
 
-    if 0.0 < incumbent_obj:
+    if 0.0 < incumbent_obj:  # the root's bound, tested as a child's
         dfs(0, 0.0)
     return incumbent_alpha, incumbent_obj, nodes, not aborted
 

@@ -390,7 +390,8 @@ class TestColumnPrices:
 # the search's incumbent, and on seeds 0 and 3 it returns an association in
 # which some targets have two to four monitors. The relay_sweep call runs at
 # the highest cap of that sweep. The tight-budget call's search cuts children
-# whose closed pools break an S-UAV's energy budget (test_tight_budget_...).
+# whose closed pools break an S-UAV's energy budget
+# (test_tight_budget_cuts_closed_pools).
 _FLEET = replace(ExperimentConfig(), n_suavs=16, n_targets=40)
 _CONFIGS = {
     "reference": ExperimentConfig(),
