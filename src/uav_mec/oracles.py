@@ -3,22 +3,28 @@
 These deliberately avoid the solver code paths: placement is checked by
 coarse-to-fine grid scans of the exact latency, offloading by pricing every
 subset within the relay cap with the evaluator, and association by exhaustive
-enumeration over all masked assignments.
+enumeration over all masked assignments. The grid scans of placement and of
+the joint search price relay points with one routine (_pricer), written from
+the paper's formulas; nothing here imports a solver block.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .cost import effective_chunk_bits, evaluate_solution
-from .errors import InfeasibleSubproblem
+from .errors import InfeasibleSubproblem, ValidationError
 from .link import snr_coeff
-from .offload import OffloadDecision
-from .placement import exact_objective, placement_terms
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, repositioned_scenario)
+
+# joint_bruteforce refuses instances with more exactly-one associations than
+# this: the reference config's seeds 0-19 need 8 to 2,048, a 16 x 40 fleet
+# more than 1e12.
+MAX_JOINT_ASSOCIATIONS = 4096
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -43,43 +49,85 @@ def _grid(lo: np.ndarray, hi: np.ndarray, step: float,
     return np.stack([xs.ravel(), ys.ravel(), hs.ravel()], axis=1)
 
 
+def _pricer(placed: Scenario, alpha: np.ndarray):
+    """(active, scan): the S-UAVs that carry video under alpha, and
+    scan(b, pts), which prices them under offload bits b (one per active
+    S-UAV) at every relay point of pts, links floored at 1 m.
+
+    scan returns the least max-latency over the points where every budget
+    holds (inf if none), the point of least max-latency, budgets aside, and
+    every point's max-latency (0 with no active S-UAV). Budgets hold where
+    each S-UAV's energy is within its budget less hover (to 1e-12) and the
+    relay's m * sum of its m offloaders' compute energy is within its own.
+    """
+    c = placed.constants
+    s_bits = effective_chunk_bits(placed, alpha)
+    active = np.flatnonzero(s_bits > 0)
+    suavs = [placed.suavs[j] for j in active]
+    q_suav = np.array([s.current_pos.array for s in suavs]).reshape(-1, 3)
+    gamma1, budgets, powers, mus, cpus = np.array([
+        (snr_coeff(s.tx_power_w, c.rho0, c.noise_w),
+         s.energy_budget_j - s.hover_energy_j, s.tx_power_w,
+         s.compress_ratio, s.cpu_hz) for s in suavs]).reshape(-1, 5).T
+    sizes = s_bits[active]
+    t_loc = sizes * c.f0_cycles_per_bit / cpus
+    e_comp = cpus**2 * c.zeta * sizes * c.f0_cycles_per_bit
+    f_r = placed.ruav.cpu_hz
+    w_ruav = f_r**2 * c.zeta * c.f0_cycles_per_bit * sizes
+    ruav_budget = placed.ruav.energy_budget_j - placed.ruav.hover_energy_j
+
+    def scan(b: np.ndarray, pts: np.ndarray):
+        m = int(b.sum())
+        d2 = np.maximum(
+            ((pts[:, None, :] - q_suav[None, :, :]) ** 2).sum(axis=2), 1.0)
+        rates = c.bandwidth_hz * np.log2(1.0 + gamma1 / d2)
+        tx_bits = np.where(b == 1, sizes, mus * sizes)
+        fixed = np.where(b == 1, sizes * c.f0_cycles_per_bit * m / f_r, t_loc)
+        lat = (tx_bits / rates + fixed).max(axis=1, initial=0.0)
+        energy = powers * tx_bits / rates + np.where(b == 1, 0.0, e_comp)
+        ok = ((energy <= budgets + 1e-12).all(axis=1)
+              & (m * (w_ruav * b).sum() <= ruav_budget))
+        feasible = float(lat[ok].min()) if ok.any() else np.inf
+        return feasible, pts[int(np.argmin(lat))], lat
+
+    return active, scan
+
+
 def grid_search_placement(scenario: Scenario, association: Association,
                           beta: np.ndarray,
                           steps: tuple[float, ...] = (25.0, 5.0, 1.0),
                           extra_points: np.ndarray | None = None
                           ) -> tuple[Position3D, float]:
-    """Coarse-to-fine scan of the exact min-max latency over the relay box.
+    """Coarse-to-fine scan of the exact min-max latency over the relay box,
+    budgets aside.
 
     The final step size is the resolution of the certificate; any provided
     extra points (for example a solver's own answer) join the candidate set,
     so the returned value never exceeds the objective at those points.
     """
-    terms = placement_terms(scenario, association, beta)
+    active, scan = _pricer(scenario, association.alpha)
+    b = np.asarray(beta)[active]
     lo = scenario.ruav.box_lo.array
     hi = scenario.ruav.box_hi.array
     best_q, best_obj = None, np.inf
     center, window = None, None
     for step in steps:
-        pts = _grid(lo, hi, step, center=center, window=window)
-        objs = exact_objective(terms, pts)
-        k = int(np.argmin(objs))
-        if objs[k] < best_obj:
-            best_obj, best_q = float(objs[k]), pts[k]
+        _, q, lat = scan(b, _grid(lo, hi, step, center=center, window=window))
+        if lat.min() < best_obj:
+            best_obj, best_q = float(lat.min()), q
         center, window = best_q, step
     if extra_points is not None:
-        pts = np.atleast_2d(extra_points)
-        objs = exact_objective(terms, pts)
-        k = int(np.argmin(objs))
-        if objs[k] < best_obj:
-            best_obj, best_q = float(objs[k]), pts[k]
+        _, q, lat = scan(b, np.atleast_2d(extra_points))
+        if lat.min() < best_obj:
+            best_obj, best_q = float(lat.min()), q
     return Position3D(*best_q), best_obj
 
 
 def bruteforce_offload(scenario: Scenario, association: Association,
-                       q_m: Position3D) -> OffloadDecision:
-    """Every subset of the video-carrying S-UAVs within the relay cap,
-    priced by evaluate_solution and kept only if every S-UAV and the relay
-    keep their budgets; the best objective wins, ties going to the
+                       q_m: Position3D) -> tuple[np.ndarray, float]:
+    """(beta, objective) of the best of every subset of the video-carrying
+    S-UAVs within the relay cap, each priced by evaluate_solution and kept
+    only if every S-UAV and the relay keep their budgets; ties go to the
     lexicographically smallest beta."""
     budgets = ([s.energy_budget_j for s in scenario.suavs]
                + [scenario.ruav.energy_budget_j])
@@ -99,7 +147,7 @@ def bruteforce_offload(scenario: Scenario, association: Association,
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
     (obj, _), beta = best
-    return OffloadDecision(beta=beta, slack_s=obj)
+    return beta, obj
 
 
 def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,
@@ -139,103 +187,46 @@ def joint_bruteforce(scenario: Scenario,
                      q_steps: tuple[float, ...] = (50.0, 10.0, 5.0),
                      extra_points: np.ndarray | None = None) -> float:
     """Global reference for small instances: every exactly-one association
-    crossed with every capped offload subset, relay position grid-scanned.
+    crossed with every capped offload subset of its video-carrying S-UAVs,
+    relay position grid-scanned.
 
     Energy budgets are enforced pointwise on the grid. extra_points (e.g. a
-    solver's final relay position) are appended to every scan so the returned
-    minimum is a true lower envelope of the candidate set.
+    solver's final relay position) join the coarse grid that every subset
+    scans; each refinement centres on the previous level's least-latency
+    point, budgets aside. Raises ValidationError on an instance with more
+    than MAX_JOINT_ASSOCIATIONS exactly-one associations.
     """
     mask = feasible_association_mask(scenario)
     cover = [np.flatnonzero(mask[i]).tolist() for i in range(scenario.n_targets)]
+    count = math.prod(len(monitors) for monitors in cover)
+    if count > MAX_JOINT_ASSOCIATIONS:
+        raise ValidationError(
+            f"joint brute force needs {count} associations, more than "
+            f"its limit of {MAX_JOINT_ASSOCIATIONS}")
     lo = scenario.ruav.box_lo.array
     hi = scenario.ruav.box_hi.array
-    c = scenario.constants
+    coarse = _grid(lo, hi, q_steps[0])
+    if extra_points is not None:
+        coarse = np.vstack([coarse, np.atleast_2d(extra_points)])
     best = np.inf
     for combo in itertools.product(*cover):
         alpha = np.zeros_like(mask)
         for i, j in enumerate(combo):
             alpha[i, j] = 1
-        placed = repositioned_scenario(scenario, alpha)
-        s_bits = effective_chunk_bits(placed, alpha)
-        active = np.flatnonzero(s_bits > 0)
-        q_suav = np.array([placed.suavs[j].current_pos.array for j in active])
-        gamma1 = np.array([
-            snr_coeff(placed.suavs[j].tx_power_w, c.rho0, c.noise_w)
-            for j in active])
-        budgets = np.array([placed.suavs[j].energy_budget_j
-                            - placed.suavs[j].hover_energy_j for j in active])
-        powers = np.array([placed.suavs[j].tx_power_w for j in active])
-        mus = np.array([placed.suavs[j].compress_ratio for j in active])
-        cpus = np.array([placed.suavs[j].cpu_hz for j in active])
-        sizes = s_bits[active]
-        t_loc = sizes * c.f0_cycles_per_bit / cpus
-        e_comp = cpus**2 * c.zeta * sizes * c.f0_cycles_per_bit
-        w_ruav = scenario.ruav.cpu_hz**2 * c.zeta * c.f0_cycles_per_bit * sizes
-        ruav_budget = scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j
-
-        def scan(betas_local: np.ndarray, pts: np.ndarray) -> np.ndarray:
-            """Best feasible objective per offload subset over pts."""
-            d2 = np.maximum(
-                ((pts[:, None, :] - q_suav[None, :, :]) ** 2).sum(axis=2), 1.0)
-            rates = c.bandwidth_hz * np.log2(1.0 + gamma1[None, :] / d2)
-            out = np.full(betas_local.shape[0], np.inf)
-            for bi, b in enumerate(betas_local):
-                m = int(b.sum())
-                tx_bits = np.where(b == 1, sizes, mus * sizes)
-                fixed = np.where(
-                    b == 1,
-                    sizes * c.f0_cycles_per_bit * m / scenario.ruav.cpu_hz,
-                    t_loc)
-                lat = tx_bits[None, :] / rates + fixed[None, :]
-                energy = powers[None, :] * tx_bits[None, :] / rates \
-                    + np.where(b == 1, 0.0, e_comp)[None, :]
-                ok = (energy <= budgets[None, :] + 1e-12).all(axis=1)
-                if m * (w_ruav * b).sum() > ruav_budget:
-                    continue
-                obj = lat.max(axis=1)
-                obj[~ok] = np.inf
-                out[bi] = obj.min()
-            return out
-
-        betas = []
+        active, scan = _pricer(repositioned_scenario(scenario, alpha), alpha)
         for m in range(min(scenario.n0_cap, active.size) + 1):
             for members in itertools.combinations(range(active.size), m):
                 b = np.zeros(active.size, dtype=int)
                 b[list(members)] = 1
-                betas.append(b)
-        betas = np.array(betas).reshape(len(betas), active.size)
-
-        # Coarse level shared across subsets, then per-subset refinement.
-        pts = _grid(lo, hi, q_steps[0])
-        if extra_points is not None:
-            pts = np.vstack([pts, np.atleast_2d(extra_points)])
-        coarse = scan(betas, pts)
-        for bi in range(betas.shape[0]):
-            if not np.isfinite(coarse[bi]):
-                continue
-            obj = coarse[bi]
-            d2 = np.maximum(
-                ((pts[:, None, :] - q_suav[None, :, :]) ** 2).sum(axis=2), 1.0)
-            rates = c.bandwidth_hz * np.log2(1.0 + gamma1[None, :] / d2)
-            b = betas[bi]
-            m = int(b.sum())
-            tx_bits = np.where(b == 1, sizes, mus * sizes)
-            fixed = np.where(
-                b == 1, sizes * c.f0_cycles_per_bit * m / scenario.ruav.cpu_hz,
-                t_loc)
-            lat = (tx_bits[None, :] / rates + fixed[None, :]).max(axis=1)
-            center = pts[int(np.argmin(lat))]
-            for step_prev, step in zip(q_steps[:-1], q_steps[1:]):
-                sub = _grid(lo, hi, step, center=center, window=step_prev)
-                vals = scan(betas[bi:bi + 1], sub)
-                if vals[0] < obj:
-                    obj = float(vals[0])
-                    d2s = np.maximum(
-                        ((sub[:, None, :] - q_suav[None, :, :]) ** 2).sum(axis=2), 1.0)
-                    rs = c.bandwidth_hz * np.log2(1.0 + gamma1[None, :] / d2s)
-                    ls = (tx_bits[None, :] / rs + fixed[None, :]).max(axis=1)
-                    center = sub[int(np.argmin(ls))]
-            best = min(best, obj)
+                obj, center, _ = scan(b, coarse)
+                if not np.isfinite(obj):
+                    continue
+                for step_prev, step in zip(q_steps[:-1], q_steps[1:]):
+                    val, q, _ = scan(b, _grid(lo, hi, step, center=center,
+                                              window=step_prev))
+                    if val < obj:
+                        obj, center = val, q
+                best = min(best, obj)
     if not np.isfinite(best):
         raise InfeasibleSubproblem("no feasible joint solution found")
     return float(best)

@@ -326,6 +326,25 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert out.read_text() == captured.out
 
+    def test_oracle_refuses_a_fleet_it_cannot_enumerate(self, capsys):
+        # 16 x 40 has more than 1e12 exactly-one associations: the joint
+        # brute force counts them first and refuses instead of running on.
+        import time
+        from pathlib import Path
+
+        from uav_mec.scenario import (feasible_association_mask,
+                                      generate_scenario)
+        cfg_path = Path(__file__).resolve().parents[1] / "scripts" / "fleet.cfg"
+        start = time.monotonic()
+        assert main(["oracle", "--config", str(cfg_path), "--seed", "0"]) == 2
+        assert time.monotonic() - start < 30.0
+        mask = feasible_association_mask(
+            generate_scenario(load_config(cfg_path), 0))
+        count = math.prod(int(n) for n in mask.sum(axis=1))
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f" {count} associations" in err
+
 
 class TestChunkedMetrics:
     def test_sums_over_chunks(self):

@@ -189,14 +189,14 @@ class TestThresholdSearch:
     def test_matches_bruteforce_bit_for_bit(self, instance):
         sc, assoc = instance
         try:
-            ref = bruteforce_offload(sc, assoc, Q_M)
+            ref_beta, ref_obj = bruteforce_offload(sc, assoc, Q_M)
         except InfeasibleSubproblem:
             with pytest.raises(InfeasibleSubproblem):
                 enumerate_offload(sp1_terms(sc, assoc, Q_M))
             return
         got = enumerate_offload(sp1_terms(sc, assoc, Q_M))
-        assert got.slack_s == ref.slack_s
-        assert got.beta.tolist() == ref.beta.tolist()
+        assert got.slack_s == ref_obj
+        assert got.beta.tolist() == ref_beta.tolist()
 
     def test_solve_sp1_exact_above_old_enumeration_cap(self):
         # 24 active S-UAVs, more than the 20 that subset enumeration took;
@@ -211,10 +211,10 @@ class TestThresholdSearch:
             replace(s, energy_budget_j=float(mid[s.id])) if s.id in (3, 17)
             else s for s in sc.suavs))
         got = solve_sp1(sc, assoc, Q_M)
-        ref = bruteforce_offload(sc, assoc, Q_M)
+        ref_beta, ref_obj = bruteforce_offload(sc, assoc, Q_M)
         assert got.beta[[3, 17]].tolist() == [1, 1]
-        assert got.slack_s == ref.slack_s
-        assert got.beta.tolist() == ref.beta.tolist()
+        assert got.slack_s == ref_obj
+        assert got.beta.tolist() == ref_beta.tolist()
 
     def test_prices_at_most_cap_plus_one_subsets(self, monkeypatch):
         from uav_mec import offload

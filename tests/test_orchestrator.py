@@ -419,6 +419,47 @@ class TestPinnedLpBounds:
                 assert np.isnan(report.lp_lower_bound), scheme
 
 
+PIN_RUNS = """
+from uav_mec.config import ExperimentConfig
+from uav_mec.orchestrator import SCHEMES, run_scheme
+from uav_mec.scenario import generate_scenario
+for seed in range(5):
+    sc = generate_scenario(ExperimentConfig(), seed)
+    for scheme in SCHEMES:
+        report = run_scheme(sc, scheme)
+        print(seed, scheme, repr(report.objective_s),
+              repr(report.lp_lower_bound))
+"""
+
+
+class TestPinsAtOneBlasThread:
+    def test_pins_hold_with_one_openblas_thread(self):
+        # The in-process pin tests run at the machine's default thread
+        # count; results can depend on it (SLSQP, inside placement).
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-c", PIN_RUNS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs = [line.split() for line in done.stdout.splitlines()]
+        assert len(runs) == len(PINNED_OBJECTIVES)
+        for seed, scheme, objective, lp_bound in runs:
+            key = int(seed), scheme
+            assert float(objective) == pytest.approx(
+                PINNED_OBJECTIVES[key], rel=1e-12), key
+            if key in PINNED_LP_BOUNDS:
+                assert float(lp_bound) == pytest.approx(
+                    PINNED_LP_BOUNDS[key], rel=1e-12), key
+            else:
+                assert lp_bound == "nan", key
+
+
 class TestLazyLpBound:
     def test_run_scheme_solves_no_lp_until_the_bound_is_read(self, monkeypatch,
                                                              scenario0):

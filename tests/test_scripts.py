@@ -71,6 +71,13 @@ class TestScripts:
         assert done.returncode == 0, done.stderr
         assert "worst relative gap" in done.stdout
 
+    def test_oracle_gaps_refuses_a_fleet_it_cannot_enumerate(self):
+        done = run_script("oracle_gaps.py", "--seeds", "0",
+                          "--n-suavs", "16", "--n-targets", "40")
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: ")
+        assert "associations" in done.stderr
+
     def test_run_sweeps(self, tmp_path):
         done = run_script("run_sweeps.py", "--seeds", "0",
                           "--schemes", "proposed", "--out", str(tmp_path))
