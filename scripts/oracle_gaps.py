@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from uav_mec.cli import exit_code
 from uav_mec.config import ExperimentConfig, parse_seeds
-from uav_mec.oracles import joint_bruteforce
+from uav_mec.oracles import joint_associations, joint_bruteforce
 from uav_mec.orchestrator import run_scheme
 from uav_mec.scenario import generate_scenario
 
@@ -35,12 +35,15 @@ def measure(args):
                   n_targets=args.n_targets,
                   n0_cap=max(1, args.n_suavs // 2),
                   seeds=parse_seeds(args.seeds)).validate()
+    # Refuse an instance too large to enumerate before printing anything.
+    scenarios = [generate_scenario(cfg, seed) for seed in cfg.seeds]
+    for scenario in scenarios:
+        joint_associations(scenario)
 
     print(f"{'seed':>4} {'solver_s':>10} {'oracle_s':>10} {'rel_gap':>9} "
           f"{'wall_s':>7}")
     worst = 0.0
-    for seed in cfg.seeds:
-        scenario = generate_scenario(cfg, seed)
+    for seed, scenario in zip(cfg.seeds, scenarios):
         start = time.monotonic()
         report = run_scheme(scenario, "proposed")
         oracle = joint_bruteforce(

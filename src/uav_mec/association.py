@@ -1,37 +1,56 @@
 """Target-to-S-UAV association with fixed offload decision and relay position.
 
-Exact on every call whose pools hold at most _MAX_POOL targets, by one of two
-paths, chosen by whether a depth-first search finishes within DFS_ALLOWANCE
-nodes. The allowance is fixed: no caller sets it.
+Exact on every call whose pools hold at most _MAX_POOL targets. Three things
+can end a call:
 
-1. A depth-first branch and bound over one monitoring S-UAV per target. The
-   bound at a node is the exact latency of every S-UAV whose candidate pool
-   is fully decided, which no completion can change. Most calls finish here,
-   and a finished search returns the best one-monitor association. That is
-   exact over one-monitor associations only: a second monitor can be
-   strictly better (CHANGES.md, reference seed 18 with n0_cap = 5: the
-   finished search gives 10.07263920969067 s, the column cover
-   10.072591165515615 s).
-2. Otherwise a column cover finds the optimum T* over all associations. An
-   S-UAV's hover point depends only on the bounding box of its targets, and
-   its task size is fixed once it monitors anything, so its latency and
-   energy depend only on that box. Giving each S-UAV every pool target inside
-   its box keeps the box, hence its latency, and still covers every target.
-   So some optimum picks at most one *box-closed* subset (column) of each
-   S-UAV's pool: the pool targets inside that subset's own box. T* is the
-   least t at which columns of latency <= t, at most one per S-UAV, cover
-   every target; a search over target bitmasks decides that on integer data,
-   so no tolerance enters. The search's incumbent is returned if it attains
-   T*, and the cover's association otherwise; the latter may give a target
-   two monitors, which the problem allows.
+1. A depth-first branch and bound over one monitoring S-UAV per target,
+   under DFS_ALLOWANCE nodes (fixed: no caller sets it). The bound at a node
+   is the exact latency of every S-UAV whose candidate pool is fully
+   decided, which no completion can change. A search that finishes returns
+   the best one-monitor association. That is exact over one-monitor
+   associations only: a second monitor can be strictly better (CHANGES.md,
+   reference seed 18 with n0_cap = 5: the finished search gives
+   10.07263920969067 s, the column cover 10.072591165515615 s). A finished
+   search is returned as it is, even where the columns below show a lower
+   optimum.
+2. The columns' lower bound. An S-UAV's hover point depends only on the
+   bounding box of its targets, and its task size is fixed once it monitors
+   anything, so its latency and energy depend only on that box. Giving each
+   S-UAV every pool target inside its box keeps the box, hence its latency,
+   and still covers every target. So some optimum picks at most one
+   *box-closed* subset (column) of each S-UAV's pool: the pool targets
+   inside that subset's own box. Every target is held by some S-UAV's
+   column, so the optimum T* over all associations is at least the largest,
+   over targets, of the least latency of an energy-feasible column holding
+   the target (_lower_bound). An association that attains the bound is
+   optimal, and is returned with no further search.
+3. The column cover and the search run to T*. T* is the least t at which
+   columns of latency <= t, at most one per S-UAV, cover every target; a
+   search over target bitmasks decides that on integer data, so no
+   tolerance enters. The branch and bound's association is returned if it
+   attains T*, and the cover's otherwise; the latter may give a target two
+   monitors, which the problem allows.
 
-A larger pool skips the cover: the search alone decides, under the same
+A call searches first, and prices the columns only if the search runs out
+of nodes; at the reference size most solves never build them. Once a call
+has built them in the solve's Pools, every later call prices them first.
+If the warm start or the greedy start attains the bound, it is returned
+(step 2, no node visited). Otherwise the cover finds T*, and then the
+search runs until its incumbent reaches T*. The search replaces its
+incumbent only on a strictly better leaf and no leaf is below T*, so the
+first leaf at T* is the one a full search would return; stopping there
+changes no result. A looser incumbent in the cover adds only columns
+slower than T*, and dominance never drops a column for a slower one, so
+the cover sees the same columns up to T* and returns the same
+association.
+
+A larger pool skips the columns: the search alone decides, under the same
 allowance, and the answer is reported inexact if the allowance runs out.
 
 What no call changes is built once per solve, in a Pools that the caller
 passes to every call (see Pools for the list). The search and the cover run
 Python code per node and per column, and a fleet call visits about a
-thousand nodes and a thousand columns, so every fact that depends only on
+thousand nodes or a thousand columns, so every fact that depends only on
 the solve is read from those tables rather than worked out again at each
 node or column. A call prices its branches once, then all columns in one
 pass.
@@ -39,7 +58,6 @@ pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,7 +85,8 @@ class SearchInfo:
 
     objective: float
     exact: bool
-    # DFS nodes entered; can pass DFS_ALLOWANCE (see _dfs)
+    # DFS nodes entered; can pass DFS_ALLOWANCE (see _dfs). 0 when the
+    # columns' lower bound certifies the start without a search.
     nodes: int
     gap: float = 0.0  # kept for callers that read it; always 0
 
@@ -80,9 +99,11 @@ class Pools:
     search depth the S-UAVs whose pools that depth's target completes
     (closing), whose latency the bound at that depth reads. Filled in as
     calls need them: a per-S-UAV memo from target bitmask to hover point,
-    and, on the first cover call (most solves never reach the cover), every
-    S-UAV's box-closed columns (_Columns) with each column's target bitmask,
-    target indices and hover point.
+    and, on the first call whose search runs out of nodes (at the reference
+    size most solves have none), every S-UAV's box-closed columns (_Columns)
+    with each column's targets and hover point. Once the columns are built,
+    every later call of the solve prices them before it searches (see the
+    module docstring).
 
     run_scheme builds one per solve and passes it to every association
     call; nothing of it is kept on the scenario or in this module, so no
@@ -231,14 +252,17 @@ def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
 
 
 def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
-         incumbent_obj: float) -> tuple[np.ndarray | None, float, int, bool]:
+         incumbent_obj: float, floor: float = -math.inf
+         ) -> tuple[np.ndarray | None, float, int, bool]:
     """Branch and bound below an incumbent: every bound at or above it is
     cut. A child the bound cuts counts as one node, as if entered. It tests
     DFS_ALLOWANCE only at nodes the bound keeps, so cut children still count
     past it (1,003 nodes on the seed-0 16 x 40 call pinned in the tests). An
-    allowance of 0 enters one node.
+    allowance of 0 enters one node. The search stops once its incumbent is
+    at or below floor, an objective no association beats (T*).
 
-    Returns (best alpha, its objective, nodes, finished within the allowance).
+    Returns (best alpha, its objective, nodes, finished: searched to the end
+    within the allowance).
     """
     n_targets = ctx.scenario.n_targets
     order, closing, memo = ctx.order, ctx.closing, ctx.memo
@@ -253,6 +277,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
         if depth == n_targets:
             incumbent_alpha = _alpha_from_choice(ctx, choice)
             incumbent_obj = bound
+            aborted = bound <= floor
             return
         if nodes >= allowance:
             aborted = True
@@ -279,10 +304,11 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
                     dfs(depth + 1, new_bound)
                     del choice[target_index]
             assigned_bits[j] &= ~bit
-            if aborted:  # no sibling is priced or visited past the allowance
+            if aborted:  # no sibling is priced or visited past a stop
                 break
 
-    if 0.0 < incumbent_obj:  # the root's bound, tested as a child's
+    # The root's bound, tested as a child's; an incumbent at the floor stands.
+    if 0.0 < incumbent_obj and floor < incumbent_obj:
         dfs(0, 0.0)
     return incumbent_alpha, incumbent_obj, nodes, not aborted
 
@@ -307,13 +333,15 @@ def _columns(pools: Pools, j: int) -> np.ndarray:
 
 class _Columns(NamedTuple):
     """Every S-UAV's box-closed columns (_columns), concatenated S-UAV by
-    S-UAV: rows starts[j]:starts[j + 1] are S-UAV j's."""
+    S-UAV: rows starts[j]:starts[j + 1] are S-UAV j's. Column k's targets,
+    ascending, are held[first[k]:first[k] + sizes[k]]; no column is empty."""
 
-    starts: list[int]
+    starts: np.ndarray           # per S-UAV its first row, then the row count
     suav: np.ndarray             # the column's S-UAV
     masks: np.ndarray            # int64 bitmask over the S-UAV's pool
-    bits: list[int]              # bitmask over all targets
-    targets: list[list[int]]     # the targets' indices, ascending
+    held: np.ndarray             # every column's target indices, in turn
+    sizes: np.ndarray            # targets per column
+    first: np.ndarray            # where each column's targets start in held
     pos: np.ndarray              # (columns, 3) hover points
 
 
@@ -332,12 +360,9 @@ def _build_columns(pools: Pools) -> _Columns:
     pool = np.zeros((len(counts), len(width)), dtype=np.int64)
     pool[width < in_pool.sum(axis=1)[:, None]] = np.nonzero(in_pool)[1]
     members = (masks[:, None] >> width & 1) != 0
-    # Every column's targets, column after column: column k's are
-    # held[first[k]:ends[k]]. No column is empty.
     held = pool[suav][members]
     sizes = members.sum(axis=1)
-    ends = np.cumsum(sizes)
-    first = ends - sizes
+    first = np.cumsum(sizes) - sizes
     if pools.static_positions:
         pos = np.array([s.initial_pos.array for s in scenario.suavs])[suav]
     else:
@@ -352,14 +377,8 @@ def _build_columns(pools: Pools) -> _Columns:
         pos = np.column_stack([
             (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
             np.maximum((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma])
-    held, spans = held.tolist(), list(zip(first.tolist(), ends.tolist()))
-    # Python ints: a bitmask over all targets may pass 64 bits.
-    powers = [1 << i for i in range(scenario.n_targets)]
-    held_bits = [powers[i] for i in held]
-    return _Columns(
-        starts=[0, *itertools.accumulate(counts)], suav=suav, masks=masks,
-        bits=[sum(held_bits[a:b]) for a, b in spans],
-        targets=[held[a:b] for a, b in spans], pos=pos)
+    return _Columns(starts=np.cumsum([0, *counts]), suav=suav, masks=masks,
+                    held=held, sizes=sizes, first=first, pos=pos)
 
 
 def _column_prices(ctx: _Context,
@@ -371,6 +390,18 @@ def _column_prices(ctx: _Context,
     r = floored_rates(cols.pos, ctx.q_m.array, price.gamma1,
                       ctx.scenario.constants.bandwidth_hz)
     return price.latency(r), price.fits(r)
+
+
+def _lower_bound(cols: _Columns, latency: np.ndarray, feasible: np.ndarray,
+                 n_targets: int) -> float:
+    """A lower bound on T*: the largest, over targets, of the least latency
+    of an energy-feasible column holding the target (inf if some target has
+    none). Each S-UAV's targets in any feasible association lie in a column
+    of the same box, hence of the same latency."""
+    cheapest = np.full(n_targets, math.inf)
+    np.minimum.at(cheapest, cols.held,
+                  np.repeat(np.where(feasible, latency, math.inf), cols.sizes))
+    return float(cheapest.max())
 
 
 def _undominated(masks: np.ndarray, latency: np.ndarray) -> np.ndarray:
@@ -432,39 +463,41 @@ def _cover_at(by_suav: list[list[int]], reach: list[int],
     return search((1 << n_targets) - 1, (1 << len(by_suav)) - 1)
 
 
-def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
+def _cover(ctx: _Context, cols: _Columns, latency: np.ndarray,
+           keep: np.ndarray, lower: float) -> tuple[float, np.ndarray]:
     """(T*, alpha): the least largest latency of box-closed columns, at most
     one per S-UAV, that cover every target, and an association attaining it.
-    Columns slower than the incumbent cannot be in it, and are dropped."""
+    Only the columns in keep may be in it: the energy-feasible ones no
+    slower than an incumbent. lower is _lower_bound, where the search for
+    T* starts."""
     scenario = ctx.scenario
-    cols = ctx.pools.columns()
-    latency, feasible = _column_prices(ctx, cols)
-    keep = feasible & (latency <= incumbent_obj)
-    columns = []  # (latency, S-UAV, target bitmask, column row)
-    cheapest = [math.inf] * scenario.n_targets
+    rows = []
     for j in range(scenario.n_suavs):
         lo, hi = cols.starts[j], cols.starts[j + 1]
-        rows = lo + np.flatnonzero(keep[lo:hi])
-        rows = rows[_undominated(cols.masks[rows], latency[rows])]
-        for k, t in zip(rows.tolist(), latency[rows].tolist()):
-            columns.append((t, j, cols.bits[k], k))
-            for i in cols.targets[k]:
-                if t < cheapest[i]:
-                    cheapest[i] = t
-    # (S-UAV, bitmask) is unique, so the row never decides the order.
-    columns.sort()
-    lower = max(cheapest)
-    if lower == math.inf:
-        raise InfeasibleSubproblem(
-            "no energy-feasible association covers every target")
+        kept = lo + np.flatnonzero(keep[lo:hi])
+        rows.append(kept[_undominated(cols.masks[kept], latency[kept])])
+    rows = np.concatenate(rows)
+    # By latency, then S-UAV, then target bitmask: within one S-UAV the pool
+    # mask orders columns as their bitmask over all targets does.
+    rows = rows[np.lexsort((cols.masks[rows], cols.suav[rows], latency[rows]))]
+    sizes = cols.sizes[rows]
+    ends = np.cumsum(sizes)
+    # The kept columns' targets, in that order.
+    held = cols.held[np.arange(sizes.sum())
+                     + np.repeat(cols.first[rows] - (ends - sizes), sizes)]
+    held, times = held.tolist(), latency[rows].tolist()
 
     by_suav: list[list[int]] = [[] for _ in range(scenario.n_suavs)]
     reach = [0] * scenario.n_targets
-    for k, (t, j, column, row) in enumerate(columns):
-        by_suav[j].append(column)
-        for i in cols.targets[row]:
+    start = 0
+    for k, (t, j, end) in enumerate(zip(times, cols.suav[rows].tolist(),
+                                        ends.tolist())):
+        targets, start = held[start:end], end
+        # Python ints: a bitmask over all targets may pass 64 bits.
+        by_suav[j].append(sum(1 << i for i in targets))
+        for i in targets:
             reach[i] |= 1 << j
-        if t >= lower and (k + 1 == len(columns) or columns[k + 1][0] > t):
+        if t >= lower and (k + 1 == len(times) or times[k + 1] > t):
             chosen = _cover_at(by_suav, reach, scenario.n_targets)
             if chosen is not None:
                 alpha = np.zeros_like(ctx.mask)
@@ -478,10 +511,11 @@ def _cover(ctx: _Context, incumbent_obj: float) -> tuple[float, np.ndarray]:
 def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
                       warm_alpha: np.ndarray | None = None
                       ) -> tuple[Association, SearchInfo]:
-    """Best association at the given offload decision and relay position:
-    the search under DFS_ALLOWANCE nodes, then the column cover if the search
-    does not finish (see the module docstring). warm_alpha, if given, joins
-    the greedy start as an incumbent."""
+    """Best association at the given offload decision and relay position: the
+    search under DFS_ALLOWANCE nodes, the columns' lower bound, and the
+    column cover with the search run to T* (see the module docstring for
+    which runs when). warm_alpha, if given, joins the greedy start as an
+    incumbent."""
     ctx = _Context(pools, beta, q_m)
     incumbent_alpha = None
     incumbent_obj = float("inf")
@@ -491,11 +525,24 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
         if ok and obj < incumbent_obj:
             incumbent_alpha, incumbent_obj = alpha, obj
 
-    alpha, obj, nodes, exact = _dfs(ctx, incumbent_alpha, incumbent_obj)
+    # Columns exist once an earlier call of this solve ran out of nodes.
+    search_first = pools._cols is None
+    alpha, obj, nodes, exact = incumbent_alpha, incumbent_obj, 0, False
+    if search_first:
+        alpha, obj, nodes, exact = _dfs(ctx, alpha, obj)
     if not exact and pools.largest_pool <= _MAX_POOL:
-        t_star, cover_alpha = _cover(ctx, obj)
-        if obj != t_star:
-            alpha, obj = cover_alpha, t_star
+        cols = pools.columns()
+        latency, feasible = _column_prices(ctx, cols)
+        lower = _lower_bound(cols, latency, feasible, ctx.scenario.n_targets)
+        if obj != lower:
+            t_star, cover_alpha = _cover(ctx, cols, latency,
+                                         feasible & (latency <= obj), lower)
+            finished = False
+            if not search_first:
+                alpha, obj, nodes, finished = _dfs(ctx, alpha, obj,
+                                                   floor=t_star)
+            if not finished and obj != t_star:
+                alpha, obj = cover_alpha, t_star
         exact = True
 
     if alpha is None:

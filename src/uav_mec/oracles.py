@@ -183,6 +183,20 @@ def enumerate_associations_at_least_one(scenario: Scenario, beta: np.ndarray,
     return best_alpha, best_obj
 
 
+def joint_associations(scenario: Scenario) -> list[list[int]]:
+    """Each target's covering S-UAVs, the lists whose product is every
+    exactly-one association. Raises ValidationError when that product holds
+    more than MAX_JOINT_ASSOCIATIONS associations."""
+    mask = feasible_association_mask(scenario)
+    cover = [np.flatnonzero(mask[i]).tolist() for i in range(scenario.n_targets)]
+    count = math.prod(len(monitors) for monitors in cover)
+    if count > MAX_JOINT_ASSOCIATIONS:
+        raise ValidationError(
+            f"joint brute force needs {count} associations, more than "
+            f"its limit of {MAX_JOINT_ASSOCIATIONS}")
+    return cover
+
+
 def joint_bruteforce(scenario: Scenario,
                      q_steps: tuple[float, ...] = (50.0, 10.0, 5.0),
                      extra_points: np.ndarray | None = None) -> float:
@@ -194,15 +208,10 @@ def joint_bruteforce(scenario: Scenario,
     solver's final relay position) join the coarse grid that every subset
     scans; each refinement centres on the previous level's least-latency
     point, budgets aside. Raises ValidationError on an instance with more
-    than MAX_JOINT_ASSOCIATIONS exactly-one associations.
+    than MAX_JOINT_ASSOCIATIONS exactly-one associations (joint_associations).
     """
+    cover = joint_associations(scenario)
     mask = feasible_association_mask(scenario)
-    cover = [np.flatnonzero(mask[i]).tolist() for i in range(scenario.n_targets)]
-    count = math.prod(len(monitors) for monitors in cover)
-    if count > MAX_JOINT_ASSOCIATIONS:
-        raise ValidationError(
-            f"joint brute force needs {count} associations, more than "
-            f"its limit of {MAX_JOINT_ASSOCIATIONS}")
     lo = scenario.ruav.box_lo.array
     hi = scenario.ruav.box_hi.array
     coarse = _grid(lo, hi, q_steps[0])

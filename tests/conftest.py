@@ -96,7 +96,8 @@ def counting(monkeypatch, module, name, override=None):
 @pytest.fixture
 def dfs_allowance(monkeypatch):
     """Sets association.DFS_ALLOWANCE for the rest of one test. A search that
-    runs out of it hands the call to the column cover; 0 enters one node."""
+    runs out of it hands the call to the columns (their lower bound, then
+    the column cover); 0 enters one node."""
     from uav_mec import association
 
     def set_allowance(nodes: int) -> None:

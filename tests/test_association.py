@@ -153,13 +153,13 @@ class TestPools:
     Scenario objects again and again, and must time cold solves."""
 
     def test_fleet_geometry_is_built_once_per_suav(self, monkeypatch):
-        # Seed 1: two association calls reach the cover (on seed 0 the
+        # Seed 1: two association calls price the columns (on seed 0 the
         # second is a repeat of the first, and is not made).
         sc = generate_scenario(_FLEET, 1)
         columns = counting(monkeypatch, association, "_columns")
-        covers = counting(monkeypatch, association, "_cover")
+        prices = counting(monkeypatch, association, "_column_prices")
         run_scheme(sc, "proposed")
-        assert len(covers) > 1
+        assert len(prices) > 1
         assert len(columns) == sc.n_suavs
 
     def test_each_run_scheme_builds_its_own(self, monkeypatch):
@@ -202,8 +202,8 @@ def random_offload(sc, seed):
 
 
 class TestCoverPath:
-    """An allowance of 0 gives the DFS one node, so the column cover
-    decides."""
+    """An allowance of 0 gives the DFS one node, so the columns decide:
+    their lower bound, or else the column cover."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_exhaustive_at_least_one_enumeration(self, seed,
@@ -266,6 +266,61 @@ class TestCoverPath:
             assert info.objective == finished.objective
             ctx = _Context(Pools(sc), beta, q_m)
             assert _evaluate_full(ctx, covered.alpha) == (info.objective, True)
+
+
+class TestLowerBound:
+    """The columns' lower bound is at most the optimum over every
+    association, so a start that attains it is optimal."""
+
+    @pytest.mark.parametrize("static", [False, True])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_never_exceeds_exhaustive_at_least_one_enumeration(self, seed,
+                                                               static):
+        sc = random_instance(seed)
+        if sc is None:
+            return
+        beta = random_offload(sc, seed)
+        ctx = _Context(Pools(sc, static_positions=static), beta, Q_M)
+        cols = ctx.pools.columns()
+        latency, feasible = association._column_prices(ctx, cols)
+        lower = association._lower_bound(cols, latency, feasible,
+                                         sc.n_targets)
+        _, oracle_obj = enumerate_associations_at_least_one(
+            sc, beta, Q_M, static_positions=static)
+        assert 0.0 < lower <= oracle_obj * (1 + 1e-12)
+
+
+class TestLaterCalls:
+    """Once a call of a solve has built the columns, later calls on the same
+    Pools price them first and search only until T*. They must return what
+    a fresh Pools, which searches first, returns."""
+
+    def test_match_a_fresh_pools_on_fleet_calls(self, monkeypatch):
+        calls = []
+        solve = association.solve_association
+
+        def record(pools, beta, q_m, **kwargs):
+            later = pools._cols is not None
+            out = solve(pools, beta, q_m, **kwargs)
+            calls.append((later, pools, beta.copy(), q_m,
+                          kwargs["warm_alpha"], out))
+            return out
+
+        monkeypatch.setattr(association, "solve_association", record)
+        for seed in range(3):
+            run_scheme(generate_scenario(_FLEET, seed), "proposed")
+        monkeypatch.setattr(association, "solve_association", solve)
+
+        later = [call for call in calls if call[0]]
+        assert later and any(info.nodes == 0 for *_, (_, info) in later)
+        for _, pools, beta, q_m, warm, (assoc, info) in calls:
+            fresh, fresh_info = solve(Pools(pools.scenario), beta, q_m,
+                                      warm_alpha=warm)
+            again, again_info = solve(pools, beta, q_m, warm_alpha=warm)
+            for a, i in ((assoc, info), (again, again_info)):
+                assert np.array_equal(a.alpha, fresh.alpha)
+                assert (i.objective, i.exact) == (fresh_info.objective,
+                                                  fresh_info.exact)
 
 
 class TestLargePool:
@@ -365,10 +420,11 @@ class TestColumnPrices:
     def test_columns_are_the_box_closed_subsets_priced_exactly(self, ctx):
         cols = ctx.pools.columns()
         latency, feasible = association._column_prices(ctx, cols)
+        assert cols.sizes.sum() == len(cols.held)
         for j in range(ctx.scenario.n_suavs):
             rows = range(cols.starts[j], cols.starts[j + 1])
-            held = {k: [i for i in range(ctx.scenario.n_targets)
-                        if cols.bits[k] >> i & 1] for k in rows}
+            held = {k: cols.held[cols.first[k]:cols.first[k] + cols.sizes[k]]
+                    .tolist() for k in rows}
             assert {frozenset(held[k]) for k in rows} == \
                 _box_closed_subsets(ctx, j)
             pool = np.flatnonzero(ctx.mask[:, j]).tolist()
@@ -376,7 +432,7 @@ class TestColumnPrices:
                 assert cols.suav[k] == j
                 assert held[k] == [pool[p] for p in range(len(pool))
                                    if int(cols.masks[k]) >> p & 1]
-                assert ctx.latency(j, cols.bits[k]) == (
+                assert ctx.latency(j, sum(1 << i for i in held[k])) == (
                     latency.tolist()[k], feasible.tolist()[k])
 
 
@@ -386,9 +442,9 @@ class TestColumnPrices:
 # are the solver's start plan (the nearest covering association, the default
 # initial position), and `proposed` offloads every other S-UAV up to the cap
 # while `static_suavs` keeps all local. The 16 x 40 calls run out of the DFS
-# allowance, so the column cover decides them: on seeds 1 and 2 it certifies
-# the search's incumbent, and on seeds 0 and 3 it returns an association in
-# which some targets have two to four monitors. The relay_sweep call runs at
+# allowance, so the columns decide them: on seeds 1 and 2 their lower bound
+# certifies the search's incumbent, and on seeds 0 and 3 the column cover
+# returns an association in which some targets have two to four monitors. The relay_sweep call runs at
 # the highest cap of that sweep. The tight-budget call's search cuts children
 # whose closed pools break an S-UAV's energy budget
 # (test_tight_budget_cuts_closed_pools).

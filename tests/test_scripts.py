@@ -112,6 +112,7 @@ class TestScripts:
         ("digest.py", "--seeds", "abc"),
         ("oracle_gaps.py", "--seeds", "abc"),
         ("oracle_gaps.py", "--n-suavs", "0"),
+        ("oracle_gaps.py", "--n-suavs", "16", "--n-targets", "40"),
         ("run_sweeps.py", "--seeds", "5-2"),
         ("run_sweeps.py", "--schemes", "nonsense"),
         # An output directory that cannot be made: a file holds its name,
