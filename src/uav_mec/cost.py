@@ -90,16 +90,14 @@ class BranchPrice(NamedTuple):
 
 
 def branch_price(scenario: Scenario, j: int, s: float, offloaded: bool,
-                 n_offloaders: int | np.ndarray) -> BranchPrice:
+                 n_offloaders: int) -> BranchPrice:
     """Price record of S-UAV j processing s bits on board, or on the relay
     whose CPU is split evenly among n_offloaders. The one place the model
-    lives. n_offloaders may be an array of counts: the offload branch's
-    fixed_s and relay_j are then arrays over them, each element priced as
-    for its count alone."""
+    lives."""
     c = scenario.constants
     suav = scenario.suavs[j]
     if offloaded:
-        if np.asarray(n_offloaders).min() < 1:
+        if n_offloaders < 1:
             raise InvalidDecision("offloading S-UAV needs n_offloaders >= 1")
         f_r = scenario.ruav.cpu_hz
         branch = (s, s * c.f0_cycles_per_bit * n_offloaders / f_r, 0.0,

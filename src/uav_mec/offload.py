@@ -101,8 +101,9 @@ class Sp1Terms:
 def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D) -> Sp1Terms:
     """SP1's terms, read off stacked price records of the local branch and
-    of the offload branch at every offloader count within the cap. An idle
-    S-UAV is rated at r = inf, which prices it to zero but its hover."""
+    of the offload branch at every offloader count within the cap, one
+    record per S-UAV and count. An idle S-UAV is rated at r = inf, which
+    prices it to zero but its hover."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     sizes = s_bits.tolist()
     local_prices = suav_prices(scenario, sizes, [0] * len(sizes))
@@ -111,19 +112,19 @@ def sp1_terms(scenario: Scenario, association: Association,
                      scenario.constants.bandwidth_hz) if s > 0.0 else math.inf
         for suav, s, p in zip(scenario.suavs, sizes, local_prices)])
     local = BranchPrice(*np.array(local_prices).T)
-    # One record per S-UAV over every offloader count: fixed_s and relay_j
-    # are (n, n0_cap), the other fields (n,).
-    counts = np.arange(1, scenario.n0_cap + 1)
-    off = BranchPrice(*map(np.array, zip(*(
-        branch_price(scenario, j, s, True, counts)
-        for j, s in enumerate(sizes)))))
+    # Row m - 1 prices every S-UAV's offload branch at m offloaders; only
+    # fixed_s and relay_j change with m.
+    offs = [[branch_price(scenario, j, s, True, m) for j, s in enumerate(sizes)]
+            for m in range(1, scenario.n0_cap + 1)]
+    off = BranchPrice(*np.array(offs[0]).T)
     return Sp1Terms(
         t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
-        t_tx_off=off.tx_bits / r, t_ruav=off.fixed_s.T,
+        t_tx_off=off.tx_bits / r,
+        t_ruav=np.array([[p.fixed_s for p in row] for row in offs]),
         e_local=local.energy(r), e_offload=off.energy(r),
         suav_budget=local.budget_j - local.hover_j,
         ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        e_ruav=off.relay_j.T,
+        e_ruav=np.array([[p.relay_j for p in row] for row in offs]),
         active=s_bits > 0.0, fits_local=local.fits(r),
         fits_offload=off.fits(r),
     )

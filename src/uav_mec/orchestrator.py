@@ -14,7 +14,6 @@ offload rule with all its members carrying video.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,8 +22,8 @@ import numpy as np
 from . import association as assoc_mod
 from . import placement as place_mod
 from .config import ExperimentConfig
-from .cost import (EnergyBreakdown, LatencyBreakdown, breakdowns,
-                   evaluate_solution)
+from .cost import evaluate_solution
+from .link import rate_at_dist_sq, snr_coeff
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
                        repositioned_scenario)
@@ -59,12 +58,8 @@ class SolverReport:
     alpha: np.ndarray
     beta: np.ndarray
     q_m: Position3D
-    latencies: list[LatencyBreakdown]
-    energies: list[EnergyBreakdown]
-    delay_stddev_s: float
     iterations: int
     converged: bool
-    wall_time: float
     offload: OffloadDecision | None = None  # the last accepted offload step
     # inner solves where SLSQP failed; each still kept the better of SLSQP's
     # point and the expansion point
@@ -147,11 +142,30 @@ def check_constraints(scenario: Scenario, association: Association,
         if not strictly_inside:
             violations.append(
                 f"target {i} not strictly inside any assigned footprint")
-    energies = breakdowns(placed, association, beta.astype(int), q_m)[1]
-    for e, suav in zip(energies[:-1], scenario.suavs):
-        if e.total_j > suav.energy_budget_j + 1e-9:
+    # Energy, priced here from the model's terms rather than by cost.py: an
+    # S-UAV that carries no video spends its hover alone, each link's
+    # distance is floored at 1 m, and the relay splits its CPU among all
+    # sum(beta) offloaders.
+    c = scenario.constants
+    j_per_bit_hz2 = c.zeta * c.f0_cycles_per_bit
+    relay_j = scenario.ruav.hover_energy_j
+    for suav, moved, video, off in zip(scenario.suavs, placed.suavs,
+                                       alpha.sum(axis=0) > 0, beta.tolist()):
+        spent, s = suav.hover_energy_j, suav.chunk_bits
+        if video:
+            d2 = max(float(((moved.current_pos.array - q) ** 2).sum()), 1.0)
+            rate = rate_at_dist_sq(d2, c.bandwidth_hz, snr_coeff(
+                suav.tx_power_w, c.rho0, c.noise_w))
+            if off:
+                spent += suav.tx_power_w * s / rate
+                relay_j += (beta.sum() * scenario.ruav.cpu_hz**2
+                            * j_per_bit_hz2 * s)
+            else:
+                spent += (suav.tx_power_w * suav.compress_ratio * s / rate
+                          + suav.cpu_hz**2 * j_per_bit_hz2 * s)
+        if spent > suav.energy_budget_j + 1e-9:
             violations.append(f"S-UAV {suav.id} energy budget exceeded")
-    if energies[-1].total_j > scenario.ruav.energy_budget_j + 1e-9:
+    if relay_j > scenario.ruav.energy_budget_j + 1e-9:
         violations.append("relay energy budget exceeded")
     return violations
 
@@ -248,20 +262,19 @@ def run_scheme(scenario: Scenario, scheme: str,
     still pass them: the association search has a fixed node allowance and
     no block reads the clock.
 
-    evaluate_solution runs only for the start plan and the report. The
-    association block's fixed data (association.Pools) is built once here,
-    before anything else, and lives as long as this call; building it checks
-    every hover against its budget."""
+    evaluate_solution runs only for the start plan: every block prices its
+    own candidate, so the returned plan's objective is already known. A
+    caller who wants its per-S-UAV breakdown prices it with
+    evaluate_solution(placed_for(scenario, report.alpha, scheme), ...).
+    The association block's fixed data (association.Pools) is built once
+    here, before anything else, and lives as long as this call; building it
+    checks every hover against its budget."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    start = time.monotonic()
     pools = assoc_mod.Pools(
         scenario, static_positions=not SCHEME_POLICIES[scheme].reposition)
     plan, record = improve(start_plan(pools, scheme), pools, scheme, tol,
                            r_max)
-    _, spread, lats, energies = evaluate_solution(
-        plan.placed, plan.association, plan.beta, plan.q_m)
     return SolverReport(
         scheme=scheme, alpha=plan.association.alpha, beta=plan.beta,
-        q_m=plan.q_m, latencies=lats, energies=energies,
-        delay_stddev_s=spread, wall_time=time.monotonic() - start, **record)
+        q_m=plan.q_m, **record)

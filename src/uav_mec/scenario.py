@@ -90,7 +90,6 @@ class SUav:
 
 @dataclass(frozen=True)
 class RUav:
-    pos: Position3D
     cpu_hz: float
     box_lo: Position3D
     box_hi: Position3D
@@ -98,11 +97,8 @@ class RUav:
     hover_energy_j: float
 
     def __post_init__(self):
-        lo, hi, pos = self.box_lo.array, self.box_hi.array, self.pos.array
-        if np.any(lo > hi):
+        if np.any(self.box_lo.array > self.box_hi.array):
             raise ValueError("box_lo must not exceed box_hi")
-        if np.any(pos < lo) or np.any(pos > hi):
-            raise ValueError("R-UAV position must lie inside its box")
 
 
 @dataclass(frozen=True)
@@ -127,14 +123,6 @@ class Scenario:
     @property
     def n_targets(self) -> int:
         return len(self.targets)
-
-    def with_positions(self, positions: dict[int, Position3D]) -> "Scenario":
-        """Copy with some S-UAV current positions replaced."""
-        suavs = tuple(
-            replace(s, current_pos=positions[s.id]) if s.id in positions else s
-            for s in self.suavs
-        )
-        return replace(self, suavs=suavs)
 
 
 @dataclass(frozen=True)
@@ -185,16 +173,13 @@ def fov_rect(suav: SUav, at_initial: bool = False) -> AxisRect:
 def reposition(suav: SUav, assigned: list[Target] | tuple[Target, ...]) -> Position3D:
     """New hover point for an S-UAV over its assigned targets.
 
-    Two or more targets: center over the bounding box, at the smallest altitude
-    whose footprint exceeds the spread, plus the gamma margin. One target:
+    Center over the targets' bounding box, at the smallest altitude whose
+    footprint spans it, plus the gamma margin: one target puts the S-UAV
     directly overhead at h = gamma. None: stay at the initial position.
     """
     if not assigned:
         return suav.initial_pos
     cam = suav.camera
-    if len(assigned) == 1:
-        t = assigned[0]
-        return Position3D(t.pos.x, t.pos.y, cam.gamma)
     xs = [t.pos.x for t in assigned]
     ys = [t.pos.y for t in assigned]
     x = (max(xs) + min(xs)) / 2.0
@@ -208,11 +193,11 @@ def reposition(suav: SUav, assigned: list[Target] | tuple[Target, ...]) -> Posit
 
 def repositioned_scenario(scenario: Scenario, alpha: np.ndarray) -> Scenario:
     """Apply the repositioning rule to every S-UAV under an association matrix."""
-    positions = {}
-    for j, suav in enumerate(scenario.suavs):
-        assigned = [scenario.targets[i] for i in np.flatnonzero(alpha[:, j])]
-        positions[suav.id] = reposition(suav, assigned)
-    return scenario.with_positions(positions)
+    suavs = tuple(
+        replace(suav, current_pos=reposition(
+            suav, [scenario.targets[i] for i in np.flatnonzero(alpha[:, j])]))
+        for j, suav in enumerate(scenario.suavs))
+    return replace(scenario, suavs=suavs)
 
 
 def feasible_association_mask(scenario: Scenario) -> np.ndarray:
@@ -313,9 +298,7 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
     bx = config.ruav_box
     box_lo = Position3D(bx[0], bx[1], bx[2])
     box_hi = Position3D(bx[3], bx[4], bx[5])
-    center = Position3D(*(0.5 * (box_lo.array + box_hi.array)))
     ruav = RUav(
-        pos=center,
         cpu_hz=config.cpu_ruav_hz,
         box_lo=box_lo,
         box_hi=box_hi,

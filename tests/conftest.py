@@ -39,8 +39,7 @@ def make_scenario(suav_xy, target_xy, *, altitude=500.0, chunk_bits=None,
     targets = tuple(Target(id=i, pos=Position3D(x, y, 0.0))
                     for i, (x, y) in enumerate(target_xy))
     lo, hi = Position3D(*box[:3]), Position3D(*box[3:])
-    ruav = RUav(pos=Position3D(*(0.5 * (lo.array + hi.array))),
-                cpu_hz=cpu_ruav_hz, box_lo=lo, box_hi=hi,
+    ruav = RUav(cpu_hz=cpu_ruav_hz, box_lo=lo, box_hi=hi,
                 energy_budget_j=1e3, hover_energy_j=0.0)
     return Scenario(suavs=suavs, targets=targets, ruav=ruav,
                     constants=constants,

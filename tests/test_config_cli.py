@@ -74,13 +74,19 @@ class TestRunCell:
     def test_metrics_match_report_for_single_chunk(self):
         cfg = replace(ExperimentConfig(), n_chunks=1, seeds=(0,))
         row = run_cell(cfg, 0, "proposed")
-        from uav_mec.orchestrator import run_scheme
-        from uav_mec.scenario import generate_scenario
-        report = run_scheme(generate_scenario(cfg, 0), "proposed")
+        from uav_mec.cost import evaluate_solution
+        from uav_mec.orchestrator import placed_for, run_scheme
+        from uav_mec.scenario import Association, generate_scenario
+        sc = generate_scenario(cfg, 0)
+        report = run_scheme(sc, "proposed")
+        objective, spread, _, _ = evaluate_solution(
+            placed_for(sc, report.alpha, "proposed"),
+            Association(alpha=report.alpha, feasible_mask=report.alpha),
+            report.beta, report.q_m)
         assert row.error == ""
-        assert row.objective_s == pytest.approx(report.objective_s, rel=1e-9)
-        assert row.delay_stddev_s == pytest.approx(report.delay_stddev_s,
-                                                   rel=1e-9)
+        assert objective == report.objective_s
+        assert row.objective_s == pytest.approx(objective, rel=1e-9)
+        assert row.delay_stddev_s == pytest.approx(spread, rel=1e-9)
 
     def test_chunk_count_scales_latency(self):
         rows = {k: run_cell(replace(ExperimentConfig(), n_chunks=k), 0,

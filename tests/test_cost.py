@@ -109,21 +109,6 @@ class TestOffloadPath:
         with pytest.raises(InvalidDecision):
             branch_price(sc, 0, S_250KB, True, 0)
 
-    def test_needs_offloaders_at_every_count(self):
-        sc = two_suav_scenario()
-        with pytest.raises(InvalidDecision):
-            branch_price(sc, 0, S_250KB, True, np.arange(0, 3))
-
-    def test_count_array_prices_each_count_alone(self):
-        sc = two_suav_scenario()
-        price = branch_price(sc, 0, S_250KB, True, np.arange(1, 9))
-        for m in range(1, 9):
-            alone = branch_price(sc, 0, S_250KB, True, m)
-            assert price.fixed_s[m - 1] == alone.fixed_s
-            assert price.relay_j[m - 1] == alone.relay_j
-            assert price._replace(fixed_s=0.0, relay_j=0.0) == \
-                alone._replace(fixed_s=0.0, relay_j=0.0)
-
 
 class TestTotalLatency:
     def test_all_local_totals(self):
@@ -421,3 +406,24 @@ class TestCrossBlockPricing:
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
         assert chunked == pytest.approx(
             (objective, spread, exec_j, energies[-1].comp_j), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(priced_points(), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_constraint_checker_agrees_on_every_budget(self, point,
+                                                       relay_scale):
+        # check_constraints prices energy on its own, with a 1e-9 J slack;
+        # every budget, the relay's too, binds at 0.5, 1 or 2 times the
+        # spend.
+        from uav_mec.orchestrator import check_constraints
+        sc, placed, assoc, members, q = point
+        beta = np.zeros(sc.n_suavs, dtype=int)
+        beta[list(members)] = 1
+        energies = evaluate_solution(placed, assoc, beta, q)[3]
+        sc = replace(sc, ruav=replace(
+            sc.ruav, energy_budget_j=relay_scale * energies[-1].total_j))
+        violations = check_constraints(sc, assoc, beta, q)
+        for e, s in zip(energies, sc.suavs):
+            assert (f"S-UAV {s.id} energy budget exceeded" in violations) == \
+                (e.total_j > s.energy_budget_j)
+        assert ("relay energy budget exceeded" in violations) == \
+            (energies[-1].total_j > sc.ruav.energy_budget_j)

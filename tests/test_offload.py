@@ -252,7 +252,7 @@ class TestBuildOnce:
         assert len(lp_builds) == len(lp_solves) == 1
 
     def test_one_offload_record_per_suav(self, monkeypatch):
-        # Each S-UAV's offload branch is priced once over every offloader
+        # Each S-UAV's offload branch gets one scalar record per offloader
         # count, idle S-UAVs included, and each count's row is what pricing
         # that count alone gives, to the bit.
         from uav_mec import cost, offload
@@ -264,7 +264,7 @@ class TestBuildOnce:
         assoc = Association(alpha=alpha, feasible_mask=alpha)
         offload_prices = counting(monkeypatch, offload, "branch_price")
         t = sp1_terms(sc, assoc, Q_M)
-        assert len(offload_prices) == sc.n_suavs
+        assert len(offload_prices) == sc.n_suavs * sc.n0_cap
         for m in range(1, sc.n0_cap + 1):
             alone = [cost.branch_price(sc, j, s, True, m)
                      for j, s in enumerate([1e6, 2.5e6, 0.0, 3.1e6, 2.2e6,

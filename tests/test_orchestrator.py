@@ -114,7 +114,18 @@ class TestRunScheme:
         for report in reports.values():
             assert report.objective_s == report.objective_trace[-1]
             assert report.iterations >= 1
-            assert len(report.energies) == len(report.latencies) + 1
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_evaluates_only_the_start_plan(self, monkeypatch, scenario0,
+                                           scheme):
+        # Every block prices its own candidate, so the returned plan is
+        # never priced again.
+        from uav_mec import orchestrator
+
+        from .conftest import counting
+        calls = counting(monkeypatch, orchestrator, "evaluate_solution")
+        run_scheme(scenario0, scheme)
+        assert len(calls) == 1
 
     def test_unknown_scheme_rejected(self, scenario0):
         with pytest.raises(ValueError):
@@ -210,6 +221,51 @@ class TestRuavOnlyRelayBudget:
         assoc = Association(alpha=report.alpha,
                             feasible_mask=feasible_association_mask(sc))
         assert check_constraints(sc, assoc, report.beta, report.q_m) == []
+
+
+class TestEnergyCheckPricesOnItsOwn:
+    """check_constraints prices energy without cost.py, so a pricing defect
+    there cannot pass both the evaluator and the checker."""
+
+    @pytest.mark.parametrize("beta,field,message", [
+        ([0, 0], "comp_j", "S-UAV 0 energy budget exceeded"),
+        ([1, 1], "relay_j", "relay energy budget exceeded"),
+    ], ids=["on_board_compute", "relay_compute"])
+    def test_over_budget_plan_flagged_under_a_pricing_defect(
+            self, monkeypatch, beta, field, message):
+        from dataclasses import replace
+
+        from uav_mec import cost
+        from uav_mec.scenario import Position3D
+
+        from .conftest import identity_association, make_scenario
+        nadirs = [(250.0, 500.0), (750.0, 500.0)]
+        sc = make_scenario(nadirs, nadirs, n0_cap=2)
+        assoc = identity_association(sc)
+        beta, q_m = np.array(beta), Position3D(500.0, 500.0, 300.0)
+        def s0_and_relay():  # their energy breakdowns, as the evaluator prices
+            energies = cost.evaluate_solution(sc, assoc, beta, q_m)[3]
+            return energies[0], energies[-1]
+
+        # S-UAV 0's budget, or the relay's, sits halfway through the term
+        # the defect drops.
+        s0, relay = s0_and_relay()
+        if field == "comp_j":
+            sc = replace(sc, suavs=(replace(
+                sc.suavs[0], energy_budget_j=s0.comm_j + s0.comp_j / 2),
+                sc.suavs[1]))
+        else:
+            sc = replace(sc, ruav=replace(sc.ruav,
+                                          energy_budget_j=relay.comp_j / 2))
+        assert message in check_constraints(sc, assoc, beta, q_m)
+
+        real = cost.branch_price
+        monkeypatch.setattr(cost, "branch_price", lambda *args: real(
+            *args)._replace(**{field: 0.0}))
+        s0, relay = s0_and_relay()
+        assert s0.total_j <= sc.suavs[0].energy_budget_j
+        assert relay.total_j <= sc.ruav.energy_budget_j
+        assert message in check_constraints(sc, assoc, beta, q_m)
 
 
 class TestFixedRelayAltitude:
