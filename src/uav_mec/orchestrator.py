@@ -61,8 +61,8 @@ class SolverReport:
     iterations: int
     converged: bool
     offload: OffloadDecision | None = None  # the last accepted offload step
-    # inner solves where SLSQP failed; each still kept the better of SLSQP's
-    # point and the expansion point
+    # inner placement solves whose optimality certificate did not close;
+    # each still kept the better of the solve's point and the expansion point
     placement_fallbacks: int = 0
     # every association call was certified (a finished DFS: one-monitor only)
     association_exact: bool = True

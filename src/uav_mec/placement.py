@@ -6,21 +6,27 @@ its concave quadratic lower bound, the worst-case common rate lambda is
 maximized over the flight box, and the expansion point moves to the new
 optimum until the exact objective stalls.
 
-The inner concave max-min is a 3-D smooth program solved by SLSQP (with an
-analytic Jacobian). SLSQP works in box units, u = (q - mid) / half in
-[-1, 1] per axis, so the position is of the same size as the rate ratio
-lambda (about 10). In metres the box is about a hundred times larger, and
-that poor scaling costs SLSQP iterations: a median of 23 per inner solve at
-the reference config, against 7 in box units. An axis the box pins
-(lo == hi) maps with half = 1.
+The inner concave max-min is solved exactly. Each S-UAV's surrogate
+constraint "rate >= lambda B" reads |q - q_n|^2 + lambda w_n <= R_n, with
+w_n = B / slope_n and R_n = d2r_n + a_n / slope_n: a ball about q_n whose
+radius shrinks as lambda grows. The difference of two tight constraints is
+affine in (q, lambda), so a support of at most four tight constraints has a
+closed-form point, up to one quadratic in lambda. A box face fixes its axis
+and moves each centre onto it. minimize pivots as Welzl's algorithm does
+(Welzl 1991; Matousek, Sharir & Welzl 1996): it adds the most violated
+constraint and keeps the first support of the old one plus that constraint
+that holds them all. Its certificate closes when every constraint holds and
+the support's barycentric multipliers are nonnegative. It runs on NumPy and
+Python floats alone, so its point does not depend on the BLAS thread count.
 
 Each inner solve returns whichever of two box points has the higher minimum
-surrogate rate: SLSQP's point or the expansion point. The expansion point
-always lies in the box, and there the surrogate equals the exact rate, so
-the common rate never falls below the current one and stays positive.
-sca_loop counts the inner solves in which SLSQP failed. Each S-UAV's energy
-budget floors its own rate, and the surrogate bounds the rate from below, so
-a point whose surrogate rates meet every floor keeps every budget.
+surrogate rate: the exact solve's point or the expansion point. The
+expansion point always lies in the box, and there the surrogate equals the
+exact rate, so the common rate never falls below the current one and stays
+positive. sca_loop counts the inner solves whose certificate did not close.
+Each S-UAV's energy budget floors its own rate, and the surrogate bounds the
+rate from below, so a point whose surrogate rates meet every floor keeps
+every budget.
 
 The exact objective prices links as the evaluator does (cost.floored_rates),
 so sca_loop's trace ends at evaluate_solution's objective, to the bit.
@@ -28,11 +34,13 @@ so sca_loop's trace ends at evaluate_solution's objective, to the bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InfeasibleSubproblem
 from .cost import (BranchPrice, effective_chunk_bits, floored_rates,
@@ -41,6 +49,18 @@ from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
 SCA_MAX_ITER = 50
+# The exact inner solve's tolerances: a ball holds if its lam is at most
+# _LAM_TOL (relative) below the support's, and a face if the point is at
+# most _POS_TOL (relative to the box's coordinates) past it. A barycentric
+# multiplier is nonnegative above -_KKT_TOL, and a face's multiplier if the
+# weighted centroid is at most _KKT_TOL of the box's span short of the face.
+# A support direction shorter than _SINGULAR (relative, squared) is
+# singular. A solve not settled after _MAX_PIVOTS is uncertified.
+_LAM_TOL = 1e-13
+_POS_TOL = 1e-12
+_KKT_TOL = 1e-9
+_SINGULAR = 1e-12
+_MAX_PIVOTS = 64
 
 
 @dataclass(frozen=True)
@@ -118,41 +138,223 @@ def surrogate_rates(terms: PlacementTerms, q_ref: np.ndarray,
 def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
                        scenario: Scenario
                        ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """SLSQP's point and q_ref, both clipped to the box, as rows; every
-    S-UAV's surrogate rate at each; and whether SLSQP failed. SLSQP's
-    variables are (u, lambda) with u in box units; a pinned axis's bounds
-    hold its u at 0."""
+    """The exact max-min point and q_ref, both clipped to the box, as rows;
+    every S-UAV's surrogate rate at each; and whether the solve's
+    certificate failed to close."""
     lo, hi = _box(scenario)
-    mid = 0.5 * (lo + hi)
-    half = np.where(hi > lo, 0.5 * (hi - lo), 1.0)
     a, slope, d2r = _surrogate_coeffs(terms, q_ref)
-    b = terms.bandwidth_hz
-
-    def cons_f(z):
-        d2 = ((mid + half * z[:3] - terms.q) ** 2).sum(axis=1)
-        return (a - slope * (d2 - d2r)) / b - z[3]
-
-    def cons_jac(z):
-        jac = np.empty((terms.q.shape[0], 4))
-        jac[:, :3] = (-2.0 * (slope / b)[:, None]
-                      * (mid + half * z[:3] - terms.q) * half)
-        jac[:, 3] = -1.0
-        return jac
-
-    z0 = np.empty(4)
-    z0[:3] = (np.clip(q_ref, lo, hi) - mid) / half
-    z0[3] = cons_f(np.append(z0[:3], 0.0)).min()
-    lam_hi = math.log2(1.0 + terms.gamma1.max())  # rate/B at the 1 m guard
-    u_lo, u_hi = (lo - mid) / half, (hi - mid) / half
-    bounds = [(u_lo[i], u_hi[i]) for i in range(3)] + [(0.0, lam_hi)]
-    res = minimize(
-        lambda z: -z[3], z0, jac=lambda z: np.array([0.0, 0.0, 0.0, -1.0]),
-        bounds=bounds,
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
-    )
-    cands = np.clip(np.stack([mid + half * res.x[:3], q_ref]), lo, hi)
+    res = minimize(terms.q, terms.bandwidth_hz / slope, d2r + a / slope,
+                   lo, hi)
+    cands = np.clip(np.stack([res.x, q_ref]), lo, hi)
     return cands, surrogate_rates(terms, q_ref, cands), not res.success
+
+
+class Maximin(NamedTuple):
+    """An exact max-min solve: the point x in metres, the common rate ratio
+    lam there, and whether its optimality certificate closed."""
+
+    x: np.ndarray
+    lam: float
+    success: bool
+
+
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _largest_root(a: float, b: float, c: float) -> float | None:
+    """The largest root of a x^2 + b x + c with a >= 0, in the
+    cancellation-free form (roots c/s and s/a). Where the weights are
+    equal, a is roundoff, and b > 0 picks the linear root. None if no root
+    bounds x above."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if s < 0.0:  # b >= 0
+        return c / s
+    return s / a if a > 0.0 else None
+
+
+def _forward(cols: list, b: list) -> list:
+    """R^-T b, for R upper triangular given by its columns."""
+    x = []
+    for col, bj in zip(cols, b):
+        x.append((bj - _dot(col, x)) / col[-1])
+    return x
+
+
+def _support(cs: list, ws: list, rs: list):
+    """The point of the affine hull of the centres cs where every constraint
+    |q - c|^2 + lam w <= r is tight, at the largest lam: (q, lam, the
+    barycentric weights of q), or None.
+
+    Subtracting the first constraint from the others leaves equations
+    affine in (q, lam): 2 x.e_j = |e_j|^2 - r_j + r_0 + lam (w_j - w_0),
+    with x = q - c_0 and e_j = c_j - c_0. With e = U R (Gram-Schmidt) and
+    x = U s, they fix s as an affine function of lam, and the first
+    constraint is a quadratic in lam. One Newton step on the tight
+    constraints then removes the roundoff of the quadratic, which near a
+    double root is large. A direction under _SINGULAR of its e_j
+    (relative, squared), as for coplanar centres, makes the support
+    singular."""
+    c0, w0, r0 = cs[0], ws[0], rs[0]
+    us, cols = [], []  # U's rows, R's columns
+    for cn in cs[1:]:
+        v = [a - b for a, b in zip(cn, c0)]
+        e2 = _dot(v, v)
+        col = []
+        for u in us:
+            col.append(_dot(u, v))
+            v = [a - col[-1] * b for a, b in zip(v, u)]
+        rjj = math.sqrt(_dot(v, v))
+        if rjj * rjj <= _SINGULAR * e2:
+            return None
+        us.append([a / rjj for a in v])
+        cols.append(col + [rjj])
+    m = len(cols)
+    pts = [[0.0] * m] + [col + [0.0] * (m - len(col)) for col in cols]
+    dw = [0.5 * (wn - w0) for wn in ws[1:]]
+    s0 = _forward(cols, [0.5 * (_dot(p, p) - rn + r0)
+                         for p, rn in zip(pts[1:], rs[1:])])
+    s1 = _forward(cols, dw)
+    lam = _largest_root(_dot(s1, s1), 2.0 * _dot(s0, s1) + w0,
+                        _dot(s0, s0) - r0)
+    if lam is None:
+        return None
+    s = [a + lam * b for a, b in zip(s0, s1)]
+    g = [_dot(d, d) + lam * wn - rn for wn, rn, d in zip(
+        ws, rs, ([a - b for a, b in zip(s, p)] for p in pts))]
+    a0 = _forward(cols, [0.5 * (gn - g[0]) for gn in g[1:]])
+    deriv = 2.0 * _dot(s, s1) + w0  # of the first constraint along s(lam)
+    if deriv != 0.0:
+        step = -(g[0] + 2.0 * _dot(s, a0)) / deriv
+        s = [a + b + step * c for a, b, c in zip(s, a0, s1)]
+        lam += step
+    q = [x + _dot(s, axis) for x, axis in zip(c0, zip(*us))] if us else c0[:]
+    t = [0.0] * m  # R t = s
+    for j in reversed(range(m)):
+        t[j] = (s[j] - sum(cols[k][j] * t[k]
+                           for k in range(j + 1, m))) / cols[j][j]
+    return q, lam, [1.0 - sum(t)] + t
+
+
+def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray) -> Maximin:
+    """max lam subject to |q - c_n|^2 + lam w_n <= r_n for every row c_n of
+    centres (w_n > 0), and lo <= q <= hi, solved exactly by pivoting on
+    supports.
+
+    A support is a set of tight constraints: at most four, balls and box
+    faces, one face per axis. A face fixes its axis, so on it each centre
+    moves onto the face and r_n falls by the squared move; a pinned axis
+    (lo == hi) is fixed so from the start. A support's point is optimal for
+    its own constraints when its barycentric weights are nonnegative and,
+    on each face, the weighted centroid of the original centres lies on
+    the far side of it.
+
+    Each pivot adds the most violated constraint v, a face first. It tries
+    v with each subset of the old support, largest first, and keeps the
+    first point that meets the old support's constraints and is optimal
+    (else the feasible one of largest lam). That point is optimal for the
+    old support and v together, so lam falls strictly and no support
+    repeats."""
+    n = len(w)
+    lo_l, hi_l = lo.tolist(), hi.tolist()
+    pinned = {i: lo_l[i] for i in range(3) if lo_l[i] == hi_l[i]}
+    c, rp = np.array(centres, dtype=float), np.array(r, dtype=float)
+    for i, v in pinned.items():
+        rp -= (c[:, i] - v) ** 2
+        c[:, i] = v
+    # On an axis where every centre agrees, no support spans a direction.
+    flat = {i for i, same in enumerate(c.min(axis=0) == c.max(axis=0))
+            if same}
+    c, wl, rl = c.tolist(), w.tolist(), rp.tolist()
+    pos_tol = [_POS_TOL * max(1.0, abs(a), abs(b))
+               for a, b in zip(lo_l, hi_l)]
+    face_tol = [_KKT_TOL * max(1.0, b - a) for a, b in zip(lo_l, hi_l)]
+
+    def face(k: int) -> tuple[int, int, float]:
+        axis, upper = divmod(k - n, 2)
+        return axis, upper, (hi_l if upper else lo_l)[axis]
+
+    def holds(q: list, lam: float, ids) -> bool:
+        tol = _LAM_TOL * max(1.0, abs(lam))
+        for k in ids:
+            if k < n:
+                d2 = sum((a - b) ** 2 for a, b in zip(q, c[k]))
+                if (rl[k] - d2) / wl[k] < lam - tol:
+                    return False
+            else:
+                axis, upper, v = face(k)
+                if (q[axis] - v if upper else v - q[axis]) > pos_tol[axis]:
+                    return False
+        return True
+
+    def solve(ids: tuple):
+        """The support's point, lam and whether it is optimal, or None."""
+        balls = [k for k in ids if k < n]
+        faces = [face(k) for k in ids if k >= n]
+        fixed = {f[0] for f in faces}
+        if (not balls or len(fixed) < len(faces)
+                or len(balls) > 4 - len(flat | fixed)):
+            return None
+        cs = [c[k][:] for k in balls]
+        rs = [rl[k] for k in balls]
+        for axis, _, v in faces:
+            for j, cj in enumerate(cs):
+                rs[j] -= (cj[axis] - v) ** 2
+                cj[axis] = v
+        sol = _support(cs, [wl[k] for k in balls], rs)
+        if sol is None:
+            return None
+        q, lam, bary = sol
+        ok = min(bary) >= -_KKT_TOL
+        for axis, upper, v in faces:
+            centroid = _dot(bary, [c[k][axis] for k in balls])
+            side = centroid - v if upper else v - centroid
+            ok = ok and side >= -face_tol[axis]
+        return q, lam, ok
+
+    def violated(q: list, lam: float, basis: tuple) -> int | None:
+        """The most violated constraint outside the basis (whose own
+        constraints are tight by construction), a face first; or None."""
+        for axis in range(3):
+            if q[axis] < lo_l[axis] - pos_tol[axis]:
+                return n + 2 * axis
+            if q[axis] > hi_l[axis] + pos_tol[axis]:
+                return n + 2 * axis + 1
+        f = (r - ((centres - np.array(q)) ** 2).sum(axis=1)) / w
+        f[[k for k in basis if k < n]] = np.inf
+        k = int(np.argmin(f))
+        return k if f[k] < lam - _LAM_TOL * max(1.0, abs(lam)) else None
+
+    proj = np.clip(centres, lo, hi)
+    single = (r - ((proj - centres) ** 2).sum(axis=1)) / w
+    v0 = int(np.argmin(single))
+    basis = (v0,) + tuple(n + 2 * i + int(c[v0][i] > hi_l[i])
+                          for i in range(3)
+                          if i not in pinned and proj[v0, i] != c[v0][i])
+    q, lam, ok = proj[v0].tolist(), float(single[v0]), True
+    for _ in range(_MAX_PIVOTS):
+        v = violated(q, lam, basis)
+        if v is None:
+            return Maximin(np.clip(np.array(q), lo, hi), lam, ok)
+        best = None
+        for ids in (keep + (v,) for size in range(min(len(basis), 3), -1, -1)
+                    for keep in itertools.combinations(basis, size)):
+            cand = solve(ids)
+            if cand is None or not holds(cand[0], cand[1],
+                                         set(basis) - set(ids)):
+                continue
+            if best is None or cand[2] or cand[1] > best[1][1]:
+                best = (ids, cand)
+            if cand[2]:
+                break
+        if best is None:
+            break
+        basis, (q, lam, ok) = best
+    return Maximin(np.clip(np.array(q), lo, hi), lam, False)
 
 
 def default_initial_position(scenario: Scenario) -> Position3D:
@@ -167,7 +369,7 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
     """One convexified placement solve around the expansion point q_m_ref,
     for terms with at least one transmitting S-UAV.
 
-    Returns (point, SLSQP failed): the inner point if its surrogate rates
+    Returns (point, uncertified): the inner point if its surrogate rates
     meet every S-UAV's floor, else the expansion point if its rates do."""
     cands, rates, failed = _maximin_surrogate(terms, q_m_ref.array, scenario)
     for k in (int(np.argmax(rates.min(axis=1))), 1):
@@ -183,10 +385,10 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
 
     Returns (best point, trace, fallbacks): the trace holds the exact
     objective at the start and after each round, ending at the point's, and
-    fallbacks counts the rounds in which SLSQP failed. A round never lowers
-    the surrogate's common rate below its value at the expansion point; a
-    point that still worsens the exact objective is discarded, so the trace
-    never rises.
+    fallbacks counts the rounds whose inner solve was uncertified. A round
+    never lowers the surrogate's common rate below its value at the
+    expansion point; a point that still worsens the exact objective is
+    discarded, so the trace never rises.
     """
     terms = placement_terms(scenario, association, beta)
     if terms.q.shape[0] == 0:

@@ -258,24 +258,26 @@ class TestEvaluateSolution:
 
 @st.composite
 def priced_points(draw):
-    """A small scenario with a random association, capped offload subset and
-    relay position at least 1 m from every S-UAV. The relay budget is drawn
-    tight enough to rule out some subsets. Each S-UAV hovers at a nonzero
-    cost, and its budget is 0.5, 1 or 2 times its energy at the point, so
-    that budgets bind, exactly at 1, on active and idle S-UAVs alike."""
+    """A small scenario with a random association, capped offload subset,
+    non-empty in most examples, and relay position at least 1 m from every
+    S-UAV. Each S-UAV hovers at a nonzero cost. Every budget, each S-UAV's
+    and the relay's, is 0.5, 1 or 2 times its owner's energy at the point,
+    so that budgets bind, exactly at 1, on active and idle S-UAVs, and the
+    relay's fair share and budget decide offload subsets."""
     n = draw(st.integers(1, 4))
     cfg = replace(ExperimentConfig(), n_suavs=n,
                   n_targets=draw(st.integers(n, 6)), n_chunks=1,
-                  n0_cap=draw(st.integers(1, n)),
-                  energy_budget_ruav_j=draw(st.sampled_from([2.0, 1e3])),
+                  n0_cap=draw(st.sampled_from(range(n, 0, -1))),
                   hover_energy_suav_j=draw(st.floats(1e-3, 0.1)))
     sc = generate_scenario(cfg, draw(st.integers(0, 10_000)))
     mask = feasible_association_mask(sc)
     alpha = np.zeros_like(mask)
     for i in range(sc.n_targets):
         alpha[i, draw(st.sampled_from(np.flatnonzero(mask[i]).tolist()))] = 1
-    members = tuple(sorted(draw(st.lists(st.integers(0, n - 1), unique=True,
-                                         max_size=sc.n0_cap))))
+    # Caps and subset sizes are drawn largest first and the empty subset
+    # seldom, so that several offloaders share the relay in many examples.
+    size = draw(st.sampled_from([*range(sc.n0_cap, 0, -1)] * 4 + [0]))
+    members = tuple(sorted(draw(st.permutations(range(n)))[:size]))
     lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
     q = Position3D(*(draw(st.floats(lo[k], hi[k])) for k in range(3)))
     placed = repositioned_scenario(sc, alpha)
@@ -285,11 +287,14 @@ def priced_points(draw):
     beta = np.zeros(n, dtype=int)
     beta[list(members)] = 1
     energies = evaluate_solution(placed, assoc, beta, q)[3]
-    scales = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n,
-                           max_size=n))
+    # Scale 0.5 breaks a budget; drawn less often, so that more points are
+    # feasible and every block's price of them is compared.
+    scales = draw(st.lists(st.sampled_from([1.0, 2.0] * 2 + [0.5]),
+                           min_size=n + 1, max_size=n + 1))
     sc = replace(sc, suavs=tuple(
         replace(s, energy_budget_j=scale * e.total_j)
-        for s, e, scale in zip(sc.suavs, energies, scales)))
+        for s, e, scale in zip(sc.suavs, energies, scales)), ruav=replace(
+        sc.ruav, energy_budget_j=scales[-1] * energies[-1].total_j))
     return sc, repositioned_scenario(sc, alpha), assoc, members, q
 
 

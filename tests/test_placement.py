@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from uav_mec.errors import InfeasibleSubproblem
+from uav_mec.link import snr_coeff
 from uav_mec.oracles import grid_search_placement
 from uav_mec.placement import (default_initial_position, exact_objective,
                                placement_terms, sca_loop, solve_sp2_2,
                                surrogate_rates)
 from uav_mec.scenario import Position3D
 
-from .conftest import (counting, full_association, identity_association,
-                       make_scenario)
+from .conftest import (DEFAULT_CONSTANTS, counting, full_association,
+                       identity_association, link_terms, make_scenario)
 
 
 def pair_scenario(**kwargs):
@@ -135,23 +136,16 @@ class TestScaLoop:
 
 
 def reported_success(success, x=None):
-    """Override SLSQP's reported status and, if `x` is given, its point."""
+    """Override the exact solve's certificate and, if `x` is given, its
+    point (in metres)."""
     def override(res):
-        res.success = success
         if x is not None:
-            res.x[:3] = x
-        return res
+            res = res._replace(x=np.array(x, dtype=float))
+        return res._replace(success=success)
     return override
 
 
 Q_REF = Position3D(480.0, 520.0, 400.0)
-
-
-def from_box_units(scenario, u):
-    """SLSQP's box-unit point u in metres, clipped to the box (which here
-    pins no axis)."""
-    lo, hi = scenario.ruav.box_lo.array, scenario.ruav.box_hi.array
-    return np.clip(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.asarray(u), lo, hi)
 
 
 def surrogate_min(terms, q_ref, q):
@@ -159,16 +153,17 @@ def surrogate_min(terms, q_ref, q):
 
 
 class TestInnerSolveRule:
-    """Each inner solve keeps the better of SLSQP's point and the expansion
-    point, both clipped to the box, by minimum surrogate rate."""
+    """Each inner solve keeps the better of the exact solve's point and the
+    expansion point, both clipped to the box, by minimum surrogate rate."""
 
-    # Fake points x are in SLSQP's box units; x3 maps to (500, 500, 505),
-    # which beats the expansion point.
-    @pytest.mark.parametrize("x,slsqp_wins", [
-        (None, True), ((-1.1, 0.0, 0.0), False), ((-0.04, 0.04, 20.0), False),
-        ((0.0, 0.0, -0.1), True)], ids=["None", "x1", "x2", "x3"])
+    # x3 = (500, 500, 505) beats the expansion point; x1 and x2 lie outside
+    # the box and lose once clipped.
+    @pytest.mark.parametrize("x,solve_wins", [
+        (None, True), ((-50.0, 500.0, 550.0), False),
+        ((480.0, 520.0, 9550.0), False), ((500.0, 500.0, 505.0), True)],
+        ids=["None", "x1", "x2", "x3"])
     def test_slsqp_failure_keeps_the_better_point(self, monkeypatch, x,
-                                                  slsqp_wins):
+                                                  solve_wins):
         from uav_mec import placement
         sc = pair_scenario()
         assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
@@ -176,33 +171,32 @@ class TestInnerSolveRule:
 
         def failed(res):
             res = reported_success(False, x)(res)
-            points.append(res.x[:3].copy())
+            points.append(res.x.copy())
             return res
 
         counting(monkeypatch, placement, "minimize", failed)
         terms = placement_terms(sc, assoc, beta)
-        q_m, slsqp_failed = solve_sp2_2(sc, terms, Q_REF)
-        cands = [from_box_units(sc, points[0]), Q_REF.array]
+        q_m, uncertified = solve_sp2_2(sc, terms, Q_REF)
+        lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
+        cands = [np.clip(points[0], lo, hi), Q_REF.array]
         best = max(cands, key=lambda q: surrogate_min(terms, Q_REF.array, q))
         np.testing.assert_array_equal(q_m.array, best)
-        assert (best is cands[0]) == slsqp_wins
-        assert slsqp_failed
+        assert (best is cands[0]) == solve_wins
+        assert uncertified
 
     def test_success_below_the_expansion_point_keeps_it(self, monkeypatch):
         from uav_mec import placement
         sc = pair_scenario()
         assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
-        corner = np.array([0.0, 0.0, 1000.0])
+        corner = (0.0, 0.0, 1000.0)
         terms = placement_terms(sc, assoc, beta)
         assert (surrogate_min(terms, Q_REF.array, corner)
                 < surrogate_min(terms, Q_REF.array, Q_REF.array))
-        np.testing.assert_array_equal(from_box_units(sc, (-1.0, -1.0, 1.0)),
-                                      corner)
         counting(monkeypatch, placement, "minimize",
-                 reported_success(True, (-1.0, -1.0, 1.0)))
-        q_m, slsqp_failed = solve_sp2_2(sc, terms, Q_REF)
+                 reported_success(True, corner))
+        q_m, uncertified = solve_sp2_2(sc, terms, Q_REF)
         assert q_m == Q_REF
-        assert not slsqp_failed
+        assert not uncertified
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
@@ -233,7 +227,8 @@ class TestInnerSolveRule:
 
 def metre_unit_maximin(terms, q_ref, lo, hi):
     """The surrogate max-min solved by SLSQP with the position in metres,
-    the reference for the planner's box-unit solve; the point, clipped."""
+    a reference for the exact solve; the point, clipped. Its common rate
+    ratio is capped at the 1 m guard's, log2(1 + gamma1)."""
     from uav_mec.placement import _surrogate_coeffs
     a, slope, d2r = _surrogate_coeffs(terms, q_ref)
     b = terms.bandwidth_hz
@@ -263,56 +258,200 @@ def metre_unit_maximin(terms, q_ref, lo, hi):
 @pytest.fixture(scope="module")
 def reference_inner_solves(default_config):
     """Every inner solve of the four schemes at reference seeds 0-4, as
-    (scenario, terms, expansion point, kept point), and SLSQP's iteration
-    count in each."""
+    (scenario, terms, expansion point, kept point, the exact solve's
+    record), and the supports each exact solve tried."""
     from uav_mec import placement
     from uav_mec.orchestrator import SCHEMES, run_scheme
     from uav_mec.scenario import generate_scenario
-    solves, nits = [], []
-    real_solve, real_minimize = placement.solve_sp2_2, placement.minimize
+    solves, records, supports = [], [], []
+    real_solve = placement.solve_sp2_2
+    real_minimize, real_support = placement.minimize, placement._support
 
     def solve(scenario, terms, q_ref):
         q_m, failed = real_solve(scenario, terms, q_ref)
-        solves.append((scenario, terms, q_ref.array, q_m.array))
+        solves.append((scenario, terms, q_ref.array, q_m.array, records[-1]))
         return q_m, failed
 
-    def slsqp(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        nits.append(res.nit)
-        return res
+    def exact(*args):
+        supports.append(0)
+        records.append(real_minimize(*args))
+        return records[-1]
+
+    def support(*args):
+        supports[-1] += 1
+        return real_support(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(placement, "solve_sp2_2", solve)
-        mp.setattr(placement, "minimize", slsqp)
+        mp.setattr(placement, "minimize", exact)
+        mp.setattr(placement, "_support", support)
         for seed in range(5):
             sc = generate_scenario(default_config, seed)
             for scheme in SCHEMES:
                 run_scheme(sc, scheme)
-    assert len(solves) == len(nits) > 0
-    return solves, nits
+    assert len(solves) == len(supports) > 0
+    return solves, supports
 
 
-class TestBoxUnits:
-    """SLSQP solves the inner max-min in box units, u = (q - mid) / half."""
+def box_of(scenario):
+    return scenario.ruav.box_lo.array, scenario.ruav.box_hi.array
 
-    def test_kept_point_matches_a_metre_unit_solve(self,
-                                                   reference_inner_solves):
+
+def exact_solve(terms, q_ref, lo, hi):
+    """The exact solve of the surrogate max-min around q_ref, as
+    _maximin_surrogate poses it."""
+    from uav_mec.placement import _surrogate_coeffs, minimize as exact
+    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
+    return exact(terms.q, terms.bandwidth_hz / slope, d2r + a / slope, lo, hi)
+
+
+def grid_maximin(terms, q_ref, lo, hi, n=21):
+    """The best minimum surrogate rate over an n^3 grid of the box."""
+    axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return float(surrogate_rates(terms, q_ref, pts).min(axis=1).max())
+
+
+def assert_exact(terms, q_ref, lo, hi):
+    """The exact solve certifies its point, which lies in the box, attains
+    its lam, and is no worse than the metre-unit SLSQP's point or any grid
+    point, to 1e-12 relative. Returns the solve's record."""
+    res = exact_solve(terms, q_ref, lo, hi)
+    assert res.success
+    assert np.all(res.x >= lo) and np.all(res.x <= hi)
+    attained = surrogate_min(terms, q_ref, res.x)
+    b = terms.bandwidth_hz
+    assert attained / b == pytest.approx(res.lam, rel=1e-12)
+    slsqp = surrogate_min(terms, q_ref,
+                          metre_unit_maximin(terms, q_ref, lo, hi))
+    best = max(slsqp, grid_maximin(terms, q_ref, lo, hi))
+    assert attained >= best - 1e-12 * abs(best)
+    return res
+
+
+class TestExactInnerSolve:
+    """The inner max-min is solved exactly: pivoting on supports of tight
+    balls and box faces, each closed form up to one quadratic in lam."""
+
+    def test_kept_point_at_least_a_metre_unit_solve(self,
+                                                    reference_inner_solves):
         solves, _ = reference_inner_solves
-        for scenario, terms, q_ref, q_m in solves:
-            lo, hi = scenario.ruav.box_lo.array, scenario.ruav.box_hi.array
+        for scenario, terms, q_ref, q_m, res in solves:
+            lo, hi = box_of(scenario)
             at_ref = surrogate_min(terms, q_ref, q_ref)
-            metre = max(surrogate_min(
-                terms, q_ref, metre_unit_maximin(terms, q_ref, lo, hi)),
-                at_ref)
-            kept = surrogate_min(terms, q_ref, q_m)
-            assert kept == pytest.approx(metre, rel=1e-11)
-            assert kept >= at_ref
+            metre = surrogate_min(
+                terms, q_ref, metre_unit_maximin(terms, q_ref, lo, hi))
+            kept, best = surrogate_min(terms, q_ref, q_m), max(metre, at_ref)
+            assert res.success
+            assert kept >= best - 1e-12 * abs(best)
 
-    def test_median_slsqp_iterations(self, reference_inner_solves):
-        # In metres the median is 23: the position (hundreds of metres) and
-        # the rate ratio lambda (about 10) are scaled far apart.
-        _, nits = reference_inner_solves
-        assert np.median(nits) <= 12
+    def test_median_support_solves(self, reference_inner_solves):
+        # Each pivot tries the old support plus the violated constraint,
+        # largest first, and stops at the first optimal one.
+        _, supports = reference_inner_solves
+        assert np.median(supports) <= 4
+        assert max(supports) <= 16
+
+
+GAMMA1 = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
+BOX_LO, BOX_HI = np.array([0.0, 0.0, 100.0]), np.array([1000.0, 1000.0,
+                                                       1000.0])
+
+
+def ring(n, radius, phase=0.0, centre=(500.0, 500.0), altitude=500.0):
+    """n hover points evenly on a circle at one altitude."""
+    angles = phase + 2.0 * np.pi * np.arange(n) / n
+    return np.stack([centre[0] + radius * np.cos(angles),
+                     centre[1] + radius * np.sin(angles),
+                     np.full(n, altitude)], axis=1)
+
+
+class TestExactSolveCases:
+    """Inputs where a support solve degenerates, each judged against the
+    metre-unit SLSQP and a dense grid (assert_exact)."""
+
+    def test_coplanar_centres_at_equal_altitude(self):
+        # As under static_suavs: every 4-point support is singular.
+        q_n = np.array([[150.0, 200.0, 500.0], [820.0, 260.0, 500.0],
+                        [700.0, 880.0, 500.0], [240.0, 760.0, 500.0],
+                        [480.0, 430.0, 500.0]])
+        res = assert_exact(link_terms(q_n, GAMMA1), Q_REF.array, BOX_LO,
+                           BOX_HI)
+        assert res.x[2] == 500.0  # the centroid of coplanar centres
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3], ids=["exact", "roundoff"])
+    def test_equal_weights(self, phase):
+        # Hover points equidistant from the expansion point: the weights w_n
+        # are equal, exactly at phase 0 and up to roundoff at 0.3, so the
+        # quadratic in lam has no (or a roundoff) leading term.
+        q_ref = np.array([500.0, 500.0, 500.0])
+        q_n = ring(5, 300.0, phase)
+        assert_exact(link_terms(q_n, GAMMA1), q_ref, BOX_LO, BOX_HI)
+
+    def test_largest_root_of_a_roundoff_quadratic(self):
+        # With a = 1e-30, the textbook (-b + sqrt(b^2 - 4ac)) / 2a gives 0.
+        from uav_mec.placement import _largest_root
+        assert _largest_root(1e-30, 2e5, -2e6) == pytest.approx(10.0,
+                                                                rel=1e-15)
+        assert _largest_root(0.0, 2e5, -2e6) == 10.0
+        assert _largest_root(1.0, -5.0, 6.0) == pytest.approx(3.0)
+        assert _largest_root(1.0, 0.0, -4.0) == pytest.approx(2.0)
+
+    def test_optimum_on_the_box_floor(self):
+        q_n = ring(3, 250.0, 0.4, altitude=500.0)
+        lo = np.array([0.0, 0.0, 650.0])
+        res = assert_exact(link_terms(q_n, GAMMA1), Q_REF.array, lo, BOX_HI)
+        assert res.x[2] == 650.0
+
+    def test_optimum_in_a_box_corner(self):
+        q_n = ring(3, 150.0, 0.4, centre=(100.0, 100.0))
+        lo = np.array([300.0, 300.0, 650.0])
+        res = assert_exact(link_terms(q_n, GAMMA1), Q_REF.array, lo, BOX_HI)
+        np.testing.assert_array_equal(res.x, lo)
+
+    def test_pinned_axis(self):
+        q_n = np.array([[150.0, 200.0, 420.0], [820.0, 260.0, 610.0],
+                        [700.0, 880.0, 530.0]])
+        lo, hi = BOX_LO.copy(), BOX_HI.copy()
+        lo[2] = hi[2] = 300.0
+        res = assert_exact(link_terms(q_n, GAMMA1), Q_REF.array, lo, hi)
+        assert res.x[2] == 300.0
+
+    def test_one_transmitting_suav(self):
+        # Expanded within 1 m of the S-UAV, as SCA is once it has reached
+        # it, the surrogate exceeds the 1 m guard's rate log2(1 + gamma1)
+        # there. SLSQP's lam stops at that cap, anywhere within 1 m of the
+        # S-UAV; the exact solve returns the S-UAV's own point, where the
+        # exact objective is the same.
+        sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
+        terms = placement_terms(sc, identity_association(sc), np.array([0]))
+        lo, hi = box_of(sc)
+        q_ref = Position3D(500.0, 500.0, 500.5)
+        res = assert_exact(terms, q_ref.array, lo, hi)
+        np.testing.assert_array_equal(res.x, terms.q[0])
+        assert res.lam > math.log2(1.0 + terms.gamma1[0])
+        q_m, uncertified = solve_sp2_2(sc, terms, q_ref)
+        np.testing.assert_array_equal(q_m.array, terms.q[0])
+        assert not uncertified
+        slsqp = metre_unit_maximin(terms, q_ref.array, lo, hi)
+        assert np.linalg.norm(slsqp - terms.q[0]) < 1.0
+        assert (exact_objective(terms, q_m.array)[0]
+                == exact_objective(terms, slsqp)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0),
+                              st.floats(50.0, 1000.0)),
+                    min_size=1, max_size=6),
+           st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0),
+                     st.floats(100.0, 1000.0)),
+           st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0),
+                     st.floats(100.0, 600.0)),
+           st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 600.0),
+                     st.floats(0.0, 400.0)))
+    def test_no_worse_than_slsqp_or_a_grid(self, q_n, q_ref, lo, span):
+        lo = np.array(lo)
+        assert_exact(link_terms(q_n, GAMMA1), np.array(q_ref), lo,
+                     lo + np.array(span))
 
 
 class TestBuildOnce:
