@@ -6,7 +6,7 @@ placement, and target association to minimize the slowest UAV's total
 processing latency.
 """
 
-from .config import ExperimentConfig, load_config, parse_config, save_config
+from .config import ExperimentConfig, load_config, parse_config
 from .orchestrator import SCHEMES, SolverReport, run_scheme
 from .scenario import Scenario, generate_scenario
 
@@ -19,7 +19,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "run_scheme",
-    "save_config",
 ]
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ can end a call:
    the best one-monitor association. That is exact over one-monitor
    associations only: a second monitor can be strictly better (CHANGES.md,
    reference seed 18 with n0_cap = 5: the finished search gives
-   10.07263920969067 s, the column cover 10.072591165515615 s). A finished
-   search is returned as it is, even where the columns below show a lower
-   optimum.
+   10.07263920969067 s, the column cover 10.072591165515615 s). On a call
+   that searches first, a finished search is returned as it is, even where
+   the columns below would show a lower optimum.
 2. The columns' lower bound. An S-UAV's hover point depends only on the
    bounding box of its targets, and its task size is fixed once it monitors
    anything, so its latency and energy depend only on that box. Giving each
@@ -38,11 +38,13 @@ If the warm start or the greedy start attains the bound, it is returned
 (step 2, no node visited). Otherwise the cover finds T*, and then the
 search runs until its incumbent reaches T*. The search replaces its
 incumbent only on a strictly better leaf and no leaf is below T*, so the
-first leaf at T* is the one a full search would return; stopping there
-changes no result. A looser incumbent in the cover adds only columns
-slower than T*, and dominance never drops a column for a slower one, so
-the cover sees the same columns up to T* and returns the same
-association.
+first leaf at T* is the one a full search would return. A search that
+ends above T* gives way to the cover's association, so a later call is
+exact over every association; it differs from a search-first call only
+where that call's finished search lies above T*. A looser incumbent in
+the cover adds only columns slower than T*, and dominance never drops a
+column for a slower one, so the cover sees the same columns up to T* and
+returns the same association.
 
 A larger pool skips the columns: the search alone decides, under the same
 allowance, and the answer is reported inexact if the allowance runs out.
@@ -80,8 +82,9 @@ _DOMINANCE_ROWS = 64
 @dataclass
 class SearchInfo:
     """objective: the returned association's. exact: the objective is the
-    least over every association (a finished search: over one-monitor
-    associations only, see the module docstring)."""
+    least over every association (a finished search on a call that
+    searched first: over one-monitor associations only, see the module
+    docstring)."""
 
     objective: float
     exact: bool
@@ -537,11 +540,9 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
         if obj != lower:
             t_star, cover_alpha = _cover(ctx, cols, latency,
                                          feasible & (latency <= obj), lower)
-            finished = False
             if not search_first:
-                alpha, obj, nodes, finished = _dfs(ctx, alpha, obj,
-                                                   floor=t_star)
-            if not finished and obj != t_star:
+                alpha, obj, nodes, _ = _dfs(ctx, alpha, obj, floor=t_star)
+            if obj != t_star:
                 alpha, obj = cover_alpha, t_star
         exact = True
 

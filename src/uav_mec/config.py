@@ -167,21 +167,3 @@ def parse_seeds(text: str) -> tuple[int, ...]:
             f"seeds must be a range 'a-b' or a comma list of non-negative "
             f"integers, got {text!r}") from None
 
-
-def format_config(config: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(config))

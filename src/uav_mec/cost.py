@@ -155,16 +155,16 @@ def breakdowns(scenario: Scenario, association: Association,
                beta: np.ndarray, q_m: Position3D):
     """(latency breakdowns, energy breakdowns ending with the relay's: its
     hover plus the fair-share compute term of every offloaded chunk). An
-    S-UAV that carries no video is rated at r = inf, which prices it to zero
-    but its hover."""
+    S-UAV that carries no video sends 0 bits, so its link prices to zero
+    at its own rate, as does its compute: only its hover remains."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     prices = suav_prices(scenario, s_bits, beta)
     lats, energies = [], []
     for suav, s, off, price in zip(scenario.suavs, s_bits.tolist(),
                                    beta.tolist(), prices):
-        t_tx = price.tx_bits / (math.inf if s == 0.0 else floored_rate(
-            suav.current_pos, q_m, price.gamma1,
-            scenario.constants.bandwidth_hz))
+        t_tx = price.tx_bits / floored_rate(suav.current_pos, q_m,
+                                            price.gamma1,
+                                            scenario.constants.bandwidth_hz)
         lats.append(LatencyBreakdown(
             suav_id=suav.id,
             local_compute_s=0.0 if off else price.fixed_s,

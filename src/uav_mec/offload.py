@@ -23,7 +23,6 @@ them and solved with HiGHS on the first read of lp_lower_bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -102,15 +101,14 @@ def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D) -> Sp1Terms:
     """SP1's terms, read off stacked price records of the local branch and
     of the offload branch at every offloader count within the cap, one
-    record per S-UAV and count. An idle S-UAV is rated at r = inf, which
-    prices it to zero but its hover."""
+    record per S-UAV and count. An idle S-UAV sends 0 bits, so it prices to
+    zero but its hover at its own rate."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     sizes = s_bits.tolist()
     local_prices = suav_prices(scenario, sizes, [0] * len(sizes))
-    r = np.array([
-        floored_rate(suav.current_pos, q_m, p.gamma1,
-                     scenario.constants.bandwidth_hz) if s > 0.0 else math.inf
-        for suav, s, p in zip(scenario.suavs, sizes, local_prices)])
+    r = np.array([floored_rate(suav.current_pos, q_m, p.gamma1,
+                               scenario.constants.bandwidth_hz)
+                  for suav, p in zip(scenario.suavs, local_prices)])
     local = BranchPrice(*np.array(local_prices).T)
     # Row m - 1 prices every S-UAV's offload branch at m offloaders; only
     # fixed_s and relay_j change with m.

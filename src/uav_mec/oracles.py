@@ -21,6 +21,10 @@ from .link import snr_coeff
 from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask, repositioned_scenario)
 
+# Relay grid steps, coarse to fine, in metres: grid_search_placement's, and
+# joint_bruteforce's, whose coarse level every offload subset scans.
+GRID_STEPS = (25.0, 5.0, 1.0)
+JOINT_GRID_STEPS = (50.0, 10.0, 5.0)
 # joint_bruteforce refuses instances with more exactly-one associations than
 # this: the reference config's seeds 0-19 need 8 to 2,048, a 16 x 40 fleet
 # more than 1e12.
@@ -95,7 +99,6 @@ def _pricer(placed: Scenario, alpha: np.ndarray):
 
 def grid_search_placement(scenario: Scenario, association: Association,
                           beta: np.ndarray,
-                          steps: tuple[float, ...] = (25.0, 5.0, 1.0),
                           extra_points: np.ndarray | None = None
                           ) -> tuple[Position3D, float]:
     """Coarse-to-fine scan of the exact min-max latency over the relay box,
@@ -111,7 +114,7 @@ def grid_search_placement(scenario: Scenario, association: Association,
     hi = scenario.ruav.box_hi.array
     best_q, best_obj = None, np.inf
     center, window = None, None
-    for step in steps:
+    for step in GRID_STEPS:
         _, q, lat = scan(b, _grid(lo, hi, step, center=center, window=window))
         if lat.min() < best_obj:
             best_obj, best_q = float(lat.min()), q
@@ -198,7 +201,6 @@ def joint_associations(scenario: Scenario) -> list[list[int]]:
 
 
 def joint_bruteforce(scenario: Scenario,
-                     q_steps: tuple[float, ...] = (50.0, 10.0, 5.0),
                      extra_points: np.ndarray | None = None) -> float:
     """Global reference for small instances: every exactly-one association
     crossed with every capped offload subset of its video-carrying S-UAVs,
@@ -214,7 +216,7 @@ def joint_bruteforce(scenario: Scenario,
     mask = feasible_association_mask(scenario)
     lo = scenario.ruav.box_lo.array
     hi = scenario.ruav.box_hi.array
-    coarse = _grid(lo, hi, q_steps[0])
+    coarse = _grid(lo, hi, JOINT_GRID_STEPS[0])
     if extra_points is not None:
         coarse = np.vstack([coarse, np.atleast_2d(extra_points)])
     best = np.inf
@@ -230,7 +232,8 @@ def joint_bruteforce(scenario: Scenario,
                 obj, center, _ = scan(b, coarse)
                 if not np.isfinite(obj):
                     continue
-                for step_prev, step in zip(q_steps[:-1], q_steps[1:]):
+                for step_prev, step in zip(JOINT_GRID_STEPS,
+                                           JOINT_GRID_STEPS[1:]):
                     val, q, _ = scan(b, _grid(lo, hi, step, center=center,
                                               window=step_prev))
                     if val < obj:

@@ -12,21 +12,22 @@ w_n = B / slope_n and R_n = d2r_n + a_n / slope_n: a ball about q_n whose
 radius shrinks as lambda grows. The difference of two tight constraints is
 affine in (q, lambda), so a support of at most four tight constraints has a
 closed-form point, up to one quadratic in lambda. A box face fixes its axis
-and moves each centre onto it. minimize pivots as Welzl's algorithm does
-(Welzl 1991; Matousek, Sharir & Welzl 1996): it adds the most violated
+and moves each centre onto it; a pinned axis (lo == hi) is two faces at
+one value, and needs nothing more. minimize pivots as Welzl's algorithm
+does (Welzl 1991; Matousek, Sharir & Welzl 1996): it adds the most violated
 constraint and keeps the first support of the old one plus that constraint
 that holds them all. Its certificate closes when every constraint holds and
 the support's barycentric multipliers are nonnegative. It runs on NumPy and
 Python floats alone, so its point does not depend on the BLAS thread count.
 
-Each inner solve returns whichever of two box points has the higher minimum
-surrogate rate: the exact solve's point or the expansion point. The
-expansion point always lies in the box, and there the surrogate equals the
-exact rate, so the common rate never falls below the current one and stays
-positive. sca_loop counts the inner solves whose certificate did not close.
-Each S-UAV's energy budget floors its own rate, and the surrogate bounds the
-rate from below, so a point whose surrogate rates meet every floor keeps
-every budget.
+Each inner solve (solve_sp2_2) returns whichever of two box points has the
+higher minimum surrogate rate: the exact solve's point or the expansion
+point. The expansion point always lies in the box, and there the surrogate
+equals the exact rate, so the common rate never falls below the current
+one and stays positive. sca_loop counts the inner solves whose certificate
+did not close. Each S-UAV's energy budget floors its own rate, and the
+surrogate bounds the rate from below, so a point whose surrogate rates meet
+every floor keeps every budget.
 
 The exact objective prices links as the evaluator does (cost.floored_rates),
 so sca_loop's trace ends at evaluate_solution's objective, to the bit.
@@ -105,12 +106,10 @@ def exact_objective(terms: PlacementTerms, points: np.ndarray) -> np.ndarray:
     """Exact min-max latency at one or many candidate relay positions, each
     evaluate_solution's objective there to the bit."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if terms.q.shape[0] == 0:
-        return np.zeros(pts.shape[0])
     rates = floored_rates(terms.q, pts[:, None, :], terms.gamma1,
                           terms.bandwidth_hz)
     lat = terms.tx_bits[None, :] / rates + terms.fixed_s[None, :]
-    return lat.max(axis=1)
+    return lat.max(axis=1, initial=0.0)  # 0 with no transmitter
 
 
 def _box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -133,20 +132,6 @@ def surrogate_rates(terms: PlacementTerms, q_ref: np.ndarray,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d2 = ((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2)
     return a[None, :] - slope[None, :] * (d2 - d2r[None, :])
-
-
-def _maximin_surrogate(terms: PlacementTerms, q_ref: np.ndarray,
-                       scenario: Scenario
-                       ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The exact max-min point and q_ref, both clipped to the box, as rows;
-    every S-UAV's surrogate rate at each; and whether the solve's
-    certificate failed to close."""
-    lo, hi = _box(scenario)
-    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
-    res = minimize(terms.q, terms.bandwidth_hz / slope, d2r + a / slope,
-                   lo, hi)
-    cands = np.clip(np.stack([res.x, q_ref]), lo, hi)
-    return cands, surrogate_rates(terms, q_ref, cands), not res.success
 
 
 class Maximin(NamedTuple):
@@ -246,12 +231,13 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
     supports.
 
     A support is a set of tight constraints: at most four, balls and box
-    faces, one face per axis. A face fixes its axis, so on it each centre
-    moves onto the face and r_n falls by the squared move; a pinned axis
-    (lo == hi) is fixed so from the start. A support's point is optimal for
-    its own constraints when its barycentric weights are nonnegative and,
-    on each face, the weighted centroid of the original centres lies on
-    the far side of it.
+    faces. A face fixes its axis, so on it each centre moves onto the face
+    and r_n falls by the squared move. A support's point lies exactly on
+    each of its faces, so no face on an axis it fixes is ever violated; a
+    pinned axis (lo == hi) is two such faces at one value. A support's
+    point is optimal for its own constraints when its barycentric weights
+    are nonnegative and, on each face, the weighted centroid of the
+    original centres lies on the far side of it.
 
     Each pivot adds the most violated constraint v, a face first. It tries
     v with each subset of the old support, largest first, and keeps the
@@ -261,15 +247,10 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
     repeats."""
     n = len(w)
     lo_l, hi_l = lo.tolist(), hi.tolist()
-    pinned = {i: lo_l[i] for i in range(3) if lo_l[i] == hi_l[i]}
-    c, rp = np.array(centres, dtype=float), np.array(r, dtype=float)
-    for i, v in pinned.items():
-        rp -= (c[:, i] - v) ** 2
-        c[:, i] = v
     # On an axis where every centre agrees, no support spans a direction.
-    flat = {i for i, same in enumerate(c.min(axis=0) == c.max(axis=0))
-            if same}
-    c, wl, rl = c.tolist(), w.tolist(), rp.tolist()
+    flat = {i for i, same in enumerate(centres.min(axis=0)
+                                       == centres.max(axis=0)) if same}
+    c, wl, rl = centres.tolist(), w.tolist(), r.tolist()
     pos_tol = [_POS_TOL * max(1.0, abs(a), abs(b))
                for a, b in zip(lo_l, hi_l)]
     face_tol = [_KKT_TOL * max(1.0, b - a) for a, b in zip(lo_l, hi_l)]
@@ -295,9 +276,7 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
         """The support's point, lam and whether it is optimal, or None."""
         balls = [k for k in ids if k < n]
         faces = [face(k) for k in ids if k >= n]
-        fixed = {f[0] for f in faces}
-        if (not balls or len(fixed) < len(faces)
-                or len(balls) > 4 - len(flat | fixed)):
+        if not balls or len(balls) > 4 - len(flat | {f[0] for f in faces}):
             return None
         cs = [c[k][:] for k in balls]
         rs = [rl[k] for k in balls]
@@ -333,8 +312,7 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
     single = (r - ((proj - centres) ** 2).sum(axis=1)) / w
     v0 = int(np.argmin(single))
     basis = (v0,) + tuple(n + 2 * i + int(c[v0][i] > hi_l[i])
-                          for i in range(3)
-                          if i not in pinned and proj[v0, i] != c[v0][i])
+                          for i in range(3) if proj[v0, i] != c[v0][i])
     q, lam, ok = proj[v0].tolist(), float(single[v0]), True
     for _ in range(_MAX_PIVOTS):
         v = violated(q, lam, basis)
@@ -369,12 +347,22 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
     """One convexified placement solve around the expansion point q_m_ref,
     for terms with at least one transmitting S-UAV.
 
-    Returns (point, uncertified): the inner point if its surrogate rates
-    meet every S-UAV's floor, else the expansion point if its rates do."""
-    cands, rates, failed = _maximin_surrogate(terms, q_m_ref.array, scenario)
+    The exact max-min point (minimize) and the expansion point, both
+    clipped to the box, are the candidates; the one with the higher minimum
+    surrogate rate goes first, the exact point on a tie. Returns
+    (point, uncertified): the first candidate whose surrogate rates meet
+    every S-UAV's floor, and whether the solve's certificate failed to
+    close."""
+    lo, hi = _box(scenario)
+    q_ref = q_m_ref.array
+    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
+    res = minimize(terms.q, terms.bandwidth_hz / slope, d2r + a / slope,
+                   lo, hi)
+    cands = np.clip(np.stack([res.x, q_ref]), lo, hi)
+    rates = surrogate_rates(terms, q_ref, cands)
     for k in (int(np.argmax(rates.min(axis=1))), 1):
         if (rates[k] >= terms.floors).all():
-            return Position3D(*cands[k]), failed
+            return Position3D(*cands[k]), not res.success
     raise InfeasibleSubproblem(
         "energy budgets demand rates the geometry cannot deliver")
 

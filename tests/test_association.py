@@ -293,7 +293,8 @@ class TestLowerBound:
 class TestLaterCalls:
     """Once a call of a solve has built the columns, later calls on the same
     Pools price them first and search only until T*. They must return what
-    a fresh Pools, which searches first, returns."""
+    a fresh Pools, which searches first, returns, except where that search
+    finishes above T*: a later call then returns the cover's optimum."""
 
     def test_match_a_fresh_pools_on_fleet_calls(self, monkeypatch):
         calls = []
@@ -321,6 +322,22 @@ class TestLaterCalls:
                 assert np.array_equal(a.alpha, fresh.alpha)
                 assert (i.objective, i.exact) == (fresh_info.objective,
                                                   fresh_info.exact)
+
+    def test_a_later_call_gives_way_to_the_cover_above_t_star(self):
+        # Target 2 lies midway between the S-UAVs, under the relay. The
+        # optimum gives it both monitors, so both S-UAVs climb toward the
+        # relay; the search over one monitor per target finishes above
+        # that, at 10.242689719382616 s, and must give way to the cover.
+        sc = make_scenario([(300.0, 500.0), (700.0, 500.0)],
+                           [(200.0, 500.0), (800.0, 500.0), (500.0, 500.0)])
+        beta, q_m = np.zeros(2, dtype=int), Position3D(500.0, 500.0, 1000.0)
+        pools = Pools(sc)
+        pools.columns()
+        assoc, info = solve_association(pools, beta, q_m)
+        _, oracle_obj = enumerate_associations_at_least_one(sc, beta, q_m)
+        assert info.exact
+        assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
+        assert assoc.alpha[2].tolist() == [1, 1]
 
 
 class TestLargePool:

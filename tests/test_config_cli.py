@@ -6,8 +6,7 @@ from dataclasses import replace
 import pytest
 
 from uav_mec.cli import main
-from uav_mec.config import (ExperimentConfig, format_config, load_config,
-                            parse_config, save_config)
+from uav_mec.config import ExperimentConfig, load_config, parse_config
 from uav_mec.errors import ParseError, ValidationError
 from uav_mec.experiment import (ResultRow, chunked_metrics, format_rows,
                                 run_cell, sweep, write_results)
@@ -22,13 +21,6 @@ class TestConfigParsing:
         assert cfg.rho0 == pytest.approx(1e-6)
         assert cfg.noise_w == pytest.approx(10 ** -14.4)
         assert cfg.n0_cap == 4
-
-    def test_round_trip_identity(self, tmp_path):
-        cfg = replace(ExperimentConfig(), tx_power_w=0.4, n_chunks=5,
-                      seeds=(1, 2, 3))
-        path = tmp_path / "config.txt"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
 
     def test_overrides_and_comments(self):
         cfg = parse_config("# comment\n tx_power_w = 0.5 \nn_chunks = 2\n")

@@ -268,28 +268,50 @@ class TestEnergyCheckPricesOnItsOwn:
         assert message in check_constraints(sc, assoc, beta, q_m)
 
 
-class TestFixedRelayAltitude:
-    def test_a_box_that_pins_the_altitude_solves_cleanly(self,
-                                                         default_config):
-        # lo == hi on an axis is a valid box. Placement maps the box to
-        # [-1, 1] per axis, and must not divide by the pinned axis's width.
+# run_scheme objectives at reference seeds 0-1 with one relay axis pinned
+# (lo == hi): the altitude at 300 m, or x at 500 m. The exact inner solve
+# treats a pinned axis as two box faces; these are the values it gave when
+# it still fixed such an axis before its first pivot.
+PINNED_BOXES = {"z": (0.0, 0.0, 300.0, 1000.0, 1000.0, 300.0),
+                "x": (500.0, 0.0, 100.0, 500.0, 1000.0, 1000.0)}
+PINNED_BOX_OBJECTIVES = {
+    (0, "z"): (9.991035797693307, 11.343156603278999, 9.99103774043886,
+               9.991074952736255),
+    (0, "x"): (9.991027746100304, 11.343068608760163, 9.991067397417217,
+               9.99102130099366),
+    (1, "z"): (10.112158951807986, 11.172293340767627, 10.58814575236307,
+               10.588244371973932),
+    (1, "x"): (10.112066858245933, 11.172442989781176, 10.588220509342156,
+               10.588187513451274),
+}
+
+
+class TestPinnedRelayAxis:
+    @pytest.mark.parametrize("seed,axis", sorted(PINNED_BOX_OBJECTIVES))
+    def test_every_scheme_keeps_the_pinned_value(self, default_config, seed,
+                                                 axis):
+        # lo == hi on an axis is a valid box, solved with no warning.
         import warnings
         from dataclasses import replace
 
         from uav_mec.scenario import generate_scenario
-        cfg = replace(default_config,
-                      ruav_box=(0.0, 0.0, 300.0, 1000.0, 1000.0, 300.0))
-        sc = generate_scenario(cfg.validate(), 0)
-        for scheme in SCHEMES:
+        box = PINNED_BOXES[axis]
+        sc = generate_scenario(
+            replace(default_config, ruav_box=box).validate(), seed)
+        k = "xyz".index(axis)
+        for scheme, pinned in zip(SCHEMES,
+                                  PINNED_BOX_OBJECTIVES[seed, axis]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 report = run_scheme(sc, scheme)
-            assert report.q_m.h == 300.0, scheme
+            assert report.q_m.array[k] == box[k], scheme
             assoc = Association(alpha=report.alpha,
                                 feasible_mask=Pools(sc).mask)
             assert check_constraints(
                 sc, assoc, report.beta, report.q_m,
                 static_positions=(scheme == "static_suavs")) == [], scheme
+            assert report.objective_s == pytest.approx(pinned,
+                                                       rel=1e-12), scheme
 
 
 class TestSuavEnergyFloors:

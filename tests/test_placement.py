@@ -299,7 +299,7 @@ def box_of(scenario):
 
 def exact_solve(terms, q_ref, lo, hi):
     """The exact solve of the surrogate max-min around q_ref, as
-    _maximin_surrogate poses it."""
+    solve_sp2_2 poses it."""
     from uav_mec.placement import _surrogate_coeffs, minimize as exact
     a, slope, d2r = _surrogate_coeffs(terms, q_ref)
     return exact(terms.q, terms.bandwidth_hz / slope, d2r + a / slope, lo, hi)
