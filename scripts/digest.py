@@ -11,12 +11,17 @@ results on these inputs exactly when they print the same output:
     ... change the code ...
     python3 scripts/digest.py --seeds 0-4 | diff before.txt -
 
-A change that must keep every result checks these three runs, before and
-after, the second and third with the configs committed beside this script:
+A change that must keep every result checks these four runs, before and
+after, the last three with the configs committed beside this script:
 
     python3 scripts/digest.py --seeds 0-19
     python3 scripts/digest.py --seeds 0-9 --config scripts/relay_sweep.cfg
     python3 scripts/digest.py --seeds 0-9 --config scripts/fleet.cfg
+    python3 scripts/digest.py --seeds 0-9 --config scripts/link.cfg
+
+link.cfg is the link-bound regime, where the relay's position moves the
+answer: at the reference parameters the link is about 2e-4 of the
+bottleneck's latency, so only its bits, not its value, show there.
 
 Usage:
     python3 scripts/digest.py [--seeds 0-4] [--config cfg.txt]

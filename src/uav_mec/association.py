@@ -54,22 +54,25 @@ passes to every call (see Pools for the list). The search and the cover run
 Python code per node and per column, and a fleet call visits about a
 thousand nodes or a thousand columns, so every fact that depends only on
 the solve is read from those tables rather than worked out again at each
-node or column. A call prices its branches once, then all columns in one
-pass.
+node or column. A call reads its branch prices from the solve's Pools, built
+once per beta, and prices all columns in one pass; a new target set costs
+one memoised hover point and one link rate on floats. The same Pools gives
+the outer loop its placed S-UAVs and the other blocks their price tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .cost import BranchPrice, floored_rate, floored_rates, suav_prices
+from .cost import (BranchPrice, floored_rate, floored_rates, per_solve,
+                   suav_prices)
 from .errors import InfeasibleSubproblem
-from .scenario import (Association, Position3D, Scenario,
-                       feasible_association_mask, reposition)
+from .scenario import (Association, Position3D, Scenario, SUav,
+                       feasible_association_mask)
 
 # DFS nodes before the column cover takes over.
 DFS_ALLOWANCE = 1_000
@@ -100,19 +103,26 @@ class Pools:
     Built at once, for the search: the coverage mask, each target's covering
     S-UAVs (cover), the search order (order), the largest pool, and per
     search depth the S-UAVs whose pools that depth's target completes
-    (closing), whose latency the bound at that depth reads. Filled in as
-    calls need them: a per-S-UAV memo from target bitmask to hover point,
-    and, on the first call whose search runs out of nodes (at the reference
-    size most solves have none), every S-UAV's box-closed columns (_Columns)
-    with each column's targets and hover point. Once the columns are built,
-    every later call of the solve prices them before it searches (see the
-    module docstring).
+    (closing), whose latency the bound at that depth reads. For the
+    geometry: every target's x and y as floats, and every S-UAV's camera
+    factors (2 tan(phi_h / 2), 2 tan(phi_v / 2), gamma). Filled in as calls
+    need them:
+    - per S-UAV, a memo from target bitmask to hover point (hover_point),
+      and one to the S-UAV record placed there (placed);
+    - tables, the price records the blocks keep for the solve
+      (cost.per_solve): the association's per beta, the offload block's
+      per set of video-carrying S-UAVs, and placement's per that set and
+      beta;
+    - on the first call whose search runs out of nodes (at the reference
+      size most solves have none), every S-UAV's box-closed columns
+      (_Columns) with each column's targets and hover point. Once the
+      columns are built, every later call of the solve prices them before
+      it searches (see the module docstring).
 
-    run_scheme builds one per solve and passes it to every association
-    call; nothing of it is kept on the scenario or in this module, so no
-    solve reads another's data. It raises InfeasibleSubproblem if an
-    S-UAV's or the relay's hover alone breaks its budget, as it then does in
-    every plan.
+    run_scheme builds one per solve and passes it to every block; nothing
+    of it is kept on the scenario or in this module, so no solve reads
+    another's data. It raises InfeasibleSubproblem if an S-UAV's or the
+    relay's hover alone breaks its budget, as it then does in every plan.
     """
 
     def __init__(self, scenario: Scenario, static_positions: bool = False):
@@ -139,22 +149,54 @@ class Pools:
             for j in self.cover[i]:
                 remaining[j] -= 1
             self.closing.append([j for j in self.cover[i] if not remaining[j]])
-        self._points: list[dict[int, Position3D]] = [
+        self.x = [t.pos.x for t in scenario.targets]
+        self.y = [t.pos.y for t in scenario.targets]
+        self.cameras = [(2.0 * math.tan(c.phi_h / 2.0),
+                         2.0 * math.tan(c.phi_v / 2.0), c.gamma)
+                        for c in (s.camera for s in scenario.suavs)]
+        self._points: list[dict[int, tuple[float, float, float]]] = [
             {} for _ in scenario.suavs]
+        self._placed: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
+        self.tables: dict = {}
         self._cols: _Columns | None = None
 
-    def hover_point(self, suav_index: int, target_bits: int) -> Position3D:
-        """Where the S-UAV hovers over a nonempty target bitmask."""
-        suav = self.scenario.suavs[suav_index]
-        if self.static_positions:
-            return suav.initial_pos
+    def hover_point(self, suav_index: int,
+                    target_bits: int) -> tuple[float, float, float]:
+        """Where the S-UAV hovers over a target bitmask, as (x, y, h):
+        scenario.reposition's point, in its order of operations; the
+        initial position when S-UAVs stay put or the bitmask is empty."""
         points = self._points[suav_index]
         pos = points.get(target_bits)
         if pos is None:
-            pos = reposition(suav, [self.scenario.targets[i]
-                                    for i in _bits(target_bits)])
+            if self.static_positions or not target_bits:
+                pos = self.scenario.suavs[suav_index].initial_pos.xyz
+            else:
+                held = list(_bits(target_bits))
+                xs = [self.x[i] for i in held]
+                ys = [self.y[i] for i in held]
+                x_hi, x_lo, y_hi, y_lo = max(xs), min(xs), max(ys), min(ys)
+                wide, tall, gamma = self.cameras[suav_index]
+                pos = ((x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
+                       max((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma)
             points[target_bits] = pos
         return pos
+
+    def placed(self, alpha: np.ndarray) -> Scenario:
+        """The scenario with every S-UAV at its hover point under alpha,
+        field by field scenario.repositioned_scenario's; the scenario itself
+        when S-UAVs stay put."""
+        if self.static_positions:
+            return self.scenario
+        suavs = []
+        for j, bits in enumerate(suav_bits(alpha)):
+            records = self._placed[j]
+            suav = records.get(bits)
+            if suav is None:
+                suav = records[bits] = replace(
+                    self.scenario.suavs[j],
+                    current_pos=Position3D(*self.hover_point(j, bits)))
+            suavs.append(suav)
+        return replace(self.scenario, suavs=tuple(suavs))
 
     def columns(self) -> _Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
@@ -163,15 +205,22 @@ class Pools:
         return self._cols
 
 
+def suav_bits(alpha: np.ndarray) -> list[int]:
+    """Per S-UAV, the bitmask of the targets alpha gives it (bit i: target
+    i), as Python ints, which may pass 64 bits."""
+    packed = np.packbits(alpha.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 class _Context:
     """One association call's S-UAV price records over a solve's Pools, plus
     a latency memo.
 
     Each S-UAV's price record (cost.suav_prices) depends only on its offload
-    bit and the offloader count, so it is built once per call; a memo miss
-    then costs one hover point (memoised per solve) and one link rate. The
-    empty target set prices the S-UAV idle: zero latency, and its hover
-    alone against its budget.
+    bit and the offloader count, so the solve's Pools keeps one list per
+    beta; a memo miss then costs one hover point (memoised per solve) and
+    one link rate on floats. The empty target set prices the S-UAV idle:
+    zero latency, and its hover alone against its budget.
     """
 
     def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
@@ -180,9 +229,12 @@ class _Context:
         self.scenario, self.mask, self.cover, self.order, self.closing = (
             pools.scenario, pools.mask, pools.cover, pools.order,
             pools.closing)
-        self.q_m = q_m
-        self.prices = suav_prices(
-            pools.scenario, [s.chunk_bits for s in pools.scenario.suavs], beta)
+        self.q = q_m.xyz
+        self.bandwidth_hz = pools.scenario.constants.bandwidth_hz
+        self.prices = per_solve(
+            pools.tables, ("association", tuple(np.asarray(beta).tolist())),
+            lambda: suav_prices(pools.scenario, [
+                s.chunk_bits for s in pools.scenario.suavs], beta))
         # Per S-UAV: target bitmask -> (latency, energy-feasible). An entry
         # is a non-empty tuple, so `memo[j].get(bits) or latency(j, bits)`
         # reads it and prices only a miss.
@@ -197,8 +249,7 @@ class _Context:
             return hit
         price = self.prices[suav_index]
         r = floored_rate(self.pools.hover_point(suav_index, target_bits),
-                         self.q_m, price.gamma1,
-                         self.scenario.constants.bandwidth_hz)
+                         self.q, price.gamma1, self.bandwidth_hz)
         result = (price.latency(r), price.fits(r))
         memo[target_bits] = result
         return result
@@ -240,13 +291,8 @@ def greedy_incumbent(ctx: _Context) -> np.ndarray:
 
 def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
     """Exact objective of a complete association, and its energy feasibility."""
-    bits = [0] * ctx.scenario.n_suavs
-    for i, row in enumerate(alpha.tolist()):
-        for j, v in enumerate(row):
-            if v:
-                bits[j] |= 1 << i
     worst = 0.0
-    for j, b in enumerate(bits):
+    for j, b in enumerate(suav_bits(alpha)):
         t, ok = ctx.latency(j, b)
         if not ok:
             return worst, False
@@ -268,7 +314,8 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     within the allowance).
     """
     n_targets = ctx.scenario.n_targets
-    order, closing, memo = ctx.order, ctx.closing, ctx.memo
+    order, closing, cover, memo = ctx.order, ctx.closing, ctx.cover, ctx.memo
+    latency = ctx.latency
     allowance = DFS_ALLOWANCE
     assigned_bits = [0] * ctx.scenario.n_suavs
     choice: dict[int, int] = {}
@@ -290,12 +337,20 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
         # Deciding the target fully decides these pools, whichever S-UAV
         # takes it: their latency, and so the bound, is exact.
         closed = closing[depth]
-        for _, j in ctx.by_growth(target_index, assigned_bits):
+        # ctx.by_growth, inline: it runs at every node.
+        growth = []
+        for j in cover[target_index]:
+            known, bits = memo[j], assigned_bits[j]
+            before = (known.get(bits) or latency(j, bits))[0]
+            after = (known.get(bits | bit) or latency(j, bits | bit))[0]
+            growth.append((after - before, j))
+        growth.sort()
+        for _, j in growth:
             assigned_bits[j] |= bit
             new_bound = bound
             for cand in closed:
                 bits = assigned_bits[cand]
-                t, ok = memo[cand].get(bits) or ctx.latency(cand, bits)
+                t, ok = memo[cand].get(bits) or latency(cand, bits)
                 if not ok:
                     break
                 if t > new_bound:
@@ -319,10 +374,8 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
 def _columns(pools: Pools, j: int) -> np.ndarray:
     """Every distinct box-closed subset of S-UAV j's pool, ascending, as an
     int64 bitmask over the pool (bit p: the pool's p-th target by index)."""
-    targets = pools.scenario.targets
     pool = np.flatnonzero(pools.mask[:, j])
-    x = np.array([targets[i].pos.x for i in pool])
-    y = np.array([targets[i].pos.y for i in pool])
+    x, y = np.array(pools.x)[pool], np.array(pools.y)[pool]
     bit = np.left_shift(np.int64(1), np.arange(len(pool), dtype=np.int64))
 
     def spans(v: np.ndarray) -> np.ndarray:
@@ -369,14 +422,12 @@ def _build_columns(pools: Pools) -> _Columns:
     if pools.static_positions:
         pos = np.array([s.initial_pos.array for s in scenario.suavs])[suav]
     else:
-        x, y = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])[held].T
+        x, y = np.array(pools.x)[held], np.array(pools.y)[held]
         x_lo, y_lo = (np.minimum.reduceat(v, first) for v in (x, y))
         x_hi, y_hi = (np.maximum.reduceat(v, first) for v in (x, y))
-        # scenario.reposition, in its order of operations, with each
-        # column's own camera.
-        wide, tall, gamma = np.array([
-            (2.0 * math.tan(c.phi_h / 2.0), 2.0 * math.tan(c.phi_v / 2.0),
-             c.gamma) for c in (s.camera for s in scenario.suavs)])[suav].T
+        # Pools.hover_point, in its order of operations, with each column's
+        # own camera.
+        wide, tall, gamma = np.array(pools.cameras)[suav].T
         pos = np.column_stack([
             (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
             np.maximum((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma])
@@ -390,8 +441,8 @@ def _column_prices(ctx: _Context,
     records stacked into arrays, one row per column's S-UAV, so each column
     is priced exactly as _Context.latency prices its S-UAV and targets."""
     price = BranchPrice(*np.array(ctx.prices)[cols.suav].T)
-    r = floored_rates(cols.pos, ctx.q_m.array, price.gamma1,
-                      ctx.scenario.constants.bandwidth_hz)
+    r = floored_rates(cols.pos, np.array(ctx.q), price.gamma1,
+                      ctx.bandwidth_hz)
     return price.latency(r), price.fits(r)
 
 

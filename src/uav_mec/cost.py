@@ -117,10 +117,24 @@ def suav_prices(scenario: Scenario, s_bits, beta) -> list[BranchPrice]:
             for j, (s, b) in enumerate(zip(s_bits, beta))]
 
 
-def floored_rate(pos: Position3D, q_m: Position3D, gamma1: float,
+def per_solve(tables: dict | None, key, build):
+    """build(), kept under key in a solve's tables (association.Pools.tables)
+    when the caller passes them, so that one solve builds it once; with no
+    tables, built afresh. A block keys what it keeps by its own name and by
+    every input the value depends on."""
+    if tables is None:
+        return build()
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
+
+
+def floored_rate(pos: tuple[float, float, float],
+                 q_m: tuple[float, float, float], gamma1: float,
                  bandwidth_hz: float) -> float:
-    """Rate from pos to the relay with the distance floored at the 1 m
-    reference: the one convention every block and the evaluator price by.
+    """Rate from pos to the relay at q_m, each an (x, y, h) triple
+    (Position3D.xyz), with the distance floored at the 1 m reference: the
+    one convention every block and the evaluator price by.
 
     The squared distance is summed on floats as (dx*dx + dy*dy) + dz*dz,
     which is bit for bit what NumPy gives for ((p - q) ** 2).sum() over a
@@ -128,7 +142,8 @@ def floored_rate(pos: Position3D, q_m: Position3D, gamma1: float,
     right. floored_rates prices arrays with that expression, so the two
     agree to the last bit.
     """
-    dx, dy, dz = pos.x - q_m.x, pos.y - q_m.y, pos.h - q_m.h
+    (x, y, h), (qx, qy, qh) = pos, q_m
+    dx, dy, dz = x - qx, y - qy, h - qh
     d2 = max((dx * dx + dy * dy) + dz * dz, 1.0)
     return rate_at_dist_sq(d2, bandwidth_hz, gamma1)
 
@@ -162,7 +177,7 @@ def breakdowns(scenario: Scenario, association: Association,
     lats, energies = [], []
     for suav, s, off, price in zip(scenario.suavs, s_bits.tolist(),
                                    beta.tolist(), prices):
-        t_tx = price.tx_bits / floored_rate(suav.current_pos, q_m,
+        t_tx = price.tx_bits / floored_rate(suav.current_pos.xyz, q_m.xyz,
                                             price.gamma1,
                                             scenario.constants.bandwidth_hz)
         lats.append(LatencyBreakdown(

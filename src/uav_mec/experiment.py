@@ -13,7 +13,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .cost import floored_rate, suav_prices
 from .errors import UavMecError, ValidationError
-from .orchestrator import SCHEMES, placed_for, run_scheme
+from .orchestrator import SCHEMES, run_scheme
 from .scenario import Position3D, Scenario, generate_scenario
 
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
@@ -54,7 +54,7 @@ def chunked_metrics(scenario: Scenario, alpha: np.ndarray,
     exec_energy = 0.0
     ruav_energy = 0.0
     for j in np.flatnonzero(monitored):
-        r = floored_rate(scenario.suavs[j].current_pos, q_m,
+        r = floored_rate(scenario.suavs[j].current_pos.xyz, q_m.xyz,
                          chunks[0][j].gamma1, scenario.constants.bandwidth_hz)
         for prices in chunks:
             price = prices[j]
@@ -75,9 +75,8 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
         scenario = generate_scenario(config, seed)
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
-        placed = placed_for(scenario, report.alpha, scheme)
         objective, spread, exec_e, ruav_e = chunked_metrics(
-            placed, report.alpha, report.beta, report.q_m)
+            report.placed, report.alpha, report.beta, report.q_m)
         return ResultRow(
             seed=seed, scheme=scheme, swept_param_name=param_name,
             swept_value=param_value, objective_s=objective,

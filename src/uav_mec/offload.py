@@ -30,7 +30,7 @@ import numpy as np
 
 from . import simplex
 from .cost import (BranchPrice, branch_price, effective_chunk_bits,
-                   floored_rate, suav_prices)
+                   floored_rate, per_solve, suav_prices)
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
@@ -97,33 +97,43 @@ class Sp1Terms:
         return self.e_ruav[0]
 
 
-def sp1_terms(scenario: Scenario, association: Association,
-              q_m: Position3D) -> Sp1Terms:
-    """SP1's terms, read off stacked price records of the local branch and
-    of the offload branch at every offloader count within the cap, one
-    record per S-UAV and count. An idle S-UAV sends 0 bits, so it prices to
-    zero but its hover at its own rate."""
-    s_bits = effective_chunk_bits(scenario, association.alpha)
-    sizes = s_bits.tolist()
-    local_prices = suav_prices(scenario, sizes, [0] * len(sizes))
-    r = np.array([floored_rate(suav.current_pos, q_m, p.gamma1,
-                               scenario.constants.bandwidth_hz)
-                  for suav, p in zip(scenario.suavs, local_prices)])
-    local = BranchPrice(*np.array(local_prices).T)
-    # Row m - 1 prices every S-UAV's offload branch at m offloaders; only
-    # fixed_s and relay_j change with m.
+def _sp1_prices(scenario: Scenario, sizes: list[float]):
+    """SP1's records that no position changes, at task sizes sizes: the
+    local branch's and the offload branch's at one offloader, stacked one
+    row per S-UAV, and the offload branch's relay seconds and energy at
+    every offloader count within the cap, row m - 1 at m offloaders (only
+    fixed_s and relay_j change with m)."""
+    local = BranchPrice(*np.array(suav_prices(scenario, sizes,
+                                              [0] * len(sizes))).T)
     offs = [[branch_price(scenario, j, s, True, m) for j, s in enumerate(sizes)]
             for m in range(1, scenario.n0_cap + 1)]
-    off = BranchPrice(*np.array(offs[0]).T)
+    return (local, BranchPrice(*np.array(offs[0]).T),
+            np.array([[p.fixed_s for p in row] for row in offs]),
+            np.array([[p.relay_j for p in row] for row in offs]))
+
+
+def sp1_terms(scenario: Scenario, association: Association,
+              q_m: Position3D, tables: dict | None = None) -> Sp1Terms:
+    """SP1's terms: the records of _sp1_prices, which depend only on which
+    S-UAVs carry video, priced at each S-UAV's link rate. Given a solve's
+    tables, the records are built once per solve and set of video-carrying
+    S-UAVs (cost.per_solve). An idle S-UAV sends 0 bits, so it prices to
+    zero but its hover at its own rate."""
+    s_bits = effective_chunk_bits(scenario, association.alpha)
+    local, off, t_ruav, e_ruav = per_solve(
+        tables, ("sp1", s_bits.tobytes()),
+        lambda: _sp1_prices(scenario, s_bits.tolist()))
+    q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
+    r = np.array([floored_rate(suav.current_pos.xyz, q, gamma1, bandwidth_hz)
+                  for suav, gamma1 in zip(scenario.suavs,
+                                          local.gamma1.tolist())])
     return Sp1Terms(
         t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
-        t_tx_off=off.tx_bits / r,
-        t_ruav=np.array([[p.fixed_s for p in row] for row in offs]),
+        t_tx_off=off.tx_bits / r, t_ruav=t_ruav,
         e_local=local.energy(r), e_offload=off.energy(r),
         suav_budget=local.budget_j - local.hover_j,
         ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        e_ruav=np.array([[p.relay_j for p in row] for row in offs]),
-        active=s_bits > 0.0, fits_local=local.fits(r),
+        e_ruav=e_ruav, active=s_bits > 0.0, fits_local=local.fits(r),
         fits_offload=off.fits(r),
     )
 
@@ -224,19 +234,22 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
 
 
 def solve_sp1(scenario: Scenario, association: Association,
-              q_m: Position3D) -> OffloadDecision:
+              q_m: Position3D, *, tables: dict | None = None
+              ) -> OffloadDecision:
     """Default SP1 path: the threshold search for the point, with its terms
-    kept for a later read of the LP bound."""
-    t = sp1_terms(scenario, association, q_m)
+    kept for a later read of the LP bound. tables: as sp1_terms'."""
+    t = sp1_terms(scenario, association, q_m, tables)
     return replace(enumerate_offload(t), relaxation=t)
 
 
 def forced_offload(scenario: Scenario, association: Association,
-                   q_m: Position3D) -> OffloadDecision:
+                   q_m: Position3D, *, tables: dict | None = None
+                   ) -> OffloadDecision:
     """The relay-only rule: offload the video-carrying S-UAVs in descending
     order of local latency (ties by id), as many as the relay cap and every
-    energy budget admit -- the longest such prefix of that order."""
-    t = sp1_terms(scenario, association, q_m)
+    energy budget admit -- the longest such prefix of that order. tables:
+    as sp1_terms'."""
+    t = sp1_terms(scenario, association, q_m, tables)
     order = _local_order(t, np.flatnonzero(t.active).tolist())
     for k in range(min(scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))

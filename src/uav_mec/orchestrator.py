@@ -58,6 +58,8 @@ class SolverReport:
     alpha: np.ndarray
     beta: np.ndarray
     q_m: Position3D
+    # the S-UAV geometry the plan is priced under (association.Pools.placed)
+    placed: Scenario
     iterations: int
     converged: bool
     offload: OffloadDecision | None = None  # the last accepted offload step
@@ -99,13 +101,6 @@ def nearest_covering_association(pools: assoc_mod.Pools) -> Association:
     alpha = np.zeros_like(mask)
     alpha[np.arange(scenario.n_targets), d2.argmin(axis=1)] = 1
     return Association(alpha=alpha, feasible_mask=mask)
-
-
-def placed_for(scenario: Scenario, alpha: np.ndarray, scheme: str) -> Scenario:
-    """The S-UAV geometry a scheme prices under alpha."""
-    if SCHEME_POLICIES[scheme].reposition:
-        return repositioned_scenario(scenario, alpha)
-    return scenario
 
 
 def check_constraints(scenario: Scenario, association: Association,
@@ -186,13 +181,14 @@ def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
     point, and no offloader unless the scheme's rule is forced."""
     scenario = pools.scenario
     association = nearest_covering_association(pools)
-    placed = placed_for(scenario, association.alpha, scheme)
+    placed = pools.placed(association.alpha)
     q_m = place_mod.default_initial_position(placed)
     beta = np.zeros(scenario.n_suavs, dtype=int)
     if SCHEME_POLICIES[scheme].offload_rule == "forced_offload":
         # A forced rule also sets the start; the first offload step of
         # improve re-derives the same decision from the same inputs.
-        beta = forced_offload(placed, association, q_m).beta
+        beta = forced_offload(placed, association, q_m,
+                              tables=pools.tables).beta
     objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
     return Plan(placed, association, beta, q_m, objective)
 
@@ -201,7 +197,9 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
             r_max: int) -> tuple[Plan, dict]:
     """The outer loop from plan until the objective settles or r_max
     iterations pass; returns the last plan and the loop's SolverReport
-    fields."""
+    fields. Every block reads the solve's pools: an accepted association's
+    geometry comes from pools.placed, and the offload and placement blocks
+    keep their price records in pools.tables."""
     policy = SCHEME_POLICIES[scheme]
     trace = [plan.objective]
     offload, fallbacks, exact, sca_traces = None, 0, True, []
@@ -211,7 +209,7 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
         # Offload block.
         if policy.offload_rule is not None:
             decision = globals()[policy.offload_rule](
-                plan.placed, plan.association, plan.q_m)
+                plan.placed, plan.association, plan.q_m, tables=pools.tables)
             # The rule prices its decision as evaluate_solution would, to the
             # bit; float() keeps the trace in Python floats.
             cand = float(decision.slack_s)
@@ -221,7 +219,8 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
 
         # Placement block.
         q_sca, sca_trace, failed = place_mod.sca_loop(
-            plan.placed, plan.association, plan.beta, plan.q_m)
+            plan.placed, plan.association, plan.beta, plan.q_m,
+            tables=pools.tables)
         sca_traces.append(sca_trace)
         fallbacks += failed
         if sca_trace[-1] <= plan.objective + _GUARD_SLACK:
@@ -236,8 +235,8 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
                 pools, plan.beta, plan.q_m, warm_alpha=plan.association.alpha)
         exact = exact and info.exact
         if info.objective <= plan.objective + _GUARD_SLACK:
-            plan = Plan(placed_for(pools.scenario, new_assoc.alpha, scheme),
-                        new_assoc, plan.beta, plan.q_m, info.objective)
+            plan = Plan(pools.placed(new_assoc.alpha), new_assoc, plan.beta,
+                        plan.q_m, info.objective)
 
         trace.append(plan.objective)
         if convergence_check(trace, tol):
@@ -265,10 +264,11 @@ def run_scheme(scenario: Scenario, scheme: str,
     evaluate_solution runs only for the start plan: every block prices its
     own candidate, so the returned plan's objective is already known. A
     caller who wants its per-S-UAV breakdown prices it with
-    evaluate_solution(placed_for(scenario, report.alpha, scheme), ...).
-    The association block's fixed data (association.Pools) is built once
-    here, before anything else, and lives as long as this call; building it
-    checks every hover against its budget."""
+    evaluate_solution(report.placed, ...). What no block changes during the
+    solve (association.Pools: the search tables, the hover points and placed
+    S-UAV records, and the blocks' price records) is built here, before
+    anything else, and lives as long as this call; building it checks every
+    hover against its budget."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pools = assoc_mod.Pools(
@@ -277,4 +277,4 @@ def run_scheme(scenario: Scenario, scheme: str,
                            r_max)
     return SolverReport(
         scheme=scheme, alpha=plan.association.alpha, beta=plan.beta,
-        q_m=plan.q_m, **record)
+        q_m=plan.q_m, placed=plan.placed, **record)

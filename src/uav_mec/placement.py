@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import InfeasibleSubproblem
 from .cost import (BranchPrice, effective_chunk_bits, floored_rates,
-                   suav_prices)
+                   per_solve, suav_prices)
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
@@ -80,11 +80,11 @@ class PlacementTerms:
     bandwidth_hz: float
 
 
-def placement_terms(scenario: Scenario, association: Association,
-                    beta: np.ndarray) -> PlacementTerms:
-    """The transmitting S-UAVs' rows, read off their price records; raises
-    if some S-UAV, idle or not, keeps its budget at no rate."""
-    s_bits = effective_chunk_bits(scenario, association.alpha)
+def _placement_prices(scenario: Scenario, s_bits: np.ndarray,
+                      beta) -> tuple[list[bool], BranchPrice, np.ndarray]:
+    """(transmitting S-UAVs, their stacked price records, their rate
+    floors); raises if some S-UAV, idle or not, keeps its budget at no
+    rate."""
     prices = suav_prices(scenario, s_bits, beta)
     floors = [p.rate_floor for p in prices]
     if math.inf in floors:
@@ -92,13 +92,26 @@ def placement_terms(scenario: Scenario, association: Association,
             f"S-UAV {floors.index(math.inf)} has no energy headroom for any "
             "transmission")
     rows = s_bits > 0.0
-    sent = BranchPrice(*np.array(prices)[rows].T)
+    return (rows.tolist(), BranchPrice(*np.array(prices)[rows].T),
+            np.array(floors)[rows])
+
+
+def placement_terms(scenario: Scenario, association: Association,
+                    beta: np.ndarray, tables: dict | None = None
+                    ) -> PlacementTerms:
+    """The transmitting S-UAVs' rows: their positions, and what
+    _placement_prices reads off their price records. Given a solve's
+    tables, those records are built once per solve, set of video-carrying
+    S-UAVs and beta (cost.per_solve)."""
+    s_bits = effective_chunk_bits(scenario, association.alpha)
+    key = ("placement", s_bits.tobytes(), tuple(np.asarray(beta).tolist()))
+    rows, sent, floors = per_solve(
+        tables, key, lambda: _placement_prices(scenario, s_bits, beta))
     return PlacementTerms(
-        q=np.array([s.current_pos.array for s, row in zip(scenario.suavs, rows)
+        q=np.array([s.current_pos.xyz for s, row in zip(scenario.suavs, rows)
                     if row]).reshape(-1, 3),
         gamma1=sent.gamma1, tx_bits=sent.tx_bits, fixed_s=sent.fixed_s,
-        floors=np.array(floors)[rows],
-        bandwidth_hz=scenario.constants.bandwidth_hz,
+        floors=floors, bandwidth_hz=scenario.constants.bandwidth_hz,
     )
 
 
@@ -368,8 +381,10 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
-             q_m: Position3D) -> tuple[Position3D, list, int]:
+             q_m: Position3D, *, tables: dict | None = None
+             ) -> tuple[Position3D, list, int]:
     """Successive convexification from q_m until the exact objective stalls.
+    tables: as placement_terms'.
 
     Returns (best point, trace, fallbacks): the trace holds the exact
     objective at the start and after each round, ending at the point's, and
@@ -378,7 +393,7 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     expansion point; a point that still worsens the exact objective is
     discarded, so the trace never rises.
     """
-    terms = placement_terms(scenario, association, beta)
+    terms = placement_terms(scenario, association, beta, tables)
     if terms.q.shape[0] == 0:
         return q_m, [0.0], 0
 

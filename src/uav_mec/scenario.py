@@ -37,6 +37,10 @@ class Position3D:
     def array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.h])
 
+    @property
+    def xyz(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.h)
+
 
 @dataclass(frozen=True)
 class CameraSpec:

@@ -67,12 +67,13 @@ class TestRunCell:
         cfg = replace(ExperimentConfig(), n_chunks=1, seeds=(0,))
         row = run_cell(cfg, 0, "proposed")
         from uav_mec.cost import evaluate_solution
-        from uav_mec.orchestrator import placed_for, run_scheme
-        from uav_mec.scenario import Association, generate_scenario
+        from uav_mec.orchestrator import run_scheme
+        from uav_mec.scenario import (Association, generate_scenario,
+                                      repositioned_scenario)
         sc = generate_scenario(cfg, 0)
         report = run_scheme(sc, "proposed")
         objective, spread, _, _ = evaluate_solution(
-            placed_for(sc, report.alpha, "proposed"),
+            repositioned_scenario(sc, report.alpha),
             Association(alpha=report.alpha, feasible_mask=report.alpha),
             report.beta, report.q_m)
         assert row.error == ""
@@ -347,11 +348,11 @@ class TestCli:
 class TestChunkedMetrics:
     def test_sums_over_chunks(self):
         cfg = replace(ExperimentConfig(), n_chunks=2)
-        from uav_mec.orchestrator import placed_for, run_scheme
-        from uav_mec.scenario import generate_scenario
+        from uav_mec.orchestrator import run_scheme
+        from uav_mec.scenario import generate_scenario, repositioned_scenario
         sc = generate_scenario(cfg, 0)
         report = run_scheme(sc, "proposed")
-        placed = placed_for(sc, report.alpha, report.scheme)
+        placed = repositioned_scenario(sc, report.alpha)
         objective, spread, exec_e, ruav_e = chunked_metrics(
             placed, report.alpha, report.beta, report.q_m)
         # Two chunks at the same decision cost at least the single mean-size

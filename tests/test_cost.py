@@ -56,7 +56,8 @@ class TestFlooredRate:
         gamma1 = snr_coeff(sc.suavs[0].tx_power_w, sc.constants.rho0,
                         sc.constants.noise_w)
         d2 = max(float(((p.array - q.array) ** 2).sum()), 1.0)
-        assert floored_rate(p, q, gamma1, sc.constants.bandwidth_hz) == \
+        assert floored_rate(p.xyz, q.xyz, gamma1,
+                            sc.constants.bandwidth_hz) == \
             rate_at_dist_sq(d2, sc.constants.bandwidth_hz, gamma1)
 
 
@@ -323,14 +324,13 @@ class TestRelayEntry:
         # offloaders carry video, and every beta was priced with all of its
         # members carrying video, so no association result can break it.
         from uav_mec import association
-        from uav_mec.orchestrator import (SCHEMES, check_constraints,
-                                          placed_for, run_scheme)
+        from uav_mec.orchestrator import SCHEMES, check_constraints, run_scheme
         results = []
         real = association.solve_association
 
         def wrapper(pools, beta, q_m, **kwargs):
             out = real(pools, beta, q_m, **kwargs)
-            results.append((scheme, pools.scenario, beta, q_m, out[0]))
+            results.append((pools, beta, q_m, out[0]))
             return out
         monkeypatch.setattr(association, "solve_association", wrapper)
         cut = 0  # ruav_only solves the relay budget kept under the cap
@@ -350,9 +350,11 @@ class TestRelayEntry:
                     active = int((report.alpha.sum(axis=0) > 0).sum())
                     cut += (scheme == "ruav_only"
                             and report.beta.sum() < min(cap, active))
-        for scheme, sc, beta, q_m, assoc in results:
-            relay = evaluate_solution(placed_for(sc, assoc.alpha, scheme),
-                                      assoc, beta, q_m)[3][-1]
+        for pools, beta, q_m, assoc in results:
+            sc = pools.scenario
+            placed = (sc if pools.static_positions
+                      else repositioned_scenario(sc, assoc.alpha))
+            relay = evaluate_solution(placed, assoc, beta, q_m)[3][-1]
             assert relay.total_j <= sc.ruav.energy_budget_j
         assert results and cut
 
@@ -432,3 +434,116 @@ class TestCrossBlockPricing:
                 (e.total_j > s.energy_budget_j)
         assert ("relay energy budget exceeded" in violations) == \
             (energies[-1].total_j > sc.ruav.energy_budget_j)
+
+
+@st.composite
+def solve_steps(draw):
+    """A small scenario and three block calls of one solve: an association
+    (the second call's is the first's half of the time, so the set of
+    video-carrying S-UAVs often repeats), an offload decision within the
+    cap and a relay point each. Every S-UAV's footprint holds every target,
+    so that any of them may idle. Budgets are wide, so every call prices."""
+    spot = st.tuples(st.floats(420.0, 580.0), st.floats(420.0, 580.0))
+    suav_xy = draw(st.lists(spot, min_size=1, max_size=4))
+    n = len(suav_xy)
+    sc = make_scenario(
+        suav_xy, draw(st.lists(spot, min_size=n, max_size=7)),
+        chunk_bits=draw(st.lists(st.floats(1e6, 3e6), min_size=n,
+                                 max_size=n)),
+        n0_cap=draw(st.integers(1, n)))
+    mask = feasible_association_mask(sc)
+    steps = []
+    for _ in range(3):
+        if steps and draw(st.booleans()):
+            assoc = steps[-1][0]
+        else:
+            alpha = np.zeros_like(mask)
+            for i in range(sc.n_targets):
+                alpha[i, draw(st.sampled_from(
+                    np.flatnonzero(mask[i]).tolist()))] = 1
+            assoc = Association(alpha=alpha, feasible_mask=mask)
+        members = draw(st.permutations(range(n)))[:draw(
+            st.integers(0, sc.n0_cap))]
+        beta = np.zeros(n, dtype=int)
+        beta[members] = 1
+        q = Position3D(draw(st.floats(0.0, 1000.0)),
+                       draw(st.floats(0.0, 1000.0)),
+                       draw(st.floats(100.0, 1000.0)))
+        steps.append((assoc, beta, q))
+    return sc, steps
+
+
+def assert_fields_equal(kept, fresh):
+    """Every field of two terms records is the same, array for array."""
+    for name in vars(fresh):
+        a, b = getattr(kept, name), getattr(fresh, name)
+        assert np.array_equal(a, b) and np.asarray(a).dtype == \
+            np.asarray(b).dtype, name
+
+
+class TestPerSolveTables:
+    """What one solve's Pools keeps, read back later in the solve, is what
+    building it afresh gives, to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(solve_steps())
+    def test_placed_scenarios_and_hover_points(self, case):
+        from uav_mec.association import suav_bits
+        from uav_mec.scenario import reposition
+        sc, steps = case
+        pools = Pools(sc)
+        assert Pools(sc, static_positions=True).placed(
+            steps[0][0].alpha) is sc
+        for assoc, _, _ in steps + steps:  # the second pass reads the memos
+            placed = pools.placed(assoc.alpha)
+            fresh = repositioned_scenario(sc, assoc.alpha)
+            assert placed == fresh
+            for j, bits in enumerate(suav_bits(assoc.alpha)):
+                held = [sc.targets[i] for i in range(sc.n_targets)
+                        if bits >> i & 1]
+                assert held == [sc.targets[i] for i in
+                                np.flatnonzero(assoc.alpha[:, j])]
+                point = pools.hover_point(j, bits)
+                assert point == reposition(sc.suavs[j], held).xyz
+                assert point == placed.suavs[j].current_pos.xyz
+
+    @settings(max_examples=60, deadline=None)
+    @given(solve_steps())
+    def test_block_terms_from_kept_tables(self, case):
+        sc, steps = case
+        pools = Pools(sc)
+        for assoc, beta, q in steps:
+            placed = pools.placed(assoc.alpha)
+            assert_fields_equal(sp1_terms(placed, assoc, q, pools.tables),
+                                sp1_terms(placed, assoc, q))
+            assert_fields_equal(
+                placement_terms(placed, assoc, beta, pools.tables),
+                placement_terms(placed, assoc, beta))
+            # The association's records: every S-UAV at its chunk size.
+            kept = _Context(pools, beta, q).prices
+            assert kept == [branch_price(sc, j, s.chunk_bits, bool(b),
+                                         int(beta.sum()))
+                            for j, (s, b) in enumerate(zip(sc.suavs, beta))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(solve_steps())
+    def test_sp1_rows_are_fresh_branch_prices(self, case):
+        sc, steps = case
+        pools = Pools(sc)
+        for assoc, _, q in steps:
+            placed = pools.placed(assoc.alpha)
+            t = sp1_terms(placed, assoc, q, pools.tables)
+            sizes = effective_chunk_bits(sc, assoc.alpha).tolist()
+            local = [branch_price(sc, j, s, False, 0)
+                     for j, s in enumerate(sizes)]
+            assert t.t_loc.tolist() == [p.fixed_s for p in local]
+            assert t.suav_budget.tolist() == [p.budget_j - p.hover_j
+                                              for p in local]
+            for m in range(1, sc.n0_cap + 1):
+                alone = [branch_price(sc, j, s, True, m)
+                         for j, s in enumerate(sizes)]
+                assert t.t_ruav[m - 1].tolist() == [p.fixed_s for p in alone]
+                assert t.e_ruav[m - 1].tolist() == [p.relay_j for p in alone]
+        # One table per set of video-carrying S-UAVs.
+        actives = {tuple(s.alpha.sum(axis=0) > 0) for s, _, _ in steps}
+        assert len([k for k in pools.tables if k[0] == "sp1"]) == len(actives)

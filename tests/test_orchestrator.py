@@ -68,6 +68,14 @@ class TestRunScheme:
             t = report.objective_trace
             assert all(b <= a + 1e-6 for a, b in zip(t, t[1:]))
 
+    def test_report_carries_the_plan_geometry(self, scenario0, reports):
+        for scheme, report in reports.items():
+            if scheme == "static_suavs":
+                assert report.placed is scenario0
+            else:
+                assert report.placed == repositioned_scenario(scenario0,
+                                                              report.alpha)
+
     def test_all_schemes_satisfy_every_constraint(self, scenario0, reports):
         for scheme, report in reports.items():
             assoc = Association(
@@ -417,6 +425,39 @@ class TestMonotonicityAcrossSeeds:
         assert report.converged
 
 
+def mirrored_in_x(scenario, area_m):
+    """The scene reflected across x = area_m / 2: every S-UAV and target
+    at x -> area_m - x. The reference relay box spans the area in x, so it
+    maps onto itself."""
+    from dataclasses import replace
+
+    def flip(pos):
+        return replace(pos, x=area_m - pos.x)
+    return replace(
+        scenario,
+        suavs=tuple(replace(s, initial_pos=flip(s.initial_pos),
+                            current_pos=flip(s.current_pos))
+                    for s in scenario.suavs),
+        targets=tuple(replace(t, pos=flip(t.pos)) for t in scenario.targets))
+
+
+class TestMirrorInX:
+    """A metamorphic check: the problem is symmetric under the reflection,
+    so the answer must not move by a bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_scheme_gives_the_same_objective(self, default_config,
+                                                   seed):
+        from uav_mec.scenario import generate_scenario
+        sc = generate_scenario(default_config, seed)
+        lo, hi = sc.ruav.box_lo, sc.ruav.box_hi
+        assert lo.x + hi.x == default_config.area_m
+        mirror = mirrored_in_x(sc, default_config.area_m)
+        for scheme in SCHEMES:
+            assert run_scheme(mirror, scheme).objective_s == \
+                run_scheme(sc, scheme).objective_s, scheme
+
+
 # run_scheme objectives at the reference config, pinned to the values of the
 # solver before the placement, simplex and pricing-table speed-ups. Those
 # changes must leave every result bit-for-bit the same.
@@ -672,10 +713,10 @@ class TestOffloadGuardPrice:
                 calls["placement"]:
             assert trace[-1] == evaluate_solution(
                 placed, assoc, beta, q_m)[0]
-        for scheme, (pools, beta, q_m), _, (new_assoc, info) in \
+        for _, (pools, beta, q_m), _, (new_assoc, info) in \
                 calls["association"]:
-            placed = orchestrator.placed_for(pools.scenario, new_assoc.alpha,
-                                             scheme)
+            placed = (pools.scenario if pools.static_positions else
+                      repositioned_scenario(pools.scenario, new_assoc.alpha))
             assert info.objective == evaluate_solution(
                 placed, new_assoc, beta, q_m)[0]
         return calls

@@ -106,6 +106,16 @@ class TestScripts:
         assert load_config(ROOT / "scripts" / f"{name}.cfg") == \
             workloads.WORKLOADS[name].config
 
+    def test_link_gate_config_is_link_bound(self):
+        # Ten times both CPUs and a tenth of the bandwidth; nothing else
+        # differs from the reference.
+        from dataclasses import replace
+
+        from uav_mec.config import ExperimentConfig
+        assert load_config(ROOT / "scripts" / "link.cfg") == replace(
+            ExperimentConfig(), cpu_suav_hz=2e9, cpu_ruav_hz=20e9,
+            bandwidth_hz=1e6)
+
     @pytest.mark.parametrize("args", [
         ("compare_schemes.py", "--seeds", "abc"),
         ("compare_schemes.py", "--seeds", "-1"),

@@ -44,10 +44,14 @@ class TestBasics:
     def test_solver_failure_raises(self, monkeypatch):
         # Any other HiGHS outcome but optimal (here 4, numerical
         # difficulties) is an error too.
+        import scipy.optimize
         from scipy.optimize import OptimizeResult
 
-        monkeypatch.setattr(simplex, "linprog", lambda *a, **k: OptimizeResult(
-            status=4, message="numerical difficulties", x=None))
+        # solve_lp_arrays imports linprog from scipy.optimize on each call.
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: OptimizeResult(
+                                status=4, message="numerical difficulties",
+                                x=None))
         with pytest.raises(NumericalFailure):
             solve([1.0], [[-1.0]], [-3.0])
 
