@@ -30,7 +30,7 @@ import numpy as np
 
 from . import simplex
 from .cost import (BranchPrice, branch_price, effective_chunk_bits,
-                   floored_rate, per_solve, suav_prices)
+                   floored_rate, per_solve)
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
@@ -97,17 +97,28 @@ class Sp1Terms:
         return self.e_ruav[0]
 
 
-def _sp1_prices(scenario: Scenario, sizes: list[float]):
+def _sp1_records(scenario: Scenario, j: int, s: float):
+    """S-UAV j's SP1 records at task size s: its local branch's, and its
+    offload branch's at each offloader count within the cap, m - 1 at m."""
+    return (branch_price(scenario, j, s, False, 0),
+            [branch_price(scenario, j, s, True, m)
+             for m in range(1, scenario.n0_cap + 1)])
+
+
+def _sp1_prices(scenario: Scenario, sizes: list[float],
+                tables: dict | None):
     """SP1's records that no position changes, at task sizes sizes: the
     local branch's and the offload branch's at one offloader, stacked one
     row per S-UAV, and the offload branch's relay seconds and energy at
     every offloader count within the cap, row m - 1 at m offloaders (only
-    fixed_s and relay_j change with m)."""
-    local = BranchPrice(*np.array(suav_prices(scenario, sizes,
-                                              [0] * len(sizes))).T)
-    offs = [[branch_price(scenario, j, s, True, m) for j, s in enumerate(sizes)]
-            for m in range(1, scenario.n0_cap + 1)]
-    return (local, BranchPrice(*np.array(offs[0]).T),
+    fixed_s and relay_j change with m). Given a solve's tables, each
+    S-UAV's records at each size are built once per solve
+    (cost.per_solve)."""
+    local, offs = zip(*(per_solve(tables, ("sp1", j, s),
+                                  lambda: _sp1_records(scenario, j, s))
+                        for j, s in enumerate(sizes)))
+    offs = list(zip(*offs))  # row m - 1: every S-UAV at m offloaders
+    return (BranchPrice(*np.array(local).T), BranchPrice(*np.array(offs[0]).T),
             np.array([[p.fixed_s for p in row] for row in offs]),
             np.array([[p.relay_j for p in row] for row in offs]))
 
@@ -116,13 +127,14 @@ def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D, tables: dict | None = None) -> Sp1Terms:
     """SP1's terms: the records of _sp1_prices, which depend only on which
     S-UAVs carry video, priced at each S-UAV's link rate. Given a solve's
-    tables, the records are built once per solve and set of video-carrying
-    S-UAVs (cost.per_solve). An idle S-UAV sends 0 bits, so it prices to
-    zero but its hover at its own rate."""
+    tables, they are gathered once per solve and set of video-carrying
+    S-UAVs, from records built once per solve, S-UAV and task size
+    (cost.per_solve). An idle S-UAV sends 0 bits, so it prices to zero but
+    its hover at its own rate."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     local, off, t_ruav, e_ruav = per_solve(
-        tables, ("sp1", s_bits.tobytes()),
-        lambda: _sp1_prices(scenario, s_bits.tolist()))
+        tables, ("sp1 set", s_bits.tobytes()),
+        lambda: _sp1_prices(scenario, s_bits.tolist(), tables))
     q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
     r = np.array([floored_rate(suav.current_pos.xyz, q, gamma1, bandwidth_hz)
                   for suav, gamma1 in zip(scenario.suavs,

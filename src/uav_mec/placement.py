@@ -17,8 +17,7 @@ one value, and needs nothing more. minimize pivots as Welzl's algorithm
 does (Welzl 1991; Matousek, Sharir & Welzl 1996): it adds the most violated
 constraint and keeps the first support of the old one plus that constraint
 that holds them all. Its certificate closes when every constraint holds and
-the support's barycentric multipliers are nonnegative. It runs on NumPy and
-Python floats alone, so its point does not depend on the BLAS thread count.
+the support's barycentric multipliers are nonnegative.
 
 Each inner solve (solve_sp2_2) returns whichever of two box points has the
 higher minimum surrogate rate: the exact solve's point or the expansion
@@ -29,8 +28,21 @@ did not close. Each S-UAV's energy budget floors its own rate, and the
 surrogate bounds the rate from below, so a point whose surrogate rates meet
 every floor keeps every budget.
 
-The exact objective prices links as the evaluator does (cost.floored_rates),
+The exact objective prices links as the evaluator does (cost.floored_rate),
 so sca_loop's trace ends at evaluate_solution's objective, to the bit.
+
+The block works on a handful of rows, where a NumPy call costs more than
+its arithmetic, so each round runs on Python floats: PlacementTerms.rows,
+built once per sca_loop call, feeds the exact objective, the surrogate's
+coefficients and rates, the choice between the candidates, the floor test
+and minimize. Each expression keeps the order of operations of the NumPy
+form it replaced, so the results are the same to the bit: squared
+distances are summed as (dx*dx + dy*dy) + dz*dz, dot products left to
+right from 0.0, as sum() does, and ties go to the first row, as argmin's
+do. The surrogate's value at the expansion point takes NumPy's log2, one
+call per round, which differs from math.log2 in the last bit on some
+inputs. No BLAS routine is called, so no result depends on the thread
+count. Points leave the block as Position3D of NumPy floats.
 """
 
 from __future__ import annotations
@@ -38,13 +50,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleSubproblem
-from .cost import (BranchPrice, effective_chunk_bits, floored_rates,
+from .cost import (BranchPrice, effective_chunk_bits, floored_rate,
                    per_solve, suav_prices)
 from .scenario import Association, Position3D, Scenario
 
@@ -62,6 +74,7 @@ _POS_TOL = 1e-12
 _KKT_TOL = 1e-9
 _SINGULAR = 1e-12
 _MAX_PIVOTS = 64
+_LOG2E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,9 @@ class PlacementTerms:
     """Per transmitting S-UAV: geometry and the latency affine pieces.
 
     Worst-case-rate latency is tx_bits / lambda + fixed_s; the exact latency
-    replaces lambda with the S-UAV's own rate.
+    replaces lambda with the S-UAV's own rate. rows holds the same values as
+    Python floats, built once with the terms, for the per-round arithmetic:
+    (x, y, h, gamma1, tx_bits, fixed_s, floor) per S-UAV.
     """
 
     q: np.ndarray         # (n, 3) repositioned S-UAV locations
@@ -78,6 +93,12 @@ class PlacementTerms:
     fixed_s: np.ndarray   # (n,) compute time independent of the link
     floors: np.ndarray    # (n,) least rate each S-UAV's energy budget allows
     bandwidth_hz: float
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(zip(
+            *self.q.T.tolist(), self.gamma1.tolist(), self.tx_bits.tolist(),
+            self.fixed_s.tolist(), self.floors.tolist())))
 
 
 def _placement_prices(scenario: Scenario, s_bits: np.ndarray,
@@ -115,36 +136,61 @@ def placement_terms(scenario: Scenario, association: Association,
     )
 
 
-def exact_objective(terms: PlacementTerms, points: np.ndarray) -> np.ndarray:
-    """Exact min-max latency at one or many candidate relay positions, each
-    evaluate_solution's objective there to the bit."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rates = floored_rates(terms.q, pts[:, None, :], terms.gamma1,
-                          terms.bandwidth_hz)
-    lat = terms.tx_bits[None, :] / rates + terms.fixed_s[None, :]
-    return lat.max(axis=1, initial=0.0)  # 0 with no transmitter
+def _floats(p: Position3D) -> list[float]:
+    """p's (x, y, h) as Python floats: its fields may be NumPy scalars."""
+    return [float(p.x), float(p.y), float(p.h)]
 
 
-def _box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    return scenario.ruav.box_lo.array, scenario.ruav.box_hi.array
+def _clip(p, lo, hi) -> list[float]:
+    """np.clip(p, lo, hi) on (x, y, h) floats, in its order of tests."""
+    out = []
+    for v, a, b in zip(p, lo, hi):
+        v = v if v > a else a
+        out.append(v if v < b else b)
+    return out
 
 
-def _surrogate_coeffs(terms: PlacementTerms, q_ref: np.ndarray):
-    """(a, slope, d2_ref) rows of the rate lower bound expanded at q_ref."""
-    d2r = np.maximum(((terms.q - q_ref[None, :]) ** 2).sum(axis=1), 1.0)
-    a = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1 / d2r)
-    slope = (terms.bandwidth_hz * terms.gamma1 * math.log2(math.e)
-             / (d2r * (d2r + terms.gamma1)))
-    return a, slope, d2r
+def exact_objective(terms: PlacementTerms, point) -> float:
+    """Exact min-max latency with the relay at point, an (x, y, h) triple:
+    evaluate_solution's objective there, to the bit, since each rate is
+    cost.floored_rate's. 0.0 with no transmitter."""
+    b = terms.bandwidth_hz
+    worst = 0.0
+    for x, y, h, gamma1, tx_bits, fixed_s, _ in terms.rows:
+        lat = tx_bits / floored_rate((x, y, h), point, gamma1, b) + fixed_s
+        if lat > worst:
+            worst = lat
+    return worst
 
 
-def surrogate_rates(terms: PlacementTerms, q_ref: np.ndarray,
-                    points: np.ndarray) -> np.ndarray:
-    """Surrogate rate of every S-UAV at one or many candidate positions."""
-    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d2 = ((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2)
-    return a[None, :] - slope[None, :] * (d2 - d2r[None, :])
+def _surrogate_coeffs(terms: PlacementTerms, q_ref) -> tuple[list, list, list]:
+    """(a, slope, d2_ref) per row of the rate lower bound expanded at q_ref,
+    an (x, y, h) triple. a, the rate at q_ref, takes NumPy's log2 over the
+    rows, which differs from math.log2 in the last bit on some inputs."""
+    (rx, ry, rh), b = q_ref, terms.bandwidth_hz
+    d2r, snr, slope = [], [], []
+    for x, y, h, gamma1, *_ in terms.rows:
+        dx, dy, dz = x - rx, y - ry, h - rh
+        d2 = max((dx * dx + dy * dy) + dz * dz, 1.0)
+        d2r.append(d2)
+        snr.append(1.0 + gamma1 / d2)
+        slope.append(b * gamma1 * _LOG2E / (d2 * (d2 + gamma1)))
+    return [b * v for v in np.log2(snr).tolist()], slope, d2r
+
+
+def surrogate_rates(terms: PlacementTerms, coeffs: tuple,
+                    points) -> list[list]:
+    """Surrogate rate of every row at each of points, (x, y, h) triples: one
+    list per point. coeffs: the surrogate's expansion, _surrogate_coeffs."""
+    rows = list(zip(terms.rows, *coeffs))
+    out = []
+    for px, py, ph in points:
+        rates = []
+        for (x, y, h, *_), a, slope, d2r in rows:
+            dx, dy, dz = px - x, py - y, ph - h
+            rates.append(a - slope * (((dx * dx + dy * dy) + dz * dz) - d2r))
+        out.append(rates)
+    return out
 
 
 class Maximin(NamedTuple):
@@ -175,10 +221,14 @@ def _largest_root(a: float, b: float, c: float) -> float | None:
 
 
 def _forward(cols: list, b: list) -> list:
-    """R^-T b, for R upper triangular given by its columns."""
-    x = []
-    for col, bj in zip(cols, b):
-        x.append((bj - _dot(col, x)) / col[-1])
+    """R^-T b, for R upper triangular given by its columns; each column,
+    and the result, padded with zeros to length 3."""
+    x = [0.0, 0.0, 0.0]
+    for j, (col, bj) in enumerate(zip(cols, b)):
+        above = 0.0  # R's column j above its diagonal, dotted with x
+        for k in range(j):
+            above += col[k] * x[k]
+        x[j] = (bj - above) / col[j]
     return x
 
 
@@ -195,53 +245,95 @@ def _support(cs: list, ws: list, rs: list):
     constraints then removes the roundoff of the quadratic, which near a
     double root is large. A direction under _SINGULAR of its e_j
     (relative, squared), as for coplanar centres, makes the support
-    singular."""
-    c0, w0, r0 = cs[0], ws[0], rs[0]
+    singular.
+
+    The arithmetic is written out on scalars. Every dot product is summed
+    left to right from 0.0, and vectors in U's coordinates (at most 3) are
+    padded with zeros to length 3, which adds only zero terms."""
+    (x0, y0, z0), w0, r0 = cs[0], ws[0], rs[0]
     us, cols = [], []  # U's rows, R's columns
-    for cn in cs[1:]:
-        v = [a - b for a, b in zip(cn, c0)]
-        e2 = _dot(v, v)
-        col = []
-        for u in us:
-            col.append(_dot(u, v))
-            v = [a - col[-1] * b for a, b in zip(v, u)]
-        rjj = math.sqrt(_dot(v, v))
+    for cx, cy, cz in cs[1:]:
+        ex, ey, ez = cx - x0, cy - y0, cz - z0
+        e2 = 0.0 + ex * ex + ey * ey + ez * ez
+        col = [0.0, 0.0, 0.0]
+        for j, (ux, uy, uz) in enumerate(us):
+            col[j] = d = 0.0 + ux * ex + uy * ey + uz * ez
+            ex, ey, ez = ex - d * ux, ey - d * uy, ez - d * uz
+        rjj = math.sqrt(0.0 + ex * ex + ey * ey + ez * ez)
         if rjj * rjj <= _SINGULAR * e2:
             return None
-        us.append([a / rjj for a in v])
-        cols.append(col + [rjj])
-    m = len(cols)
-    pts = [[0.0] * m] + [col + [0.0] * (m - len(col)) for col in cols]
-    dw = [0.5 * (wn - w0) for wn in ws[1:]]
-    s0 = _forward(cols, [0.5 * (_dot(p, p) - rn + r0)
-                         for p, rn in zip(pts[1:], rs[1:])])
-    s1 = _forward(cols, dw)
-    lam = _largest_root(_dot(s1, s1), 2.0 * _dot(s0, s1) + w0,
-                        _dot(s0, s0) - r0)
+        col[len(us)] = rjj
+        us.append((ex / rjj, ey / rjj, ez / rjj))
+        cols.append(col)
+    (a0, a1, a2), (b0, b1, b2) = (  # s = s0 + lam s1
+        _forward(cols, [0.5 * ((0.0 + p0 * p0 + p1 * p1 + p2 * p2) - rn + r0)
+                        for (p0, p1, p2), rn in zip(cols, rs[1:])]),
+        _forward(cols, [0.5 * (wn - w0) for wn in ws[1:]]))
+    lam = _largest_root(0.0 + b0 * b0 + b1 * b1 + b2 * b2,
+                        2.0 * (0.0 + a0 * b0 + a1 * b1 + a2 * b2) + w0,
+                        (0.0 + a0 * a0 + a1 * a1 + a2 * a2) - r0)
     if lam is None:
         return None
-    s = [a + lam * b for a, b in zip(s0, s1)]
-    g = [_dot(d, d) + lam * wn - rn for wn, rn, d in zip(
-        ws, rs, ([a - b for a, b in zip(s, p)] for p in pts))]
-    a0 = _forward(cols, [0.5 * (gn - g[0]) for gn in g[1:]])
-    deriv = 2.0 * _dot(s, s1) + w0  # of the first constraint along s(lam)
+    s0, s1, s2 = a0 + lam * b0, a1 + lam * b1, a2 + lam * b2
+    g = [(0.0 + s0 * s0 + s1 * s1 + s2 * s2) + lam * w0 - r0]
+    for (p0, p1, p2), wn, rn in zip(cols, ws[1:], rs[1:]):  # e_j on U
+        d0, d1, d2 = s0 - p0, s1 - p1, s2 - p2
+        g.append((0.0 + d0 * d0 + d1 * d1 + d2 * d2) + lam * wn - rn)
+    # the first constraint's derivative along s(lam)
+    deriv = 2.0 * (0.0 + s0 * b0 + s1 * b1 + s2 * b2) + w0
     if deriv != 0.0:
-        step = -(g[0] + 2.0 * _dot(s, a0)) / deriv
-        s = [a + b + step * c for a, b, c in zip(s, a0, s1)]
+        n0, n1, n2 = _forward(cols, [0.5 * (gn - g[0]) for gn in g[1:]])
+        step = -(g[0] + 2.0 * (0.0 + s0 * n0 + s1 * n1 + s2 * n2)) / deriv
+        s0, s1, s2 = (s0 + n0 + step * b0, s1 + n1 + step * b1,
+                      s2 + n2 + step * b2)
         lam += step
-    q = [x + _dot(s, axis) for x, axis in zip(c0, zip(*us))] if us else c0[:]
-    t = [0.0] * m  # R t = s
-    for j in reversed(range(m)):
+    s = [s0, s1, s2][:len(us)]
+    q = [x + _dot(s, axis)
+         for x, axis in zip(cs[0], zip(*us))] if us else list(cs[0])
+    t = [0.0] * len(s)  # R t = s
+    for j in reversed(range(len(s))):
         t[j] = (s[j] - sum(cols[k][j] * t[k]
-                           for k in range(j + 1, m))) / cols[j][j]
+                           for k in range(j + 1, len(s)))) / cols[j][j]
     return q, lam, [1.0 - sum(t)] + t
 
 
-def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
-             lo: np.ndarray, hi: np.ndarray) -> Maximin:
+def _start(c: list, w: list, r: list, lo: list, hi: list):
+    """minimize's first support: the ball whose centre, projected onto the
+    box, has the least lam there, with the faces the projection moved it
+    onto. (point, lam, basis); the first such ball on a tie."""
+    best = None
+    for k, (p, wk, rk) in enumerate(zip(c, w, r)):
+        (x, y, h), proj = p, _clip(p, lo, hi)
+        dx, dy, dz = proj[0] - x, proj[1] - y, proj[2] - h
+        lam = (rk - ((dx * dx + dy * dy) + dz * dz)) / wk
+        if best is None or lam < best[1]:
+            best = (k, lam, proj)
+    v0, lam, proj = best
+    return proj, lam, (v0,) + tuple(len(w) + 2 * i + int(c[v0][i] > hi[i])
+                                    for i in range(3) if proj[i] != c[v0][i])
+
+
+def _most_violated(c: list, w: list, r: list, q: list, lam: float,
+                   skip) -> int | None:
+    """The ball outside skip whose lam at q is least, the first on a tie,
+    if that lam is below lam by more than _LAM_TOL (relative); else None."""
+    qx, qy, qh = q
+    least, worst = math.inf, None
+    for k, ((x, y, h), wk, rk) in enumerate(zip(c, w, r)):
+        if k in skip:
+            continue
+        dx, dy, dz = x - qx, y - qy, h - qh
+        f = (rk - ((dx * dx + dy * dy) + dz * dz)) / wk
+        if f < least:
+            least, worst = f, k
+    return worst if least < lam - _LAM_TOL * max(1.0, abs(lam)) else None
+
+
+def minimize(centres: list, w: list, r: list, lo: list, hi: list) -> Maximin:
     """max lam subject to |q - c_n|^2 + lam w_n <= r_n for every row c_n of
     centres (w_n > 0), and lo <= q <= hi, solved exactly by pivoting on
-    supports.
+    supports. Every input is Python floats: centres (x, y, h) rows, w and r
+    one per row, lo and hi (x, y, h).
 
     A support is a set of tight constraints: at most four, balls and box
     faces. A face fixes its axis, so on it each centre moves onto the face
@@ -258,26 +350,24 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
     (else the feasible one of largest lam). That point is optimal for the
     old support and v together, so lam falls strictly and no support
     repeats."""
-    n = len(w)
-    lo_l, hi_l = lo.tolist(), hi.tolist()
+    c, n = centres, len(w)
     # On an axis where every centre agrees, no support spans a direction.
-    flat = {i for i, same in enumerate(centres.min(axis=0)
-                                       == centres.max(axis=0)) if same}
-    c, wl, rl = centres.tolist(), w.tolist(), r.tolist()
-    pos_tol = [_POS_TOL * max(1.0, abs(a), abs(b))
-               for a, b in zip(lo_l, hi_l)]
-    face_tol = [_KKT_TOL * max(1.0, b - a) for a, b in zip(lo_l, hi_l)]
+    flat = {i for i, axis in enumerate(zip(*c)) if min(axis) == max(axis)}
+    pos_tol = [_POS_TOL * max(1.0, abs(a), abs(b)) for a, b in zip(lo, hi)]
+    face_tol = [_KKT_TOL * max(1.0, b - a) for a, b in zip(lo, hi)]
 
     def face(k: int) -> tuple[int, int, float]:
         axis, upper = divmod(k - n, 2)
-        return axis, upper, (hi_l if upper else lo_l)[axis]
+        return axis, upper, (hi if upper else lo)[axis]
 
     def holds(q: list, lam: float, ids) -> bool:
         tol = _LAM_TOL * max(1.0, abs(lam))
+        qx, qy, qh = q
         for k in ids:
             if k < n:
-                d2 = sum((a - b) ** 2 for a, b in zip(q, c[k]))
-                if (rl[k] - d2) / wl[k] < lam - tol:
+                x, y, h = c[k]
+                d2 = 0.0 + (qx - x) ** 2 + (qy - y) ** 2 + (qh - h) ** 2
+                if (r[k] - d2) / w[k] < lam - tol:
                     return False
             else:
                 axis, upper, v = face(k)
@@ -291,13 +381,13 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
         faces = [face(k) for k in ids if k >= n]
         if not balls or len(balls) > 4 - len(flat | {f[0] for f in faces}):
             return None
-        cs = [c[k][:] for k in balls]
-        rs = [rl[k] for k in balls]
+        cs = [list(c[k]) for k in balls]
+        rs = [r[k] for k in balls]
         for axis, _, v in faces:
             for j, cj in enumerate(cs):
                 rs[j] -= (cj[axis] - v) ** 2
                 cj[axis] = v
-        sol = _support(cs, [wl[k] for k in balls], rs)
+        sol = _support(cs, [w[k] for k in balls], rs)
         if sol is None:
             return None
         q, lam, bary = sol
@@ -312,25 +402,18 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
         """The most violated constraint outside the basis (whose own
         constraints are tight by construction), a face first; or None."""
         for axis in range(3):
-            if q[axis] < lo_l[axis] - pos_tol[axis]:
+            if q[axis] < lo[axis] - pos_tol[axis]:
                 return n + 2 * axis
-            if q[axis] > hi_l[axis] + pos_tol[axis]:
+            if q[axis] > hi[axis] + pos_tol[axis]:
                 return n + 2 * axis + 1
-        f = (r - ((centres - np.array(q)) ** 2).sum(axis=1)) / w
-        f[[k for k in basis if k < n]] = np.inf
-        k = int(np.argmin(f))
-        return k if f[k] < lam - _LAM_TOL * max(1.0, abs(lam)) else None
+        return _most_violated(c, w, r, q, lam, basis)
 
-    proj = np.clip(centres, lo, hi)
-    single = (r - ((proj - centres) ** 2).sum(axis=1)) / w
-    v0 = int(np.argmin(single))
-    basis = (v0,) + tuple(n + 2 * i + int(c[v0][i] > hi_l[i])
-                          for i in range(3) if proj[v0, i] != c[v0][i])
-    q, lam, ok = proj[v0].tolist(), float(single[v0]), True
+    q, lam, basis = _start(c, w, r, lo, hi)
+    ok = True
     for _ in range(_MAX_PIVOTS):
         v = violated(q, lam, basis)
         if v is None:
-            return Maximin(np.clip(np.array(q), lo, hi), lam, ok)
+            return Maximin(np.array(_clip(q, lo, hi)), lam, ok)
         best = None
         for ids in (keep + (v,) for size in range(min(len(basis), 3), -1, -1)
                     for keep in itertools.combinations(basis, size)):
@@ -345,14 +428,29 @@ def minimize(centres: np.ndarray, w: np.ndarray, r: np.ndarray,
         if best is None:
             break
         basis, (q, lam, ok) = best
-    return Maximin(np.clip(np.array(q), lo, hi), lam, False)
+    return Maximin(np.array(_clip(q, lo, hi)), lam, False)
 
 
 def default_initial_position(scenario: Scenario) -> Position3D:
-    lo, hi = _box(scenario)
-    xy = np.mean([s.current_pos.array[:2] for s in scenario.suavs], axis=0)
-    q = np.clip(np.array([xy[0], xy[1], 0.5 * (lo[2] + hi[2])]), lo, hi)
-    return Position3D(*q)
+    """The S-UAVs' mean (x, y) at the box's middle altitude, clipped to the
+    box. The means are summed left to right, as NumPy's mean over rows."""
+    lo, hi = _floats(scenario.ruav.box_lo), _floats(scenario.ruav.box_hi)
+    n = len(scenario.suavs)
+    q = [sum(float(s.current_pos.x) for s in scenario.suavs) / n,
+         sum(float(s.current_pos.y) for s in scenario.suavs) / n,
+         0.5 * (lo[2] + hi[2])]
+    return Position3D(*map(np.float64, _clip(q, lo, hi)))
+
+
+def _inner_problem(terms: PlacementTerms, coeffs: tuple
+                   ) -> tuple[list, list, list]:
+    """The surrogate max-min with coefficients coeffs (_surrogate_coeffs),
+    as minimize takes it: (centres, w, r) with w_n = B / slope_n and
+    R_n = d2r_n + a_n / slope_n."""
+    a, slope, d2r = coeffs
+    b = terms.bandwidth_hz
+    return ([row[:3] for row in terms.rows], [b / s for s in slope],
+            [d + an / s for an, s, d in zip(a, slope, d2r)])
 
 
 def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
@@ -366,16 +464,16 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
     (point, uncertified): the first candidate whose surrogate rates meet
     every S-UAV's floor, and whether the solve's certificate failed to
     close."""
-    lo, hi = _box(scenario)
-    q_ref = q_m_ref.array
-    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
-    res = minimize(terms.q, terms.bandwidth_hz / slope, d2r + a / slope,
-                   lo, hi)
-    cands = np.clip(np.stack([res.x, q_ref]), lo, hi)
-    rates = surrogate_rates(terms, q_ref, cands)
-    for k in (int(np.argmax(rates.min(axis=1))), 1):
-        if (rates[k] >= terms.floors).all():
-            return Position3D(*cands[k]), not res.success
+    lo, hi = _floats(scenario.ruav.box_lo), _floats(scenario.ruav.box_hi)
+    q_ref = _floats(q_m_ref)
+    coeffs = _surrogate_coeffs(terms, q_ref)
+    res = minimize(*_inner_problem(terms, coeffs), lo, hi)
+    cands = [_clip(res.x.tolist(), lo, hi), _clip(q_ref, lo, hi)]
+    rates = surrogate_rates(terms, coeffs, cands)
+    for k in (0 if min(rates[0]) >= min(rates[1]) else 1, 1):
+        if all(rate >= floor
+               for rate, (*_, floor) in zip(rates[k], terms.rows)):
+            return Position3D(*map(np.float64, cands[k])), not res.success
     raise InfeasibleSubproblem(
         "energy budgets demand rates the geometry cannot deliver")
 
@@ -394,15 +492,15 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     discarded, so the trace never rises.
     """
     terms = placement_terms(scenario, association, beta, tables)
-    if terms.q.shape[0] == 0:
+    if not terms.rows:
         return q_m, [0.0], 0
 
-    trace = [float(exact_objective(terms, q_m.array)[0])]
+    trace = [exact_objective(terms, _floats(q_m))]
     fallbacks = 0
     for _ in range(SCA_MAX_ITER):
         nxt, failed = solve_sp2_2(scenario, terms, q_m)
         fallbacks += failed
-        exact = float(exact_objective(terms, nxt.array)[0])
+        exact = exact_objective(terms, _floats(nxt))
         if exact <= trace[-1] + 1e-12:
             q_m = nxt
             trace.append(exact)

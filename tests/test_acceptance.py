@@ -25,8 +25,8 @@ from uav_mec.oracles import (enumerate_associations_at_least_one,
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   nearest_covering_association, run_scheme)
 from uav_mec.association import Pools, solve_association
-from uav_mec.placement import (default_initial_position, sca_loop,
-                               surrogate_rates)
+from uav_mec.placement import (_surrogate_coeffs, default_initial_position,
+                               sca_loop, surrogate_rates)
 from uav_mec.scenario import (Association, Position3D, generate_scenario,
                               repositioned_scenario)
 
@@ -115,8 +115,9 @@ def test_criterion_01_taylor_dominance():
     for i in range(0, n, 100):
         exact_ref = rate_at_dist_sq(float(((q_n[i] - q_ref[i]) ** 2).sum()),
                                     b, gamma1)
-        bound_ref = surrogate_rates(link_terms(q_n[i], gamma1, b),
-                                    q_ref[i], q_ref[i])[0, 0]
+        terms = link_terms(q_n[i], gamma1, b)
+        bound_ref = surrogate_rates(terms, _surrogate_coeffs(terms, q_ref[i]),
+                                    [q_ref[i]])[0][0]
         if abs(bound_ref - exact_ref) > 1e-9 * exact_ref:
             equality = False
     elapsed = time.monotonic() - start

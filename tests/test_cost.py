@@ -392,7 +392,7 @@ class TestCrossBlockPricing:
                 placement_terms(placed, assoc, beta)
         else:
             terms = placement_terms(placed, assoc, beta)
-            assert float(exact_objective(terms, q.array)[0]) == objective
+            assert exact_objective(terms, q.array.tolist()) == objective
 
         # A hover that alone breaks its budget breaks it in every plan, and
         # Pools, built first in every solve, raises on it.
@@ -544,6 +544,11 @@ class TestPerSolveTables:
                          for j, s in enumerate(sizes)]
                 assert t.t_ruav[m - 1].tolist() == [p.fixed_s for p in alone]
                 assert t.e_ruav[m - 1].tolist() == [p.relay_j for p in alone]
-        # One table per set of video-carrying S-UAVs.
+        # Each S-UAV's records once per task size it takes in the solve,
+        # gathered into one table per set of video-carrying S-UAVs.
+        sizes = {(j, s) for assoc, _, _ in steps for j, s in
+                 enumerate(effective_chunk_bits(sc, assoc.alpha).tolist())}
+        assert {k[1:] for k in pools.tables if k[0] == "sp1"} == sizes
         actives = {tuple(s.alpha.sum(axis=0) > 0) for s, _, _ in steps}
-        assert len([k for k in pools.tables if k[0] == "sp1"]) == len(actives)
+        assert len([k for k in pools.tables
+                    if k[0] == "sp1 set"]) == len(actives)

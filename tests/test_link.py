@@ -87,13 +87,16 @@ class TestTaylorBound:
     def test_tight_at_expansion_point(self):
         q_ref = np.array(at(250.0, 100.0, 400.0))
         exact = rate(ORIGIN, q_ref)
-        bound = surrogate_rates(self.terms, q_ref, q_ref)[0, 0]
+        bound = surrogate_rates(self.terms,
+                                _surrogate_coeffs(self.terms, q_ref),
+                                [q_ref])[0][0]
         assert bound == pytest.approx(exact, rel=1e-12)
 
     def test_farther_point_strictly_below_expansion_rate(self):
         q_ref = np.array(at(300.0))
-        a_ref, _, _ = _surrogate_coeffs(self.terms, q_ref)
-        assert surrogate_rates(self.terms, q_ref, at(400.0))[0, 0] < a_ref[0]
+        coeffs = _surrogate_coeffs(self.terms, q_ref)
+        assert surrogate_rates(self.terms, coeffs, [at(400.0)])[0][0] < \
+            coeffs[0][0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.floats(0.0, 1000.0) for _ in range(6)]),
@@ -104,7 +107,9 @@ class TestTaylorBound:
         q_m = (xy[2], xy[3], h_m)
         q_ref = np.array([xy[4], xy[5], h_ref])
         exact = rate(q_n, q_m)
-        bound = surrogate_rates(link_terms(q_n, GAMMA1), q_ref, q_m)[0, 0]
+        terms = link_terms(q_n, GAMMA1)
+        bound = surrogate_rates(terms, _surrogate_coeffs(terms, q_ref),
+                                [q_m])[0][0]
         assert bound <= exact * (1.0 + 1e-9) + 1e-9
 
     def test_slope_positive(self):

@@ -254,7 +254,7 @@ class TestBuildOnce:
     def test_one_offload_record_per_suav(self, monkeypatch):
         # Each S-UAV's offload branch gets one scalar record per offloader
         # count, idle S-UAVs included, and each count's row is what pricing
-        # that count alone gives, to the bit.
+        # that count alone gives, to the bit. Its local branch gets one.
         from uav_mec import cost, offload
         sc = scenario_n(6, n0_cap=5, chunk_bits=[1e6, 2.5e6, 1.7e6,
                                                  3.1e6, 2.2e6, 1.2e6])
@@ -262,9 +262,16 @@ class TestBuildOnce:
         alpha[:, 2] = 0  # S-UAV 2 carries no video
         alpha[2, 1] = 1
         assoc = Association(alpha=alpha, feasible_mask=alpha)
-        offload_prices = counting(monkeypatch, offload, "branch_price")
+        branches = []  # the offloaded flag of each record built
+
+        def priced(*args):
+            branches.append(args[3])
+            return cost.branch_price(*args)
+
+        monkeypatch.setattr(offload, "branch_price", priced)
         t = sp1_terms(sc, assoc, Q_M)
-        assert len(offload_prices) == sc.n_suavs * sc.n0_cap
+        assert branches.count(True) == sc.n_suavs * sc.n0_cap
+        assert branches.count(False) == sc.n_suavs
         for m in range(1, sc.n0_cap + 1):
             alone = [cost.branch_price(sc, j, s, True, m)
                      for j, s in enumerate([1e6, 2.5e6, 0.0, 3.1e6, 2.2e6,

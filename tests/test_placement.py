@@ -1,18 +1,20 @@
 """Relay placement: surrogate bounds, SCA descent, and the grid oracle."""
 
+import copy
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.link import snr_coeff
 from uav_mec.oracles import grid_search_placement
-from uav_mec.placement import (default_initial_position, exact_objective,
-                               placement_terms, sca_loop, solve_sp2_2,
-                               surrogate_rates)
+from uav_mec.placement import (_surrogate_coeffs, default_initial_position,
+                               exact_objective, placement_terms, sca_loop,
+                               solve_sp2_2, surrogate_rates)
 from uav_mec.scenario import Position3D
 
 from .conftest import (DEFAULT_CONSTANTS, counting, full_association,
@@ -49,7 +51,8 @@ class TestSurrogate:
         rng = np.random.default_rng(0)
         q_ref = np.array([400.0, 450.0, 300.0])
         pts = rng.uniform([0, 0, 100], [1000, 1000, 1000], size=(200, 3))
-        sur = surrogate_rates(terms, q_ref, pts)
+        sur = np.array(surrogate_rates(
+            terms, _surrogate_coeffs(terms, q_ref), pts))
         d2 = np.maximum(((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2), 1.0)
         exact = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1[None, :] / d2)
         assert np.all(sur <= exact * (1.0 + 1e-9) + 1e-9)
@@ -58,7 +61,8 @@ class TestSurrogate:
         sc = pair_scenario()
         terms = placement_terms(sc, identity_association(sc), np.zeros(2, dtype=int))
         q_ref = np.array([400.0, 450.0, 300.0])
-        sur = surrogate_rates(terms, q_ref, q_ref[None, :])
+        sur = np.array(surrogate_rates(
+            terms, _surrogate_coeffs(terms, q_ref), [q_ref]))
         d2 = ((q_ref[None, :] - terms.q) ** 2).sum(axis=1)
         exact = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1 / d2)
         np.testing.assert_allclose(sur[0], exact, rtol=1e-12)
@@ -88,9 +92,10 @@ class TestSolveSp22:
         hs = np.arange(100.0, 1000.0, 1.0)
         bisector = np.stack([np.full_like(hs, 500.0),
                              np.full_like(hs, 500.0), hs], axis=1)
-        best_on_bisector = float(exact_objective(terms, bisector).min())
+        best_on_bisector = min(exact_objective(terms, p)
+                               for p in bisector.tolist())
         # Off-bisector points are never better than the mirror-symmetric pair.
-        off = exact_objective(terms, np.array([[560.0, 500.0, 300.0]]))[0]
+        off = exact_objective(terms, (560.0, 500.0, 300.0))
         assert off >= best_on_bisector
         assert trace[-1] <= best_on_bisector + 1e-4 * best_on_bisector
 
@@ -102,7 +107,7 @@ class TestSolveSp22:
                                  default_initial_position(sc))
         terms = placement_terms(sc, assoc, beta)
         q2, _ = solve_sp2_2(sc, terms, q1)
-        obj2 = float(exact_objective(terms, q2.array)[0])
+        obj2 = exact_objective(terms, q2.array.tolist())
         assert obj2 <= trace1[-1] + 1e-6
 
 
@@ -149,7 +154,7 @@ Q_REF = Position3D(480.0, 520.0, 400.0)
 
 
 def surrogate_min(terms, q_ref, q):
-    return float(surrogate_rates(terms, q_ref, q).min())
+    return min(surrogate_rates(terms, _surrogate_coeffs(terms, q_ref), [q])[0])
 
 
 class TestInnerSolveRule:
@@ -229,8 +234,7 @@ def metre_unit_maximin(terms, q_ref, lo, hi):
     """The surrogate max-min solved by SLSQP with the position in metres,
     a reference for the exact solve; the point, clipped. Its common rate
     ratio is capped at the 1 m guard's, log2(1 + gamma1)."""
-    from uav_mec.placement import _surrogate_coeffs
-    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
+    a, slope, d2r = map(np.array, _surrogate_coeffs(terms, q_ref))
     b = terms.bandwidth_hz
 
     def cons_f(z):
@@ -259,11 +263,12 @@ def metre_unit_maximin(terms, q_ref, lo, hi):
 def reference_inner_solves(default_config):
     """Every inner solve of the four schemes at reference seeds 0-4, as
     (scenario, terms, expansion point, kept point, the exact solve's
-    record), and the supports each exact solve tried."""
+    record), the supports each exact solve tried, and every support's
+    inputs and result."""
     from uav_mec import placement
     from uav_mec.orchestrator import SCHEMES, run_scheme
     from uav_mec.scenario import generate_scenario
-    solves, records, supports = [], [], []
+    solves, records, supports, support_calls = [], [], [], []
     real_solve = placement.solve_sp2_2
     real_minimize, real_support = placement.minimize, placement._support
 
@@ -279,7 +284,9 @@ def reference_inner_solves(default_config):
 
     def support(*args):
         supports[-1] += 1
-        return real_support(*args)
+        inputs = copy.deepcopy(args)
+        support_calls.append((inputs, real_support(*args)))
+        return support_calls[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(placement, "solve_sp2_2", solve)
@@ -290,7 +297,7 @@ def reference_inner_solves(default_config):
             for scheme in SCHEMES:
                 run_scheme(sc, scheme)
     assert len(solves) == len(supports) > 0
-    return solves, supports
+    return solves, supports, support_calls
 
 
 def box_of(scenario):
@@ -300,16 +307,19 @@ def box_of(scenario):
 def exact_solve(terms, q_ref, lo, hi):
     """The exact solve of the surrogate max-min around q_ref, as
     solve_sp2_2 poses it."""
-    from uav_mec.placement import _surrogate_coeffs, minimize as exact
-    a, slope, d2r = _surrogate_coeffs(terms, q_ref)
-    return exact(terms.q, terms.bandwidth_hz / slope, d2r + a / slope, lo, hi)
+    from uav_mec.placement import _inner_problem, minimize as exact
+    q_ref, lo, hi = (np.asarray(v, dtype=float).tolist()
+                     for v in (q_ref, lo, hi))
+    coeffs = _surrogate_coeffs(terms, q_ref)
+    return exact(*_inner_problem(terms, coeffs), lo, hi)
 
 
 def grid_maximin(terms, q_ref, lo, hi, n=21):
     """The best minimum surrogate rate over an n^3 grid of the box."""
     axes = [np.linspace(a, b, n) for a, b in zip(lo, hi)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return float(surrogate_rates(terms, q_ref, pts).min(axis=1).max())
+    return max(map(min, surrogate_rates(
+        terms, _surrogate_coeffs(terms, q_ref), pts.tolist())))
 
 
 def assert_exact(terms, q_ref, lo, hi):
@@ -335,7 +345,7 @@ class TestExactInnerSolve:
 
     def test_kept_point_at_least_a_metre_unit_solve(self,
                                                     reference_inner_solves):
-        solves, _ = reference_inner_solves
+        solves, _, _ = reference_inner_solves
         for scenario, terms, q_ref, q_m, res in solves:
             lo, hi = box_of(scenario)
             at_ref = surrogate_min(terms, q_ref, q_ref)
@@ -348,9 +358,20 @@ class TestExactInnerSolve:
     def test_median_support_solves(self, reference_inner_solves):
         # Each pivot tries the old support plus the violated constraint,
         # largest first, and stops at the first optimal one.
-        _, supports = reference_inner_solves
+        _, supports, _ = reference_inner_solves
         assert np.median(supports) <= 4
         assert max(supports) <= 16
+
+    def test_support_count_is_pinned(self, reference_inner_solves):
+        # The pivot path, as a count: a change to which supports the exact
+        # solve tries shows here before it shows in a digest.
+        _, supports, _ = reference_inner_solves
+        assert (len(supports), sum(supports)) == (38, 169)
+
+    def test_supports_match_the_generic_form(self, reference_inner_solves):
+        _, _, calls = reference_inner_solves
+        for args, out in calls:
+            assert repr(out) == repr(generic_support(*args))
 
 
 GAMMA1 = snr_coeff(0.8, DEFAULT_CONSTANTS.rho0, DEFAULT_CONSTANTS.noise_w)
@@ -435,8 +456,8 @@ class TestExactSolveCases:
         assert not uncertified
         slsqp = metre_unit_maximin(terms, q_ref.array, lo, hi)
         assert np.linalg.norm(slsqp - terms.q[0]) < 1.0
-        assert (exact_objective(terms, q_m.array)[0]
-                == exact_objective(terms, slsqp)[0])
+        assert (exact_objective(terms, q_m.array.tolist())
+                == exact_objective(terms, slsqp.tolist()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0),
@@ -466,3 +487,242 @@ class TestBuildOnce:
                                Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2  # more than one SCA round
         assert len(builds) == 1
+
+
+def generic_support(cs, ws, rs):
+    """placement._support as first written, on vectors of any length with
+    sum() for every dot product: the reference its scalar form must match
+    to the bit."""
+    def dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    def forward(cols, b):
+        x = []
+        for col, bj in zip(cols, b):
+            x.append((bj - dot(col[:len(x)], x)) / col[len(x)])
+        return x
+
+    from uav_mec.placement import _SINGULAR, _largest_root
+    c0, w0, r0 = cs[0], ws[0], rs[0]
+    us, cols = [], []
+    for cn in cs[1:]:
+        v = [a - b for a, b in zip(cn, c0)]
+        e2 = dot(v, v)
+        col = []
+        for u in us:
+            col.append(dot(u, v))
+            v = [a - col[-1] * b for a, b in zip(v, u)]
+        rjj = math.sqrt(dot(v, v))
+        if rjj * rjj <= _SINGULAR * e2:
+            return None
+        us.append([a / rjj for a in v])
+        cols.append(col + [rjj])
+    m = len(cols)
+    pts = [[0.0] * m] + [col + [0.0] * (m - len(col)) for col in cols]
+    s0 = forward(cols, [0.5 * (dot(p, p) - rn + r0)
+                        for p, rn in zip(pts[1:], rs[1:])])
+    s1 = forward(cols, [0.5 * (wn - w0) for wn in ws[1:]])
+    lam = _largest_root(dot(s1, s1), 2.0 * dot(s0, s1) + w0,
+                        dot(s0, s0) - r0)
+    if lam is None:
+        return None
+    s = [a + lam * b for a, b in zip(s0, s1)]
+    g = [dot(d, d) + lam * wn - rn for wn, rn, d in zip(
+        ws, rs, ([a - b for a, b in zip(s, p)] for p in pts))]
+    a0 = forward(cols, [0.5 * (gn - g[0]) for gn in g[1:]])
+    deriv = 2.0 * dot(s, s1) + w0
+    if deriv != 0.0:
+        step = -(g[0] + 2.0 * dot(s, a0)) / deriv
+        s = [a + b + step * c for a, b, c in zip(s, a0, s1)]
+        lam += step
+    q = [x + dot(s, axis) for x, axis in zip(c0, zip(*us))] if us else c0[:]
+    t = [0.0] * m
+    for j in reversed(range(m)):
+        t[j] = (s[j] - sum(cols[k][j] * t[k]
+                           for k in range(j + 1, m))) / cols[j][j]
+    return q, lam, [1.0 - sum(t)] + t
+
+
+def numpy_exact_objective(terms, points):
+    """The exact objective in NumPy at the rows of points (k, 3)."""
+    from uav_mec.cost import floored_rates
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rates = floored_rates(terms.q, pts[:, None, :], terms.gamma1,
+                          terms.bandwidth_hz)
+    lat = terms.tx_bits[None, :] / rates + terms.fixed_s[None, :]
+    return lat.max(axis=1, initial=0.0)
+
+
+def numpy_surrogate_rates(terms, q_ref, points):
+    """The surrogate's coefficients (a, slope, d2r) at q_ref, and its rates
+    at the rows of points (k, 3), in NumPy."""
+    q_ref = np.asarray(q_ref, dtype=float)
+    d2r = np.maximum(((terms.q - q_ref[None, :]) ** 2).sum(axis=1), 1.0)
+    a = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1 / d2r)
+    slope = (terms.bandwidth_hz * terms.gamma1 * math.log2(math.e)
+             / (d2r * (d2r + terms.gamma1)))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d2 = ((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2)
+    return (a, slope, d2r), a[None, :] - slope[None, :] * (d2 - d2r[None, :])
+
+
+def numpy_start(centres, w, r, lo, hi):
+    """minimize's first support, in NumPy."""
+    centres, w, r = np.array(centres), np.array(w), np.array(r)
+    proj = np.clip(centres, lo, hi)
+    single = (r - ((proj - centres) ** 2).sum(axis=1)) / w
+    v0 = int(np.argmin(single))
+    basis = (v0,) + tuple(len(w) + 2 * i + int(centres[v0, i] > hi[i])
+                          for i in range(3) if proj[v0, i] != centres[v0, i])
+    return proj[v0].tolist(), float(single[v0]), basis
+
+
+def numpy_most_violated(centres, w, r, q, lam, basis):
+    """minimize's ball scan, in NumPy."""
+    from uav_mec.placement import _LAM_TOL
+    f = (np.array(r) - ((np.array(centres) - np.array(q)) ** 2).sum(axis=1)
+         ) / np.array(w)
+    f[[k for k in basis if k < len(w)]] = np.inf
+    k = int(np.argmin(f))
+    return k if f[k] < lam - _LAM_TOL * max(1.0, abs(lam)) else None
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+COORD = st.floats(-50.0, 1050.0)
+POINT = st.tuples(COORD, COORD, st.floats(0.0, 1050.0))
+
+
+def row_terms(rows):
+    """Placement terms with one row per (point, gamma1, tx_bits, fixed_s)."""
+    from uav_mec.placement import PlacementTerms
+    return PlacementTerms(q=np.array([p for p, *_ in rows]).reshape(-1, 3),
+                          gamma1=np.array([g for _, g, _, _ in rows]),
+                          tx_bits=np.array([t for *_, t, _ in rows]),
+                          fixed_s=np.array([f for *_, f in rows]),
+                          floors=np.zeros(len(rows)),
+                          bandwidth_hz=DEFAULT_CONSTANTS.bandwidth_hz)
+
+
+@st.composite
+def float_cases(draw):
+    """Placement terms of 1-8 rows (a repeated row makes ties), an
+    expansion point and points to price; a point may sit within the 1 m
+    floor of a row, or on a box face."""
+    rows = draw(st.lists(st.tuples(POINT, st.floats(1e6, 1e9),
+                                   st.floats(1e3, 1e7), st.floats(0.0, 20.0)),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.append(rows[0])
+    near = st.sampled_from([p for p, *_ in rows]).map(
+        lambda p: (p[0] + 0.3, p[1] - 0.2, p[2]))
+    points = draw(st.lists(st.one_of(POINT, near, st.just((0.0, -0.0, 100.0))),
+                           min_size=1, max_size=4))
+    return row_terms(rows), draw(st.one_of(POINT, near)), points
+
+
+# At 1024 m, 1 + gamma1 / d2 = 2.0029802322387695, whose log2 NumPy and
+# math.log2 round apart: the surrogate takes NumPy's, the exact rate
+# math.log2's.
+LOG2_SPLIT = (row_terms([((0.0, 0.0, 0.0), 1051701.0, 1e6, 0.0)]),
+              (0.0, 0.0, 1024.0), [(0.0, 0.0, 1024.0)])
+
+
+class TestFloatForms:
+    """The placement block's per-round arithmetic runs on Python floats. It
+    gives the NumPy expressions it replaced, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_cases())
+    @example(LOG2_SPLIT)
+    def test_exact_objective(self, case):
+        terms, _, points = case
+        assert bits([exact_objective(terms, p) for p in points]) == \
+            bits(numpy_exact_objective(terms, points))
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_cases())
+    @example(LOG2_SPLIT)
+    def test_surrogate_coefficients_and_rates(self, case):
+        terms, q_ref, points = case
+        coeffs, rates = numpy_surrogate_rates(terms, q_ref, points)
+        ours = _surrogate_coeffs(terms, q_ref)
+        assert bits(ours) == bits(coeffs)
+        assert bits(surrogate_rates(terms, ours, points)) == bits(rates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_cases(), POINT, st.tuples(st.floats(0.0, 600.0),
+                                           st.floats(0.0, 600.0),
+                                           st.floats(0.0, 600.0)))
+    def test_start_and_ball_scan(self, case, lo, span):
+        from uav_mec.placement import (_clip, _inner_problem, _most_violated,
+                                       _start)
+        terms, q_ref, points = case
+        hi = [a + b for a, b in zip(lo, span)]
+        lo = list(lo)
+        c, w, r = _inner_problem(terms, _surrogate_coeffs(terms, q_ref))
+        q, lam, basis = _start(c, w, r, lo, hi)
+        q_np, lam_np, basis_np = numpy_start(c, w, r, lo, hi)
+        assert (bits(q), bits(lam), basis) == \
+            (bits(q_np), bits(lam_np), basis_np)
+        for p in points:
+            assert bits(_clip(p, lo, hi)) == bits(np.clip(p, lo, hi))
+            for skip in ((), basis, tuple(range(len(w)))):
+                assert _most_violated(c, w, r, list(p), lam, skip) == \
+                    numpy_most_violated(c, w, r, p, lam, skip)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
+                    min_size=1, max_size=4, unique=True),
+           POINT, st.data())
+    def test_exact_objective_is_the_evaluators(self, xy, q, data):
+        from uav_mec.cost import evaluate_solution
+        sc = make_scenario(xy, xy, n0_cap=len(xy))
+        assoc = identity_association(sc)
+        beta = np.array(data.draw(st.lists(st.integers(0, 1),
+                                           min_size=len(xy),
+                                           max_size=len(xy))))
+        q = Position3D(*q)
+        terms = placement_terms(sc, assoc, beta)
+        assert exact_objective(terms, q.xyz) == \
+            evaluate_solution(sc, assoc, beta, q)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(COORD, COORD, st.floats(50.0, 1000.0)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.floats(1e3, 1e8), st.floats(0.0, 1e6)),
+                    min_size=4, max_size=4))
+    def test_support_matches_the_generic_form(self, cs, wr):
+        from uav_mec.placement import _support
+        cs = [list(p) for p in cs]
+        ws, rs = [w for w, _ in wr[:len(cs)]], [r for _, r in wr[:len(cs)]]
+        assert repr(_support(copy.deepcopy(cs), ws, rs)) == \
+            repr(generic_support(cs, ws, rs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
+                    min_size=1, max_size=40))
+    def test_start_point(self, xy):
+        sc = make_scenario(xy, xy)
+        lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
+        mean = np.mean([s.current_pos.array[:2] for s in sc.suavs], axis=0)
+        q = np.clip(np.array([mean[0], mean[1], 0.5 * (lo[2] + hi[2])]),
+                    lo, hi)
+        assert repr(default_initial_position(sc)) == repr(Position3D(*q))
+
+    def test_returned_points_hold_numpy_floats(self, scenario0):
+        # repr, which the digests hash, tells np.float64 from float.
+        from uav_mec.scenario import repositioned_scenario
+        assoc = full_association(scenario0)
+        placed = repositioned_scenario(scenario0, assoc.alpha)
+        beta = np.zeros(scenario0.n_suavs, dtype=int)
+        q, trace, _ = sca_loop(placed, assoc, beta,
+                               Position3D(1000.0, 1000.0, 100.0))
+        assert len(trace) > 2 and q != Position3D(1000.0, 1000.0, 100.0)
+        assert [type(v) for v in q.xyz] == [np.float64] * 3
+        assert all(type(v) is float for v in trace)
+        terms = placement_terms(placed, assoc, beta)
+        q2, _ = solve_sp2_2(placed, terms, q)
+        assert [type(v) for v in q2.xyz] == [np.float64] * 3
