@@ -54,10 +54,11 @@ passes to every call (see Pools for the list). The search and the cover run
 Python code per node and per column, and a fleet call visits about a
 thousand nodes or a thousand columns, so every fact that depends only on
 the solve is read from those tables rather than worked out again at each
-node or column. A call reads its branch prices from the solve's Pools, built
-once per beta, and prices all columns in one pass; a new target set costs
-one memoised hover point and one link rate on floats. The same Pools gives
-the outer loop its placed S-UAVs and the other blocks their price tables.
+node or column. A call gathers its S-UAVs' price records from the solve's
+price table (cost.plan_prices) and prices all columns in one pass; a new
+target set costs one memoised hover point and one link rate on floats. The
+same Pools gives the outer loop its placed S-UAVs and every block its
+price records.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import (BranchPrice, floored_rate, floored_rates, per_solve,
-                   suav_prices)
+from .cost import (BranchPrice, floored_rate, floored_rates, plan_prices,
+                   price_table)
 from .errors import InfeasibleSubproblem
 from .scenario import (Association, Position3D, Scenario, SUav,
                        feasible_association_mask)
@@ -105,14 +106,13 @@ class Pools:
     search depth the S-UAVs whose pools that depth's target completes
     (closing), whose latency the bound at that depth reads. For the
     geometry: every target's x and y as floats, and every S-UAV's camera
-    factors (2 tan(phi_h / 2), 2 tan(phi_v / 2), gamma). Filled in as calls
-    need them:
+    factors (2 tan(phi_h / 2), 2 tan(phi_v / 2), gamma). For every block:
+    prices, every S-UAV's price records at its chunk size on the local
+    branch and on the offload branch at each offloader count within the cap
+    (cost.price_table), which each block gathers for its plan with
+    cost.plan_prices. Filled in as calls need them:
     - per S-UAV, a memo from target bitmask to hover point (hover_point),
       and one to the S-UAV record placed there (placed);
-    - tables, the price records the blocks keep for the solve
-      (cost.per_solve): the association's per beta, the offload block's
-      per set of video-carrying S-UAVs, and placement's per that set and
-      beta;
     - on the first call whose search runs out of nodes (at the reference
       size most solves have none), every S-UAV's box-closed columns
       (_Columns) with each column's targets and hover point. Once the
@@ -157,7 +157,7 @@ class Pools:
         self._points: list[dict[int, tuple[float, float, float]]] = [
             {} for _ in scenario.suavs]
         self._placed: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
-        self.tables: dict = {}
+        self.prices = price_table(scenario)
         self._cols: _Columns | None = None
 
     def hover_point(self, suav_index: int,
@@ -216,11 +216,12 @@ class _Context:
     """One association call's S-UAV price records over a solve's Pools, plus
     a latency memo.
 
-    Each S-UAV's price record (cost.suav_prices) depends only on its offload
-    bit and the offloader count, so the solve's Pools keeps one list per
-    beta; a memo miss then costs one hover point (memoised per solve) and
-    one link rate on floats. The empty target set prices the S-UAV idle:
-    zero latency, and its hover alone against its budget.
+    Each S-UAV's price record depends only on its offload bit and the
+    offloader count, so the call gathers every S-UAV's, at its chunk size,
+    from the solve's price table (cost.plan_prices); a memo miss then costs
+    one hover point (memoised per solve) and one link rate on floats. The
+    empty target set prices the S-UAV idle: zero latency, and its hover
+    alone against its budget.
     """
 
     def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
@@ -231,10 +232,8 @@ class _Context:
             pools.closing)
         self.q = q_m.xyz
         self.bandwidth_hz = pools.scenario.constants.bandwidth_hz
-        self.prices = per_solve(
-            pools.tables, ("association", tuple(np.asarray(beta).tolist())),
-            lambda: suav_prices(pools.scenario, [
-                s.chunk_bits for s in pools.scenario.suavs], beta))
+        beta = np.asarray(beta).tolist()
+        self.prices = plan_prices(pools.prices, [True] * len(beta), beta)
         # Per S-UAV: target bitmask -> (latency, energy-feasible). An entry
         # is a non-empty tuple, so `memo[j].get(bits) or latency(j, bits)`
         # reads it and prices only a miss.

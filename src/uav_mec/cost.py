@@ -117,16 +117,32 @@ def suav_prices(scenario: Scenario, s_bits, beta) -> list[BranchPrice]:
             for j, (s, b) in enumerate(zip(s_bits, beta))]
 
 
-def per_solve(tables: dict | None, key, build):
-    """build(), kept under key in a solve's tables (association.Pools.tables)
-    when the caller passes them, so that one solve builds it once; with no
-    tables, built afresh. A block keys what it keeps by its own name and by
-    every input the value depends on."""
-    if tables is None:
-        return build()
-    if key not in tables:
-        tables[key] = build()
-    return tables[key]
+def price_table(scenario: Scenario) -> list[list[BranchPrice]]:
+    """Every S-UAV's price records at its chunk size, one row per S-UAV:
+    the local branch's at index 0 and the offload branch's at m offloaders
+    at index m, for m up to the relay cap. A solve builds it once
+    (association.Pools.prices) and every block reads it through
+    plan_prices."""
+    return [[branch_price(scenario, j, float(suav.chunk_bits), m > 0, m)
+             for m in range(scenario.n0_cap + 1)]
+            for j, suav in enumerate(scenario.suavs)]
+
+
+def plan_prices(table: list[list[BranchPrice]], active, beta,
+                n_offloaders: int | None = None) -> list[BranchPrice]:
+    """Every S-UAV's record under offload decision beta, read from a price
+    table (price_table): to the bit what suav_prices gives at the chunk
+    size where active is true and at 0 bits, idle, where it is false.
+    n_offloaders, sum(beta) unless given, is the fair share's offloader
+    count; past the relay cap it raises InvalidDecision, as the evaluator
+    does."""
+    m = int(sum(beta)) if n_offloaders is None else n_offloaders
+    if m >= len(table[0]):
+        raise InvalidDecision("offloader count exceeds the relay cap")
+    # At 0 bits every term but the constants is 0.0, on either branch.
+    return [row[m if b else 0] if on else row[0]._replace(
+                tx_bits=0.0, fixed_s=0.0, comp_j=0.0, relay_j=0.0)
+            for row, on, b in zip(table, active, beta)]
 
 
 def floored_rate(pos: tuple[float, float, float],

@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import simplex
-from .cost import (BranchPrice, branch_price, effective_chunk_bits,
-                   floored_rate, per_solve)
+from .cost import (BranchPrice, effective_chunk_bits, floored_rate,
+                   plan_prices, price_table)
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
@@ -97,56 +97,32 @@ class Sp1Terms:
         return self.e_ruav[0]
 
 
-def _sp1_records(scenario: Scenario, j: int, s: float):
-    """S-UAV j's SP1 records at task size s: its local branch's, and its
-    offload branch's at each offloader count within the cap, m - 1 at m."""
-    return (branch_price(scenario, j, s, False, 0),
-            [branch_price(scenario, j, s, True, m)
-             for m in range(1, scenario.n0_cap + 1)])
-
-
-def _sp1_prices(scenario: Scenario, sizes: list[float],
-                tables: dict | None):
-    """SP1's records that no position changes, at task sizes sizes: the
-    local branch's and the offload branch's at one offloader, stacked one
-    row per S-UAV, and the offload branch's relay seconds and energy at
-    every offloader count within the cap, row m - 1 at m offloaders (only
-    fixed_s and relay_j change with m). Given a solve's tables, each
-    S-UAV's records at each size are built once per solve
-    (cost.per_solve)."""
-    local, offs = zip(*(per_solve(tables, ("sp1", j, s),
-                                  lambda: _sp1_records(scenario, j, s))
-                        for j, s in enumerate(sizes)))
-    offs = list(zip(*offs))  # row m - 1: every S-UAV at m offloaders
-    return (BranchPrice(*np.array(local).T), BranchPrice(*np.array(offs[0]).T),
-            np.array([[p.fixed_s for p in row] for row in offs]),
-            np.array([[p.relay_j for p in row] for row in offs]))
-
-
 def sp1_terms(scenario: Scenario, association: Association,
-              q_m: Position3D, tables: dict | None = None) -> Sp1Terms:
-    """SP1's terms: the records of _sp1_prices, which depend only on which
-    S-UAVs carry video, priced at each S-UAV's link rate. Given a solve's
-    tables, they are gathered once per solve and set of video-carrying
-    S-UAVs, from records built once per solve, S-UAV and task size
-    (cost.per_solve). An idle S-UAV sends 0 bits, so it prices to zero but
-    its hover at its own rate."""
+              q_m: Position3D, prices: list | None = None) -> Sp1Terms:
+    """SP1's terms: every S-UAV's local record and its offload records at
+    each offloader count within the cap, gathered from the solve's price
+    table (cost.price_table; built here when none is given) and priced at
+    each S-UAV's link rate. An idle S-UAV sends 0 bits, so it prices to
+    zero but its hover at its own rate."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
-    local, off, t_ruav, e_ruav = per_solve(
-        tables, ("sp1 set", s_bits.tobytes()),
-        lambda: _sp1_prices(scenario, s_bits.tolist(), tables))
+    table = price_table(scenario) if prices is None else prices
+    active, n = (s_bits > 0.0).tolist(), len(s_bits)
+    # Row m: every S-UAV on its local branch (m = 0), or offloaded among m.
+    by_count = np.array([plan_prices(table, active, [m > 0] * n, m)
+                         for m in range(scenario.n0_cap + 1)])
+    local, off = BranchPrice(*by_count[0].T), BranchPrice(*by_count[1].T)
     q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
     r = np.array([floored_rate(suav.current_pos.xyz, q, gamma1, bandwidth_hz)
                   for suav, gamma1 in zip(scenario.suavs,
                                           local.gamma1.tolist())])
     return Sp1Terms(
         t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
-        t_tx_off=off.tx_bits / r, t_ruav=t_ruav,
+        t_tx_off=off.tx_bits / r, t_ruav=by_count[1:, :, 1],
         e_local=local.energy(r), e_offload=off.energy(r),
         suav_budget=local.budget_j - local.hover_j,
         ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        e_ruav=e_ruav, active=s_bits > 0.0, fits_local=local.fits(r),
-        fits_offload=off.fits(r),
+        e_ruav=by_count[1:, :, 3], active=s_bits > 0.0,
+        fits_local=local.fits(r), fits_offload=off.fits(r),
     )
 
 
@@ -246,22 +222,22 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
 
 
 def solve_sp1(scenario: Scenario, association: Association,
-              q_m: Position3D, *, tables: dict | None = None
+              q_m: Position3D, *, prices: list | None = None
               ) -> OffloadDecision:
     """Default SP1 path: the threshold search for the point, with its terms
-    kept for a later read of the LP bound. tables: as sp1_terms'."""
-    t = sp1_terms(scenario, association, q_m, tables)
+    kept for a later read of the LP bound. prices: as sp1_terms'."""
+    t = sp1_terms(scenario, association, q_m, prices)
     return replace(enumerate_offload(t), relaxation=t)
 
 
 def forced_offload(scenario: Scenario, association: Association,
-                   q_m: Position3D, *, tables: dict | None = None
+                   q_m: Position3D, *, prices: list | None = None
                    ) -> OffloadDecision:
     """The relay-only rule: offload the video-carrying S-UAVs in descending
     order of local latency (ties by id), as many as the relay cap and every
-    energy budget admit -- the longest such prefix of that order. tables:
+    energy budget admit -- the longest such prefix of that order. prices:
     as sp1_terms'."""
-    t = sp1_terms(scenario, association, q_m, tables)
+    t = sp1_terms(scenario, association, q_m, prices)
     order = _local_order(t, np.flatnonzero(t.active).tolist())
     for k in range(min(scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))

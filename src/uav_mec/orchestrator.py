@@ -188,7 +188,7 @@ def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
         # A forced rule also sets the start; the first offload step of
         # improve re-derives the same decision from the same inputs.
         beta = forced_offload(placed, association, q_m,
-                              tables=pools.tables).beta
+                              prices=pools.prices).beta
     objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
     return Plan(placed, association, beta, q_m, objective)
 
@@ -198,8 +198,8 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
     """The outer loop from plan until the objective settles or r_max
     iterations pass; returns the last plan and the loop's SolverReport
     fields. Every block reads the solve's pools: an accepted association's
-    geometry comes from pools.placed, and the offload and placement blocks
-    keep their price records in pools.tables."""
+    geometry comes from pools.placed, and every block's price records from
+    pools.prices."""
     policy = SCHEME_POLICIES[scheme]
     trace = [plan.objective]
     offload, fallbacks, exact, sca_traces = None, 0, True, []
@@ -209,7 +209,7 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
         # Offload block.
         if policy.offload_rule is not None:
             decision = globals()[policy.offload_rule](
-                plan.placed, plan.association, plan.q_m, tables=pools.tables)
+                plan.placed, plan.association, plan.q_m, prices=pools.prices)
             # The rule prices its decision as evaluate_solution would, to the
             # bit; float() keeps the trace in Python floats.
             cand = float(decision.slack_s)
@@ -220,7 +220,7 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
         # Placement block.
         q_sca, sca_trace, failed = place_mod.sca_loop(
             plan.placed, plan.association, plan.beta, plan.q_m,
-            tables=pools.tables)
+            prices=pools.prices)
         sca_traces.append(sca_trace)
         fallbacks += failed
         if sca_trace[-1] <= plan.objective + _GUARD_SLACK:
@@ -266,9 +266,9 @@ def run_scheme(scenario: Scenario, scheme: str,
     caller who wants its per-S-UAV breakdown prices it with
     evaluate_solution(report.placed, ...). What no block changes during the
     solve (association.Pools: the search tables, the hover points and placed
-    S-UAV records, and the blocks' price records) is built here, before
-    anything else, and lives as long as this call; building it checks every
-    hover against its budget."""
+    S-UAV records, and the one price table every block reads) is built
+    here, before anything else, and lives as long as this call; building it
+    checks every hover against its budget."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pools = assoc_mod.Pools(

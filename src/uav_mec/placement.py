@@ -22,11 +22,15 @@ the support's barycentric multipliers are nonnegative.
 Each inner solve (solve_sp2_2) returns whichever of two box points has the
 higher minimum surrogate rate: the exact solve's point or the expansion
 point. The expansion point always lies in the box, and there the surrogate
-equals the exact rate, so the common rate never falls below the current
-one and stays positive. sca_loop counts the inner solves whose certificate
-did not close. Each S-UAV's energy budget floors its own rate, and the
-surrogate bounds the rate from below, so a point whose surrogate rates meet
-every floor keeps every budget.
+equals the exact rate to one ulp (the surrogate takes NumPy's log2, the
+exact rate math.log2, and the two round apart on some inputs), so the
+common rate never falls more than an ulp below the current one and stays
+positive. sca_loop counts the inner solves whose certificate did not
+close. Each S-UAV's energy budget floors its own rate, and the surrogate
+bounds the rate from below, so a point whose surrogate rates meet every
+floor keeps every budget; at the expansion point, where the surrogate may
+exceed the exact rate by that ulp, the floor test and the evaluator's
+budget test can disagree.
 
 The exact objective prices links as the evaluator does (cost.floored_rate),
 so sca_loop's trace ends at evaluate_solution's objective, to the bit.
@@ -50,14 +54,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleSubproblem
-from .cost import (BranchPrice, effective_chunk_bits, floored_rate,
-                   per_solve, suav_prices)
+from .cost import (effective_chunk_bits, floored_rate, plan_prices,
+                   price_table)
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
@@ -79,61 +83,39 @@ _LOG2E = math.log2(math.e)
 
 @dataclass(frozen=True)
 class PlacementTerms:
-    """Per transmitting S-UAV: geometry and the latency affine pieces.
-
-    Worst-case-rate latency is tx_bits / lambda + fixed_s; the exact latency
-    replaces lambda with the S-UAV's own rate. rows holds the same values as
-    Python floats, built once with the terms, for the per-round arithmetic:
-    (x, y, h, gamma1, tx_bits, fixed_s, floor) per S-UAV.
+    """Per transmitting S-UAV, as Python floats for the per-round
+    arithmetic: (x, y, h, gamma1, tx_bits, fixed_s, floor), its repositioned
+    location, SNR coefficient, bits actually transmitted (compressed or
+    raw), compute time independent of the link, and the least rate its
+    energy budget allows. Worst-case-rate latency is tx_bits / lambda +
+    fixed_s; the exact latency replaces lambda with the S-UAV's own rate.
     """
 
-    q: np.ndarray         # (n, 3) repositioned S-UAV locations
-    gamma1: np.ndarray    # (n,) SNR coefficients
-    tx_bits: np.ndarray   # (n,) bits actually transmitted (compressed or raw)
-    fixed_s: np.ndarray   # (n,) compute time independent of the link
-    floors: np.ndarray    # (n,) least rate each S-UAV's energy budget allows
+    rows: tuple
     bandwidth_hz: float
-    rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(zip(
-            *self.q.T.tolist(), self.gamma1.tolist(), self.tx_bits.tolist(),
-            self.fixed_s.tolist(), self.floors.tolist())))
 
 
-def _placement_prices(scenario: Scenario, s_bits: np.ndarray,
-                      beta) -> tuple[list[bool], BranchPrice, np.ndarray]:
-    """(transmitting S-UAVs, their stacked price records, their rate
-    floors); raises if some S-UAV, idle or not, keeps its budget at no
-    rate."""
-    prices = suav_prices(scenario, s_bits, beta)
-    floors = [p.rate_floor for p in prices]
+def placement_terms(scenario: Scenario, association: Association,
+                    beta: np.ndarray, prices: list | None = None
+                    ) -> PlacementTerms:
+    """The transmitting S-UAVs' rows, read off their records in the solve's
+    price table (cost.price_table; built here when none is given). Raises
+    if some S-UAV, idle or not, keeps its budget at no rate."""
+    s_bits = effective_chunk_bits(scenario, association.alpha)
+    active = (s_bits > 0.0).tolist()
+    records = plan_prices(price_table(scenario) if prices is None else prices,
+                          active, np.asarray(beta).tolist())
+    floors = [p.rate_floor for p in records]
     if math.inf in floors:
         raise InfeasibleSubproblem(
             f"S-UAV {floors.index(math.inf)} has no energy headroom for any "
             "transmission")
-    rows = s_bits > 0.0
-    return (rows.tolist(), BranchPrice(*np.array(prices)[rows].T),
-            np.array(floors)[rows])
-
-
-def placement_terms(scenario: Scenario, association: Association,
-                    beta: np.ndarray, tables: dict | None = None
-                    ) -> PlacementTerms:
-    """The transmitting S-UAVs' rows: their positions, and what
-    _placement_prices reads off their price records. Given a solve's
-    tables, those records are built once per solve, set of video-carrying
-    S-UAVs and beta (cost.per_solve)."""
-    s_bits = effective_chunk_bits(scenario, association.alpha)
-    key = ("placement", s_bits.tobytes(), tuple(np.asarray(beta).tolist()))
-    rows, sent, floors = per_solve(
-        tables, key, lambda: _placement_prices(scenario, s_bits, beta))
     return PlacementTerms(
-        q=np.array([s.current_pos.xyz for s, row in zip(scenario.suavs, rows)
-                    if row]).reshape(-1, 3),
-        gamma1=sent.gamma1, tx_bits=sent.tx_bits, fixed_s=sent.fixed_s,
-        floors=floors, bandwidth_hz=scenario.constants.bandwidth_hz,
-    )
+        rows=tuple((*_floats(suav.current_pos), p.gamma1, p.tx_bits,
+                    p.fixed_s, floor)
+                   for suav, p, floor, on in zip(scenario.suavs, records,
+                                                 floors, active) if on),
+        bandwidth_hz=scenario.constants.bandwidth_hz)
 
 
 def _floats(p: Position3D) -> list[float]:
@@ -479,10 +461,10 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
-             q_m: Position3D, *, tables: dict | None = None
+             q_m: Position3D, *, prices: list | None = None
              ) -> tuple[Position3D, list, int]:
     """Successive convexification from q_m until the exact objective stalls.
-    tables: as placement_terms'.
+    prices: as placement_terms'.
 
     Returns (best point, trace, fallbacks): the trace holds the exact
     objective at the start and after each round, ending at the point's, and
@@ -491,7 +473,7 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     expansion point; a point that still worsens the exact objective is
     discarded, so the trace never rises.
     """
-    terms = placement_terms(scenario, association, beta, tables)
+    terms = placement_terms(scenario, association, beta, prices)
     if not terms.rows:
         return q_m, [0.0], 0
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,16 +48,32 @@ def make_scenario(suav_xy, target_xy, *, altitude=500.0, chunk_bits=None,
                     seed=0)
 
 
+def row_terms(rows, bandwidth_hz: float = DEFAULT_CONSTANTS.bandwidth_hz
+              ) -> PlacementTerms:
+    """Placement terms with one row per (point, gamma1, tx_bits, fixed_s),
+    every rate floor 0."""
+    return PlacementTerms(
+        rows=tuple((*map(float, p), float(g), float(t), float(f), 0.0)
+                   for p, g, t, f in rows),
+        bandwidth_hz=bandwidth_hz)
+
+
 def link_terms(q_n, gamma1: float,
                bandwidth_hz: float = DEFAULT_CONSTANTS.bandwidth_hz
                ) -> PlacementTerms:
     """Placement terms for transmitters at the rows of q_n, holding only what
     the rate surrogate reads: positions, SNR coefficient and bandwidth."""
-    q = np.atleast_2d(np.asarray(q_n, dtype=float))
-    n = q.shape[0]
-    return PlacementTerms(q=q, gamma1=np.full(n, gamma1),
-                          tx_bits=np.zeros(n), fixed_s=np.zeros(n),
-                          floors=np.zeros(n), bandwidth_hz=bandwidth_hz)
+    q = np.atleast_2d(np.asarray(q_n, dtype=float)).tolist()
+    return row_terms([(p, gamma1, 0.0, 0.0) for p in q], bandwidth_hz)
+
+
+def term_arrays(terms: PlacementTerms) -> SimpleNamespace:
+    """terms.rows as NumPy arrays: q (n, 3), and gamma1, tx_bits, fixed_s
+    and floors (n,); with terms.bandwidth_hz."""
+    a = np.array(terms.rows, dtype=float).reshape(-1, 7)
+    return SimpleNamespace(q=a[:, :3], gamma1=a[:, 3], tx_bits=a[:, 4],
+                           fixed_s=a[:, 5], floors=a[:, 6],
+                           bandwidth_hz=terms.bandwidth_hz)
 
 
 def full_association(scenario: Scenario) -> Association:

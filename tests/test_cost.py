@@ -1,6 +1,7 @@
 """Latency and energy bookkeeping against hand-evaluated references, and
 the blocks' pricing against the evaluator."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from uav_mec.association import Pools, _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, branch_price,
                           effective_chunk_bits, evaluate_solution,
-                          floored_rate, objective_and_spread)
+                          floored_rate, objective_and_spread, plan_prices,
+                          price_table, suav_prices)
 from uav_mec.errors import InfeasibleSubproblem, InvalidDecision
 from uav_mec.experiment import chunked_metrics
 from uav_mec.link import rate_at_dist_sq, snr_coeff
@@ -473,12 +475,22 @@ def solve_steps(draw):
     return sc, steps
 
 
-def assert_fields_equal(kept, fresh):
-    """Every field of two terms records is the same, array for array."""
-    for name in vars(fresh):
-        a, b = getattr(kept, name), getattr(fresh, name)
-        assert np.array_equal(a, b) and np.asarray(a).dtype == \
-            np.asarray(b).dtype, name
+@st.composite
+def priced_table(draw):
+    """A scenario of 1-4 S-UAVs with mixed parameters, any of them with a
+    chunk of 0 bits."""
+    n = draw(st.integers(1, 4))
+    return make_scenario(
+        [(100.0 * j, 500.0) for j in range(n)],
+        [(100.0 * j, 500.0) for j in range(n)],
+        chunk_bits=draw(st.lists(st.one_of(st.just(0.0),
+                                           st.floats(1e3, 5e6)),
+                                 min_size=n, max_size=n)),
+        cpu_suav_hz=draw(st.floats(1e8, 1e9)),
+        cpu_ruav_hz=draw(st.floats(1e9, 1e10)),
+        tx_power_w=draw(st.floats(0.1, 2.0)), mu=draw(st.floats(0.01, 0.9)),
+        energy_budget_j=draw(st.floats(1.0, 1e3)),
+        n0_cap=draw(st.integers(1, n)))
 
 
 class TestPerSolveTables:
@@ -508,47 +520,52 @@ class TestPerSolveTables:
                 assert point == placed.suavs[j].current_pos.xyz
 
     @settings(max_examples=60, deadline=None)
-    @given(solve_steps())
-    def test_block_terms_from_kept_tables(self, case):
-        sc, steps = case
-        pools = Pools(sc)
-        for assoc, beta, q in steps:
-            placed = pools.placed(assoc.alpha)
-            assert_fields_equal(sp1_terms(placed, assoc, q, pools.tables),
-                                sp1_terms(placed, assoc, q))
-            assert_fields_equal(
-                placement_terms(placed, assoc, beta, pools.tables),
-                placement_terms(placed, assoc, beta))
-            # The association's records: every S-UAV at its chunk size.
-            kept = _Context(pools, beta, q).prices
-            assert kept == [branch_price(sc, j, s.chunk_bits, bool(b),
-                                         int(beta.sum()))
-                            for j, (s, b) in enumerate(zip(sc.suavs, beta))]
+    @given(priced_table())
+    def test_table_entries_are_branch_prices(self, sc):
+        table = Pools(sc).prices
+        assert len(table) == sc.n_suavs
+        for j, (suav, row) in enumerate(zip(sc.suavs, table)):
+            assert repr(row) == repr([
+                branch_price(sc, j, suav.chunk_bits, m > 0, m)
+                for m in range(sc.n0_cap + 1)])
 
-    @settings(max_examples=30, deadline=None)
-    @given(solve_steps())
-    def test_sp1_rows_are_fresh_branch_prices(self, case):
-        sc, steps = case
-        pools = Pools(sc)
-        for assoc, _, q in steps:
-            placed = pools.placed(assoc.alpha)
-            t = sp1_terms(placed, assoc, q, pools.tables)
-            sizes = effective_chunk_bits(sc, assoc.alpha).tolist()
-            local = [branch_price(sc, j, s, False, 0)
-                     for j, s in enumerate(sizes)]
-            assert t.t_loc.tolist() == [p.fixed_s for p in local]
-            assert t.suav_budget.tolist() == [p.budget_j - p.hover_j
-                                              for p in local]
-            for m in range(1, sc.n0_cap + 1):
-                alone = [branch_price(sc, j, s, True, m)
-                         for j, s in enumerate(sizes)]
-                assert t.t_ruav[m - 1].tolist() == [p.fixed_s for p in alone]
-                assert t.e_ruav[m - 1].tolist() == [p.relay_j for p in alone]
-        # Each S-UAV's records once per task size it takes in the solve,
-        # gathered into one table per set of video-carrying S-UAVs.
-        sizes = {(j, s) for assoc, _, _ in steps for j, s in
-                 enumerate(effective_chunk_bits(sc, assoc.alpha).tolist())}
-        assert {k[1:] for k in pools.tables if k[0] == "sp1"} == sizes
-        actives = {tuple(s.alpha.sum(axis=0) > 0) for s, _, _ in steps}
-        assert len([k for k in pools.tables
-                    if k[0] == "sp1 set"]) == len(actives)
+    @settings(max_examples=40, deadline=None)
+    @given(priced_table())
+    def test_gather_is_suav_prices(self, sc):
+        # Every set of video-carrying S-UAVs and every beta: within the
+        # cap the gather is the evaluator's pricing, to the bit (repr tells
+        # -0.0 from 0.0 and np.float64 from float); past it, it raises.
+        n, table = sc.n_suavs, price_table(sc)
+        for active in itertools.product([False, True], repeat=n):
+            s_bits = [s.chunk_bits if on else 0.0
+                      for s, on in zip(sc.suavs, active)]
+            for beta in itertools.product([0, 1], repeat=n):
+                if sum(beta) > sc.n0_cap:
+                    with pytest.raises(InvalidDecision):
+                        plan_prices(table, active, beta)
+                else:
+                    assert repr(plan_prices(table, active, beta)) == \
+                        repr(suav_prices(sc, s_bits, beta))
+
+
+class TestBlocksKeepTheRelayCap:
+    """Reference seed 0's start plan with all 8 S-UAVs offloading, over the
+    cap of 4: every block refuses it, as the evaluator does."""
+
+    def test_blocks_raise_invalid_decision(self, scenario0):
+        from uav_mec.association import solve_association
+        from uav_mec.orchestrator import start_plan
+        from uav_mec.placement import sca_loop
+        pools = Pools(scenario0)
+        placed, assoc, _, q, _ = start_plan(pools, "proposed")
+        beta = np.ones(scenario0.n_suavs, dtype=int)
+        assert beta.sum() > scenario0.n0_cap
+        with pytest.raises(InvalidDecision, match="relay cap"):
+            evaluate_solution(placed, assoc, beta, q)
+        for prices in (pools.prices, None):
+            with pytest.raises(InvalidDecision, match="relay cap"):
+                placement_terms(placed, assoc, beta, prices)
+            with pytest.raises(InvalidDecision, match="relay cap"):
+                sca_loop(placed, assoc, beta, q, prices=prices)
+        with pytest.raises(InvalidDecision, match="relay cap"):
+            solve_association(pools, beta, q)

@@ -250,31 +250,3 @@ class TestBuildOnce:
         decision.lp_lower_bound
         assert len(builds) == 1
         assert len(lp_builds) == len(lp_solves) == 1
-
-    def test_one_offload_record_per_suav(self, monkeypatch):
-        # Each S-UAV's offload branch gets one scalar record per offloader
-        # count, idle S-UAVs included, and each count's row is what pricing
-        # that count alone gives, to the bit. Its local branch gets one.
-        from uav_mec import cost, offload
-        sc = scenario_n(6, n0_cap=5, chunk_bits=[1e6, 2.5e6, 1.7e6,
-                                                 3.1e6, 2.2e6, 1.2e6])
-        alpha = identity_association(sc).alpha.copy()
-        alpha[:, 2] = 0  # S-UAV 2 carries no video
-        alpha[2, 1] = 1
-        assoc = Association(alpha=alpha, feasible_mask=alpha)
-        branches = []  # the offloaded flag of each record built
-
-        def priced(*args):
-            branches.append(args[3])
-            return cost.branch_price(*args)
-
-        monkeypatch.setattr(offload, "branch_price", priced)
-        t = sp1_terms(sc, assoc, Q_M)
-        assert branches.count(True) == sc.n_suavs * sc.n0_cap
-        assert branches.count(False) == sc.n_suavs
-        for m in range(1, sc.n0_cap + 1):
-            alone = [cost.branch_price(sc, j, s, True, m)
-                     for j, s in enumerate([1e6, 2.5e6, 0.0, 3.1e6, 2.2e6,
-                                            1.2e6])]
-            assert t.t_ruav[m - 1].tolist() == [p.fixed_s for p in alone]
-            assert t.e_ruav[m - 1].tolist() == [p.relay_j for p in alone]

@@ -209,6 +209,31 @@ class TestStartPlanAndImprove:
         assert record["iterations"] == 0 and not record["converged"]
 
 
+class TestOnePriceTable:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_outer_loop_builds_no_price_record(self, monkeypatch,
+                                               default_config, seed, scheme):
+        # Pools builds every S-UAV's records, start_plan's evaluate_solution
+        # prices the start, and every block of the loop reads the table.
+        from uav_mec import association, cost, offload, placement
+        from uav_mec.scenario import generate_scenario
+
+        from .conftest import counting
+        sc = generate_scenario(default_config, seed)
+        calls = [counting(monkeypatch, module, "branch_price")
+                 for module in (cost, offload, placement, association)
+                 if hasattr(module, "branch_price")]
+        pools = scheme_pools(sc, scheme)
+        assert sum(map(len, calls)) == sc.n_suavs * (sc.n0_cap + 1)
+        plan = start_plan(pools, scheme)
+        for made in calls:
+            made.clear()
+        improve(plan, pools, scheme, ExperimentConfig.tol,
+                ExperimentConfig.r_max)
+        assert sum(map(len, calls)) == 0
+
+
 class TestRuavOnlyRelayBudget:
     def test_offloads_the_slowest_prefix_the_budget_admits(self):
         from dataclasses import replace

@@ -18,7 +18,8 @@ from uav_mec.placement import (_surrogate_coeffs, default_initial_position,
 from uav_mec.scenario import Position3D
 
 from .conftest import (DEFAULT_CONSTANTS, counting, full_association,
-                       identity_association, link_terms, make_scenario)
+                       identity_association, link_terms, make_scenario,
+                       row_terms, term_arrays)
 
 
 def pair_scenario(**kwargs):
@@ -31,8 +32,8 @@ class TestPlacementTerms:
     def test_branch_dependent_tx_bits(self):
         sc = pair_scenario()
         assoc = identity_association(sc)
-        local = placement_terms(sc, assoc, np.array([0, 0]))
-        off = placement_terms(sc, assoc, np.array([1, 1]))
+        local = term_arrays(placement_terms(sc, assoc, np.array([0, 0])))
+        off = term_arrays(placement_terms(sc, assoc, np.array([1, 1])))
         np.testing.assert_allclose(local.tx_bits, 0.1 * off.tx_bits)
         assert np.all(off.fixed_s < local.fixed_s)  # relay CPU is 10x faster
 
@@ -53,8 +54,9 @@ class TestSurrogate:
         pts = rng.uniform([0, 0, 100], [1000, 1000, 1000], size=(200, 3))
         sur = np.array(surrogate_rates(
             terms, _surrogate_coeffs(terms, q_ref), pts))
-        d2 = np.maximum(((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2), 1.0)
-        exact = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1[None, :] / d2)
+        t = term_arrays(terms)
+        d2 = np.maximum(((pts[:, None, :] - t.q[None, :, :]) ** 2).sum(axis=2), 1.0)
+        exact = t.bandwidth_hz * np.log2(1.0 + t.gamma1[None, :] / d2)
         assert np.all(sur <= exact * (1.0 + 1e-9) + 1e-9)
 
     def test_surrogate_tight_at_reference(self):
@@ -63,8 +65,9 @@ class TestSurrogate:
         q_ref = np.array([400.0, 450.0, 300.0])
         sur = np.array(surrogate_rates(
             terms, _surrogate_coeffs(terms, q_ref), [q_ref]))
-        d2 = ((q_ref[None, :] - terms.q) ** 2).sum(axis=1)
-        exact = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1 / d2)
+        t = term_arrays(terms)
+        d2 = ((q_ref[None, :] - t.q) ** 2).sum(axis=1)
+        exact = t.bandwidth_hz * np.log2(1.0 + t.gamma1 / d2)
         np.testing.assert_allclose(sur[0], exact, rtol=1e-12)
 
 
@@ -235,21 +238,22 @@ def metre_unit_maximin(terms, q_ref, lo, hi):
     a reference for the exact solve; the point, clipped. Its common rate
     ratio is capped at the 1 m guard's, log2(1 + gamma1)."""
     a, slope, d2r = map(np.array, _surrogate_coeffs(terms, q_ref))
-    b = terms.bandwidth_hz
+    t = term_arrays(terms)
+    b = t.bandwidth_hz
 
     def cons_f(z):
-        d2 = ((z[None, :3] - terms.q) ** 2).sum(axis=1)
+        d2 = ((z[None, :3] - t.q) ** 2).sum(axis=1)
         return (a - slope * (d2 - d2r)) / b - z[3]
 
     def cons_jac(z):
-        jac = np.empty((terms.q.shape[0], 4))
-        jac[:, :3] = -2.0 * (slope / b)[:, None] * (z[None, :3] - terms.q)
+        jac = np.empty((t.q.shape[0], 4))
+        jac[:, :3] = -2.0 * (slope / b)[:, None] * (z[None, :3] - t.q)
         jac[:, 3] = -1.0
         return jac
 
     z0 = np.append(np.clip(q_ref, lo, hi), 0.0)
     z0[3] = cons_f(z0).min()
-    lam_hi = math.log2(1.0 + terms.gamma1.max())
+    lam_hi = math.log2(1.0 + t.gamma1.max())
     res = minimize(
         lambda z: -z[3], z0, jac=lambda z: np.array([0.0, 0.0, 0.0, -1.0]),
         bounds=[(lo[i], hi[i]) for i in range(3)] + [(0.0, lam_hi)],
@@ -448,14 +452,15 @@ class TestExactSolveCases:
         terms = placement_terms(sc, identity_association(sc), np.array([0]))
         lo, hi = box_of(sc)
         q_ref = Position3D(500.0, 500.0, 500.5)
+        t = term_arrays(terms)
         res = assert_exact(terms, q_ref.array, lo, hi)
-        np.testing.assert_array_equal(res.x, terms.q[0])
-        assert res.lam > math.log2(1.0 + terms.gamma1[0])
+        np.testing.assert_array_equal(res.x, t.q[0])
+        assert res.lam > math.log2(1.0 + t.gamma1[0])
         q_m, uncertified = solve_sp2_2(sc, terms, q_ref)
-        np.testing.assert_array_equal(q_m.array, terms.q[0])
+        np.testing.assert_array_equal(q_m.array, t.q[0])
         assert not uncertified
         slsqp = metre_unit_maximin(terms, q_ref.array, lo, hi)
-        assert np.linalg.norm(slsqp - terms.q[0]) < 1.0
+        assert np.linalg.norm(slsqp - t.q[0]) < 1.0
         assert (exact_objective(terms, q_m.array.tolist())
                 == exact_objective(terms, slsqp.tolist()))
 
@@ -546,23 +551,24 @@ def generic_support(cs, ws, rs):
 def numpy_exact_objective(terms, points):
     """The exact objective in NumPy at the rows of points (k, 3)."""
     from uav_mec.cost import floored_rates
+    t = term_arrays(terms)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rates = floored_rates(terms.q, pts[:, None, :], terms.gamma1,
-                          terms.bandwidth_hz)
-    lat = terms.tx_bits[None, :] / rates + terms.fixed_s[None, :]
+    rates = floored_rates(t.q, pts[:, None, :], t.gamma1, t.bandwidth_hz)
+    lat = t.tx_bits[None, :] / rates + t.fixed_s[None, :]
     return lat.max(axis=1, initial=0.0)
 
 
 def numpy_surrogate_rates(terms, q_ref, points):
     """The surrogate's coefficients (a, slope, d2r) at q_ref, and its rates
     at the rows of points (k, 3), in NumPy."""
+    t = term_arrays(terms)
     q_ref = np.asarray(q_ref, dtype=float)
-    d2r = np.maximum(((terms.q - q_ref[None, :]) ** 2).sum(axis=1), 1.0)
-    a = terms.bandwidth_hz * np.log2(1.0 + terms.gamma1 / d2r)
-    slope = (terms.bandwidth_hz * terms.gamma1 * math.log2(math.e)
-             / (d2r * (d2r + terms.gamma1)))
+    d2r = np.maximum(((t.q - q_ref[None, :]) ** 2).sum(axis=1), 1.0)
+    a = t.bandwidth_hz * np.log2(1.0 + t.gamma1 / d2r)
+    slope = (t.bandwidth_hz * t.gamma1 * math.log2(math.e)
+             / (d2r * (d2r + t.gamma1)))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d2 = ((pts[:, None, :] - terms.q[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((pts[:, None, :] - t.q[None, :, :]) ** 2).sum(axis=2)
     return (a, slope, d2r), a[None, :] - slope[None, :] * (d2 - d2r[None, :])
 
 
@@ -593,17 +599,6 @@ def bits(values) -> bytes:
 
 COORD = st.floats(-50.0, 1050.0)
 POINT = st.tuples(COORD, COORD, st.floats(0.0, 1050.0))
-
-
-def row_terms(rows):
-    """Placement terms with one row per (point, gamma1, tx_bits, fixed_s)."""
-    from uav_mec.placement import PlacementTerms
-    return PlacementTerms(q=np.array([p for p, *_ in rows]).reshape(-1, 3),
-                          gamma1=np.array([g for _, g, _, _ in rows]),
-                          tx_bits=np.array([t for *_, t, _ in rows]),
-                          fixed_s=np.array([f for *_, f in rows]),
-                          floors=np.zeros(len(rows)),
-                          bandwidth_hz=DEFAULT_CONSTANTS.bandwidth_hz)
 
 
 @st.composite

@@ -97,6 +97,19 @@ class TestScripts:
         assert lines[-1][0] == "sweep"
         assert all(len(line[-1]) == 64 for line in lines)
 
+    def test_loc(self):
+        # One row per module of the package, then the totals of both columns.
+        done = run_script("loc.py")
+        assert done.returncode == 0, done.stderr
+        header, *rows, total = [line.split()
+                                for line in done.stdout.splitlines()]
+        assert header == ["module", "lines", "code"]
+        assert sorted(name for name, _, _ in rows) == sorted(
+            p.name for p in (ROOT / "src" / "uav_mec").glob("*.py"))
+        assert all(0 < int(code) <= int(lines) for _, lines, code in rows)
+        assert total == ["total", str(sum(int(r[1]) for r in rows)),
+                         str(sum(int(r[2]) for r in rows))]
+
     @pytest.mark.parametrize("name", ["relay_sweep", "fleet"])
     def test_gate_configs_are_the_benchmark_workloads(self, monkeypatch,
                                                       name):
