@@ -15,10 +15,16 @@ n0_cap + 1 such candidates in O(N) each finds T*. F(T*) is a subset of every
 optimal subset, so it is also the lexicographically smallest optimal beta,
 and it is the first candidate in that order to reach T*.
 
+Each candidate is priced from the plan's price records (cost.plan_prices,
+one row per offloader count) at each S-UAV's link rate, on Python floats
+and in the evaluator's arithmetic, so its objective is evaluate_solution's
+to the bit.
+
 The LP relaxation -- with the fair-share relay time linearized through
 xi_n = beta_n * sum(beta) -- gives a certified lower bound. No decision reads
-it: solve_sp1 keeps its Sp1Terms on the decision, and the LP is built from
-them and solved with HiGHS on the first read of lp_lower_bound.
+it: solve_sp1 keeps its Sp1Terms on the decision, and on the first read of
+lp_lower_bound the LP's arrays are stacked from the local and single-
+offloader records and solved with HiGHS.
 """
 
 from __future__ import annotations
@@ -63,74 +69,46 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Sp1Terms:
-    """Per-S-UAV scalar coefficients of SP1 at fixed positions."""
+    """SP1 at fixed positions, as the plan's price records and link rates.
 
-    t_loc: np.ndarray
-    t_tx_loc: np.ndarray
-    t_tx_off: np.ndarray
-    t_ruav: np.ndarray       # (n0_cap, n): relay compute seconds, row m - 1
-    e_local: np.ndarray      # execution energy of the local branch
-    e_offload: np.ndarray    # execution energy of the offload branch
-    suav_budget: np.ndarray  # residual energy minus hover
-    ruav_budget: float
-    e_ruav: np.ndarray       # (n0_cap, n): relay compute energy, row m - 1
-    active: np.ndarray
-    fits_local: np.ndarray    # BranchPrice.fits on the local branch
-    fits_offload: np.ndarray  # ... and on the offload branch
+    by_count[0] holds every S-UAV's record on its local branch and
+    by_count[m] every S-UAV's record offloaded among m, for m up to the
+    relay cap; an idle S-UAV's record prices to zero but its hover in every
+    row. rates[j] is S-UAV j's link rate to the relay point."""
 
-    @property
-    def n(self) -> int:
-        return self.t_loc.size
-
-    @property
-    def n0_cap(self) -> int:
-        return self.t_ruav.shape[0]
-
-    @property
-    def k_ruav(self) -> np.ndarray:
-        """Relay compute seconds per unit of xi."""
-        return self.t_ruav[0]
-
-    @property
-    def w_ruav(self) -> np.ndarray:
-        """Relay compute energy per unit of xi."""
-        return self.e_ruav[0]
+    by_count: list[list[BranchPrice]]
+    rates: list[float]
+    active: list[bool]   # carries video this slot
+    ruav_budget: float   # the relay's budget less its hover
 
 
 def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D, prices: list | None = None) -> Sp1Terms:
     """SP1's terms: every S-UAV's local record and its offload records at
     each offloader count within the cap, gathered from the solve's price
-    table (cost.price_table; built here when none is given) and priced at
-    each S-UAV's link rate. An idle S-UAV sends 0 bits, so it prices to
-    zero but its hover at its own rate."""
+    table (cost.price_table; built here when none is given), and each
+    S-UAV's link rate at q_m."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
     table = price_table(scenario) if prices is None else prices
     active, n = (s_bits > 0.0).tolist(), len(s_bits)
-    # Row m: every S-UAV on its local branch (m = 0), or offloaded among m.
-    by_count = np.array([plan_prices(table, active, [m > 0] * n, m)
-                         for m in range(scenario.n0_cap + 1)])
-    local, off = BranchPrice(*by_count[0].T), BranchPrice(*by_count[1].T)
+    by_count = [plan_prices(table, active, [m > 0] * n, m)
+                for m in range(scenario.n0_cap + 1)]
     q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
-    r = np.array([floored_rate(suav.current_pos.xyz, q, gamma1, bandwidth_hz)
-                  for suav, gamma1 in zip(scenario.suavs,
-                                          local.gamma1.tolist())])
-    return Sp1Terms(
-        t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
-        t_tx_off=off.tx_bits / r, t_ruav=by_count[1:, :, 1],
-        e_local=local.energy(r), e_offload=off.energy(r),
-        suav_budget=local.budget_j - local.hover_j,
-        ruav_budget=scenario.ruav.energy_budget_j - scenario.ruav.hover_energy_j,
-        e_ruav=by_count[1:, :, 3], active=s_bits > 0.0,
-        fits_local=local.fits(r), fits_offload=off.fits(r),
-    )
+    rates = [floored_rate(suav.current_pos.xyz, q, price.gamma1, bandwidth_hz)
+             for suav, price in zip(scenario.suavs, by_count[0])]
+    return Sp1Terms(by_count, rates, active, scenario.ruav.energy_budget_j
+                    - scenario.ruav.hover_energy_j)
 
 
 def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
     """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0)."""
-    n = t.n
-    n0 = t.n0_cap
-    excluded = np.flatnonzero(~(t.fits_local | t.fits_offload))
+    n = len(t.rates)
+    n0 = len(t.by_count) - 1
+    r = np.array(t.rates)
+    local, off = (BranchPrice(*np.array(row).T) for row in t.by_count[:2])
+    local_tx, off_tx = local.tx_bits / r, off.tx_bits / r
+    e_local, e_offload = local.energy(r), off.energy(r)
+    excluded = np.flatnonzero(~(local.fits(r) | off.fits(r)))
     if excluded.size:
         raise InfeasibleSubproblem(f"energy budget of S-UAV {excluded[0]} "
                                    "excludes both computing branches")
@@ -145,15 +123,15 @@ def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
         (np.hstack([-ones, diag(1.0), col]), np.zeros(n)),  # ... vs sum(beta)
         (np.hstack([ones + diag(float(n0)), diag(-1.0), col]),
          np.full(n, float(n0))),  # xi lower envelope
-        (np.hstack([diag(t.t_tx_off - t.t_loc - t.t_tx_loc),
-                    diag(t.k_ruav), np.full((n, 1), -1.0)]),
-         -(t.t_loc + t.t_tx_loc)),  # linearized latency under the slack
-        (np.concatenate([np.zeros(n), t.w_ruav, [0.0]])[None],
+        (np.hstack([diag(off_tx - local.fixed_s - local_tx),
+                    diag(off.fixed_s), np.full((n, 1), -1.0)]),
+         -(local.fixed_s + local_tx)),  # linearized latency under the slack
+        (np.concatenate([np.zeros(n), off.relay_j, [0.0]])[None],
          [t.ruav_budget]),  # relay energy
         (np.concatenate([np.ones(n), np.zeros(n + 1)])[None],
          [float(n0)]),  # relay service cap
-        (np.hstack([diag(t.e_offload - t.e_local), np.zeros((n, n + 1))]),
-         t.suav_budget - t.e_local),  # per-S-UAV energy, linear in beta_j
+        (np.hstack([diag(e_offload - e_local), np.zeros((n, n + 1))]),
+         local.budget_j - local.hover_j - e_local),  # per-S-UAV energy
     ]
     c = np.zeros(2 * n + 1)
     c[-1] = 1.0
@@ -164,21 +142,17 @@ def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
 
 def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
     """Exact min-max latency of one offload subset, or None if infeasible."""
-    m = len(members)
     member_set = set(members)
-    worst = 0.0
-    ruav_e = 0.0
-    for j in range(t.n):  # an idle S-UAV prices to zero but its hover
-        if j in member_set:
-            if not t.fits_offload[j]:
-                return None
-            lat = t.t_tx_off[j] + t.t_ruav[m - 1, j]
-            ruav_e += t.e_ruav[m - 1, j]
-        else:
-            if not t.fits_local[j]:
-                return None
-            lat = t.t_loc[j] + t.t_tx_loc[j]
-        worst = max(worst, lat)
+    worst = ruav_e = 0.0
+    offloaded = t.by_count[len(members)]
+    # An idle S-UAV prices to zero but its hover; a local one spends no
+    # relay energy.
+    for j, (local, r) in enumerate(zip(t.by_count[0], t.rates)):
+        price = offloaded[j] if j in member_set else local
+        if not price.fits(r):
+            return None
+        worst = max(worst, price.latency(r))
+        ruav_e += price.relay_j
     if ruav_e > t.ruav_budget:
         return None
     return worst
@@ -192,8 +166,8 @@ def _decision(n: int, members, slack_s: float) -> OffloadDecision:
 
 def _local_order(t: Sp1Terms, among) -> list[int]:
     """S-UAVs of `among` in descending order of local latency, ties by id."""
-    local = t.t_loc + t.t_tx_loc
-    return sorted(among, key=lambda j: (-local[j], j))
+    local, r = t.by_count[0], t.rates
+    return sorted(among, key=lambda j: (-local[j].latency(r[j]), j))
 
 
 def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
@@ -202,15 +176,17 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     Returns the lexicographically smallest optimal beta, as enumerating
     every subset within the relay cap would (see the module docstring).
     """
+    fits = [price.fits(r) for price, r in zip(t.by_count[0], t.rates)]
     # Those whose local branch breaks the budget; an idle one breaks both.
-    forced = np.flatnonzero(~t.fits_local).tolist()
+    forced = [j for j, ok in enumerate(fits) if not ok]
     for j in forced:  # the first S-UAV that build_sp1_lp would reject
-        if not t.fits_offload[j]:
+        if not t.by_count[1][j].fits(t.rates[j]):
             raise InfeasibleSubproblem(
                 f"energy budget of S-UAV {j} excludes both computing branches")
-    rest = _local_order(t, np.flatnonzero(t.active & t.fits_local).tolist())
+    rest = _local_order(t, [j for j, ok in enumerate(fits)
+                            if ok and t.active[j]])
     best = None
-    for k in range(min(t.n0_cap - len(forced), len(rest)) + 1):
+    for k in range(min(len(t.by_count) - 1 - len(forced), len(rest)) + 1):
         members = forced + rest[:k]
         obj = _subset_objective(t, tuple(members))
         if obj is not None and (best is None or obj < best[0]):
@@ -218,7 +194,7 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
     obj, members = best
-    return _decision(t.n, members, obj)
+    return _decision(len(t.rates), members, obj)
 
 
 def solve_sp1(scenario: Scenario, association: Association,
@@ -238,9 +214,9 @@ def forced_offload(scenario: Scenario, association: Association,
     energy budget admit -- the longest such prefix of that order. prices:
     as sp1_terms'."""
     t = sp1_terms(scenario, association, q_m, prices)
-    order = _local_order(t, np.flatnonzero(t.active).tolist())
+    order = _local_order(t, [j for j, on in enumerate(t.active) if on])
     for k in range(min(scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))
         if obj is not None:
-            return _decision(t.n, order[:k], obj)
+            return _decision(len(t.rates), order[:k], obj)
     raise InfeasibleSubproblem("no energy-feasible prefix of the offload order")

@@ -450,7 +450,7 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
     q_ref = _floats(q_m_ref)
     coeffs = _surrogate_coeffs(terms, q_ref)
     res = minimize(*_inner_problem(terms, coeffs), lo, hi)
-    cands = [_clip(res.x.tolist(), lo, hi), _clip(q_ref, lo, hi)]
+    cands = [res.x.tolist(), _clip(q_ref, lo, hi)]
     rates = surrogate_rates(terms, coeffs, cands)
     for k in (0 if min(rates[0]) >= min(rates[1]) else 1, 1):
         if all(rate >= floor

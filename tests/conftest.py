@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from uav_mec.config import KB_BITS, ExperimentConfig
+from uav_mec.cost import BranchPrice
 from uav_mec.link import PhysicsConstants
+from uav_mec.offload import Sp1Terms
 from uav_mec.placement import PlacementTerms
 from uav_mec.scenario import (Association, CameraSpec, Position3D, RUav,
                               Scenario, SUav, Target,
@@ -74,6 +76,21 @@ def term_arrays(terms: PlacementTerms) -> SimpleNamespace:
     return SimpleNamespace(q=a[:, :3], gamma1=a[:, 3], tx_bits=a[:, 4],
                            fixed_s=a[:, 5], floors=a[:, 6],
                            bandwidth_hz=terms.bandwidth_hz)
+
+
+def sp1_arrays(t: Sp1Terms) -> SimpleNamespace:
+    """t's records as NumPy arrays at its rates, (n,) each: the local
+    branch's compute seconds t_loc, both branches' transmit seconds t_tx_loc
+    and t_tx_off and execution energies e_local and e_offload, and the relay
+    compute seconds per unit of xi k_ruav; and e_ruav (n0_cap, n), the relay
+    compute energy at m offloaders in row m - 1."""
+    r = np.array(t.rates)
+    by_count = np.array(t.by_count)
+    local, off = BranchPrice(*by_count[0].T), BranchPrice(*by_count[1].T)
+    return SimpleNamespace(t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
+                           t_tx_off=off.tx_bits / r, k_ruav=off.fixed_s,
+                           e_local=local.energy(r), e_offload=off.energy(r),
+                           e_ruav=by_count[1:, :, 3])
 
 
 def full_association(scenario: Scenario) -> Association:

@@ -31,7 +31,8 @@ from uav_mec.scenario import (Association, Position3D, generate_scenario,
                               repositioned_scenario)
 
 from .conftest import (DEFAULT_CONSTANTS, full_association,
-                       identity_association, link_terms, make_scenario)
+                       identity_association, link_terms, make_scenario,
+                       sp1_arrays)
 from .test_association import random_instance
 
 CONFIG = ExperimentConfig()
@@ -142,6 +143,7 @@ def test_criterion_02_linearization_exactness():
     q_m = Position3D(500.0, 500.0, 400.0)
     t = sp1_terms(sc, assoc, q_m)
     lp = build_sp1_lp(t)
+    t = sp1_arrays(t)
     xi_rows, xi_rhs = lp.a[:24, :], lp.b[:24]
     count = 0
     pinned = True

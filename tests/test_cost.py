@@ -376,11 +376,12 @@ class TestCrossBlockPricing:
                    for e, s in zip(energies, sc.suavs)]
         feasible = all(suav_ok) and \
             energies[-1].total_j <= sc.ruav.energy_budget_j
-        close = lambda value: value == pytest.approx(objective, rel=1e-12)
 
+        # improve takes the threshold search's price as the plan's objective
+        # with no re-pricing, so it must be the evaluator's to the bit.
         subset = _subset_objective(sp1_terms(placed, assoc, q), members)
         assert (subset is not None) == feasible
-        assert subset is None or close(subset)
+        assert subset is None or subset == objective
 
         # No rate keeps the budget of an active S-UAV whose compute and
         # hover spend it, or of an idle one whose hover breaks it.

@@ -17,7 +17,8 @@ from uav_mec.oracles import bruteforce_offload
 from uav_mec.scenario import (Association, Position3D,
                               feasible_association_mask)
 
-from .conftest import counting, identity_association, make_scenario
+from .conftest import (counting, identity_association, make_scenario,
+                       sp1_arrays)
 
 Q_M = Position3D(500.0, 500.0, 500.0)
 
@@ -77,7 +78,7 @@ class TestLinearizedLatency:
         """The xi-linearized latency reproduces the branch latency exactly."""
         sc = scenario_n(8, n0_cap=4)
         assoc = identity_association(sc)
-        t = sp1_terms(sc, assoc, Q_M)
+        t = sp1_arrays(sp1_terms(sc, assoc, Q_M))
         for m in range(sc.n0_cap + 1):
             for members in itertools.combinations(range(8), m):
                 beta = np.zeros(8, dtype=int)
@@ -101,6 +102,7 @@ class TestEnumeration:
         assoc = identity_association(sc)
         t = sp1_terms(sc, assoc, Q_M)
         decision = enumerate_offload(t)
+        t = sp1_arrays(t)
         local = t.t_loc[0] + t.t_tx_loc[0]
         off = t.t_tx_off[0] + t.k_ruav[0]
         assert decision.beta[0] == (1 if off < local else 0)
@@ -168,7 +170,7 @@ def offload_instances(draw):
     alpha = np.zeros_like(mask)
     alpha[np.arange(n), owner] = 1
     assoc = Association(alpha=alpha, feasible_mask=mask)
-    t = sp1_terms(sc, assoc, Q_M)
+    t = sp1_arrays(sp1_terms(sc, assoc, Q_M))
     budgets = []
     for j in range(n):
         e_loc, e_off = t.e_local[j], t.e_offload[j]
@@ -205,7 +207,7 @@ class TestThresholdSearch:
         sc = scenario_n(24, n0_cap=3, cpu_suav_hz=0.6e9,
                         chunk_bits=rng.uniform(1.6e6, 2.5e6, size=24))
         assoc = identity_association(sc)
-        t = sp1_terms(sc, assoc, Q_M)
+        t = sp1_arrays(sp1_terms(sc, assoc, Q_M))
         mid = 0.5 * (t.e_local + t.e_offload)
         sc = replace(sc, suavs=tuple(
             replace(s, energy_budget_j=float(mid[s.id])) if s.id in (3, 17)

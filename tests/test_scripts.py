@@ -97,6 +97,19 @@ class TestScripts:
         assert lines[-1][0] == "sweep"
         assert all(len(line[-1]) == 64 for line in lines)
 
+    def test_relabel_spread(self):
+        # One spread per seed, then the counts above 1e-6 and 1e-3 and the
+        # largest spread.
+        done = run_script("relabel_spread.py", "--seeds", "0-1")
+        assert done.returncode == 0, done.stderr
+        *rows, last = [line.split() for line in done.stdout.splitlines()]
+        assert [row[0] for row in rows] == ["0", "1"]
+        spreads = [float(row[1]) for row in rows]
+        assert all(s >= 0.0 for s in spreads)
+        assert last == ["above", "1e-6:", str(sum(s > 1e-6 for s in spreads)),
+                        "above", "1e-3:", str(sum(s > 1e-3 for s in spreads)),
+                        "largest:", f"{max(spreads):.3e}"]
+
     def test_loc(self):
         # One row per module of the package, then the totals of both columns.
         done = run_script("loc.py")
@@ -134,6 +147,7 @@ class TestScripts:
         ("compare_schemes.py", "--seeds", "-1"),
         ("digest.py", "--seeds", "abc"),
         ("oracle_gaps.py", "--seeds", "abc"),
+        ("relabel_spread.py", "--seeds", "abc"),
         ("oracle_gaps.py", "--n-suavs", "0"),
         ("oracle_gaps.py", "--n-suavs", "16", "--n-targets", "40"),
         ("run_sweeps.py", "--seeds", "5-2"),
