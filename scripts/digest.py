@@ -2,10 +2,11 @@
 """Print digests of the planner's results, for a bit-identity check by diff.
 
 One line per (seed, scheme): a sha256 of the repr of the solve's outer
-objective trace, its SCA traces, and the returned association, offload
-decision and relay position. Then one line: a sha256 of an n0_cap 1-8 sweep
-over the same seeds, every column but wall_ms. Two trees give the same
-results on these inputs exactly when they print the same output:
+objective trace, its SCA traces, the returned association, offload
+decision and relay position, and the report's LP lower bound (nan where
+the solve kept no offload decision). Then one line: a sha256 of an n0_cap
+1-8 sweep over the same seeds, every column but wall_ms. Two trees give
+the same results on these inputs exactly when they print the same output:
 
     python3 scripts/digest.py --seeds 0-4 > before.txt
     ... change the code ...
@@ -63,7 +64,8 @@ def digest(args):
                                 r_max=cfg.r_max)
             print(seed, scheme, sha256((
                 report.objective_trace, report.sca_traces,
-                report.alpha.tolist(), report.beta.tolist(), report.q_m)))
+                report.alpha.tolist(), report.beta.tolist(), report.q_m,
+                report.lp_lower_bound)))
 
     rows = [tuple(getattr(row, f.name) for f in fields(row)
                   if f.name != "wall_ms")

@@ -56,9 +56,10 @@ thousand nodes or a thousand columns, so every fact that depends only on
 the solve is read from those tables rather than worked out again at each
 node or column. A call gathers its S-UAVs' price records from the solve's
 price table (cost.plan_prices) and prices all columns in one pass; a new
-target set costs one memoised hover point and one link rate on floats. The
-same Pools gives the outer loop its placed S-UAVs and every block its
-price records.
+target set costs one memoised hover point and one link rate on floats, and
+an empty one nothing: an idle S-UAV keeps its budget, as the table
+vouches. The same Pools gives the outer loop its placed S-UAVs and every
+block its price table.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class Pools:
     factors (2 tan(phi_h / 2), 2 tan(phi_v / 2), gamma). For every block:
     prices, every S-UAV's price records at its chunk size on the local
     branch and on the offload branch at each offloader count within the cap
-    (cost.price_table), which each block gathers for its plan with
-    cost.plan_prices. Filled in as calls need them:
+    (cost.price_table), which each block reads for its plan. Filled in as
+    calls need them:
     - per S-UAV, a memo from target bitmask to hover point (hover_point),
       and one to the S-UAV record placed there (placed);
     - on the first call whose search runs out of nodes (at the reference
@@ -121,16 +122,13 @@ class Pools:
 
     run_scheme builds one per solve and passes it to every block; nothing
     of it is kept on the scenario or in this module, so no solve reads
-    another's data. It raises InfeasibleSubproblem if an S-UAV's or the
+    another's data. It builds the price table before anything else, so it
+    raises the table's InfeasibleSubproblem first if an S-UAV's or the
     relay's hover alone breaks its budget, as it then does in every plan.
     """
 
     def __init__(self, scenario: Scenario, static_positions: bool = False):
-        owners = [(f"S-UAV {j}", s) for j, s in enumerate(scenario.suavs)]
-        for owner, uav in owners + [("the relay", scenario.ruav)]:
-            if uav.hover_energy_j > uav.energy_budget_j:
-                raise InfeasibleSubproblem(
-                    f"{owner}'s hover alone breaks its energy budget")
+        self.prices = price_table(scenario)  # first: it tests every hover
         self.scenario = scenario
         self.static_positions = static_positions
         self.mask = feasible_association_mask(scenario)
@@ -157,7 +155,6 @@ class Pools:
         self._points: list[dict[int, tuple[float, float, float]]] = [
             {} for _ in scenario.suavs]
         self._placed: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
-        self.prices = price_table(scenario)
         self._cols: _Columns | None = None
 
     def hover_point(self, suav_index: int,
@@ -220,8 +217,8 @@ class _Context:
     offloader count, so the call gathers every S-UAV's, at its chunk size,
     from the solve's price table (cost.plan_prices); a memo miss then costs
     one hover point (memoised per solve) and one link rate on floats. The
-    empty target set prices the S-UAV idle: zero latency, and its hover
-    alone against its budget.
+    empty target set leaves the S-UAV idle: zero latency, within its budget,
+    since the solve's price table has tested its hover.
     """
 
     def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
@@ -233,12 +230,12 @@ class _Context:
         self.q = q_m.xyz
         self.bandwidth_hz = pools.scenario.constants.bandwidth_hz
         beta = np.asarray(beta).tolist()
-        self.prices = plan_prices(pools.prices, [True] * len(beta), beta)
+        self.prices = plan_prices(pools.prices, beta)
         # Per S-UAV: target bitmask -> (latency, energy-feasible). An entry
         # is a non-empty tuple, so `memo[j].get(bits) or latency(j, bits)`
         # reads it and prices only a miss.
         self.memo: list[dict[int, tuple[float, bool]]] = [
-            {0: (0.0, price.fits())} for price in self.prices]
+            {0: (0.0, True)} for _ in self.prices]
 
     def latency(self, suav_index: int, target_bits: int) -> tuple[float, bool]:
         """(exact latency, energy-feasible) for one S-UAV and target bitmask."""

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDecision
+from .errors import InfeasibleSubproblem, InvalidDecision
 from .link import rate_at_dist_sq, snr_coeff
 from .scenario import Association, Position3D, Scenario
 
@@ -54,7 +54,9 @@ def effective_chunk_bits(scenario: Scenario, alpha: np.ndarray) -> np.ndarray:
 class BranchPrice(NamedTuple):
     """One S-UAV's price record on one computing branch: all that its
     latency, execution energy and budget test need but the link rate r,
-    which may be an array, as may every field of a stacked record."""
+    which may be an array, as may every field of a stacked record. The
+    blocks price only S-UAVs that carry video: an idle one costs nothing
+    but its hover, which price_table has already tested."""
 
     tx_bits: float   # bits sent to the relay: compressed result or raw chunk
     fixed_s: float   # compute seconds, on board or fair-share on the relay
@@ -71,18 +73,14 @@ class BranchPrice(NamedTuple):
     def energy(self, r):
         return self.tx_power_w * (self.tx_bits / r) + self.comp_j
 
-    def fits(self, r=None):
-        """The budget test, hover included, in the evaluator's arithmetic;
-        r=None tests the S-UAV idle, on its hover alone."""
-        spent = self.hover_j if r is None else self.energy(r) + self.hover_j
-        return spent <= self.budget_j
+    def fits(self, r):
+        """The budget test, hover included, in the evaluator's arithmetic."""
+        return self.energy(r) + self.hover_j <= self.budget_j
 
     @property
     def rate_floor(self) -> float:
         """The least rate at which the S-UAV keeps its budget, or inf if
-        none does; 0.0 for an idle S-UAV whose hover fits."""
-        if not self.tx_bits:
-            return 0.0 if self.fits() else math.inf
+        none does."""
         headroom = self.budget_j - self.hover_j - self.comp_j
         if headroom <= 0.0:
             return math.inf
@@ -120,29 +118,36 @@ def suav_prices(scenario: Scenario, s_bits, beta) -> list[BranchPrice]:
 def price_table(scenario: Scenario) -> list[list[BranchPrice]]:
     """Every S-UAV's price records at its chunk size, one row per S-UAV:
     the local branch's at index 0 and the offload branch's at m offloaders
-    at index m, for m up to the relay cap. A solve builds it once
-    (association.Pools.prices) and every block reads it through
-    plan_prices."""
+    at index m, for m up to the relay cap. A solve builds it once, first
+    (association.Pools.prices), and every block reads it: SP1 by row, the
+    others through plan_prices.
+
+    Raises InfeasibleSubproblem if an S-UAV's hover alone breaks its budget,
+    the lowest index first, or else if the relay's does: every plan then
+    breaks that budget, whatever the blocks decide. So a table vouches that
+    every idle S-UAV keeps its budget, and the blocks price only those that
+    carry video.
+    """
+    owners = [(f"S-UAV {j}", s) for j, s in enumerate(scenario.suavs)]
+    for owner, uav in owners + [("the relay", scenario.ruav)]:
+        if uav.hover_energy_j > uav.energy_budget_j:
+            raise InfeasibleSubproblem(
+                f"{owner}'s hover alone breaks its energy budget")
     return [[branch_price(scenario, j, float(suav.chunk_bits), m > 0, m)
              for m in range(scenario.n0_cap + 1)]
             for j, suav in enumerate(scenario.suavs)]
 
 
-def plan_prices(table: list[list[BranchPrice]], active, beta,
-                n_offloaders: int | None = None) -> list[BranchPrice]:
+def plan_prices(table: list[list[BranchPrice]], beta) -> list[BranchPrice]:
     """Every S-UAV's record under offload decision beta, read from a price
-    table (price_table): to the bit what suav_prices gives at the chunk
-    size where active is true and at 0 bits, idle, where it is false.
-    n_offloaders, sum(beta) unless given, is the fair share's offloader
-    count; past the relay cap it raises InvalidDecision, as the evaluator
-    does."""
-    m = int(sum(beta)) if n_offloaders is None else n_offloaders
+    table (price_table): for an S-UAV that carries video, to the bit what
+    suav_prices gives. Every record is at the S-UAV's chunk size, and a
+    block reads one only where the S-UAV carries video. Past the relay cap
+    it raises InvalidDecision, as the evaluator does."""
+    m = int(sum(beta))
     if m >= len(table[0]):
         raise InvalidDecision("offloader count exceeds the relay cap")
-    # At 0 bits every term but the constants is 0.0, on either branch.
-    return [row[m if b else 0] if on else row[0]._replace(
-                tx_bits=0.0, fixed_s=0.0, comp_j=0.0, relay_j=0.0)
-            for row, on, b in zip(table, active, beta)]
+    return [row[m if b else 0] for row, b in zip(table, beta)]
 
 
 def floored_rate(pos: tuple[float, float, float],

@@ -15,16 +15,19 @@ n0_cap + 1 such candidates in O(N) each finds T*. F(T*) is a subset of every
 optimal subset, so it is also the lexicographically smallest optimal beta,
 and it is the first candidate in that order to reach T*.
 
-Each candidate is priced from the plan's price records (cost.plan_prices,
-one row per offloader count) at each S-UAV's link rate, on Python floats
-and in the evaluator's arithmetic, so its objective is evaluate_solution's
-to the bit.
+Only the carriers, the S-UAVs that carry video, are priced: an idle one
+costs nothing but its hover, which the solve's price table
+(cost.price_table) has already tested. Each candidate is priced from that
+table's records at each carrier's link rate, on Python floats and in the
+evaluator's arithmetic, so its objective is evaluate_solution's to the bit.
+A carrier's budget test does not depend on the offloader count on either
+branch, so each is taken once per call.
 
 The LP relaxation -- with the fair-share relay time linearized through
 xi_n = beta_n * sum(beta) -- gives a certified lower bound. No decision reads
 it: solve_sp1 keeps its Sp1Terms on the decision, and on the first read of
 lp_lower_bound the LP's arrays are stacked from the local and single-
-offloader records and solved with HiGHS.
+offloader records, the idle S-UAVs' zeroed, and solved with HiGHS.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import simplex
-from .cost import (BranchPrice, effective_chunk_bits, floored_rate,
-                   plan_prices, price_table)
+from .cost import BranchPrice, effective_chunk_bits, floored_rate
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
@@ -69,43 +71,48 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Sp1Terms:
-    """SP1 at fixed positions, as the plan's price records and link rates.
+    """SP1 at fixed positions, over the carriers: the S-UAVs that carry
+    video. An idle S-UAV costs nothing but its hover, which the price table
+    vouches for, so no step prices it.
 
-    by_count[0] holds every S-UAV's record on its local branch and
-    by_count[m] every S-UAV's record offloaded among m, for m up to the
-    relay cap; an idle S-UAV's record prices to zero but its hover in every
-    row. rates[j] is S-UAV j's link rate to the relay point."""
+    prices is the solve's price table (cost.price_table): prices[j][0] is
+    S-UAV j's local record and prices[j][m] its record offloaded among m.
+    rates[j] is carrier j's link rate to the relay point, and fits[j]
+    whether it keeps its budget on its local branch and offloaded: neither
+    test depends on the offloader count, so each is taken once."""
 
-    by_count: list[list[BranchPrice]]
-    rates: list[float]
-    active: list[bool]   # carries video this slot
+    prices: list[list[BranchPrice]]
+    rates: dict[int, float]   # by carrier, ascending
+    fits: dict[int, tuple[bool, bool]]
     ruav_budget: float   # the relay's budget less its hover
 
 
 def sp1_terms(scenario: Scenario, association: Association,
-              q_m: Position3D, prices: list | None = None) -> Sp1Terms:
-    """SP1's terms: every S-UAV's local record and its offload records at
-    each offloader count within the cap, gathered from the solve's price
-    table (cost.price_table; built here when none is given), and each
-    S-UAV's link rate at q_m."""
-    s_bits = effective_chunk_bits(scenario, association.alpha)
-    table = price_table(scenario) if prices is None else prices
-    active, n = (s_bits > 0.0).tolist(), len(s_bits)
-    by_count = [plan_prices(table, active, [m > 0] * n, m)
-                for m in range(scenario.n0_cap + 1)]
+              q_m: Position3D, prices: list) -> Sp1Terms:
+    """SP1's terms on the solve's price table: each carrier's link rate at
+    q_m and its two budget tests."""
+    carriers = np.flatnonzero(
+        effective_chunk_bits(scenario, association.alpha) > 0.0).tolist()
     q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
-    rates = [floored_rate(suav.current_pos.xyz, q, price.gamma1, bandwidth_hz)
-             for suav, price in zip(scenario.suavs, by_count[0])]
-    return Sp1Terms(by_count, rates, active, scenario.ruav.energy_budget_j
+    rates, fits = {}, {}
+    for j in carriers:
+        local, offloaded = prices[j][:2]
+        r = rates[j] = floored_rate(scenario.suavs[j].current_pos.xyz, q,
+                                    local.gamma1, bandwidth_hz)
+        fits[j] = (local.fits(r), offloaded.fits(r))
+    return Sp1Terms(prices, rates, fits, scenario.ruav.energy_budget_j
                     - scenario.ruav.hover_energy_j)
 
 
 def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
-    """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0)."""
-    n = len(t.rates)
-    n0 = len(t.by_count) - 1
-    r = np.array(t.rates)
-    local, off = (BranchPrice(*np.array(row).T) for row in t.by_count[:2])
+    """LP relaxation: variables (beta in [0,1]^N, xi >= 0, s >= 0). An idle
+    S-UAV's rows are its records with the chunk's four terms zeroed, the
+    records at 0 bits, at a unit rate: they price to zero but its hover."""
+    table = np.array(t.prices)  # (n, n0 + 1, the record's 8 fields)
+    n, n0 = len(table), table.shape[1] - 1
+    table[[j not in t.rates for j in range(n)], :, :4] = 0.0
+    r = np.array([t.rates.get(j, 1.0) for j in range(n)])
+    local, off = BranchPrice(*table[:, 0].T), BranchPrice(*table[:, 1].T)
     local_tx, off_tx = local.tx_bits / r, off.tx_bits / r
     e_local, e_offload = local.energy(r), off.energy(r)
     excluded = np.flatnonzero(~(local.fits(r) | off.fits(r)))
@@ -141,18 +148,17 @@ def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
 
 
 def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
-    """Exact min-max latency of one offload subset, or None if infeasible."""
+    """Exact min-max latency of one offload subset of carriers, or None if
+    infeasible."""
     member_set = set(members)
     worst = ruav_e = 0.0
-    offloaded = t.by_count[len(members)]
-    # An idle S-UAV prices to zero but its hover; a local one spends no
-    # relay energy.
-    for j, (local, r) in enumerate(zip(t.by_count[0], t.rates)):
-        price = offloaded[j] if j in member_set else local
-        if not price.fits(r):
+    for j, r in t.rates.items():
+        offloaded = j in member_set
+        if not t.fits[j][offloaded]:
             return None
+        price = t.prices[j][len(members) if offloaded else 0]
         worst = max(worst, price.latency(r))
-        ruav_e += price.relay_j
+        ruav_e += price.relay_j  # 0.0 on the local branch
     if ruav_e > t.ruav_budget:
         return None
     return worst
@@ -165,9 +171,10 @@ def _decision(n: int, members, slack_s: float) -> OffloadDecision:
 
 
 def _local_order(t: Sp1Terms, among) -> list[int]:
-    """S-UAVs of `among` in descending order of local latency, ties by id."""
-    local, r = t.by_count[0], t.rates
-    return sorted(among, key=lambda j: (-local[j].latency(r[j]), j))
+    """Carriers of `among` in descending order of local latency, ties by
+    id."""
+    return sorted(among, key=lambda j: (-t.prices[j][0].latency(t.rates[j]),
+                                        j))
 
 
 def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
@@ -176,17 +183,16 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     Returns the lexicographically smallest optimal beta, as enumerating
     every subset within the relay cap would (see the module docstring).
     """
-    fits = [price.fits(r) for price, r in zip(t.by_count[0], t.rates)]
-    # Those whose local branch breaks the budget; an idle one breaks both.
-    forced = [j for j, ok in enumerate(fits) if not ok]
+    # Those whose local branch breaks the budget.
+    forced = [j for j, (local_ok, _) in t.fits.items() if not local_ok]
     for j in forced:  # the first S-UAV that build_sp1_lp would reject
-        if not t.by_count[1][j].fits(t.rates[j]):
+        if not t.fits[j][1]:
             raise InfeasibleSubproblem(
                 f"energy budget of S-UAV {j} excludes both computing branches")
-    rest = _local_order(t, [j for j, ok in enumerate(fits)
-                            if ok and t.active[j]])
+    rest = _local_order(t, [j for j, (local_ok, _) in t.fits.items()
+                            if local_ok])
     best = None
-    for k in range(min(len(t.by_count) - 1 - len(forced), len(rest)) + 1):
+    for k in range(min(len(t.prices[0]) - 1 - len(forced), len(rest)) + 1):
         members = forced + rest[:k]
         obj = _subset_objective(t, tuple(members))
         if obj is not None and (best is None or obj < best[0]):
@@ -194,29 +200,28 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     if best is None:
         raise InfeasibleSubproblem("no energy-feasible binary offload decision")
     obj, members = best
-    return _decision(len(t.rates), members, obj)
+    return _decision(len(t.prices), members, obj)
 
 
 def solve_sp1(scenario: Scenario, association: Association,
-              q_m: Position3D, *, prices: list | None = None
-              ) -> OffloadDecision:
+              q_m: Position3D, *, prices: list) -> OffloadDecision:
     """Default SP1 path: the threshold search for the point, with its terms
-    kept for a later read of the LP bound. prices: as sp1_terms'."""
+    kept for a later read of the LP bound. prices: the solve's price table
+    (cost.price_table)."""
     t = sp1_terms(scenario, association, q_m, prices)
     return replace(enumerate_offload(t), relaxation=t)
 
 
 def forced_offload(scenario: Scenario, association: Association,
-                   q_m: Position3D, *, prices: list | None = None
-                   ) -> OffloadDecision:
+                   q_m: Position3D, *, prices: list) -> OffloadDecision:
     """The relay-only rule: offload the video-carrying S-UAVs in descending
     order of local latency (ties by id), as many as the relay cap and every
     energy budget admit -- the longest such prefix of that order. prices:
-    as sp1_terms'."""
+    as solve_sp1's."""
     t = sp1_terms(scenario, association, q_m, prices)
-    order = _local_order(t, [j for j, on in enumerate(t.active) if on])
+    order = _local_order(t, t.rates)
     for k in range(min(scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))
         if obj is not None:
-            return _decision(len(t.rates), order[:k], obj)
+            return _decision(len(t.prices), order[:k], obj)
     raise InfeasibleSubproblem("no energy-feasible prefix of the offload order")

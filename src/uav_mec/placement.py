@@ -60,8 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblem
-from .cost import (effective_chunk_bits, floored_rate, plan_prices,
-                   price_table)
+from .cost import effective_chunk_bits, floored_rate, plan_prices
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
@@ -96,26 +95,24 @@ class PlacementTerms:
 
 
 def placement_terms(scenario: Scenario, association: Association,
-                    beta: np.ndarray, prices: list | None = None
-                    ) -> PlacementTerms:
+                    beta: np.ndarray, prices: list) -> PlacementTerms:
     """The transmitting S-UAVs' rows, read off their records in the solve's
-    price table (cost.price_table; built here when none is given). Raises
-    if some S-UAV, idle or not, keeps its budget at no rate."""
+    price table (cost.price_table). Raises if some S-UAV that carries video
+    keeps its budget at no rate; an idle one keeps it, as the table
+    vouches."""
     s_bits = effective_chunk_bits(scenario, association.alpha)
-    active = (s_bits > 0.0).tolist()
-    records = plan_prices(price_table(scenario) if prices is None else prices,
-                          active, np.asarray(beta).tolist())
-    floors = [p.rate_floor for p in records]
-    if math.inf in floors:
-        raise InfeasibleSubproblem(
-            f"S-UAV {floors.index(math.inf)} has no energy headroom for any "
-            "transmission")
-    return PlacementTerms(
-        rows=tuple((*_floats(suav.current_pos), p.gamma1, p.tx_bits,
-                    p.fixed_s, floor)
-                   for suav, p, floor, on in zip(scenario.suavs, records,
-                                                 floors, active) if on),
-        bandwidth_hz=scenario.constants.bandwidth_hz)
+    records = plan_prices(prices, np.asarray(beta).tolist())
+    rows = []
+    for j in np.flatnonzero(s_bits > 0.0).tolist():
+        p = records[j]
+        floor = p.rate_floor
+        if floor == math.inf:
+            raise InfeasibleSubproblem(
+                f"S-UAV {j} has no energy headroom for any transmission")
+        rows.append((*_floats(scenario.suavs[j].current_pos), p.gamma1,
+                     p.tx_bits, p.fixed_s, floor))
+    return PlacementTerms(rows=tuple(rows),
+                          bandwidth_hz=scenario.constants.bandwidth_hz)
 
 
 def _floats(p: Position3D) -> list[float]:
@@ -461,10 +458,10 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
 
 
 def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
-             q_m: Position3D, *, prices: list | None = None
+             q_m: Position3D, *, prices: list
              ) -> tuple[Position3D, list, int]:
     """Successive convexification from q_m until the exact objective stalls.
-    prices: as placement_terms'.
+    prices: the solve's price table, as placement_terms takes it.
 
     Returns (best point, trace, fallbacks): the trace holds the exact
     objective at the start and after each round, ending at the point's, and

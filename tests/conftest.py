@@ -79,18 +79,21 @@ def term_arrays(terms: PlacementTerms) -> SimpleNamespace:
 
 
 def sp1_arrays(t: Sp1Terms) -> SimpleNamespace:
-    """t's records as NumPy arrays at its rates, (n,) each: the local
-    branch's compute seconds t_loc, both branches' transmit seconds t_tx_loc
-    and t_tx_off and execution energies e_local and e_offload, and the relay
-    compute seconds per unit of xi k_ruav; and e_ruav (n0_cap, n), the relay
-    compute energy at m offloaders in row m - 1."""
-    r = np.array(t.rates)
-    by_count = np.array(t.by_count)
-    local, off = BranchPrice(*by_count[0].T), BranchPrice(*by_count[1].T)
+    """t's records as NumPy arrays at its rates, (n,) each, an idle S-UAV's
+    zero: the local branch's compute seconds t_loc, both branches' transmit
+    seconds t_tx_loc and t_tx_off and execution energies e_local and
+    e_offload, and the relay compute seconds per unit of xi k_ruav; and
+    e_ruav (n0_cap, n), the relay compute energy at m offloaders in row
+    m - 1."""
+    table = np.array(t.prices)  # (n, n0_cap + 1, 8)
+    idle = [j not in t.rates for j in range(len(table))]
+    table[idle, :, :4] = 0.0  # an idle S-UAV's records at 0 bits
+    r = np.array([t.rates.get(j, 1.0) for j in range(len(table))])
+    local, off = BranchPrice(*table[:, 0].T), BranchPrice(*table[:, 1].T)
     return SimpleNamespace(t_loc=local.fixed_s, t_tx_loc=local.tx_bits / r,
                            t_tx_off=off.tx_bits / r, k_ruav=off.fixed_s,
                            e_local=local.energy(r), e_offload=off.energy(r),
-                           e_ruav=by_count[1:, :, 3])
+                           e_ruav=table[:, 1:, 3].T)
 
 
 def full_association(scenario: Scenario) -> Association:

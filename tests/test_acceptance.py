@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from uav_mec.config import ExperimentConfig
-from uav_mec.cost import evaluate_solution
+from uav_mec.cost import evaluate_solution, price_table
 from uav_mec.link import rate_at_dist_sq, snr_coeff
 from uav_mec import simplex
 from uav_mec.offload import build_sp1_lp, enumerate_offload, sp1_terms
@@ -141,7 +141,7 @@ def test_criterion_02_linearization_exactness():
                        chunk_bits=chunks, n0_cap=4)
     assoc = identity_association(sc)
     q_m = Position3D(500.0, 500.0, 400.0)
-    t = sp1_terms(sc, assoc, q_m)
+    t = sp1_terms(sc, assoc, q_m, price_table(sc))
     lp = build_sp1_lp(t)
     t = sp1_arrays(t)
     xi_rows, xi_rhs = lp.a[:24, :], lp.b[:24]
@@ -202,7 +202,7 @@ def test_criterion_03_relaxation_bound():
         q_m = Position3D(float(rng.uniform(0, 1000)),
                          float(rng.uniform(0, 1000)),
                          float(rng.uniform(100, 1000)))
-        t = sp1_terms(sc, assoc, q_m)
+        t = sp1_terms(sc, assoc, q_m, price_table(sc))
         lp = build_sp1_lp(t)
         _, lower = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
         best = enumerate_offload(t).slack_s
@@ -229,7 +229,8 @@ def test_criterion_04_sca_descent():
         placed = repositioned_scenario(scenario, assoc.alpha)
         beta = np.zeros(scenario.n_suavs, dtype=int)
         q_m, trace, _ = sca_loop(placed, assoc, beta,
-                                 default_initial_position(placed))
+                                 default_initial_position(placed),
+                                 prices=price_table(placed))
         final = trace[-1]
         if any(b > a + 1e-9 for a, b in zip(trace, trace[1:])):
             monotone = False

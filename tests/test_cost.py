@@ -361,6 +361,12 @@ class TestRelayEntry:
         assert results and cut
 
 
+def hover_breaks(sc) -> bool:
+    """Whether an S-UAV's or the relay's hover alone breaks its budget."""
+    return any(uav.hover_energy_j > uav.energy_budget_j
+               for uav in (*sc.suavs, sc.ruav))
+
+
 class TestCrossBlockPricing:
     """Every block prices a point exactly like the evaluator."""
 
@@ -368,6 +374,10 @@ class TestCrossBlockPricing:
     @given(priced_points())
     def test_blocks_agree_with_evaluate_solution(self, point):
         sc, placed, assoc, members, q = point
+        # Such a draw stops the price table, before any block prices it
+        # (test_a_breaking_hover_stops_the_table).
+        assume(not hover_breaks(sc))
+        table = price_table(sc)
         beta = np.zeros(sc.n_suavs, dtype=int)
         beta[list(members)] = 1
         objective, spread, lats, energies = evaluate_solution(
@@ -379,43 +389,48 @@ class TestCrossBlockPricing:
 
         # improve takes the threshold search's price as the plan's objective
         # with no re-pricing, so it must be the evaluator's to the bit.
-        subset = _subset_objective(sp1_terms(placed, assoc, q), members)
+        subset = _subset_objective(sp1_terms(placed, assoc, q, table),
+                                   members)
         assert (subset is not None) == feasible
         assert subset is None or subset == objective
 
-        # No rate keeps the budget of an active S-UAV whose compute and
-        # hover spend it, or of an idle one whose hover breaks it.
-        no_headroom = any(
-            e.comp_j + e.hover_j >= s.energy_budget_j if lb.active
-            else e.hover_j > s.energy_budget_j
-            for lb, e, s in zip(lats, energies, sc.suavs))
-        if no_headroom:
+        # No rate keeps the budget of an S-UAV that carries video and whose
+        # compute and hover spend it.
+        if any(e.comp_j + e.hover_j >= s.energy_budget_j
+               for lb, e, s in zip(lats, energies, sc.suavs) if lb.active):
             with pytest.raises(InfeasibleSubproblem,
                                match="no energy headroom"):
-                placement_terms(placed, assoc, beta)
+                placement_terms(placed, assoc, beta, table)
         else:
-            terms = placement_terms(placed, assoc, beta)
+            terms = placement_terms(placed, assoc, beta, table)
             assert exact_objective(terms, q.array.tolist()) == objective
 
-        # A hover that alone breaks its budget breaks it in every plan, and
-        # Pools, built first in every solve, raises on it.
-        if any(e.hover_j > s.energy_budget_j
-               for e, s in zip(energies, sc.suavs)):
-            with pytest.raises(InfeasibleSubproblem, match="hover alone"):
-                Pools(sc)
-        else:
-            ctx = _Context(Pools(sc), beta, q)
-            for j, lb in enumerate(lats):
-                bits = sum(1 << int(i)
-                           for i in np.flatnonzero(assoc.alpha[:, j]))
-                latency, ok = ctx.latency(j, bits)
-                assert latency == lb.total_s
-                assert ok == suav_ok[j]
+        ctx = _Context(Pools(sc), beta, q)
+        for j, lb in enumerate(lats):
+            bits = sum(1 << int(i) for i in np.flatnonzero(assoc.alpha[:, j]))
+            latency, ok = ctx.latency(j, bits)
+            assert latency == lb.total_s
+            assert ok == suav_ok[j]
 
         chunked = chunked_metrics(placed, assoc.alpha, beta, q)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
         assert chunked == pytest.approx(
             (objective, spread, exec_j, energies[-1].comp_j), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(priced_points())
+    def test_a_breaking_hover_stops_the_table(self, point):
+        # A hover that alone breaks its budget breaks it in every plan:
+        # the price table, which Pools builds first in every solve, raises
+        # on the first such owner, so no block prices the draw.
+        sc = point[0]
+        assume(hover_breaks(sc))
+        owners = [(f"S-UAV {s.id}", s) for s in sc.suavs]
+        owner = next(name for name, uav in owners + [("the relay", sc.ruav)]
+                     if uav.hover_energy_j > uav.energy_budget_j)
+        with pytest.raises(InfeasibleSubproblem, match=(
+                f"^{owner}'s hover alone breaks its energy budget$")):
+            price_table(sc)
 
     @settings(max_examples=60, deadline=None)
     @given(priced_points(), st.sampled_from([0.5, 1.0, 2.0]))
@@ -533,20 +548,56 @@ class TestPerSolveTables:
     @settings(max_examples=40, deadline=None)
     @given(priced_table())
     def test_gather_is_suav_prices(self, sc):
-        # Every set of video-carrying S-UAVs and every beta: within the
-        # cap the gather is the evaluator's pricing, to the bit (repr tells
-        # -0.0 from 0.0 and np.float64 from float); past it, it raises.
+        # Every beta and every set of video-carrying S-UAVs: within the cap
+        # the gather gives each carrier the evaluator's record, to the bit
+        # (repr tells -0.0 from 0.0 and np.float64 from float); past it, it
+        # raises. No block reads an idle S-UAV's record.
         n, table = sc.n_suavs, price_table(sc)
-        for active in itertools.product([False, True], repeat=n):
-            s_bits = [s.chunk_bits if on else 0.0
-                      for s, on in zip(sc.suavs, active)]
-            for beta in itertools.product([0, 1], repeat=n):
-                if sum(beta) > sc.n0_cap:
-                    with pytest.raises(InvalidDecision):
-                        plan_prices(table, active, beta)
-                else:
-                    assert repr(plan_prices(table, active, beta)) == \
-                        repr(suav_prices(sc, s_bits, beta))
+        for beta in itertools.product([0, 1], repeat=n):
+            if sum(beta) > sc.n0_cap:
+                with pytest.raises(InvalidDecision):
+                    plan_prices(table, beta)
+                continue
+            gathered = plan_prices(table, beta)
+            for active in itertools.product([False, True], repeat=n):
+                s_bits = [s.chunk_bits if on else 0.0
+                          for s, on in zip(sc.suavs, active)]
+                fresh = suav_prices(sc, s_bits, beta)
+                carriers = [j for j, bits in enumerate(s_bits) if bits > 0.0]
+                assert repr([gathered[j] for j in carriers]) == \
+                    repr([fresh[j] for j in carriers])
+
+
+class TestPriceTableHover:
+    """price_table tests every hover: one that alone breaks its owner's
+    budget raises, the S-UAVs' by index first, then the relay's."""
+
+    @pytest.mark.parametrize("breaking,owner", [
+        ((), None), ((2, 1, "relay"), "S-UAV 1"), ((2, "relay"), "S-UAV 2"),
+        (("relay",), "the relay")])
+    def test_first_breaking_hover_raises(self, monkeypatch, breaking, owner):
+        from uav_mec import association
+
+        from .conftest import counting
+        sc = make_scenario([(100.0 * j, 500.0) for j in range(3)],
+                           [(100.0 * j, 500.0) for j in range(3)])
+        # A hover at its budget fits; one above it breaks it.
+        sc = replace(sc, suavs=tuple(
+            replace(s, hover_energy_j=s.energy_budget_j
+                    * (2.0 if s.id in breaking else 1.0)) for s in sc.suavs),
+            ruav=replace(sc.ruav, hover_energy_j=sc.ruav.energy_budget_j
+                         * (2.0 if "relay" in breaking else 1.0)))
+        masks = counting(monkeypatch, association, "feasible_association_mask")
+        if owner is None:
+            assert len(price_table(sc)) == len(Pools(sc).prices) == 3
+            return
+        message = f"^{owner}'s hover alone breaks its energy budget$"
+        with pytest.raises(InfeasibleSubproblem, match=message):
+            price_table(sc)
+        # Pools builds the table before anything else.
+        with pytest.raises(InfeasibleSubproblem, match=message):
+            Pools(sc)
+        assert masks == []
 
 
 class TestBlocksKeepTheRelayCap:
@@ -563,10 +614,9 @@ class TestBlocksKeepTheRelayCap:
         assert beta.sum() > scenario0.n0_cap
         with pytest.raises(InvalidDecision, match="relay cap"):
             evaluate_solution(placed, assoc, beta, q)
-        for prices in (pools.prices, None):
-            with pytest.raises(InvalidDecision, match="relay cap"):
-                placement_terms(placed, assoc, beta, prices)
-            with pytest.raises(InvalidDecision, match="relay cap"):
-                sca_loop(placed, assoc, beta, q, prices=prices)
+        with pytest.raises(InvalidDecision, match="relay cap"):
+            placement_terms(placed, assoc, beta, pools.prices)
+        with pytest.raises(InvalidDecision, match="relay cap"):
+            sca_loop(placed, assoc, beta, q, prices=pools.prices)
         with pytest.raises(InvalidDecision, match="relay cap"):
             solve_association(pools, beta, q)

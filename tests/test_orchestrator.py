@@ -174,10 +174,11 @@ class TestStartPlanAndImprove:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_only_the_forced_rule_starts_with_offloaders(self, scenario0,
                                                          scheme):
-        plan = start_plan(scheme_pools(scenario0, scheme), scheme)
+        pools = scheme_pools(scenario0, scheme)
+        plan = start_plan(pools, scheme)
         if scheme == "ruav_only":
-            expected = forced_offload(plan.placed, plan.association,
-                                      plan.q_m).beta.tolist()
+            expected = forced_offload(plan.placed, plan.association, plan.q_m,
+                                      prices=pools.prices).beta.tolist()
             assert sum(expected) > 0
         else:
             expected = [0] * scenario0.n_suavs

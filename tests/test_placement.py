@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
+from uav_mec.cost import price_table
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.link import snr_coeff
 from uav_mec.oracles import grid_search_placement
@@ -32,8 +33,10 @@ class TestPlacementTerms:
     def test_branch_dependent_tx_bits(self):
         sc = pair_scenario()
         assoc = identity_association(sc)
-        local = term_arrays(placement_terms(sc, assoc, np.array([0, 0])))
-        off = term_arrays(placement_terms(sc, assoc, np.array([1, 1])))
+        local = term_arrays(placement_terms(sc, assoc, np.array([0, 0]),
+                                            price_table(sc)))
+        off = term_arrays(placement_terms(sc, assoc, np.array([1, 1]),
+                                          price_table(sc)))
         np.testing.assert_allclose(local.tx_bits, 0.1 * off.tx_bits)
         assert np.all(off.fixed_s < local.fixed_s)  # relay CPU is 10x faster
 
@@ -42,13 +45,15 @@ class TestPlacementTerms:
         # transmission.
         sc = pair_scenario(energy_budget_j=5e-3)
         with pytest.raises(InfeasibleSubproblem):
-            placement_terms(sc, identity_association(sc), np.array([0, 0]))
+            placement_terms(sc, identity_association(sc), np.array([0, 0]),
+                            price_table(sc))
 
 
 class TestSurrogate:
     def test_surrogate_below_exact_rates(self):
         sc = pair_scenario()
-        terms = placement_terms(sc, identity_association(sc), np.zeros(2, dtype=int))
+        terms = placement_terms(sc, identity_association(sc),
+                                np.zeros(2, dtype=int), price_table(sc))
         rng = np.random.default_rng(0)
         q_ref = np.array([400.0, 450.0, 300.0])
         pts = rng.uniform([0, 0, 100], [1000, 1000, 1000], size=(200, 3))
@@ -61,7 +66,8 @@ class TestSurrogate:
 
     def test_surrogate_tight_at_reference(self):
         sc = pair_scenario()
-        terms = placement_terms(sc, identity_association(sc), np.zeros(2, dtype=int))
+        terms = placement_terms(sc, identity_association(sc),
+                                np.zeros(2, dtype=int), price_table(sc))
         q_ref = np.array([400.0, 450.0, 300.0])
         sur = np.array(surrogate_rates(
             terms, _surrogate_coeffs(terms, q_ref), [q_ref]))
@@ -75,7 +81,8 @@ class TestSolveSp22:
     def test_single_suav_projects_onto_box(self):
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
         assoc = identity_association(sc)
-        q_m, _ = solve_sp2_2(sc, placement_terms(sc, assoc, np.array([0])),
+        q_m, _ = solve_sp2_2(sc, placement_terms(sc, assoc, np.array([0]),
+                                                 price_table(sc)),
                              Position3D(500.0, 500.0, 300.0))
         # Best point sits at the minimum feasible distance from the S-UAV:
         # directly underneath is blocked by the 100 m altitude floor vs 500 m
@@ -89,8 +96,9 @@ class TestSolveSp22:
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
         _, trace, _ = sca_loop(sc, assoc, beta,
-                               Position3D(480.0, 520.0, 400.0))
-        terms = placement_terms(sc, assoc, beta)
+                               Position3D(480.0, 520.0, 400.0),
+                               prices=price_table(sc))
+        terms = placement_terms(sc, assoc, beta, price_table(sc))
         # The exact objective is symmetric in x about 500; scan the bisector.
         hs = np.arange(100.0, 1000.0, 1.0)
         bisector = np.stack([np.full_like(hs, 500.0),
@@ -107,8 +115,9 @@ class TestSolveSp22:
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
         q1, trace1, _ = sca_loop(sc, assoc, beta,
-                                 default_initial_position(sc))
-        terms = placement_terms(sc, assoc, beta)
+                                 default_initial_position(sc),
+                                 prices=price_table(sc))
+        terms = placement_terms(sc, assoc, beta, price_table(sc))
         q2, _ = solve_sp2_2(sc, terms, q1)
         obj2 = exact_objective(terms, q2.array.tolist())
         assert obj2 <= trace1[-1] + 1e-6
@@ -121,7 +130,8 @@ class TestScaLoop:
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         _, trace, _ = sca_loop(placed, assoc, beta,
-                               default_initial_position(placed))
+                               default_initial_position(placed),
+                               prices=price_table(placed))
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_final_point_near_grid_oracle(self, scenario0):
@@ -130,7 +140,8 @@ class TestScaLoop:
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         q_m, trace, _ = sca_loop(placed, assoc, beta,
-                                 default_initial_position(placed))
+                                 default_initial_position(placed),
+                                 prices=price_table(placed))
         final = trace[-1]
         _, oracle = grid_search_placement(placed, assoc, beta,
                                           extra_points=q_m.array[None, :])
@@ -216,7 +227,7 @@ class TestInnerSolveRule:
             return res
 
         counting(monkeypatch, placement, "minimize", failed)
-        terms = placement_terms(sc, assoc, beta)
+        terms = placement_terms(sc, assoc, beta, price_table(sc))
         q_m, uncertified = solve_sp2_2(sc, terms, Q_REF)
         lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
         cands = [np.clip(points[0], lo, hi), Q_REF.array]
@@ -230,7 +241,7 @@ class TestInnerSolveRule:
         sc = pair_scenario()
         assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
         corner = (0.0, 0.0, 1000.0)
-        terms = placement_terms(sc, assoc, beta)
+        terms = placement_terms(sc, assoc, beta, price_table(sc))
         assert (surrogate_min(terms, Q_REF.array, corner)
                 < surrogate_min(terms, Q_REF.array, Q_REF.array))
         counting(monkeypatch, placement, "minimize",
@@ -249,7 +260,7 @@ class TestInnerSolveRule:
         sc = make_scenario(xy, xy, n0_cap=2)
         assoc, beta = identity_association(sc), np.array(beta)
         q_ref = Position3D(*q)
-        terms = placement_terms(sc, assoc, beta)
+        terms = placement_terms(sc, assoc, beta, price_table(sc))
         q_m, _ = solve_sp2_2(sc, terms, q_ref)
         at_ref = surrogate_min(terms, q_ref.array, q_ref.array)
         assert at_ref > 0.0
@@ -262,7 +273,8 @@ class TestInnerSolveRule:
                           reported_success(False))
         _, trace, fallbacks = sca_loop(sc, identity_association(sc),
                                        np.zeros(2, dtype=int),
-                                       Position3D(480.0, 520.0, 400.0))
+                                       Position3D(480.0, 520.0, 400.0),
+                                       prices=price_table(sc))
         assert fallbacks == len(solves) == len(trace) - 1
 
 
@@ -482,7 +494,8 @@ class TestExactSolveCases:
         # S-UAV; the exact solve returns the S-UAV's own point, where the
         # exact objective is the same.
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
-        terms = placement_terms(sc, identity_association(sc), np.array([0]))
+        terms = placement_terms(sc, identity_association(sc), np.array([0]),
+                                price_table(sc))
         lo, hi = box_of(sc)
         q_ref = Position3D(500.0, 500.0, 500.5)
         t = term_arrays(terms)
@@ -522,7 +535,8 @@ class TestBuildOnce:
         builds = counting(monkeypatch, placement, "placement_terms")
         _, trace, _ = sca_loop(placed, assoc,
                                np.zeros(scenario0.n_suavs, dtype=int),
-                               Position3D(1000.0, 1000.0, 100.0))
+                               Position3D(1000.0, 1000.0, 100.0),
+                               prices=price_table(placed))
         assert len(trace) > 2  # more than one SCA round
         assert len(builds) == 1
 
@@ -713,7 +727,7 @@ class TestFloatForms:
                                            min_size=len(xy),
                                            max_size=len(xy))))
         q = Position3D(*q)
-        terms = placement_terms(sc, assoc, beta)
+        terms = placement_terms(sc, assoc, beta, price_table(sc))
         assert exact_objective(terms, q.xyz) == \
             evaluate_solution(sc, assoc, beta, q)[0]
 
@@ -747,10 +761,11 @@ class TestFloatForms:
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         q, trace, _ = sca_loop(placed, assoc, beta,
-                               Position3D(1000.0, 1000.0, 100.0))
+                               Position3D(1000.0, 1000.0, 100.0),
+                               prices=price_table(placed))
         assert len(trace) > 2 and q != Position3D(1000.0, 1000.0, 100.0)
         assert [type(v) for v in q.xyz] == [np.float64] * 3
         assert all(type(v) is float for v in trace)
-        terms = placement_terms(placed, assoc, beta)
+        terms = placement_terms(placed, assoc, beta, price_table(placed))
         q2, _ = solve_sp2_2(placed, terms, q)
         assert [type(v) for v in q2.xyz] == [np.float64] * 3
