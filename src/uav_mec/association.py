@@ -113,7 +113,9 @@ class Pools:
     (cost.price_table), which each block reads for its plan. Filled in as
     calls need them:
     - per S-UAV, a memo from target bitmask to hover point (hover_point),
-      and one to the S-UAV record placed there (placed);
+      and one to the S-UAV record placed there;
+    - a memo from an association's target bitmasks (Association.bits) to
+      the scenario placed under it (placed);
     - on the first call whose search runs out of nodes (at the reference
       size most solves have none), every S-UAV's box-closed columns
       (_Columns) with each column's targets and hover point. Once the
@@ -154,7 +156,8 @@ class Pools:
                         for c in (s.camera for s in scenario.suavs)]
         self._points: list[dict[int, tuple[float, float, float]]] = [
             {} for _ in scenario.suavs]
-        self._placed: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
+        self._suavs: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
+        self._placed: dict[tuple[int, ...], Scenario] = {}
         self._cols: _Columns | None = None
 
     def hover_point(self, suav_index: int,
@@ -178,35 +181,34 @@ class Pools:
             points[target_bits] = pos
         return pos
 
-    def placed(self, alpha: np.ndarray) -> Scenario:
-        """The scenario with every S-UAV at its hover point under alpha,
-        field by field scenario.repositioned_scenario's; the scenario itself
-        when S-UAVs stay put."""
+    def placed(self, association: Association) -> Scenario:
+        """The scenario with every S-UAV at its hover point under the
+        association, field by field scenario.repositioned_scenario's; the
+        scenario itself when S-UAVs stay put. Memoised by the association's
+        target bitmasks."""
         if self.static_positions:
             return self.scenario
-        suavs = []
-        for j, bits in enumerate(suav_bits(alpha)):
-            records = self._placed[j]
-            suav = records.get(bits)
-            if suav is None:
-                suav = records[bits] = replace(
-                    self.scenario.suavs[j],
-                    current_pos=Position3D(*self.hover_point(j, bits)))
-            suavs.append(suav)
-        return replace(self.scenario, suavs=tuple(suavs))
+        key = association.bits
+        placed = self._placed.get(key)
+        if placed is None:
+            suavs = []
+            for j, bits in enumerate(key):
+                records = self._suavs[j]
+                suav = records.get(bits)
+                if suav is None:
+                    suav = records[bits] = replace(
+                        self.scenario.suavs[j],
+                        current_pos=Position3D(*self.hover_point(j, bits)))
+                suavs.append(suav)
+            placed = self._placed[key] = replace(self.scenario,
+                                                 suavs=tuple(suavs))
+        return placed
 
     def columns(self) -> _Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
         if self._cols is None:
             self._cols = _build_columns(self)
         return self._cols
-
-
-def suav_bits(alpha: np.ndarray) -> list[int]:
-    """Per S-UAV, the bitmask of the targets alpha gives it (bit i: target
-    i), as Python ints, which may pass 64 bits."""
-    packed = np.packbits(alpha.T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class _Context:
@@ -265,30 +267,32 @@ class _Context:
         return out
 
 
-def _alpha_from_choice(ctx: _Context, choice: dict[int, int]) -> np.ndarray:
-    alpha = np.zeros_like(ctx.mask)
-    for target_index, suav_index in choice.items():
-        alpha[target_index, suav_index] = 1
+def _alpha(mask: np.ndarray, assigned_bits) -> np.ndarray:
+    """The association matrix that gives each S-UAV the targets of its
+    bitmask."""
+    alpha = np.zeros_like(mask)
+    for j, bits in enumerate(assigned_bits):
+        for i in _bits(bits):
+            alpha[i, j] = 1
     return alpha
 
 
-def greedy_incumbent(ctx: _Context) -> np.ndarray:
-    """Feasible warm start alpha: most-constrained targets first, each to
-    the covering S-UAV whose latency grows the least. It prices through the
-    solve's latency memo."""
+def greedy_incumbent(ctx: _Context) -> list[int]:
+    """Feasible warm start, as per-S-UAV target bitmasks: most-constrained
+    targets first, each to the covering S-UAV whose latency grows the
+    least. It prices through the solve's latency memo."""
     assigned_bits = [0] * ctx.scenario.n_suavs
-    choice = {}
     for target_index in ctx.order:
         j = ctx.by_growth(target_index, assigned_bits)[0][1]
-        choice[target_index] = j
         assigned_bits[j] |= 1 << target_index
-    return _alpha_from_choice(ctx, choice)
+    return assigned_bits
 
 
-def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
-    """Exact objective of a complete association, and its energy feasibility."""
+def _evaluate_full(ctx: _Context, assigned_bits) -> tuple[float, bool]:
+    """Exact objective of a complete association, given as per-S-UAV target
+    bitmasks, and its energy feasibility."""
     worst = 0.0
-    for j, b in enumerate(suav_bits(alpha)):
+    for j, b in enumerate(assigned_bits):
         t, ok = ctx.latency(j, b)
         if not ok:
             return worst, False
@@ -296,9 +300,9 @@ def _evaluate_full(ctx: _Context, alpha: np.ndarray) -> tuple[float, bool]:
     return worst, True
 
 
-def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
+def _dfs(ctx: _Context, incumbent: list[int] | None,
          incumbent_obj: float, floor: float = -math.inf
-         ) -> tuple[np.ndarray | None, float, int, bool]:
+         ) -> tuple[list[int] | None, float, int, bool]:
     """Branch and bound below an incumbent: every bound at or above it is
     cut. A child the bound cuts counts as one node, as if entered. It tests
     DFS_ALLOWANCE only at nodes the bound keeps, so cut children still count
@@ -306,22 +310,22 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     allowance of 0 enters one node. The search stops once its incumbent is
     at or below floor, an objective no association beats (T*).
 
-    Returns (best alpha, its objective, nodes, finished: searched to the end
-    within the allowance).
+    The incumbent and the best association are per-S-UAV target bitmasks.
+    Returns (best association, its objective, nodes, finished: searched to
+    the end within the allowance).
     """
     n_targets = ctx.scenario.n_targets
     order, closing, cover, memo = ctx.order, ctx.closing, ctx.cover, ctx.memo
     latency = ctx.latency
     allowance = DFS_ALLOWANCE
     assigned_bits = [0] * ctx.scenario.n_suavs
-    choice: dict[int, int] = {}
     nodes = 1  # the root
     aborted = False
 
     def dfs(depth: int, bound: float) -> None:
-        nonlocal incumbent_alpha, incumbent_obj, nodes, aborted
+        nonlocal incumbent, incumbent_obj, nodes, aborted
         if depth == n_targets:
-            incumbent_alpha = _alpha_from_choice(ctx, choice)
+            incumbent = assigned_bits[:]
             incumbent_obj = bound
             aborted = bound <= floor
             return
@@ -354,9 +358,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
             else:  # every closed pool keeps its budget
                 nodes += 1  # entered or cut by the bound, the child counts
                 if new_bound < incumbent_obj:
-                    choice[target_index] = j
                     dfs(depth + 1, new_bound)
-                    del choice[target_index]
             assigned_bits[j] &= ~bit
             if aborted:  # no sibling is priced or visited past a stop
                 break
@@ -364,7 +366,7 @@ def _dfs(ctx: _Context, incumbent_alpha: np.ndarray | None,
     # The root's bound, tested as a child's; an incumbent at the floor stands.
     if 0.0 < incumbent_obj and floor < incumbent_obj:
         dfs(0, 0.0)
-    return incumbent_alpha, incumbent_obj, nodes, not aborted
+    return incumbent, incumbent_obj, nodes, not aborted
 
 
 def _columns(pools: Pools, j: int) -> np.ndarray:
@@ -514,9 +516,10 @@ def _cover_at(by_suav: list[list[int]], reach: list[int],
 
 
 def _cover(ctx: _Context, cols: _Columns, latency: np.ndarray,
-           keep: np.ndarray, lower: float) -> tuple[float, np.ndarray]:
-    """(T*, alpha): the least largest latency of box-closed columns, at most
-    one per S-UAV, that cover every target, and an association attaining it.
+           keep: np.ndarray, lower: float) -> tuple[float, list[int]]:
+    """(T*, association): the least largest latency of box-closed columns,
+    at most one per S-UAV, that cover every target, and an association
+    attaining it, as per-S-UAV target bitmasks.
     Only the columns in keep may be in it: the energy-feasible ones no
     slower than an incumbent. lower is _lower_bound, where the search for
     T* starts."""
@@ -550,51 +553,55 @@ def _cover(ctx: _Context, cols: _Columns, latency: np.ndarray,
         if t >= lower and (k + 1 == len(times) or times[k + 1] > t):
             chosen = _cover_at(by_suav, reach, scenario.n_targets)
             if chosen is not None:
-                alpha = np.zeros_like(ctx.mask)
+                assigned_bits = [0] * scenario.n_suavs
                 for j, column in chosen:
-                    alpha[list(_bits(column)), j] = 1
-                return t, alpha
+                    assigned_bits[j] = column
+                return t, assigned_bits
     raise InfeasibleSubproblem(
         "no energy-feasible association covers every target")
 
 
 def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
-                      warm_alpha: np.ndarray | None = None
+                      warm: Association | None = None
                       ) -> tuple[Association, SearchInfo]:
     """Best association at the given offload decision and relay position: the
     search under DFS_ALLOWANCE nodes, the columns' lower bound, and the
     column cover with the search run to T* (see the module docstring for
-    which runs when). warm_alpha, if given, joins the greedy start as an
-    incumbent."""
+    which runs when). warm, if given, joins the greedy start as an
+    incumbent; the call reads its target bitmasks (Association.bits).
+    Incumbents are per-S-UAV target bitmasks, and only the returned one
+    becomes an alpha matrix."""
     ctx = _Context(pools, beta, q_m)
-    incumbent_alpha = None
-    incumbent_obj = float("inf")
-    for alpha in filter(lambda a: a is not None,
-                        [warm_alpha, greedy_incumbent(ctx)]):
-        obj, ok = _evaluate_full(ctx, alpha)
+    starts = [greedy_incumbent(ctx)]
+    if warm is not None:
+        starts.insert(0, warm.bits)
+    incumbent, incumbent_obj = None, float("inf")
+    for start in starts:
+        obj, ok = _evaluate_full(ctx, start)
         if ok and obj < incumbent_obj:
-            incumbent_alpha, incumbent_obj = alpha, obj
+            incumbent, incumbent_obj = start, obj
 
     # Columns exist once an earlier call of this solve ran out of nodes.
     search_first = pools._cols is None
-    alpha, obj, nodes, exact = incumbent_alpha, incumbent_obj, 0, False
+    best, obj, nodes, exact = incumbent, incumbent_obj, 0, False
     if search_first:
-        alpha, obj, nodes, exact = _dfs(ctx, alpha, obj)
+        best, obj, nodes, exact = _dfs(ctx, best, obj)
     if not exact and pools.largest_pool <= _MAX_POOL:
         cols = pools.columns()
         latency, feasible = _column_prices(ctx, cols)
         lower = _lower_bound(cols, latency, feasible, ctx.scenario.n_targets)
         if obj != lower:
-            t_star, cover_alpha = _cover(ctx, cols, latency,
-                                         feasible & (latency <= obj), lower)
+            t_star, covering = _cover(ctx, cols, latency,
+                                      feasible & (latency <= obj), lower)
             if not search_first:
-                alpha, obj, nodes, _ = _dfs(ctx, alpha, obj, floor=t_star)
+                best, obj, nodes, _ = _dfs(ctx, best, obj, floor=t_star)
             if obj != t_star:
-                alpha, obj = cover_alpha, t_star
+                best, obj = covering, t_star
         exact = True
 
-    if alpha is None:
+    if best is None:
         raise InfeasibleSubproblem(
             "no energy-feasible association covers every target")
     info = SearchInfo(objective=obj, exact=exact, nodes=nodes)
-    return Association(alpha=alpha, feasible_mask=pools.mask), info
+    return Association(alpha=_alpha(pools.mask, best),
+                       feasible_mask=pools.mask), info

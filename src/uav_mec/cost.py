@@ -97,14 +97,21 @@ def branch_price(scenario: Scenario, j: int, s: float, offloaded: bool,
     if offloaded:
         if n_offloaders < 1:
             raise InvalidDecision("offloading S-UAV needs n_offloaders >= 1")
-        f_r = scenario.ruav.cpu_hz
-        branch = (s, s * c.f0_cycles_per_bit * n_offloaders / f_r, 0.0,
-                  n_offloaders * f_r**2 * c.zeta * c.f0_cycles_per_bit * s)
+        branch = _offload_terms(scenario, s, n_offloaders)
     else:
         branch = (suav.compress_ratio * s, s * c.f0_cycles_per_bit / suav.cpu_hz,
                   suav.cpu_hz**2 * c.zeta * s * c.f0_cycles_per_bit, 0.0)
     return BranchPrice(*branch, snr_coeff(suav.tx_power_w, c.rho0, c.noise_w),
                        suav.tx_power_w, suav.hover_energy_j, suav.energy_budget_j)
+
+
+def _offload_terms(scenario: Scenario, s: float,
+                   n_offloaders: int) -> tuple[float, float, float, float]:
+    """The offload branch's (tx_bits, fixed_s, comp_j, relay_j) for s bits
+    on a relay whose CPU is split evenly among n_offloaders."""
+    c, f_r = scenario.constants, scenario.ruav.cpu_hz
+    return (s, s * c.f0_cycles_per_bit * n_offloaders / f_r, 0.0,
+            n_offloaders * f_r**2 * c.zeta * c.f0_cycles_per_bit * s)
 
 
 def suav_prices(scenario: Scenario, s_bits, beta) -> list[BranchPrice]:
@@ -133,9 +140,15 @@ def price_table(scenario: Scenario) -> list[list[BranchPrice]]:
         if uav.hover_energy_j > uav.energy_budget_j:
             raise InfeasibleSubproblem(
                 f"{owner}'s hover alone breaks its energy budget")
-    return [[branch_price(scenario, j, float(suav.chunk_bits), m > 0, m)
-             for m in range(scenario.n0_cap + 1)]
-            for j, suav in enumerate(scenario.suavs)]
+    table = []
+    for j, suav in enumerate(scenario.suavs):
+        s = float(suav.chunk_bits)
+        local = branch_price(scenario, j, s, False, 0)
+        # The offload records share the local one's S-UAV fields.
+        table.append([local] + [
+            BranchPrice(*_offload_terms(scenario, s, m), *local[4:])
+            for m in range(1, scenario.n0_cap + 1)])
+    return table
 
 
 def plan_prices(table: list[list[BranchPrice]], beta) -> list[BranchPrice]:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import simplex
-from .cost import BranchPrice, effective_chunk_bits, floored_rate
+from .cost import BranchPrice, floored_rate
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D, Scenario
 
@@ -79,29 +79,33 @@ class Sp1Terms:
     S-UAV j's local record and prices[j][m] its record offloaded among m.
     rates[j] is carrier j's link rate to the relay point, and fits[j]
     whether it keeps its budget on its local branch and offloaded: neither
-    test depends on the offloader count, so each is taken once."""
+    test depends on the offloader count, so each is taken once. The relay's
+    hover and budget are kept apart, so that its budget test adds the hover
+    to the compute energy, as the evaluator's does."""
 
     prices: list[list[BranchPrice]]
     rates: dict[int, float]   # by carrier, ascending
     fits: dict[int, tuple[bool, bool]]
-    ruav_budget: float   # the relay's budget less its hover
+    ruav_hover: float
+    ruav_budget: float
 
 
 def sp1_terms(scenario: Scenario, association: Association,
               q_m: Position3D, prices: list) -> Sp1Terms:
     """SP1's terms on the solve's price table: each carrier's link rate at
-    q_m and its two budget tests."""
-    carriers = np.flatnonzero(
-        effective_chunk_bits(scenario, association.alpha) > 0.0).tolist()
+    q_m and its two budget tests. The carriers are the S-UAVs whose target
+    bitmask (Association.bits) is not empty."""
     q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
     rates, fits = {}, {}
-    for j in carriers:
+    for j, bits in enumerate(association.bits):
+        if not bits:
+            continue
         local, offloaded = prices[j][:2]
         r = rates[j] = floored_rate(scenario.suavs[j].current_pos.xyz, q,
                                     local.gamma1, bandwidth_hz)
         fits[j] = (local.fits(r), offloaded.fits(r))
-    return Sp1Terms(prices, rates, fits, scenario.ruav.energy_budget_j
-                    - scenario.ruav.hover_energy_j)
+    return Sp1Terms(prices, rates, fits, scenario.ruav.hover_energy_j,
+                    scenario.ruav.energy_budget_j)
 
 
 def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
@@ -134,7 +138,7 @@ def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
                     diag(off.fixed_s), np.full((n, 1), -1.0)]),
          -(local.fixed_s + local_tx)),  # linearized latency under the slack
         (np.concatenate([np.zeros(n), off.relay_j, [0.0]])[None],
-         [t.ruav_budget]),  # relay energy
+         [t.ruav_budget - t.ruav_hover]),  # relay energy
         (np.concatenate([np.ones(n), np.zeros(n + 1)])[None],
          [float(n0)]),  # relay service cap
         (np.hstack([diag(e_offload - e_local), np.zeros((n, n + 1))]),
@@ -159,7 +163,7 @@ def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
         price = t.prices[j][len(members) if offloaded else 0]
         worst = max(worst, price.latency(r))
         ruav_e += price.relay_j  # 0.0 on the local branch
-    if ruav_e > t.ruav_budget:
+    if ruav_e + t.ruav_hover > t.ruav_budget:
         return None
     return worst
 

@@ -5,15 +5,19 @@ Every block update is wrapped in an accept-only-if-not-worse guard, so the
 reported objective trace is non-increasing by construction even when a block
 solver is heuristic (budgeted tree search, SCA placement). Each block prices
 its candidate in the evaluator's arithmetic, and its guard compares that one
-price with the plan's objective. Every hover is checked against its budget
-once per solve, when association.Pools is built. The association guard needs
-no relay budget test: alpha moves the relay's energy only by which members of
-beta carry video, and every beta the loop holds is zeros or was priced by its
-offload rule with all its members carrying video.
+price with the plan's objective; the start plan is priced the same way, from
+the solve's price table, so no solve calls evaluate_solution. Callers price a
+plan's per-S-UAV breakdown with it, imported here or from cost. Every hover
+is checked against its budget once per solve, when association.Pools is
+built. The association guard needs no relay budget test: alpha moves the
+relay's energy only by which members of beta carry video, and every beta the
+loop holds is zeros or was priced by its offload rule with all its members
+carrying video.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,7 +26,8 @@ import numpy as np
 from . import association as assoc_mod
 from . import placement as place_mod
 from .config import ExperimentConfig
-from .cost import evaluate_solution
+from .cost import evaluate_solution  # noqa: F401 (callers price with it)
+from .cost import floored_rate
 from .link import rate_at_dist_sq, snr_coeff
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
@@ -90,17 +95,22 @@ def convergence_check(trace, tol: float) -> bool:
 
 def nearest_covering_association(pools: assoc_mod.Pools) -> Association:
     """Each target to its horizontally nearest covering S-UAV (ties: lowest
-    id)."""
-    scenario, mask = pools.scenario, pools.mask
-    suav_xy = np.array([(s.initial_pos.x, s.initial_pos.y)
-                        for s in scenario.suavs])
-    target_xy = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])
-    dx = suav_xy[None, :, 0] - target_xy[:, None, 0]
-    dy = suav_xy[None, :, 1] - target_xy[:, None, 1]
-    d2 = np.where(mask == 1, dx ** 2 + dy ** 2, np.inf)
-    alpha = np.zeros_like(mask)
-    alpha[np.arange(scenario.n_targets), d2.argmin(axis=1)] = 1
-    return Association(alpha=alpha, feasible_mask=mask)
+    id). Squared distances are dx * dx + dy * dy, with dx the S-UAV's x less
+    the target's, as NumPy's dx ** 2 + dy ** 2 gives them."""
+    suav_xy = [(float(s.initial_pos.x), float(s.initial_pos.y))
+               for s in pools.scenario.suavs]
+    alpha = np.zeros_like(pools.mask)
+    for i, (x, y, cover) in enumerate(zip(pools.x, pools.y, pools.cover)):
+        x, y = float(x), float(y)
+        nearest, least = -1, math.inf
+        for j in cover:  # ascending, so a tie keeps the lowest id
+            sx, sy = suav_xy[j]
+            dx, dy = sx - x, sy - y
+            d2 = dx * dx + dy * dy
+            if d2 < least:
+                nearest, least = j, d2
+        alpha[i, nearest] = 1
+    return Association(alpha=alpha, feasible_mask=pools.mask)
 
 
 def check_constraints(scenario: Scenario, association: Association,
@@ -178,19 +188,31 @@ class Plan(NamedTuple):
 
 def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
     """Each target to its nearest covering S-UAV, the relay at its default
-    point, and no offloader unless the scheme's rule is forced."""
-    scenario = pools.scenario
+    point, and no offloader unless the scheme's rule is forced. The plan is
+    priced as evaluate_solution prices it, to the bit: under a forced rule
+    by the rule's own price, as improve takes it, and otherwise by the
+    largest local latency over the S-UAVs that carry video, read from the
+    solve's price table."""
     association = nearest_covering_association(pools)
-    placed = pools.placed(association.alpha)
+    placed = pools.placed(association)
     q_m = place_mod.default_initial_position(placed)
-    beta = np.zeros(scenario.n_suavs, dtype=int)
     if SCHEME_POLICIES[scheme].offload_rule == "forced_offload":
         # A forced rule also sets the start; the first offload step of
         # improve re-derives the same decision from the same inputs.
-        beta = forced_offload(placed, association, q_m,
-                              prices=pools.prices).beta
-    objective, _, _, _ = evaluate_solution(placed, association, beta, q_m)
-    return Plan(placed, association, beta, q_m, objective)
+        decision = forced_offload(placed, association, q_m,
+                                  prices=pools.prices)
+        return Plan(placed, association, decision.beta, q_m,
+                    float(decision.slack_s))
+    q, bandwidth_hz = q_m.xyz, placed.constants.bandwidth_hz
+    objective = 0.0
+    for j, bits in enumerate(association.bits):
+        if bits:
+            local = pools.prices[j][0]
+            objective = max(objective, local.latency(floored_rate(
+                placed.suavs[j].current_pos.xyz, q, local.gamma1,
+                bandwidth_hz)))
+    return Plan(placed, association, np.zeros(placed.n_suavs, dtype=int),
+                q_m, objective)
 
 
 def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
@@ -203,7 +225,7 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
     policy = SCHEME_POLICIES[scheme]
     trace = [plan.objective]
     offload, fallbacks, exact, sca_traces = None, 0, True, []
-    last_key = None  # (beta, q_m, alpha) of the last association call
+    last_key = None  # (beta, q_m, alpha's masks) of the last association call
 
     for _ in range(r_max):
         # Offload block.
@@ -228,14 +250,14 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
 
         # Association block. A call with the last call's inputs would return
         # the same result, so the last (new_assoc, info) stands.
-        key = (plan.beta.tolist(), plan.q_m, plan.association.alpha.tolist())
+        key = (plan.beta.tolist(), plan.q_m, plan.association.bits)
         if key != last_key:
             last_key = key
             new_assoc, info = assoc_mod.solve_association(
-                pools, plan.beta, plan.q_m, warm_alpha=plan.association.alpha)
+                pools, plan.beta, plan.q_m, warm=plan.association)
         exact = exact and info.exact
         if info.objective <= plan.objective + _GUARD_SLACK:
-            plan = Plan(pools.placed(new_assoc.alpha), new_assoc, plan.beta,
+            plan = Plan(pools.placed(new_assoc), new_assoc, plan.beta,
                         plan.q_m, info.objective)
 
         trace.append(plan.objective)
@@ -261,9 +283,10 @@ def run_scheme(scenario: Scenario, scheme: str,
     still pass them: the association search has a fixed node allowance and
     no block reads the clock.
 
-    evaluate_solution runs only for the start plan: every block prices its
-    own candidate, so the returned plan's objective is already known. A
-    caller who wants its per-S-UAV breakdown prices it with
+    No solve calls evaluate_solution: the start plan is priced from the
+    price table and every block prices its own candidate, each to the bit as
+    the evaluator would, so the returned plan's objective is already known.
+    A caller who wants its per-S-UAV breakdown prices it with
     evaluate_solution(report.placed, ...). What no block changes during the
     solve (association.Pools: the search tables, the hover points and placed
     S-UAV records, and the one price table every block reads) is built

@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblem
-from .cost import effective_chunk_bits, floored_rate, plan_prices
+from .cost import floored_rate, plan_prices
 from .scenario import Association, Position3D, Scenario
 
 SCA_TOL_S = 1e-4
@@ -97,13 +97,15 @@ class PlacementTerms:
 def placement_terms(scenario: Scenario, association: Association,
                     beta: np.ndarray, prices: list) -> PlacementTerms:
     """The transmitting S-UAVs' rows, read off their records in the solve's
-    price table (cost.price_table). Raises if some S-UAV that carries video
+    price table (cost.price_table): one per S-UAV that carries video, whose
+    target bitmask (Association.bits) is not empty. Raises if one of them
     keeps its budget at no rate; an idle one keeps it, as the table
     vouches."""
-    s_bits = effective_chunk_bits(scenario, association.alpha)
     records = plan_prices(prices, np.asarray(beta).tolist())
     rows = []
-    for j in np.flatnonzero(s_bits > 0.0).tolist():
+    for j, bits in enumerate(association.bits):
+        if not bits:
+            continue
         p = records[j]
         floor = p.rate_floor
         if floor == math.inf:

@@ -142,6 +142,14 @@ class Association:
         if np.any(self.alpha.sum(axis=1) < 1):
             raise ValueError("every target needs at least one monitor")
 
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Per S-UAV, the bitmask of the targets alpha gives it (bit i:
+        target i), as Python ints, which may pass 64 bits. Taken once per
+        association: a non-zero mask marks an S-UAV that carries video."""
+        packed = np.packbits(self.alpha.T, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
 
 def fov_extents(altitude: float, camera: CameraSpec) -> tuple[float, float]:
     """Ground footprint side lengths (along x, along y) at a given altitude."""

@@ -112,11 +112,11 @@ class TestBnbExactness:
         beta = np.zeros(sc.n_suavs, dtype=int)
         cold, _ = solve_association(Pools(sc), beta, Q_M)
         warm, _ = solve_association(Pools(sc), beta, Q_M,
-                                    warm_alpha=full_association(sc).alpha)
+                                    warm=full_association(sc))
         from uav_mec.association import _Context, _evaluate_full
         ctx = _Context(Pools(sc), beta, Q_M)
-        assert _evaluate_full(ctx, cold.alpha)[0] == pytest.approx(
-            _evaluate_full(ctx, warm.alpha)[0])
+        assert _evaluate_full(ctx, cold.bits)[0] == pytest.approx(
+            _evaluate_full(ctx, warm.bits)[0])
 
     def test_static_positions_use_initial_geometry(self):
         sc = random_instance(11)
@@ -218,7 +218,7 @@ class TestCoverPath:
         assert info.exact
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
         # The returned association attains the reported objective.
-        assert _evaluate_full(_Context(Pools(sc), beta, Q_M), assoc.alpha) == (
+        assert _evaluate_full(_Context(Pools(sc), beta, Q_M), assoc.bits) == (
             info.objective, True)
 
     def test_static_positions_use_initial_geometry(self, dfs_allowance):
@@ -247,7 +247,7 @@ class TestCoverPath:
         inputs = []
 
         def record(pools, beta, q_m, **kwargs):
-            inputs.append((beta.copy(), q_m, kwargs["warm_alpha"]))
+            inputs.append((beta.copy(), q_m, kwargs["warm"]))
             return solve(pools, beta, q_m, **kwargs)
 
         solve = association.solve_association
@@ -259,13 +259,13 @@ class TestCoverPath:
         # cover must reach the same objective.
         for beta, q_m, warm in inputs:
             dfs_allowance(10**6)
-            _, finished = solve(Pools(sc), beta, q_m, warm_alpha=warm)
+            _, finished = solve(Pools(sc), beta, q_m, warm=warm)
             assert finished.nodes < 10**6
             dfs_allowance(0)
-            covered, info = solve(Pools(sc), beta, q_m, warm_alpha=warm)
+            covered, info = solve(Pools(sc), beta, q_m, warm=warm)
             assert info.objective == finished.objective
             ctx = _Context(Pools(sc), beta, q_m)
-            assert _evaluate_full(ctx, covered.alpha) == (info.objective, True)
+            assert _evaluate_full(ctx, covered.bits) == (info.objective, True)
 
 
 class TestLowerBound:
@@ -304,7 +304,7 @@ class TestLaterCalls:
             later = pools._cols is not None
             out = solve(pools, beta, q_m, **kwargs)
             calls.append((later, pools, beta.copy(), q_m,
-                          kwargs["warm_alpha"], out))
+                          kwargs["warm"], out))
             return out
 
         monkeypatch.setattr(association, "solve_association", record)
@@ -316,8 +316,8 @@ class TestLaterCalls:
         assert later and any(info.nodes == 0 for *_, (_, info) in later)
         for _, pools, beta, q_m, warm, (assoc, info) in calls:
             fresh, fresh_info = solve(Pools(pools.scenario), beta, q_m,
-                                      warm_alpha=warm)
-            again, again_info = solve(pools, beta, q_m, warm_alpha=warm)
+                                      warm=warm)
+            again, again_info = solve(pools, beta, q_m, warm=warm)
             for a, i in ((assoc, info), (again, again_info)):
                 assert np.array_equal(a.alpha, fresh.alpha)
                 assert (i.objective, i.exact) == (fresh_info.objective,
@@ -561,9 +561,10 @@ class TestSearchTrajectory:
         pools, beta, start = self.pinned_inputs(key)
         greedy = greedy_incumbent(_Context(pools, beta, start.q_m))
         assoc, info = solve_association(pools, beta, start.q_m,
-                                        warm_alpha=start.association.alpha)
+                                        warm=start.association)
         assert (info.nodes, info.exact, info.objective, _monitors(assoc.alpha),
-                _monitors(greedy)) == _TRAJECTORIES[key]
+                _monitors(association._alpha(pools.mask, greedy))
+                ) == _TRAJECTORIES[key]
         if key[0] == "fleet":
             assert info.nodes >= association.DFS_ALLOWANCE
 
@@ -576,8 +577,8 @@ class TestSearchTrajectory:
         key = ("tight_budget", 2, "proposed")
         pools, beta, start = self.pinned_inputs(key)
         ctx = _Context(pools, beta, start.q_m)
-        for alpha in (start.association.alpha, greedy_incumbent(ctx)):
-            assert _evaluate_full(ctx, alpha)[1]
+        for bits in (start.association.bits, greedy_incumbent(ctx)):
+            assert _evaluate_full(ctx, bits)[1]
         priced = []
 
         def record(out):
@@ -586,11 +587,11 @@ class TestSearchTrajectory:
 
         counting(monkeypatch, _Context, "latency", override=record)
         _, tight = solve_association(pools, beta, start.q_m,
-                                     warm_alpha=start.association.alpha)
+                                     warm=start.association)
         assert not all(ok for _, ok in priced)
         sc = pools.scenario
         roomy = replace(sc, suavs=tuple(replace(s, energy_budget_j=1e3)
                                         for s in sc.suavs))
         _, free = solve_association(Pools(roomy), beta, start.q_m,
-                                    warm_alpha=start.association.alpha)
+                                    warm=start.association)
         assert tight.nodes == _TRAJECTORIES[key][0] < free.nodes

@@ -24,7 +24,7 @@ from uav_mec.scenario import (Association, Position3D,
                               feasible_association_mask, generate_scenario,
                               repositioned_scenario)
 
-from .conftest import full_association, make_scenario
+from .conftest import DEFAULT_CONSTANTS, full_association, make_scenario
 
 S_250KB = 2_048_000.0  # 250 KB in bits
 Q_M = Position3D(500.0, 500.0, 500.0)
@@ -260,18 +260,23 @@ class TestEvaluateSolution:
 
 
 @st.composite
-def priced_points(draw):
+def priced_points(draw, breaking_hover=False):
     """A small scenario with a random association, capped offload subset,
     non-empty in most examples, and relay position at least 1 m from every
-    S-UAV. Each S-UAV hovers at a nonzero cost. Every budget, each S-UAV's
-    and the relay's, is 0.5, 1 or 2 times its owner's energy at the point,
-    so that budgets bind, exactly at 1, on active and idle S-UAVs, and the
-    relay's fair share and budget decide offload subsets."""
+    S-UAV. Each S-UAV and the relay hover at a nonzero cost. Every budget,
+    each S-UAV's and the relay's, is its owner's hover plus 0.5, 1 or 2
+    times its execution energy at the point, so that budgets bind, exactly
+    at 1, on active and idle S-UAVs (an idle one's budget is its hover),
+    and the relay's fair share and budget decide offload subsets, while no
+    hover alone breaks its budget. With breaking_hover, a drawn non-empty
+    set of owners (S-UAVs by index, then the relay) instead gets half its
+    hover as its budget."""
     n = draw(st.integers(1, 4))
     cfg = replace(ExperimentConfig(), n_suavs=n,
                   n_targets=draw(st.integers(n, 6)), n_chunks=1,
                   n0_cap=draw(st.sampled_from(range(n, 0, -1))),
-                  hover_energy_suav_j=draw(st.floats(1e-3, 0.1)))
+                  hover_energy_suav_j=draw(st.floats(1e-3, 0.1)),
+                  hover_energy_ruav_j=draw(st.floats(1e-3, 0.1)))
     sc = generate_scenario(cfg, draw(st.integers(0, 10_000)))
     mask = feasible_association_mask(sc)
     alpha = np.zeros_like(mask)
@@ -294,10 +299,15 @@ def priced_points(draw):
     # feasible and every block's price of them is compared.
     scales = draw(st.lists(st.sampled_from([1.0, 2.0] * 2 + [0.5]),
                            min_size=n + 1, max_size=n + 1))
+    budgets = [e.hover_j + scale * (e.comm_j + e.comp_j)
+               for e, scale in zip(energies, scales)]
+    if breaking_hover:
+        for k in draw(st.sets(st.integers(0, n), min_size=1)):
+            budgets[k] = 0.5 * energies[k].hover_j
     sc = replace(sc, suavs=tuple(
-        replace(s, energy_budget_j=scale * e.total_j)
-        for s, e, scale in zip(sc.suavs, energies, scales)), ruav=replace(
-        sc.ruav, energy_budget_j=scales[-1] * energies[-1].total_j))
+        replace(s, energy_budget_j=budget)
+        for s, budget in zip(sc.suavs, budgets)), ruav=replace(
+        sc.ruav, energy_budget_j=budgets[-1]))
     return sc, repositioned_scenario(sc, alpha), assoc, members, q
 
 
@@ -374,9 +384,9 @@ class TestCrossBlockPricing:
     @given(priced_points())
     def test_blocks_agree_with_evaluate_solution(self, point):
         sc, placed, assoc, members, q = point
-        # Such a draw stops the price table, before any block prices it
-        # (test_a_breaking_hover_stops_the_table).
-        assume(not hover_breaks(sc))
+        # A breaking hover would stop the price table before any block
+        # prices the point (test_a_breaking_hover_stops_the_table).
+        assert not hover_breaks(sc)
         table = price_table(sc)
         beta = np.zeros(sc.n_suavs, dtype=int)
         beta[list(members)] = 1
@@ -418,13 +428,13 @@ class TestCrossBlockPricing:
             (objective, spread, exec_j, energies[-1].comp_j), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(priced_points())
+    @given(priced_points(breaking_hover=True))
     def test_a_breaking_hover_stops_the_table(self, point):
         # A hover that alone breaks its budget breaks it in every plan:
         # the price table, which Pools builds first in every solve, raises
         # on the first such owner, so no block prices the draw.
         sc = point[0]
-        assume(hover_breaks(sc))
+        assert hover_breaks(sc)
         owners = [(f"S-UAV {s.id}", s) for s in sc.suavs]
         owner = next(name for name, uav in owners + [("the relay", sc.ruav)]
                      if uav.hover_energy_j > uav.energy_budget_j)
@@ -492,10 +502,13 @@ def solve_steps(draw):
 
 
 @st.composite
-def priced_table(draw):
-    """A scenario of 1-4 S-UAVs with mixed parameters, any of them with a
-    chunk of 0 bits."""
-    n = draw(st.integers(1, 4))
+def priced_table(draw, max_n=4):
+    """A scenario of 1 to max_n S-UAVs with mixed parameters and physical
+    constants, any S-UAV with a chunk of 0 bits."""
+    n = draw(st.integers(1, max_n))
+    constants = replace(DEFAULT_CONSTANTS,
+                        f0_cycles_per_bit=draw(st.floats(1.0, 1e4)),
+                        zeta=draw(st.floats(1e-30, 1e-26)))
     return make_scenario(
         [(100.0 * j, 500.0) for j in range(n)],
         [(100.0 * j, 500.0) for j in range(n)],
@@ -505,7 +518,7 @@ def priced_table(draw):
         cpu_suav_hz=draw(st.floats(1e8, 1e9)),
         cpu_ruav_hz=draw(st.floats(1e9, 1e10)),
         tx_power_w=draw(st.floats(0.1, 2.0)), mu=draw(st.floats(0.01, 0.9)),
-        energy_budget_j=draw(st.floats(1.0, 1e3)),
+        energy_budget_j=draw(st.floats(1.0, 1e3)), constants=constants,
         n0_cap=draw(st.integers(1, n)))
 
 
@@ -516,17 +529,18 @@ class TestPerSolveTables:
     @settings(max_examples=60, deadline=None)
     @given(solve_steps())
     def test_placed_scenarios_and_hover_points(self, case):
-        from uav_mec.association import suav_bits
         from uav_mec.scenario import reposition
         sc, steps = case
         pools = Pools(sc)
-        assert Pools(sc, static_positions=True).placed(
-            steps[0][0].alpha) is sc
+        assert Pools(sc, static_positions=True).placed(steps[0][0]) is sc
         for assoc, _, _ in steps + steps:  # the second pass reads the memos
-            placed = pools.placed(assoc.alpha)
+            placed = pools.placed(assoc)
             fresh = repositioned_scenario(sc, assoc.alpha)
             assert placed == fresh
-            for j, bits in enumerate(suav_bits(assoc.alpha)):
+            # The same masks give the same placed scenario.
+            assert pools.placed(Association(assoc.alpha.copy(),
+                                            assoc.feasible_mask)) is placed
+            for j, bits in enumerate(assoc.bits):
                 held = [sc.targets[i] for i in range(sc.n_targets)
                         if bits >> i & 1]
                 assert held == [sc.targets[i] for i in
@@ -536,8 +550,11 @@ class TestPerSolveTables:
                 assert point == placed.suavs[j].current_pos.xyz
 
     @settings(max_examples=60, deadline=None)
-    @given(priced_table())
+    @given(priced_table(max_n=8))
     def test_table_entries_are_branch_prices(self, sc):
+        # price_table builds each S-UAV's local record once and its offload
+        # records from it, at caps 1-8: each must be branch_price's to the
+        # bit (repr tells np.float64 from float).
         table = Pools(sc).prices
         assert len(table) == sc.n_suavs
         for j, (suav, row) in enumerate(zip(sc.suavs, table)):

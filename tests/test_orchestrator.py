@@ -24,6 +24,21 @@ class TestConvergenceCheck:
         assert not convergence_check([5.0, 4.0], 1e-4)
 
 
+def numpy_nearest_cover(pools):
+    """nearest_covering_association's alpha in the NumPy form it had: the
+    argmin of masked squared distances, ties to the lowest id."""
+    scenario, mask = pools.scenario, pools.mask
+    suav_xy = np.array([(s.initial_pos.x, s.initial_pos.y)
+                        for s in scenario.suavs])
+    target_xy = np.array([(t.pos.x, t.pos.y) for t in scenario.targets])
+    dx = suav_xy[None, :, 0] - target_xy[:, None, 0]
+    dy = suav_xy[None, :, 1] - target_xy[:, None, 1]
+    d2 = np.where(mask == 1, dx ** 2 + dy ** 2, np.inf)
+    alpha = np.zeros_like(mask)
+    alpha[np.arange(scenario.n_targets), d2.argmin(axis=1)] = 1
+    return alpha
+
+
 class TestNearestCoveringAssociation:
     def test_rows_sum_to_one_and_respect_mask(self, scenario0):
         assoc = nearest_covering_association(Pools(scenario0))
@@ -34,19 +49,24 @@ class TestNearestCoveringAssociation:
         from .conftest import make_scenario
         sc = make_scenario([(400.0, 500.0), (600.0, 500.0)],
                            [(500.0, 500.0), (500.0, 520.0)])
-        assert nearest_covering_association(Pools(sc)).alpha.tolist() == \
-            [[1, 0], [1, 0]]
+        pools = Pools(sc)
+        alpha = nearest_covering_association(pools).alpha
+        assert alpha.tolist() == [[1, 0], [1, 0]]
+        assert np.array_equal(alpha, numpy_nearest_cover(pools))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_the_target_by_target_loop(self, seed):
-        # The argmin over masked distances replaced this loop, the reference.
+        # Two references: the loop that the NumPy argmin replaced, and that
+        # argmin, which the float loop replaced, to the bit.
         from dataclasses import replace
 
         from uav_mec.config import ExperimentConfig
         from uav_mec.scenario import generate_scenario
         sc = generate_scenario(
             replace(ExperimentConfig(), n_suavs=16, n_targets=40), seed)
-        assoc = nearest_covering_association(Pools(sc))
+        pools = Pools(sc)
+        assoc = nearest_covering_association(pools)
+        assert np.array_equal(assoc.alpha, numpy_nearest_cover(pools))
         for i, target in enumerate(sc.targets):
             best = None
             for j in np.flatnonzero(assoc.feasible_mask[i]):
@@ -126,14 +146,16 @@ class TestRunScheme:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_evaluates_only_the_start_plan(self, monkeypatch, scenario0,
                                            scheme):
-        # Every block prices its own candidate, so the returned plan is
-        # never priced again.
-        from uav_mec import orchestrator
+        # Every block prices its own candidate and the start plan is priced
+        # from the price table, so the evaluator prices no plan, not even
+        # the start plan.
+        from uav_mec import cost, orchestrator
 
         from .conftest import counting
-        calls = counting(monkeypatch, orchestrator, "evaluate_solution")
+        calls = [counting(monkeypatch, module, "evaluate_solution")
+                 for module in (orchestrator, cost)]
         run_scheme(scenario0, scheme)
-        assert len(calls) == 1
+        assert calls == [[], []]
 
     def test_unknown_scheme_rejected(self, scenario0):
         with pytest.raises(ValueError):
@@ -170,6 +192,30 @@ class TestStartPlanAndImprove:
         assert plan.beta.tolist() == report.beta.tolist()
         assert plan.q_m == report.q_m
         assert plan.objective == report.objective_s
+
+    @pytest.mark.parametrize("seeds,config", [
+        (range(20), None), (range(5), "link.cfg")])
+    def test_the_start_is_priced_as_the_evaluator_prices_it(self, seeds,
+                                                            config):
+        # start_plan prices the start from the price table (or, under the
+        # forced rule, by the rule's own price); improve compares every
+        # block's candidate with that price, so it must be the evaluator's
+        # to the bit, and a Python float, as the trace's repr shows.
+        from pathlib import Path
+
+        from uav_mec.config import load_config
+        from uav_mec.cost import evaluate_solution
+        from uav_mec.scenario import generate_scenario
+        cfg = ExperimentConfig() if config is None else load_config(
+            Path(__file__).resolve().parents[1] / "scripts" / config)
+        for seed in seeds:
+            sc = generate_scenario(cfg, seed)
+            for scheme in SCHEMES:
+                plan = start_plan(scheme_pools(sc, scheme), scheme)
+                objective = evaluate_solution(plan.placed, plan.association,
+                                              plan.beta, plan.q_m)[0]
+                assert type(plan.objective) is float
+                assert plan.objective == objective, (seed, scheme)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_only_the_forced_rule_starts_with_offloaders(self, scenario0,
@@ -215,8 +261,9 @@ class TestOnePriceTable:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_outer_loop_builds_no_price_record(self, monkeypatch,
                                                default_config, seed, scheme):
-        # Pools builds every S-UAV's records, start_plan's evaluate_solution
-        # prices the start, and every block of the loop reads the table.
+        # Pools builds each S-UAV's local record with branch_price and its
+        # offload records from it, start_plan prices the start from the
+        # table, and every block of the loop reads the table.
         from uav_mec import association, cost, offload, placement
         from uav_mec.scenario import generate_scenario
 
@@ -226,13 +273,12 @@ class TestOnePriceTable:
                  for module in (cost, offload, placement, association)
                  if hasattr(module, "branch_price")]
         pools = scheme_pools(sc, scheme)
-        assert sum(map(len, calls)) == sc.n_suavs * (sc.n0_cap + 1)
+        assert sum(map(len, calls)) == sc.n_suavs
         plan = start_plan(pools, scheme)
-        for made in calls:
-            made.clear()
+        assert sum(map(len, calls)) == sc.n_suavs
         improve(plan, pools, scheme, ExperimentConfig.tol,
                 ExperimentConfig.r_max)
-        assert sum(map(len, calls)) == 0
+        assert sum(map(len, calls)) == sc.n_suavs
 
 
 class TestRuavOnlyRelayBudget:

@@ -24,6 +24,38 @@ def run_script(name, *args, cwd=None):
         cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
+def load_script(name):
+    """scripts/<name>.py as a module, run in this process."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenDigests:
+    """The four bit-identity gates of scripts/digest.py, rerun and compared
+    with their outputs in tests/golden/: a change that moves any result in
+    its last bit fails here. A golden file made under other Python or NumPy
+    versions is skipped, since those may move the last bit on their own."""
+
+    @pytest.mark.parametrize("name", ["reference", "relay_sweep", "fleet",
+                                      "link"])
+    def test_gate_matches_its_golden_file(self, monkeypatch, name):
+        monkeypatch.setenv("UAV_MEC_WORKERS", "1")
+        digest = load_script("digest")
+        header, *golden = (digest.GOLDEN / f"digest_{name}.txt"
+                           ).read_text().splitlines()
+        made_by = header.removeprefix("# ")
+        if made_by != digest.versions():
+            pytest.skip(f"tests/golden/digest_{name}.txt was made by "
+                        f"{made_by}, this is {digest.versions()}; rerun "
+                        "scripts/digest.py --write on the parent commit to "
+                        "compare")
+        # pytest names the first line that differs: its seed and scheme.
+        assert digest.gate_lines(name) == golden
+
+
 class TestParseSeeds:
     @pytest.mark.parametrize("text,seeds", [("0-3", (0, 1, 2, 3)),
                                             ("4", (4,)), ("2,0,7", (2, 0, 7)),
@@ -48,10 +80,7 @@ class TestScripts:
     @pytest.mark.parametrize("line", ["r_max = 1", "tol = 10"])
     def test_compare_schemes_solves_with_the_config_stopping_rule(
             self, monkeypatch, tmp_path, line):
-        spec = importlib.util.spec_from_file_location(
-            "compare_schemes", ROOT / "scripts" / "compare_schemes.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load_script("compare_schemes")
         iterations = []
 
         def run_scheme(*args, **kwargs):
