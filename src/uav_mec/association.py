@@ -1,7 +1,7 @@
 """Target-to-S-UAV association with fixed offload decision and relay position.
 
-Exact on every call whose pools hold at most _MAX_POOL targets. Three things
-can end a call:
+Exact on every call whose pools hold at most cover.MAX_POOL targets. Three
+things can end a call:
 
 1. A depth-first branch and bound over one monitoring S-UAV per target,
    under DFS_ALLOWANCE nodes (fixed: no caller sets it). The bound at a node
@@ -13,23 +13,12 @@ can end a call:
    10.07263920969067 s, the column cover 10.072591165515615 s). On a call
    that searches first, a finished search is returned as it is, even where
    the columns below would show a lower optimum.
-2. The columns' lower bound. An S-UAV's hover point depends only on the
-   bounding box of its targets, and its task size is fixed once it monitors
-   anything, so its latency and energy depend only on that box. Giving each
-   S-UAV every pool target inside its box keeps the box, hence its latency,
-   and still covers every target. So some optimum picks at most one
-   *box-closed* subset (column) of each S-UAV's pool: the pool targets
-   inside that subset's own box. Every target is held by some S-UAV's
-   column, so the optimum T* over all associations is at least the largest,
-   over targets, of the least latency of an energy-feasible column holding
-   the target (_lower_bound). An association that attains the bound is
-   optimal, and is returned with no further search.
-3. The column cover and the search run to T*. T* is the least t at which
-   columns of latency <= t, at most one per S-UAV, cover every target; a
-   search over target bitmasks decides that on integer data, so no
-   tolerance enters. The branch and bound's association is returned if it
-   attains T*, and the cover's otherwise; the latter may give a target two
-   monitors, which the problem allows.
+2. The box-closed columns' lower bound (cover.py): an association that
+   attains it is optimal, and is returned with no further search.
+3. The column cover and the search run to T*, the optimum over every
+   association (cover.py). The branch and bound's association is returned
+   if it attains T*, and the cover's otherwise; the latter may give a
+   target two monitors, which the problem allows.
 
 A call searches first, and prices the columns only if the search runs out
 of nodes; at the reference size most solves never build them. Once a call
@@ -55,33 +44,28 @@ Python code per node and per column, and a fleet call visits about a
 thousand nodes or a thousand columns, so every fact that depends only on
 the solve is read from those tables rather than worked out again at each
 node or column. A call gathers its S-UAVs' price records from the solve's
-price table (cost.plan_prices) and prices all columns in one pass; a new
-target set costs one memoised hover point and one link rate on floats, and
-an empty one nothing: an idle S-UAV keeps its budget, as the table
-vouches. The same Pools gives the outer loop its placed S-UAVs and every
-block its price table.
+price table (cost.plan_prices) and prices all columns in one pass
+(cover.price); a new target set costs one memoised hover point and one
+link rate on floats, and an empty one nothing: an idle S-UAV keeps its
+budget, as the table vouches. The same Pools gives the outer loop its
+placed S-UAVs and every block its price table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .cost import (BranchPrice, floored_rate, floored_rates, plan_prices,
-                   price_table)
+from . import cover
+from .cost import floored_rate, plan_prices, price_table
 from .errors import InfeasibleSubproblem
 from .scenario import (Association, Position3D, Scenario, SUav,
                        feasible_association_mask)
 
 # DFS nodes before the column cover takes over.
 DFS_ALLOWANCE = 1_000
-# Columns are int64 bitmasks over a pool.
-_MAX_POOL = 62
-# Rows per block of the column dominance check, which bounds its memory.
-_DOMINANCE_ROWS = 64
 
 
 @dataclass
@@ -118,15 +102,16 @@ class Pools:
       the scenario placed under it (placed);
     - on the first call whose search runs out of nodes (at the reference
       size most solves have none), every S-UAV's box-closed columns
-      (_Columns) with each column's targets and hover point. Once the
+      (cover.Columns) with each column's targets and hover point. Once the
       columns are built, every later call of the solve prices them before
       it searches (see the module docstring).
 
     run_scheme builds one per solve and passes it to every block; nothing
-    of it is kept on the scenario or in this module, so no solve reads
-    another's data. It builds the price table before anything else, so it
-    raises the table's InfeasibleSubproblem first if an S-UAV's or the
-    relay's hover alone breaks its budget, as it then does in every plan.
+    of it is kept on the scenario, in this module or in cover.py, so no
+    solve reads another's data. It builds the price table before anything
+    else, so it raises the table's InfeasibleSubproblem first if an S-UAV's
+    or the relay's hover alone breaks its budget, as it then does in every
+    plan.
     """
 
     def __init__(self, scenario: Scenario, static_positions: bool = False):
@@ -158,7 +143,7 @@ class Pools:
             {} for _ in scenario.suavs]
         self._suavs: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
         self._placed: dict[tuple[int, ...], Scenario] = {}
-        self._cols: _Columns | None = None
+        self._cols: cover.Columns | None = None
 
     def hover_point(self, suav_index: int,
                     target_bits: int) -> tuple[float, float, float]:
@@ -171,7 +156,7 @@ class Pools:
             if self.static_positions or not target_bits:
                 pos = self.scenario.suavs[suav_index].initial_pos.xyz
             else:
-                held = list(_bits(target_bits))
+                held = list(cover.bits(target_bits))
                 xs = [self.x[i] for i in held]
                 ys = [self.y[i] for i in held]
                 x_hi, x_lo, y_hi, y_lo = max(xs), min(xs), max(ys), min(ys)
@@ -204,10 +189,13 @@ class Pools:
                                                  suavs=tuple(suavs))
         return placed
 
-    def columns(self) -> _Columns:
+    def columns(self) -> cover.Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
         if self._cols is None:
-            self._cols = _build_columns(self)
+            fixed = ([s.initial_pos.xyz for s in self.scenario.suavs]
+                     if self.static_positions else None)
+            self._cols = cover.build(self.mask, self.x, self.y, self.cameras,
+                                     fixed)
         return self._cols
 
 
@@ -225,14 +213,9 @@ class _Context:
 
     def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
         self.pools = pools
-        # The search reads these at every node.
-        self.scenario, self.mask, self.cover, self.order, self.closing = (
-            pools.scenario, pools.mask, pools.cover, pools.order,
-            pools.closing)
         self.q = q_m.xyz
         self.bandwidth_hz = pools.scenario.constants.bandwidth_hz
-        beta = np.asarray(beta).tolist()
-        self.prices = plan_prices(pools.prices, beta)
+        self.prices = plan_prices(pools.prices, np.asarray(beta).tolist())
         # Per S-UAV: target bitmask -> (latency, energy-feasible). An entry
         # is a non-empty tuple, so `memo[j].get(bits) or latency(j, bits)`
         # reads it and prices only a miss.
@@ -258,7 +241,7 @@ class _Context:
         took the target on, smallest growth first (ties: lowest index)."""
         out = []
         bit = 1 << target_index
-        for j in self.cover[target_index]:
+        for j in self.pools.cover[target_index]:
             memo, bits = self.memo[j], assigned_bits[j]
             before = (memo.get(bits) or self.latency(j, bits))[0]
             after = (memo.get(bits | bit) or self.latency(j, bits | bit))[0]
@@ -272,7 +255,7 @@ def _alpha(mask: np.ndarray, assigned_bits) -> np.ndarray:
     bitmask."""
     alpha = np.zeros_like(mask)
     for j, bits in enumerate(assigned_bits):
-        for i in _bits(bits):
+        for i in cover.bits(bits):
             alpha[i, j] = 1
     return alpha
 
@@ -281,8 +264,8 @@ def greedy_incumbent(ctx: _Context) -> list[int]:
     """Feasible warm start, as per-S-UAV target bitmasks: most-constrained
     targets first, each to the covering S-UAV whose latency grows the
     least. It prices through the solve's latency memo."""
-    assigned_bits = [0] * ctx.scenario.n_suavs
-    for target_index in ctx.order:
+    assigned_bits = [0] * ctx.pools.scenario.n_suavs
+    for target_index in ctx.pools.order:
         j = ctx.by_growth(target_index, assigned_bits)[0][1]
         assigned_bits[j] |= 1 << target_index
     return assigned_bits
@@ -314,11 +297,11 @@ def _dfs(ctx: _Context, incumbent: list[int] | None,
     Returns (best association, its objective, nodes, finished: searched to
     the end within the allowance).
     """
-    n_targets = ctx.scenario.n_targets
-    order, closing, cover, memo = ctx.order, ctx.closing, ctx.cover, ctx.memo
-    latency = ctx.latency
+    pools, memo, latency = ctx.pools, ctx.memo, ctx.latency
+    order, closing, candidates = pools.order, pools.closing, pools.cover
+    n_targets = pools.scenario.n_targets
     allowance = DFS_ALLOWANCE
-    assigned_bits = [0] * ctx.scenario.n_suavs
+    assigned_bits = [0] * pools.scenario.n_suavs
     nodes = 1  # the root
     aborted = False
 
@@ -339,7 +322,7 @@ def _dfs(ctx: _Context, incumbent: list[int] | None,
         closed = closing[depth]
         # ctx.by_growth, inline: it runs at every node.
         growth = []
-        for j in cover[target_index]:
+        for j in candidates[target_index]:
             known, bits = memo[j], assigned_bits[j]
             before = (known.get(bits) or latency(j, bits))[0]
             after = (known.get(bits | bit) or latency(j, bits | bit))[0]
@@ -369,198 +352,6 @@ def _dfs(ctx: _Context, incumbent: list[int] | None,
     return incumbent, incumbent_obj, nodes, not aborted
 
 
-def _columns(pools: Pools, j: int) -> np.ndarray:
-    """Every distinct box-closed subset of S-UAV j's pool, ascending, as an
-    int64 bitmask over the pool (bit p: the pool's p-th target by index)."""
-    pool = np.flatnonzero(pools.mask[:, j])
-    x, y = np.array(pools.x)[pool], np.array(pools.y)[pool]
-    bit = np.left_shift(np.int64(1), np.arange(len(pool), dtype=np.int64))
-
-    def spans(v: np.ndarray) -> np.ndarray:
-        # Distinct bitmasks of the pool targets with v[a] <= v <= v[b].
-        inside = (v[:, None, None] <= v) & (v <= v[None, :, None])
-        return np.unique(np.where(inside, bit, 0).sum(axis=2))
-
-    masks = np.unique(spans(x)[:, None] & spans(y)[None, :])
-    return masks[masks != 0]
-
-
-class _Columns(NamedTuple):
-    """Every S-UAV's box-closed columns (_columns), concatenated S-UAV by
-    S-UAV: rows starts[j]:starts[j + 1] are S-UAV j's. Column k's targets,
-    ascending, are held[first[k]:first[k] + sizes[k]]; no column is empty."""
-
-    starts: np.ndarray           # per S-UAV its first row, then the row count
-    suav: np.ndarray             # the column's S-UAV
-    masks: np.ndarray            # int64 bitmask over the S-UAV's pool
-    held: np.ndarray             # every column's target indices, in turn
-    sizes: np.ndarray            # targets per column
-    first: np.ndarray            # where each column's targets start in held
-    pos: np.ndarray              # (columns, 3) hover points
-
-
-def _build_columns(pools: Pools) -> _Columns:
-    """Every S-UAV's columns, with their targets and hover points in one pass
-    over all of them."""
-    scenario = pools.scenario
-    masks = [_columns(pools, j) for j in range(scenario.n_suavs)]
-    counts = [len(m) for m in masks]
-    suav = np.repeat(np.arange(len(counts)), counts)
-    masks = np.concatenate(masks)
-    # pool[j, p]: S-UAV j's p-th pool target by index; 0 past its pool, where
-    # no column has a member.
-    in_pool = pools.mask.T.astype(bool)
-    width = np.arange(pools.largest_pool)
-    pool = np.zeros((len(counts), len(width)), dtype=np.int64)
-    pool[width < in_pool.sum(axis=1)[:, None]] = np.nonzero(in_pool)[1]
-    members = (masks[:, None] >> width & 1) != 0
-    held = pool[suav][members]
-    sizes = members.sum(axis=1)
-    first = np.cumsum(sizes) - sizes
-    if pools.static_positions:
-        pos = np.array([s.initial_pos.array for s in scenario.suavs])[suav]
-    else:
-        x, y = np.array(pools.x)[held], np.array(pools.y)[held]
-        x_lo, y_lo = (np.minimum.reduceat(v, first) for v in (x, y))
-        x_hi, y_hi = (np.maximum.reduceat(v, first) for v in (x, y))
-        # Pools.hover_point, in its order of operations, with each column's
-        # own camera.
-        wide, tall, gamma = np.array(pools.cameras)[suav].T
-        pos = np.column_stack([
-            (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
-            np.maximum((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma])
-    return _Columns(starts=np.cumsum([0, *counts]), suav=suav, masks=masks,
-                    held=held, sizes=sizes, first=first, pos=pos)
-
-
-def _column_prices(ctx: _Context,
-                   cols: _Columns) -> tuple[np.ndarray, np.ndarray]:
-    """(latency, energy-feasible) of every column, in one pass: the price
-    records stacked into arrays, one row per column's S-UAV, so each column
-    is priced exactly as _Context.latency prices its S-UAV and targets."""
-    price = BranchPrice(*np.array(ctx.prices)[cols.suav].T)
-    r = floored_rates(cols.pos, np.array(ctx.q), price.gamma1,
-                      ctx.bandwidth_hz)
-    return price.latency(r), price.fits(r)
-
-
-def _lower_bound(cols: _Columns, latency: np.ndarray, feasible: np.ndarray,
-                 n_targets: int) -> float:
-    """A lower bound on T*: the largest, over targets, of the least latency
-    of an energy-feasible column holding the target (inf if some target has
-    none). Each S-UAV's targets in any feasible association lie in a column
-    of the same box, hence of the same latency."""
-    cheapest = np.full(n_targets, math.inf)
-    np.minimum.at(cheapest, cols.held,
-                  np.repeat(np.where(feasible, latency, math.inf), cols.sizes))
-    return float(cheapest.max())
-
-
-def _undominated(masks: np.ndarray, latency: np.ndarray) -> np.ndarray:
-    """Columns that no other column covers a superset of at no more latency."""
-    keep = np.ones(len(masks), dtype=bool)
-    for start in range(0, len(masks), _DOMINANCE_ROWS):
-        rows = slice(start, start + _DOMINANCE_ROWS)
-        m, t = masks[rows, None], latency[rows, None]
-        keep[rows] = ~(((m & ~masks) == 0) & (m != masks)
-                       & (latency <= t)).any(axis=1)
-    return keep
-
-
-def _bits(value: int):
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
-
-
-def _cover_at(by_suav: list[list[int]], reach: list[int],
-              n_targets: int) -> list[tuple[int, int]] | None:
-    """(S-UAV, column) pairs, at most one per S-UAV, covering every target;
-    None if no such choice exists. reach[i] has bit j set when S-UAV j has
-    a column holding target i."""
-    failed = set()
-
-    def search(uncovered: int, free: int) -> list[tuple[int, int]] | None:
-        if not uncovered:
-            return []
-        if (uncovered, free) in failed:
-            return None
-        # Branch on the target the fewest free S-UAVs can still take.
-        best, best_count = -1, len(by_suav) + 1
-        for i in _bits(uncovered):
-            count = bin(reach[i] & free).count("1")
-            if count < best_count:
-                best, best_count = i, count
-                if not count:
-                    break
-        for j in _bits(reach[best] & free):
-            # Columns of j holding the target, by the uncovered targets they
-            # take; one whose part lies inside a tried part can do no better.
-            parts: dict[int, int] = {}
-            for column in by_suav[j]:
-                if column >> best & 1:
-                    parts.setdefault(column & uncovered, column)
-            tried: list[int] = []
-            for part in sorted(parts, key=lambda p: -bin(p).count("1")):
-                if any(not part & ~t for t in tried):
-                    continue
-                tried.append(part)
-                found = search(uncovered & ~part, free & ~(1 << j))
-                if found is not None:
-                    return found + [(j, parts[part])]
-        failed.add((uncovered, free))
-        return None
-
-    return search((1 << n_targets) - 1, (1 << len(by_suav)) - 1)
-
-
-def _cover(ctx: _Context, cols: _Columns, latency: np.ndarray,
-           keep: np.ndarray, lower: float) -> tuple[float, list[int]]:
-    """(T*, association): the least largest latency of box-closed columns,
-    at most one per S-UAV, that cover every target, and an association
-    attaining it, as per-S-UAV target bitmasks.
-    Only the columns in keep may be in it: the energy-feasible ones no
-    slower than an incumbent. lower is _lower_bound, where the search for
-    T* starts."""
-    scenario = ctx.scenario
-    rows = []
-    for j in range(scenario.n_suavs):
-        lo, hi = cols.starts[j], cols.starts[j + 1]
-        kept = lo + np.flatnonzero(keep[lo:hi])
-        rows.append(kept[_undominated(cols.masks[kept], latency[kept])])
-    rows = np.concatenate(rows)
-    # By latency, then S-UAV, then target bitmask: within one S-UAV the pool
-    # mask orders columns as their bitmask over all targets does.
-    rows = rows[np.lexsort((cols.masks[rows], cols.suav[rows], latency[rows]))]
-    sizes = cols.sizes[rows]
-    ends = np.cumsum(sizes)
-    # The kept columns' targets, in that order.
-    held = cols.held[np.arange(sizes.sum())
-                     + np.repeat(cols.first[rows] - (ends - sizes), sizes)]
-    held, times = held.tolist(), latency[rows].tolist()
-
-    by_suav: list[list[int]] = [[] for _ in range(scenario.n_suavs)]
-    reach = [0] * scenario.n_targets
-    start = 0
-    for k, (t, j, end) in enumerate(zip(times, cols.suav[rows].tolist(),
-                                        ends.tolist())):
-        targets, start = held[start:end], end
-        # Python ints: a bitmask over all targets may pass 64 bits.
-        by_suav[j].append(sum(1 << i for i in targets))
-        for i in targets:
-            reach[i] |= 1 << j
-        if t >= lower and (k + 1 == len(times) or times[k + 1] > t):
-            chosen = _cover_at(by_suav, reach, scenario.n_targets)
-            if chosen is not None:
-                assigned_bits = [0] * scenario.n_suavs
-                for j, column in chosen:
-                    assigned_bits[j] = column
-                return t, assigned_bits
-    raise InfeasibleSubproblem(
-        "no energy-feasible association covers every target")
-
-
 def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
                       warm: Association | None = None
                       ) -> tuple[Association, SearchInfo]:
@@ -586,13 +377,13 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
     best, obj, nodes, exact = incumbent, incumbent_obj, 0, False
     if search_first:
         best, obj, nodes, exact = _dfs(ctx, best, obj)
-    if not exact and pools.largest_pool <= _MAX_POOL:
-        cols = pools.columns()
-        latency, feasible = _column_prices(ctx, cols)
-        lower = _lower_bound(cols, latency, feasible, ctx.scenario.n_targets)
+    if not exact and pools.largest_pool <= cover.MAX_POOL:
+        cols, n_targets = pools.columns(), pools.scenario.n_targets
+        latency, ok = cover.price(cols, ctx.prices, ctx.q, ctx.bandwidth_hz)
+        lower = cover.lower_bound(cols, latency, ok, n_targets)
         if obj != lower:
-            t_star, covering = _cover(ctx, cols, latency,
-                                      feasible & (latency <= obj), lower)
+            t_star, covering = cover.cover(
+                cols, latency, ok & (latency <= obj), lower, n_targets)
             if not search_first:
                 best, obj, nodes, _ = _dfs(ctx, best, obj, floor=t_star)
             if obj != t_star:

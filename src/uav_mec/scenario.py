@@ -317,7 +317,7 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
         energy_budget_j=config.energy_budget_ruav_j,
         hover_energy_j=config.hover_energy_ruav_j,
     )
-    scenario = Scenario(
+    return Scenario(
         suavs=tuple(suavs),
         targets=targets,
         ruav=ruav,
@@ -325,5 +325,3 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
         n0_cap=config.n0_cap,
         seed=seed,
     )
-    feasible_association_mask(scenario)  # generator guarantee
-    return scenario

@@ -1,15 +1,13 @@
 """Branch-and-bound and column-cover association against exhaustive
 enumeration."""
 
-import itertools
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from uav_mec import association
+from uav_mec import association, cover
 from uav_mec.association import (Pools, greedy_incumbent, solve_association,
                                   _Context, _evaluate_full)
 from uav_mec.config import ExperimentConfig, load_config
@@ -156,8 +154,8 @@ class TestPools:
         # Seed 1: two association calls price the columns (on seed 0 the
         # second is a repeat of the first, and is not made).
         sc = generate_scenario(_FLEET, 1)
-        columns = counting(monkeypatch, association, "_columns")
-        prices = counting(monkeypatch, association, "_column_prices")
+        columns = counting(monkeypatch, cover, "_columns")
+        prices = counting(monkeypatch, cover, "price")
         run_scheme(sc, "proposed")
         assert len(prices) > 1
         assert len(columns) == sc.n_suavs
@@ -165,14 +163,15 @@ class TestPools:
     def test_each_run_scheme_builds_its_own(self, monkeypatch):
         sc = generate_scenario(_FLEET, 0)
         before = dict(vars(sc))
-        columns = counting(monkeypatch, association, "_columns")
+        columns = counting(monkeypatch, cover, "_columns")
         first = run_scheme(sc, "proposed")
         second = run_scheme(sc, "proposed")
         assert len(columns) == 2 * sc.n_suavs
         assert second.objective_trace == first.objective_trace
         assert vars(sc) == before
-        assert not [v for v in vars(association).values()
-                    if isinstance(v, (Pools, association._Columns))]
+        assert not [v for module in (association, cover)
+                    for v in vars(module).values()
+                    if isinstance(v, (Pools, cover.Columns))]
 
     def test_an_identical_call_is_not_repeated(self, monkeypatch):
         # Reference seed 0, static_suavs: the last iteration's association
@@ -282,9 +281,9 @@ class TestLowerBound:
         beta = random_offload(sc, seed)
         ctx = _Context(Pools(sc, static_positions=static), beta, Q_M)
         cols = ctx.pools.columns()
-        latency, feasible = association._column_prices(ctx, cols)
-        lower = association._lower_bound(cols, latency, feasible,
-                                         sc.n_targets)
+        latency, feasible = cover.price(cols, ctx.prices, ctx.q,
+                                        ctx.bandwidth_hz)
+        lower = cover.lower_bound(cols, latency, feasible, sc.n_targets)
         _, oracle_obj = enumerate_associations_at_least_one(
             sc, beta, Q_M, static_positions=static)
         assert 0.0 < lower <= oracle_obj * (1 + 1e-12)
@@ -341,9 +340,9 @@ class TestLaterCalls:
 
 
 class TestLargePool:
-    """A pool beyond _MAX_POOL targets skips the cover: the DFS alone decides
-    under the same allowance as every call, and may report an inexact
-    answer."""
+    """A pool beyond cover.MAX_POOL targets skips the cover: the DFS alone
+    decides under the same allowance as every call, and may report an
+    inexact answer."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -353,12 +352,12 @@ class TestLargePool:
 
     def test_budget_is_honoured_without_the_cover(self, monkeypatch,
                                                   dfs_allowance, scenario):
-        columns = counting(monkeypatch, association, "_columns")
-        prices = counting(monkeypatch, association, "_column_prices")
+        columns = counting(monkeypatch, cover, "_columns")
+        prices = counting(monkeypatch, cover, "price")
         dfs_allowance(50)
         assoc, info = solve_association(Pools(scenario),
                                         np.zeros(2, dtype=int), Q_M)
-        assert scenario.n_targets == 63 > association._MAX_POOL
+        assert scenario.n_targets == 63 > cover.MAX_POOL
         assert info.nodes <= 50
         assert not info.exact
         assert np.all((assoc.alpha * assoc.feasible_mask).sum(axis=1) >= 1)
@@ -377,80 +376,6 @@ class TestLargePool:
         dfs_allowance(50)
         report = run_scheme(scenario, "proposed")
         assert not report.association_exact
-
-
-# A pool of drawn targets, duplicates included, under the S-UAV at
-# (500, 500), and optionally one target only the S-UAV at (850, 850) sees.
-# Each S-UAV draws its own chunk size, offload bit and transmit power, so a
-# column priced with the other S-UAV's branch price or SNR coefficient is
-# priced wrong.
-_SPOTS = st.tuples(st.floats(300.0, 700.0), st.floats(340.0, 660.0))
-
-
-@st.composite
-def _pricing_instance(draw):
-    spots = draw(st.lists(_SPOTS, min_size=1, max_size=4))
-    target_xy = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=7))
-    suav_xy = [(500.0, 500.0)]
-    if draw(st.booleans()):
-        suav_xy.append((850.0, 850.0))
-        target_xy.append((draw(st.floats(800.0, 900.0)),
-                          draw(st.floats(800.0, 900.0))))
-    n = len(suav_xy)
-
-    def per_suav(values):
-        return draw(st.lists(values, min_size=n, max_size=n))
-
-    sc = make_scenario(
-        suav_xy, target_xy, n0_cap=n,
-        chunk_bits=per_suav(st.floats(1e6, 3e6)),
-        energy_budget_j=draw(st.floats(0.009, 0.016)))
-    sc = replace(sc, suavs=tuple(
-        replace(suav, tx_power_w=p)
-        for suav, p in zip(sc.suavs, per_suav(st.floats(0.4, 1.2)))))
-    beta = np.array(per_suav(st.integers(0, 1)))
-    q_m = Position3D(draw(st.floats(0.0, 1000.0)),
-                     draw(st.floats(0.0, 1000.0)),
-                     draw(st.floats(100.0, 1000.0)))
-    return _Context(Pools(sc, draw(st.booleans())), beta, q_m)
-
-
-def _box_closed_subsets(ctx, j):
-    """Brute force: nonempty subsets of S-UAV j's pool equal to the pool
-    targets inside their own bounding box, as sets of target indices."""
-    pool = np.flatnonzero(ctx.mask[:, j])
-    xy = np.array([(ctx.scenario.targets[i].pos.x,
-                    ctx.scenario.targets[i].pos.y) for i in pool])
-    out = set()
-    for r in range(1, len(pool) + 1):
-        for subset in itertools.combinations(range(len(pool)), r):
-            lo, hi = xy[list(subset)].min(axis=0), xy[list(subset)].max(axis=0)
-            inside = np.all((lo <= xy) & (xy <= hi), axis=1)
-            if set(np.flatnonzero(inside)) == set(subset):
-                out.add(frozenset(pool[list(subset)].tolist()))
-    return out
-
-
-class TestColumnPrices:
-    @settings(max_examples=150, deadline=None)
-    @given(_pricing_instance())
-    def test_columns_are_the_box_closed_subsets_priced_exactly(self, ctx):
-        cols = ctx.pools.columns()
-        latency, feasible = association._column_prices(ctx, cols)
-        assert cols.sizes.sum() == len(cols.held)
-        for j in range(ctx.scenario.n_suavs):
-            rows = range(cols.starts[j], cols.starts[j + 1])
-            held = {k: cols.held[cols.first[k]:cols.first[k] + cols.sizes[k]]
-                    .tolist() for k in rows}
-            assert {frozenset(held[k]) for k in rows} == \
-                _box_closed_subsets(ctx, j)
-            pool = np.flatnonzero(ctx.mask[:, j]).tolist()
-            for k in rows:
-                assert cols.suav[k] == j
-                assert held[k] == [pool[p] for p in range(len(pool))
-                                   if int(cols.masks[k]) >> p & 1]
-                assert ctx.latency(j, sum(1 << i for i in held[k])) == (
-                    latency.tolist()[k], feasible.tolist()[k])
 
 
 # (config, seed, scheme) -> (nodes, exact, objective, monitors per target,

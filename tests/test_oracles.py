@@ -5,7 +5,8 @@ from pathlib import Path
 
 from uav_mec import oracles
 
-SOLVER_MODULES = {"offload", "placement", "association", "orchestrator"}
+SOLVER_MODULES = {"offload", "placement", "association", "orchestrator",
+                  "cover"}
 
 
 def imported_names(tree: ast.AST):
