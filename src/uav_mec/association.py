@@ -235,20 +235,6 @@ class _Context:
         memo[target_bits] = result
         return result
 
-    def by_growth(self, target_index: int,
-                  assigned_bits: list[int]) -> list[tuple[float, int]]:
-        """(latency growth, S-UAV) for every S-UAV covering the target if it
-        took the target on, smallest growth first (ties: lowest index)."""
-        out = []
-        bit = 1 << target_index
-        for j in self.pools.cover[target_index]:
-            memo, bits = self.memo[j], assigned_bits[j]
-            before = (memo.get(bits) or self.latency(j, bits))[0]
-            after = (memo.get(bits | bit) or self.latency(j, bits | bit))[0]
-            out.append((after - before, j))
-        out.sort()
-        return out
-
 
 def _alpha(mask: np.ndarray, assigned_bits) -> np.ndarray:
     """The association matrix that gives each S-UAV the targets of its
@@ -266,8 +252,12 @@ def greedy_incumbent(ctx: _Context) -> list[int]:
     least. It prices through the solve's latency memo."""
     assigned_bits = [0] * ctx.pools.scenario.n_suavs
     for target_index in ctx.pools.order:
-        j = ctx.by_growth(target_index, assigned_bits)[0][1]
-        assigned_bits[j] |= 1 << target_index
+        bit = 1 << target_index
+        # The least (latency growth, S-UAV): ties go to the lowest index.
+        _, j = min((ctx.latency(j, assigned_bits[j] | bit)[0]
+                    - ctx.latency(j, assigned_bits[j])[0], j)
+                   for j in ctx.pools.cover[target_index])
+        assigned_bits[j] |= bit
     return assigned_bits
 
 
@@ -320,7 +310,7 @@ def _dfs(ctx: _Context, incumbent: list[int] | None,
         # Deciding the target fully decides these pools, whichever S-UAV
         # takes it: their latency, and so the bound, is exact.
         closed = closing[depth]
-        # ctx.by_growth, inline: it runs at every node.
+        # (latency growth, S-UAV), least first, ties to the lowest index.
         growth = []
         for j in candidates[target_index]:
             known, bits = memo[j], assigned_bits[j]

@@ -200,13 +200,16 @@ def _capped(scenario: Scenario, beta: np.ndarray) -> np.ndarray:
     return beta
 
 
-def breakdowns(scenario: Scenario, association: Association,
-               beta: np.ndarray, q_m: Position3D):
+def breakdowns(scenario: Scenario, alpha: np.ndarray, beta: np.ndarray,
+               q_m: Position3D):
     """(latency breakdowns, energy breakdowns ending with the relay's: its
     hover plus the fair-share compute term of every offloaded chunk). An
     S-UAV that carries no video sends 0 bits, so its link prices to zero
-    at its own rate, as does its compute: only its hover remains."""
-    s_bits = effective_chunk_bits(scenario, association.alpha)
+    at its own rate, as does its compute: only its hover remains.
+
+    Raises InvalidDecision if beta offloads past the relay cap."""
+    beta = _capped(scenario, beta)
+    s_bits = effective_chunk_bits(scenario, alpha)
     prices = suav_prices(scenario, s_bits, beta)
     lats, energies = [], []
     for suav, s, off, price in zip(scenario.suavs, s_bits.tolist(),
@@ -250,7 +253,6 @@ def evaluate_solution(scenario: Scenario, association: Association,
 
     The scenario must already be repositioned under the association.
     """
-    lats, energies = breakdowns(scenario, association,
-                                _capped(scenario, beta), q_m)
+    lats, energies = breakdowns(scenario, association.alpha, beta, q_m)
     objective, spread = objective_and_spread(lats)
     return objective, spread, lats, energies

@@ -1,4 +1,4 @@
-"""Parameter sweeps, per-chunk metric aggregation, and tabular output."""
+"""Parameter sweeps, per-chunk metric totals, and tabular output."""
 
 from __future__ import annotations
 
@@ -6,12 +6,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import zip_longest
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .cost import floored_rate, suav_prices
+from .cost import breakdowns, objective_and_spread
 from .errors import UavMecError, ValidationError
 from .orchestrator import SCHEMES, run_scheme
 from .scenario import Position3D, Scenario, generate_scenario
@@ -37,60 +36,37 @@ class ResultRow:
 
 
 def chunked_metrics(scenario: Scenario, alpha: np.ndarray,
-                    beta: np.ndarray, q_m: Position3D):
-    """Latency and execution-energy totals summed over sequential chunks.
-
-    Positions and decisions come from the single solve at the mean chunk
-    size; each chunk is then re-priced at its own size.
-    """
-    monitored = alpha.sum(axis=0) > 0
-    if not monitored.any():
-        return 0.0, 0.0, 0.0, 0.0
-    # Chunk k's price records: every S-UAV at the size of its chunk k, or
-    # 0 bits past its last chunk, which adds nothing.
-    chunks = [suav_prices(scenario, sizes, beta) for sizes in zip_longest(
-        *(s.chunk_bits_list for s in scenario.suavs), fillvalue=0.0)]
-    totals = np.zeros(scenario.n_suavs)
-    exec_energy = 0.0
-    ruav_energy = 0.0
-    for j in np.flatnonzero(monitored):
-        r = floored_rate(scenario.suavs[j].current_pos.xyz, q_m.xyz,
-                         chunks[0][j].gamma1, scenario.constants.bandwidth_hz)
-        for prices in chunks:
-            price = prices[j]
-            totals[j] += price.latency(r)
-            exec_energy += price.energy(r)
-            ruav_energy += price.relay_j
-    active_totals = totals[monitored]
-    return (float(active_totals.max()), float(active_totals.std()),
-            float(exec_energy), float(ruav_energy))
+                    beta: np.ndarray, q_m: Position3D, n_chunks: int):
+    """(max latency, spread, S-UAV execution energy, relay compute energy)
+    over n_chunks sequential chunks: the evaluator's figures for the plan,
+    priced at the mean chunk size, times n_chunks, as every figure is linear
+    in the bits."""
+    lats, energies = breakdowns(scenario, alpha, beta, q_m)
+    objective, spread = objective_and_spread(lats)
+    *suavs, ruav = energies
+    exec_energy = sum(e.comm_j + e.comp_j for e in suavs)
+    return (n_chunks * objective, n_chunks * spread,
+            n_chunks * exec_energy, n_chunks * ruav.comp_j)
 
 
 def run_cell(config: ExperimentConfig, seed: int, scheme: str,
              param_name: str = "", param_value: float = float("nan"),
              **solver_kwargs) -> ResultRow:
-    """One sweep row. solver_kwargs go to run_scheme, which ignores them."""
+    """One sweep row. solver_kwargs go to run_scheme, which ignores them.
+    A failed draw or solve gives a row of NaN metrics and its error."""
     start = time.monotonic()
+    metrics, iters, error = (float("nan"),) * 4, 0, ""
     try:
         scenario = generate_scenario(config, seed)
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
-        objective, spread, exec_e, ruav_e = chunked_metrics(
-            report.placed, report.alpha, report.beta, report.q_m)
-        return ResultRow(
-            seed=seed, scheme=scheme, swept_param_name=param_name,
-            swept_value=param_value, objective_s=objective,
-            delay_stddev_s=spread, suav_exec_energy_j=exec_e,
-            ruav_energy_j=ruav_e, outer_iters=report.iterations,
-            wall_ms=(time.monotonic() - start) * 1e3)
+        metrics = chunked_metrics(report.placed, report.alpha, report.beta,
+                                  report.q_m, config.n_chunks)
+        iters = report.iterations
     except UavMecError as exc:
-        return ResultRow(
-            seed=seed, scheme=scheme, swept_param_name=param_name,
-            swept_value=param_value, objective_s=float("nan"),
-            delay_stddev_s=float("nan"), suav_exec_energy_j=float("nan"),
-            ruav_energy_j=float("nan"), outer_iters=0,
-            wall_ms=(time.monotonic() - start) * 1e3,
-            error=f"{type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+    return ResultRow(seed, scheme, param_name, param_value, *metrics, iters,
+                     (time.monotonic() - start) * 1e3, error)
 
 
 def sweep_workers() -> int | None:

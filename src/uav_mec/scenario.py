@@ -76,20 +76,15 @@ class SUav:
     compress_ratio: float
     energy_budget_j: float
     hover_energy_j: float
-    chunk_bits_list: tuple[float, ...]  # sizes of the sequential chunks
+    chunk_bits: float  # mean chunk size, the task size a solve prices
 
     def __post_init__(self):
         if not (0.0 < self.compress_ratio < 1.0):
             raise ValueError("compress_ratio must lie in (0, 1)")
         if self.cpu_hz <= 0 or self.tx_power_w <= 0:
             raise ValueError("cpu_hz and tx_power_w must be positive")
-        if not self.chunk_bits_list or min(self.chunk_bits_list) < 0:
-            raise ValueError("chunk_bits_list must hold nonnegative sizes")
-
-    @cached_property
-    def chunk_bits(self) -> float:
-        """Mean chunk size, the task size a solve prices."""
-        return sum(self.chunk_bits_list) / len(self.chunk_bits_list)
+        if self.chunk_bits < 0:
+            raise ValueError("chunk_bits must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,9 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
         config.n_suavs, config.area_m, config.initial_altitude_m, camera)
 
     # The chunk sizes come from their own generator, so drawing them before
-    # the targets moves no draw of either.
+    # the targets moves no draw of either. An S-UAV keeps the mean of its
+    # n_chunks sizes: every figure is linear in the bits, so a sweep row
+    # scales the plan's price at the mean by n_chunks.
     chunk_rng = np.random.default_rng([seed, 0xC4])
     lo_kb, hi_kb = config.chunk_kb_range
     suavs = []
@@ -291,7 +288,7 @@ def generate_scenario(config: ExperimentConfig, seed: int) -> Scenario:
             compress_ratio=config.mu,
             energy_budget_j=config.energy_budget_suav_j,
             hover_energy_j=config.hover_energy_suav_j,
-            chunk_bits_list=sizes,
+            chunk_bits=sum(sizes) / len(sizes),
         ))
     rects = [fov_rect(s, at_initial=True) for s in suavs]
 

@@ -37,7 +37,7 @@ def make_scenario(suav_xy, target_xy, *, altitude=500.0, chunk_bits=None,
              current_pos=Position3D(x, y, altitude),
              camera=camera, cpu_hz=cpu_suav_hz, tx_power_w=tx_power_w,
              compress_ratio=mu, energy_budget_j=energy_budget_j,
-             hover_energy_j=0.0, chunk_bits_list=(float(chunk_bits[j]),))
+             hover_energy_j=0.0, chunk_bits=float(chunk_bits[j]))
         for j, (x, y) in enumerate(suav_xy))
     targets = tuple(Target(id=i, pos=Position3D(x, y, 0.0))
                     for i, (x, y) in enumerate(target_xy))

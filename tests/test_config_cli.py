@@ -354,9 +354,32 @@ class TestChunkedMetrics:
         report = run_scheme(sc, "proposed")
         placed = repositioned_scenario(sc, report.alpha)
         objective, spread, exec_e, ruav_e = chunked_metrics(
-            placed, report.alpha, report.beta, report.q_m)
-        # Two chunks at the same decision cost at least the single mean-size
-        # solve and scale roughly linearly.
-        assert objective > report.objective_s
-        assert objective == pytest.approx(2.0 * report.objective_s, rel=0.2)
+            placed, report.alpha, report.beta, report.q_m, cfg.n_chunks)
+        # Two chunks at the same decision cost twice the mean-size solve:
+        # latency is linear in the bits on both branches.
+        assert objective == 2.0 * report.objective_s
         assert exec_e > 0.0
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 4, 5])
+    def test_row_is_n_chunks_times_the_evaluator(self, n_chunks):
+        from uav_mec.cost import evaluate_solution
+        from uav_mec.orchestrator import SCHEMES, run_scheme
+        from uav_mec.scenario import (Association, feasible_association_mask,
+                                      generate_scenario)
+        cfg = replace(ExperimentConfig(), n_chunks=n_chunks)
+        for seed in range(3):
+            sc = generate_scenario(cfg, seed)
+            mask = feasible_association_mask(sc)
+            for scheme in SCHEMES:
+                row = run_cell(cfg, seed, scheme)
+                report = run_scheme(sc, scheme, tol=cfg.tol, r_max=cfg.r_max)
+                assert row.error == ""
+                assert row.objective_s == n_chunks * report.objective_s
+                objective, spread, _, energies = evaluate_solution(
+                    report.placed, Association(report.alpha, mask),
+                    report.beta, report.q_m)
+                assert row.objective_s == n_chunks * objective
+                assert row.delay_stddev_s == n_chunks * spread
+                assert row.suav_exec_energy_j == n_chunks * sum(
+                    e.comm_j + e.comp_j for e in energies[:-1])
+                assert row.ruav_energy_j == n_chunks * energies[-1].comp_j

@@ -422,10 +422,9 @@ class TestCrossBlockPricing:
             assert latency == lb.total_s
             assert ok == suav_ok[j]
 
-        chunked = chunked_metrics(placed, assoc.alpha, beta, q)
+        chunked = chunked_metrics(placed, assoc.alpha, beta, q, 1)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
-        assert chunked == pytest.approx(
-            (objective, spread, exec_j, energies[-1].comp_j), rel=1e-12)
+        assert chunked == (objective, spread, exec_j, energies[-1].comp_j)
 
     @settings(max_examples=60, deadline=None)
     @given(priced_points(breaking_hover=True))

@@ -167,13 +167,14 @@ class TestGenerator:
                 assert any(r.contains(x, y) for r in rects)
 
     def test_chunk_sizes_in_range(self, default_config):
+        # Each S-UAV keeps the mean of its own n_chunks draws, in order.
         sc = generate_scenario(default_config, 3)
+        rng = np.random.default_rng([3, 0xC4])
         for s in sc.suavs:
-            assert len(s.chunk_bits_list) == default_config.n_chunks
-            for bits in s.chunk_bits_list:
-                assert 200.0 * 8192.0 <= bits <= 300.0 * 8192.0
-            assert s.chunk_bits == pytest.approx(
-                sum(s.chunk_bits_list) / len(s.chunk_bits_list))
+            sizes = [float(v) * 8192.0 for v in
+                     rng.uniform(200.0, 300.0, size=default_config.n_chunks)]
+            assert s.chunk_bits == sum(sizes) / len(sizes)
+            assert 200.0 * 8192.0 <= s.chunk_bits <= 300.0 * 8192.0
 
 
 class TestRepositionedScenario:
