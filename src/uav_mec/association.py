@@ -47,8 +47,9 @@ node or column. A call gathers its S-UAVs' price records from the solve's
 price table (cost.plan_prices) and prices all columns in one pass
 (cover.price); a new target set costs one memoised hover point and one
 link rate on floats, and an empty one nothing: an idle S-UAV keeps its
-budget, as the table vouches. The same Pools gives the outer loop its
-placed S-UAVs and every block its price table.
+budget, as the table vouches. The same Pools gives every block of the outer
+loop its S-UAV geometry (Pools.hover_point) and its price table, so all
+three blocks price one geometry.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 from . import cover
 from .cost import floored_rate, plan_prices, price_table
 from .errors import InfeasibleSubproblem
-from .scenario import (Association, Position3D, Scenario, SUav,
+from .scenario import (Association, Position3D, Scenario,
                        feasible_association_mask)
 
 # DFS nodes before the column cover takes over.
@@ -94,17 +95,19 @@ class Pools:
     factors (2 tan(phi_h / 2), 2 tan(phi_v / 2), gamma). For every block:
     prices, every S-UAV's price records at its chunk size on the local
     branch and on the offload branch at each offloader count within the cap
-    (cost.price_table), which each block reads for its plan. Filled in as
-    calls need them:
-    - per S-UAV, a memo from target bitmask to hover point (hover_point),
-      and one to the S-UAV record placed there;
-    - a memo from an association's target bitmasks (Association.bits) to
-      the scenario placed under it (placed);
+    (cost.price_table), and hover_point, where each S-UAV hovers over a
+    target bitmask (Association.bits): every block reads its plan's records
+    and positions from these two and from nothing else. Filled in as calls
+    need them:
+    - per S-UAV, a memo from target bitmask to hover point (hover_point);
+      S-UAVs that stay put hover at their current positions, and need none;
     - on the first call whose search runs out of nodes (at the reference
       size most solves have none), every S-UAV's box-closed columns
       (cover.Columns) with each column's targets and hover point. Once the
       columns are built, every later call of the solve prices them before
       it searches (see the module docstring).
+    placed builds the scenario with every S-UAV at its hover point; no block
+    reads it, and run_scheme calls it once, for its report.
 
     run_scheme builds one per solve and passes it to every block; nothing
     of it is kept on the scenario, in this module or in cover.py, so no
@@ -139,60 +142,48 @@ class Pools:
         self.cameras = [(2.0 * math.tan(c.phi_h / 2.0),
                          2.0 * math.tan(c.phi_v / 2.0), c.gamma)
                         for c in (s.camera for s in scenario.suavs)]
-        self._points: list[dict[int, tuple[float, float, float]]] = [
-            {} for _ in scenario.suavs]
-        self._suavs: list[dict[int, SUav]] = [{} for _ in scenario.suavs]
-        self._placed: dict[tuple[int, ...], Scenario] = {}
+        # Per S-UAV: target bitmask -> hover point, the initial point over
+        # no target.
+        self._points = [{0: s.initial_pos.xyz} for s in scenario.suavs]
         self._cols: cover.Columns | None = None
 
     def hover_point(self, suav_index: int,
                     target_bits: int) -> tuple[float, float, float]:
         """Where the S-UAV hovers over a target bitmask, as (x, y, h):
-        scenario.reposition's point, in its order of operations; the
-        initial position when S-UAVs stay put or the bitmask is empty."""
+        scenario.reposition's point, in its order of operations, and the
+        initial point over no target; the current position when S-UAVs
+        stay put. Every block reads S-UAV positions here and nowhere else."""
+        if self.static_positions:
+            return self.scenario.suavs[suav_index].current_pos.xyz
         points = self._points[suav_index]
         pos = points.get(target_bits)
         if pos is None:
-            if self.static_positions or not target_bits:
-                pos = self.scenario.suavs[suav_index].initial_pos.xyz
-            else:
-                held = list(cover.bits(target_bits))
-                xs = [self.x[i] for i in held]
-                ys = [self.y[i] for i in held]
-                x_hi, x_lo, y_hi, y_lo = max(xs), min(xs), max(ys), min(ys)
-                wide, tall, gamma = self.cameras[suav_index]
-                pos = ((x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
-                       max((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma)
-            points[target_bits] = pos
+            held = list(cover.bits(target_bits))
+            xs = [self.x[i] for i in held]
+            ys = [self.y[i] for i in held]
+            x_hi, x_lo, y_hi, y_lo = max(xs), min(xs), max(ys), min(ys)
+            wide, tall, gamma = self.cameras[suav_index]
+            pos = points[target_bits] = (
+                (x_hi + x_lo) / 2.0, (y_hi + y_lo) / 2.0,
+                max((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma)
         return pos
 
     def placed(self, association: Association) -> Scenario:
         """The scenario with every S-UAV at its hover point under the
         association, field by field scenario.repositioned_scenario's; the
-        scenario itself when S-UAVs stay put. Memoised by the association's
-        target bitmasks."""
+        scenario itself when S-UAVs stay put. No block reads it: run_scheme
+        builds it once, for the report."""
         if self.static_positions:
             return self.scenario
-        key = association.bits
-        placed = self._placed.get(key)
-        if placed is None:
-            suavs = []
-            for j, bits in enumerate(key):
-                records = self._suavs[j]
-                suav = records.get(bits)
-                if suav is None:
-                    suav = records[bits] = replace(
-                        self.scenario.suavs[j],
-                        current_pos=Position3D(*self.hover_point(j, bits)))
-                suavs.append(suav)
-            placed = self._placed[key] = replace(self.scenario,
-                                                 suavs=tuple(suavs))
-        return placed
+        return replace(self.scenario, suavs=tuple(
+            replace(suav, current_pos=Position3D(*self.hover_point(j, bits)))
+            for j, (suav, bits) in enumerate(zip(self.scenario.suavs,
+                                                 association.bits))))
 
     def columns(self) -> cover.Columns:
         """Every S-UAV's box-closed columns, built on the first call."""
         if self._cols is None:
-            fixed = ([s.initial_pos.xyz for s in self.scenario.suavs]
+            fixed = ([s.current_pos.xyz for s in self.scenario.suavs]
                      if self.static_positions else None)
             self._cols = cover.build(self.mask, self.x, self.y, self.cameras,
                                      fixed)

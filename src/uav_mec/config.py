@@ -7,6 +7,7 @@ SI units exactly once, via the derived properties used by the solvers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
@@ -71,6 +72,10 @@ class ExperimentConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if not math.isfinite(v):
                     raise ValidationError(f"{f.name} must be finite, got {v!r}")
+        for name in _INT_KEYS:
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValidationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         positive = [
             "area_m", "n_suavs", "n_targets", "bandwidth_hz", "tx_power_w",
             "cpu_suav_hz", "cpu_ruav_hz", "n_chunks", "phi_h_deg", "phi_v_deg",
@@ -107,7 +112,7 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
-_INT_KEYS = {"n_suavs", "n_targets", "n_chunks", "n0_cap", "r_max"}
+_INT_KEYS = ("n_suavs", "n_targets", "n_chunks", "n0_cap", "r_max")
 _TUPLE_KEYS = {"chunk_kb_range": 2, "ruav_box": 6, "seeds": None}
 
 

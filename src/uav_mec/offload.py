@@ -38,9 +38,10 @@ from functools import cached_property
 import numpy as np
 
 from . import simplex
+from .association import Pools
 from .cost import BranchPrice, floored_rate
 from .errors import InfeasibleSubproblem
-from .scenario import Association, Position3D, Scenario
+from .scenario import Association, Position3D
 
 
 @dataclass(frozen=True)
@@ -90,22 +91,24 @@ class Sp1Terms:
     ruav_budget: float
 
 
-def sp1_terms(scenario: Scenario, association: Association,
-              q_m: Position3D, prices: list) -> Sp1Terms:
-    """SP1's terms on the solve's price table: each carrier's link rate at
-    q_m and its two budget tests. The carriers are the S-UAVs whose target
-    bitmask (Association.bits) is not empty."""
-    q, bandwidth_hz = q_m.xyz, scenario.constants.bandwidth_hz
+def sp1_terms(pools: Pools, association: Association,
+              q_m: Position3D) -> Sp1Terms:
+    """SP1's terms on the solve's price table (Pools.prices): each
+    carrier's link rate at q_m from its hover point (Pools.hover_point) and
+    its two budget tests. The carriers are the S-UAVs whose target bitmask
+    (Association.bits) is not empty."""
+    ruav = pools.scenario.ruav
+    q, bandwidth_hz = q_m.xyz, pools.scenario.constants.bandwidth_hz
     rates, fits = {}, {}
     for j, bits in enumerate(association.bits):
         if not bits:
             continue
-        local, offloaded = prices[j][:2]
-        r = rates[j] = floored_rate(scenario.suavs[j].current_pos.xyz, q,
+        local, offloaded = pools.prices[j][:2]
+        r = rates[j] = floored_rate(pools.hover_point(j, bits), q,
                                     local.gamma1, bandwidth_hz)
         fits[j] = (local.fits(r), offloaded.fits(r))
-    return Sp1Terms(prices, rates, fits, scenario.ruav.hover_energy_j,
-                    scenario.ruav.energy_budget_j)
+    return Sp1Terms(pools.prices, rates, fits, ruav.hover_energy_j,
+                    ruav.energy_budget_j)
 
 
 def build_sp1_lp(t: Sp1Terms) -> LinearProgram:
@@ -207,24 +210,22 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     return _decision(len(t.prices), members, obj)
 
 
-def solve_sp1(scenario: Scenario, association: Association,
-              q_m: Position3D, *, prices: list) -> OffloadDecision:
+def solve_sp1(pools: Pools, association: Association,
+              q_m: Position3D) -> OffloadDecision:
     """Default SP1 path: the threshold search for the point, with its terms
-    kept for a later read of the LP bound. prices: the solve's price table
-    (cost.price_table)."""
-    t = sp1_terms(scenario, association, q_m, prices)
+    kept for a later read of the LP bound."""
+    t = sp1_terms(pools, association, q_m)
     return replace(enumerate_offload(t), relaxation=t)
 
 
-def forced_offload(scenario: Scenario, association: Association,
-                   q_m: Position3D, *, prices: list) -> OffloadDecision:
+def forced_offload(pools: Pools, association: Association,
+                   q_m: Position3D) -> OffloadDecision:
     """The relay-only rule: offload the video-carrying S-UAVs in descending
     order of local latency (ties by id), as many as the relay cap and every
-    energy budget admit -- the longest such prefix of that order. prices:
-    as solve_sp1's."""
-    t = sp1_terms(scenario, association, q_m, prices)
+    energy budget admit -- the longest such prefix of that order."""
+    t = sp1_terms(pools, association, q_m)
     order = _local_order(t, t.rates)
-    for k in range(min(scenario.n0_cap, len(order)), -1, -1):
+    for k in range(min(pools.scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))
         if obj is not None:
             return _decision(len(t.prices), order[:k], obj)

@@ -9,7 +9,10 @@ price with the plan's objective; the start plan is priced the same way, from
 the solve's price table, so no solve calls evaluate_solution. Callers price a
 plan's per-S-UAV breakdown with it, imported here or from cost. Every hover
 is checked against its budget once per solve, when association.Pools is
-built. The association guard needs no relay budget test: alpha moves the
+built. Every block reads one geometry, the solve's Pools.hover_point, with
+S-UAVs at their current positions when they stay put; only
+check_constraints, which must stay independent, places S-UAVs on its own.
+The association guard needs no relay budget test: alpha moves the
 relay's energy only by which members of beta carry video, and every beta the
 loop holds is zeros or was priced by its offload rule with all its members
 carrying video.
@@ -177,9 +180,10 @@ def check_constraints(scenario: Scenario, association: Association,
 
 class Plan(NamedTuple):
     """One point of the outer loop. A block that is accepted replaces the
-    plan whole, so objective is always the price of the other four fields."""
+    fields it moves and the objective, so objective is always the price of
+    the other three fields; the S-UAV geometry is the solve's
+    (association.Pools.hover_point under the association)."""
 
-    placed: Scenario  # the S-UAV geometry the scheme prices under alpha
     association: Association
     beta: np.ndarray
     q_m: Position3D
@@ -194,24 +198,20 @@ def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
     largest local latency over the S-UAVs that carry video, read from the
     solve's price table."""
     association = nearest_covering_association(pools)
-    placed = pools.placed(association)
-    q_m = place_mod.default_initial_position(placed)
+    q_m = place_mod.default_initial_position(pools, association)
     if SCHEME_POLICIES[scheme].offload_rule == "forced_offload":
         # A forced rule also sets the start; the first offload step of
         # improve re-derives the same decision from the same inputs.
-        decision = forced_offload(placed, association, q_m,
-                                  prices=pools.prices)
-        return Plan(placed, association, decision.beta, q_m,
-                    float(decision.slack_s))
-    q, bandwidth_hz = q_m.xyz, placed.constants.bandwidth_hz
+        decision = forced_offload(pools, association, q_m)
+        return Plan(association, decision.beta, q_m, float(decision.slack_s))
+    q, bandwidth_hz = q_m.xyz, pools.scenario.constants.bandwidth_hz
     objective = 0.0
     for j, bits in enumerate(association.bits):
         if bits:
             local = pools.prices[j][0]
             objective = max(objective, local.latency(floored_rate(
-                placed.suavs[j].current_pos.xyz, q, local.gamma1,
-                bandwidth_hz)))
-    return Plan(placed, association, np.zeros(placed.n_suavs, dtype=int),
+                pools.hover_point(j, bits), q, local.gamma1, bandwidth_hz)))
+    return Plan(association, np.zeros(pools.scenario.n_suavs, dtype=int),
                 q_m, objective)
 
 
@@ -219,9 +219,8 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
             r_max: int) -> tuple[Plan, dict]:
     """The outer loop from plan until the objective settles or r_max
     iterations pass; returns the last plan and the loop's SolverReport
-    fields. Every block reads the solve's pools: an accepted association's
-    geometry comes from pools.placed, and every block's price records from
-    pools.prices."""
+    fields. Every block reads the solve's pools: its S-UAV positions from
+    pools.hover_point and its price records from pools.prices."""
     policy = SCHEME_POLICIES[scheme]
     trace = [plan.objective]
     offload, fallbacks, exact, sca_traces = None, 0, True, []
@@ -231,7 +230,7 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
         # Offload block.
         if policy.offload_rule is not None:
             decision = globals()[policy.offload_rule](
-                plan.placed, plan.association, plan.q_m, prices=pools.prices)
+                pools, plan.association, plan.q_m)
             # The rule prices its decision as evaluate_solution would, to the
             # bit; float() keeps the trace in Python floats.
             cand = float(decision.slack_s)
@@ -241,8 +240,7 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
 
         # Placement block.
         q_sca, sca_trace, failed = place_mod.sca_loop(
-            plan.placed, plan.association, plan.beta, plan.q_m,
-            prices=pools.prices)
+            pools, plan.association, plan.beta, plan.q_m)
         sca_traces.append(sca_trace)
         fallbacks += failed
         if sca_trace[-1] <= plan.objective + _GUARD_SLACK:
@@ -257,8 +255,8 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
                 pools, plan.beta, plan.q_m, warm=plan.association)
         exact = exact and info.exact
         if info.objective <= plan.objective + _GUARD_SLACK:
-            plan = Plan(pools.placed(new_assoc), new_assoc, plan.beta,
-                        plan.q_m, info.objective)
+            plan = plan._replace(association=new_assoc,
+                                 objective=info.objective)
 
         trace.append(plan.objective)
         if convergence_check(trace, tol):
@@ -288,10 +286,11 @@ def run_scheme(scenario: Scenario, scheme: str,
     the evaluator would, so the returned plan's objective is already known.
     A caller who wants its per-S-UAV breakdown prices it with
     evaluate_solution(report.placed, ...). What no block changes during the
-    solve (association.Pools: the search tables, the hover points and placed
-    S-UAV records, and the one price table every block reads) is built
-    here, before anything else, and lives as long as this call; building it
-    checks every hover against its budget."""
+    solve (association.Pools: the search tables, the hover points and the
+    one price table every block reads) is built here, before anything else,
+    and lives as long as this call; building it checks every hover against
+    its budget. The report's placed scenario is the one Pools.placed call
+    of the solve."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pools = assoc_mod.Pools(
@@ -300,4 +299,4 @@ def run_scheme(scenario: Scenario, scheme: str,
                            r_max)
     return SolverReport(
         scheme=scheme, alpha=plan.association.alpha, beta=plan.beta,
-        q_m=plan.q_m, placed=plan.placed, **record)
+        q_m=plan.q_m, placed=pools.placed(plan.association), **record)

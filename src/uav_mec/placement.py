@@ -37,9 +37,10 @@ so sca_loop's trace ends at evaluate_solution's objective, to the bit.
 
 The block works on a handful of rows, where a NumPy call costs more than
 its arithmetic, so each round runs on Python floats: PlacementTerms.rows,
-built once per sca_loop call, feeds the exact objective, the surrogate's
-coefficients and rates, the choice between the candidates, the floor test
-and minimize. Each expression keeps the order of operations of the NumPy
+built once per sca_loop call from the solve's association.Pools (each
+transmitter's price record and its hover point, Pools.hover_point), feeds
+the exact objective, the surrogate's coefficients and rates, the choice
+between the candidates, the floor test and minimize. Each expression keeps the order of operations of the NumPy
 form it replaced, so the results are the same to the bit: squared
 distances are summed as (dx*dx + dy*dy) + dz*dz, dot products left to
 right from 0.0, as sum() does, and ties go to the first row, as argmin's
@@ -59,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .association import Pools
 from .errors import InfeasibleSubproblem
 from .cost import floored_rate, plan_prices
 from .scenario import Association, Position3D, Scenario
@@ -94,14 +96,14 @@ class PlacementTerms:
     bandwidth_hz: float
 
 
-def placement_terms(scenario: Scenario, association: Association,
-                    beta: np.ndarray, prices: list) -> PlacementTerms:
+def placement_terms(pools: Pools, association: Association,
+                    beta: np.ndarray) -> PlacementTerms:
     """The transmitting S-UAVs' rows, read off their records in the solve's
-    price table (cost.price_table): one per S-UAV that carries video, whose
-    target bitmask (Association.bits) is not empty. Raises if one of them
-    keeps its budget at no rate; an idle one keeps it, as the table
-    vouches."""
-    records = plan_prices(prices, np.asarray(beta).tolist())
+    price table (Pools.prices) and their hover points (Pools.hover_point):
+    one per S-UAV that carries video, whose target bitmask
+    (Association.bits) is not empty. Raises if one of them keeps its budget
+    at no rate; an idle one keeps it, as the table vouches."""
+    records = plan_prices(pools.prices, np.asarray(beta).tolist())
     rows = []
     for j, bits in enumerate(association.bits):
         if not bits:
@@ -111,10 +113,10 @@ def placement_terms(scenario: Scenario, association: Association,
         if floor == math.inf:
             raise InfeasibleSubproblem(
                 f"S-UAV {j} has no energy headroom for any transmission")
-        rows.append((*_floats(scenario.suavs[j].current_pos), p.gamma1,
+        rows.append((*map(float, pools.hover_point(j, bits)), p.gamma1,
                      p.tx_bits, p.fixed_s, floor))
     return PlacementTerms(rows=tuple(rows),
-                          bandwidth_hz=scenario.constants.bandwidth_hz)
+                          bandwidth_hz=pools.scenario.constants.bandwidth_hz)
 
 
 def _floats(p: Position3D) -> list[float]:
@@ -412,13 +414,16 @@ def minimize(centres: list, w: list, r: list, lo: list, hi: list) -> Maximin:
     return Maximin(np.array(_clip(q, lo, hi)), lam, False)
 
 
-def default_initial_position(scenario: Scenario) -> Position3D:
-    """The S-UAVs' mean (x, y) at the box's middle altitude, clipped to the
-    box. The means are summed left to right, as NumPy's mean over rows."""
-    lo, hi = _floats(scenario.ruav.box_lo), _floats(scenario.ruav.box_hi)
-    n = len(scenario.suavs)
-    q = [sum(float(s.current_pos.x) for s in scenario.suavs) / n,
-         sum(float(s.current_pos.y) for s in scenario.suavs) / n,
+def default_initial_position(pools: Pools,
+                             association: Association) -> Position3D:
+    """The S-UAVs' mean (x, y) at their hover points under the association
+    (Pools.hover_point), at the box's middle altitude, clipped to the box.
+    The means are summed left to right, as NumPy's mean over rows."""
+    ruav = pools.scenario.ruav
+    lo, hi = _floats(ruav.box_lo), _floats(ruav.box_hi)
+    xs, ys, _ = zip(*(pools.hover_point(j, bits)
+                      for j, bits in enumerate(association.bits)))
+    q = [sum(map(float, xs)) / len(xs), sum(map(float, ys)) / len(ys),
          0.5 * (lo[2] + hi[2])]
     return Position3D(*map(np.float64, _clip(q, lo, hi)))
 
@@ -459,11 +464,10 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
         "energy budgets demand rates the geometry cannot deliver")
 
 
-def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
-             q_m: Position3D, *, prices: list
-             ) -> tuple[Position3D, list, int]:
-    """Successive convexification from q_m until the exact objective stalls.
-    prices: the solve's price table, as placement_terms takes it.
+def sca_loop(pools: Pools, association: Association, beta: np.ndarray,
+             q_m: Position3D) -> tuple[Position3D, list, int]:
+    """Successive convexification from q_m until the exact objective stalls,
+    on the plan's rows from the solve's pools (placement_terms).
 
     Returns (best point, trace, fallbacks): the trace holds the exact
     objective at the start and after each round, ending at the point's, and
@@ -472,14 +476,14 @@ def sca_loop(scenario: Scenario, association: Association, beta: np.ndarray,
     expansion point; a point that still worsens the exact objective is
     discarded, so the trace never rises.
     """
-    terms = placement_terms(scenario, association, beta, prices)
+    terms = placement_terms(pools, association, beta)
     if not terms.rows:
         return q_m, [0.0], 0
 
     trace = [exact_objective(terms, _floats(q_m))]
     fallbacks = 0
     for _ in range(SCA_MAX_ITER):
-        nxt, failed = solve_sp2_2(scenario, terms, q_m)
+        nxt, failed = solve_sp2_2(pools.scenario, terms, q_m)
         fallbacks += failed
         exact = exact_objective(terms, _floats(nxt))
         if exact <= trace[-1] + 1e-12:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from uav_mec.association import Pools
 from uav_mec.config import KB_BITS, ExperimentConfig
 from uav_mec.cost import BranchPrice
 from uav_mec.link import PhysicsConstants
@@ -48,6 +49,12 @@ def make_scenario(suav_xy, target_xy, *, altitude=500.0, chunk_bits=None,
                     constants=constants,
                     n0_cap=n0_cap if n0_cap is not None else max(1, n // 2),
                     seed=0)
+
+
+def static_pools(scenario: Scenario) -> Pools:
+    """The solve's tables with every S-UAV held where the scenario puts it
+    (current_pos): how a block test hands a block its geometry."""
+    return Pools(scenario, static_positions=True)
 
 
 def row_terms(rows, bandwidth_hz: float = DEFAULT_CONSTANTS.bandwidth_hz

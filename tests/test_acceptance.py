@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from uav_mec.config import ExperimentConfig
-from uav_mec.cost import evaluate_solution, price_table
+from uav_mec.cost import evaluate_solution
 from uav_mec.link import rate_at_dist_sq, snr_coeff
 from uav_mec import simplex
 from uav_mec.offload import build_sp1_lp, enumerate_offload, sp1_terms
@@ -32,7 +32,7 @@ from uav_mec.scenario import (Association, Position3D, generate_scenario,
 
 from .conftest import (DEFAULT_CONSTANTS, full_association,
                        identity_association, link_terms, make_scenario,
-                       sp1_arrays)
+                       sp1_arrays, static_pools)
 from .test_association import random_instance
 
 CONFIG = ExperimentConfig()
@@ -141,7 +141,7 @@ def test_criterion_02_linearization_exactness():
                        chunk_bits=chunks, n0_cap=4)
     assoc = identity_association(sc)
     q_m = Position3D(500.0, 500.0, 400.0)
-    t = sp1_terms(sc, assoc, q_m, price_table(sc))
+    t = sp1_terms(static_pools(sc), assoc, q_m)
     lp = build_sp1_lp(t)
     t = sp1_arrays(t)
     xi_rows, xi_rhs = lp.a[:24, :], lp.b[:24]
@@ -202,7 +202,7 @@ def test_criterion_03_relaxation_bound():
         q_m = Position3D(float(rng.uniform(0, 1000)),
                          float(rng.uniform(0, 1000)),
                          float(rng.uniform(100, 1000)))
-        t = sp1_terms(sc, assoc, q_m, price_table(sc))
+        t = sp1_terms(static_pools(sc), assoc, q_m)
         lp = build_sp1_lp(t)
         _, lower = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
         best = enumerate_offload(t).slack_s
@@ -225,12 +225,12 @@ def test_criterion_04_sca_descent():
     monotone = True
     for seed in SEEDS_20:
         scenario = generate_scenario(CONFIG, seed)
-        assoc = nearest_covering_association(Pools(scenario))
+        pools = Pools(scenario)
+        assoc = nearest_covering_association(pools)
         placed = repositioned_scenario(scenario, assoc.alpha)
         beta = np.zeros(scenario.n_suavs, dtype=int)
-        q_m, trace, _ = sca_loop(placed, assoc, beta,
-                                 default_initial_position(placed),
-                                 prices=price_table(placed))
+        q_m, trace, _ = sca_loop(pools, assoc, beta,
+                                 default_initial_position(pools, assoc))
         final = trace[-1]
         if any(b > a + 1e-9 for a, b in zip(trace, trace[1:])):
             monotone = False

@@ -11,9 +11,10 @@ from uav_mec import association, cover
 from uav_mec.association import (Pools, greedy_incumbent, solve_association,
                                   _Context, _evaluate_full)
 from uav_mec.config import ExperimentConfig, load_config
+from uav_mec.cost import evaluate_solution
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
-from uav_mec.orchestrator import run_scheme, start_plan
+from uav_mec.orchestrator import SCHEMES, run_scheme, start_plan
 from uav_mec.scenario import Position3D, generate_scenario
 
 from .conftest import counting, full_association, make_scenario
@@ -172,6 +173,31 @@ class TestPools:
         assert not [v for module in (association, cover)
                     for v in vars(module).values()
                     if isinstance(v, (Pools, cover.Columns))]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_the_report_is_placed_once(self, monkeypatch, scheme):
+        # Every block reads hover points from the solve's Pools; only the
+        # report's placed scenario is built, once per solve.
+        placed = counting(monkeypatch, Pools, "placed")
+        for seed in range(5):
+            run_scheme(generate_scenario(ExperimentConfig(), seed), scheme)
+            assert len(placed) == seed + 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_staying_put_prices_the_current_positions(self, seed):
+        # S-UAVs that stay put hover where the scenario puts them, as the
+        # evaluator prices them: here 150 m below their initial points.
+        sc = generate_scenario(ExperimentConfig(), seed)
+        sc = replace(sc, suavs=tuple(
+            replace(s, current_pos=Position3D(
+                s.initial_pos.x, s.initial_pos.y, s.initial_pos.h - 150.0))
+            for s in sc.suavs))
+        pools = Pools(sc, static_positions=True)
+        beta = np.zeros(sc.n_suavs, dtype=int)
+        q = Position3D(500.0, 500.0, 550.0)
+        assoc, info = solve_association(pools, beta, q)
+        assert info.objective == evaluate_solution(
+            pools.placed(assoc), assoc, beta, q)[0]
 
     def test_an_identical_call_is_not_repeated(self, monkeypatch):
         # Reference seed 0, static_suavs: the last iteration's association

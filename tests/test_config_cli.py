@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from uav_mec.cli import main
@@ -92,6 +93,23 @@ class TestRunCell:
         row = run_cell(cfg, 0, "proposed")
         assert row.error != ""
         assert math.isnan(row.objective_s)
+
+    @pytest.mark.parametrize("key", ["n_suavs", "n_targets", "n_chunks",
+                                     "n0_cap", "r_max"])
+    def test_a_non_integral_count_gives_an_error_row(self, key):
+        # 2.5 passes every range check, so only the type test stops it
+        # before it reaches range() or an array shape.
+        cfg = replace(ExperimentConfig(), **{key: 2.5})
+        with pytest.raises(ValidationError, match=f"^{key} must be an "
+                           "integer, got 2.5$"):
+            cfg.validate()
+        row = run_cell(cfg, 0, "proposed")
+        assert row.error == f"ValidationError: {key} must be an integer, " \
+            "got 2.5"
+        assert math.isnan(row.objective_s)
+        # NumPy integers count as integers.
+        default = getattr(ExperimentConfig(), key)
+        replace(ExperimentConfig(), **{key: np.int64(default)}).validate()
 
 
 @pytest.fixture(scope="module")

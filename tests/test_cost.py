@@ -387,7 +387,7 @@ class TestCrossBlockPricing:
         # A breaking hover would stop the price table before any block
         # prices the point (test_a_breaking_hover_stops_the_table).
         assert not hover_breaks(sc)
-        table = price_table(sc)
+        pools = Pools(sc)
         beta = np.zeros(sc.n_suavs, dtype=int)
         beta[list(members)] = 1
         objective, spread, lats, energies = evaluate_solution(
@@ -399,8 +399,7 @@ class TestCrossBlockPricing:
 
         # improve takes the threshold search's price as the plan's objective
         # with no re-pricing, so it must be the evaluator's to the bit.
-        subset = _subset_objective(sp1_terms(placed, assoc, q, table),
-                                   members)
+        subset = _subset_objective(sp1_terms(pools, assoc, q), members)
         assert (subset is not None) == feasible
         assert subset is None or subset == objective
 
@@ -410,12 +409,12 @@ class TestCrossBlockPricing:
                for lb, e, s in zip(lats, energies, sc.suavs) if lb.active):
             with pytest.raises(InfeasibleSubproblem,
                                match="no energy headroom"):
-                placement_terms(placed, assoc, beta, table)
+                placement_terms(pools, assoc, beta)
         else:
-            terms = placement_terms(placed, assoc, beta, table)
+            terms = placement_terms(pools, assoc, beta)
             assert exact_objective(terms, q.array.tolist()) == objective
 
-        ctx = _Context(Pools(sc), beta, q)
+        ctx = _Context(pools, beta, q)
         for j, lb in enumerate(lats):
             bits = sum(1 << int(i) for i in np.flatnonzero(assoc.alpha[:, j]))
             latency, ok = ctx.latency(j, bits)
@@ -532,13 +531,10 @@ class TestPerSolveTables:
         sc, steps = case
         pools = Pools(sc)
         assert Pools(sc, static_positions=True).placed(steps[0][0]) is sc
-        for assoc, _, _ in steps + steps:  # the second pass reads the memos
+        for assoc, _, _ in steps + steps:  # the second pass reads the memo
             placed = pools.placed(assoc)
             fresh = repositioned_scenario(sc, assoc.alpha)
             assert placed == fresh
-            # The same masks give the same placed scenario.
-            assert pools.placed(Association(assoc.alpha.copy(),
-                                            assoc.feasible_mask)) is placed
             for j, bits in enumerate(assoc.bits):
                 held = [sc.targets[i] for i in range(sc.n_targets)
                         if bits >> i & 1]
@@ -625,14 +621,14 @@ class TestBlocksKeepTheRelayCap:
         from uav_mec.orchestrator import start_plan
         from uav_mec.placement import sca_loop
         pools = Pools(scenario0)
-        placed, assoc, _, q, _ = start_plan(pools, "proposed")
+        assoc, _, q, _ = start_plan(pools, "proposed")
         beta = np.ones(scenario0.n_suavs, dtype=int)
         assert beta.sum() > scenario0.n0_cap
         with pytest.raises(InvalidDecision, match="relay cap"):
-            evaluate_solution(placed, assoc, beta, q)
+            evaluate_solution(pools.placed(assoc), assoc, beta, q)
         with pytest.raises(InvalidDecision, match="relay cap"):
-            placement_terms(placed, assoc, beta, pools.prices)
+            placement_terms(pools, assoc, beta)
         with pytest.raises(InvalidDecision, match="relay cap"):
-            sca_loop(placed, assoc, beta, q, prices=pools.prices)
+            sca_loop(pools, assoc, beta, q)
         with pytest.raises(InvalidDecision, match="relay cap"):
             solve_association(pools, beta, q)

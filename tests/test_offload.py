@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uav_mec.cost import evaluate_solution, price_table
+from uav_mec.cost import evaluate_solution
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec import simplex
 from uav_mec.offload import (build_sp1_lp, enumerate_offload, solve_sp1,
@@ -18,7 +18,7 @@ from uav_mec.scenario import (Association, Position3D,
                               feasible_association_mask)
 
 from .conftest import (counting, identity_association, make_scenario,
-                       sp1_arrays)
+                       sp1_arrays, static_pools)
 
 Q_M = Position3D(500.0, 500.0, 500.0)
 
@@ -32,16 +32,16 @@ def scenario_n(n, n0_cap=None, **kwargs):
 class TestLpConstruction:
     def test_n2_shape(self):
         sc = scenario_n(2, n0_cap=2)
-        lp = build_sp1_lp(sp1_terms(sc, identity_association(sc), Q_M,
-                                    price_table(sc)))
+        lp = build_sp1_lp(sp1_terms(static_pools(sc),
+                                    identity_association(sc), Q_M))
         assert len(lp.c) == 5  # beta x2, xi x2, slack
         assert len(lp.b) == 12  # 2+2+2+2+1+1+2
 
     def test_xi_constraints_admit_exactly_product(self):
         """Constraints (25)-(27) pin xi_n to beta_n * sum(beta) at binary beta."""
         sc = scenario_n(8, n0_cap=4)
-        lp = build_sp1_lp(sp1_terms(sc, identity_association(sc), Q_M,
-                                    price_table(sc)))
+        lp = build_sp1_lp(sp1_terms(static_pools(sc),
+                                    identity_association(sc), Q_M))
         n = 8
         xi_rows = lp.a[:3 * n, :]
         xi_rhs = lp.b[:3 * n]
@@ -68,13 +68,12 @@ class TestLpConstruction:
     def test_both_branches_over_budget_raises(self):
         sc = scenario_n(2, n0_cap=2, energy_budget_j=1e-3)
         with pytest.raises(InfeasibleSubproblem):
-            build_sp1_lp(sp1_terms(sc, identity_association(sc), Q_M,
-                                   price_table(sc)))
+            build_sp1_lp(sp1_terms(static_pools(sc),
+                                   identity_association(sc), Q_M))
         # solve_sp1 builds no LP, so the threshold search must raise too,
         # naming the same S-UAV.
         with pytest.raises(InfeasibleSubproblem, match="S-UAV 0 excludes"):
-            solve_sp1(sc, identity_association(sc), Q_M,
-                      prices=price_table(sc))
+            solve_sp1(static_pools(sc), identity_association(sc), Q_M)
 
 
 class TestLinearizedLatency:
@@ -82,7 +81,7 @@ class TestLinearizedLatency:
         """The xi-linearized latency reproduces the branch latency exactly."""
         sc = scenario_n(8, n0_cap=4)
         assoc = identity_association(sc)
-        t = sp1_arrays(sp1_terms(sc, assoc, Q_M, price_table(sc)))
+        t = sp1_arrays(sp1_terms(static_pools(sc), assoc, Q_M))
         for m in range(sc.n0_cap + 1):
             for members in itertools.combinations(range(8), m):
                 beta = np.zeros(8, dtype=int)
@@ -104,7 +103,7 @@ class TestEnumeration:
     def test_single_suav_prefers_faster_branch(self):
         sc = scenario_n(1, n0_cap=1)
         assoc = identity_association(sc)
-        t = sp1_terms(sc, assoc, Q_M, price_table(sc))
+        t = sp1_terms(static_pools(sc), assoc, Q_M)
         decision = enumerate_offload(t)
         t = sp1_arrays(t)
         local = t.t_loc[0] + t.t_tx_loc[0]
@@ -116,15 +115,15 @@ class TestEnumeration:
         # Relay CPU is 10x faster: with distinct chunk sizes the min-max
         # optimum offloads the two largest local workloads.
         sc2 = scenario_n(4, n0_cap=2, chunk_bits=[1e6, 2e6, 3e6, 4e6])
-        d2 = enumerate_offload(sp1_terms(sc2, identity_association(sc2), Q_M,
-                                         price_table(sc2)))
+        d2 = enumerate_offload(sp1_terms(static_pools(sc2),
+                                         identity_association(sc2), Q_M))
         assert list(d2.beta) == [0, 0, 1, 1]
 
     def test_matches_brute_force_objective(self):
         sc = scenario_n(6, n0_cap=3, chunk_bits=[1e6, 2.5e6, 1.7e6,
                                                  3.1e6, 2.2e6, 1.2e6])
         assoc = identity_association(sc)
-        t = sp1_terms(sc, assoc, Q_M, price_table(sc))
+        t = sp1_terms(static_pools(sc), assoc, Q_M)
         decision = enumerate_offload(t)
         best = min(obj for m in range(4)
                    for members in itertools.combinations(range(6), m)
@@ -139,7 +138,7 @@ class TestRelaxationBound:
         chunks = rng.uniform(1.6e6, 2.5e6, size=6)
         sc = scenario_n(6, n0_cap=3, chunk_bits=chunks)
         assoc = identity_association(sc)
-        t = sp1_terms(sc, assoc, Q_M, price_table(sc))
+        t = sp1_terms(static_pools(sc), assoc, Q_M)
         lp = build_sp1_lp(t)
         _, lower = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
         decision = enumerate_offload(t)
@@ -147,8 +146,7 @@ class TestRelaxationBound:
 
     def test_solve_sp1_reports_bound(self):
         sc = scenario_n(4, n0_cap=2)
-        decision = solve_sp1(sc, identity_association(sc), Q_M,
-                             prices=price_table(sc))
+        decision = solve_sp1(static_pools(sc), identity_association(sc), Q_M)
         assert np.isfinite(decision.lp_lower_bound)
         assert decision.lp_lower_bound <= decision.slack_s + 1e-6
 
@@ -176,7 +174,7 @@ def offload_instances(draw):
     alpha = np.zeros_like(mask)
     alpha[np.arange(n), owner] = 1
     assoc = Association(alpha=alpha, feasible_mask=mask)
-    t = sp1_arrays(sp1_terms(sc, assoc, Q_M, price_table(sc)))
+    t = sp1_arrays(sp1_terms(static_pools(sc), assoc, Q_M))
     budgets = []
     for j in range(n):
         e_loc, e_off = t.e_local[j], t.e_offload[j]
@@ -200,9 +198,9 @@ class TestThresholdSearch:
             ref_beta, ref_obj = bruteforce_offload(sc, assoc, Q_M)
         except InfeasibleSubproblem:
             with pytest.raises(InfeasibleSubproblem):
-                enumerate_offload(sp1_terms(sc, assoc, Q_M, price_table(sc)))
+                enumerate_offload(sp1_terms(static_pools(sc), assoc, Q_M))
             return
-        got = enumerate_offload(sp1_terms(sc, assoc, Q_M, price_table(sc)))
+        got = enumerate_offload(sp1_terms(static_pools(sc), assoc, Q_M))
         assert got.slack_s == ref_obj
         assert got.beta.tolist() == ref_beta.tolist()
 
@@ -213,12 +211,12 @@ class TestThresholdSearch:
         sc = scenario_n(24, n0_cap=3, cpu_suav_hz=0.6e9,
                         chunk_bits=rng.uniform(1.6e6, 2.5e6, size=24))
         assoc = identity_association(sc)
-        t = sp1_arrays(sp1_terms(sc, assoc, Q_M, price_table(sc)))
+        t = sp1_arrays(sp1_terms(static_pools(sc), assoc, Q_M))
         mid = 0.5 * (t.e_local + t.e_offload)
         sc = replace(sc, suavs=tuple(
             replace(s, energy_budget_j=float(mid[s.id])) if s.id in (3, 17)
             else s for s in sc.suavs))
-        got = solve_sp1(sc, assoc, Q_M, prices=price_table(sc))
+        got = solve_sp1(static_pools(sc), assoc, Q_M)
         ref_beta, ref_obj = bruteforce_offload(sc, assoc, Q_M)
         assert got.beta[[3, 17]].tolist() == [1, 1]
         assert got.slack_s == ref_obj
@@ -230,15 +228,14 @@ class TestThresholdSearch:
         sc = scenario_n(8, n0_cap=4,
                         chunk_bits=rng.uniform(1.6e6, 2.5e6, size=8))
         priced = counting(monkeypatch, offload, "_subset_objective")
-        enumerate_offload(sp1_terms(sc, identity_association(sc), Q_M,
-                                    price_table(sc)))
+        enumerate_offload(sp1_terms(static_pools(sc),
+                                    identity_association(sc), Q_M))
         # 163 subsets within the cap; the search prices one per prefix.
         assert len(priced) <= sc.n0_cap + 1
 
     def test_cap_respected(self):
         sc = scenario_n(8, n0_cap=2)
-        decision = solve_sp1(sc, identity_association(sc), Q_M,
-                             prices=price_table(sc))
+        decision = solve_sp1(static_pools(sc), identity_association(sc), Q_M)
         assert decision.beta.sum() <= 2
 
 
@@ -250,8 +247,7 @@ class TestBuildOnce:
         lp_builds = counting(monkeypatch, offload, "build_sp1_lp")
         lp_solves = counting(monkeypatch, simplex, "solve_lp_arrays")
         searches = counting(monkeypatch, offload, "enumerate_offload")
-        decision = solve_sp1(sc, identity_association(sc), Q_M,
-                             prices=price_table(sc))
+        decision = solve_sp1(static_pools(sc), identity_association(sc), Q_M)
         assert len(builds) == len(searches) == 1  # still module lookups
         assert len(lp_builds) == len(lp_solves) == 0
         # The first read builds and solves the LP on the kept terms; later
@@ -281,11 +277,11 @@ class TestBuildOnce:
         assoc = Association(alpha=alpha, feasible_mask=mask)
         # A relay budget that the full cap breaks: forced_offload then
         # prices shorter prefixes too.
-        full = sp1_arrays(sp1_terms(sc, assoc, Q_M, price_table(sc))).e_ruav
+        full = sp1_arrays(sp1_terms(static_pools(sc), assoc, Q_M)).e_ruav
         sc = replace(sc, ruav=replace(
             sc.ruav, energy_budget_j=float(0.4 * full[-1].sum())))
         tests = counting(monkeypatch, BranchPrice, "fits")
         priced = counting(monkeypatch, offload, "_subset_objective")
-        getattr(offload, rule)(sc, assoc, Q_M, prices=price_table(sc))
+        getattr(offload, rule)(static_pools(sc), assoc, Q_M)
         assert len(priced) > 1
         assert len(tests) <= 2 * len(set(owner))

@@ -211,9 +211,11 @@ class TestStartPlanAndImprove:
         for seed in seeds:
             sc = generate_scenario(cfg, seed)
             for scheme in SCHEMES:
-                plan = start_plan(scheme_pools(sc, scheme), scheme)
-                objective = evaluate_solution(plan.placed, plan.association,
-                                              plan.beta, plan.q_m)[0]
+                pools = scheme_pools(sc, scheme)
+                plan = start_plan(pools, scheme)
+                objective = evaluate_solution(
+                    pools.placed(plan.association), plan.association,
+                    plan.beta, plan.q_m)[0]
                 assert type(plan.objective) is float
                 assert plan.objective == objective, (seed, scheme)
 
@@ -223,8 +225,8 @@ class TestStartPlanAndImprove:
         pools = scheme_pools(scenario0, scheme)
         plan = start_plan(pools, scheme)
         if scheme == "ruav_only":
-            expected = forced_offload(plan.placed, plan.association, plan.q_m,
-                                      prices=pools.prices).beta.tolist()
+            expected = forced_offload(pools, plan.association,
+                                      plan.q_m).beta.tolist()
             assert sum(expected) > 0
         else:
             expected = [0] * scenario0.n_suavs
@@ -238,7 +240,6 @@ class TestStartPlanAndImprove:
         fresh = start_plan(pools, scheme)
         last, _ = improve(plan, pools, scheme, self.TOL, self.R_MAX)
         assert last.objective < plan.objective
-        assert plan.placed == fresh.placed
         assert plan.association.alpha.tolist() == \
             fresh.association.alpha.tolist()
         assert plan.beta.tolist() == fresh.beta.tolist()
@@ -778,19 +779,21 @@ class TestOffloadGuardPrice:
             assert calls["offload"]
         assert calls["placement"] and calls["association"]
 
-        for _, (placed, assoc, q_m), _, decision in calls["offload"]:
+        def placed(pools, assoc):  # the geometry, built apart from Pools
+            return (pools.scenario if pools.static_positions else
+                    repositioned_scenario(pools.scenario, assoc.alpha))
+
+        for _, (pools, assoc, q_m), _, decision in calls["offload"]:
             assert decision.slack_s == evaluate_solution(
-                placed, assoc, decision.beta, q_m)[0]
-        for _, (placed, assoc, beta, _), _, (q_m, trace, _) in \
+                placed(pools, assoc), assoc, decision.beta, q_m)[0]
+        for _, (pools, assoc, beta, _), _, (q_m, trace, _) in \
                 calls["placement"]:
             assert trace[-1] == evaluate_solution(
-                placed, assoc, beta, q_m)[0]
+                placed(pools, assoc), assoc, beta, q_m)[0]
         for _, (pools, beta, q_m), _, (new_assoc, info) in \
                 calls["association"]:
-            placed = (pools.scenario if pools.static_positions else
-                      repositioned_scenario(pools.scenario, new_assoc.alpha))
             assert info.objective == evaluate_solution(
-                placed, new_assoc, beta, q_m)[0]
+                placed(pools, new_assoc), new_assoc, beta, q_m)[0]
         return calls
 
     @pytest.mark.parametrize("seed", range(5))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from uav_mec.cost import price_table
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.link import snr_coeff
 from uav_mec.oracles import grid_search_placement
@@ -20,7 +19,7 @@ from uav_mec.scenario import Position3D
 
 from .conftest import (DEFAULT_CONSTANTS, counting, full_association,
                        identity_association, link_terms, make_scenario,
-                       row_terms, term_arrays)
+                       row_terms, static_pools, term_arrays)
 
 
 def pair_scenario(**kwargs):
@@ -33,10 +32,9 @@ class TestPlacementTerms:
     def test_branch_dependent_tx_bits(self):
         sc = pair_scenario()
         assoc = identity_association(sc)
-        local = term_arrays(placement_terms(sc, assoc, np.array([0, 0]),
-                                            price_table(sc)))
-        off = term_arrays(placement_terms(sc, assoc, np.array([1, 1]),
-                                          price_table(sc)))
+        pools = static_pools(sc)
+        local = term_arrays(placement_terms(pools, assoc, np.array([0, 0])))
+        off = term_arrays(placement_terms(pools, assoc, np.array([1, 1])))
         np.testing.assert_allclose(local.tx_bits, 0.1 * off.tx_bits)
         assert np.all(off.fixed_s < local.fixed_s)  # relay CPU is 10x faster
 
@@ -45,15 +43,15 @@ class TestPlacementTerms:
         # transmission.
         sc = pair_scenario(energy_budget_j=5e-3)
         with pytest.raises(InfeasibleSubproblem):
-            placement_terms(sc, identity_association(sc), np.array([0, 0]),
-                            price_table(sc))
+            placement_terms(static_pools(sc), identity_association(sc),
+                            np.array([0, 0]))
 
 
 class TestSurrogate:
     def test_surrogate_below_exact_rates(self):
         sc = pair_scenario()
-        terms = placement_terms(sc, identity_association(sc),
-                                np.zeros(2, dtype=int), price_table(sc))
+        terms = placement_terms(static_pools(sc), identity_association(sc),
+                                np.zeros(2, dtype=int))
         rng = np.random.default_rng(0)
         q_ref = np.array([400.0, 450.0, 300.0])
         pts = rng.uniform([0, 0, 100], [1000, 1000, 1000], size=(200, 3))
@@ -66,8 +64,8 @@ class TestSurrogate:
 
     def test_surrogate_tight_at_reference(self):
         sc = pair_scenario()
-        terms = placement_terms(sc, identity_association(sc),
-                                np.zeros(2, dtype=int), price_table(sc))
+        terms = placement_terms(static_pools(sc), identity_association(sc),
+                                np.zeros(2, dtype=int))
         q_ref = np.array([400.0, 450.0, 300.0])
         sur = np.array(surrogate_rates(
             terms, _surrogate_coeffs(terms, q_ref), [q_ref]))
@@ -81,8 +79,8 @@ class TestSolveSp22:
     def test_single_suav_projects_onto_box(self):
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
         assoc = identity_association(sc)
-        q_m, _ = solve_sp2_2(sc, placement_terms(sc, assoc, np.array([0]),
-                                                 price_table(sc)),
+        q_m, _ = solve_sp2_2(sc, placement_terms(static_pools(sc), assoc,
+                                                 np.array([0])),
                              Position3D(500.0, 500.0, 300.0))
         # Best point sits at the minimum feasible distance from the S-UAV:
         # directly underneath is blocked by the 100 m altitude floor vs 500 m
@@ -95,10 +93,10 @@ class TestSolveSp22:
         sc = pair_scenario()
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
-        _, trace, _ = sca_loop(sc, assoc, beta,
-                               Position3D(480.0, 520.0, 400.0),
-                               prices=price_table(sc))
-        terms = placement_terms(sc, assoc, beta, price_table(sc))
+        pools = static_pools(sc)
+        _, trace, _ = sca_loop(pools, assoc, beta,
+                               Position3D(480.0, 520.0, 400.0))
+        terms = placement_terms(pools, assoc, beta)
         # The exact objective is symmetric in x about 500; scan the bisector.
         hs = np.arange(100.0, 1000.0, 1.0)
         bisector = np.stack([np.full_like(hs, 500.0),
@@ -114,10 +112,10 @@ class TestSolveSp22:
         sc = pair_scenario()
         assoc = identity_association(sc)
         beta = np.zeros(2, dtype=int)
-        q1, trace1, _ = sca_loop(sc, assoc, beta,
-                                 default_initial_position(sc),
-                                 prices=price_table(sc))
-        terms = placement_terms(sc, assoc, beta, price_table(sc))
+        pools = static_pools(sc)
+        q1, trace1, _ = sca_loop(pools, assoc, beta,
+                                 default_initial_position(pools, assoc))
+        terms = placement_terms(pools, assoc, beta)
         q2, _ = solve_sp2_2(sc, terms, q1)
         obj2 = exact_objective(terms, q2.array.tolist())
         assert obj2 <= trace1[-1] + 1e-6
@@ -129,9 +127,9 @@ class TestScaLoop:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        _, trace, _ = sca_loop(placed, assoc, beta,
-                               default_initial_position(placed),
-                               prices=price_table(placed))
+        pools = static_pools(placed)
+        _, trace, _ = sca_loop(pools, assoc, beta,
+                               default_initial_position(pools, assoc))
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_final_point_near_grid_oracle(self, scenario0):
@@ -139,9 +137,9 @@ class TestScaLoop:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        q_m, trace, _ = sca_loop(placed, assoc, beta,
-                                 default_initial_position(placed),
-                                 prices=price_table(placed))
+        pools = static_pools(placed)
+        q_m, trace, _ = sca_loop(pools, assoc, beta,
+                                 default_initial_position(pools, assoc))
         final = trace[-1]
         _, oracle = grid_search_placement(placed, assoc, beta,
                                           extra_points=q_m.array[None, :])
@@ -149,7 +147,8 @@ class TestScaLoop:
         assert final >= oracle - 1e-6
 
     def test_starts_inside_box(self, scenario0):
-        q = default_initial_position(scenario0)
+        q = default_initial_position(static_pools(scenario0),
+                                     full_association(scenario0))
         lo, hi = scenario0.ruav.box_lo.array, scenario0.ruav.box_hi.array
         assert np.all(q.array >= lo) and np.all(q.array <= hi)
 
@@ -227,7 +226,7 @@ class TestInnerSolveRule:
             return res
 
         counting(monkeypatch, placement, "minimize", failed)
-        terms = placement_terms(sc, assoc, beta, price_table(sc))
+        terms = placement_terms(static_pools(sc), assoc, beta)
         q_m, uncertified = solve_sp2_2(sc, terms, Q_REF)
         lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
         cands = [np.clip(points[0], lo, hi), Q_REF.array]
@@ -241,7 +240,7 @@ class TestInnerSolveRule:
         sc = pair_scenario()
         assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
         corner = (0.0, 0.0, 1000.0)
-        terms = placement_terms(sc, assoc, beta, price_table(sc))
+        terms = placement_terms(static_pools(sc), assoc, beta)
         assert (surrogate_min(terms, Q_REF.array, corner)
                 < surrogate_min(terms, Q_REF.array, Q_REF.array))
         counting(monkeypatch, placement, "minimize",
@@ -260,7 +259,7 @@ class TestInnerSolveRule:
         sc = make_scenario(xy, xy, n0_cap=2)
         assoc, beta = identity_association(sc), np.array(beta)
         q_ref = Position3D(*q)
-        terms = placement_terms(sc, assoc, beta, price_table(sc))
+        terms = placement_terms(static_pools(sc), assoc, beta)
         q_m, _ = solve_sp2_2(sc, terms, q_ref)
         at_ref = surrogate_min(terms, q_ref.array, q_ref.array)
         assert at_ref > 0.0
@@ -271,10 +270,10 @@ class TestInnerSolveRule:
         sc = pair_scenario()
         solves = counting(monkeypatch, placement, "minimize",
                           reported_success(False))
-        _, trace, fallbacks = sca_loop(sc, identity_association(sc),
+        _, trace, fallbacks = sca_loop(static_pools(sc),
+                                       identity_association(sc),
                                        np.zeros(2, dtype=int),
-                                       Position3D(480.0, 520.0, 400.0),
-                                       prices=price_table(sc))
+                                       Position3D(480.0, 520.0, 400.0))
         assert fallbacks == len(solves) == len(trace) - 1
 
 
@@ -494,8 +493,8 @@ class TestExactSolveCases:
         # S-UAV; the exact solve returns the S-UAV's own point, where the
         # exact objective is the same.
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
-        terms = placement_terms(sc, identity_association(sc), np.array([0]),
-                                price_table(sc))
+        terms = placement_terms(static_pools(sc), identity_association(sc),
+                                np.array([0]))
         lo, hi = box_of(sc)
         q_ref = Position3D(500.0, 500.0, 500.5)
         t = term_arrays(terms)
@@ -533,10 +532,9 @@ class TestBuildOnce:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         builds = counting(monkeypatch, placement, "placement_terms")
-        _, trace, _ = sca_loop(placed, assoc,
+        _, trace, _ = sca_loop(static_pools(placed), assoc,
                                np.zeros(scenario0.n_suavs, dtype=int),
-                               Position3D(1000.0, 1000.0, 100.0),
-                               prices=price_table(placed))
+                               Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2  # more than one SCA round
         assert len(builds) == 1
 
@@ -727,7 +725,7 @@ class TestFloatForms:
                                            min_size=len(xy),
                                            max_size=len(xy))))
         q = Position3D(*q)
-        terms = placement_terms(sc, assoc, beta, price_table(sc))
+        terms = placement_terms(static_pools(sc), assoc, beta)
         assert exact_objective(terms, q.xyz) == \
             evaluate_solution(sc, assoc, beta, q)[0]
 
@@ -752,7 +750,9 @@ class TestFloatForms:
         mean = np.mean([s.current_pos.array[:2] for s in sc.suavs], axis=0)
         q = np.clip(np.array([mean[0], mean[1], 0.5 * (lo[2] + hi[2])]),
                     lo, hi)
-        assert repr(default_initial_position(sc)) == repr(Position3D(*q))
+        got = default_initial_position(static_pools(sc),
+                                       full_association(sc))
+        assert repr(got) == repr(Position3D(*q))
 
     def test_returned_points_hold_numpy_floats(self, scenario0):
         # repr, which the digests hash, tells np.float64 from float.
@@ -760,12 +760,12 @@ class TestFloatForms:
         assoc = full_association(scenario0)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
-        q, trace, _ = sca_loop(placed, assoc, beta,
-                               Position3D(1000.0, 1000.0, 100.0),
-                               prices=price_table(placed))
+        pools = static_pools(placed)
+        q, trace, _ = sca_loop(pools, assoc, beta,
+                               Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2 and q != Position3D(1000.0, 1000.0, 100.0)
         assert [type(v) for v in q.xyz] == [np.float64] * 3
         assert all(type(v) is float for v in trace)
-        terms = placement_terms(placed, assoc, beta, price_table(placed))
+        terms = placement_terms(pools, assoc, beta)
         q2, _ = solve_sp2_2(placed, terms, q)
         assert [type(v) for v in q2.xyz] == [np.float64] * 3
