@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import ParseError, UavMecError, ValidationError
-from .experiment import (SWEEPABLE, format_rows, run_cell, sweep,
+from .experiment import (SWEEPABLE, format_rows, run_group, sweep,
                          write_results, write_text)
 from .orchestrator import SCHEMES, run_scheme
 from .oracles import joint_bruteforce
@@ -42,8 +42,8 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_run(args) -> int:
     config = _load(args)
-    rows = [run_cell(config, args.seed, scheme)
-            for scheme in ([args.scheme] if args.scheme else SCHEMES)]
+    rows = run_group(config, args.seed,
+                     [args.scheme] if args.scheme else SCHEMES)
     text = format_rows(rows)
     _emit(text, args.out)
     return 1 if any(r.error for r in rows) else 0

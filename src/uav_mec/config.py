@@ -76,6 +76,9 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValidationError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
+        for seed in self.seeds:
+            if not isinstance(seed, numbers.Integral):
+                raise ValidationError(f"seeds must be integers, got {seed!r}")
         positive = [
             "area_m", "n_suavs", "n_targets", "bandwidth_hz", "tx_power_w",
             "cpu_suav_hz", "cpu_ruav_hz", "n_chunks", "phi_h_deg", "phi_v_deg",

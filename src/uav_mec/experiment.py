@@ -18,6 +18,8 @@ from .scenario import Position3D, Scenario, generate_scenario
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
 INTEGER_PARAMS = ("n_chunks", "n0_cap")
 WORKERS_ENV = "UAV_MEC_WORKERS"
+# A row's four metrics when its draw or solve failed.
+NAN_METRICS = (float("nan"),) * 4
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,16 @@ def chunked_metrics(scenario: Scenario, alpha: np.ndarray,
 
 
 def run_cell(config: ExperimentConfig, seed: int, scheme: str,
-             param_name: str = "", param_value: float = float("nan"),
-             **solver_kwargs) -> ResultRow:
+             param_name: str = "", param_value: float = float("nan"), *,
+             scenario: Scenario | None = None, **solver_kwargs) -> ResultRow:
     """One sweep row. solver_kwargs go to run_scheme, which ignores them.
-    A failed draw or solve gives a row of NaN metrics and its error."""
+    A failed draw or solve gives a row of NaN metrics and its error. Given
+    the draw as `scenario`, the row times only the solve and the row."""
     start = time.monotonic()
-    metrics, iters, error = (float("nan"),) * 4, 0, ""
+    metrics, iters, error = NAN_METRICS, 0, ""
     try:
-        scenario = generate_scenario(config, seed)
+        if scenario is None:
+            scenario = generate_scenario(config, seed)
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
         metrics = chunked_metrics(report.placed, report.alpha, report.beta,
@@ -67,6 +71,28 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
         error = f"{type(exc).__name__}: {exc}"
     return ResultRow(seed, scheme, param_name, param_value, *metrics, iters,
                      (time.monotonic() - start) * 1e3, error)
+
+
+def run_group(config: ExperimentConfig, seed: int, schemes,
+              param_name: str = "", param_value: float = float("nan")
+              ) -> list[ResultRow]:
+    """One row per scheme, all solving one draw of (config, seed). The
+    draw's time goes to the first scheme's row, so the rows' wall_ms sum
+    to the group's work. A failed draw gives every scheme its error row."""
+    start = time.monotonic()
+    try:
+        scenario, error = generate_scenario(config, seed), ""
+    except UavMecError as exc:
+        scenario, error = None, f"{type(exc).__name__}: {exc}"
+    draw_ms = (time.monotonic() - start) * 1e3
+    if scenario is None:
+        rows = [ResultRow(seed, scheme, param_name, param_value, *NAN_METRICS,
+                          0, 0.0, error) for scheme in schemes]
+    else:
+        rows = [run_cell(config, seed, scheme, param_name, param_value,
+                         scenario=scenario) for scheme in schemes]
+    rows[0] = replace(rows[0], wall_ms=rows[0].wall_ms + draw_ms)
+    return rows
 
 
 def sweep_workers() -> int | None:
@@ -81,29 +107,39 @@ def sweep_workers() -> int | None:
 
 def sweep(config: ExperimentConfig, param: str, values,
           schemes=SCHEMES) -> list[ResultRow]:
-    """Every value x seed x scheme, with the same scenario draw per seed."""
+    """Every value x seed x scheme. The schemes of one (value, seed) group
+    solve one scenario draw, made once per group; a pool with more workers
+    than groups runs one cell per task instead, each drawing its own."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
     unknown = sorted(set(schemes) - set(SCHEMES))
     if unknown:
         raise ValidationError(
             f"unknown schemes {unknown}; choose from {list(SCHEMES)}")
-    cells = []
+    groups = []
     for value in values:
         if param in INTEGER_PARAMS and not float(value).is_integer():
             raise ValidationError(f"{param} takes integer values, got {value!r}")
         cfg = replace(config, **{
             param: int(value) if param in INTEGER_PARAMS else float(value)
         }).validate()
-        for seed in config.seeds:
-            for scheme in schemes:
-                cells.append((cfg, seed, scheme, param, float(value)))
+        groups += [(cfg, seed, tuple(schemes), param, float(value))
+                   for seed in config.seeds]
+    cells = [(cfg, seed, scheme, name, value)
+             for cfg, seed, group, name, value in groups for scheme in group]
+    if not cells:
+        return []
     workers = sweep_workers()
     if workers == 1 or len(cells) == 1:
-        rows = [run_cell(*cell) for cell in cells]
+        rows = [row for group in groups for row in run_group(*group)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, *zip(*cells), chunksize=1))
+            if len(groups) < (workers or os.cpu_count() or 1):
+                rows = list(pool.map(run_cell, *zip(*cells), chunksize=1))
+            else:
+                rows = [row for batch in pool.map(run_group, *zip(*groups),
+                                                  chunksize=1)
+                        for row in batch]
     rows.sort(key=lambda r: (r.seed, r.scheme, r.swept_value))
     return rows
 

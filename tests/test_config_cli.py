@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uav_mec import experiment
 from uav_mec.cli import main
 from uav_mec.config import ExperimentConfig, load_config, parse_config
 from uav_mec.errors import ParseError, ValidationError
 from uav_mec.experiment import (ResultRow, chunked_metrics, format_rows,
                                 run_cell, sweep, write_results)
+from uav_mec.orchestrator import SCHEMES
 
 from .conftest import counting
 
@@ -56,6 +58,17 @@ class TestConfigParsing:
     def test_non_finite_values_and_negative_seeds_rejected(self, text):
         with pytest.raises(ValidationError):
             parse_config(text)
+
+    def test_non_integral_seeds_rejected(self):
+        # The seeds reach the generator's RNG, which takes integers only.
+        cfg = replace(ExperimentConfig(), seeds=(0, 0.5))
+        with pytest.raises(ValidationError,
+                           match=r"^seeds must be integers, got 0\.5$"):
+            cfg.validate()
+        with pytest.raises(ValidationError, match="^seeds must be integers"):
+            sweep(replace(cfg, seeds=(0.5,)), "n0_cap", [4],
+                  schemes=("proposed",))
+        replace(ExperimentConfig(), seeds=(np.int64(3), 4)).validate()
 
     def test_tuple_keys(self):
         cfg = parse_config("chunk_kb_range = 100, 150\nseeds = 0,1,2\n")
@@ -160,6 +173,111 @@ class TestSweep:
             sweep(cfg, param, [2.0, 1.5], schemes=("suav_only",))
 
 
+def _slow_draws(monkeypatch):
+    """Make experiment's clock move only in a draw, by 1 s a draw, so that a
+    row's wall_ms shows whether it carries a draw. Returns the draw count."""
+    class Clock:
+        now = 0.0
+
+        @classmethod
+        def monotonic(cls):
+            return cls.now
+
+    real, draws = experiment.generate_scenario, []
+
+    def draw(config, seed):
+        draws.append(seed)
+        Clock.now += 1.0
+        return real(config, seed)
+
+    monkeypatch.setattr(experiment, "time", Clock)
+    monkeypatch.setattr(experiment, "generate_scenario", draw)
+    return draws
+
+
+def _without_wall_ms(rows) -> str:
+    # format_rows prints nan as nan, so error rows compare equal too.
+    return format_rows([replace(r, wall_ms=0.0) for r in rows])
+
+
+class TestOneDrawPerGroup:
+    """A sweep draws each (value, seed) scenario once, and every scheme of
+    the group solves that draw. Its rows are run_cell's apart from wall_ms,
+    and the group's draw time goes to its first row in schemes order."""
+
+    def test_a_sequential_sweep_draws_once_per_value_and_seed(
+            self, monkeypatch):
+        monkeypatch.setenv("UAV_MEC_WORKERS", "1")
+        cfg = replace(ExperimentConfig(), n_targets=10, seeds=(0, 1))
+        draws = counting(monkeypatch, experiment, "generate_scenario")
+        rows = sweep(cfg, "n0_cap", [2, 4])
+        assert len(draws) == 2 * 2
+        cells = sorted((run_cell(replace(cfg, n0_cap=cap), seed, scheme,
+                                 "n0_cap", float(cap))
+                        for cap in (2, 4) for seed in (0, 1)
+                        for scheme in SCHEMES),
+                       key=lambda r: (r.seed, r.scheme, r.swept_value))
+        assert len(draws) == 4 + len(cells)
+        assert not any(r.error for r in rows)
+        assert _without_wall_ms(rows) == _without_wall_ms(cells)
+
+    def test_exactly_one_row_per_group_carries_the_draw(self, monkeypatch):
+        monkeypatch.setenv("UAV_MEC_WORKERS", "1")
+        draws = _slow_draws(monkeypatch)
+        cfg = replace(ExperimentConfig(), n_targets=10, seeds=(0, 1))
+        schemes = ("suav_only", "proposed", "static_suavs")
+        rows = sweep(cfg, "tx_power_w", [0.4, 0.8], schemes=schemes)
+        assert len(draws) == 4
+        for value in (0.4, 0.8):
+            for seed in (0, 1):
+                by_scheme = {r.scheme: r.wall_ms for r in rows
+                             if (r.seed, r.swept_value) == (seed, value)}
+                assert [by_scheme[s] for s in schemes] == [1e3, 0.0, 0.0]
+
+    def test_an_infeasible_draw_gives_each_scheme_run_cells_error_row(
+            self, monkeypatch):
+        monkeypatch.setenv("UAV_MEC_WORKERS", "1")
+        # No target of a 100 km square lands in a footprint of the grid.
+        cfg = replace(ExperimentConfig(), area_m=1e5, n_suavs=2, n_targets=3,
+                      n0_cap=1, seeds=(0,))
+        draws = _slow_draws(monkeypatch)
+        rows = sweep(cfg, "n0_cap", [1])
+        assert len(draws) == 1
+        assert all(r.error.startswith("InfeasibleScenario: ") for r in rows)
+        assert sorted(r.wall_ms for r in rows) == [0.0, 0.0, 0.0, 1e3]
+        cells = [run_cell(cfg, 0, scheme, "n0_cap", 1.0)
+                 for scheme in sorted(SCHEMES)]
+        assert _without_wall_ms(rows) == _without_wall_ms(cells)
+
+    def test_a_pool_with_fewer_groups_than_workers_runs_cells(
+            self, monkeypatch):
+        # Two groups on three workers: one task per cell, as rows go.
+        cfg = replace(ExperimentConfig(), n_targets=10, seeds=(0, 1))
+        tables = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("UAV_MEC_WORKERS", workers)
+            tables.append(_without_wall_ms(sweep(
+                cfg, "n_chunks", [2], schemes=("proposed", "suav_only"))))
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 1 + 2 * 2
+
+    def test_run_solves_its_schemes_on_one_draw(self, monkeypatch, tmp_path):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("n_targets = 10\n")
+        out = tmp_path / "rows.txt"
+        draws = counting(monkeypatch, experiment, "generate_scenario")
+        assert main(["run", "--config", str(cfg_path), "--seed", "2",
+                     "--out", str(out)]) == 0
+        assert len(draws) == 1
+        cfg = load_config(cfg_path)
+        cells = [run_cell(cfg, 2, scheme) for scheme in SCHEMES]
+        lines = out.read_text().splitlines()
+        wall = lines[0].split(",").index("wall_ms")
+        strip = lambda line: line.split(",")[:wall] + line.split(",")[wall + 1:]
+        assert ([strip(line) for line in lines]
+                == [strip(line) for line in format_rows(cells).splitlines()])
+
+
 class TestOutput:
     def test_single_row_two_lines(self, tmp_path):
         row = ResultRow(seed=0, scheme="proposed", swept_param_name="",
@@ -235,6 +353,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "seeds" in err
 
+    def test_non_integral_config_seed_sweep_exit_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # A config file cannot give one (its seeds parse as integers), but
+        # a config built in code can; sweep refuses it before any draw.
+        from uav_mec import cli
+        monkeypatch.setattr(cli, "load_config", lambda path: replace(
+            ExperimentConfig(), seeds=(0.5,)))
+        draws = counting(monkeypatch, experiment, "generate_scenario")
+        assert main(["sweep", "--config", str(tmp_path / "cfg.txt"),
+                     "--param", "n0_cap", "--values", "2",
+                     "--scheme", "suav_only"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: seeds must be integers, got 0.5\n"
+        assert draws == []
+
     @pytest.mark.parametrize("workers", ["abc", "-1", "1.5"])
     def test_bad_workers_env_sweep_exit_2(self, tmp_path, capsys,
                                           monkeypatch, workers):
@@ -259,12 +392,13 @@ class TestCli:
     def test_unwritable_out_exit_2(self, monkeypatch, tmp_path, capsys,
                                    command, missing_parent):
         # The path is checked before any solve: no cell or scheme runs.
-        from uav_mec import cli, experiment
+        from uav_mec import cli
 
         def unreachable(*args, **kwargs):
             raise AssertionError("solved before checking --out")
-        for module, name in [(experiment, "run_cell"), (cli, "run_cell"),
-                             (cli, "run_scheme")]:
+        for module, name in [(experiment, "run_cell"),
+                             (experiment, "generate_scenario"),
+                             (cli, "generate_scenario"), (cli, "run_scheme")]:
             monkeypatch.setattr(module, name, unreachable)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("n_suavs = 2\nn_targets = 3\nn0_cap = 1\n"
