@@ -18,8 +18,6 @@ from .scenario import Position3D, Scenario, generate_scenario
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
 INTEGER_PARAMS = ("n_chunks", "n0_cap")
 WORKERS_ENV = "UAV_MEC_WORKERS"
-# A row's four metrics when its draw or solve failed.
-NAN_METRICS = (float("nan"),) * 4
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
     A failed draw or solve gives a row of NaN metrics and its error. Given
     the draw as `scenario`, the row times only the solve and the row."""
     start = time.monotonic()
-    metrics, iters, error = NAN_METRICS, 0, ""
+    metrics, iters, error = (float("nan"),) * 4, 0, ""
     try:
         if scenario is None:
             scenario = generate_scenario(config, seed)
@@ -78,19 +76,16 @@ def run_group(config: ExperimentConfig, seed: int, schemes,
               ) -> list[ResultRow]:
     """One row per scheme, all solving one draw of (config, seed). The
     draw's time goes to the first scheme's row, so the rows' wall_ms sum
-    to the group's work. A failed draw gives every scheme its error row."""
+    to the group's work."""
     start = time.monotonic()
     try:
-        scenario, error = generate_scenario(config, seed), ""
-    except UavMecError as exc:
-        scenario, error = None, f"{type(exc).__name__}: {exc}"
+        scenario = generate_scenario(config, seed)
+    except UavMecError:
+        # Each scheme's run_cell then draws again and gives its error row.
+        scenario = None
     draw_ms = (time.monotonic() - start) * 1e3
-    if scenario is None:
-        rows = [ResultRow(seed, scheme, param_name, param_value, *NAN_METRICS,
-                          0, 0.0, error) for scheme in schemes]
-    else:
-        rows = [run_cell(config, seed, scheme, param_name, param_value,
-                         scenario=scenario) for scheme in schemes]
+    rows = [run_cell(config, seed, scheme, param_name, param_value,
+                     scenario=scenario) for scheme in schemes]
     rows[0] = replace(rows[0], wall_ms=rows[0].wall_ms + draw_ms)
     return rows
 
@@ -108,8 +103,8 @@ def sweep_workers() -> int | None:
 def sweep(config: ExperimentConfig, param: str, values,
           schemes=SCHEMES) -> list[ResultRow]:
     """Every value x seed x scheme. The schemes of one (value, seed) group
-    solve one scenario draw, made once per group; a pool with more workers
-    than groups runs one cell per task instead, each drawing its own."""
+    solve one scenario draw, made once per group; a pool runs one group
+    per task."""
     if param not in SWEEPABLE:
         raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
     unknown = sorted(set(schemes) - set(SCHEMES))
@@ -125,21 +120,17 @@ def sweep(config: ExperimentConfig, param: str, values,
         }).validate()
         groups += [(cfg, seed, tuple(schemes), param, float(value))
                    for seed in config.seeds]
-    cells = [(cfg, seed, scheme, name, value)
-             for cfg, seed, group, name, value in groups for scheme in group]
+    cells = len(groups) * len(schemes)
     if not cells:
         return []
     workers = sweep_workers()
-    if workers == 1 or len(cells) == 1:
+    if workers == 1 or cells == 1:
         rows = [row for group in groups for row in run_group(*group)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            if len(groups) < (workers or os.cpu_count() or 1):
-                rows = list(pool.map(run_cell, *zip(*cells), chunksize=1))
-            else:
-                rows = [row for batch in pool.map(run_group, *zip(*groups),
-                                                  chunksize=1)
-                        for row in batch]
+            rows = [row for batch in pool.map(run_group, *zip(*groups),
+                                              chunksize=1)
+                    for row in batch]
     rows.sort(key=lambda r: (r.seed, r.scheme, r.swept_value))
     return rows
 

@@ -242,24 +242,43 @@ class TestOneDrawPerGroup:
                       n0_cap=1, seeds=(0,))
         draws = _slow_draws(monkeypatch)
         rows = sweep(cfg, "n0_cap", [1])
-        assert len(draws) == 1
+        # The group's draw fails, then each scheme's run_cell draws again.
+        assert len(draws) == 1 + len(SCHEMES)
         assert all(r.error.startswith("InfeasibleScenario: ") for r in rows)
-        assert sorted(r.wall_ms for r in rows) == [0.0, 0.0, 0.0, 1e3]
+        assert sorted(r.wall_ms for r in rows) == [1e3, 1e3, 1e3, 2e3]
         cells = [run_cell(cfg, 0, scheme, "n0_cap", 1.0)
                  for scheme in sorted(SCHEMES)]
         assert _without_wall_ms(rows) == _without_wall_ms(cells)
 
-    def test_a_pool_with_fewer_groups_than_workers_runs_cells(
-            self, monkeypatch):
-        # Two groups on three workers: one task per cell, as rows go.
-        cfg = replace(ExperimentConfig(), n_targets=10, seeds=(0, 1))
-        tables = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("UAV_MEC_WORKERS", workers)
-            tables.append(_without_wall_ms(sweep(
-                cfg, "n_chunks", [2], schemes=("proposed", "suav_only"))))
-        assert tables[0] == tables[1]
-        assert len(tables[0].splitlines()) == 1 + 2 * 2
+    def test_a_pool_runs_one_group_per_task(self, monkeypatch):
+        # One group on two workers still goes to the pool as one task.
+        class InlinePool:
+            mapped = []
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args, chunksize):
+                self.mapped.append(fn)
+                return map(fn, *args)
+
+        cfg = replace(ExperimentConfig(), n_targets=10, seeds=(0,))
+        schemes = ("proposed", "suav_only")
+        monkeypatch.setenv("UAV_MEC_WORKERS", "1")
+        sequential = _without_wall_ms(sweep(cfg, "n_chunks", [2], schemes))
+        monkeypatch.setenv("UAV_MEC_WORKERS", "2")
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        draws = counting(monkeypatch, experiment, "generate_scenario")
+        pooled = _without_wall_ms(sweep(cfg, "n_chunks", [2], schemes))
+        assert InlinePool.mapped == [experiment.run_group]
+        assert len(draws) == 1
+        assert pooled == sequential
 
     def test_run_solves_its_schemes_on_one_draw(self, monkeypatch, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
