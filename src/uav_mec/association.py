@@ -55,7 +55,7 @@ three blocks price one geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,12 +106,13 @@ class Pools:
       (cover.Columns) with each column's targets and hover point. Once the
       columns are built, every later call of the solve prices them before
       it searches (see the module docstring).
-    placed builds the scenario with every S-UAV at its hover point; no block
-    reads it, and run_scheme calls it once, for its report.
+    carrier_rates gives a plan's carriers their link rates from these, for
+    the blocks and for a sweep row (experiment.chunked_metrics).
 
-    run_scheme builds one per solve and passes it to every block; nothing
-    of it is kept on the scenario, in this module or in cover.py, so no
-    solve reads another's data. It builds the price table before anything
+    run_scheme builds one per solve, passes it to every block and keeps it
+    on its report (SolverReport.pools), for the sweep row; nothing of it is
+    kept on the scenario, in this module or in cover.py, so no solve reads
+    another's data. It builds the price table before anything
     else, so it raises the table's InfeasibleSubproblem first if an S-UAV's
     or the relay's hover alone breaks its budget, as it then does in every
     plan.
@@ -168,17 +169,16 @@ class Pools:
                 max((x_hi - x_lo) / wide, (y_hi - y_lo) / tall) + gamma)
         return pos
 
-    def placed(self, association: Association) -> Scenario:
-        """The scenario with every S-UAV at its hover point under the
-        association, field by field scenario.repositioned_scenario's; the
-        scenario itself when S-UAVs stay put. No block reads it: run_scheme
-        builds it once, for the report."""
-        if self.static_positions:
-            return self.scenario
-        return replace(self.scenario, suavs=tuple(
-            replace(suav, current_pos=Position3D(*self.hover_point(j, bits)))
-            for j, (suav, bits) in enumerate(zip(self.scenario.suavs,
-                                                 association.bits))))
+    def carrier_rates(self, bits, q_m: Position3D) -> dict[int, float]:
+        """Each carrier's link rate to the relay at q_m from its hover
+        point over its target bitmask in bits (Association.bits), by
+        carrier ascending; the carriers are the S-UAVs whose bitmask is not
+        empty. The rate is cost.floored_rate's, at the S-UAV's SNR
+        coefficient in the price table."""
+        q, bandwidth_hz = q_m.xyz, self.scenario.constants.bandwidth_hz
+        return {j: floored_rate(self.hover_point(j, b), q,
+                                self.prices[j][0].gamma1, bandwidth_hz)
+                for j, b in enumerate(bits) if b}
 
     def columns(self) -> cover.Columns:
         """Every S-UAV's box-closed columns, built on the first call."""

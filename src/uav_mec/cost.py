@@ -193,23 +193,33 @@ def floored_rates(pos: np.ndarray, q_m: np.ndarray, gamma1,
     return bandwidth_hz * np.array(log2).reshape(snr.shape)
 
 
-def _capped(scenario: Scenario, beta: np.ndarray) -> np.ndarray:
+def objective_and_spread(latencies: list[LatencyBreakdown]) -> tuple[float, float]:
+    """(max latency, population stddev) over S-UAVs that carry video."""
+    if not latencies:
+        raise ValueError("need at least one latency entry")
+    totals = [lb.total_s for lb in latencies if lb.active]
+    if not totals:
+        return 0.0, 0.0
+    arr = np.array(totals)
+    return float(arr.max()), float(arr.std())
+
+
+def evaluate_solution(scenario: Scenario, association: Association,
+                      beta: np.ndarray, q_m: Position3D):
+    """Exact objective, spread and breakdowns at one (alpha, beta, q_M) point:
+    (objective, spread, latency breakdowns, energy breakdowns ending with
+    the relay's: its hover plus the fair-share compute term of every
+    offloaded chunk). An S-UAV that carries no video sends 0 bits, so its
+    link prices to zero at its own rate, as does its compute: only its
+    hover remains.
+
+    The scenario must already be repositioned under the association.
+    Raises InvalidDecision if beta offloads past the relay cap.
+    """
     beta = np.asarray(beta, dtype=int)
     if beta.sum() > scenario.n0_cap:
         raise InvalidDecision("offloader count exceeds the relay cap")
-    return beta
-
-
-def breakdowns(scenario: Scenario, alpha: np.ndarray, beta: np.ndarray,
-               q_m: Position3D):
-    """(latency breakdowns, energy breakdowns ending with the relay's: its
-    hover plus the fair-share compute term of every offloaded chunk). An
-    S-UAV that carries no video sends 0 bits, so its link prices to zero
-    at its own rate, as does its compute: only its hover remains.
-
-    Raises InvalidDecision if beta offloads past the relay cap."""
-    beta = _capped(scenario, beta)
-    s_bits = effective_chunk_bits(scenario, alpha)
+    s_bits = effective_chunk_bits(scenario, association.alpha)
     prices = suav_prices(scenario, s_bits, beta)
     lats, energies = [], []
     for suav, s, off, price in zip(scenario.suavs, s_bits.tolist(),
@@ -233,26 +243,5 @@ def breakdowns(scenario: Scenario, alpha: np.ndarray, beta: np.ndarray,
     energies.append(EnergyBreakdown("ruav", 0.0,
                                     float(np.sum([p.relay_j for p in prices])),
                                     scenario.ruav.hover_energy_j))
-    return lats, energies
-
-
-def objective_and_spread(latencies: list[LatencyBreakdown]) -> tuple[float, float]:
-    """(max latency, population stddev) over S-UAVs that carry video."""
-    if not latencies:
-        raise ValueError("need at least one latency entry")
-    totals = [lb.total_s for lb in latencies if lb.active]
-    if not totals:
-        return 0.0, 0.0
-    arr = np.array(totals)
-    return float(arr.max()), float(arr.std())
-
-
-def evaluate_solution(scenario: Scenario, association: Association,
-                      beta: np.ndarray, q_m: Position3D):
-    """Exact objective, spread and breakdowns at one (alpha, beta, q_M) point.
-
-    The scenario must already be repositioned under the association.
-    """
-    lats, energies = breakdowns(scenario, association.alpha, beta, q_m)
     objective, spread = objective_and_spread(lats)
     return objective, spread, lats, energies

@@ -1,4 +1,10 @@
-"""Parameter sweeps, per-chunk metric totals, and tabular output."""
+"""Parameter sweeps, per-chunk metric totals, and tabular output.
+
+A sweep row's figures are priced from its solve's own tables
+(SolverReport.pools) in the evaluator's arithmetic, with no scenario copy
+and no second evaluation; the evaluator (cost.evaluate_solution) stays the
+independent judge that the tests hold every row to.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .association import Pools
 from .config import ExperimentConfig
-from .cost import breakdowns, objective_and_spread
+from .cost import plan_prices
 from .errors import UavMecError, ValidationError
 from .orchestrator import SCHEMES, run_scheme
-from .scenario import Position3D, Scenario, generate_scenario
+from .scenario import Association, Position3D, Scenario, generate_scenario
 
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
 INTEGER_PARAMS = ("n_chunks", "n0_cap")
@@ -35,18 +42,28 @@ class ResultRow:
     error: str = ""
 
 
-def chunked_metrics(scenario: Scenario, alpha: np.ndarray,
-                    beta: np.ndarray, q_m: Position3D, n_chunks: int):
+def chunked_metrics(pools: Pools, alpha: np.ndarray, beta: np.ndarray,
+                    q_m: Position3D, n_chunks: int):
     """(max latency, spread, S-UAV execution energy, relay compute energy)
-    over n_chunks sequential chunks: the evaluator's figures for the plan,
-    priced at the mean chunk size, times n_chunks, as every figure is linear
-    in the bits."""
-    lats, energies = breakdowns(scenario, alpha, beta, q_m)
-    objective, spread = objective_and_spread(lats)
-    *suavs, ruav = energies
-    exec_energy = sum(e.comm_j + e.comp_j for e in suavs)
-    return (n_chunks * objective, n_chunks * spread,
-            n_chunks * exec_energy, n_chunks * ruav.comp_j)
+    over n_chunks sequential chunks of the plan (alpha, beta, q_m), priced
+    from the solve's tables (orchestrator.SolverReport.pools): each
+    carrier's record at the mean chunk size (cost.plan_prices) at its link
+    rate (Pools.carrier_rates), times n_chunks, as every figure is linear in
+    the bits. The arithmetic is the evaluator's, so each figure is
+    n_chunks times evaluate_solution's to the bit wherever every chunk is
+    positive, as in every drawn scenario: an S-UAV that carries no video
+    costs nothing but its hover, and one that offloads still counts in the
+    relay's fair share. Raises InvalidDecision if beta offloads past the
+    relay cap."""
+    prices = plan_prices(pools.prices, np.asarray(beta).tolist())
+    rates = pools.carrier_rates(Association(alpha, pools.mask).bits, q_m)
+    latency = np.array([prices[j].latency(r) for j, r in rates.items()])
+    exec_energy = sum(prices[j].energy(r) for j, r in rates.items())
+    # Summed over every S-UAV, in order, as the evaluator sums it.
+    relay_j = float(np.sum([p.relay_j if j in rates else 0.0
+                            for j, p in enumerate(prices)]))
+    return (n_chunks * float(latency.max()), n_chunks * float(latency.std()),
+            n_chunks * exec_energy, n_chunks * relay_j)
 
 
 def run_cell(config: ExperimentConfig, seed: int, scheme: str,
@@ -62,7 +79,7 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
             scenario = generate_scenario(config, seed)
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
-        metrics = chunked_metrics(report.placed, report.alpha, report.beta,
+        metrics = chunked_metrics(report.pools, report.alpha, report.beta,
                                   report.q_m, config.n_chunks)
         iters = report.iterations
     except UavMecError as exc:

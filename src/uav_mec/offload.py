@@ -39,7 +39,7 @@ import numpy as np
 
 from . import simplex
 from .association import Pools
-from .cost import BranchPrice, floored_rate
+from .cost import BranchPrice
 from .errors import InfeasibleSubproblem
 from .scenario import Association, Position3D
 
@@ -94,19 +94,13 @@ class Sp1Terms:
 def sp1_terms(pools: Pools, association: Association,
               q_m: Position3D) -> Sp1Terms:
     """SP1's terms on the solve's price table (Pools.prices): each
-    carrier's link rate at q_m from its hover point (Pools.hover_point) and
-    its two budget tests. The carriers are the S-UAVs whose target bitmask
+    carrier's link rate at q_m (Pools.carrier_rates) and its two budget
+    tests. The carriers are the S-UAVs whose target bitmask
     (Association.bits) is not empty."""
     ruav = pools.scenario.ruav
-    q, bandwidth_hz = q_m.xyz, pools.scenario.constants.bandwidth_hz
-    rates, fits = {}, {}
-    for j, bits in enumerate(association.bits):
-        if not bits:
-            continue
-        local, offloaded = pools.prices[j][:2]
-        r = rates[j] = floored_rate(pools.hover_point(j, bits), q,
-                                    local.gamma1, bandwidth_hz)
-        fits[j] = (local.fits(r), offloaded.fits(r))
+    rates = pools.carrier_rates(association.bits, q_m)
+    fits = {j: (pools.prices[j][0].fits(r), pools.prices[j][1].fits(r))
+            for j, r in rates.items()}
     return Sp1Terms(pools.prices, rates, fits, ruav.hover_energy_j,
                     ruav.energy_budget_j)
 

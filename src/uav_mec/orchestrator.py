@@ -7,7 +7,9 @@ solver is heuristic (budgeted tree search, SCA placement). Each block prices
 its candidate in the evaluator's arithmetic, and its guard compares that one
 price with the plan's objective; the start plan is priced the same way, from
 the solve's price table, so no solve calls evaluate_solution. Callers price a
-plan's per-S-UAV breakdown with it, imported here or from cost. Every hover
+plan's per-S-UAV breakdown with it, imported here or from cost, on the
+scenario repositioned under the plan's association; a sweep row is priced
+from the solve's tables instead (SolverReport.pools). Every hover
 is checked against its budget once per solve, when association.Pools is
 built. Every block reads one geometry, the solve's Pools.hover_point, with
 S-UAVs at their current positions when they stay put; only
@@ -30,7 +32,6 @@ from . import association as assoc_mod
 from . import placement as place_mod
 from .config import ExperimentConfig
 from .cost import evaluate_solution  # noqa: F401 (callers price with it)
-from .cost import floored_rate
 from .link import rate_at_dist_sq, snr_coeff
 from .offload import OffloadDecision, forced_offload, solve_sp1
 from .scenario import (Association, Position3D, Scenario, fov_rect,
@@ -61,13 +62,17 @@ _GUARD_SLACK = 1e-12
 
 @dataclass
 class SolverReport:
+    """One solve's plan (alpha, beta, q_m), its objective trace and the
+    loop's counts. pools is the solve's association.Pools, which holds the
+    price table and the plan's hover points: a sweep row is priced from it
+    (experiment.chunked_metrics)."""
+
     scheme: str
     objective_trace: list
     alpha: np.ndarray
     beta: np.ndarray
     q_m: Position3D
-    # the S-UAV geometry the plan is priced under (association.Pools.placed)
-    placed: Scenario
+    pools: assoc_mod.Pools = field(repr=False, compare=False)
     iterations: int
     converged: bool
     offload: OffloadDecision | None = None  # the last accepted offload step
@@ -204,13 +209,9 @@ def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
         # improve re-derives the same decision from the same inputs.
         decision = forced_offload(pools, association, q_m)
         return Plan(association, decision.beta, q_m, float(decision.slack_s))
-    q, bandwidth_hz = q_m.xyz, pools.scenario.constants.bandwidth_hz
-    objective = 0.0
-    for j, bits in enumerate(association.bits):
-        if bits:
-            local = pools.prices[j][0]
-            objective = max(objective, local.latency(floored_rate(
-                pools.hover_point(j, bits), q, local.gamma1, bandwidth_hz)))
+    rates = pools.carrier_rates(association.bits, q_m)
+    objective = max((pools.prices[j][0].latency(r) for j, r in rates.items()),
+                    default=0.0)
     return Plan(association, np.zeros(pools.scenario.n_suavs, dtype=int),
                 q_m, objective)
 
@@ -284,13 +285,15 @@ def run_scheme(scenario: Scenario, scheme: str,
     No solve calls evaluate_solution: the start plan is priced from the
     price table and every block prices its own candidate, each to the bit as
     the evaluator would, so the returned plan's objective is already known.
-    A caller who wants its per-S-UAV breakdown prices it with
-    evaluate_solution(report.placed, ...). What no block changes during the
-    solve (association.Pools: the search tables, the hover points and the
-    one price table every block reads) is built here, before anything else,
-    and lives as long as this call; building it checks every hover against
-    its budget. The report's placed scenario is the one Pools.placed call
-    of the solve."""
+    What no block changes during the solve (association.Pools: the search
+    tables, the hover points and the one price table every block reads) is
+    built here, before anything else; building it checks every hover
+    against its budget. The report keeps it (SolverReport.pools), so a
+    sweep row prices the plan from the solve's own tables, and no solve
+    copies the scenario. A caller who wants the plan's per-S-UAV breakdown
+    prices it with evaluate_solution on
+    scenario.repositioned_scenario(scenario, report.alpha), or on the
+    scenario itself under a scheme whose S-UAVs stay put."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     pools = assoc_mod.Pools(
@@ -299,4 +302,4 @@ def run_scheme(scenario: Scenario, scheme: str,
                            r_max)
     return SolverReport(
         scheme=scheme, alpha=plan.association.alpha, beta=plan.beta,
-        q_m=plan.q_m, placed=pools.placed(plan.association), **record)
+        q_m=plan.q_m, pools=pools, **record)

@@ -148,8 +148,9 @@ class TestSharedContext:
 
 class TestPools:
     """run_scheme builds the association block's fixed data once per call
-    and keeps none of it after the call: the benchmark solves the same
-    Scenario objects again and again, and must time cold solves."""
+    and keeps it only on the call's report, not on the scenario or a
+    module: the benchmark solves the same Scenario objects again and again,
+    and must time cold solves."""
 
     def test_fleet_geometry_is_built_once_per_suav(self, monkeypatch):
         # Seed 1: two association calls price the columns (on seed 0 the
@@ -175,13 +176,19 @@ class TestPools:
                     if isinstance(v, (Pools, cover.Columns))]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_the_report_is_placed_once(self, monkeypatch, scheme):
-        # Every block reads hover points from the solve's Pools; only the
-        # report's placed scenario is built, once per solve.
-        placed = counting(monkeypatch, Pools, "placed")
-        for seed in range(5):
-            run_scheme(generate_scenario(ExperimentConfig(), seed), scheme)
-            assert len(placed) == seed + 1
+    def test_a_solve_copies_no_scenario(self, monkeypatch, scheme):
+        # Every block reads hover points from the solve's Pools, and the
+        # sweep row is priced from the same tables: neither the solve nor
+        # its row builds a Scenario or an SUav.
+        from uav_mec.experiment import run_cell
+        from uav_mec.scenario import Scenario, SUav
+        cfg = ExperimentConfig()
+        draws = [generate_scenario(cfg, seed) for seed in range(5)]
+        built = [counting(monkeypatch, cls, "__post_init__")
+                 for cls in (Scenario, SUav)]
+        for seed, sc in enumerate(draws):
+            assert run_cell(cfg, seed, scheme, scenario=sc).error == ""
+        assert built == [[], []]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_staying_put_prices_the_current_positions(self, seed):
@@ -196,8 +203,7 @@ class TestPools:
         beta = np.zeros(sc.n_suavs, dtype=int)
         q = Position3D(500.0, 500.0, 550.0)
         assoc, info = solve_association(pools, beta, q)
-        assert info.objective == evaluate_solution(
-            pools.placed(assoc), assoc, beta, q)[0]
+        assert info.objective == evaluate_solution(sc, assoc, beta, q)[0]
 
     def test_an_identical_call_is_not_repeated(self, monkeypatch):
         # Reference seed 0, static_suavs: the last iteration's association

@@ -1,7 +1,7 @@
 """Config parsing, the experiment harness, and the CLI surface."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -520,12 +520,10 @@ class TestChunkedMetrics:
     def test_sums_over_chunks(self):
         cfg = replace(ExperimentConfig(), n_chunks=2)
         from uav_mec.orchestrator import run_scheme
-        from uav_mec.scenario import generate_scenario, repositioned_scenario
-        sc = generate_scenario(cfg, 0)
-        report = run_scheme(sc, "proposed")
-        placed = repositioned_scenario(sc, report.alpha)
+        from uav_mec.scenario import generate_scenario
+        report = run_scheme(generate_scenario(cfg, 0), "proposed")
         objective, spread, exec_e, ruav_e = chunked_metrics(
-            placed, report.alpha, report.beta, report.q_m, cfg.n_chunks)
+            report.pools, report.alpha, report.beta, report.q_m, cfg.n_chunks)
         # Two chunks at the same decision cost twice the mean-size solve:
         # latency is linear in the bits on both branches.
         assert objective == 2.0 * report.objective_s
@@ -533,24 +531,49 @@ class TestChunkedMetrics:
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 3, 4, 5])
     def test_row_is_n_chunks_times_the_evaluator(self, n_chunks):
+        from pathlib import Path
+
         from uav_mec.cost import evaluate_solution
         from uav_mec.orchestrator import SCHEMES, run_scheme
         from uav_mec.scenario import (Association, feasible_association_mask,
-                                      generate_scenario)
+                                      generate_scenario, repositioned_scenario)
         cfg = replace(ExperimentConfig(), n_chunks=n_chunks)
-        for seed in range(3):
-            sc = generate_scenario(cfg, seed)
-            mask = feasible_association_mask(sc)
-            for scheme in SCHEMES:
-                row = run_cell(cfg, seed, scheme)
-                report = run_scheme(sc, scheme, tol=cfg.tol, r_max=cfg.r_max)
-                assert row.error == ""
-                assert row.objective_s == n_chunks * report.objective_s
-                objective, spread, _, energies = evaluate_solution(
-                    report.placed, Association(report.alpha, mask),
-                    report.beta, report.q_m)
-                assert row.objective_s == n_chunks * objective
-                assert row.delay_stddev_s == n_chunks * spread
-                assert row.suav_exec_energy_j == n_chunks * sum(
-                    e.comm_j + e.comp_j for e in energies[:-1])
-                assert row.ruav_energy_j == n_chunks * energies[-1].comp_j
+        relay = replace(load_config(Path(__file__).resolve().parents[1]
+                                    / "scripts" / "relay_sweep.cfg"), n0_cap=5)
+        # (draw, scheme, the plan's idle offloaders, or None: not checked).
+        # An idle offloader counts in the relay's fair share at no relay
+        # energy of its own. The edge draws keep their configs' n_chunks,
+        # as their idle offloaders depend on the chunk sizes drawn.
+        cases = [(generate_scenario(cfg, seed), scheme, None)
+                 for seed in range(3) for scheme in SCHEMES]
+        reference = ExperimentConfig()
+        cases += [(generate_scenario(reference, 1), "ruav_only", [7]),
+                  (generate_scenario(reference, 6), "ruav_only", [5])]
+        cases += [(generate_scenario(relay, 14), scheme,
+                   [3] if scheme in ("proposed", "ruav_only") else [])
+                  for scheme in SCHEMES]
+        floats = [f.name for f in fields(ResultRow) if f.type == "float"]
+        assert len(floats) == 6
+        for sc, scheme, idle in cases:
+            row = run_cell(cfg, sc.seed, scheme, scenario=sc)
+            report = run_scheme(sc, scheme, tol=cfg.tol, r_max=cfg.r_max)
+            assert row.error == ""
+            # format_rows prints a float field by repr, so an np.float64
+            # would print as np.float64(...).
+            assert [type(getattr(row, name)) for name in floats] == \
+                [float] * len(floats)
+            if idle is not None:
+                assert [j for j in np.flatnonzero(report.beta)
+                        if not report.alpha[:, j].any()] == idle
+            assert row.objective_s == n_chunks * report.objective_s
+            placed = (sc if scheme == "static_suavs"
+                      else repositioned_scenario(sc, report.alpha))
+            objective, spread, _, energies = evaluate_solution(
+                placed, Association(report.alpha,
+                                    feasible_association_mask(sc)),
+                report.beta, report.q_m)
+            assert row.objective_s == n_chunks * objective
+            assert row.delay_stddev_s == n_chunks * spread
+            assert row.suav_exec_energy_j == n_chunks * sum(
+                e.comm_j + e.comp_j for e in energies[:-1])
+            assert row.ruav_energy_j == n_chunks * energies[-1].comp_j

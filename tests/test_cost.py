@@ -421,7 +421,7 @@ class TestCrossBlockPricing:
             assert latency == lb.total_s
             assert ok == suav_ok[j]
 
-        chunked = chunked_metrics(placed, assoc.alpha, beta, q, 1)
+        chunked = chunked_metrics(pools, assoc.alpha, beta, q, 1)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
         assert chunked == (objective, spread, exec_j, energies[-1].comp_j)
 
@@ -530,11 +530,8 @@ class TestPerSolveTables:
         from uav_mec.scenario import reposition
         sc, steps = case
         pools = Pools(sc)
-        assert Pools(sc, static_positions=True).placed(steps[0][0]) is sc
         for assoc, _, _ in steps + steps:  # the second pass reads the memo
-            placed = pools.placed(assoc)
-            fresh = repositioned_scenario(sc, assoc.alpha)
-            assert placed == fresh
+            placed = repositioned_scenario(sc, assoc.alpha)
             for j, bits in enumerate(assoc.bits):
                 held = [sc.targets[i] for i in range(sc.n_targets)
                         if bits >> i & 1]
@@ -625,7 +622,8 @@ class TestBlocksKeepTheRelayCap:
         beta = np.ones(scenario0.n_suavs, dtype=int)
         assert beta.sum() > scenario0.n0_cap
         with pytest.raises(InvalidDecision, match="relay cap"):
-            evaluate_solution(pools.placed(assoc), assoc, beta, q)
+            evaluate_solution(repositioned_scenario(scenario0, assoc.alpha),
+                              assoc, beta, q)
         with pytest.raises(InvalidDecision, match="relay cap"):
             placement_terms(pools, assoc, beta)
         with pytest.raises(InvalidDecision, match="relay cap"):

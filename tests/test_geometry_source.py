@@ -1,11 +1,12 @@
 """S-UAV positions reach the blocks from one place: Pools.hover_point.
 
-offload.py and placement.py read no S-UAV's current_pos, and
-orchestrator.py reads it only in check_constraints, the independent
-checker. A block that read a scenario's positions on its own could price
-another geometry than the association search does: before they shared one
-source, S-UAVs that stay put sat at initial_pos for the search and at
-current_pos for the other blocks.
+offload.py, placement.py and experiment.py (the sweep row) read no
+S-UAV's current_pos; orchestrator.py reads it only in check_constraints,
+the independent checker, and cost.py only in evaluate_solution, the
+independent evaluator. A block that read a scenario's positions on its own
+could price another geometry than the association search does: before
+they shared one source, S-UAVs that stay put sat at initial_pos for the
+search and at current_pos for the other blocks.
 """
 
 import ast
@@ -14,7 +15,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uav_mec"
 # module -> the top-level definitions allowed to read current_pos
 ALLOWED = {"offload.py": set(), "placement.py": set(),
-           "orchestrator.py": {"check_constraints"}}
+           "orchestrator.py": {"check_constraints"}, "experiment.py": set(),
+           "cost.py": {"evaluate_solution"}}
 
 
 def readers(source: str, name: str = "current_pos") -> list[str]:

@@ -88,14 +88,6 @@ class TestRunScheme:
             t = report.objective_trace
             assert all(b <= a + 1e-6 for a, b in zip(t, t[1:]))
 
-    def test_report_carries_the_plan_geometry(self, scenario0, reports):
-        for scheme, report in reports.items():
-            if scheme == "static_suavs":
-                assert report.placed is scenario0
-            else:
-                assert report.placed == repositioned_scenario(scenario0,
-                                                              report.alpha)
-
     def test_all_schemes_satisfy_every_constraint(self, scenario0, reports):
         for scheme, report in reports.items():
             assoc = Association(
@@ -166,6 +158,13 @@ def scheme_pools(scenario, scheme):
     return Pools(scenario, static_positions=scheme == "static_suavs")
 
 
+def placed(pools, assoc):
+    """The scenario with the S-UAVs of the solve's pools where its plan puts
+    them, built apart from Pools, for the evaluator."""
+    return (pools.scenario if pools.static_positions else
+            repositioned_scenario(pools.scenario, assoc.alpha))
+
+
 class TestStartPlanAndImprove:
     """run_scheme is improve(start_plan(...)) plus the report."""
 
@@ -214,7 +213,7 @@ class TestStartPlanAndImprove:
                 pools = scheme_pools(sc, scheme)
                 plan = start_plan(pools, scheme)
                 objective = evaluate_solution(
-                    pools.placed(plan.association), plan.association,
+                    placed(pools, plan.association), plan.association,
                     plan.beta, plan.q_m)[0]
                 assert type(plan.objective) is float
                 assert plan.objective == objective, (seed, scheme)
@@ -778,10 +777,6 @@ class TestOffloadGuardPrice:
         if set(schemes) - {"suav_only"}:
             assert calls["offload"]
         assert calls["placement"] and calls["association"]
-
-        def placed(pools, assoc):  # the geometry, built apart from Pools
-            return (pools.scenario if pools.static_positions else
-                    repositioned_scenario(pools.scenario, assoc.alpha))
 
         for _, (pools, assoc, q_m), _, decision in calls["offload"]:
             assert decision.slack_s == evaluate_solution(
