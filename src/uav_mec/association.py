@@ -62,8 +62,7 @@ import numpy as np
 from . import cover
 from .cost import floored_rate, plan_prices, price_table
 from .errors import InfeasibleSubproblem
-from .scenario import (Association, Position3D, Scenario,
-                       feasible_association_mask)
+from .scenario import Position3D, Scenario, feasible_association_mask
 
 # DFS nodes before the column cover takes over.
 DFS_ALLOWANCE = 1_000
@@ -96,9 +95,9 @@ class Pools:
     prices, every S-UAV's price records at its chunk size on the local
     branch and on the offload branch at each offloader count within the cap
     (cost.price_table), and hover_point, where each S-UAV hovers over a
-    target bitmask (Association.bits): every block reads its plan's records
-    and positions from these two and from nothing else. Filled in as calls
-    need them:
+    target bitmask (bit i: target i), the form in which a plan holds its
+    association: every block reads its plan's records and positions from
+    these two and from nothing else. Filled in as calls need them:
     - per S-UAV, a memo from target bitmask to hover point (hover_point);
       S-UAVs that stay put hover at their current positions, and need none;
     - on the first call whose search runs out of nodes (at the reference
@@ -171,10 +170,10 @@ class Pools:
 
     def carrier_rates(self, bits, q_m: Position3D) -> dict[int, float]:
         """Each carrier's link rate to the relay at q_m from its hover
-        point over its target bitmask in bits (Association.bits), by
-        carrier ascending; the carriers are the S-UAVs whose bitmask is not
-        empty. The rate is cost.floored_rate's, at the S-UAV's SNR
-        coefficient in the price table."""
+        point over its target bitmask in bits, by carrier ascending; the
+        carriers are the S-UAVs whose bitmask is not empty. The rate is
+        cost.floored_rate's, at the S-UAV's SNR coefficient in the price
+        table."""
         q, bandwidth_hz = q_m.xyz, self.scenario.constants.bandwidth_hz
         return {j: floored_rate(self.hover_point(j, b), q,
                                 self.prices[j][0].gamma1, bandwidth_hz)
@@ -202,11 +201,11 @@ class _Context:
     since the solve's price table has tested its hover.
     """
 
-    def __init__(self, pools: Pools, beta: np.ndarray, q_m: Position3D):
+    def __init__(self, pools: Pools, beta, q_m: Position3D):
         self.pools = pools
         self.q = q_m.xyz
         self.bandwidth_hz = pools.scenario.constants.bandwidth_hz
-        self.prices = plan_prices(pools.prices, np.asarray(beta).tolist())
+        self.prices = plan_prices(pools.prices, beta)
         # Per S-UAV: target bitmask -> (latency, energy-feasible). An entry
         # is a non-empty tuple, so `memo[j].get(bits) or latency(j, bits)`
         # reads it and prices only a miss.
@@ -229,7 +228,7 @@ class _Context:
 
 def _alpha(mask: np.ndarray, assigned_bits) -> np.ndarray:
     """The association matrix that gives each S-UAV the targets of its
-    bitmask."""
+    bitmask: a plan's alpha, built only where it leaves the solver."""
     alpha = np.zeros_like(mask)
     for j, bits in enumerate(assigned_bits):
         for i in cover.bits(bits):
@@ -333,20 +332,18 @@ def _dfs(ctx: _Context, incumbent: list[int] | None,
     return incumbent, incumbent_obj, nodes, not aborted
 
 
-def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
-                      warm: Association | None = None
-                      ) -> tuple[Association, SearchInfo]:
-    """Best association at the given offload decision and relay position: the
-    search under DFS_ALLOWANCE nodes, the columns' lower bound, and the
-    column cover with the search run to T* (see the module docstring for
-    which runs when). warm, if given, joins the greedy start as an
-    incumbent; the call reads its target bitmasks (Association.bits).
-    Incumbents are per-S-UAV target bitmasks, and only the returned one
-    becomes an alpha matrix."""
+def solve_association(pools: Pools, beta, q_m: Position3D, warm=None
+                      ) -> tuple[tuple[int, ...], SearchInfo]:
+    """Best association at the given offload decision (0/1 per S-UAV) and
+    relay position: the search under DFS_ALLOWANCE nodes, the columns'
+    lower bound, and the column cover with the search run to T* (see the
+    module docstring for which runs when). Returns it as per-S-UAV target
+    bitmasks, the form every incumbent takes; warm, if given in that form,
+    joins the greedy start as an incumbent."""
     ctx = _Context(pools, beta, q_m)
     starts = [greedy_incumbent(ctx)]
     if warm is not None:
-        starts.insert(0, warm.bits)
+        starts.insert(0, warm)
     incumbent, incumbent_obj = None, float("inf")
     for start in starts:
         obj, ok = _evaluate_full(ctx, start)
@@ -374,6 +371,4 @@ def solve_association(pools: Pools, beta: np.ndarray, q_m: Position3D,
     if best is None:
         raise InfeasibleSubproblem(
             "no energy-feasible association covers every target")
-    info = SearchInfo(objective=obj, exact=exact, nodes=nodes)
-    return Association(alpha=_alpha(pools.mask, best),
-                       feasible_mask=pools.mask), info
+    return tuple(best), SearchInfo(objective=obj, exact=exact, nodes=nodes)

@@ -5,12 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import ExperimentConfig, load_config
 from .errors import ParseError, UavMecError, ValidationError
-from .experiment import (SWEEPABLE, format_rows, run_group, sweep,
-                         write_results, write_text)
+from .experiment import SWEEPABLE, format_rows, run_group, sweep, write_text
 from .orchestrator import SCHEMES, run_scheme
 from .oracles import joint_bruteforce
 from .scenario import generate_scenario
@@ -57,10 +54,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--values: {exc}") from exc
     schemes = [args.scheme] if args.scheme else SCHEMES
     rows = sweep(config, args.param, values, schemes=schemes)
-    if args.out:
-        write_results(rows, args.out)
-    else:
-        sys.stdout.write(format_rows(rows))
+    _emit(format_rows(rows), args.out)
     return 1 if any(r.error for r in rows) else 0
 
 

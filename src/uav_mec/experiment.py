@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .cost import plan_prices
 from .errors import UavMecError, ValidationError
 from .orchestrator import SCHEMES, run_scheme
-from .scenario import Association, Position3D, Scenario, generate_scenario
+from .scenario import Position3D, Scenario, generate_scenario
 
 SWEEPABLE = ("n_chunks", "tx_power_w", "n0_cap", "cpu_suav_hz")
 INTEGER_PARAMS = ("n_chunks", "n0_cap")
@@ -42,10 +42,11 @@ class ResultRow:
     error: str = ""
 
 
-def chunked_metrics(pools: Pools, alpha: np.ndarray, beta: np.ndarray,
-                    q_m: Position3D, n_chunks: int):
+def chunked_metrics(pools: Pools, bits, beta, q_m: Position3D,
+                    n_chunks: int):
     """(max latency, spread, S-UAV execution energy, relay compute energy)
-    over n_chunks sequential chunks of the plan (alpha, beta, q_m), priced
+    over n_chunks sequential chunks of the plan (bits, beta, q_m), with the
+    association as per-S-UAV target bitmasks (SolverReport.bits), priced
     from the solve's tables (orchestrator.SolverReport.pools): each
     carrier's record at the mean chunk size (cost.plan_prices) at its link
     rate (Pools.carrier_rates), times n_chunks, as every figure is linear in
@@ -55,8 +56,8 @@ def chunked_metrics(pools: Pools, alpha: np.ndarray, beta: np.ndarray,
     costs nothing but its hover, and one that offloads still counts in the
     relay's fair share. Raises InvalidDecision if beta offloads past the
     relay cap."""
-    prices = plan_prices(pools.prices, np.asarray(beta).tolist())
-    rates = pools.carrier_rates(Association(alpha, pools.mask).bits, q_m)
+    prices = plan_prices(pools.prices, beta)
+    rates = pools.carrier_rates(bits, q_m)
     latency = np.array([prices[j].latency(r) for j, r in rates.items()])
     exec_energy = sum(prices[j].energy(r) for j, r in rates.items())
     # Summed over every S-UAV, in order, as the evaluator sums it.
@@ -79,7 +80,7 @@ def run_cell(config: ExperimentConfig, seed: int, scheme: str,
             scenario = generate_scenario(config, seed)
         report = run_scheme(scenario, scheme, tol=config.tol,
                             r_max=config.r_max, **solver_kwargs)
-        metrics = chunked_metrics(report.pools, report.alpha, report.beta,
+        metrics = chunked_metrics(report.pools, report.bits, report.beta,
                                   report.q_m, config.n_chunks)
         iters = report.iterations
     except UavMecError as exc:

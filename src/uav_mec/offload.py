@@ -41,12 +41,12 @@ from . import simplex
 from .association import Pools
 from .cost import BranchPrice
 from .errors import InfeasibleSubproblem
-from .scenario import Association, Position3D
+from .scenario import Position3D
 
 
 @dataclass(frozen=True)
 class OffloadDecision:
-    beta: np.ndarray
+    beta: tuple[int, ...]  # 0/1 per S-UAV
     slack_s: float
     # the terms the decision was priced on, for the LP bound, or None
     relaxation: Sp1Terms | None = field(default=None, compare=False,
@@ -91,14 +91,13 @@ class Sp1Terms:
     ruav_budget: float
 
 
-def sp1_terms(pools: Pools, association: Association,
-              q_m: Position3D) -> Sp1Terms:
+def sp1_terms(pools: Pools, bits, q_m: Position3D) -> Sp1Terms:
     """SP1's terms on the solve's price table (Pools.prices): each
     carrier's link rate at q_m (Pools.carrier_rates) and its two budget
-    tests. The carriers are the S-UAVs whose target bitmask
-    (Association.bits) is not empty."""
+    tests. The carriers are the S-UAVs whose target bitmask in bits is not
+    empty."""
     ruav = pools.scenario.ruav
-    rates = pools.carrier_rates(association.bits, q_m)
+    rates = pools.carrier_rates(bits, q_m)
     fits = {j: (pools.prices[j][0].fits(r), pools.prices[j][1].fits(r))
             for j, r in rates.items()}
     return Sp1Terms(pools.prices, rates, fits, ruav.hover_energy_j,
@@ -166,9 +165,10 @@ def _subset_objective(t: Sp1Terms, members: tuple[int, ...]) -> float | None:
 
 
 def _decision(n: int, members, slack_s: float) -> OffloadDecision:
-    beta = np.zeros(n, dtype=int)
-    beta[list(members)] = 1
-    return OffloadDecision(beta=beta, slack_s=slack_s)
+    beta = [0] * n
+    for j in members:
+        beta[j] = 1
+    return OffloadDecision(beta=tuple(beta), slack_s=slack_s)
 
 
 def _local_order(t: Sp1Terms, among) -> list[int]:
@@ -204,20 +204,18 @@ def enumerate_offload(t: Sp1Terms) -> OffloadDecision:
     return _decision(len(t.prices), members, obj)
 
 
-def solve_sp1(pools: Pools, association: Association,
-              q_m: Position3D) -> OffloadDecision:
+def solve_sp1(pools: Pools, bits, q_m: Position3D) -> OffloadDecision:
     """Default SP1 path: the threshold search for the point, with its terms
     kept for a later read of the LP bound."""
-    t = sp1_terms(pools, association, q_m)
+    t = sp1_terms(pools, bits, q_m)
     return replace(enumerate_offload(t), relaxation=t)
 
 
-def forced_offload(pools: Pools, association: Association,
-                   q_m: Position3D) -> OffloadDecision:
+def forced_offload(pools: Pools, bits, q_m: Position3D) -> OffloadDecision:
     """The relay-only rule: offload the video-carrying S-UAVs in descending
     order of local latency (ties by id), as many as the relay cap and every
     energy budget admit -- the longest such prefix of that order."""
-    t = sp1_terms(pools, association, q_m)
+    t = sp1_terms(pools, bits, q_m)
     order = _local_order(t, t.rates)
     for k in range(min(pools.scenario.n0_cap, len(order)), -1, -1):
         obj = _subset_objective(t, tuple(order[:k]))

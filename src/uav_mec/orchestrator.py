@@ -63,13 +63,15 @@ _GUARD_SLACK = 1e-12
 @dataclass
 class SolverReport:
     """One solve's plan (alpha, beta, q_m), its objective trace and the
-    loop's counts. pools is the solve's association.Pools, which holds the
-    price table and the plan's hover points: a sweep row is priced from it
+    loop's counts. The association is kept as the solve held it, one
+    target bitmask per S-UAV (bits); alpha is built from it on each read.
+    pools is the solve's association.Pools, which holds the price table and
+    the plan's hover points: a sweep row is priced from it
     (experiment.chunked_metrics)."""
 
     scheme: str
     objective_trace: list
-    alpha: np.ndarray
+    bits: tuple[int, ...]
     beta: np.ndarray
     q_m: Position3D
     pools: assoc_mod.Pools = field(repr=False, compare=False)
@@ -89,6 +91,13 @@ class SolverReport:
         return self.objective_trace[-1]
 
     @property
+    def alpha(self) -> np.ndarray:
+        """The (I, N) association matrix of bits, checked against the
+        coverage mask and for a monitor on every target."""
+        mask = self.pools.mask
+        return Association(assoc_mod._alpha(mask, self.bits), mask).alpha
+
+    @property
     def lp_lower_bound(self) -> float:
         """SP1's LP relaxation bound at the last accepted offload step, solved
         on first read; nan if no step kept one."""
@@ -101,13 +110,14 @@ def convergence_check(trace, tol: float) -> bool:
     return abs(trace[-1] - trace[-2]) < tol
 
 
-def nearest_covering_association(pools: assoc_mod.Pools) -> Association:
+def nearest_covering_association(pools: assoc_mod.Pools) -> tuple[int, ...]:
     """Each target to its horizontally nearest covering S-UAV (ties: lowest
-    id). Squared distances are dx * dx + dy * dy, with dx the S-UAV's x less
-    the target's, as NumPy's dx ** 2 + dy ** 2 gives them."""
+    id), as per-S-UAV target bitmasks. Squared distances are
+    dx * dx + dy * dy, with dx the S-UAV's x less the target's, as NumPy's
+    dx ** 2 + dy ** 2 gives them."""
     suav_xy = [(float(s.initial_pos.x), float(s.initial_pos.y))
                for s in pools.scenario.suavs]
-    alpha = np.zeros_like(pools.mask)
+    bits = [0] * len(suav_xy)
     for i, (x, y, cover) in enumerate(zip(pools.x, pools.y, pools.cover)):
         x, y = float(x), float(y)
         nearest, least = -1, math.inf
@@ -117,8 +127,8 @@ def nearest_covering_association(pools: assoc_mod.Pools) -> Association:
             d2 = dx * dx + dy * dy
             if d2 < least:
                 nearest, least = j, d2
-        alpha[i, nearest] = 1
-    return Association(alpha=alpha, feasible_mask=pools.mask)
+        bits[nearest] |= 1 << i
+    return tuple(bits)
 
 
 def check_constraints(scenario: Scenario, association: Association,
@@ -187,10 +197,12 @@ class Plan(NamedTuple):
     """One point of the outer loop. A block that is accepted replaces the
     fields it moves and the objective, so objective is always the price of
     the other three fields; the S-UAV geometry is the solve's
-    (association.Pools.hover_point under the association)."""
+    (association.Pools.hover_point under the association). The association
+    is one target bitmask per S-UAV (bit i: target i) and beta one 0/1 int
+    per S-UAV, each a tuple."""
 
-    association: Association
-    beta: np.ndarray
+    bits: tuple[int, ...]
+    beta: tuple[int, ...]
     q_m: Position3D
     objective: float
 
@@ -202,18 +214,17 @@ def start_plan(pools: assoc_mod.Pools, scheme: str) -> Plan:
     by the rule's own price, as improve takes it, and otherwise by the
     largest local latency over the S-UAVs that carry video, read from the
     solve's price table."""
-    association = nearest_covering_association(pools)
-    q_m = place_mod.default_initial_position(pools, association)
+    bits = nearest_covering_association(pools)
+    q_m = place_mod.default_initial_position(pools, bits)
     if SCHEME_POLICIES[scheme].offload_rule == "forced_offload":
         # A forced rule also sets the start; the first offload step of
         # improve re-derives the same decision from the same inputs.
-        decision = forced_offload(pools, association, q_m)
-        return Plan(association, decision.beta, q_m, float(decision.slack_s))
-    rates = pools.carrier_rates(association.bits, q_m)
+        decision = forced_offload(pools, bits, q_m)
+        return Plan(bits, decision.beta, q_m, float(decision.slack_s))
+    rates = pools.carrier_rates(bits, q_m)
     objective = max((pools.prices[j][0].latency(r) for j, r in rates.items()),
                     default=0.0)
-    return Plan(association, np.zeros(pools.scenario.n_suavs, dtype=int),
-                q_m, objective)
+    return Plan(bits, (0,) * len(bits), q_m, objective)
 
 
 def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
@@ -225,13 +236,13 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
     policy = SCHEME_POLICIES[scheme]
     trace = [plan.objective]
     offload, fallbacks, exact, sca_traces = None, 0, True, []
-    last_key = None  # (beta, q_m, alpha's masks) of the last association call
+    last_key = None  # (beta, q_m, bits) of the last association call
 
     for _ in range(r_max):
         # Offload block.
         if policy.offload_rule is not None:
             decision = globals()[policy.offload_rule](
-                pools, plan.association, plan.q_m)
+                pools, plan.bits, plan.q_m)
             # The rule prices its decision as evaluate_solution would, to the
             # bit; float() keeps the trace in Python floats.
             cand = float(decision.slack_s)
@@ -241,23 +252,23 @@ def improve(plan: Plan, pools: assoc_mod.Pools, scheme: str, tol: float,
 
         # Placement block.
         q_sca, sca_trace, failed = place_mod.sca_loop(
-            pools, plan.association, plan.beta, plan.q_m)
+            pools, plan.bits, plan.beta, plan.q_m)
         sca_traces.append(sca_trace)
         fallbacks += failed
         if sca_trace[-1] <= plan.objective + _GUARD_SLACK:
             plan = plan._replace(q_m=q_sca, objective=sca_trace[-1])
 
         # Association block. A call with the last call's inputs would return
-        # the same result, so the last (new_assoc, info) stands.
-        key = (plan.beta.tolist(), plan.q_m, plan.association.bits)
+        # the same result, so the last (new_bits, info) stands. The inputs
+        # are the plan's tuples and its Position3D, compared as they are.
+        key = (plan.beta, plan.q_m, plan.bits)
         if key != last_key:
             last_key = key
-            new_assoc, info = assoc_mod.solve_association(
-                pools, plan.beta, plan.q_m, warm=plan.association)
+            new_bits, info = assoc_mod.solve_association(
+                pools, plan.beta, plan.q_m, warm=plan.bits)
         exact = exact and info.exact
         if info.objective <= plan.objective + _GUARD_SLACK:
-            plan = plan._replace(association=new_assoc,
-                                 objective=info.objective)
+            plan = plan._replace(bits=new_bits, objective=info.objective)
 
         trace.append(plan.objective)
         if convergence_check(trace, tol):
@@ -301,5 +312,5 @@ def run_scheme(scenario: Scenario, scheme: str,
     plan, record = improve(start_plan(pools, scheme), pools, scheme, tol,
                            r_max)
     return SolverReport(
-        scheme=scheme, alpha=plan.association.alpha, beta=plan.beta,
+        scheme=scheme, bits=plan.bits, beta=np.array(plan.beta, dtype=int),
         q_m=plan.q_m, pools=pools, **record)

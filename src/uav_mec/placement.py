@@ -63,7 +63,7 @@ import numpy as np
 from .association import Pools
 from .errors import InfeasibleSubproblem
 from .cost import floored_rate, plan_prices
-from .scenario import Association, Position3D, Scenario
+from .scenario import Position3D, Scenario
 
 SCA_TOL_S = 1e-4
 SCA_MAX_ITER = 50
@@ -96,24 +96,24 @@ class PlacementTerms:
     bandwidth_hz: float
 
 
-def placement_terms(pools: Pools, association: Association,
-                    beta: np.ndarray) -> PlacementTerms:
-    """The transmitting S-UAVs' rows, read off their records in the solve's
-    price table (Pools.prices) and their hover points (Pools.hover_point):
-    one per S-UAV that carries video, whose target bitmask
-    (Association.bits) is not empty. Raises if one of them keeps its budget
-    at no rate; an idle one keeps it, as the table vouches."""
-    records = plan_prices(pools.prices, np.asarray(beta).tolist())
+def placement_terms(pools: Pools, bits, beta) -> PlacementTerms:
+    """The transmitting S-UAVs' rows, read off their records under the
+    offload decision beta in the solve's price table (Pools.prices) and
+    their hover points (Pools.hover_point): one per S-UAV that carries
+    video, whose target bitmask in bits is not empty. Raises if one of them
+    keeps its budget at no rate; an idle one keeps it, as the table
+    vouches."""
+    records = plan_prices(pools.prices, beta)
     rows = []
-    for j, bits in enumerate(association.bits):
-        if not bits:
+    for j, b in enumerate(bits):
+        if not b:
             continue
         p = records[j]
         floor = p.rate_floor
         if floor == math.inf:
             raise InfeasibleSubproblem(
                 f"S-UAV {j} has no energy headroom for any transmission")
-        rows.append((*map(float, pools.hover_point(j, bits)), p.gamma1,
+        rows.append((*map(float, pools.hover_point(j, b)), p.gamma1,
                      p.tx_bits, p.fixed_s, floor))
     return PlacementTerms(rows=tuple(rows),
                           bandwidth_hz=pools.scenario.constants.bandwidth_hz)
@@ -414,15 +414,14 @@ def minimize(centres: list, w: list, r: list, lo: list, hi: list) -> Maximin:
     return Maximin(np.array(_clip(q, lo, hi)), lam, False)
 
 
-def default_initial_position(pools: Pools,
-                             association: Association) -> Position3D:
-    """The S-UAVs' mean (x, y) at their hover points under the association
-    (Pools.hover_point), at the box's middle altitude, clipped to the box.
-    The means are summed left to right, as NumPy's mean over rows."""
+def default_initial_position(pools: Pools, bits) -> Position3D:
+    """The S-UAVs' mean (x, y) at their hover points over their target
+    bitmasks in bits (Pools.hover_point), at the box's middle altitude,
+    clipped to the box. The means are summed left to right, as NumPy's mean
+    over rows."""
     ruav = pools.scenario.ruav
     lo, hi = _floats(ruav.box_lo), _floats(ruav.box_hi)
-    xs, ys, _ = zip(*(pools.hover_point(j, bits)
-                      for j, bits in enumerate(association.bits)))
+    xs, ys, _ = zip(*(pools.hover_point(j, b) for j, b in enumerate(bits)))
     q = [sum(map(float, xs)) / len(xs), sum(map(float, ys)) / len(ys),
          0.5 * (lo[2] + hi[2])]
     return Position3D(*map(np.float64, _clip(q, lo, hi)))
@@ -464,8 +463,8 @@ def solve_sp2_2(scenario: Scenario, terms: PlacementTerms,
         "energy budgets demand rates the geometry cannot deliver")
 
 
-def sca_loop(pools: Pools, association: Association, beta: np.ndarray,
-             q_m: Position3D) -> tuple[Position3D, list, int]:
+def sca_loop(pools: Pools, bits, beta, q_m: Position3D
+             ) -> tuple[Position3D, list, int]:
     """Successive convexification from q_m until the exact objective stalls,
     on the plan's rows from the solve's pools (placement_terms).
 
@@ -476,7 +475,7 @@ def sca_loop(pools: Pools, association: Association, beta: np.ndarray,
     expansion point; a point that still worsens the exact objective is
     discarded, so the trace never rises.
     """
-    terms = placement_terms(pools, association, beta)
+    terms = placement_terms(pools, bits, beta)
     if not terms.rows:
         return q_m, [0.0], 0
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +82,8 @@ class SUav:
             raise ValueError("compress_ratio must lie in (0, 1)")
         if self.cpu_hz <= 0 or self.tx_power_w <= 0:
             raise ValueError("cpu_hz and tx_power_w must be positive")
-        if self.chunk_bits < 0:
-            raise ValueError("chunk_bits must be nonnegative")
+        if self.chunk_bits <= 0:
+            raise ValueError("chunk_bits must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,14 +135,6 @@ class Association:
             raise ValueError("alpha selects an infeasible pair")
         if np.any(self.alpha.sum(axis=1) < 1):
             raise ValueError("every target needs at least one monitor")
-
-    @cached_property
-    def bits(self) -> tuple[int, ...]:
-        """Per S-UAV, the bitmask of the targets alpha gives it (bit i:
-        target i), as Python ints, which may pass 64 bits. Taken once per
-        association: a non-zero mask marks an S-UAV that carries video."""
-        packed = np.packbits(self.alpha.T, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def fov_extents(altitude: float, camera: CameraSpec) -> tuple[float, float]:

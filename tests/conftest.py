@@ -112,6 +112,15 @@ def full_association(scenario: Scenario) -> Association:
     return Association(alpha=alpha, feasible_mask=mask)
 
 
+def bits_of(alpha) -> tuple[int, ...]:
+    """Per S-UAV, the bitmask of the targets alpha gives it (bit i: target
+    i), from an (I, N) matrix or an Association: the form in which the
+    blocks take an association."""
+    alpha = np.asarray(getattr(alpha, "alpha", alpha))
+    return tuple(sum(1 << i for i in np.flatnonzero(column).tolist())
+                 for column in alpha.T)
+
+
 def identity_association(scenario: Scenario) -> Association:
     """Target i to S-UAV i (valid when targets sit at the S-UAV nadirs)."""
     mask = feasible_association_mask(scenario)

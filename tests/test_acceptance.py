@@ -24,13 +24,13 @@ from uav_mec.oracles import (enumerate_associations_at_least_one,
                              grid_search_placement, joint_bruteforce)
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   nearest_covering_association, run_scheme)
-from uav_mec.association import Pools, solve_association
+from uav_mec.association import Pools, _alpha, solve_association
 from uav_mec.placement import (_surrogate_coeffs, default_initial_position,
                                sca_loop, surrogate_rates)
 from uav_mec.scenario import (Association, Position3D, generate_scenario,
                               repositioned_scenario)
 
-from .conftest import (DEFAULT_CONSTANTS, full_association,
+from .conftest import (DEFAULT_CONSTANTS, bits_of, full_association,
                        identity_association, link_terms, make_scenario,
                        sp1_arrays, static_pools)
 from .test_association import random_instance
@@ -141,7 +141,7 @@ def test_criterion_02_linearization_exactness():
                        chunk_bits=chunks, n0_cap=4)
     assoc = identity_association(sc)
     q_m = Position3D(500.0, 500.0, 400.0)
-    t = sp1_terms(static_pools(sc), assoc, q_m)
+    t = sp1_terms(static_pools(sc), bits_of(assoc), q_m)
     lp = build_sp1_lp(t)
     t = sp1_arrays(t)
     xi_rows, xi_rhs = lp.a[:24, :], lp.b[:24]
@@ -198,11 +198,11 @@ def test_criterion_03_relaxation_bound():
         sc = make_scenario([(x, 500.0) for x in xs], [(x, 500.0) for x in xs],
                            chunk_bits=chunks,
                            n0_cap=int(rng.integers(1, n + 1)))
-        assoc = identity_association(sc)
+        bits = bits_of(identity_association(sc))
         q_m = Position3D(float(rng.uniform(0, 1000)),
                          float(rng.uniform(0, 1000)),
                          float(rng.uniform(100, 1000)))
-        t = sp1_terms(static_pools(sc), assoc, q_m)
+        t = sp1_terms(static_pools(sc), bits, q_m)
         lp = build_sp1_lp(t)
         _, lower = simplex.solve_lp_arrays(lp.c, lp.a, lp.b, upper=lp.upper)
         best = enumerate_offload(t).slack_s
@@ -226,11 +226,12 @@ def test_criterion_04_sca_descent():
     for seed in SEEDS_20:
         scenario = generate_scenario(CONFIG, seed)
         pools = Pools(scenario)
-        assoc = nearest_covering_association(pools)
+        bits = nearest_covering_association(pools)
+        assoc = Association(_alpha(pools.mask, bits), pools.mask)
         placed = repositioned_scenario(scenario, assoc.alpha)
         beta = np.zeros(scenario.n_suavs, dtype=int)
-        q_m, trace, _ = sca_loop(pools, assoc, beta,
-                                 default_initial_position(pools, assoc))
+        q_m, trace, _ = sca_loop(pools, bits, beta,
+                                 default_initial_position(pools, bits))
         final = trace[-1]
         if any(b > a + 1e-9 for a, b in zip(trace, trace[1:])):
             monotone = False
@@ -435,7 +436,7 @@ def test_criterion_10_coverage_invariant(outer_reports):
     reports, _ = outer_reports
     violations_found = []
     for seed, (scenario, by_scheme) in reports.items():
-        mask = nearest_covering_association(Pools(scenario)).feasible_mask
+        mask = Pools(scenario).mask
         for scheme, report in by_scheme.items():
             assoc = Association(alpha=report.alpha,
                                 feasible_mask=np.maximum(report.alpha, mask))

@@ -15,9 +15,9 @@ from uav_mec.cost import evaluate_solution
 from uav_mec.errors import InfeasibleSubproblem
 from uav_mec.oracles import enumerate_associations_at_least_one
 from uav_mec.orchestrator import SCHEMES, run_scheme, start_plan
-from uav_mec.scenario import Position3D, generate_scenario
+from uav_mec.scenario import Association, Position3D, generate_scenario
 
-from .conftest import counting, full_association, make_scenario
+from .conftest import bits_of, counting, full_association, make_scenario
 
 Q_M = Position3D(500.0, 500.0, 400.0)
 
@@ -55,15 +55,15 @@ def random_instance(seed, n_max=3, i_max=5):
 class TestForcedCases:
     def test_single_target_single_cover(self):
         sc = make_scenario([(500.0, 500.0)], [(480.0, 510.0)], n0_cap=1)
-        assoc, info = solve_association(Pools(sc), np.array([0]), Q_M)
-        assert assoc.alpha.tolist() == [[1]]
+        bits, info = solve_association(Pools(sc), np.array([0]), Q_M)
+        assert bits == (0b1,)
         assert info.exact
 
     def test_unique_cover_forced(self):
         sc = make_scenario([(200.0, 200.0), (800.0, 800.0)],
                            [(200.0, 220.0), (810.0, 790.0)], n0_cap=1)
-        assoc, info = solve_association(Pools(sc), np.zeros(2, dtype=int), Q_M)
-        assert assoc.alpha.tolist() == [[1, 0], [0, 1]]
+        bits, info = solve_association(Pools(sc), np.zeros(2, dtype=int), Q_M)
+        assert bits == (0b01, 0b10)
         assert info.exact
 
 
@@ -111,11 +111,11 @@ class TestBnbExactness:
         beta = np.zeros(sc.n_suavs, dtype=int)
         cold, _ = solve_association(Pools(sc), beta, Q_M)
         warm, _ = solve_association(Pools(sc), beta, Q_M,
-                                    warm=full_association(sc))
+                                    warm=bits_of(full_association(sc)))
         from uav_mec.association import _Context, _evaluate_full
         ctx = _Context(Pools(sc), beta, Q_M)
-        assert _evaluate_full(ctx, cold.bits)[0] == pytest.approx(
-            _evaluate_full(ctx, warm.bits)[0])
+        assert _evaluate_full(ctx, cold)[0] == pytest.approx(
+            _evaluate_full(ctx, warm)[0])
 
     def test_static_positions_use_initial_geometry(self):
         sc = random_instance(11)
@@ -202,7 +202,8 @@ class TestPools:
         pools = Pools(sc, static_positions=True)
         beta = np.zeros(sc.n_suavs, dtype=int)
         q = Position3D(500.0, 500.0, 550.0)
-        assoc, info = solve_association(pools, beta, q)
+        bits, info = solve_association(pools, beta, q)
+        assoc = Association(association._alpha(pools.mask, bits), pools.mask)
         assert info.objective == evaluate_solution(sc, assoc, beta, q)[0]
 
     def test_an_identical_call_is_not_repeated(self, monkeypatch):
@@ -244,12 +245,12 @@ class TestCoverPath:
             return
         beta = random_offload(sc, seed)
         dfs_allowance(0)
-        assoc, info = solve_association(Pools(sc), beta, Q_M)
+        bits, info = solve_association(Pools(sc), beta, Q_M)
         _, oracle_obj = enumerate_associations_at_least_one(sc, beta, Q_M)
         assert info.exact
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
         # The returned association attains the reported objective.
-        assert _evaluate_full(_Context(Pools(sc), beta, Q_M), assoc.bits) == (
+        assert _evaluate_full(_Context(Pools(sc), beta, Q_M), bits) == (
             info.objective, True)
 
     def test_static_positions_use_initial_geometry(self, dfs_allowance):
@@ -278,7 +279,7 @@ class TestCoverPath:
         inputs = []
 
         def record(pools, beta, q_m, **kwargs):
-            inputs.append((beta.copy(), q_m, kwargs["warm"]))
+            inputs.append((beta, q_m, kwargs["warm"]))
             return solve(pools, beta, q_m, **kwargs)
 
         solve = association.solve_association
@@ -296,7 +297,7 @@ class TestCoverPath:
             covered, info = solve(Pools(sc), beta, q_m, warm=warm)
             assert info.objective == finished.objective
             ctx = _Context(Pools(sc), beta, q_m)
-            assert _evaluate_full(ctx, covered.bits) == (info.objective, True)
+            assert _evaluate_full(ctx, covered) == (info.objective, True)
 
 
 class TestLowerBound:
@@ -334,8 +335,7 @@ class TestLaterCalls:
         def record(pools, beta, q_m, **kwargs):
             later = pools._cols is not None
             out = solve(pools, beta, q_m, **kwargs)
-            calls.append((later, pools, beta.copy(), q_m,
-                          kwargs["warm"], out))
+            calls.append((later, pools, beta, q_m, kwargs["warm"], out))
             return out
 
         monkeypatch.setattr(association, "solve_association", record)
@@ -345,12 +345,12 @@ class TestLaterCalls:
 
         later = [call for call in calls if call[0]]
         assert later and any(info.nodes == 0 for *_, (_, info) in later)
-        for _, pools, beta, q_m, warm, (assoc, info) in calls:
+        for _, pools, beta, q_m, warm, (bits, info) in calls:
             fresh, fresh_info = solve(Pools(pools.scenario), beta, q_m,
                                       warm=warm)
             again, again_info = solve(pools, beta, q_m, warm=warm)
-            for a, i in ((assoc, info), (again, again_info)):
-                assert np.array_equal(a.alpha, fresh.alpha)
+            for b, i in ((bits, info), (again, again_info)):
+                assert b == fresh
                 assert (i.objective, i.exact) == (fresh_info.objective,
                                                   fresh_info.exact)
 
@@ -364,11 +364,11 @@ class TestLaterCalls:
         beta, q_m = np.zeros(2, dtype=int), Position3D(500.0, 500.0, 1000.0)
         pools = Pools(sc)
         pools.columns()
-        assoc, info = solve_association(pools, beta, q_m)
+        bits, info = solve_association(pools, beta, q_m)
         _, oracle_obj = enumerate_associations_at_least_one(sc, beta, q_m)
         assert info.exact
         assert info.objective == pytest.approx(oracle_obj, rel=1e-12)
-        assert assoc.alpha[2].tolist() == [1, 1]
+        assert association._alpha(pools.mask, bits)[2].tolist() == [1, 1]
 
 
 class TestLargePool:
@@ -387,13 +387,14 @@ class TestLargePool:
         columns = counting(monkeypatch, cover, "_columns")
         prices = counting(monkeypatch, cover, "price")
         dfs_allowance(50)
-        assoc, info = solve_association(Pools(scenario),
-                                        np.zeros(2, dtype=int), Q_M)
+        pools = Pools(scenario)
+        bits, info = solve_association(pools, np.zeros(2, dtype=int), Q_M)
+        alpha = association._alpha(pools.mask, bits)
         assert scenario.n_targets == 63 > cover.MAX_POOL
         assert info.nodes <= 50
         assert not info.exact
-        assert np.all((assoc.alpha * assoc.feasible_mask).sum(axis=1) >= 1)
-        assert np.all(assoc.alpha <= assoc.feasible_mask)
+        assert np.all((alpha * pools.mask).sum(axis=1) >= 1)
+        assert np.all(alpha <= pools.mask)
         assert columns == [] and prices == []
 
     def test_a_larger_budget_still_stops_at_the_allowance(self, scenario):
@@ -517,9 +518,10 @@ class TestSearchTrajectory:
     def test_pinned_call(self, key):
         pools, beta, start = self.pinned_inputs(key)
         greedy = greedy_incumbent(_Context(pools, beta, start.q_m))
-        assoc, info = solve_association(pools, beta, start.q_m,
-                                        warm=start.association)
-        assert (info.nodes, info.exact, info.objective, _monitors(assoc.alpha),
+        bits, info = solve_association(pools, beta, start.q_m,
+                                       warm=start.bits)
+        assert (info.nodes, info.exact, info.objective,
+                _monitors(association._alpha(pools.mask, bits)),
                 _monitors(association._alpha(pools.mask, greedy))
                 ) == _TRAJECTORIES[key]
         if key[0] == "fleet":
@@ -534,7 +536,7 @@ class TestSearchTrajectory:
         key = ("tight_budget", 2, "proposed")
         pools, beta, start = self.pinned_inputs(key)
         ctx = _Context(pools, beta, start.q_m)
-        for bits in (start.association.bits, greedy_incumbent(ctx)):
+        for bits in (start.bits, greedy_incumbent(ctx)):
             assert _evaluate_full(ctx, bits)[1]
         priced = []
 
@@ -543,12 +545,11 @@ class TestSearchTrajectory:
             return out
 
         counting(monkeypatch, _Context, "latency", override=record)
-        _, tight = solve_association(pools, beta, start.q_m,
-                                     warm=start.association)
+        _, tight = solve_association(pools, beta, start.q_m, warm=start.bits)
         assert not all(ok for _, ok in priced)
         sc = pools.scenario
         roomy = replace(sc, suavs=tuple(replace(s, energy_budget_j=1e3)
                                         for s in sc.suavs))
         _, free = solve_association(Pools(roomy), beta, start.q_m,
-                                    warm=start.association)
+                                    warm=start.bits)
         assert tight.nodes == _TRAJECTORIES[key][0] < free.nodes

@@ -523,7 +523,7 @@ class TestChunkedMetrics:
         from uav_mec.scenario import generate_scenario
         report = run_scheme(generate_scenario(cfg, 0), "proposed")
         objective, spread, exec_e, ruav_e = chunked_metrics(
-            report.pools, report.alpha, report.beta, report.q_m, cfg.n_chunks)
+            report.pools, report.bits, report.beta, report.q_m, cfg.n_chunks)
         # Two chunks at the same decision cost twice the mean-size solve:
         # latency is linear in the bits on both branches.
         assert objective == 2.0 * report.objective_s

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uav_mec.association import Pools, _Context
+from uav_mec.association import Pools, _alpha, _Context
 from uav_mec.config import ExperimentConfig
 from uav_mec.cost import (LatencyBreakdown, branch_price,
                           effective_chunk_bits, evaluate_solution,
@@ -24,7 +24,8 @@ from uav_mec.scenario import (Association, Position3D,
                               feasible_association_mask, generate_scenario,
                               repositioned_scenario)
 
-from .conftest import DEFAULT_CONSTANTS, full_association, make_scenario
+from .conftest import (DEFAULT_CONSTANTS, bits_of, full_association,
+                       make_scenario)
 
 S_250KB = 2_048_000.0  # 250 KB in bits
 Q_M = Position3D(500.0, 500.0, 500.0)
@@ -362,8 +363,9 @@ class TestRelayEntry:
                     active = int((report.alpha.sum(axis=0) > 0).sum())
                     cut += (scheme == "ruav_only"
                             and report.beta.sum() < min(cap, active))
-        for pools, beta, q_m, assoc in results:
+        for pools, beta, q_m, bits in results:
             sc = pools.scenario
+            assoc = Association(_alpha(pools.mask, bits), pools.mask)
             placed = (sc if pools.static_positions
                       else repositioned_scenario(sc, assoc.alpha))
             relay = evaluate_solution(placed, assoc, beta, q_m)[3][-1]
@@ -399,7 +401,8 @@ class TestCrossBlockPricing:
 
         # improve takes the threshold search's price as the plan's objective
         # with no re-pricing, so it must be the evaluator's to the bit.
-        subset = _subset_objective(sp1_terms(pools, assoc, q), members)
+        subset = _subset_objective(sp1_terms(pools, bits_of(assoc), q),
+                                   members)
         assert (subset is not None) == feasible
         assert subset is None or subset == objective
 
@@ -409,9 +412,9 @@ class TestCrossBlockPricing:
                for lb, e, s in zip(lats, energies, sc.suavs) if lb.active):
             with pytest.raises(InfeasibleSubproblem,
                                match="no energy headroom"):
-                placement_terms(pools, assoc, beta)
+                placement_terms(pools, bits_of(assoc), beta)
         else:
-            terms = placement_terms(pools, assoc, beta)
+            terms = placement_terms(pools, bits_of(assoc), beta)
             assert exact_objective(terms, q.array.tolist()) == objective
 
         ctx = _Context(pools, beta, q)
@@ -421,7 +424,7 @@ class TestCrossBlockPricing:
             assert latency == lb.total_s
             assert ok == suav_ok[j]
 
-        chunked = chunked_metrics(pools, assoc.alpha, beta, q, 1)
+        chunked = chunked_metrics(pools, bits_of(assoc), beta, q, 1)
         exec_j = sum(e.comm_j + e.comp_j for e in energies[:-1])
         assert chunked == (objective, spread, exec_j, energies[-1].comp_j)
 
@@ -502,7 +505,7 @@ def solve_steps(draw):
 @st.composite
 def priced_table(draw, max_n=4):
     """A scenario of 1 to max_n S-UAVs with mixed parameters and physical
-    constants, any S-UAV with a chunk of 0 bits."""
+    constants."""
     n = draw(st.integers(1, max_n))
     constants = replace(DEFAULT_CONSTANTS,
                         f0_cycles_per_bit=draw(st.floats(1.0, 1e4)),
@@ -510,9 +513,8 @@ def priced_table(draw, max_n=4):
     return make_scenario(
         [(100.0 * j, 500.0) for j in range(n)],
         [(100.0 * j, 500.0) for j in range(n)],
-        chunk_bits=draw(st.lists(st.one_of(st.just(0.0),
-                                           st.floats(1e3, 5e6)),
-                                 min_size=n, max_size=n)),
+        chunk_bits=draw(st.lists(st.floats(1e3, 5e6), min_size=n,
+                                 max_size=n)),
         cpu_suav_hz=draw(st.floats(1e8, 1e9)),
         cpu_ruav_hz=draw(st.floats(1e9, 1e10)),
         tx_power_w=draw(st.floats(0.1, 2.0)), mu=draw(st.floats(0.01, 0.9)),
@@ -532,7 +534,7 @@ class TestPerSolveTables:
         pools = Pools(sc)
         for assoc, _, _ in steps + steps:  # the second pass reads the memo
             placed = repositioned_scenario(sc, assoc.alpha)
-            for j, bits in enumerate(assoc.bits):
+            for j, bits in enumerate(bits_of(assoc)):
                 held = [sc.targets[i] for i in range(sc.n_targets)
                         if bits >> i & 1]
                 assert held == [sc.targets[i] for i in
@@ -618,15 +620,16 @@ class TestBlocksKeepTheRelayCap:
         from uav_mec.orchestrator import start_plan
         from uav_mec.placement import sca_loop
         pools = Pools(scenario0)
-        assoc, _, q, _ = start_plan(pools, "proposed")
+        bits, _, q, _ = start_plan(pools, "proposed")
+        assoc = Association(_alpha(pools.mask, bits), pools.mask)
         beta = np.ones(scenario0.n_suavs, dtype=int)
         assert beta.sum() > scenario0.n0_cap
         with pytest.raises(InvalidDecision, match="relay cap"):
             evaluate_solution(repositioned_scenario(scenario0, assoc.alpha),
                               assoc, beta, q)
         with pytest.raises(InvalidDecision, match="relay cap"):
-            placement_terms(pools, assoc, beta)
+            placement_terms(pools, bits, beta)
         with pytest.raises(InvalidDecision, match="relay cap"):
-            sca_loop(pools, assoc, beta, q)
+            sca_loop(pools, bits, beta, q)
         with pytest.raises(InvalidDecision, match="relay cap"):
             solve_association(pools, beta, q)

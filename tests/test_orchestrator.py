@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from uav_mec.association import Pools
+from uav_mec.association import Pools, _alpha
 from uav_mec.config import ExperimentConfig
+from uav_mec.cost import evaluate_solution
 from uav_mec.offload import forced_offload
 from uav_mec.orchestrator import (SCHEMES, check_constraints,
                                   convergence_check, improve,
@@ -41,16 +42,17 @@ def numpy_nearest_cover(pools):
 
 class TestNearestCoveringAssociation:
     def test_rows_sum_to_one_and_respect_mask(self, scenario0):
-        assoc = nearest_covering_association(Pools(scenario0))
-        assert np.all(assoc.alpha.sum(axis=1) == 1)
-        assert np.all(assoc.alpha <= assoc.feasible_mask)
+        pools = Pools(scenario0)
+        alpha = _alpha(pools.mask, nearest_covering_association(pools))
+        assert np.all(alpha.sum(axis=1) == 1)
+        assert np.all(alpha <= pools.mask)
 
     def test_ties_go_to_the_lowest_id(self):
         from .conftest import make_scenario
         sc = make_scenario([(400.0, 500.0), (600.0, 500.0)],
                            [(500.0, 500.0), (500.0, 520.0)])
         pools = Pools(sc)
-        alpha = nearest_covering_association(pools).alpha
+        alpha = _alpha(pools.mask, nearest_covering_association(pools))
         assert alpha.tolist() == [[1, 0], [1, 0]]
         assert np.array_equal(alpha, numpy_nearest_cover(pools))
 
@@ -65,16 +67,16 @@ class TestNearestCoveringAssociation:
         sc = generate_scenario(
             replace(ExperimentConfig(), n_suavs=16, n_targets=40), seed)
         pools = Pools(sc)
-        assoc = nearest_covering_association(pools)
-        assert np.array_equal(assoc.alpha, numpy_nearest_cover(pools))
+        alpha = _alpha(pools.mask, nearest_covering_association(pools))
+        assert np.array_equal(alpha, numpy_nearest_cover(pools))
         for i, target in enumerate(sc.targets):
             best = None
-            for j in np.flatnonzero(assoc.feasible_mask[i]):
+            for j in np.flatnonzero(pools.mask[i]):
                 pos = sc.suavs[j].initial_pos
                 d2 = (pos.x - target.pos.x) ** 2 + (pos.y - target.pos.y) ** 2
                 if best is None or (d2, j) < best:
                     best = (d2, int(j))
-            assert np.flatnonzero(assoc.alpha[i]).tolist() == [best[1]]
+            assert np.flatnonzero(alpha[i]).tolist() == [best[1]]
 
 
 @pytest.fixture(scope="module")
@@ -158,11 +160,14 @@ def scheme_pools(scenario, scheme):
     return Pools(scenario, static_positions=scheme == "static_suavs")
 
 
-def placed(pools, assoc):
-    """The scenario with the S-UAVs of the solve's pools where its plan puts
-    them, built apart from Pools, for the evaluator."""
-    return (pools.scenario if pools.static_positions else
-            repositioned_scenario(pools.scenario, assoc.alpha))
+def evaluated(pools, bits, beta, q_m) -> float:
+    """evaluate_solution's objective of the plan (bits, beta, q_m), with the
+    S-UAVs of the solve's pools where the plan puts them, placed apart from
+    Pools."""
+    assoc = Association(_alpha(pools.mask, bits), pools.mask)
+    placed = (pools.scenario if pools.static_positions else
+              repositioned_scenario(pools.scenario, assoc.alpha))
+    return evaluate_solution(placed, assoc, beta, q_m)[0]
 
 
 class TestStartPlanAndImprove:
@@ -187,8 +192,8 @@ class TestStartPlanAndImprove:
         assert record["sca_traces"] == report.sca_traces
         assert record["iterations"] == report.iterations
         assert record["converged"] == report.converged
-        assert plan.association.alpha.tolist() == report.alpha.tolist()
-        assert plan.beta.tolist() == report.beta.tolist()
+        assert plan.bits == report.bits
+        assert list(plan.beta) == report.beta.tolist()
         assert plan.q_m == report.q_m
         assert plan.objective == report.objective_s
 
@@ -203,7 +208,6 @@ class TestStartPlanAndImprove:
         from pathlib import Path
 
         from uav_mec.config import load_config
-        from uav_mec.cost import evaluate_solution
         from uav_mec.scenario import generate_scenario
         cfg = ExperimentConfig() if config is None else load_config(
             Path(__file__).resolve().parents[1] / "scripts" / config)
@@ -212,9 +216,7 @@ class TestStartPlanAndImprove:
             for scheme in SCHEMES:
                 pools = scheme_pools(sc, scheme)
                 plan = start_plan(pools, scheme)
-                objective = evaluate_solution(
-                    placed(pools, plan.association), plan.association,
-                    plan.beta, plan.q_m)[0]
+                objective = evaluated(pools, plan.bits, plan.beta, plan.q_m)
                 assert type(plan.objective) is float
                 assert plan.objective == objective, (seed, scheme)
 
@@ -224,12 +226,11 @@ class TestStartPlanAndImprove:
         pools = scheme_pools(scenario0, scheme)
         plan = start_plan(pools, scheme)
         if scheme == "ruav_only":
-            expected = forced_offload(pools, plan.association,
-                                      plan.q_m).beta.tolist()
+            expected = forced_offload(pools, plan.bits, plan.q_m).beta
             assert sum(expected) > 0
         else:
-            expected = [0] * scenario0.n_suavs
-        assert plan.beta.tolist() == expected
+            expected = (0,) * scenario0.n_suavs
+        assert plan.beta == expected
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_the_plan_given_to_improve_is_left_unchanged(self, scenario0,
@@ -239,9 +240,8 @@ class TestStartPlanAndImprove:
         fresh = start_plan(pools, scheme)
         last, _ = improve(plan, pools, scheme, self.TOL, self.R_MAX)
         assert last.objective < plan.objective
-        assert plan.association.alpha.tolist() == \
-            fresh.association.alpha.tolist()
-        assert plan.beta.tolist() == fresh.beta.tolist()
+        assert plan.bits == fresh.bits
+        assert plan.beta == fresh.beta
         assert plan.q_m == fresh.q_m
         assert plan.objective == fresh.objective
 
@@ -755,7 +755,6 @@ class TestOffloadGuardPrice:
     @staticmethod
     def assert_guards_price_as_the_evaluator(monkeypatch, sc, schemes):
         from uav_mec import association, orchestrator, placement
-        from uav_mec.cost import evaluate_solution
         calls = {"offload": [], "placement": [], "association": []}
 
         def record(module, name, kind):
@@ -778,17 +777,15 @@ class TestOffloadGuardPrice:
             assert calls["offload"]
         assert calls["placement"] and calls["association"]
 
-        for _, (pools, assoc, q_m), _, decision in calls["offload"]:
-            assert decision.slack_s == evaluate_solution(
-                placed(pools, assoc), assoc, decision.beta, q_m)[0]
-        for _, (pools, assoc, beta, _), _, (q_m, trace, _) in \
+        for _, (pools, bits, q_m), _, decision in calls["offload"]:
+            assert decision.slack_s == evaluated(pools, bits, decision.beta,
+                                                 q_m)
+        for _, (pools, bits, beta, _), _, (q_m, trace, _) in \
                 calls["placement"]:
-            assert trace[-1] == evaluate_solution(
-                placed(pools, assoc), assoc, beta, q_m)[0]
-        for _, (pools, beta, q_m), _, (new_assoc, info) in \
+            assert trace[-1] == evaluated(pools, bits, beta, q_m)
+        for _, (pools, beta, q_m), _, (new_bits, info) in \
                 calls["association"]:
-            assert info.objective == evaluate_solution(
-                placed(pools, new_assoc), new_assoc, beta, q_m)[0]
+            assert info.objective == evaluated(pools, new_bits, beta, q_m)
         return calls
 
     @pytest.mark.parametrize("seed", range(5))

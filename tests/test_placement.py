@@ -17,9 +17,9 @@ from uav_mec.placement import (_surrogate_coeffs, default_initial_position,
                                solve_sp2_2, surrogate_rates)
 from uav_mec.scenario import Position3D
 
-from .conftest import (DEFAULT_CONSTANTS, counting, full_association,
-                       identity_association, link_terms, make_scenario,
-                       row_terms, static_pools, term_arrays)
+from .conftest import (DEFAULT_CONSTANTS, bits_of, counting,
+                       full_association, identity_association, link_terms,
+                       make_scenario, row_terms, static_pools, term_arrays)
 
 
 def pair_scenario(**kwargs):
@@ -31,10 +31,10 @@ def pair_scenario(**kwargs):
 class TestPlacementTerms:
     def test_branch_dependent_tx_bits(self):
         sc = pair_scenario()
-        assoc = identity_association(sc)
+        bits = bits_of(identity_association(sc))
         pools = static_pools(sc)
-        local = term_arrays(placement_terms(pools, assoc, np.array([0, 0])))
-        off = term_arrays(placement_terms(pools, assoc, np.array([1, 1])))
+        local = term_arrays(placement_terms(pools, bits, np.array([0, 0])))
+        off = term_arrays(placement_terms(pools, bits, np.array([1, 1])))
         np.testing.assert_allclose(local.tx_bits, 0.1 * off.tx_bits)
         assert np.all(off.fixed_s < local.fixed_s)  # relay CPU is 10x faster
 
@@ -43,14 +43,16 @@ class TestPlacementTerms:
         # transmission.
         sc = pair_scenario(energy_budget_j=5e-3)
         with pytest.raises(InfeasibleSubproblem):
-            placement_terms(static_pools(sc), identity_association(sc),
+            placement_terms(static_pools(sc),
+                            bits_of(identity_association(sc)),
                             np.array([0, 0]))
 
 
 class TestSurrogate:
     def test_surrogate_below_exact_rates(self):
         sc = pair_scenario()
-        terms = placement_terms(static_pools(sc), identity_association(sc),
+        terms = placement_terms(static_pools(sc),
+                                bits_of(identity_association(sc)),
                                 np.zeros(2, dtype=int))
         rng = np.random.default_rng(0)
         q_ref = np.array([400.0, 450.0, 300.0])
@@ -64,7 +66,8 @@ class TestSurrogate:
 
     def test_surrogate_tight_at_reference(self):
         sc = pair_scenario()
-        terms = placement_terms(static_pools(sc), identity_association(sc),
+        terms = placement_terms(static_pools(sc),
+                                bits_of(identity_association(sc)),
                                 np.zeros(2, dtype=int))
         q_ref = np.array([400.0, 450.0, 300.0])
         sur = np.array(surrogate_rates(
@@ -78,8 +81,8 @@ class TestSurrogate:
 class TestSolveSp22:
     def test_single_suav_projects_onto_box(self):
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
-        assoc = identity_association(sc)
-        q_m, _ = solve_sp2_2(sc, placement_terms(static_pools(sc), assoc,
+        bits = bits_of(identity_association(sc))
+        q_m, _ = solve_sp2_2(sc, placement_terms(static_pools(sc), bits,
                                                  np.array([0])),
                              Position3D(500.0, 500.0, 300.0))
         # Best point sits at the minimum feasible distance from the S-UAV:
@@ -91,12 +94,12 @@ class TestSolveSp22:
 
     def test_symmetric_pair_matches_bisector_optimum(self):
         sc = pair_scenario()
-        assoc = identity_association(sc)
+        bits = bits_of(identity_association(sc))
         beta = np.zeros(2, dtype=int)
         pools = static_pools(sc)
-        _, trace, _ = sca_loop(pools, assoc, beta,
+        _, trace, _ = sca_loop(pools, bits, beta,
                                Position3D(480.0, 520.0, 400.0))
-        terms = placement_terms(pools, assoc, beta)
+        terms = placement_terms(pools, bits, beta)
         # The exact objective is symmetric in x about 500; scan the bisector.
         hs = np.arange(100.0, 1000.0, 1.0)
         bisector = np.stack([np.full_like(hs, 500.0),
@@ -110,12 +113,12 @@ class TestSolveSp22:
 
     def test_fixed_point_preserves_objective(self):
         sc = pair_scenario()
-        assoc = identity_association(sc)
+        bits = bits_of(identity_association(sc))
         beta = np.zeros(2, dtype=int)
         pools = static_pools(sc)
-        q1, trace1, _ = sca_loop(pools, assoc, beta,
-                                 default_initial_position(pools, assoc))
-        terms = placement_terms(pools, assoc, beta)
+        q1, trace1, _ = sca_loop(pools, bits, beta,
+                                 default_initial_position(pools, bits))
+        terms = placement_terms(pools, bits, beta)
         q2, _ = solve_sp2_2(sc, terms, q1)
         obj2 = exact_objective(terms, q2.array.tolist())
         assert obj2 <= trace1[-1] + 1e-6
@@ -125,21 +128,23 @@ class TestScaLoop:
     def test_trace_non_increasing(self, scenario0):
         from uav_mec.scenario import repositioned_scenario
         assoc = full_association(scenario0)
+        bits = bits_of(assoc)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         pools = static_pools(placed)
-        _, trace, _ = sca_loop(pools, assoc, beta,
-                               default_initial_position(pools, assoc))
+        _, trace, _ = sca_loop(pools, bits, beta,
+                               default_initial_position(pools, bits))
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_final_point_near_grid_oracle(self, scenario0):
         from uav_mec.scenario import repositioned_scenario
         assoc = full_association(scenario0)
+        bits = bits_of(assoc)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         pools = static_pools(placed)
-        q_m, trace, _ = sca_loop(pools, assoc, beta,
-                                 default_initial_position(pools, assoc))
+        q_m, trace, _ = sca_loop(pools, bits, beta,
+                                 default_initial_position(pools, bits))
         final = trace[-1]
         _, oracle = grid_search_placement(placed, assoc, beta,
                                           extra_points=q_m.array[None, :])
@@ -148,7 +153,7 @@ class TestScaLoop:
 
     def test_starts_inside_box(self, scenario0):
         q = default_initial_position(static_pools(scenario0),
-                                     full_association(scenario0))
+                                     bits_of(full_association(scenario0)))
         lo, hi = scenario0.ruav.box_lo.array, scenario0.ruav.box_hi.array
         assert np.all(q.array >= lo) and np.all(q.array <= hi)
 
@@ -217,7 +222,7 @@ class TestInnerSolveRule:
                                                   solve_wins):
         from uav_mec import placement
         sc = pair_scenario()
-        assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
+        bits, beta = bits_of(identity_association(sc)), np.zeros(2, dtype=int)
         points = []
 
         def failed(res):
@@ -226,7 +231,7 @@ class TestInnerSolveRule:
             return res
 
         counting(monkeypatch, placement, "minimize", failed)
-        terms = placement_terms(static_pools(sc), assoc, beta)
+        terms = placement_terms(static_pools(sc), bits, beta)
         q_m, uncertified = solve_sp2_2(sc, terms, Q_REF)
         lo, hi = sc.ruav.box_lo.array, sc.ruav.box_hi.array
         cands = [np.clip(points[0], lo, hi), Q_REF.array]
@@ -238,9 +243,9 @@ class TestInnerSolveRule:
     def test_success_below_the_expansion_point_keeps_it(self, monkeypatch):
         from uav_mec import placement
         sc = pair_scenario()
-        assoc, beta = identity_association(sc), np.zeros(2, dtype=int)
+        bits, beta = bits_of(identity_association(sc)), np.zeros(2, dtype=int)
         corner = (0.0, 0.0, 1000.0)
-        terms = placement_terms(static_pools(sc), assoc, beta)
+        terms = placement_terms(static_pools(sc), bits, beta)
         assert (surrogate_min(terms, Q_REF.array, corner)
                 < surrogate_min(terms, Q_REF.array, Q_REF.array))
         counting(monkeypatch, placement, "minimize",
@@ -257,9 +262,9 @@ class TestInnerSolveRule:
            st.lists(st.integers(0, 1), min_size=2, max_size=2))
     def test_common_rate_never_below_the_expansion_point(self, xy, q, beta):
         sc = make_scenario(xy, xy, n0_cap=2)
-        assoc, beta = identity_association(sc), np.array(beta)
+        bits, beta = bits_of(identity_association(sc)), np.array(beta)
         q_ref = Position3D(*q)
-        terms = placement_terms(static_pools(sc), assoc, beta)
+        terms = placement_terms(static_pools(sc), bits, beta)
         q_m, _ = solve_sp2_2(sc, terms, q_ref)
         at_ref = surrogate_min(terms, q_ref.array, q_ref.array)
         assert at_ref > 0.0
@@ -271,7 +276,7 @@ class TestInnerSolveRule:
         solves = counting(monkeypatch, placement, "minimize",
                           reported_success(False))
         _, trace, fallbacks = sca_loop(static_pools(sc),
-                                       identity_association(sc),
+                                       bits_of(identity_association(sc)),
                                        np.zeros(2, dtype=int),
                                        Position3D(480.0, 520.0, 400.0))
         assert fallbacks == len(solves) == len(trace) - 1
@@ -493,7 +498,8 @@ class TestExactSolveCases:
         # S-UAV; the exact solve returns the S-UAV's own point, where the
         # exact objective is the same.
         sc = make_scenario([(500.0, 500.0)], [(500.0, 500.0)], n0_cap=1)
-        terms = placement_terms(static_pools(sc), identity_association(sc),
+        terms = placement_terms(static_pools(sc),
+                                bits_of(identity_association(sc)),
                                 np.array([0]))
         lo, hi = box_of(sc)
         q_ref = Position3D(500.0, 500.0, 500.5)
@@ -530,9 +536,10 @@ class TestBuildOnce:
         from uav_mec import placement
         from uav_mec.scenario import repositioned_scenario
         assoc = full_association(scenario0)
+        bits = bits_of(assoc)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         builds = counting(monkeypatch, placement, "placement_terms")
-        _, trace, _ = sca_loop(static_pools(placed), assoc,
+        _, trace, _ = sca_loop(static_pools(placed), bits,
                                np.zeros(scenario0.n_suavs, dtype=int),
                                Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2  # more than one SCA round
@@ -721,11 +728,12 @@ class TestFloatForms:
         from uav_mec.cost import evaluate_solution
         sc = make_scenario(xy, xy, n0_cap=len(xy))
         assoc = identity_association(sc)
+        bits = bits_of(assoc)
         beta = np.array(data.draw(st.lists(st.integers(0, 1),
                                            min_size=len(xy),
                                            max_size=len(xy))))
         q = Position3D(*q)
-        terms = placement_terms(static_pools(sc), assoc, beta)
+        terms = placement_terms(static_pools(sc), bits, beta)
         assert exact_objective(terms, q.xyz) == \
             evaluate_solution(sc, assoc, beta, q)[0]
 
@@ -751,21 +759,22 @@ class TestFloatForms:
         q = np.clip(np.array([mean[0], mean[1], 0.5 * (lo[2] + hi[2])]),
                     lo, hi)
         got = default_initial_position(static_pools(sc),
-                                       full_association(sc))
+                                       bits_of(full_association(sc)))
         assert repr(got) == repr(Position3D(*q))
 
     def test_returned_points_hold_numpy_floats(self, scenario0):
         # repr, which the digests hash, tells np.float64 from float.
         from uav_mec.scenario import repositioned_scenario
         assoc = full_association(scenario0)
+        bits = bits_of(assoc)
         placed = repositioned_scenario(scenario0, assoc.alpha)
         beta = np.zeros(scenario0.n_suavs, dtype=int)
         pools = static_pools(placed)
-        q, trace, _ = sca_loop(pools, assoc, beta,
+        q, trace, _ = sca_loop(pools, bits, beta,
                                Position3D(1000.0, 1000.0, 100.0))
         assert len(trace) > 2 and q != Position3D(1000.0, 1000.0, 100.0)
         assert [type(v) for v in q.xyz] == [np.float64] * 3
         assert all(type(v) is float for v in trace)
-        terms = placement_terms(pools, assoc, beta)
+        terms = placement_terms(pools, bits, beta)
         q2, _ = solve_sp2_2(placed, terms, q)
         assert [type(v) for v in q2.xyz] == [np.float64] * 3

@@ -177,6 +177,17 @@ class TestGenerator:
             assert 200.0 * 8192.0 <= s.chunk_bits <= 300.0 * 8192.0
 
 
+class TestSUav:
+    def test_a_chunk_of_no_bits_is_rejected(self):
+        # An S-UAV carries video exactly when it monitors a target, in the
+        # evaluator and in the blocks alike, only if every chunk is
+        # positive, as ExperimentConfig.validate asks of the drawn range.
+        with pytest.raises(ValueError, match="chunk_bits must be positive"):
+            make_scenario([(300.0, 500.0), (700.0, 500.0)],
+                          [(300.0, 500.0), (700.0, 500.0)],
+                          chunk_bits=[0.0, 2e6])
+
+
 class TestRepositionedScenario:
     def test_assigned_targets_covered_after_move(self, scenario0):
         assoc = full_association(scenario0)
